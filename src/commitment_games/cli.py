@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -31,6 +32,7 @@ from .equilibria import (
     solve_on_support,
 )
 from .games import (
+    DocumentError,
     Game,
     GameShapeError,
     MixedProfile,
@@ -197,7 +199,21 @@ def _describe_round(game: Game, round, index: int) -> str:
     return f"  round {index}: " + "; ".join(bits)
 
 
+def _parse_delta(text: str) -> float | None:
+    """None for 'auto', else a finite float."""
+    if text == "auto":
+        return None
+    try:
+        delta = float(text)
+    except ValueError as exc:
+        raise InputError(f"bad --delta: {exc}") from exc
+    if not math.isfinite(delta):
+        raise InputError(f"--delta must be finite, got {text}")
+    return delta
+
+
 def cmd_plan(args) -> int:
+    delta = _parse_delta(args.delta)
     game = _load_game(args.game)
     sigma = _parse_sigma(args.sigma, game) if args.sigma else _default_sigma(game)
     target = payoffs = None
@@ -220,13 +236,9 @@ def cmd_plan(args) -> int:
     else:
         raise InputError("one of --target or --payoffs is required")
 
-    if args.delta == "auto":
+    if delta is None:
         delta, plan = choose_delta(game, sigma, target=target, payoffs=payoffs)
     else:
-        try:
-            delta = float(args.delta)
-        except ValueError as exc:
-            raise InputError(f"bad --delta: {exc}") from exc
         plan = build_plan(game, sigma, target=target, payoffs=payoffs,
                           delta=delta)
     report = verify_plan(game, plan, amounts=args.grid_amounts,
@@ -413,7 +425,7 @@ def main(argv=None) -> int:
     except (InfeasibleError, DegenerateEquilibriumError, NotNashError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (GameShapeError, ProfileError, SupportError, OSError,
+    except (GameShapeError, ProfileError, SupportError, DocumentError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

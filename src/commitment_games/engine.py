@@ -19,9 +19,12 @@ from typing import Sequence
 
 from .games import (
     BURN,
+    MALFORMED,
+    DocumentError,
     Game,
     TransferError,
     apply_transfers,
+    check_schema,
     content_hash,
     game_from_dict,
     game_to_dict,
@@ -270,16 +273,27 @@ def transcript_to_dict(state: SessionState) -> dict:
 
 
 def transcript_from_dict(doc: dict) -> tuple[Game, Transcript, float, str]:
-    base = game_from_dict(doc["base_game"])
-    transcript = Transcript(
-        rounds=tuple(round_from_dict(r) for r in doc["rounds"]),
-        votes=tuple(tuple(bool(v) for v in row) for row in doc["votes"]),
-        terminal_actions=None if doc.get("terminal_actions") is None
-        else tuple(int(a) - 1 for a in doc["terminal_actions"]),
-        final_payoffs=None if doc.get("final_payoffs") is None
-        else tuple(float(x) for x in doc["final_payoffs"]),
-    )
-    return base, transcript, float(doc["delta"]), doc.get("mode", "transfers")
+    """Decode a transcript document; DocumentError when it is malformed or
+    its base game does not match the stored content hash."""
+    check_schema(doc, "transcript", TRANSCRIPT_SCHEMA_VERSION)
+    try:
+        base = game_from_dict(doc["base_game"])
+        stored_hash = doc["base_game_hash"]
+        transcript = Transcript(
+            rounds=tuple(round_from_dict(r) for r in doc["rounds"]),
+            votes=tuple(tuple(bool(v) for v in row) for row in doc["votes"]),
+            terminal_actions=None if doc.get("terminal_actions") is None
+            else tuple(int(a) - 1 for a in doc["terminal_actions"]),
+            final_payoffs=None if doc.get("final_payoffs") is None
+            else tuple(float(x) for x in doc["final_payoffs"]),
+        )
+        delta = float(doc["delta"])
+    except MALFORMED as exc:
+        raise DocumentError(f"malformed transcript document: "
+                            f"{type(exc).__name__}: {exc}") from exc
+    if stored_hash != content_hash(base):
+        raise DocumentError("transcript base_game does not match its base_game_hash")
+    return base, transcript, delta, doc.get("mode", "transfers")
 
 
 def save_transcript(state: SessionState, path) -> None:

@@ -20,6 +20,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -264,32 +265,41 @@ def build_characteristic_system(game: Game,
     The first listed action of each player is the reference action for
     that player's indifference and residual rows.
     """
-    n = game.num_players
-    if len(supports) != n:
+    supp = _checked_supports(game.action_counts, supports)
+
+    def row(i, a):
+        return Component("indiff", i, a, _difference_tensor(game, supp, i, supp[i][0], a))
+
+    components = [Component("norm", i) for i in range(game.num_players)]
+    components += [row(i, a) for i, a in _indifference_pairs(supp)]
+    residual_rows = [row(i, a) for i, a in _residual_pairs(game.action_counts, supp)]
+    return CharacteristicSystem(game, supp, tuple(components), tuple(residual_rows))
+
+
+def _checked_supports(action_counts: Sequence[int],
+                      supports: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    if len(supports) != len(action_counts):
         raise SupportError("one support list per player required")
     supp = []
     for i, s in enumerate(supports):
         s = tuple(int(a) for a in s)
         if not s:
             raise SupportError(f"player {i}: empty support")
-        if len(set(s)) != len(s) or any(not 0 <= a < game.action_counts[i] for a in s):
+        if len(set(s)) != len(s) or any(not 0 <= a < action_counts[i] for a in s):
             raise SupportError(f"player {i}: bad support {s}")
         supp.append(s)
-    supp = tuple(supp)
-    components = [Component("norm", i) for i in range(n)]
-    for i in range(n):
-        ref = supp[i][0]
-        for a in supp[i][1:]:
-            components.append(Component("indiff", i, a,
-                                        _difference_tensor(game, supp, i, ref, a)))
-    residual_rows = []
-    for i in range(n):
-        ref = supp[i][0]
-        for a in range(game.action_counts[i]):
-            if a not in supp[i]:
-                residual_rows.append(Component("indiff", i, a,
-                                               _difference_tensor(game, supp, i, ref, a)))
-    return CharacteristicSystem(game, supp, tuple(components), tuple(residual_rows))
+    return tuple(supp)
+
+
+def _indifference_pairs(supports) -> list[tuple[int, int]]:
+    """(player, action) of each indifference row, in system order."""
+    return [(i, a) for i, s in enumerate(supports) for a in s[1:]]
+
+
+def _residual_pairs(action_counts, supports) -> list[tuple[int, int]]:
+    """(player, action) of each out-of-support residual row, in system order."""
+    return [(i, a) for i, s in enumerate(supports)
+            for a in range(action_counts[i]) if a not in s]
 
 
 @dataclass(frozen=True)
@@ -368,6 +378,191 @@ def solve_on_support(game: Game, supports: Sequence[Sequence[int]],
         return SupportSolve(None, "residual_negative", f_norm=f_norm, min_residual=min_res)
     return SupportSolve(system.profile_from_vector(np.clip(x, 0.0, 1.0)), "ok",
                         f_norm=f_norm, min_residual=min_res)
+
+
+# ---------------------------------------------------------------------------
+# Batched first stage.  The deviation grid solves many games that share a
+# support choice; these helpers run the first stage of the punishment
+# search on a stack of them.  Each operation mirrors the single-game
+# expression on the same per-row memory layout (stacked LAPACK solves,
+# and matmuls that reach the same gemv/dot kernels), so every row agrees
+# bit for bit with `solve_on_support` + `is_nash` + the ceiling check.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BatchFirstStage:
+    """Per-row outcome of `first_stage_batch`.
+
+    `settled[b]` holds when row b's support solve is a Nash equilibrium
+    under the ceiling, i.e. when the scalar search returns kind
+    "support_solve".  `deviation_payoffs[i][b]` is player i's payoff per
+    pure action against that equilibrium; meaningless on unsettled rows.
+    """
+
+    settled: np.ndarray
+    deviation_payoffs: tuple[np.ndarray, ...]
+
+
+def _bmatvec(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise t[b] @ v[b] for t of shape (B, ..., k) and v of shape (B, k)."""
+    if t.ndim == 2:
+        return (t[:, None, :] @ v[:, :, None])[:, 0, 0]
+    shape = (v.shape[0],) + (1,) * (t.ndim - 3) + (v.shape[1], 1)
+    return (t @ v.reshape(shape))[..., 0]
+
+
+def _bcontract(t: np.ndarray, probs: Sequence[np.ndarray],
+               order: Sequence[int]) -> np.ndarray:
+    """Contract t's trailing axes with probs[j], j = order[-1] first."""
+    for j in reversed(order):
+        t = _bmatvec(t, probs[j])
+    return t
+
+
+def _bsolve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked solve; when a row is singular, solve row by row.
+
+    Returns (x, singular) with NaN rows where `singular` is set.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        singular = np.zeros(len(A), dtype=bool)
+        for r in range(len(A)):
+            try:
+                x[r] = np.linalg.solve(A[r], b[r])
+            except np.linalg.LinAlgError:
+                singular[r] = True
+        return x, singular
+
+
+def _inf_norm(f: np.ndarray) -> np.ndarray:
+    return np.abs(f).max(axis=1)
+
+
+def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
+                      seed: MixedProfile | None,
+                      ceiling: Sequence[float]) -> BatchFirstStage:
+    """The first stage of `find_punishment_equilibrium` over a stack of games.
+
+    `utilities` has shape (B, n, N_1..N_n).  Two players: one stacked
+    linear solve.  Three or more: damped Newton from `seed` with stacked
+    Jacobians, a per-row line search, and the iteration limits of
+    `solve_on_support`.  Then, per row, the checks of `solve_on_support`
+    (system to 1e-10, probabilities in (1e-9, 1+1e-9], residuals at least
+    -DEFAULT_TOL), `is_nash` at 1e-8 and the payoff ceiling plus DEFAULT_TOL.
+    """
+    U = np.ascontiguousarray(utilities, dtype=np.float64)
+    B, n, counts = U.shape[0], U.shape[1], U.shape[2:]
+    supp = _checked_supports(counts, supports)
+    if n > 2 and seed is None:
+        raise SupportError("a seed profile is required for three or more players")
+    sizes = [len(s) for s in supp]
+    offs = [0, *accumulate(sizes)]
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+
+    def coeffs(i, a):  # _difference_tensor over the stack
+        diff = (np.take(U[:, i], supp[i][0], axis=i + 1)
+                - np.take(U[:, i], a, axis=i + 1))
+        sel = np.ix_(*[supp[j] for j in others[i]])
+        return np.ascontiguousarray(diff[(slice(None), *sel)])
+
+    indiff = [(i, coeffs(i, a)) for i, a in _indifference_pairs(supp)]
+    residual = [(i, coeffs(i, a)) for i, a in _residual_pairs(counts, supp)]
+    rhs = np.array([1.0] * n + [0.0] * len(indiff))
+
+    def split(X):
+        return [X[:, offs[i]:offs[i + 1]] for i in range(n)]
+
+    # `rows` picks the games that X holds, for the Newton active set.
+    def evaluate(X, rows=slice(None)):
+        probs = split(X)
+        cols = [p.sum(axis=1) for p in probs]
+        cols += [_bcontract(c[rows], probs, others[i]) for i, c in indiff]
+        return np.stack(cols, axis=1) - rhs
+
+    def jacobian(X, rows):
+        probs = split(X)
+        J = np.zeros((len(X), offs[-1], offs[-1]))
+        for i in range(n):
+            J[:, i, offs[i]:offs[i + 1]] = 1.0
+        for r, (i, c) in enumerate(indiff, start=n):
+            for axis, j in enumerate(others[i]):
+                rest = [k for k in others[i] if k != j]
+                g = _bcontract(np.moveaxis(c[rows], axis + 1, 1), probs, rest)
+                J[:, r, offs[j]:offs[j + 1]] = g
+        return J
+
+    if n == 2:
+        m1, m2 = sizes
+        A = np.zeros((B, m1 + m2, m1 + m2))
+        A[:, 0, :m1] = 1.0
+        A[:, m2, m1:] = 1.0
+        # The rows of CharacteristicSystem.linear_system: player 2's block
+        # over p_1 on top, player 1's block over p_2 below.
+        for r, (i, c) in enumerate(indiff):
+            if i == 0:
+                A[:, m2 + 1 + r, m1:] = c
+            else:
+                A[:, 2 - m1 + r, :m1] = c
+        b = np.zeros(m1 + m2)
+        b[0] = b[m2] = 1.0
+        X, failed = _bsolve(A, np.broadcast_to(b, (B, m1 + m2)))
+        failed |= ~np.all(np.isfinite(X), axis=1)
+    else:
+        X = np.tile(np.concatenate([seed.probs[i][list(s)] for i, s in enumerate(supp)]),
+                    (B, 1))
+        F = evaluate(X)
+        failed = np.zeros(B, dtype=bool)
+        active = np.ones(B, dtype=bool)
+        for _ in range(NEWTON_MAX_ITER):
+            norm = _inf_norm(F)
+            active &= ~(norm <= NEWTON_TOL)
+            rows = np.flatnonzero(active)
+            if not rows.size:
+                break
+            step, singular = _bsolve(jacobian(X[rows], rows), -F[rows])
+            failed[rows[singular]] = True
+            rows, step = rows[~singular], step[~singular]
+            alpha = 1.0
+            for _ in range(40):
+                xn = X[rows] + alpha * step
+                fn = evaluate(xn, rows)
+                better = _inf_norm(fn) < norm[rows]
+                X[rows[better]], F[rows[better]] = xn[better], fn[better]
+                rows, step = rows[~better], step[~better]
+                if not rows.size:
+                    break
+                alpha *= 0.5
+            failed[rows] = True
+            active &= ~failed
+        failed |= active & (_inf_norm(F) > NEWTON_TOL)
+    X[failed] = 0.5  # keeps the checks below free of NaN; the rows stay failed
+
+    probs = split(X)
+    ok = ~failed & ~(_inf_norm(evaluate(X)) > 1e-10)
+    ok &= ~np.any((X <= 1e-9) | (X > 1 + 1e-9), axis=1)
+    if residual:
+        res = np.stack([_bcontract(c, probs, others[i]) for i, c in residual], axis=1)
+        ok &= ~(res.min(axis=1) < -DEFAULT_TOL)
+
+    clipped = split(np.clip(X, 0.0, 1.0))
+    full = []
+    for i in range(n):
+        v = np.zeros((B, counts[i]))
+        v[:, list(supp[i])] = clipped[i]
+        full.append(v)
+    ceiling = np.asarray(ceiling, dtype=np.float64) + DEFAULT_TOL
+    payoffs = []
+    for i in range(n):
+        pay = _bcontract(np.moveaxis(U[:, i], i + 1, 1), full, others[i])
+        current = _bmatvec(pay, full[i])
+        gain = pay[np.arange(B), np.argmax(pay, axis=1)] - current
+        ok &= ~(gain > 1e-8)
+        ok &= _bcontract(U[:, i], full, range(n)) <= ceiling[i]
+        payoffs.append(pay)
+    return BatchFirstStage(ok, tuple(payoffs))
 
 
 @dataclass(frozen=True)

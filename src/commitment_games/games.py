@@ -39,6 +39,23 @@ class ProfileError(ValueError):
     """Malformed mixed profile (negative mass, bad length, sum != 1)."""
 
 
+class DocumentError(ValueError):
+    """Malformed or inconsistent plan or transcript document."""
+
+
+# What a malformed JSON document raises while being decoded.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def check_schema(doc, kind: str, version: int) -> None:
+    """Raise DocumentError unless `doc` is an object of the given schema version."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{kind} document must be a JSON object")
+    if doc.get("schema_version") != version:
+        raise DocumentError(f"{kind} schema_version is {doc.get('schema_version')!r}, "
+                            f"expected {version}")
+
+
 class TransferError(ValueError):
     """Illegal pledge set: negative amount, self-payment, cap or mode breach."""
 

@@ -41,10 +41,13 @@ from .equilibria import (
 )
 from .games import (
     BURN,
+    MALFORMED,
+    DocumentError,
     Game,
     MixedProfile,
     OutcomeTarget,
     apply_transfers,
+    check_schema,
     content_hash,
     deviation_payoffs,
     expected_utility,
@@ -969,6 +972,8 @@ def build_plan(game: Game, sigma: MixedProfile, *,
     With `payoffs`: the welfare-transfer stage followed by the burn
     machinery on the transformed game (transfers mode).
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if not delta > 0:
         raise InfeasibleError("delta must be strictly positive")
     if (target is None) == (payoffs is None):
@@ -1067,32 +1072,38 @@ def plan_to_dict(plan: ProtocolPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> ProtocolPlan:
-    return ProtocolPlan(
-        case_tag=doc["case_tag"],
-        mode=doc["mode"],
-        delta=float(doc["delta"]),
-        rounds=tuple(round_from_dict(r) for r in doc["rounds"]),
-        target=OutcomeTarget(tuple(a - 1 for a in doc["target"]["profile"]),
-                             doc["target"]["role"]),
-        baseline=MixedProfile(doc["baseline"]),
-        punishment=tuple(
-            PunishmentStage(
-                int(s["first_round"]),
-                tuple(tuple(a - 1 for a in supp) for supp in s["supports"]),
-                MixedProfile(s["seed"]),
-                tuple(float(x) for x in s["ceiling"]),
-                s.get("label", "baseline"))
-            for s in doc["punishment"]),
-        checkpoints=tuple(
-            Checkpoint(int(c["rounds_applied"]), c["game_hash"], c.get("lambda"))
-            for c in doc["checkpoints"]),
-        expected_terminal_payoffs=tuple(float(x)
-                                        for x in doc["expected_terminal_payoffs"]),
-        base_game_hash=doc["base_game_hash"],
-        welfare_stage_rounds=int(doc.get("welfare_stage_rounds", 0)),
-        action_orders=None if doc.get("action_orders") is None
-        else tuple(tuple(a - 1 for a in o) for o in doc["action_orders"]),
-    )
+    """Decode a plan document; DocumentError when it is malformed."""
+    check_schema(doc, "plan", PLAN_SCHEMA_VERSION)
+    try:
+        return ProtocolPlan(
+            case_tag=doc["case_tag"],
+            mode=doc["mode"],
+            delta=float(doc["delta"]),
+            rounds=tuple(round_from_dict(r) for r in doc["rounds"]),
+            target=OutcomeTarget(tuple(a - 1 for a in doc["target"]["profile"]),
+                                 doc["target"]["role"]),
+            baseline=MixedProfile(doc["baseline"]),
+            punishment=tuple(
+                PunishmentStage(
+                    int(s["first_round"]),
+                    tuple(tuple(a - 1 for a in supp) for supp in s["supports"]),
+                    MixedProfile(s["seed"]),
+                    tuple(float(x) for x in s["ceiling"]),
+                    s.get("label", "baseline"))
+                for s in doc["punishment"]),
+            checkpoints=tuple(
+                Checkpoint(int(c["rounds_applied"]), c["game_hash"], c.get("lambda"))
+                for c in doc["checkpoints"]),
+            expected_terminal_payoffs=tuple(float(x)
+                                            for x in doc["expected_terminal_payoffs"]),
+            base_game_hash=doc["base_game_hash"],
+            welfare_stage_rounds=int(doc.get("welfare_stage_rounds", 0)),
+            action_orders=None if doc.get("action_orders") is None
+            else tuple(tuple(a - 1 for a in o) for o in doc["action_orders"]),
+        )
+    except MALFORMED as exc:
+        raise DocumentError(f"malformed plan document: "
+                            f"{type(exc).__name__}: {exc}") from exc
 
 
 def save_plan(plan: ProtocolPlan, path, extra: dict | None = None) -> None:

@@ -24,6 +24,7 @@ import numpy as np
 from .engine import BURN, CommitmentRound, Pledge, round_to_dict
 from .equilibria import (
     find_punishment_equilibrium,
+    first_stage_batch,
     is_nash,
     is_non_degenerate,
     build_characteristic_system,
@@ -31,6 +32,7 @@ from .equilibria import (
 )
 from .games import (
     Game,
+    GameShapeError,
     MixedProfile,
     TransferError,
     apply_transfers,
@@ -47,26 +49,6 @@ ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
 
 DEVIATION_CLASSES = ("commitment", "early_stop", "continue_when_stop",
                      "terminal_action")
-
-
-@dataclass(frozen=True)
-class StrategyBundle:
-    """A plan plus the strategy it induces.
-
-    On path: submit the plan's rounds, vote to continue until the plan is
-    exhausted, then vote to stop and play the target.  Off path: on any
-    observed deviation, vote to stop and play the active punishment stage's
-    anchor, recomputed for the current game.  The bundle is valid only when
-    that anchor exists at every prefix, which is what property (a) checks.
-    """
-
-    plan: ProtocolPlan
-
-    def valid(self, game: Game) -> bool:
-        if check_on_path(game, self.plan)["a"].status != "pass":
-            return False
-        deviations = check_deviations(game, self.plan)
-        return not any(r.structural_failures for r in deviations.values())
 
 
 @dataclass(frozen=True)
@@ -403,10 +385,64 @@ def _prefix_indices(total: int, budget: int | None) -> list[int]:
     return sorted(picked)
 
 
+def _move_edits(game: Game, moves) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The moves as cell updates of a stack of flattened utility tensors.
+
+    Row m of the stack takes move m.  Slot s holds the s-th update of every
+    move that has one, as (rows, cells, signed amounts), in the order
+    `apply_transfers` makes them: per pledge the payer's debit, then the
+    recipient's credit.  Adding -a is `u -= a` bit for bit.
+    """
+    shape = game.utilities.shape
+    slots: list[list[tuple[int, int, float]]] = []
+    for m, (_, pledges) in enumerate(moves):
+        edits = []
+        for p in pledges:
+            edits.append(((p.payer, *p.outcome), -float(p.amount)))
+            if p.recipient != BURN:
+                edits.append(((p.recipient, *p.outcome), float(p.amount)))
+        for s, (cell, amount) in enumerate(edits):
+            if s == len(slots):
+                slots.append([])
+            slots[s].append((m, int(np.ravel_multi_index(cell, shape)), amount))
+    return [tuple(np.array(col) for col in zip(*slot)) for slot in slots]
+
+
+def _punishments(template: Game, stack: np.ndarray, stage):
+    """The punishment search on every game of a stack under one stage.
+
+    The batched first stage settles what it can; only the other rows go
+    through `find_punishment_equilibrium`.  Returns per row the kind
+    ("unavailable" when nothing qualifies) and each player's best-response
+    payoff against the punishment, plus the games of unavailable rows.
+    """
+    first = first_stage_batch(stack, stage.supports, stage.seed, stage.ceiling)
+    kinds = ["support_solve"] * len(stack)
+    best = np.stack([p.max(axis=1) for p in first.deviation_payoffs], axis=1)
+    unavailable = {}
+    for r in np.flatnonzero(~first.settled):
+        g = template.with_utilities(stack[r])
+        pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
+                                          stage.ceiling)
+        if pun.profile is None:
+            kinds[r] = "unavailable"
+            unavailable[r] = g
+        else:
+            kinds[r] = pun.kind
+            best[r] = [best_response_payoff(g, pun.profile, i)
+                       for i in range(g.num_players)]
+    return kinds, best, unavailable
+
+
 def check_deviations(game: Game, plan: ProtocolPlan, *,
                      amounts: Sequence[float] | None = None,
                      budget: int | None = None) -> dict[str, DeviationClassResult]:
-    """Probe the four deviation classes against the plan's punishment rule."""
+    """Probe the four deviation classes against the plan's punishment rule.
+
+    The deviation games of one prefix are solved as one stack: per
+    deviator, the prefix game with the others' pledges folded in, plus each
+    move's cell updates.
+    """
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = _fold_sequence(game, plan)
     R = len(plan.rounds)
@@ -414,21 +450,37 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
 
-    move_cache = {d: commitment_deviation_moves(game, d, plan.delta, plan.mode,
-                                                amounts) for d in range(n)}
-    for k in _prefix_indices(R, budget):
+    moves = [commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
+             for d in range(n)]
+    edits = [_move_edits(game, m) for m in moves]
+    for step, k in enumerate(_prefix_indices(R, budget)):
         g = games[k]
-        stage = plan.stage_for(k)
-        prescribed = plan.rounds[k]
+        blocks = []
         for d in range(n):
-            others = tuple(p for p in prescribed.pledges if p.payer != d)
-            for name, pledges in move_cache[d]:
-                dev_round = CommitmentRound(others + tuple(pledges))
-                g_dev = apply_transfers(g, dev_round, delta=plan.delta,
-                                        mode=plan.mode)
-                pun = find_punishment_equilibrium(g_dev, stage.supports,
-                                                  stage.seed, stage.ceiling)
-                if pun.profile is None:
+            others = CommitmentRound(tuple(p for p in plan.rounds[k].pledges
+                                           if p.payer != d))
+            base = apply_transfers(g, others, delta=plan.delta, mode=plan.mode)
+            if step == 0:
+                # A move's pledges all have payer d and the others' never do,
+                # so their cap totals never mix: checking each move once, on
+                # the first prefix, raises what folding it everywhere would.
+                for _, pledges in moves[d]:
+                    apply_transfers(base, CommitmentRound(tuple(pledges)),
+                                    delta=plan.delta, mode=plan.mode)
+            block = np.repeat(base.utilities[None], len(moves[d]), axis=0)
+            flat = block.reshape(len(block), -1)
+            for rows, cells, values in edits[d]:
+                flat[rows, cells] += values
+            blocks.append(block)
+        stack = np.concatenate(blocks)
+        if not np.all(np.isfinite(stack)):
+            raise GameShapeError("utilities must be finite")
+        kinds, best, unavailable = _punishments(g, stack, plan.stage_for(k))
+        row = 0
+        for d in range(n):
+            for name, _ in moves[d]:
+                if kinds[row] == "unavailable":
+                    g_dev = unavailable[row]
                     pure = enumerate_pure_nash(g_dev)
                     if pure:
                         gain = max(g_dev.payoff(d, p) for p in pure) - on_path[d]
@@ -437,25 +489,29 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
                     results["commitment"].record(DeviationFinding(
                         float(gain), k, d, name, "unavailable", structural=True))
                 else:
-                    gain = best_response_payoff(g_dev, pun.profile, d) - on_path[d]
                     results["commitment"].record(DeviationFinding(
-                        float(gain), k, d, name, pun.kind))
+                        float(best[row, d] - on_path[d]), k, d, name, kinds[row]))
+                row += 1
 
-    for k in _prefix_indices(R, budget):
-        if k == 0:
-            continue  # the first vote happens after round 1
-        g = games[k]
-        stage = plan.stage_for(k)
-        pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
-                                          stage.ceiling)
+    # The first vote happens after round 1.  Prefix games are solved as one
+    # stack per punishment stage.
+    stops = [k for k in _prefix_indices(R, budget) if k != 0]
+    found = {}
+    for stage in plan.punishment:
+        ks = [k for k in stops if plan.stage_for(k) is stage]
+        if ks:
+            stack = np.stack([games[k].utilities for k in ks])
+            kinds, best, _ = _punishments(game, stack, stage)
+            found.update(zip(ks, zip(kinds, best)))
+    for k in stops:
+        kind, best = found[k]
         for d in range(n):
-            if pun.profile is None:
+            if kind == "unavailable":
                 results["early_stop"].record(DeviationFinding(
                     math.inf, k, d, "stop", "unavailable", structural=True))
             else:
-                gain = best_response_payoff(g, pun.profile, d) - on_path[d]
                 results["early_stop"].record(DeviationFinding(
-                    float(gain), k, d, "stop", pun.kind))
+                    float(best[d] - on_path[d]), k, d, "stop", kind))
 
     # Voting to continue when the others stop cannot change the outcome:
     # continuation requires unanimity, so the gain is identically zero.

@@ -154,3 +154,35 @@ def test_verify_witness_dump(workdir):
     assert doc["witnesses"]
     first = doc["witnesses"][0]
     assert "deviation" in first and first["mode"] == "transfers"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plan_rejects_non_finite_delta(workdir, value):
+    res = run("plan", str(workdir / "ex3.json"), "--payoffs", "4,3",
+              f"--delta={value}")
+    assert res.returncode == 2
+    assert "--delta must be finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def _ex3_plan_doc(workdir):
+    from commitment_games import MixedProfile, build_plan, load_game, plan_to_dict
+
+    game = load_game(workdir / "ex3.json")
+    plan = build_plan(game, MixedProfile.pure((2, 2), (0, 0)), payoffs=(4.0, 3.0),
+                      delta=1.0)
+    return plan_to_dict(plan)
+
+
+@pytest.mark.parametrize("broken", ["no_version", "missing_key", "bad_version"])
+def test_verify_malformed_plan_exits_2(workdir, broken):
+    doc = {
+        "no_version": {"case_tag": "x"},
+        "missing_key": {"schema_version": 1, "case_tag": "x"},
+        "bad_version": {**_ex3_plan_doc(workdir), "schema_version": 2},
+    }[broken]
+    plan_path = workdir / f"malformed_{broken}.json"
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    res = run("verify", str(workdir / "ex3.json"), str(plan_path))
+    assert res.returncode == 2
+    assert "error:" in res.stderr and "Traceback" not in res.stderr

@@ -22,9 +22,12 @@ from commitment_games import (
 )
 from commitment_games.engine import (
     Transcript,
+    load_transcript,
+    save_transcript,
     transcript_from_dict,
     transcript_to_dict,
 )
+from commitment_games.games import DocumentError
 from commitment_games.catalog import chicken, prisoners_dilemma, unfair_split
 
 from conftest import random_game
@@ -182,6 +185,24 @@ def test_transcript_json_round_trip():
     assert again.transcript.final_payoffs == state.transcript.final_payoffs
     assert doc["rounds"][0][0]["payer"] == 1  # 1-based in the file
     assert doc["rounds"][1][0]["recipient"] == "BURN"
+
+
+def test_transcript_with_tampered_base_game_is_rejected(tmp_path):
+    state = open_session(unfair_split(), 1.0)
+    state = submit_round(state, _pay_round(1.0))
+    path = tmp_path / "transcript.json"
+    save_transcript(state, path)
+    assert load_transcript(path)[0] == state.base_game
+    doc = json.loads(path.read_text())
+    doc["base_game"]["payoffs"][0][0] += 1.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DocumentError, match="base_game_hash"):
+        load_transcript(path)
+    with pytest.raises(DocumentError, match="schema_version"):
+        transcript_from_dict({**transcript_to_dict(state), "schema_version": 0})
+    with pytest.raises(DocumentError, match="rounds"):
+        transcript_from_dict({k: v for k, v in transcript_to_dict(state).items()
+                              if k != "rounds"})
 
 
 def test_states_are_immutable_values():

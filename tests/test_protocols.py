@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from commitment_games import (
+    DocumentError,
     Game,
     MixedProfile,
     NotImprovingError,
@@ -398,6 +399,27 @@ def test_plan_json_round_trip():
     assert back.checkpoints == plan.checkpoints
     assert back.punishment[0].ceiling == plan.punishment[0].ceiling
     assert back.baseline == plan.baseline
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+def test_build_plan_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="finite") as info:
+        build_plan(cyclic_with_prize(), uniform_cycle_sigma(), target=(3, 3),
+                   delta=delta)
+    assert not isinstance(info.value, InfeasibleError)
+
+
+def test_plan_from_dict_rejects_malformed_documents():
+    doc = plan_to_dict(build_plan(cyclic_with_prize(), uniform_cycle_sigma(),
+                                  target=(3, 3), delta=0.5))
+    with pytest.raises(DocumentError, match="schema_version"):
+        plan_from_dict({**doc, "schema_version": 2})
+    with pytest.raises(DocumentError, match="mode"):
+        plan_from_dict({k: v for k, v in doc.items() if k != "mode"})
+    with pytest.raises(DocumentError):
+        plan_from_dict({**doc, "punishment": [{"first_round": 0}]})
+    with pytest.raises(DocumentError):
+        plan_from_dict([doc])
 
 
 def test_every_round_respects_the_cap():

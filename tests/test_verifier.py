@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,19 +14,41 @@ from commitment_games import (
     build_plan,
     check_deviations,
     check_on_path,
+    deviation_payoffs,
     expected_utility,
     fold_plan,
     round_bound_check,
     verify_plan,
 )
+from commitment_games import verifier
 from commitment_games.catalog import (
     cyclic_with_prize,
+    cyclic_with_prize_overlap,
     naive_spoiler_plan,
     spoiler_3x3,
+    three_player_cycle,
     two_mode_mixing,
     unfair_split,
 )
-from commitment_games.verifier import commitment_deviation_moves
+from commitment_games.equilibria import (
+    enumerate_pure_nash,
+    find_punishment_equilibrium,
+    first_stage_batch,
+)
+from commitment_games.games import Game, GameShapeError, TransferError, apply_transfers
+from commitment_games.protocols import PunishmentStage
+from commitment_games.verifier import (
+    DeviationClassResult,
+    DeviationFinding,
+    best_response_payoff,
+    commitment_deviation_moves,
+)
+
+from conftest import (
+    feasible_payoff_split,
+    full_support_multiplayer,
+    full_support_two_player,
+)
 
 
 def split_plan(delta=1.0):
@@ -174,10 +199,235 @@ def test_report_serialization_round_trip():
     assert doc["properties"]["b"]["status"] == "pass"
 
 
-def test_strategy_bundle_validity():
-    from commitment_games import StrategyBundle
+# ---------------------------------------------------------------------------
+# Differential tests: the batched grid against the per-game scalar loop.
+# ---------------------------------------------------------------------------
 
+def _scalar_check_deviations(game, plan, *, amounts=None, budget=None):
+    """Reference grid: fold and search every deviation game one at a time."""
+    amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
+    games = verifier._fold_sequence(game, plan)
+    R, n = plan.num_rounds, game.num_players
+    on_path = np.asarray(plan.expected_terminal_payoffs)
+    results = {c: DeviationClassResult() for c in verifier.DEVIATION_CLASSES}
+    prefixes = verifier._prefix_indices(R, budget)
+    for k in prefixes:
+        stage = plan.stage_for(k)
+        for d in range(n):
+            others = tuple(p for p in plan.rounds[k].pledges if p.payer != d)
+            for name, pledges in commitment_deviation_moves(
+                    game, d, plan.delta, plan.mode, amounts):
+                dev_round = CommitmentRound(others + tuple(pledges))
+                g_dev = apply_transfers(games[k], dev_round, delta=plan.delta,
+                                        mode=plan.mode)
+                pun = find_punishment_equilibrium(g_dev, stage.supports,
+                                                  stage.seed, stage.ceiling)
+                if pun.profile is None:
+                    pure = enumerate_pure_nash(g_dev)
+                    gain = (max(g_dev.payoff(d, p) for p in pure) - on_path[d]
+                            if pure else math.inf)
+                    finding = DeviationFinding(float(gain), k, d, name,
+                                               "unavailable", structural=True)
+                else:
+                    gain = best_response_payoff(g_dev, pun.profile, d) - on_path[d]
+                    finding = DeviationFinding(float(gain), k, d, name, pun.kind)
+                results["commitment"].record(finding)
+    for k in prefixes[1:] if prefixes[:1] == [0] else prefixes:
+        stage = plan.stage_for(k)
+        pun = find_punishment_equilibrium(games[k], stage.supports, stage.seed,
+                                          stage.ceiling)
+        for d in range(n):
+            if pun.profile is None:
+                finding = DeviationFinding(math.inf, k, d, "stop", "unavailable",
+                                           structural=True)
+            else:
+                gain = best_response_payoff(games[k], pun.profile, d) - on_path[d]
+                finding = DeviationFinding(float(gain), k, d, "stop", pun.kind)
+            results["early_stop"].record(finding)
+    for d in range(n):
+        results["continue_when_stop"].record(DeviationFinding(0.0, R, d,
+                                                              "continue", "n/a"))
+    t = plan.target.profile
+    for d in range(n):
+        for a in range(game.action_counts[d]):
+            if a != t[d]:
+                prof = list(t)
+                prof[d] = a
+                gain = games[R].payoff(d, tuple(prof)) - on_path[d]
+                results["terminal_action"].record(DeviationFinding(
+                    float(gain), R, d, f"play{a + 1}", "n/a"))
+    return results
+
+
+@contextlib.contextmanager
+def _recorded_findings():
+    """Every finding any DeviationClassResult records, in order."""
+    log = []
+    record = DeviationClassResult.record
+
+    def logged(self, finding):
+        log.append(finding)
+        record(self, finding)
+
+    with mock.patch.object(DeviationClassResult, "record", logged):
+        yield log
+
+
+def _assert_same_rows(batched, scalar):
+    assert len(batched) == len(scalar)
+    for b, s in zip(batched, scalar):
+        assert ((b.prefix, b.player, b.move, b.punishment_kind, b.structural)
+                == (s.prefix, s.player, s.move, s.punishment_kind, s.structural))
+        assert b.gain == s.gain or abs(b.gain - s.gain) <= 1e-12
+
+
+CATALOG_PLANS = {
+    "ex3": lambda: (unfair_split(), split_plan()[1], {"amounts": (0.5, 1.0)}),
+    "ex4": lambda: (*prize_plan(), {}),
+    "ex5": lambda: (cyclic_with_prize_overlap(), build_plan(
+        cyclic_with_prize_overlap(),
+        MixedProfile.uniform_over((4, 4), [(0, 1, 2), (0, 1, 2)]),
+        target=(3, 2), delta=0.5), {}),
+    "ex6": lambda: (three_player_cycle(), build_plan(
+        three_player_cycle(), MixedProfile.uniform_over((2, 2, 2), [(0, 1)] * 3),
+        target=(0, 0, 0), delta=0.1), {"budget": 4}),
+    "counter3x3": lambda: (spoiler_3x3(), naive_spoiler_plan(0.5), {}),
+}
+
+
+@pytest.mark.parametrize("example", sorted(CATALOG_PLANS))
+def test_batched_report_is_byte_identical_to_scalar_loop(example):
+    game, plan, kwargs = CATALOG_PLANS[example]()
+    with _recorded_findings() as batched_rows:
+        batched = verify_plan(game, plan, **kwargs).to_json()
+    with mock.patch.object(verifier, "check_deviations", _scalar_check_deviations), \
+            _recorded_findings() as scalar_rows:
+        scalar = verify_plan(game, plan, **kwargs).to_json()
+    assert batched == scalar
+    _assert_same_rows(batched_rows, scalar_rows)
+
+
+@pytest.mark.parametrize("case", ["over_cap", "overflow"])
+def test_batched_grid_raises_what_the_scalar_loop_raises(case):
+    game, plan = split_plan()
+    amounts = (2.0,)  # above the cap of 1
+    if case == "overflow":
+        u = np.array(game.utilities)
+        u[0, 0, 1] = -np.finfo(float).max  # any burn there overflows
+        game, plan, amounts = Game(u), dataclasses.replace(plan, delta=1e300), None
+    raised = []
+    for grid in (check_deviations, _scalar_check_deviations):
+        with np.errstate(over="ignore"), \
+                pytest.raises((TransferError, GameShapeError)) as info:
+            grid(game, plan, amounts=amounts)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is (TransferError if case == "over_cap" else GameShapeError)
+
+
+def _random_plan(rng, counts):
+    """A random game with a full-support equilibrium and a plan (toward a
+    Pareto-improving pure outcome, or a transfers plan to a welfare split).
+
+    Transfers plans are drawn for 2x2 and 3x3 games only: a 4x4 or
+    three-player transfers grid can send hundreds of rows per prefix
+    through the fallback chain, which takes seconds per plan.
+    """
+    while True:
+        if len(counts) == 2:
+            game, sigma = full_support_two_player(rng, actions=counts[0])
+        else:
+            game, sigma = full_support_multiplayer(rng, players=len(counts))
+        delta = float(rng.choice([0.05, 0.1, 0.25]))
+        split = None
+        if counts in ((2, 2), (3, 3)) and rng.random() < 0.5:
+            split = feasible_payoff_split(rng, game, sigma)
+        attempts = ([{"payoffs": split}] if split else []) + [
+            {"target": t} for t in game.pure_profiles()]
+        for kwargs in attempts:
+            try:
+                return game, build_plan(game, sigma, delta=delta, **kwargs)
+            except ValueError:
+                continue
+
+
+def test_batched_grid_matches_scalar_loop_hypothesis():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # Rows the first stage rejects cost up to tens of milliseconds each in
+    # the fallback chain (4x4 support enumeration), so the draws are fixed
+    # to keep the suite's run time fixed; 4x4 plans get a smaller grid.
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(2, 2), (3, 3), (4, 4), (2, 2, 2)]))
+    def run(seed, counts):
+        game, plan = _random_plan(np.random.default_rng(seed), counts)
+        grid = {"budget": 3, "amounts": (plan.delta,) if counts == (4, 4) else None}
+        with _recorded_findings() as batched:
+            check_deviations(game, plan, **grid)
+        with _recorded_findings() as scalar:
+            _scalar_check_deviations(game, plan, **grid)
+        _assert_same_rows(batched, scalar)
+
+    run()
+
+
+def test_batched_first_stage_matches_scalar_search_hypothesis():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(2, 2), (3, 3), (4, 4), (2, 2, 2)]),
+           st.sampled_from([1e-3, 0.05, 0.5]),
+           st.sampled_from([0.0, 0.05, 0.5]))
+    def run(seed, counts, scale, headroom):
+        rng = np.random.default_rng(seed)
+        if len(counts) == 2:
+            game, sigma = full_support_two_player(rng, actions=counts[0])
+        else:
+            game, sigma = full_support_multiplayer(rng, players=len(counts))
+        n = game.num_players
+        ceiling = tuple(expected_utility(game, sigma, i) + headroom for i in range(n))
+        stage = PunishmentStage(0, sigma.supports(), sigma, ceiling)
+        stack = game.utilities + rng.uniform(-scale, scale, (16, *game.utilities.shape))
+        stack[0] = game.utilities
+        stack[1] = 0.0  # exactly singular: every indifference row vanishes
+        kinds, best, unavailable = verifier._punishments(game, stack, stage)
+        for r in range(len(stack)):
+            g = game.with_utilities(stack[r])
+            pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
+                                              stage.ceiling)
+            assert kinds[r] == (pun.kind if pun.profile else "unavailable")
+            assert (r in unavailable) == (pun.profile is None)
+            if pun.profile is not None:
+                want = [best_response_payoff(g, pun.profile, i) for i in range(n)]
+                assert np.all(np.abs(best[r] - want) <= 1e-12)
+
+    run()
+
+
+def test_singular_row_is_retried_alone_and_left_to_the_fallback():
     game, plan = prize_plan()
-    assert StrategyBundle(plan).valid(game)
-    bad_game = spoiler_3x3()
-    assert not StrategyBundle(naive_spoiler_plan(0.5)).valid(bad_game)
+    stage = plan.punishment[0]
+    stack = np.stack([game.utilities, np.zeros_like(game.utilities),
+                      game.utilities])
+    shapes = []
+    solve = np.linalg.solve
+
+    def spied(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    with mock.patch.object(np.linalg, "solve", spied):
+        first = first_stage_batch(stack, stage.supports, stage.seed, stage.ceiling)
+    assert shapes == [(3, 6, 6), (6, 6), (6, 6), (6, 6)]
+    assert first.settled.tolist() == [True, False, True]
+    scalar = find_punishment_equilibrium(game, stage.supports, stage.seed,
+                                         stage.ceiling)
+    assert scalar.kind == "support_solve"
+    for i in range(2):
+        want = deviation_payoffs(game, scalar.profile, i)
+        assert first.deviation_payoffs[i][0].tobytes() == want.tobytes()
+        assert first.deviation_payoffs[i][2].tobytes() == want.tobytes()
