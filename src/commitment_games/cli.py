@@ -200,7 +200,7 @@ def _describe_round(game: Game, round, index: int) -> str:
 
 
 def _parse_delta(text: str) -> float | None:
-    """None for 'auto', else a finite float."""
+    """None for 'auto', else a finite positive float."""
     if text == "auto":
         return None
     try:
@@ -209,7 +209,45 @@ def _parse_delta(text: str) -> float | None:
         raise InputError(f"bad --delta: {exc}") from exc
     if not math.isfinite(delta):
         raise InputError(f"--delta must be finite, got {text}")
+    if not delta > 0:
+        raise InputError(f"--delta must be positive, got {text}")
     return delta
+
+
+def _parse_payoffs(text: str, game: Game) -> list[float]:
+    try:
+        payoffs = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad --payoffs: {exc}") from exc
+    if len(payoffs) != game.num_players:
+        raise InputError("one payoff per player required")
+    if not all(math.isfinite(x) for x in payoffs):
+        raise InputError(f"--payoffs must be finite, got {text}")
+    return payoffs
+
+
+def _parse_grid(args) -> None:
+    """Sets args.grid_amounts (None for the default grid) from --grid and
+    checks --budget."""
+    args.grid_amounts = None
+    if args.grid:
+        try:
+            args.grid_amounts = tuple(float(x) for x in args.grid.split(","))
+        except ValueError as exc:
+            raise InputError(f"bad --grid: {exc}") from exc
+        if not all(math.isfinite(x) and x >= 0 for x in args.grid_amounts):
+            raise InputError(f"--grid amounts must be finite and >= 0, got {args.grid}")
+    if args.budget is not None and args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
+
+
+def _verify(args, game: Game, plan):
+    """verify_plan on the --grid/--budget grid; amounts may not exceed the
+    plan's cap."""
+    if args.grid_amounts and max(args.grid_amounts) > plan.delta:
+        raise InputError(f"--grid amounts must not exceed the plan's delta "
+                         f"{plan.delta:g}, got {args.grid}")
+    return verify_plan(game, plan, amounts=args.grid_amounts, budget=args.budget)
 
 
 def cmd_plan(args) -> int:
@@ -224,12 +262,7 @@ def cmd_plan(args) -> int:
         if args.mode == "transfers":
             raise InputError("--target plans are burn-only constructions")
     elif args.payoffs is not None:
-        try:
-            payoffs = [float(x) for x in args.payoffs.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad --payoffs: {exc}") from exc
-        if len(payoffs) != game.num_players:
-            raise InputError("one payoff per player required")
+        payoffs = _parse_payoffs(args.payoffs, game)
         if args.mode == "burn":
             raise InfeasibleError("payoff splits need transfers; burning "
                                   "cannot redistribute welfare")
@@ -241,8 +274,7 @@ def cmd_plan(args) -> int:
     else:
         plan = build_plan(game, sigma, target=target, payoffs=payoffs,
                           delta=delta)
-    report = verify_plan(game, plan, amounts=args.grid_amounts,
-                         budget=args.budget)
+    report = _verify(args, game, plan)
     print(f"case: {plan.case_tag}; delta={delta:g}; rounds={plan.num_rounds}")
     for k, r in enumerate(plan.rounds):
         print(_describe_round(game, r, k + 1))
@@ -310,8 +342,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     game = _load_game(args.game)
     plan = _plan_for_game(args, game)
-    report = verify_plan(game, plan, amounts=args.grid_amounts,
-                         budget=args.budget)
+    report = _verify(args, game, plan)
     doc = report.to_dict()
     doc["meta"] = _meta(args, {"game": _file_sha256(args.game),
                                "plan": _file_sha256(args.plan)})
@@ -409,15 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "grid", None):
-        try:
-            args.grid_amounts = tuple(float(x) for x in args.grid.split(","))
-        except ValueError:
-            print("error: bad --grid", file=sys.stderr)
-            return EXIT_INPUT
-    elif hasattr(args, "grid"):
-        args.grid_amounts = None
     try:
+        if hasattr(args, "grid"):
+            _parse_grid(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

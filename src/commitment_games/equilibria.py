@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cache, partial
+from itertools import accumulate, combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .games import (
     DEFAULT_TOL,
     Game,
+    GameShapeError,
     MixedProfile,
     content_hash,
     deviation_payoffs,
@@ -53,7 +54,11 @@ class DegenerateEquilibriumError(ValueError):
 
 
 def worker_count() -> int:
-    """Parallelism cap from COMMITMENT_GAMES_THREADS (default 1)."""
+    """COMMITMENT_GAMES_THREADS as a positive count (default 1).
+
+    No library operation runs in parallel any more; the benchmark still
+    records this value in its run info.
+    """
     try:
         return max(1, int(os.environ.get("COMMITMENT_GAMES_THREADS", "1")))
     except ValueError:
@@ -396,11 +401,13 @@ class BatchFirstStage:
     `settled[b]` holds when row b's support solve is a Nash equilibrium
     under the ceiling, i.e. when the scalar search returns kind
     "support_solve".  `deviation_payoffs[i][b]` is player i's payoff per
-    pure action against that equilibrium; meaningless on unsettled rows.
+    pure action against that equilibrium and `payoffs[b, i]` its expected
+    payoff; both are meaningless on unsettled rows.
     """
 
     settled: np.ndarray
     deviation_payoffs: tuple[np.ndarray, ...]
+    payoffs: np.ndarray
 
 
 def _bmatvec(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -554,15 +561,16 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         v[:, list(supp[i])] = clipped[i]
         full.append(v)
     ceiling = np.asarray(ceiling, dtype=np.float64) + DEFAULT_TOL
-    payoffs = []
+    deviation, expected = [], []
     for i in range(n):
         pay = _bcontract(np.moveaxis(U[:, i], i + 1, 1), full, others[i])
         current = _bmatvec(pay, full[i])
         gain = pay[np.arange(B), np.argmax(pay, axis=1)] - current
         ok &= ~(gain > 1e-8)
-        ok &= _bcontract(U[:, i], full, range(n)) <= ceiling[i]
-        payoffs.append(pay)
-    return BatchFirstStage(ok, tuple(payoffs))
+        expected.append(_bcontract(U[:, i], full, range(n)))
+        ok &= expected[i] <= ceiling[i]
+        deviation.append(pay)
+    return BatchFirstStage(ok, tuple(deviation), np.stack(expected, axis=1))
 
 
 @dataclass(frozen=True)
@@ -615,26 +623,26 @@ class PunishmentResult:
 _SUPPORT_ENUM_MAX_ACTIONS = 4
 
 
-def _support_enumeration(game: Game, accept) -> MixedProfile | None:
-    if game.num_players != 2 or max(game.action_counts) > _SUPPORT_ENUM_MAX_ACTIONS:
-        return None
-    from itertools import combinations
+@cache
+def _support_patterns(action_counts: tuple[int, ...]) -> tuple:
+    """Support pairs (s1, s2) in enumeration order, or none beyond desk
+    scale."""
+    if len(action_counts) != 2 or max(action_counts) > _SUPPORT_ENUM_MAX_ACTIONS:
+        return ()
+    opts = [[s for size in range(1, c + 1) for s in combinations(range(c), size)]
+            for c in action_counts]
+    return tuple(product(*opts))
 
-    patterns = []
-    for c in game.action_counts:
-        opts = []
-        for size in range(1, c + 1):
-            opts.extend(combinations(range(c), size))
-        patterns.append(opts)
-    for s1 in patterns[0]:
-        for s2 in patterns[1]:
-            res = solve_on_support(game, (s1, s2))
-            if res.profile is None:
-                continue
-            if not is_nash(game, res.profile, 1e-8).ok:
-                continue
-            if accept(res.profile):
-                return res.profile
+
+def _support_enumeration(game: Game, accept) -> MixedProfile | None:
+    for pattern in _support_patterns(game.action_counts):
+        res = solve_on_support(game, pattern)
+        if res.profile is None:
+            continue
+        if not is_nash(game, res.profile, 1e-8).ok:
+            continue
+        if accept(res.profile):
+            return res.profile
     return None
 
 
@@ -731,6 +739,92 @@ def find_punishment_equilibrium(game: Game, reference_support: Sequence[Sequence
 
 
 @dataclass(frozen=True)
+class BatchPunishment:
+    """Per-row outcome of `punish_batch`.
+
+    `kinds[b]` is the kind `find_punishment_equilibrium` returns for row b.
+    `best_response[b, i]` is player i's best-response payoff against that
+    punishment and `payoffs[b, i]` its expected payoff; both are NaN on
+    rows of kind "none".
+    """
+
+    kinds: tuple[str, ...]
+    best_response: np.ndarray
+    payoffs: np.ndarray
+
+
+def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
+                 seed: MixedProfile | None,
+                 ceiling: Sequence[float]) -> BatchPunishment:
+    """`find_punishment_equilibrium` over a stack of games, row for row.
+
+    `utilities` has shape (B, n, N_1..N_n).  The first stage runs on the
+    whole stack, the seed and pure-equilibrium checks on each row it leaves
+    open.  Support enumeration then runs one `first_stage_batch` per
+    support pattern on the rows still open, in the scalar order, so each
+    row is settled by the pattern the scalar search would accept.  Only
+    2x2 rows left over try the boundary equilibria.  Raises GameShapeError
+    when an entry is not finite, as building the games would.
+    """
+    U = np.asarray(utilities, dtype=np.float64)
+    if not np.all(np.isfinite(U)):
+        raise GameShapeError("utilities must be finite")
+    n, counts = U.shape[1], U.shape[2:]
+    ceiling = np.asarray(ceiling, dtype=np.float64)
+
+    first = first_stage_batch(U, supports, seed, ceiling)
+    kinds = ["support_solve"] * len(U)
+    best = np.stack([p.max(axis=1) for p in first.deviation_payoffs], axis=1)
+    expected = first.payoffs.copy()
+    rows = np.flatnonzero(~first.settled)
+    best[rows] = expected[rows] = np.nan
+
+    def accept(r, game, profile):
+        """The scalar search's ceiling test; records the payoffs it passes."""
+        u = np.array([expected_utility(game, profile, i) for i in range(n)])
+        if not np.all(u <= ceiling + DEFAULT_TOL):
+            return False
+        best[r] = [np.max(deviation_payoffs(game, profile, i)) for i in range(n)]
+        expected[r] = u
+        return True
+
+    games, still_open = {}, []
+    for r in rows.tolist():
+        game = games[r] = Game(U[r])
+        if seed is not None and is_nash(game, seed, 1e-8).ok and accept(r, game, seed):
+            kinds[r] = "seed"
+        elif any(accept(r, game, MixedProfile.pure(counts, prof))
+                 for prof in enumerate_pure_nash(game)):
+            kinds[r] = "pure"
+        else:
+            kinds[r] = "none"
+            still_open.append(r)
+
+    rows = np.array(still_open, dtype=int)
+    for pattern in _support_patterns(counts):
+        if not rows.size:
+            break
+        if len(pattern[0]) != len(pattern[1]):
+            # One block of the linear system has more rows than columns, and
+            # its structural zeros stay exact under elimination: the scalar
+            # solve meets a zero pivot on every game and accepts none.
+            continue
+        stage = first_stage_batch(U[rows], pattern, None, ceiling)
+        hit = rows[stage.settled]
+        for r in hit.tolist():
+            kinds[r] = "support_enum"
+        best[hit] = np.stack([p[stage.settled].max(axis=1)
+                              for p in stage.deviation_payoffs], axis=1)
+        expected[hit] = stage.payoffs[stage.settled]
+        rows = rows[~stage.settled]
+    for r in rows.tolist():
+        if _boundary_semi_mixed(games[r], partial(accept, r, games[r]),
+                                DEFAULT_TOL) is not None:
+            kinds[r] = "semi_mixed"
+    return BatchPunishment(tuple(kinds), best, expected)
+
+
+@dataclass(frozen=True)
 class ProbeFailure:
     sample: int
     perturbed_game: Game
@@ -800,35 +894,24 @@ def probe_strong_punishability(game: Game, profile: MixedProfile,
         deltas = [np.asarray(p, dtype=np.float64) for p in perturbations]
         if any(d.shape != game.utilities.shape for d in deltas):
             raise ValueError("perturbation tensors must match the utility tensor shape")
-        count = len(deltas)
+        deltas = np.array(deltas).reshape(len(deltas), *game.utilities.shape)
     else:
+        if samples < 0:
+            raise ValueError(f"samples must be non-negative, got {samples}")
         rng = np.random.default_rng(rng_seed)
-        count = samples
-        deltas = [rng.uniform(-delta, delta, size=game.utilities.shape)
-                  for _ in range(count)]
+        deltas = rng.uniform(-delta, delta, size=(samples, *game.utilities.shape))
 
-    def run(idx: int):
-        pert = game.with_utilities(game.utilities + deltas[idx])
-        result = find_punishment_equilibrium(pert, support, profile, ceiling)
-        if result.profile is None:
-            return idx, pert, result.reason, None
-        u = np.array([expected_utility(pert, result.profile, i)
-                      for i in range(game.num_players)])
-        return idx, pert, None, float(np.max(u - base_u))
-
-    threads = worker_count()
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(count)))
-    else:
-        results = [run(i) for i in range(count)]
-
+    stack = game.utilities + deltas
+    found = punish_batch(stack, support, profile, ceiling)
     failures = []
-    worst = -np.inf
-    for idx, pert, reason, excess in results:
-        if reason is not None:
+    for idx, kind in enumerate(found.kinds):
+        if kind == "none":
+            # The scalar search states why nothing qualified.
+            pert = game.with_utilities(stack[idx])
+            reason = find_punishment_equilibrium(pert, support, profile, ceiling).reason
             failures.append(ProbeFailure(idx, pert, reason))
-        else:
-            worst = max(worst, excess)
-    return PunishabilityReport(epsilon, delta, count, rng_seed,
+    settled = np.array([kind != "none" for kind in found.kinds], dtype=bool)
+    excess = np.max(found.payoffs[settled] - base_u, axis=1)
+    worst = float(excess.max()) if excess.size else -np.inf
+    return PunishabilityReport(epsilon, delta, len(stack), rng_seed,
                                tuple(failures), worst, content_hash(game))

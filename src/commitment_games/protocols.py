@@ -68,6 +68,9 @@ CASE_TAGS = (
 )
 
 _AMOUNT_FLOOR = 1e-15
+# Round counts grow with utility_range / delta (ex4 at delta 0.02 is 300);
+# build_plan refuses caps that would need millions of rounds.
+MAX_RANGE_PER_DELTA = 1e6
 
 
 class InfeasibleError(ValueError):
@@ -976,6 +979,10 @@ def build_plan(game: Game, sigma: MixedProfile, *,
         raise ValueError(f"delta must be finite, got {delta}")
     if not delta > 0:
         raise InfeasibleError("delta must be strictly positive")
+    if game.utility_range > MAX_RANGE_PER_DELTA * delta:
+        raise InfeasibleError(
+            f"delta {delta:g} is below the utility range / {MAX_RANGE_PER_DELTA:g}: "
+            f"the plan would take too many rounds")
     if (target is None) == (payoffs is None):
         raise InfeasibleError("exactly one of target/payoffs is required")
     if target is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,15 +25,14 @@ import numpy as np
 from .engine import BURN, CommitmentRound, Pledge, round_to_dict
 from .equilibria import (
     find_punishment_equilibrium,
-    first_stage_batch,
     is_nash,
     is_non_degenerate,
     build_characteristic_system,
     enumerate_pure_nash,
+    punish_batch,
 )
 from .games import (
     Game,
-    GameShapeError,
     MixedProfile,
     TransferError,
     apply_transfers,
@@ -74,9 +74,17 @@ class DeviationClassResult:
     worst: DeviationFinding | None = None
     checked: int = 0
     structural_failures: list[DeviationFinding] = field(default_factory=list)
+    kinds: list[str] = field(default_factory=list)  # per finding, in order
+
+    @property
+    def punishment_kinds(self) -> Counter:
+        """Findings per punishment kind; not in `to_dict`, whose bytes the
+        benchmark pins."""
+        return Counter(self.kinds)
 
     def record(self, finding: DeviationFinding):
         self.checked += 1
+        self.kinds.append(finding.punishment_kind)
         if finding.structural:
             self.structural_failures.append(finding)
         if finding.gain > self.worst_gain:
@@ -411,27 +419,15 @@ def _move_edits(game: Game, moves) -> list[tuple[np.ndarray, np.ndarray, np.ndar
 def _punishments(template: Game, stack: np.ndarray, stage):
     """The punishment search on every game of a stack under one stage.
 
-    The batched first stage settles what it can; only the other rows go
-    through `find_punishment_equilibrium`.  Returns per row the kind
-    ("unavailable" when nothing qualifies) and each player's best-response
-    payoff against the punishment, plus the games of unavailable rows.
+    Returns per row the kind ("unavailable" when nothing qualifies) and
+    each player's best-response payoff against the punishment, plus the
+    games of unavailable rows.
     """
-    first = first_stage_batch(stack, stage.supports, stage.seed, stage.ceiling)
-    kinds = ["support_solve"] * len(stack)
-    best = np.stack([p.max(axis=1) for p in first.deviation_payoffs], axis=1)
-    unavailable = {}
-    for r in np.flatnonzero(~first.settled):
-        g = template.with_utilities(stack[r])
-        pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
-                                          stage.ceiling)
-        if pun.profile is None:
-            kinds[r] = "unavailable"
-            unavailable[r] = g
-        else:
-            kinds[r] = pun.kind
-            best[r] = [best_response_payoff(g, pun.profile, i)
-                       for i in range(g.num_players)]
-    return kinds, best, unavailable
+    found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
+    kinds = ["unavailable" if k == "none" else k for k in found.kinds]
+    none = np.flatnonzero(np.isnan(found.best_response[:, 0])).tolist()
+    unavailable = {r: template.with_utilities(stack[r]) for r in none}
+    return kinds, found.best_response, unavailable
 
 
 def check_deviations(game: Game, plan: ProtocolPlan, *,
@@ -472,10 +468,8 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
             for rows, cells, values in edits[d]:
                 flat[rows, cells] += values
             blocks.append(block)
-        stack = np.concatenate(blocks)
-        if not np.all(np.isfinite(stack)):
-            raise GameShapeError("utilities must be finite")
-        kinds, best, unavailable = _punishments(g, stack, plan.stage_for(k))
+        kinds, best, unavailable = _punishments(g, np.concatenate(blocks),
+                                                plan.stage_for(k))
         row = 0
         for d in range(n):
             for name, _ in moves[d]:

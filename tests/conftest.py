@@ -17,12 +17,16 @@ import pytest
 from commitment_games import (
     Game,
     MixedProfile,
+    build_2x2_plan,
+    build_plan,
     deviation_payoffs,
     expected_utility,
     is_nash,
     is_non_degenerate,
+    solve_on_support,
     welfare_max,
 )
+from commitment_games.equilibria import _support_patterns
 
 
 def full_support_two_player(rng, actions=3, min_prob=0.08, span=2.0):
@@ -92,6 +96,56 @@ def random_game(rng, players, counts, span=3.0, integer=False):
     else:
         u = rng.uniform(-span, span, shape)
     return Game(u)
+
+
+def mismatching_two_by_two(rng):
+    """A 2x2 game whose players' preference gaps mismatch, its mixed
+    equilibrium, and the gap-narrowing plan toward (0, 0) at a cap of 0.3x
+    the smallest gap."""
+    def player(base):
+        g0, g1 = rng.uniform(0.6, 2.0, 2)
+        h = rng.uniform(0.4, 1.5)
+        return base, base - h, base + g0, base - h - g1
+
+    r1, r2 = rng.uniform(1.0, 3.0, 2)
+    u1, u2 = np.zeros((2, 2)), np.zeros((2, 2))
+    u1[0, 0], u1[0, 1], u1[1, 0], u1[1, 1] = player(r1)
+    u2[0, 0], u2[1, 0], u2[0, 1], u2[1, 1] = player(r2)
+    game = Game([u1, u2])
+    sigma = solve_on_support(game, [(0, 1), (0, 1)]).profile
+    gaps = np.abs([u1[0, 0] - u1[1, 0], u1[0, 1] - u1[1, 1],
+                   u2[0, 0] - u2[0, 1], u2[1, 0] - u2[1, 1]])
+    return game, build_2x2_plan(game, sigma, (0, 0), 0.3 * float(gaps.min()))
+
+
+def small_integer_plan(rng, counts):
+    """A two-player game with payoffs in -3..3 and a plan from its first
+    non-degenerate equilibrium (support enumeration order): for 2x2 and 3x3
+    games a transfers plan to a welfare split half of the time, else a burn
+    plan to the first pure target that works.  Ties in such games send many
+    deviation games past the first stage of the punishment search; a 4x4
+    transfers grid can leave a hundred of them with no punishment, each
+    costing a scalar search 225 support solves."""
+    while True:
+        game = random_game(rng, 2, counts, integer=True)
+        for pattern in _support_patterns(counts):
+            sigma = solve_on_support(game, pattern).profile
+            try:
+                if sigma is None or not is_non_degenerate(game, sigma).ok:
+                    continue
+            except ValueError:
+                continue
+            delta = float(rng.choice([0.25, 0.5, 1.0]))
+            split = feasible_payoff_split(rng, game, sigma)
+            attempts = [{"target": t} for t in game.pure_profiles()]
+            if split and max(counts) <= 3 and rng.random() < 0.5:
+                attempts.insert(0, {"payoffs": split})
+            for kwargs in attempts:
+                try:
+                    return game, build_plan(game, sigma, delta=delta, **kwargs)
+                except ValueError:
+                    continue
+            break
 
 
 @pytest.fixture()

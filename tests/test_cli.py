@@ -186,3 +186,45 @@ def test_verify_malformed_plan_exits_2(workdir, broken):
     res = run("verify", str(workdir / "ex3.json"), str(plan_path))
     assert res.returncode == 2
     assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
+def _main(capsys, *args):
+    """cli.main in-process; an exception escaping it fails the test."""
+    from commitment_games.cli import main
+
+    code = main(list(args))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--grid=-1"], ["--grid=inf"], ["--grid=nan"],
+                                  ["--grid=0.5,2"], ["--budget=0"], ["--budget=-1"]])
+def test_verify_rejects_bad_grid_arguments(workdir, capsys, args):
+    plan_path = workdir / "grid_args_plan.json"
+    plan_path.write_text(json.dumps(_ex3_plan_doc(workdir)), encoding="utf-8")
+    code, err = _main(capsys, "verify", str(workdir / "ex3.json"), str(plan_path),
+                      "-o", str(workdir / "grid_args_report.json"), *args)
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--payoffs", "nan,3", "--delta", "1"],
+    ["--payoffs", "inf,3", "--delta", "1"],
+    ["--payoffs", "4,3", "--delta", "-1"],
+    ["--payoffs", "4,3", "--delta", "0"],
+    ["--payoffs", "4,3", "--delta", "1", "--grid", "2"],
+])
+def test_plan_parameter_errors_exit_2(workdir, capsys, args):
+    code, err = _main(capsys, "plan", str(workdir / "ex3.json"), *args)
+    assert code == 2
+    assert "error:" in err
+
+
+def test_plan_tiny_delta_is_infeasible_before_any_round(workdir):
+    # Without the cap guard this call grows without bound; the subprocess
+    # timeout stops it.
+    res = subprocess.run(CLI + ["plan", str(workdir / "ex3.json"), "--payoffs", "4,3",
+                                "--delta", "1e-300"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 3
+    assert "too many rounds" in res.stderr and "Traceback" not in res.stderr

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,14 @@ from commitment_games import (
     probe_strong_punishability,
     solve_on_support,
 )
-from commitment_games.equilibria import DegenerateEquilibriumError, SupportError
+from commitment_games.equilibria import (
+    DegenerateEquilibriumError,
+    ProbeFailure,
+    PunishabilityReport,
+    SupportError,
+    punish_batch,
+)
+from commitment_games.games import GameShapeError, content_hash, deviation_payoffs
 from commitment_games.catalog import (
     chicken,
     chicken_bribe_round,
@@ -289,6 +299,13 @@ def test_probe_zero_delta_trivially_clean():
     assert report.ok and report.worst_excess <= 1e-9
 
 
+def test_probe_rejects_negative_sample_count():
+    game = two_mode_mixing()
+    sigma = MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="non-negative"):
+        probe_strong_punishability(game, sigma, 1.0, 0.05, -3, 1)
+
+
 def test_probe_rejects_degenerate_profile():
     game = spoiler_3x3()
     anchor = MixedProfile.pure((3, 3), (0, 0))
@@ -336,3 +353,124 @@ def test_probe_thread_cap_is_deterministic(monkeypatch):
     threaded = probe_strong_punishability(game, sigma, 1.0, 0.05, 40, 3)
     assert base.worst_excess == threaded.worst_excess
     assert len(base.failures) == len(threaded.failures) == 0
+
+
+# ---------------------------------------------------------------------------
+# The batched punishment chain against the scalar search.
+# ---------------------------------------------------------------------------
+
+def test_punish_batch_matches_scalar_search_row_for_row():
+    # Small-integer games tie often, so rows end at every step of the chain;
+    # row 0 of each stack is the zero game, where the support system is
+    # singular and the seed stays an equilibrium.
+    rng = np.random.default_rng(0)
+    kinds = Counter()
+    for counts, draws in (((2, 2), 8), ((3, 3), 6), ((4, 4), 3), ((2, 2, 2), 4)):
+        n = len(counts)
+        for _ in range(draws):
+            base = random_game(rng, n, counts, integer=True)
+            supports = [tuple(sorted(rng.choice(c, int(rng.integers(1, c + 1)),
+                                                replace=False))) for c in counts]
+            seed = MixedProfile.uniform_over(counts, supports)
+            ceiling = rng.integers(0, 4, n).astype(float)
+            stack = base.utilities + rng.integers(-1, 2, (8, *base.utilities.shape))
+            stack[0] = 0.0
+            found = punish_batch(stack, supports, seed, ceiling)
+            for r in range(len(stack)):
+                g = Game(stack[r])
+                pun = find_punishment_equilibrium(g, supports, seed, ceiling)
+                assert found.kinds[r] == pun.kind
+                if pun.profile is None:
+                    assert np.all(np.isnan(found.best_response[r]))
+                    continue
+                best = [np.max(deviation_payoffs(g, pun.profile, i)) for i in range(n)]
+                pay = [expected_utility(g, pun.profile, i) for i in range(n)]
+                assert found.best_response[r].tobytes() == np.array(best).tobytes()
+                assert found.payoffs[r].tobytes() == np.array(pay).tobytes()
+            kinds.update(found.kinds)
+    assert set(kinds) == {"support_solve", "seed", "pure", "support_enum",
+                          "semi_mixed", "none"}
+
+
+def test_unequal_support_sizes_never_solve(rng):
+    # The batched support enumeration skips these patterns; the scalar
+    # solve must fail on them for every game, integer ties included.
+    for counts in ((2, 2), (3, 3), (4, 4), (2, 4)):
+        for integer in (False, True):
+            game = random_game(rng, 2, counts, integer=integer)
+            for m1 in range(1, counts[0] + 1):
+                for m2 in range(1, counts[1] + 1):
+                    if m1 == m2:
+                        continue
+                    for s1 in combinations(range(counts[0]), m1):
+                        for s2 in combinations(range(counts[1]), m2):
+                            assert solve_on_support(game, (s1, s2)).status == "degenerate"
+
+
+def test_punish_batch_rejects_non_finite_rows():
+    game = two_mode_mixing()
+    stack = np.stack([game.utilities, game.utilities])
+    stack[1, 0, 2, 2] = np.inf  # off the support: the first stage alone would pass it
+    sigma = MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    with pytest.raises(GameShapeError, match="finite"):
+        punish_batch(stack, sigma.supports(), sigma, (10.0, 10.0))
+
+
+def _scalar_probe(game, profile, epsilon, delta, samples, rng_seed,
+                  perturbations=None):
+    """Reference probe: one perturbed game and one scalar search per sample."""
+    base_u = np.array([expected_utility(game, profile, i)
+                       for i in range(game.num_players)])
+    ceiling = base_u + epsilon
+    if perturbations is None:
+        rng = np.random.default_rng(rng_seed)
+        perturbations = [rng.uniform(-delta, delta, size=game.utilities.shape)
+                         for _ in range(samples)]
+    failures, worst = [], -np.inf
+    for idx, shift in enumerate(perturbations):
+        pert = game.with_utilities(game.utilities + shift)
+        result = find_punishment_equilibrium(pert, profile.supports(), profile, ceiling)
+        if result.profile is None:
+            failures.append(ProbeFailure(idx, pert, result.reason))
+        else:
+            u = np.array([expected_utility(pert, result.profile, i)
+                          for i in range(game.num_players)])
+            worst = max(worst, float(np.max(u - base_u)))
+    return PunishabilityReport(epsilon, delta, len(perturbations), rng_seed,
+                               tuple(failures), worst, content_hash(game))
+
+
+def _spoiler_shifts():
+    delta = 0.1
+    shifts = np.zeros((3, 2, 3, 3))
+    shifts[0, 0, 0, 0] -= delta  # burn on (A, A) and pay the opponent on (A, B)
+    shifts[0, 1, 0, 1] += delta
+    shifts[1, 1, 0, 0] -= delta
+    shifts[2] = np.random.default_rng(4).uniform(-delta, delta, (2, 3, 3))
+    return shifts
+
+
+PROBE_CASES = {
+    # mix3x3 at its half-half equilibrium; at delta 2 some draws fall back
+    # to pure and enumerated equilibria and some have no punishment.
+    "mix3x3_seed3": lambda: (two_mode_mixing(),
+                             MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]),
+                             dict(epsilon=1.0, delta=0.05, samples=300, rng_seed=3)),
+    "mix3x3_seed11_wide": lambda: (two_mode_mixing(),
+                                   MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]),
+                                   dict(epsilon=1.0, delta=2.0, samples=300,
+                                        rng_seed=11)),
+    "spoiler_adversarial": lambda: (spoiler_3x3(), MixedProfile.pure((3, 3), (0, 0)),
+                                    dict(epsilon=3.9, delta=0.1, samples=3, rng_seed=0,
+                                         perturbations=_spoiler_shifts())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_CASES))
+def test_probe_is_byte_identical_to_scalar_loop(case):
+    game, profile, kwargs = PROBE_CASES[case]()
+    batched = probe_strong_punishability(game, profile, allow_degenerate=True, **kwargs)
+    scalar = _scalar_probe(game, profile, **kwargs)
+    assert batched.to_json() == scalar.to_json()
+    if case != "mix3x3_seed3":
+        assert batched.failures and all(f.reason for f in batched.failures)
