@@ -15,11 +15,12 @@ import math
 import sys
 
 from . import __version__
-from .catalog import GAMES, reproduce
+from .catalog import GAMES, RUNNERS, reproduce
 from .engine import (
     cast_votes,
     open_session,
     play_terminal,
+    round_from_dict,
     submit_round,
     transcript_to_dict,
 )
@@ -32,6 +33,7 @@ from .equilibria import (
     solve_on_support,
 )
 from .games import (
+    MALFORMED,
     DocumentError,
     Game,
     GameShapeError,
@@ -301,12 +303,12 @@ def _plan_for_game(args, game: Game):
     return plan
 
 
-def cmd_simulate(args) -> int:
-    game = _load_game(args.game)
-    if args.script:
-        with open(args.script, "r", encoding="utf-8") as fh:
-            script = json.load(fh)
-        from .engine import round_from_dict
+def _run_script(game: Game, path):
+    """The session a script document drives; DocumentError when the script
+    is malformed or breaks a session rule."""
+    with open(path, "r", encoding="utf-8") as fh:
+        script = json.load(fh)
+    try:
         state = open_session(game, float(script["delta"]),
                              script.get("mode", "transfers"))
         votes = list(script.get("votes", []))
@@ -317,6 +319,18 @@ def cmd_simulate(args) -> int:
         if state.phase == "playing" and script.get("terminal_actions"):
             state = play_terminal(state, [int(a) - 1
                                           for a in script["terminal_actions"]])
+    except MALFORMED as exc:
+        raise DocumentError(f"malformed script document: "
+                            f"{type(exc).__name__}: {exc}") from exc
+    return state
+
+
+def cmd_simulate(args) -> int:
+    game = _load_game(args.game)
+    if args.script:
+        state = _run_script(game, args.script)
+    elif args.plan is None:
+        raise InputError("give a plan file or --script")
     else:
         plan = _plan_for_game(args, game)
         state = open_session(game, plan.delta, plan.mode)
@@ -354,6 +368,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    unknown = [e for e in args.examples if e not in RUNNERS]
+    if unknown:
+        raise InputError(f"unknown example id(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(RUNNERS)}")
     ids = args.examples or None
     rows = reproduce(ids)
     width = max(len(r.example) for r in rows)

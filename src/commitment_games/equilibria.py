@@ -30,6 +30,7 @@ from .games import (
     Game,
     GameShapeError,
     MixedProfile,
+    _check_profile,
     content_hash,
     deviation_payoffs,
     expected_utility,
@@ -448,6 +449,110 @@ def _inf_norm(f: np.ndarray) -> np.ndarray:
     return np.abs(f).max(axis=1)
 
 
+class StackedSystem:
+    """`CharacteristicSystem` of one support choice over a stack of games.
+
+    `utilities` has shape (B, n, N_1..N_n).  Each method returns per row
+    what the single-game method returns for that row's game, with the
+    variables of all rows stacked as X of shape (B, num_vars).
+    """
+
+    def __init__(self, utilities: np.ndarray, supports: Sequence[Sequence[int]]):
+        U = self.utilities = np.ascontiguousarray(utilities, dtype=np.float64)
+        n, counts = U.shape[1], U.shape[2:]
+        supp = self.supports = _checked_supports(counts, supports)
+        self.offsets = [0, *accumulate(len(s) for s in supp)]
+        self.others = [[j for j in range(n) if j != i] for i in range(n)]
+        self.indiff = [(i, self._coeffs(i, a)) for i, a in _indifference_pairs(supp)]
+        self.residual_rows = [(i, self._coeffs(i, a))
+                              for i, a in _residual_pairs(counts, supp)]
+        self.rhs = np.array([1.0] * n + [0.0] * len(self.indiff))
+
+    def _coeffs(self, i, a):  # _difference_tensor over the stack
+        U, supp = self.utilities, self.supports
+        diff = (np.take(U[:, i], supp[i][0], axis=i + 1)
+                - np.take(U[:, i], a, axis=i + 1))
+        sel = np.ix_(*[supp[j] for j in self.others[i]])
+        return np.ascontiguousarray(diff[(slice(None), *sel)])
+
+    def split(self, X: np.ndarray) -> list[np.ndarray]:
+        offs = self.offsets
+        return [X[:, offs[i]:offs[i + 1]] for i in range(len(self.supports))]
+
+    def profile_vectors(self, profile: MixedProfile) -> np.ndarray:
+        """`profile_vector` of one profile on every row."""
+        x = np.concatenate([profile.probs[i][list(s)]
+                            for i, s in enumerate(self.supports)])
+        return np.tile(x, (len(self.utilities), 1))
+
+    # `rows` picks the games that X holds, for the Newton active set.
+    def evaluate(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The system's value minus its right-hand side."""
+        probs = self.split(X)
+        cols = [p.sum(axis=1) for p in probs]
+        cols += [_bcontract(c[rows], probs, self.others[i]) for i, c in self.indiff]
+        return np.stack(cols, axis=1) - self.rhs
+
+    def jacobian(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
+        probs, offs = self.split(X), self.offsets
+        J = np.zeros((len(X), offs[-1], offs[-1]))
+        for i in range(len(self.supports)):
+            J[:, i, offs[i]:offs[i + 1]] = 1.0
+        for r, (i, c) in enumerate(self.indiff, start=len(self.supports)):
+            for axis, j in enumerate(self.others[i]):
+                rest = [k for k in self.others[i] if k != j]
+                g = _bcontract(np.moveaxis(c[rows], axis + 1, 1), probs, rest)
+                J[:, r, offs[j]:offs[j + 1]] = g
+        return J
+
+    def residuals(self, X: np.ndarray) -> np.ndarray:
+        probs = self.split(X)
+        return np.stack([_bcontract(c, probs, self.others[i])
+                         for i, c in self.residual_rows], axis=1)
+
+    def block_matrix(self, player: int) -> np.ndarray:
+        """`CharacteristicSystem.block_matrix`; two players only."""
+        rows = [c for i, c in self.indiff if i == player]
+        out = np.empty((len(self.utilities), 1 + len(rows),
+                        len(self.supports[1 - player])))
+        out[:, 0] = 1.0
+        for r, c in enumerate(rows, start=1):
+            out[:, r] = c
+        return out
+
+
+def _bdeviation_payoffs(U: np.ndarray, probs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """`deviation_payoffs` of every player over a stack, probs[i] of shape (B, N_i)."""
+    n = U.shape[1]
+    return [_bcontract(np.moveaxis(U[:, i], i + 1, 1), probs,
+                       [j for j in range(n) if j != i]) for i in range(n)]
+
+
+def _bnash(pay: Sequence[np.ndarray], probs: Sequence[np.ndarray],
+           tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`is_nash` per row from the deviation payoffs: the worst violation's
+    (player, action, gain), with player -1 where the row is Nash."""
+    B = len(probs[0])
+    player, action, worst = np.full(B, -1), np.zeros(B, dtype=int), np.zeros(B)
+    for i, p in enumerate(pay):
+        a = np.argmax(p, axis=1)
+        gain = p[np.arange(B), a] - _bmatvec(p, probs[i])
+        hit = (gain > tol) & (gain > worst)
+        player[hit], action[hit], worst[hit] = i, a[hit], gain[hit]
+    return player, action, worst
+
+
+def nash_batch(utilities: np.ndarray, profile: MixedProfile,
+               tol: float = DEFAULT_TOL) -> tuple[NashCheck, ...]:
+    """`is_nash` of one profile on every game of a (B, n, N_1..N_n) stack."""
+    U = np.ascontiguousarray(utilities, dtype=np.float64)
+    _check_profile(U.shape[2:], profile)
+    probs = [np.tile(p, (len(U), 1)) for p in profile.probs]
+    player, action, gain = _bnash(_bdeviation_payoffs(U, probs), probs, tol)
+    return tuple(NashCheck(True) if i < 0 else NashCheck(False, int(i), int(a), float(g))
+                 for i, a, g in zip(player.tolist(), action.tolist(), gain.tolist()))
+
+
 def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
                       seed: MixedProfile | None,
                       ceiling: Sequence[float]) -> BatchFirstStage:
@@ -460,67 +565,26 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     (system to 1e-10, probabilities in (1e-9, 1+1e-9], residuals at least
     -DEFAULT_TOL), `is_nash` at 1e-8 and the payoff ceiling plus DEFAULT_TOL.
     """
-    U = np.ascontiguousarray(utilities, dtype=np.float64)
+    system = StackedSystem(utilities, supports)
+    U, supp = system.utilities, system.supports
     B, n, counts = U.shape[0], U.shape[1], U.shape[2:]
-    supp = _checked_supports(counts, supports)
     if n > 2 and seed is None:
         raise SupportError("a seed profile is required for three or more players")
-    sizes = [len(s) for s in supp]
-    offs = [0, *accumulate(sizes)]
-    others = [[j for j in range(n) if j != i] for i in range(n)]
-
-    def coeffs(i, a):  # _difference_tensor over the stack
-        diff = (np.take(U[:, i], supp[i][0], axis=i + 1)
-                - np.take(U[:, i], a, axis=i + 1))
-        sel = np.ix_(*[supp[j] for j in others[i]])
-        return np.ascontiguousarray(diff[(slice(None), *sel)])
-
-    indiff = [(i, coeffs(i, a)) for i, a in _indifference_pairs(supp)]
-    residual = [(i, coeffs(i, a)) for i, a in _residual_pairs(counts, supp)]
-    rhs = np.array([1.0] * n + [0.0] * len(indiff))
-
-    def split(X):
-        return [X[:, offs[i]:offs[i + 1]] for i in range(n)]
-
-    # `rows` picks the games that X holds, for the Newton active set.
-    def evaluate(X, rows=slice(None)):
-        probs = split(X)
-        cols = [p.sum(axis=1) for p in probs]
-        cols += [_bcontract(c[rows], probs, others[i]) for i, c in indiff]
-        return np.stack(cols, axis=1) - rhs
-
-    def jacobian(X, rows):
-        probs = split(X)
-        J = np.zeros((len(X), offs[-1], offs[-1]))
-        for i in range(n):
-            J[:, i, offs[i]:offs[i + 1]] = 1.0
-        for r, (i, c) in enumerate(indiff, start=n):
-            for axis, j in enumerate(others[i]):
-                rest = [k for k in others[i] if k != j]
-                g = _bcontract(np.moveaxis(c[rows], axis + 1, 1), probs, rest)
-                J[:, r, offs[j]:offs[j + 1]] = g
-        return J
 
     if n == 2:
-        m1, m2 = sizes
-        A = np.zeros((B, m1 + m2, m1 + m2))
-        A[:, 0, :m1] = 1.0
-        A[:, m2, m1:] = 1.0
         # The rows of CharacteristicSystem.linear_system: player 2's block
         # over p_1 on top, player 1's block over p_2 below.
-        for r, (i, c) in enumerate(indiff):
-            if i == 0:
-                A[:, m2 + 1 + r, m1:] = c
-            else:
-                A[:, 2 - m1 + r, :m1] = c
+        m1, m2 = (len(s) for s in supp)
+        A = np.zeros((B, m1 + m2, m1 + m2))
+        A[:, :m2, :m1] = system.block_matrix(1)
+        A[:, m2:, m1:] = system.block_matrix(0)
         b = np.zeros(m1 + m2)
         b[0] = b[m2] = 1.0
         X, failed = _bsolve(A, np.broadcast_to(b, (B, m1 + m2)))
         failed |= ~np.all(np.isfinite(X), axis=1)
     else:
-        X = np.tile(np.concatenate([seed.probs[i][list(s)] for i, s in enumerate(supp)]),
-                    (B, 1))
-        F = evaluate(X)
+        X = system.profile_vectors(seed)
+        F = system.evaluate(X)
         failed = np.zeros(B, dtype=bool)
         active = np.ones(B, dtype=bool)
         for _ in range(NEWTON_MAX_ITER):
@@ -529,13 +593,13 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
             rows = np.flatnonzero(active)
             if not rows.size:
                 break
-            step, singular = _bsolve(jacobian(X[rows], rows), -F[rows])
+            step, singular = _bsolve(system.jacobian(X[rows], rows), -F[rows])
             failed[rows[singular]] = True
             rows, step = rows[~singular], step[~singular]
             alpha = 1.0
             for _ in range(40):
                 xn = X[rows] + alpha * step
-                fn = evaluate(xn, rows)
+                fn = system.evaluate(xn, rows)
                 better = _inf_norm(fn) < norm[rows]
                 X[rows[better]], F[rows[better]] = xn[better], fn[better]
                 rows, step = rows[~better], step[~better]
@@ -547,30 +611,22 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         failed |= active & (_inf_norm(F) > NEWTON_TOL)
     X[failed] = 0.5  # keeps the checks below free of NaN; the rows stay failed
 
-    probs = split(X)
-    ok = ~failed & ~(_inf_norm(evaluate(X)) > 1e-10)
+    ok = ~failed & ~(_inf_norm(system.evaluate(X)) > 1e-10)
     ok &= ~np.any((X <= 1e-9) | (X > 1 + 1e-9), axis=1)
-    if residual:
-        res = np.stack([_bcontract(c, probs, others[i]) for i, c in residual], axis=1)
-        ok &= ~(res.min(axis=1) < -DEFAULT_TOL)
+    if system.residual_rows:
+        ok &= ~(system.residuals(X).min(axis=1) < -DEFAULT_TOL)
 
-    clipped = split(np.clip(X, 0.0, 1.0))
+    clipped = system.split(np.clip(X, 0.0, 1.0))
     full = []
     for i in range(n):
         v = np.zeros((B, counts[i]))
         v[:, list(supp[i])] = clipped[i]
         full.append(v)
-    ceiling = np.asarray(ceiling, dtype=np.float64) + DEFAULT_TOL
-    deviation, expected = [], []
-    for i in range(n):
-        pay = _bcontract(np.moveaxis(U[:, i], i + 1, 1), full, others[i])
-        current = _bmatvec(pay, full[i])
-        gain = pay[np.arange(B), np.argmax(pay, axis=1)] - current
-        ok &= ~(gain > 1e-8)
-        expected.append(_bcontract(U[:, i], full, range(n)))
-        ok &= expected[i] <= ceiling[i]
-        deviation.append(pay)
-    return BatchFirstStage(ok, tuple(deviation), np.stack(expected, axis=1))
+    deviation = _bdeviation_payoffs(U, full)
+    ok &= _bnash(deviation, full, 1e-8)[0] < 0
+    expected = np.stack([_bcontract(U[:, i], full, range(n)) for i in range(n)], axis=1)
+    ok &= np.all(expected <= np.asarray(ceiling, dtype=np.float64) + DEFAULT_TOL, axis=1)
+    return BatchFirstStage(ok, tuple(deviation), expected)
 
 
 @dataclass(frozen=True)
@@ -606,6 +662,22 @@ def is_non_degenerate(game: Game, profile: MixedProfile, *,
     min_res = float(res.min()) if res.size else float("inf")
     return NonDegeneracyReport(abs(det) > threshold and min_res > 0.0,
                                det, threshold, min_res)
+
+
+def non_degenerate_batch(utilities: np.ndarray, profile: MixedProfile) -> np.ndarray:
+    """Per game of a (B, n, N_1..N_n) stack, whether `is_non_degenerate`
+    reports ok: False where it reports degenerate or raises NotNashError."""
+    ok = np.array([check.ok for check in nash_batch(utilities, profile, 1e-8)])
+    system = StackedSystem(utilities, profile.supports())
+    X = system.profile_vectors(profile)
+    J = system.jacobian(X)
+    m = J.shape[1]
+    ok &= [abs(det) > DET_TOL * (scale ** m if scale > 0 else 1.0)
+           for det, scale in zip(np.linalg.det(J).tolist(),
+                                 np.abs(J).max(axis=(1, 2)).tolist())]
+    if system.residual_rows:
+        ok &= system.residuals(X).min(axis=1) > 0.0
+    return ok
 
 
 @dataclass(frozen=True)
@@ -745,12 +817,16 @@ class BatchPunishment:
     `kinds[b]` is the kind `find_punishment_equilibrium` returns for row b.
     `best_response[b, i]` is player i's best-response payoff against that
     punishment and `payoffs[b, i]` its expected payoff; both are NaN on
-    rows of kind "none".
+    rows of kind "none".  `pure_best[b, i]` is player i's best payoff over
+    row b's pure equilibria, -inf when it has none; it is set on the rows
+    the search enumerated them for, which include every row of kind
+    "none", and NaN on the others.
     """
 
     kinds: tuple[str, ...]
     best_response: np.ndarray
     payoffs: np.ndarray
+    pure_best: np.ndarray
 
 
 def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
@@ -788,13 +864,17 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         expected[r] = u
         return True
 
+    pure_best = np.full((len(U), n), np.nan)
     games, still_open = {}, []
     for r in rows.tolist():
         game = games[r] = Game(U[r])
         if seed is not None and is_nash(game, seed, 1e-8).ok and accept(r, game, seed):
             kinds[r] = "seed"
-        elif any(accept(r, game, MixedProfile.pure(counts, prof))
-                 for prof in enumerate_pure_nash(game)):
+            continue
+        pure = enumerate_pure_nash(game)
+        pure_best[r] = [max((game.payoff(i, p) for p in pure), default=-np.inf)
+                        for i in range(n)]
+        if any(accept(r, game, MixedProfile.pure(counts, p)) for p in pure):
             kinds[r] = "pure"
         else:
             kinds[r] = "none"
@@ -821,7 +901,7 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         if _boundary_semi_mixed(games[r], partial(accept, r, games[r]),
                                 DEFAULT_TOL) is not None:
             kinds[r] = "semi_mixed"
-    return BatchPunishment(tuple(kinds), best, expected)
+    return BatchPunishment(tuple(kinds), best, expected, pure_best)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ class GameShapeError(ValueError):
 
 
 class ProfileError(ValueError):
-    """Malformed mixed profile (negative mass, bad length, sum != 1)."""
+    """Malformed mixed profile (non-finite or negative mass, bad length,
+    sum != 1)."""
 
 
 class DocumentError(ValueError):
@@ -153,6 +154,8 @@ class MixedProfile:
             v = np.asarray(p, dtype=np.float64)
             if v.ndim != 1 or v.size < 1:
                 raise ProfileError(f"player {i}: probability vector must be 1-D")
+            if not np.all(np.isfinite(v)):
+                raise ProfileError(f"player {i}: probabilities must be finite")
             if np.any(v < -tol) or np.any(v > 1 + tol):
                 raise ProfileError(f"player {i}: probabilities outside [0, 1]")
             if abs(float(v.sum()) - 1.0) > tol:
@@ -224,18 +227,18 @@ class OutcomeTarget:
             raise ValueError(f"unknown target role {self.role!r}")
 
 
-def _check_profile(game: Game, profile: MixedProfile) -> None:
-    if profile.num_players != game.num_players:
+def _check_profile(action_counts: Sequence[int], profile: MixedProfile) -> None:
+    if profile.num_players != len(action_counts):
         raise GameShapeError("profile has wrong number of players")
     for i, p in enumerate(profile.probs):
-        if p.size != game.action_counts[i]:
+        if p.size != action_counts[i]:
             raise GameShapeError(f"player {i}: profile length {p.size} != "
-                                 f"{game.action_counts[i]} actions")
+                                 f"{action_counts[i]} actions")
 
 
 def expected_utility(game: Game, profile: MixedProfile, player: int) -> float:
     """Expected payoff of `player` under the mixed profile."""
-    _check_profile(game, profile)
+    _check_profile(game.action_counts, profile)
     t = game.utilities[player]
     for j in reversed(range(game.num_players)):
         t = t @ profile.probs[j]
@@ -244,7 +247,7 @@ def expected_utility(game: Game, profile: MixedProfile, player: int) -> float:
 
 def deviation_payoffs(game: Game, profile: MixedProfile, player: int) -> np.ndarray:
     """Payoff of each pure action of `player` against the others' mixtures."""
-    _check_profile(game, profile)
+    _check_profile(game.action_counts, profile)
     t = np.moveaxis(game.utilities[player], player, 0)
     for j in reversed([j for j in range(game.num_players) if j != player]):
         t = t @ profile.probs[j]

@@ -82,39 +82,6 @@ class NotImprovingError(InfeasibleError):
 
 
 @dataclass(frozen=True)
-class ElementaryCommitment:
-    """P/M/R building block; compiles to burn pledges.
-
-    P lowers the player's utility at one outcome; M lowers it at every
-    outcome sharing the others' actions except the named one; R shifts
-    the coefficients of one indifference row by a whole array.
-    """
-
-    kind: str  # "P" | "M" | "R"
-    player: int
-    outcome: tuple[int, ...] | None = None  # P/M
-    component: int | None = None  # R (1-based row index, norms first)
-    amount: float = 0.0  # P/M
-    array: tuple[float, ...] | None = None  # R, lexicographic coefficient order
-
-    def compile(self, action_counts: Sequence[int],
-                orders: Sequence[Sequence[int]] | None = None) -> list[Pledge]:
-        if self.kind == "P":
-            return [Pledge(self.player, self.outcome, BURN, self.amount)]
-        if self.kind == "M":
-            i = self.player
-            out = []
-            for a in range(action_counts[i]):
-                if a == self.outcome[i]:
-                    continue
-                prof = list(self.outcome)
-                prof[i] = a
-                out.append(Pledge(i, tuple(prof), BURN, self.amount))
-            return out
-        raise ValueError("R commitments compile via _r_commitment_pledges")
-
-
-@dataclass(frozen=True)
 class PathSegment:
     """A linear homotopy of utility tensors: U(lam) = start + lam * direction
     over lam in [lam_start, lam_end].  Plans discretize segments into rounds

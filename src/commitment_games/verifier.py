@@ -24,11 +24,12 @@ import numpy as np
 
 from .engine import BURN, CommitmentRound, Pledge, round_to_dict
 from .equilibria import (
+    StackedSystem,
     find_punishment_equilibrium,
     is_nash,
     is_non_degenerate,
-    build_characteristic_system,
-    enumerate_pure_nash,
+    nash_batch,
+    non_degenerate_batch,
     punish_batch,
 )
 from .games import (
@@ -170,20 +171,50 @@ def _seed_nash_applies(case: str) -> bool:
     return case != "two_by_two"
 
 
+def _stage_groups(plan: ProtocolPlan, ks: Sequence[int]):
+    """Each punishment stage with the prefixes among `ks` it is in force at."""
+    for stage in plan.punishment:
+        group = [k for k in ks if plan.stage_for(k) is stage]
+        if group:
+            yield stage, group
+
+
+def _stacked(games: Sequence[Game], ks: Sequence[int]) -> np.ndarray:
+    return np.stack([games[k].utilities for k in ks])
+
+
+def _stage_punishments(plan: ProtocolPlan, games: Sequence[Game],
+                       ks: Sequence[int]) -> dict[int, tuple[str, np.ndarray]]:
+    """The punishment search on each prefix game k in `ks`: its kind and
+    each player's best-response payoff, from one `punish_batch` per
+    punishment stage."""
+    found = {}
+    for stage, group in _stage_groups(plan, ks):
+        res = punish_batch(_stacked(games, group), stage.supports, stage.seed,
+                           stage.ceiling)
+        found.update(zip(group, zip(res.kinds, res.best_response)))
+    return found
+
+
 def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
-                  checkpoint_budget: int | None = None) -> dict[str, PropertyResult]:
+                  checkpoint_budget: int | None = None, *,
+                  games: Sequence[Game] | None = None) -> dict[str, PropertyResult]:
     """Replay the plan and evaluate its construction promises per checkpoint.
 
     `checkpoint_budget` caps how many checkpoints get the expensive anchor
     and punishment checks (endpoints always included); cheap whole-plan
-    scans stay exhaustive.  Leave it None for the definitive run.
+    scans stay exhaustive.  Leave it None for the definitive run.  `games`
+    are the plan's prefix games when the caller has folded them already.
+    The checkpoint checks run as stacks, one per punishment stage or
+    profile; only a failure's witness is recomputed on its single game.
     """
     results: dict[str, PropertyResult] = {}
-    try:
-        games = _fold_sequence(game, plan)
-    except FoldError as exc:
-        return {"round_cap": PropertyResult("fail", str(exc),
-                                            {"round": exc.round_index})}
+    if games is None:
+        try:
+            games = _fold_sequence(game, plan)
+        except FoldError as exc:
+            return {"round_cap": PropertyResult("fail", str(exc),
+                                                {"round": exc.round_index})}
     results["round_cap"] = PropertyResult("pass")
     R = len(plan.rounds)
     probed = _prefix_indices(R + 1, checkpoint_budget)
@@ -202,38 +233,43 @@ def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
     # Stage anchors: Nash where promised, punishment under ceiling everywhere.
     anchor_fail = punish_fail = None
     nd_fail = None
-    det_series: list[tuple[float, ...]] = []
     seed_applies = _seed_nash_applies(plan.case_tag)
     full_support_case = plan.case_tag in ("full_support_2p", "full_support_np")
-    for k in probed:
+    if seed_applies:
+        checks = {}
+        for stage, group in _stage_groups(plan, probed):
+            checks.update(zip(group, nash_batch(_stacked(games, group), stage.seed,
+                                                1e-8)))
+        k = next((k for k in probed if not checks[k].ok), None)
+        if k is not None:
+            anchor_fail = {"checkpoint": k, "player": checks[k].player + 1,
+                           "gain": checks[k].gain}
+    found = _stage_punishments(plan, games, probed)
+    k = next((k for k in probed if found[k][0] == "none"), None)
+    if k is not None:
+        # The scalar search states why nothing qualified.
         stage = plan.stage_for(k)
-        g = games[k]
-        if seed_applies:
-            check = is_nash(g, stage.seed, 1e-8)
-            if not check.ok and anchor_fail is None:
-                anchor_fail = {"checkpoint": k, "player": check.player + 1,
-                               "gain": check.gain}
-        pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
+        pun = find_punishment_equilibrium(games[k], stage.supports, stage.seed,
                                           stage.ceiling)
-        if pun.profile is None and punish_fail is None:
-            punish_fail = {"checkpoint": k, "reason": pun.reason}
-        if full_support_case:
+        punish_fail = {"checkpoint": k, "reason": pun.reason}
+    if full_support_case:
+        stack = _stacked(games, probed)
+        nd_ok = non_degenerate_batch(stack, plan.baseline)
+        if not nd_ok.all():
+            k = probed[int(np.argmin(nd_ok))]
             try:
-                nd = is_non_degenerate(g, plan.baseline)
-                if not nd.ok and nd_fail is None:
-                    nd_fail = {"checkpoint": k, "det": nd.det,
-                               "min_residual": nd.min_residual}
+                nd = is_non_degenerate(games[k], plan.baseline)
+                nd_fail = {"checkpoint": k, "det": nd.det,
+                           "min_residual": nd.min_residual}
             except ValueError as exc:
-                if nd_fail is None:
-                    nd_fail = {"checkpoint": k, "error": str(exc)}
-            system = build_characteristic_system(
-                g, plan.action_orders or plan.baseline.supports())
-            if g.num_players == 2:
-                det_series.append((float(np.linalg.det(system.x1)),
-                                   float(np.linalg.det(system.x2))))
-            else:
-                x = system.profile_vector(plan.baseline)
-                det_series.append((float(np.linalg.det(system.jacobian(x))),))
+                nd_fail = {"checkpoint": k, "error": str(exc)}
+        system = StackedSystem(stack, plan.action_orders or plan.baseline.supports())
+        if game.num_players == 2:
+            dets = [np.linalg.det(system.block_matrix(0)),
+                    np.linalg.det(system.block_matrix(1))]
+        else:
+            dets = [np.linalg.det(system.jacobian(system.profile_vectors(plan.baseline)))]
+        det_series = np.stack(dets, axis=1).tolist()
 
     results["a"] = (PropertyResult("pass") if punish_fail is None else
                     PropertyResult("fail", "punishment anchor missing",
@@ -317,7 +353,8 @@ def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
         x = np.asarray(plan.expected_terminal_payoffs)
         q3_ok = np.all(np.abs(games[S].payoffs(t) - x) <= 1e-9)
         results["Q3"] = PropertyResult("pass" if q3_ok else "fail")
-        q4_ok = all(is_nash(games[k], plan.baseline, 1e-8).ok for k in range(S + 1))
+        q4_ok = all(check.ok for check in nash_batch(_stacked(games, range(S + 1)),
+                                                     plan.baseline, 1e-8))
         results["Q4"] = PropertyResult("pass" if q4_ok else "fail")
         base_u = [expected_utility(game, plan.baseline, i)
                   for i in range(game.num_players)]
@@ -416,31 +453,19 @@ def _move_edits(game: Game, moves) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     return [tuple(np.array(col) for col in zip(*slot)) for slot in slots]
 
 
-def _punishments(template: Game, stack: np.ndarray, stage):
-    """The punishment search on every game of a stack under one stage.
-
-    Returns per row the kind ("unavailable" when nothing qualifies) and
-    each player's best-response payoff against the punishment, plus the
-    games of unavailable rows.
-    """
-    found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
-    kinds = ["unavailable" if k == "none" else k for k in found.kinds]
-    none = np.flatnonzero(np.isnan(found.best_response[:, 0])).tolist()
-    unavailable = {r: template.with_utilities(stack[r]) for r in none}
-    return kinds, found.best_response, unavailable
-
-
 def check_deviations(game: Game, plan: ProtocolPlan, *,
                      amounts: Sequence[float] | None = None,
-                     budget: int | None = None) -> dict[str, DeviationClassResult]:
+                     budget: int | None = None,
+                     games: Sequence[Game] | None = None) -> dict[str, DeviationClassResult]:
     """Probe the four deviation classes against the plan's punishment rule.
 
     The deviation games of one prefix are solved as one stack: per
     deviator, the prefix game with the others' pledges folded in, plus each
-    move's cell updates.
+    move's cell updates.  `games` are the plan's prefix games when the
+    caller has folded them already.
     """
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
-    games = _fold_sequence(game, plan)
+    games = _fold_sequence(game, plan) if games is None else games
     R = len(plan.rounds)
     n = game.num_players
     on_path = np.asarray(plan.expected_terminal_payoffs)
@@ -468,39 +493,31 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
             for rows, cells, values in edits[d]:
                 flat[rows, cells] += values
             blocks.append(block)
-        kinds, best, unavailable = _punishments(g, np.concatenate(blocks),
-                                                plan.stage_for(k))
+        stage = plan.stage_for(k)
+        found = punish_batch(np.concatenate(blocks), stage.supports, stage.seed,
+                             stage.ceiling)
         row = 0
         for d in range(n):
             for name, _ in moves[d]:
-                if kinds[row] == "unavailable":
-                    g_dev = unavailable[row]
-                    pure = enumerate_pure_nash(g_dev)
-                    if pure:
-                        gain = max(g_dev.payoff(d, p) for p in pure) - on_path[d]
-                    else:
-                        gain = math.inf
+                if found.kinds[row] == "none":
+                    # Priced at the deviator's best pure equilibrium, if any.
+                    pure = found.pure_best[row, d]
+                    gain = pure - on_path[d] if pure > -math.inf else math.inf
                     results["commitment"].record(DeviationFinding(
                         float(gain), k, d, name, "unavailable", structural=True))
                 else:
                     results["commitment"].record(DeviationFinding(
-                        float(best[row, d] - on_path[d]), k, d, name, kinds[row]))
+                        float(found.best_response[row, d] - on_path[d]), k, d, name,
+                        found.kinds[row]))
                 row += 1
 
-    # The first vote happens after round 1.  Prefix games are solved as one
-    # stack per punishment stage.
+    # The first vote happens after round 1.
     stops = [k for k in _prefix_indices(R, budget) if k != 0]
-    found = {}
-    for stage in plan.punishment:
-        ks = [k for k in stops if plan.stage_for(k) is stage]
-        if ks:
-            stack = np.stack([games[k].utilities for k in ks])
-            kinds, best, _ = _punishments(game, stack, stage)
-            found.update(zip(ks, zip(kinds, best)))
+    found = _stage_punishments(plan, games, stops)
     for k in stops:
         kind, best = found[k]
         for d in range(n):
-            if kind == "unavailable":
+            if kind == "none":
                 results["early_stop"].record(DeviationFinding(
                     math.inf, k, d, "stop", "unavailable", structural=True))
             else:
@@ -567,12 +584,16 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
     """Full verification: on-path properties, deviation grid, round bound."""
     if content_hash(game) != plan.base_game_hash:
         raise ValueError("plan was built for a different game (hash mismatch)")
-    properties = check_on_path(game, plan, tol, checkpoint_budget)
+    try:
+        games = _fold_sequence(game, plan)
+    except FoldError:
+        games = None  # check_on_path reports the failing round
+    properties = check_on_path(game, plan, tol, checkpoint_budget, games=games)
     if properties["round_cap"].status == "fail":
         deviations = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
     else:
         deviations = check_deviations(game, plan, amounts=amounts,
-                                      budget=budget)
+                                      budget=budget, games=games)
     bound = round_bound_check(plan, game)
     grid = {
         "amounts": list(amounts) if amounts else [plan.delta / 2, plan.delta],

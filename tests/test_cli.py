@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -228,3 +229,38 @@ def test_plan_tiny_delta_is_infeasible_before_any_round(workdir):
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 3
     assert "too many rounds" in res.stderr and "Traceback" not in res.stderr
+
+
+def _input_error_case(workdir, case):
+    """argv for one malformed CLI input."""
+    game = str(workdir / "ex3.json")
+    if case.startswith("script"):
+        script = workdir / f"{case}.json"
+        script.write_text(json.dumps({"script_missing_delta": {"rounds": 3},
+                                      "script_not_object": [1, 2],
+                                      "script_rounds_not_list": {"delta": 1.0,
+                                                                 "rounds": 3}}[case]),
+                          encoding="utf-8")
+        return ["simulate", game, "--script", str(script), "-o", "-"]
+    if case == "plan_baseline_nan":
+        doc = _ex3_plan_doc(workdir)
+        doc["baseline"] = [[math.nan, 1.0], [0.5, 0.5]]
+        plan_path = workdir / "baseline_nan.json"
+        plan_path.write_text(json.dumps(doc), encoding="utf-8")
+        return ["verify", game, str(plan_path), "-o", str(workdir / "nan_report.json")]
+    return {
+        "simulate_without_plan": ["simulate", game],
+        "reproduce_unknown_id": ["reproduce", "ex99"],
+        "sigma_nan": ["plan", game, "--sigma", "nan,1;0.5,0.5", "--payoffs", "4,3",
+                      "--delta", "0.5"],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["simulate_without_plan", "script_missing_delta",
+                                  "script_not_object", "script_rounds_not_list",
+                                  "reproduce_unknown_id", "sigma_nan",
+                                  "plan_baseline_nan"])
+def test_malformed_inputs_exit_2_without_traceback(workdir, capsys, case):
+    code, err = _main(capsys, *_input_error_case(workdir, case))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err

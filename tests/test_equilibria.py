@@ -24,6 +24,8 @@ from commitment_games.equilibria import (
     ProbeFailure,
     PunishabilityReport,
     SupportError,
+    nash_batch,
+    non_degenerate_batch,
     punish_batch,
 )
 from commitment_games.games import GameShapeError, content_hash, deviation_payoffs
@@ -382,6 +384,10 @@ def test_punish_batch_matches_scalar_search_row_for_row():
                 assert found.kinds[r] == pun.kind
                 if pun.profile is None:
                     assert np.all(np.isnan(found.best_response[r]))
+                    pure = enumerate_pure_nash(g)
+                    assert found.pure_best[r].tolist() == [
+                        max((g.payoff(i, p) for p in pure), default=-np.inf)
+                        for i in range(n)]
                     continue
                 best = [np.max(deviation_payoffs(g, pun.profile, i)) for i in range(n)]
                 pay = [expected_utility(g, pun.profile, i) for i in range(n)]
@@ -390,6 +396,40 @@ def test_punish_batch_matches_scalar_search_row_for_row():
             kinds.update(found.kinds)
     assert set(kinds) == {"support_solve", "seed", "pure", "support_enum",
                           "semi_mixed", "none"}
+
+
+@pytest.mark.parametrize("case", ["full_2p", "full_3p", "partial_2p"])
+def test_stacked_nash_and_non_degeneracy_match_scalar_checks(rng, case):
+    # Perturbations from 1e-12 (the profile stays Nash) to 1 (it breaks);
+    # row 1 is the zero game, where every Jacobian is singular.
+    for _ in range(4):
+        if case == "full_2p":
+            game, sigma = full_support_two_player(rng)
+        elif case == "full_3p":
+            game, sigma = full_support_multiplayer(rng)
+        else:
+            game = two_mode_mixing()
+            sigma = MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+        scale = np.logspace(-12, 0, 12).reshape(-1, *[1] * game.utilities.ndim)
+        stack = game.utilities + scale * rng.uniform(-1, 1, (12, *game.utilities.shape))
+        stack[0], stack[1] = game.utilities, 0.0
+        checks = nash_batch(stack, sigma, 1e-8)
+        ok = non_degenerate_batch(stack, sigma)
+        for r in range(len(stack)):
+            g = Game(stack[r])
+            assert checks[r] == is_nash(g, sigma, 1e-8)
+            try:
+                want = is_non_degenerate(g, sigma).ok
+            except NotNashError:
+                want = False
+            assert ok[r] == want
+        assert ok[0] and not ok[1] and not all(c.ok for c in checks)
+
+
+def test_nash_batch_rejects_a_profile_of_the_wrong_shape():
+    stack = unfair_split().utilities[None]
+    with pytest.raises(GameShapeError):
+        nash_batch(stack, MixedProfile([[1.0], [1.0]]))
 
 
 def test_unequal_support_sizes_never_solve(rng):

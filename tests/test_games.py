@@ -204,6 +204,16 @@ def test_support_extraction_epsilon():
     assert prof.is_pure() is False
 
 
+@pytest.mark.parametrize("probs", [[[math.nan, 1.0], [0.5, 0.5]],
+                                   [[0.5, 0.5], [math.inf, 0.0]],
+                                   [[1.0, -math.inf], [0.5, 0.5]]])
+def test_mixed_profile_rejects_non_finite_entries(probs):
+    from commitment_games.games import ProfileError
+
+    with pytest.raises(ProfileError, match="finite"):
+        MixedProfile(probs)
+
+
 def test_welfare_max_ties_break_lexicographically():
     u1 = [[3, 0], [0, 3]]
     u2 = [[1, 0], [0, 1]]  # welfare 4 at both (0,0) and (1,1)

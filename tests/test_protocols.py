@@ -447,21 +447,6 @@ def test_welfare_path_segment_matches_stage():
     assert np.max(np.abs(end.utilities - terminal.utilities)) <= 1e-12
 
 
-def test_elementary_commitments_compile_to_pledges():
-    from commitment_games.protocols import ElementaryCommitment
-
-    p = ElementaryCommitment("P", 0, outcome=(1, 2), amount=0.3)
-    pledges = p.compile((3, 3))
-    assert len(pledges) == 1
-    assert pledges[0].payer == 0 and pledges[0].outcome == (1, 2)
-    assert pledges[0].recipient == "BURN" and pledges[0].amount == 0.3
-
-    m = ElementaryCommitment("M", 1, outcome=(1, 2), amount=0.2)
-    pledges = m.compile((3, 3))
-    assert {pl.outcome for pl in pledges} == {(1, 0), (1, 1)}
-    assert all(pl.payer == 1 and pl.amount == 0.2 for pl in pledges)
-
-
 def test_coefficient_shift_compiles_to_the_displayed_pattern():
     # binary three-player case: signs (+,-,-,+) compile to burns at the
     # compared action's outcome for + entries and at the complementary

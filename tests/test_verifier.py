@@ -12,6 +12,7 @@ from commitment_games import (
     CommitmentRound,
     MixedProfile,
     Pledge,
+    build_characteristic_system,
     build_plan,
     check_deviations,
     check_on_path,
@@ -35,12 +36,24 @@ from commitment_games.equilibria import (
     enumerate_pure_nash,
     find_punishment_equilibrium,
     first_stage_batch,
+    is_nash,
+    is_non_degenerate,
+    punish_batch,
 )
-from commitment_games.games import Game, GameShapeError, TransferError, apply_transfers
+from commitment_games.games import (
+    Game,
+    GameShapeError,
+    TransferError,
+    apply_transfers,
+    content_hash,
+    game_distance,
+    welfare_max,
+)
 from commitment_games.protocols import PunishmentStage
 from commitment_games.verifier import (
     DeviationClassResult,
     DeviationFinding,
+    PropertyResult,
     best_response_payoff,
     commitment_deviation_moves,
 )
@@ -206,8 +219,9 @@ def test_report_serialization_round_trip():
 # Differential tests: the batched grid against the per-game scalar loop.
 # ---------------------------------------------------------------------------
 
-def _scalar_check_deviations(game, plan, *, amounts=None, budget=None):
-    """Reference grid: fold and search every deviation game one at a time."""
+def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=None):
+    """Reference grid: fold and search every deviation game one at a time.
+    `games` is accepted for `verify_plan`'s call and ignored."""
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = verifier._fold_sequence(game, plan)
     R, n = plan.num_rounds, game.num_players
@@ -435,16 +449,20 @@ def test_batched_first_stage_matches_scalar_search_hypothesis():
         stack = game.utilities + rng.uniform(-scale, scale, (16, *game.utilities.shape))
         stack[0] = game.utilities
         stack[1] = 0.0  # exactly singular: every indifference row vanishes
-        kinds, best, unavailable = verifier._punishments(game, stack, stage)
+        found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
         for r in range(len(stack)):
             g = game.with_utilities(stack[r])
             pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
                                               stage.ceiling)
-            assert kinds[r] == (pun.kind if pun.profile else "unavailable")
-            assert (r in unavailable) == (pun.profile is None)
+            assert found.kinds[r] == pun.kind
             if pun.profile is not None:
                 want = [best_response_payoff(g, pun.profile, i) for i in range(n)]
-                assert np.all(np.abs(best[r] - want) <= 1e-12)
+                assert np.all(np.abs(found.best_response[r] - want) <= 1e-12)
+            else:
+                pure = enumerate_pure_nash(g)
+                want = [max((g.payoff(i, p) for p in pure), default=-np.inf)
+                        for i in range(n)]
+                assert found.pure_best[r].tolist() == want
 
     run()
 
@@ -472,3 +490,288 @@ def test_singular_row_is_retried_alone_and_left_to_the_fallback():
         want = deviation_payoffs(game, scalar.profile, i)
         assert first.deviation_payoffs[i][0].tobytes() == want.tobytes()
         assert first.deviation_payoffs[i][2].tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the stacked on-path checks against the per-checkpoint
+# loop.
+# ---------------------------------------------------------------------------
+
+def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games=None):
+    """Reference on-path checks: every checkpoint searched and checked one
+    game at a time.  `games` is accepted for `verify_plan`'s call and
+    ignored."""
+    results = {}
+    try:
+        games = verifier._fold_sequence(game, plan)
+    except verifier.FoldError as exc:
+        return {"round_cap": PropertyResult("fail", str(exc),
+                                            {"round": exc.round_index})}
+    results["round_cap"] = PropertyResult("pass")
+    R = len(plan.rounds)
+    probed = verifier._prefix_indices(R + 1, checkpoint_budget)
+
+    # Checkpoint hashes and per-round legality fell out of the fold: a bad
+    # round would have raised while folding.
+    hash_ok = all(content_hash(games[c.rounds_applied]) == c.game_hash
+                  for c in plan.checkpoints)
+    results["checkpoint_hashes"] = PropertyResult("pass" if hash_ok else "fail")
+
+    # (P1') discretized continuity: every step stays within the cap ball.
+    step_ok = all(game_distance(games[k], games[k + 1]) <= 2 * plan.delta + 1e-12
+                  for k in range(R))
+    results["P1prime"] = PropertyResult("pass" if step_ok else "fail")
+
+    # Stage anchors: Nash where promised, punishment under ceiling everywhere.
+    anchor_fail = punish_fail = None
+    nd_fail = None
+    det_series = []
+    seed_applies = verifier._seed_nash_applies(plan.case_tag)
+    full_support_case = plan.case_tag in ("full_support_2p", "full_support_np")
+    for k in probed:
+        stage = plan.stage_for(k)
+        g = games[k]
+        if seed_applies:
+            check = is_nash(g, stage.seed, 1e-8)
+            if not check.ok and anchor_fail is None:
+                anchor_fail = {"checkpoint": k, "player": check.player + 1,
+                               "gain": check.gain}
+        pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
+                                          stage.ceiling)
+        if pun.profile is None and punish_fail is None:
+            punish_fail = {"checkpoint": k, "reason": pun.reason}
+        if full_support_case:
+            try:
+                nd = is_non_degenerate(g, plan.baseline)
+                if not nd.ok and nd_fail is None:
+                    nd_fail = {"checkpoint": k, "det": nd.det,
+                               "min_residual": nd.min_residual}
+            except ValueError as exc:
+                if nd_fail is None:
+                    nd_fail = {"checkpoint": k, "error": str(exc)}
+            system = build_characteristic_system(
+                g, plan.action_orders or plan.baseline.supports())
+            if g.num_players == 2:
+                det_series.append((float(np.linalg.det(system.x1)),
+                                   float(np.linalg.det(system.x2))))
+            else:
+                x = system.profile_vector(plan.baseline)
+                det_series.append((float(np.linalg.det(system.jacobian(x))),))
+
+    results["a"] = (PropertyResult("pass") if punish_fail is None else
+                    PropertyResult("fail", "punishment anchor missing",
+                                   punish_fail))
+    if seed_applies:
+        results["baseline_nash"] = (
+            PropertyResult("pass") if anchor_fail is None else
+            PropertyResult("fail", "stage anchor not Nash at a checkpoint",
+                           anchor_fail))
+    else:
+        results["baseline_nash"] = PropertyResult("na",
+                                                  "2x2 narrowing recomputes the anchor")
+
+    # (a1): the baseline stays a same-support punishable equilibrium, which
+    # needs the anchor Nash checks plus baseline payoffs never rising.
+    if plan.case_tag in ("partial_support_disjoint", "partial_support_mixed",
+                        "full_support_2p", "full_support_np",
+                        "welfare_transfer_stage"):
+        base_u = [expected_utility(game, plan.baseline, i)
+                  for i in range(game.num_players)]
+        drift_ok = all(
+            expected_utility(games[k], plan.baseline, i) <= base_u[i] + 1e-9
+            for k in probed for i in range(game.num_players))
+        ok = anchor_fail is None and punish_fail is None and drift_ok
+        results["a1"] = PropertyResult("pass" if ok else "fail")
+    else:
+        results["a1"] = PropertyResult("na", "construction does not promise (a1)")
+
+    if full_support_case:
+        det0 = det_series[0]
+        rel = max(abs(d - d0) / max(abs(d0), 1e-12)
+                  for row in det_series for d, d0 in zip(row, det0))
+        results["P4prime"] = (
+            PropertyResult("pass") if nd_fail is None else
+            PropertyResult("fail", "baseline degenerate at a checkpoint", nd_fail))
+        results["det_invariance"] = (
+            PropertyResult("pass", f"max relative drift {rel:.3g}")
+            if rel <= 1e-7 else
+            PropertyResult("fail", f"determinant drift {rel:.3g} > 1e-7"))
+    else:
+        results["P4prime"] = PropertyResult(
+            "pass" if anchor_fail is None and punish_fail is None else "fail",
+            "tracked through stage anchors")
+        results["det_invariance"] = PropertyResult("na")
+
+    # (P2') burn monotonicity outside the welfare stage.
+    suffix_start = plan.welfare_stage_rounds
+    mono_ok = True
+    for k in range(suffix_start, R):
+        if np.any(games[k + 1].utilities > games[k].utilities + 1e-12):
+            mono_ok = False
+            break
+    results["P2prime"] = PropertyResult("pass" if mono_ok else "fail")
+
+    # (P3') target payoffs pinned after the welfare stage.
+    t = plan.target.profile
+    ref = games[suffix_start].payoffs(t)
+    pin_ok = all(np.all(np.abs(games[k].payoffs(t) - ref) <= 1e-12)
+                 for k in range(suffix_start, R + 1))
+    results["P3prime"] = PropertyResult("pass" if pin_ok else "fail")
+
+    # (b) == (P5'): the target is Nash at the end.
+    target_profile = MixedProfile.pure(game.action_counts, t)
+    terminal = is_nash(games[R], target_profile, tol)
+    payoff_ok = np.all(np.abs(games[R].payoffs(t)
+                              - np.asarray(plan.expected_terminal_payoffs)) <= 1e-9)
+    b_res = (PropertyResult("pass") if terminal.ok and payoff_ok else
+             PropertyResult("fail", "terminal target not Nash or payoffs off",
+                            {"nash_gain": terminal.gain}))
+    results["b"] = b_res
+    results["P5prime"] = b_res
+
+    # Welfare-stage homotopy properties.
+    if plan.welfare_stage_rounds > 0 or plan.case_tag == "welfare_transfer_stage":
+        S = plan.welfare_stage_rounds
+        w_series = [games[k].utilities.sum(axis=0) for k in range(S + 1)]
+        q2_ok = all(np.all(w_series[k + 1] <= w_series[k] + 1e-9)
+                    for k in range(S))
+        results["Q1"] = results["P1prime"]
+        results["Q2"] = PropertyResult("pass" if q2_ok else "fail")
+        x = np.asarray(plan.expected_terminal_payoffs)
+        q3_ok = np.all(np.abs(games[S].payoffs(t) - x) <= 1e-9)
+        results["Q3"] = PropertyResult("pass" if q3_ok else "fail")
+        q4_ok = all(is_nash(games[k], plan.baseline, 1e-8).ok for k in range(S + 1))
+        results["Q4"] = PropertyResult("pass" if q4_ok else "fail")
+        base_u = [expected_utility(game, plan.baseline, i)
+                  for i in range(game.num_players)]
+        series = [[expected_utility(games[k], plan.baseline, i)
+                   for k in range(S + 1)] for i in range(game.num_players)]
+        q5_ok = all(series[i][k + 1] <= series[i][k] + 1e-9
+                    for i in range(game.num_players) for k in range(S))
+        # Players whose raise at the welfare maximizer has baseline support
+        # mass are compensated; their baseline payoff must be pinned.
+        _, a_sw = welfare_max(game)
+        pinned_ok = True
+        for i in range(game.num_players):
+            D = plan.expected_terminal_payoffs[i] - game.payoff(i, a_sw)
+            q = math.prod(float(plan.baseline.probs[j][a_sw[j]])
+                          for j in range(game.num_players) if j != i)
+            if D > 1e-12 and q > 1e-12:
+                if any(abs(series[i][k] - base_u[i]) > 1e-9 for k in range(S + 1)):
+                    pinned_ok = False
+        results["Q5"] = PropertyResult("pass" if q5_ok and pinned_ok else "fail")
+    else:
+        for key in ("Q1", "Q2", "Q3", "Q4", "Q5"):
+            results[key] = PropertyResult("na")
+    return results
+
+
+def _assert_on_path_agrees(game, plan, **kwargs) -> dict:
+    """The stacked and the per-checkpoint on-path checks give equal property
+    dicts (status, detail and witness) and the same verify_plan bytes;
+    returns the stacked properties."""
+    budget = kwargs.get("checkpoint_budget")
+    batched = check_on_path(game, plan, checkpoint_budget=budget)
+    assert batched == _scalar_check_on_path(game, plan, checkpoint_budget=budget)
+    report = verify_plan(game, plan, **kwargs).to_json()
+    with mock.patch.object(verifier, "check_on_path", _scalar_check_on_path):
+        assert report == verify_plan(game, plan, **kwargs).to_json()
+    return batched
+
+
+def full_support_2p_plan():
+    game, sigma = full_support_two_player(np.random.default_rng(3))
+    return game, build_plan(game, sigma, target=(1, 2), delta=0.1)
+
+
+ON_PATH_PLANS = {
+    **CATALOG_PLANS,
+    "full_support_2p": lambda: (*full_support_2p_plan(), {}),
+    # choose_delta's budgets on a 300-round plan
+    "ex4_budgets": lambda: (*prize_plan(0.02), {"budget": 8, "checkpoint_budget": 64}),
+}
+
+
+@pytest.mark.parametrize("example", sorted(ON_PATH_PLANS))
+def test_stacked_on_path_matches_scalar_loop(example):
+    game, plan, kwargs = ON_PATH_PLANS[example]()
+    props = _assert_on_path_agrees(game, plan, **kwargs)
+    if plan.case_tag.startswith("full_support"):
+        assert props["det_invariance"].detail.startswith("max relative drift")
+
+
+def test_stacked_on_path_matches_scalar_loop_on_seeded_2x2_plans():
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        _assert_on_path_agrees(*mismatching_two_by_two(rng))
+
+
+def _counted_searches():
+    return mock.patch.object(verifier, "find_punishment_equilibrium",
+                             wraps=find_punishment_equilibrium)
+
+
+def test_accepted_plan_makes_no_scalar_search():
+    game, plan = prize_plan()
+    with _counted_searches() as search:
+        assert verify_plan(game, plan).accepted
+    assert search.call_count == 0
+
+
+def _with_stage(plan, k, **changes):
+    """The plan with the stage in force at k replaced, at k alone, by a copy
+    with `changes`."""
+    stage = plan.stage_for(k)
+    stages = [s for s in plan.punishment if s.first_round <= k]
+    stages.append(dataclasses.replace(stage, first_round=k, **changes))
+    stages += [dataclasses.replace(plan.stage_for(k + 1), first_round=k + 1)]
+    stages += [s for s in plan.punishment if s.first_round > k + 1]
+    return dataclasses.replace(plan, punishment=tuple(stages))
+
+
+def test_checkpoint_without_punishment_gets_the_scalar_reason():
+    game, plan = prize_plan()
+    bad = _with_stage(plan, 2, ceiling=(-100.0, -100.0))
+    props = _assert_on_path_agrees(game, bad)
+    assert props["a"].status == "fail"
+    assert props["a"].witness["checkpoint"] == 2
+    assert "no pure equilibrium under ceiling" in props["a"].witness["reason"]
+    with _counted_searches() as search:
+        check_on_path(game, bad)
+    assert search.call_count == 1
+
+
+def test_stage_seed_not_nash_at_one_checkpoint():
+    game, plan = prize_plan()
+    bad = _with_stage(plan, 3, seed=MixedProfile.pure((4, 4), (0, 0)))
+    props = _assert_on_path_agrees(game, bad)
+    assert props["baseline_nash"].status == "fail"
+    assert props["baseline_nash"].witness["checkpoint"] == 3
+
+
+@pytest.mark.parametrize("make", [full_support_2p_plan,
+                                  lambda: CATALOG_PLANS["ex6"]()[:2]])
+def test_full_support_baseline_not_nash(make):
+    game, plan = make()
+    counts = game.action_counts
+    skewed = MixedProfile([np.linspace(1, 2, c) / np.linspace(1, 2, c).sum()
+                           for c in counts])
+    props = _assert_on_path_agrees(game, dataclasses.replace(plan, baseline=skewed))
+    assert props["P4prime"].status == "fail"
+    assert props["P4prime"].witness["error"].startswith("profile is not Nash")
+
+
+def test_stacked_on_path_matches_scalar_loop_hypothesis():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(2, 2), (3, 3), (4, 4), (2, 2, 2)]),
+           st.sampled_from([None, 5]))
+    def run(seed, counts, budget):
+        game, plan = _random_plan(np.random.default_rng(seed), counts)
+        assert (check_on_path(game, plan, checkpoint_budget=budget)
+                == _scalar_check_on_path(game, plan, checkpoint_budget=budget))
+
+    run()
