@@ -17,6 +17,7 @@ import sys
 from . import __version__
 from .catalog import GAMES, RUNNERS, reproduce
 from .engine import (
+    RoundViolationError,
     cast_votes,
     open_session,
     play_terminal,
@@ -337,7 +338,11 @@ def cmd_simulate(args) -> int:
         n = game.num_players
         if plan.rounds:
             for k, r in enumerate(plan.rounds):
-                state = submit_round(state, r)
+                try:
+                    state = submit_round(state, r)
+                except RoundViolationError as exc:
+                    raise DocumentError(f"plan round {k + 1} breaks a session rule: "
+                                        f"{exc}") from exc
                 keep_going = k + 1 < len(plan.rounds)
                 state = cast_votes(state, [keep_going] * n)
         else:

@@ -14,6 +14,7 @@ transcript records enough to replay the session bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -22,12 +23,14 @@ from .games import (
     MALFORMED,
     DocumentError,
     Game,
+    RoundViolation,
     TransferError,
     apply_transfers,
     check_schema,
     content_hash,
     game_from_dict,
     game_to_dict,
+    round_violation,
 )
 
 TRANSCRIPT_SCHEMA_VERSION = 1
@@ -41,7 +44,7 @@ class SessionError(ValueError):
 
 
 class RoundViolationError(ValueError):
-    def __init__(self, violation: "RoundViolation"):
+    def __init__(self, violation: RoundViolation):
         super().__init__(str(violation))
         self.violation = violation
 
@@ -63,6 +66,9 @@ class Pledge:
 
     def __post_init__(self):
         object.__setattr__(self, "outcome", tuple(int(a) for a in self.outcome))
+        if not math.isfinite(self.amount):
+            raise TransferError("amount", f"pledge amount {self.amount} is not finite",
+                                self.payer, self.outcome)
         if self.amount < 0:
             raise TransferError("negative", f"negative pledge amount {self.amount}",
                                 self.payer, self.outcome)
@@ -85,17 +91,6 @@ class CommitmentRound:
 
     def merged(self, other: "CommitmentRound") -> "CommitmentRound":
         return CommitmentRound(self.pledges + other.pledges)
-
-
-@dataclass(frozen=True)
-class RoundViolation:
-    code: str  # "cap" | "negative" | "recipient" | "mode" | "outcome" | "payer"
-    payer: int | None
-    outcome: tuple[int, ...] | None
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.code}] {self.message}"
 
 
 @dataclass(frozen=True)
@@ -127,47 +122,18 @@ def open_session(game: Game, delta: float, mode: str = "transfers") -> SessionSt
 
 
 def validate_round(state: SessionState, round: CommitmentRound) -> RoundViolation | None:
-    """Check cap, sign, recipient, and mode legality; None when the round is ok."""
-    game, n = state.current_game, state.current_game.num_players
-    totals: dict[tuple[int, tuple[int, ...]], float] = {}
-    for p in round.pledges:
-        if not 0 <= p.payer < n:
-            return RoundViolation("payer", p.payer, p.outcome,
-                                  f"payer {p.payer} out of range")
-        if len(p.outcome) != n or any(
-                not 0 <= a < c for a, c in zip(p.outcome, game.action_counts)):
-            return RoundViolation("outcome", p.payer, p.outcome,
-                                  f"outcome {p.outcome} out of range")
-        if p.amount < 0:
-            return RoundViolation("negative", p.payer, p.outcome,
-                                  f"negative amount {p.amount}")
-        if p.recipient != BURN:
-            if not isinstance(p.recipient, int) or not 0 <= p.recipient < n:
-                return RoundViolation("recipient", p.payer, p.outcome,
-                                      f"recipient {p.recipient!r} out of range")
-            if p.recipient == p.payer:
-                return RoundViolation("recipient", p.payer, p.outcome,
-                                      "a player cannot pay itself")
-            if state.mode == "burn_only":
-                return RoundViolation("mode", p.payer, p.outcome,
-                                      "only BURN pledges allowed in burn_only mode")
-        key = (p.payer, p.outcome)
-        totals[key] = totals.get(key, 0.0) + p.amount
-        if totals[key] > state.delta + 1e-12:
-            return RoundViolation("cap", p.payer, p.outcome,
-                                  f"player {p.payer} pays {totals[key]:.12g} > "
-                                  f"delta={state.delta:.12g} at {p.outcome}")
-    return None
+    """The first session rule the round breaks, or None when it is legal."""
+    return round_violation(state.current_game, round, state.delta, state.mode)
 
 
 def submit_round(state: SessionState, round: CommitmentRound) -> SessionState:
     if state.phase != "committing":
         raise SessionError(f"cannot submit a round in phase {state.phase!r}")
-    violation = validate_round(state, round)
-    if violation is not None:
-        raise RoundViolationError(violation)
-    new_game = apply_transfers(state.current_game, round,
-                               delta=state.delta, mode=state.mode)
+    try:
+        new_game = apply_transfers(state.current_game, round,
+                                   delta=state.delta, mode=state.mode)
+    except TransferError as exc:
+        raise RoundViolationError(exc.violation) from exc
     transcript = replace(state.transcript, rounds=state.transcript.rounds + (round,))
     return replace(state, current_game=new_game, phase="voting", transcript=transcript)
 
@@ -205,7 +171,7 @@ def replay(base: Game, transcript: Transcript, delta: float,
     for k, round in enumerate(transcript.rounds):
         try:
             state = submit_round(state, round)
-        except (RoundViolationError, SessionError, TransferError) as exc:
+        except (RoundViolationError, SessionError) as exc:
             raise ReplayError(k, str(exc)) from exc
         if votes:
             state = cast_votes(state, votes.pop(0))

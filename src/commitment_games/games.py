@@ -67,6 +67,21 @@ class TransferError(ValueError):
         self.payer = payer
         self.outcome = outcome
 
+    @property
+    def violation(self) -> "RoundViolation":
+        return RoundViolation(self.code, self.payer, self.outcome, str(self))
+
+
+@dataclass(frozen=True)
+class RoundViolation:
+    code: str  # "cap" | "recipient" | "mode" | "outcome" | "payer"
+    payer: int | None
+    outcome: tuple[int, ...] | None
+    message: str
+
+    def __str__(self) -> str:
+        return f"[{self.code}] {self.message}"
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
@@ -278,45 +293,60 @@ def _iter_pledges(round_or_pledges) -> Iterable:
     return list(pledges)
 
 
+def round_violation(game: Game, round, delta: float | None = None,
+                    mode: str | None = None) -> RoundViolation | None:
+    """The first rule one round of pledges breaks in `game`, or None.
+
+    Payer, outcome and recipient must exist in the game; `mode="burn_only"`
+    rejects player recipients; when `delta` is given, each payer's total
+    per outcome is capped at delta.  Sign and self-payment are rules of a
+    single pledge, which `Pledge` enforces when it is made.
+    """
+    n = game.num_players
+    totals: dict[tuple[int, tuple[int, ...]], float] = {}
+    for p in _iter_pledges(round):
+        if not 0 <= p.payer < n:
+            return RoundViolation("payer", p.payer, p.outcome,
+                                  f"payer {p.payer} out of range")
+        if len(p.outcome) != n or any(
+                not 0 <= a < c for a, c in zip(p.outcome, game.action_counts)):
+            return RoundViolation("outcome", p.payer, p.outcome,
+                                  f"outcome {p.outcome} out of range")
+        if p.recipient != BURN:
+            if not isinstance(p.recipient, int) or not 0 <= p.recipient < n:
+                return RoundViolation("recipient", p.payer, p.outcome,
+                                      f"recipient {p.recipient!r} out of range")
+            if mode == "burn_only":
+                return RoundViolation("mode", p.payer, p.outcome,
+                                      "only BURN pledges are allowed in burn_only mode")
+        key = (p.payer, p.outcome)
+        totals[key] = totals.get(key, 0.0) + p.amount
+        if delta is not None and totals[key] > delta + 1e-12:
+            return RoundViolation("cap", p.payer, p.outcome,
+                                  f"player {p.payer} pays {totals[key]:.12g} > "
+                                  f"delta={delta:.12g} at outcome {p.outcome}")
+    return None
+
+
 def apply_transfers(game: Game, round, *, delta: float | None = None,
                     mode: str | None = None) -> Game:
     """Fold one round of pledges into a new game.
 
     Each pledge (payer, outcome, recipient, amount) lowers the payer's
     utility at the outcome by `amount`; a player recipient gains it, BURN
-    destroys it.  When `delta` is given, the per-payer per-outcome total
-    is capped at delta; `mode="burn_only"` rejects player recipients.
+    destroys it.  TransferError when the round breaks a rule of
+    `round_violation`.
     """
+    pledges = _iter_pledges(round)
+    violation = round_violation(game, pledges, delta, mode)
+    if violation is not None:
+        raise TransferError(violation.code, violation.message, violation.payer,
+                            violation.outcome)
     u = np.array(game.utilities)
-    n = game.num_players
-    totals: dict[tuple[int, tuple[int, ...]], float] = {}
-    for p in _iter_pledges(round):
-        outcome = tuple(int(a) for a in p.outcome)
-        if not (0 <= p.payer < n):
-            raise TransferError("payer", f"payer {p.payer} out of range", p.payer, outcome)
-        if len(outcome) != n or any(not 0 <= a < c for a, c in zip(outcome, game.action_counts)):
-            raise TransferError("outcome", f"outcome {outcome} out of range", p.payer, outcome)
-        if p.amount < 0:
-            raise TransferError("negative", f"negative pledge amount {p.amount}",
-                                p.payer, outcome)
+    for p in pledges:
+        u[(p.payer, *p.outcome)] -= p.amount
         if p.recipient != BURN:
-            if not (0 <= p.recipient < n):
-                raise TransferError("recipient", f"recipient {p.recipient} out of range",
-                                    p.payer, outcome)
-            if p.recipient == p.payer:
-                raise TransferError("recipient", "a player cannot pay itself",
-                                    p.payer, outcome)
-            if mode == "burn_only":
-                raise TransferError("mode", "only BURN pledges are allowed in burn_only mode",
-                                    p.payer, outcome)
-        key = (p.payer, outcome)
-        totals[key] = totals.get(key, 0.0) + p.amount
-        if delta is not None and totals[key] > delta + 1e-12:
-            raise TransferError("cap", f"player {p.payer} pays {totals[key]:.12g} > "
-                                f"delta={delta:.12g} at outcome {outcome}", p.payer, outcome)
-        u[(p.payer, *outcome)] -= p.amount
-        if p.recipient != BURN:
-            u[(p.recipient, *outcome)] += p.amount
+            u[(p.recipient, *p.outcome)] += p.amount
     return game.with_utilities(u)
 
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .engine import CommitmentRound, Pledge, round_from_dict, round_to_dict
+from .engine import MODES, CommitmentRound, Pledge, round_from_dict, round_to_dict
 from .equilibria import (
     DegenerateEquilibriumError,
     build_characteristic_system,
@@ -46,6 +46,7 @@ from .games import (
     Game,
     MixedProfile,
     OutcomeTarget,
+    TransferError,
     apply_transfers,
     check_schema,
     content_hash,
@@ -142,14 +143,33 @@ class ProtocolPlan:
         return len(self.rounds)
 
 
+class FoldError(ValueError):
+    """A plan round broke a round rule while folding."""
+
+    def __init__(self, round_index: int, cause: Exception):
+        super().__init__(f"round {round_index}: {cause}")
+        self.round_index = round_index
+
+
+def fold_rounds(game: Game, rounds: Sequence[CommitmentRound], delta: float,
+                mode: str) -> list[Game]:
+    """Every prefix game of `rounds` folded into `game`, `game` first.
+
+    FoldError names the first round (0-based) that breaks a round rule.
+    """
+    games = [game]
+    for k, r in enumerate(rounds):
+        try:
+            games.append(apply_transfers(games[-1], r, delta=delta, mode=mode))
+        except TransferError as exc:
+            raise FoldError(k, exc) from exc
+    return games
+
+
 def fold_plan(game: Game, plan: ProtocolPlan,
               upto: int | None = None) -> Game:
     """Apply the first `upto` rounds (all when None) to the base game."""
-    upto = len(plan.rounds) if upto is None else upto
-    g = game
-    for r in plan.rounds[:upto]:
-        g = apply_transfers(g, r, delta=plan.delta, mode=plan.mode)
-    return g
+    return fold_rounds(game, plan.rounds[:upto], plan.delta, plan.mode)[-1]
 
 
 def _finalize_plan(game: Game, rounds: Sequence[CommitmentRound], *, case_tag: str,
@@ -157,26 +177,47 @@ def _finalize_plan(game: Game, rounds: Sequence[CommitmentRound], *, case_tag: s
                    baseline: MixedProfile, punishment: Sequence[PunishmentStage],
                    expected: Sequence[float], welfare_stage_rounds: int = 0,
                    lam_values: Sequence[float] | None = None,
-                   action_orders=None) -> ProtocolPlan:
-    checkpoints = [Checkpoint(0, content_hash(game),
-                              0.0 if lam_values is not None else None)]
-    g = game
-    for k, r in enumerate(rounds):
-        g = apply_transfers(g, r, delta=delta, mode=mode)
-        lam = None
-        if lam_values is not None and k < len(lam_values):
-            lam = lam_values[k]
-        checkpoints.append(Checkpoint(k + 1, content_hash(g), lam))
+                   action_orders=None,
+                   games: Sequence[Game] | None = None) -> ProtocolPlan:
+    """The plan with a checkpoint per prefix game; `games` are those prefix
+    games when the caller has folded them already."""
+    if games is None:
+        games = fold_rounds(game, rounds, delta, mode)
+    lams = [] if lam_values is None else [0.0, *lam_values]
+    checkpoints = tuple(Checkpoint(k, content_hash(g), lams[k] if k < len(lams) else None)
+                        for k, g in enumerate(games))
     return ProtocolPlan(
         case_tag=case_tag, mode=mode, delta=float(delta), rounds=tuple(rounds),
         target=target, baseline=baseline, punishment=tuple(punishment),
-        checkpoints=tuple(checkpoints),
+        checkpoints=checkpoints,
         expected_terminal_payoffs=tuple(float(x) for x in expected),
-        base_game_hash=content_hash(game),
-        welfare_stage_rounds=welfare_stage_rounds,
-        action_orders=None if action_orders is None
-        else tuple(tuple(o) for o in action_orders),
+        base_game_hash=checkpoints[0].game_hash,
+        welfare_stage_rounds=welfare_stage_rounds, action_orders=action_orders,
     )
+
+
+def _pareto_plan(game: Game, sigma: MixedProfile, target: tuple[int, ...],
+                 rounds: Sequence[CommitmentRound], case: str, delta: float, *,
+                 ceiling: Sequence[float] | None = None,
+                 stages: Sequence[PunishmentStage] = (),
+                 action_orders=None) -> ProtocolPlan:
+    """The burn-only plan steering to the pure `target`.
+
+    `sigma` anchors the punishment from round 0 under `ceiling`, by default
+    its payoffs raised by the target's smallest surplus over them; `stages`
+    are the anchors that take over in later rounds.
+    """
+    n = game.num_players
+    expected = [game.payoff(i, target) for i in range(n)]
+    if ceiling is None:
+        L = pareto_improves(game, target, sigma)[1]
+        ceiling = [expected_utility(game, sigma, i) + L for i in range(n)]
+    return _finalize_plan(game, rounds, case_tag=case, mode="burn_only", delta=delta,
+                          target=OutcomeTarget(target, "pareto_improver"),
+                          baseline=sigma,
+                          punishment=[PunishmentStage(0, sigma.supports(), sigma,
+                                                      tuple(ceiling)), *stages],
+                          expected=expected, action_orders=action_orders)
 
 
 def _merge_streams(streams: Sequence[Sequence[list[Pledge]]]) -> list[CommitmentRound]:
@@ -230,18 +271,27 @@ def _structural_case(game: Game, sigma: MixedProfile,
     return "in_support_indirect"
 
 
-def classify_case(game: Game, sigma: MixedProfile, target: Sequence[int]) -> str:
-    """Validate the construction hypotheses and name the applicable case."""
+def _require_non_degenerate(game: Game, sigma: MixedProfile) -> None:
     report = is_non_degenerate(game, sigma)
     if not report.ok:
         raise DegenerateEquilibriumError(
             f"baseline equilibrium is degenerate (det={report.det:.3g}, "
             f"min residual={report.min_residual:.3g})")
+
+
+def classify_case(game: Game, sigma: MixedProfile, target: Sequence[int]) -> str:
+    """Validate the construction hypotheses and name the applicable case."""
+    _require_non_degenerate(game, sigma)
     ok, L = pareto_improves(game, target, sigma)
     if not ok:
         raise NotImprovingError(
             f"target does not strictly Pareto improve the baseline (margin {L:.6g})")
     return _structural_case(game, sigma, target)
+
+
+def _expect_case(case: str, cases: Sequence[str]) -> None:
+    if case not in cases:
+        raise InfeasibleError(f"expected case {' or '.join(cases)}, got {case}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,60 +400,34 @@ def build_partial_support_plan(game: Game, sigma: MixedProfile,
         case = classify_case(game, sigma, target)
     elif case is None:
         case = _structural_case(game, sigma, target)
-    if case not in ("partial_support_disjoint", "partial_support_mixed",
-                    "in_support_indirect"):
-        raise InfeasibleError(f"partial-support builder got case {case!r}")
-    n = game.num_players
-    base_u_sigma = [expected_utility(game, sigma, i) for i in range(n)]
-    L = min(game.payoff(i, target) - base_u_sigma[i] for i in range(n))
-    ceiling = tuple(base_u_sigma[i] + L for i in range(n))
-    target_obj = OutcomeTarget(target, "pareto_improver")
-    expected = [game.payoff(i, target) for i in range(n)]
-
+    _expect_case(case, ("partial_support_disjoint", "partial_support_mixed",
+                        "in_support_indirect"))
     if sigma.is_pure() and sigma.pure_profile() == target:
-        return _finalize_plan(game, [], case_tag=case, mode="burn_only",
-                              delta=delta, target=target_obj, baseline=sigma,
-                              punishment=[PunishmentStage(0, sigma.supports(),
-                                                          sigma, ceiling)],
-                              expected=expected)
-
+        return _pareto_plan(game, sigma, target, [], case, delta)
     if case != "in_support_indirect":
-        rounds = _anchor_rounds(game, sigma, target, delta, 0.0)
-        return _finalize_plan(game, rounds, case_tag=case, mode="burn_only",
-                              delta=delta, target=target_obj, baseline=sigma,
-                              punishment=[PunishmentStage(0, sigma.supports(),
-                                                          sigma, ceiling)],
-                              expected=expected)
+        return _pareto_plan(game, sigma, target,
+                            _anchor_rounds(game, sigma, target, delta, 0.0), case, delta)
 
     # Indirect: anchor an auxiliary pure profile with a strict delta margin,
     # then steer from it to the target.
     aux = _choose_auxiliary_profile(game, sigma, target)
     s1_totals = {}
-    for i in range(n):
+    for i in range(game.num_players):
         need = game.payoff(i, aux) - game.payoff(i, target) + delta
         if need > _AMOUNT_FLOOR:
             s1_totals[i] = need
     s1_rounds = _merge_streams([_burn_stream(i, {aux: t}, delta)
                                 for i, t in s1_totals.items()])
-    g1 = game
-    for r in s1_rounds:
-        g1 = apply_transfers(g1, r, delta=delta, mode="burn_only")
+    g1 = fold_rounds(game, s1_rounds, delta, "burn_only")[-1]
     s2_rounds = _anchor_rounds(g1, sigma, aux, delta, delta + 1e-9)
-    g2 = g1
-    for r in s2_rounds:
-        g2 = apply_transfers(g2, r, delta=delta, mode="burn_only")
+    g2 = fold_rounds(g1, s2_rounds, delta, "burn_only")[-1]
     aux_profile = MixedProfile.pure(game.action_counts, aux)
     s3_rounds = _anchor_rounds(g2, aux_profile, target, delta, 0.0)
-    stages = [
-        PunishmentStage(0, sigma.supports(), sigma, ceiling, "baseline"),
-        PunishmentStage(len(s1_rounds) + len(s2_rounds), aux_profile.supports(),
-                        aux_profile, tuple(float(x) for x in g2.payoffs(aux)),
-                        "aux-anchor"),
-    ]
-    return _finalize_plan(game, s1_rounds + s2_rounds + s3_rounds,
-                          case_tag=case, mode="burn_only", delta=delta,
-                          target=target_obj, baseline=sigma, punishment=stages,
-                          expected=expected)
+    aux_stage = PunishmentStage(len(s1_rounds) + len(s2_rounds), aux_profile.supports(),
+                                aux_profile, tuple(float(x) for x in g2.payoffs(aux)),
+                                "aux-anchor")
+    return _pareto_plan(game, sigma, target, s1_rounds + s2_rounds + s3_rounds, case,
+                        delta, stages=[aux_stage])
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +505,7 @@ def build_two_player_full_support_plan(game: Game, sigma: MixedProfile,
                                        validate: bool = True) -> ProtocolPlan:
     target = tuple(int(a) for a in target)
     if validate:
-        case = classify_case(game, sigma, target)
-        if case != "full_support_2p":
-            raise InfeasibleError(f"expected a full-support two-player case, got {case}")
+        _expect_case(classify_case(game, sigma, target), ("full_support_2p",))
     if game.num_players != 2:
         raise InfeasibleError("two-player builder on a non-two-player game")
     n1, n2 = game.action_counts
@@ -502,19 +524,8 @@ def build_two_player_full_support_plan(game: Game, sigma: MixedProfile,
         streams.append(_first_column_stream(np.array(block), player,
                                             orders[player], orders[1 - player],
                                             game.action_counts, delta))
-    rounds = _merge_streams(streams)
-    n = game.num_players
-    base_u_sigma = [expected_utility(game, sigma, i) for i in range(n)]
-    L = min(game.payoff(i, target) - base_u_sigma[i] for i in range(n))
-    ceiling = tuple(base_u_sigma[i] + L for i in range(n))
-    return _finalize_plan(game, rounds, case_tag="full_support_2p",
-                          mode="burn_only", delta=delta,
-                          target=OutcomeTarget(target, "pareto_improver"),
-                          baseline=sigma,
-                          punishment=[PunishmentStage(0, sigma.supports(),
-                                                      sigma, ceiling)],
-                          expected=[game.payoff(i, target) for i in range(n)],
-                          action_orders=orders)
+    return _pareto_plan(game, sigma, target, _merge_streams(streams),
+                        "full_support_2p", delta, action_orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +606,7 @@ def build_multiplayer_plan(game: Game, sigma: MixedProfile,
                            validate: bool = True) -> ProtocolPlan:
     target = tuple(int(a) for a in target)
     if validate:
-        case = classify_case(game, sigma, target)
-        if case != "full_support_np":
-            raise InfeasibleError(f"expected the n>=3 full-support case, got {case}")
+        _expect_case(classify_case(game, sigma, target), ("full_support_np",))
     n = game.num_players
     if n < 3:
         raise InfeasibleError("multiplayer builder needs three or more players")
@@ -634,18 +643,8 @@ def build_multiplayer_plan(game: Game, sigma: MixedProfile,
                                                     orders, game.action_counts))
                 remaining -= lam
         streams.append(stream)
-    rounds = _merge_streams(streams)
-    base_u_sigma = [expected_utility(game, sigma, i) for i in range(n)]
-    L = min(game.payoff(i, target) - base_u_sigma[i] for i in range(n))
-    ceiling = tuple(base_u_sigma[i] + L for i in range(n))
-    return _finalize_plan(game, rounds, case_tag="full_support_np",
-                          mode="burn_only", delta=delta,
-                          target=OutcomeTarget(target, "pareto_improver"),
-                          baseline=sigma,
-                          punishment=[PunishmentStage(0, sigma.supports(),
-                                                      sigma, ceiling)],
-                          expected=[game.payoff(i, target) for i in range(n)],
-                          action_orders=orders)
+    return _pareto_plan(game, sigma, target, _merge_streams(streams),
+                        "full_support_np", delta, action_orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +679,7 @@ def build_2x2_plan(game: Game, sigma: MixedProfile, target: Sequence[int],
     """Gap-narrowing protocol for 2x2 games with a full-support baseline."""
     target = tuple(int(a) for a in target)
     if validate:
-        case = classify_case(game, sigma, target)
-        if case != "two_by_two":
-            raise InfeasibleError(f"expected the 2x2 full-support case, got {case}")
+        _expect_case(classify_case(game, sigma, target), ("two_by_two",))
     if game.num_players != 2 or game.action_counts != (2, 2):
         raise InfeasibleError("2x2 builder needs a two-player binary game")
     orders = tuple((t, 1 - t) for t in target)
@@ -757,16 +754,9 @@ def build_2x2_plan(game: Game, sigma: MixedProfile, target: Sequence[int],
     rounds = _merge_streams(step1) + _merge_streams(step2)
     if step3_pledges:
         rounds.append(CommitmentRound(tuple(step3_pledges)))
-
-    ceiling = tuple(game.payoff(i, target) for i in (0, 1))
-    return _finalize_plan(game, rounds, case_tag="two_by_two", mode="burn_only",
-                          delta=delta,
-                          target=OutcomeTarget(target, "pareto_improver"),
-                          baseline=sigma,
-                          punishment=[PunishmentStage(0, sigma.supports(),
-                                                      sigma, ceiling)],
-                          expected=[game.payoff(i, target) for i in (0, 1)],
-                          action_orders=orders)
+    return _pareto_plan(game, sigma, target, rounds, "two_by_two", delta,
+                        ceiling=[game.payoff(i, target) for i in (0, 1)],
+                        action_orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -891,11 +881,7 @@ def build_welfare_transfer_stage(game: Game, sigma: MixedProfile,
     """
     targets = [float(x) for x in payoff_targets]
     if validate:
-        report = is_non_degenerate(game, sigma)
-        if not report.ok:
-            raise DegenerateEquilibriumError(
-                f"baseline equilibrium is degenerate (det={report.det:.3g}, "
-                f"min residual={report.min_residual:.3g})")
+        _require_non_degenerate(game, sigma)
     rates, a_sw = _welfare_stage_rates(game, sigma, targets)
     rounds, lams = _stage_rounds(rates, delta)
     n = game.num_players
@@ -904,13 +890,14 @@ def build_welfare_transfer_stage(game: Game, sigma: MixedProfile,
     stage = PunishmentStage(0, sigma.supports(), sigma,
                             tuple(u_sigma[i] + L for i in range(n)),
                             "welfare-stage")
+    games = fold_rounds(game, rounds, delta, "transfers")
     plan = _finalize_plan(game, rounds, case_tag="welfare_transfer_stage",
                           mode="transfers", delta=delta,
                           target=OutcomeTarget(a_sw, "welfare_maximizer"),
                           baseline=sigma, punishment=[stage], expected=targets,
-                          welfare_stage_rounds=len(rounds), lam_values=lams)
-    terminal = fold_plan(game, plan)
-    return plan, terminal
+                          welfare_stage_rounds=len(rounds), lam_values=lams,
+                          games=games)
+    return plan, games[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -960,10 +947,8 @@ def build_plan(game: Game, sigma: MixedProfile, *,
     sub = _improvement_plan(mid_game, sigma, a_sw, delta)
     rounds = stage_plan.rounds + sub.rounds
     offset = len(stage_plan.rounds)
-    stages = list(stage_plan.punishment)
-    for s in sub.punishment:
-        stages.append(PunishmentStage(s.first_round + offset, s.supports,
-                                      s.seed, s.ceiling, s.label))
+    stages = [*stage_plan.punishment,
+              *(replace(s, first_round=s.first_round + offset) for s in sub.punishment)]
     lam_values = [c.lam for c in stage_plan.checkpoints[1:]]
     return _finalize_plan(game, rounds, case_tag="welfare_transfer_stage",
                           mode="transfers", delta=delta,
@@ -1045,11 +1030,41 @@ def plan_to_dict(plan: ProtocolPlan) -> dict:
     }
 
 
+def _check_plan(plan: ProtocolPlan) -> None:
+    """DocumentError unless the decoded plan meets what every built plan
+    meets and what the verifier and the engine take on trust."""
+    if plan.case_tag not in CASE_TAGS:
+        raise DocumentError(f"unknown case_tag {plan.case_tag!r}")
+    if plan.mode not in MODES:
+        raise DocumentError(f"mode must be one of {MODES}, got {plan.mode!r}")
+    if not (math.isfinite(plan.delta) and plan.delta > 0):
+        raise DocumentError(f"delta must be finite and positive, got {plan.delta}")
+    if not plan.punishment:
+        raise DocumentError("plan has no punishment stage")
+    if any(not 0 <= c.rounds_applied <= len(plan.rounds) for c in plan.checkpoints):
+        raise DocumentError(f"a checkpoint is outside rounds 0..{len(plan.rounds)}")
+    counts = [p.size for p in plan.baseline.probs]
+    target = plan.target.profile
+    if not len(target) == len(plan.expected_terminal_payoffs) == len(counts) or any(
+            not 0 <= a < c for a, c in zip(target, counts)):
+        raise DocumentError("target and expected_terminal_payoffs need one entry "
+                            "per player, inside the player's actions")
+    if plan.action_orders is not None and (
+            [sorted(o) for o in plan.action_orders] != [list(range(c)) for c in counts]):
+        raise DocumentError("action_orders must list each player's actions once")
+    if plan.case_tag in ("full_support_2p", "full_support_np"):
+        supports = plan.baseline.supports()
+        if any(len(s) != c for s, c in zip(supports, counts)) or (
+                len(counts) == 2 and counts[0] != counts[1]):
+            raise DocumentError(f"case {plan.case_tag} needs a full-support baseline, "
+                                "with equal action counts for two players")
+
+
 def plan_from_dict(doc: dict) -> ProtocolPlan:
     """Decode a plan document; DocumentError when it is malformed."""
     check_schema(doc, "plan", PLAN_SCHEMA_VERSION)
     try:
-        return ProtocolPlan(
+        plan = ProtocolPlan(
             case_tag=doc["case_tag"],
             mode=doc["mode"],
             delta=float(doc["delta"]),
@@ -1078,6 +1093,8 @@ def plan_from_dict(doc: dict) -> ProtocolPlan:
     except MALFORMED as exc:
         raise DocumentError(f"malformed plan document: "
                             f"{type(exc).__name__}: {exc}") from exc
+    _check_plan(plan)
+    return plan
 
 
 def save_plan(plan: ProtocolPlan, path, extra: dict | None = None) -> None:

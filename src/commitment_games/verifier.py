@@ -35,7 +35,6 @@ from .equilibria import (
 from .games import (
     Game,
     MixedProfile,
-    TransferError,
     apply_transfers,
     content_hash,
     deviation_payoffs,
@@ -43,7 +42,7 @@ from .games import (
     game_distance,
     welfare_max,
 )
-from .protocols import ProtocolPlan
+from .protocols import FoldError, ProtocolPlan, fold_rounds
 
 ROUND_BOUND_CONSTANT = 64.0
 ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
@@ -141,25 +140,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-class FoldError(ValueError):
-    """A plan round violated cap/mode/sign constraints while replaying."""
-
-    def __init__(self, round_index: int, cause: Exception):
-        super().__init__(f"round {round_index}: {cause}")
-        self.round_index = round_index
-
-
-def _fold_sequence(game: Game, plan: ProtocolPlan) -> list[Game]:
-    games = [game]
-    for k, r in enumerate(plan.rounds):
-        try:
-            games.append(apply_transfers(games[-1], r, delta=plan.delta,
-                                         mode=plan.mode))
-        except TransferError as exc:
-            raise FoldError(k, exc) from exc
-    return games
-
-
 def best_response_payoff(game: Game, profile: MixedProfile, player: int) -> float:
     return float(np.max(deviation_payoffs(game, profile, player)))
 
@@ -211,7 +191,7 @@ def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
     results: dict[str, PropertyResult] = {}
     if games is None:
         try:
-            games = _fold_sequence(game, plan)
+            games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
         except FoldError as exc:
             return {"round_cap": PropertyResult("fail", str(exc),
                                                 {"round": exc.round_index})}
@@ -465,7 +445,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
     caller has folded them already.
     """
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
-    games = _fold_sequence(game, plan) if games is None else games
+    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if games is None else games
     R = len(plan.rounds)
     n = game.num_players
     on_path = np.asarray(plan.expected_terminal_payoffs)
@@ -585,7 +565,7 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
     if content_hash(game) != plan.base_game_hash:
         raise ValueError("plan was built for a different game (hash mismatch)")
     try:
-        games = _fold_sequence(game, plan)
+        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     except FoldError:
         games = None  # check_on_path reports the failing round
     properties = check_on_path(game, plan, tol, checkpoint_budget, games=games)

@@ -236,10 +236,15 @@ def _input_error_case(workdir, case):
     game = str(workdir / "ex3.json")
     if case.startswith("script"):
         script = workdir / f"{case}.json"
+        nan_pledge = {"payer": 1, "outcome": [2, 2], "recipient": "BURN",
+                      "amount": math.nan}
         script.write_text(json.dumps({"script_missing_delta": {"rounds": 3},
                                       "script_not_object": [1, 2],
                                       "script_rounds_not_list": {"delta": 1.0,
-                                                                 "rounds": 3}}[case]),
+                                                                 "rounds": 3},
+                                      "script_pledge_nan": {"delta": 1.0,
+                                                            "rounds": [[nan_pledge]]},
+                                      }[case]),
                           encoding="utf-8")
         return ["simulate", game, "--script", str(script), "-o", "-"]
     if case == "plan_baseline_nan":
@@ -258,9 +263,63 @@ def _input_error_case(workdir, case):
 
 @pytest.mark.parametrize("case", ["simulate_without_plan", "script_missing_delta",
                                   "script_not_object", "script_rounds_not_list",
+                                  "script_pledge_nan",
                                   "reproduce_unknown_id", "sigma_nan",
                                   "plan_baseline_nan"])
 def test_malformed_inputs_exit_2_without_traceback(workdir, capsys, case):
     code, err = _main(capsys, *_input_error_case(workdir, case))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+# Plan documents that decode but break what every built plan meets.
+_PLAN_EDITS = {
+    "no_punishment": lambda d: d.update(punishment=[]),
+    "checkpoint_past_end": lambda d: d["checkpoints"][-1].update(
+        rounds_applied=len(d["rounds"]) + 1),
+    "full_support_tag": lambda d: d.update(case_tag="full_support_2p",
+                                           baseline=[[0.5, 0.5], [1.0, 0.0]]),
+    "unknown_case_tag": lambda d: d.update(case_tag="nonsense"),
+    "mode_barter": lambda d: d.update(mode="barter"),
+    "target_out_of_range": lambda d: d["target"].update(profile=[3, 1]),
+    "expected_payoffs_short": lambda d: d.update(expected_terminal_payoffs=[4.0]),
+    "action_orders_not_permutations": lambda d: d.update(
+        action_orders=[[1, 2], [1, 2, 3]]),
+    "delta_nan": lambda d: d.update(delta=math.nan),
+    "delta_inf": lambda d: d.update(delta=math.inf),
+    "delta_zero": lambda d: d.update(delta=0.0),
+    "delta_negative": lambda d: d.update(delta=-0.5),
+    "pledge_nan": lambda d: d["rounds"][0][0].update(amount=math.nan),
+    "pledge_inf": lambda d: d["rounds"][0][0].update(amount=math.inf),
+    "pledge_over_cap": lambda d: d["rounds"][0][0].update(amount=5.0),
+}
+
+
+def _edited_plan(workdir, edit):
+    doc = _ex3_plan_doc(workdir)
+    _PLAN_EDITS[edit](doc)
+    plan_path = workdir / f"edited_{edit}.json"
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(plan_path)
+
+
+@pytest.mark.parametrize("command, edit", [
+    (command, edit) for edit in _PLAN_EDITS for command in ("verify", "simulate")
+    # verify reports an over-cap round as a failed round_cap property
+    if (command, edit) != ("verify", "pledge_over_cap")])
+def test_bad_plan_documents_exit_2_without_traceback(workdir, capsys, command, edit):
+    code, err = _main(capsys, command, str(workdir / "ex3.json"),
+                      _edited_plan(workdir, edit),
+                      "-o", str(workdir / f"edited_{edit}_{command}.json"))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_verify_reports_an_over_cap_round_as_round_cap_failure(workdir, capsys):
+    report = workdir / "over_cap_report.json"
+    code, _ = _main(capsys, "verify", str(workdir / "ex3.json"),
+                    _edited_plan(workdir, "pledge_over_cap"), "-o", str(report))
+    assert code == 1
+    round_cap = json.loads(report.read_text())["properties"]["round_cap"]
+    assert round_cap == {"status": "fail",
+                         "detail": "round 0: player 0 pays 5 > delta=1 at outcome (1, 1)"}

@@ -11,6 +11,7 @@ from commitment_games import (
     ReplayError,
     RoundViolationError,
     SessionError,
+    TransferError,
     apply_transfers,
     cast_votes,
     game_distance,
@@ -62,6 +63,28 @@ def test_validate_round_examples():
     split = CommitmentRound((Pledge(0, (1, 1), 1, 0.6),
                              Pledge(0, (1, 1), BURN, 0.6)))
     assert validate_round(state, split).code == "cap"  # cap sums per outcome
+
+
+@pytest.mark.parametrize("code, pledge, mode", [
+    ("payer", Pledge(2, (1, 1), BURN, 0.5), "transfers"),
+    ("outcome", Pledge(0, (1, 2), BURN, 0.5), "transfers"),
+    ("recipient", Pledge(0, (1, 1), 2, 0.5), "transfers"),
+    ("recipient", Pledge(0, (1, 1), "1", 0.5), "transfers"),
+    ("mode", Pledge(0, (1, 1), 1, 0.5), "burn_only"),
+    ("cap", Pledge(0, (1, 1), BURN, 1.5), "transfers"),
+], ids=["payer", "outcome", "recipient", "recipient_not_int", "mode", "cap"])
+def test_round_rules_agree_on_every_path(code, pledge, mode):
+    state = open_session(unfair_split(), 1.0, mode)
+    round = CommitmentRound((Pledge(1, (0, 0), BURN, 0.5), pledge))
+    with pytest.raises(TransferError) as folded:
+        apply_transfers(state.current_game, round, delta=1.0, mode=mode)
+    with pytest.raises(RoundViolationError) as submitted:
+        submit_round(state, round)
+    reports = [validate_round(state, round), folded.value.violation,
+               submitted.value.violation]
+    assert all(v == reports[0] for v in reports)
+    assert (reports[0].code, reports[0].payer, reports[0].outcome) == (
+        code, pledge.payer, pledge.outcome)
 
 
 def test_six_round_session_reaches_split():

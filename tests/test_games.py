@@ -128,6 +128,9 @@ def test_apply_transfers_rejects_illegal_pledges():
         Pledge(0, (0, 1), 0, 1.0)  # self-payment
     with pytest.raises(TransferError):
         Pledge(0, (0, 1), BURN, -1.0)
+    for amount in (math.nan, math.inf):
+        with pytest.raises(TransferError, match="not finite"):
+            Pledge(0, (0, 1), BURN, amount)
 
 
 def test_apply_transfers_does_not_mutate_input():

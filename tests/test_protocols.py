@@ -26,7 +26,7 @@ from commitment_games import (
     verify_plan,
 )
 from commitment_games.equilibria import DegenerateEquilibriumError
-from commitment_games.protocols import InfeasibleError
+from commitment_games.protocols import InfeasibleError, fold_rounds
 from commitment_games.catalog import (
     cyclic_with_prize,
     cyclic_with_prize_overlap,
@@ -78,8 +78,8 @@ def test_partial_disjoint_plan_anchors_prize():
     terminal = fold_plan(game, plan)
     assert is_nash(terminal, MixedProfile.pure((4, 4), (3, 3)), 1e-9).ok
     assert tuple(terminal.payoffs((3, 3))) == (4.0, 4.0)
-    for k in range(plan.num_rounds + 1):
-        assert is_nash(fold_plan(game, plan, k), sigma, 1e-8).ok
+    for g in fold_rounds(game, plan.rounds, plan.delta, plan.mode):
+        assert is_nash(g, sigma, 1e-8).ok
 
 
 def test_partial_mixed_plan_headroom_burns():
@@ -115,11 +115,12 @@ def test_indirect_plan_three_stages():
     assert tuple(terminal.payoffs((0, 0))) == (5.0, 5.0)
     # sigma anchors the early stages, the auxiliary profile the last one
     boundary = plan.punishment[1].first_round
-    for k in range(boundary + 1):
-        assert is_nash(fold_plan(game, plan, k), sigma, 1e-8).ok
+    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    for g in games[:boundary + 1]:
+        assert is_nash(g, sigma, 1e-8).ok
     aux_profile = plan.punishment[1].seed
-    for k in range(boundary, plan.num_rounds + 1):
-        assert is_nash(fold_plan(game, plan, k), aux_profile, 1e-9).ok
+    for g in games[boundary:]:
+        assert is_nash(g, aux_profile, 1e-9).ok
     report = verify_plan(game, plan)
     assert report.accepted
 
@@ -153,7 +154,7 @@ def test_two_player_full_support_plan_random(rng):
         game, sigma = full_support_two_player(rng)
         plan = build_two_player_full_support_plan(game, sigma, (0, 0), 0.4,
                                                   validate=False)
-        games = [fold_plan(game, plan, k) for k in range(plan.num_rounds + 1)]
+        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
         assert is_nash(games[-1], MixedProfile.pure((3, 3), (0, 0)), 1e-9).ok
         assert all(is_nash(g, sigma, 1e-8).ok for g in games)
         dets0 = None
@@ -242,7 +243,7 @@ def test_multiplayer_plan_preserves_everything():
     game = three_player_cycle()
     sigma = MixedProfile.uniform_over((2, 2, 2), [(0, 1)] * 3)
     plan = build_multiplayer_plan(game, sigma, (0, 0, 0), 0.1)
-    games = [fold_plan(game, plan, k) for k in range(plan.num_rounds + 1)]
+    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     assert is_nash(games[-1], MixedProfile.pure((2, 2, 2), (0, 0, 0)), 1e-9).ok
     assert all(is_nash(g, sigma, 1e-8).ok for g in games)
     det0 = None
@@ -347,7 +348,7 @@ def test_welfare_stage_compensated_players(rng):
         for i in range(3):
             assert terminal.payoff(i, a_sw) == pytest.approx(x[i], abs=1e-9)
         base_u = [expected_utility(game, sigma, i) for i in range(3)]
-        games = [fold_plan(game, plan, k) for k in range(plan.num_rounds + 1)]
+        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
         for i in range(3):
             if x[i] - game.payoff(i, a_sw) > 1e-12:  # compensated player
                 for g in games:

@@ -49,7 +49,7 @@ from commitment_games.games import (
     game_distance,
     welfare_max,
 )
-from commitment_games.protocols import PunishmentStage
+from commitment_games.protocols import FoldError, PunishmentStage, fold_rounds
 from commitment_games.verifier import (
     DeviationClassResult,
     DeviationFinding,
@@ -92,8 +92,7 @@ def test_on_path_prize_plan_all_pass():
 def test_on_path_split_plan_checkpoints():
     game, plan = split_plan()
     sigma = plan.baseline
-    for k in range(plan.num_rounds + 1):
-        g = fold_plan(game, plan, k)
+    for g in fold_rounds(game, plan.rounds, plan.delta, plan.mode):
         assert g.payoff(0, (0, 0)) == 0.0  # anchor outcome untouched
     results = check_on_path(game, plan)
     assert all(v.status != "fail" for v in results.values())
@@ -182,8 +181,7 @@ def test_punishment_ceiling_bound_for_burn_plans():
     game, plan = prize_plan()
     from commitment_games import find_punishment_equilibrium
     stage = plan.punishment[0]
-    for k in range(plan.num_rounds + 1):
-        g = fold_plan(game, plan, k)
+    for g in fold_rounds(game, plan.rounds, plan.delta, plan.mode):
         result = find_punishment_equilibrium(g, stage.supports, stage.seed,
                                              stage.ceiling)
         assert result.profile is not None
@@ -223,7 +221,7 @@ def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=Non
     """Reference grid: fold and search every deviation game one at a time.
     `games` is accepted for `verify_plan`'s call and ignored."""
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
-    games = verifier._fold_sequence(game, plan)
+    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     R, n = plan.num_rounds, game.num_players
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in verifier.DEVIATION_CLASSES}
@@ -503,8 +501,8 @@ def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games
     ignored."""
     results = {}
     try:
-        games = verifier._fold_sequence(game, plan)
-    except verifier.FoldError as exc:
+        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    except FoldError as exc:
         return {"round_cap": PropertyResult("fail", str(exc),
                                             {"round": exc.round_index})}
     results["round_cap"] = PropertyResult("pass")
