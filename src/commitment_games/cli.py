@@ -50,6 +50,7 @@ from .games import (
 from .protocols import (
     InfeasibleError,
     build_plan,
+    check_plan_for_game,
     choose_delta,
     load_plan,
     save_plan,
@@ -301,6 +302,7 @@ def _plan_for_game(args, game: Game):
     if plan.base_game_hash != content_hash(game):
         raise InputError("plan/game mismatch: the plan was built for a game "
                          "with a different content hash")
+    check_plan_for_game(plan, game)
     return plan
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, combinations, product
 from typing import Sequence
 
@@ -428,21 +428,20 @@ def _bcontract(t: np.ndarray, probs: Sequence[np.ndarray],
 
 
 def _bsolve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked solve; when a row is singular, solve row by row.
+    """Stacked solve; when a row is singular, solve each half of the stack
+    alone, down to single rows.
 
-    Returns (x, singular) with NaN rows where `singular` is set.
+    Returns (x, singular) with NaN rows where `singular` is set.  Every row
+    is solved by the same LAPACK routine as in the whole stack.
     """
     try:
         return np.linalg.solve(A, b[..., None])[..., 0], np.zeros(len(A), dtype=bool)
     except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        singular = np.zeros(len(A), dtype=bool)
-        for r in range(len(A)):
-            try:
-                x[r] = np.linalg.solve(A[r], b[r])
-            except np.linalg.LinAlgError:
-                singular[r] = True
-        return x, singular
+        if len(A) == 1:
+            return np.full(b.shape, np.nan), np.ones(1, dtype=bool)
+        h = len(A) // 2
+        (x0, s0), (x1, s1) = _bsolve(A[:h], b[:h]), _bsolve(A[h:], b[h:])
+        return np.concatenate([x0, x1]), np.concatenate([s0, s1])
 
 
 def _inf_norm(f: np.ndarray) -> np.ndarray:
@@ -526,6 +525,14 @@ def _bdeviation_payoffs(U: np.ndarray, probs: Sequence[np.ndarray]) -> list[np.n
     n = U.shape[1]
     return [_bcontract(np.moveaxis(U[:, i], i + 1, 1), probs,
                        [j for j in range(n) if j != i]) for i in range(n)]
+
+
+def _bpayoffs(U: np.ndarray, probs: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per row, `deviation_payoffs` of every player and the (B, n) expected
+    payoffs, as `expected_utility` contracts them."""
+    n = U.shape[1]
+    expected = np.stack([_bcontract(U[:, i], probs, range(n)) for i in range(n)], axis=1)
+    return _bdeviation_payoffs(U, probs), expected
 
 
 def _bnash(pay: Sequence[np.ndarray], probs: Sequence[np.ndarray],
@@ -622,11 +629,15 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         v = np.zeros((B, counts[i]))
         v[:, list(supp[i])] = clipped[i]
         full.append(v)
-    deviation = _bdeviation_payoffs(U, full)
+    deviation, expected = _bpayoffs(U, full)
     ok &= _bnash(deviation, full, 1e-8)[0] < 0
-    expected = np.stack([_bcontract(U[:, i], full, range(n)) for i in range(n)], axis=1)
-    ok &= np.all(expected <= np.asarray(ceiling, dtype=np.float64) + DEFAULT_TOL, axis=1)
+    ok &= _under_ceiling(expected, ceiling)
     return BatchFirstStage(ok, tuple(deviation), expected)
+
+
+def _under_ceiling(expected: np.ndarray, ceiling: Sequence[float]) -> np.ndarray:
+    """The search's ceiling test on payoff vectors along the last axis."""
+    return np.all(expected <= np.asarray(ceiling, dtype=np.float64) + DEFAULT_TOL, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -834,53 +845,64 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
                  ceiling: Sequence[float]) -> BatchPunishment:
     """`find_punishment_equilibrium` over a stack of games, row for row.
 
-    `utilities` has shape (B, n, N_1..N_n).  The first stage runs on the
-    whole stack, the seed and pure-equilibrium checks on each row it leaves
-    open.  Support enumeration then runs one `first_stage_batch` per
-    support pattern on the rows still open, in the scalar order, so each
-    row is settled by the pattern the scalar search would accept.  Only
-    2x2 rows left over try the boundary equilibria.  Raises GameShapeError
-    when an entry is not finite, as building the games would.
+    `utilities` has shape (B, n, N_1..N_n).  Each step of the chain runs
+    on the rows the steps before it leave open, as one stack: the first
+    stage; the seed's Nash and ceiling checks; the pure equilibria from a
+    best-response mask per player (the comparison `enumerate_pure_nash`
+    makes), of which the first under the ceiling in lexicographic order
+    settles the row; then one `first_stage_batch` per support pattern, in
+    the scalar order, so each row is settled by the pattern the scalar
+    search would accept.  Only 2x2 rows left over try the boundary
+    equilibria, one game at a time.  Raises GameShapeError when an entry is
+    not finite, as building the games would.
     """
     U = np.asarray(utilities, dtype=np.float64)
     if not np.all(np.isfinite(U)):
         raise GameShapeError("utilities must be finite")
-    n, counts = U.shape[1], U.shape[2:]
+    B, n, counts = U.shape[0], U.shape[1], U.shape[2:]
     ceiling = np.asarray(ceiling, dtype=np.float64)
 
     first = first_stage_batch(U, supports, seed, ceiling)
-    kinds = ["support_solve"] * len(U)
+    kinds = np.full(B, "support_solve", dtype=object)
     best = np.stack([p.max(axis=1) for p in first.deviation_payoffs], axis=1)
     expected = first.payoffs.copy()
     rows = np.flatnonzero(~first.settled)
     best[rows] = expected[rows] = np.nan
 
-    def accept(r, game, profile):
-        """The scalar search's ceiling test; records the payoffs it passes."""
-        u = np.array([expected_utility(game, profile, i) for i in range(n)])
-        if not np.all(u <= ceiling + DEFAULT_TOL):
-            return False
-        best[r] = [np.max(deviation_payoffs(game, profile, i)) for i in range(n)]
-        expected[r] = u
-        return True
+    def settle(hit, kind, pay, exp):
+        """Rows `hit` end at `kind`; `pay` and `exp` are their deviation
+        and expected payoffs at the accepted profile."""
+        kinds[hit] = kind
+        best[hit] = np.stack([p.max(axis=1) for p in pay], axis=1)
+        expected[hit] = exp
 
-    pure_best = np.full((len(U), n), np.nan)
-    games, still_open = {}, []
-    for r in rows.tolist():
-        game = games[r] = Game(U[r])
-        if seed is not None and is_nash(game, seed, 1e-8).ok and accept(r, game, seed):
-            kinds[r] = "seed"
-            continue
-        pure = enumerate_pure_nash(game)
-        pure_best[r] = [max((game.payoff(i, p) for p in pure), default=-np.inf)
-                        for i in range(n)]
-        if any(accept(r, game, MixedProfile.pure(counts, p)) for p in pure):
-            kinds[r] = "pure"
-        else:
-            kinds[r] = "none"
-            still_open.append(r)
+    if seed is not None and rows.size:
+        _check_profile(counts, seed)
+        probs = [np.tile(p, (len(rows), 1)) for p in seed.probs]
+        pay, exp = _bpayoffs(U[rows], probs)
+        ok = (_bnash(pay, probs, 1e-8)[0] < 0) & _under_ceiling(exp, ceiling)
+        settle(rows[ok], "seed", [p[ok] for p in pay], exp[ok])
+        rows = rows[~ok]
 
-    rows = np.array(still_open, dtype=int)
+    pure_best = np.full((B, n), np.nan)
+    if rows.size:
+        V = U[rows]
+        nash = np.ones((len(rows), *counts), dtype=bool)
+        for i in range(n):
+            nash &= ~(V[:, i] + DEFAULT_TOL < V[:, i].max(axis=i + 1, keepdims=True))
+        flat = nash.reshape(len(rows), -1)
+        pure_best[rows] = np.stack([np.where(flat, V[:, i].reshape(len(rows), -1), -np.inf)
+                                    .max(axis=1) for i in range(n)], axis=1)
+        # A pure profile's expected payoffs are its cells, so the first cell
+        # under the ceiling in C order is the scalar search's pick.
+        flat &= _under_ceiling(V.reshape(len(rows), n, -1).transpose(0, 2, 1), ceiling)
+        ok = flat.any(axis=1)
+        cells = np.unravel_index(flat[ok].argmax(axis=1), counts)
+        probs = [np.eye(c)[a] for c, a in zip(counts, cells)]
+        settle(rows[ok], "pure", *_bpayoffs(V[ok], probs))
+        rows = rows[~ok]
+        kinds[rows] = "none"
+
     for pattern in _support_patterns(counts):
         if not rows.size:
             break
@@ -890,18 +912,26 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
             # solve meets a zero pivot on every game and accepts none.
             continue
         stage = first_stage_batch(U[rows], pattern, None, ceiling)
-        hit = rows[stage.settled]
-        for r in hit.tolist():
-            kinds[r] = "support_enum"
-        best[hit] = np.stack([p[stage.settled].max(axis=1)
-                              for p in stage.deviation_payoffs], axis=1)
-        expected[hit] = stage.payoffs[stage.settled]
-        rows = rows[~stage.settled]
-    for r in rows.tolist():
-        if _boundary_semi_mixed(games[r], partial(accept, r, games[r]),
-                                DEFAULT_TOL) is not None:
-            kinds[r] = "semi_mixed"
-    return BatchPunishment(tuple(kinds), best, expected, pure_best)
+        ok = stage.settled
+        settle(rows[ok], "support_enum", [p[ok] for p in stage.deviation_payoffs],
+               stage.payoffs[ok])
+        rows = rows[~ok]
+
+    if counts == (2, 2):
+        for r in rows.tolist():
+            game = Game(U[r])
+
+            def accept(profile, r=r, game=game):
+                """The scalar search's ceiling test; records what it passes."""
+                pay, exp = _bpayoffs(game.utilities[None],
+                                     [p[None] for p in profile.probs])
+                if not _under_ceiling(exp, ceiling)[0]:
+                    return False
+                settle([r], "semi_mixed", pay, exp)
+                return True
+
+            _boundary_semi_mixed(game, accept, DEFAULT_TOL)
+    return BatchPunishment(tuple(kinds.tolist()), best, expected, pure_best)
 
 
 @dataclass(frozen=True)

@@ -943,20 +943,19 @@ def build_plan(game: Game, sigma: MixedProfile, *,
         return _improvement_plan(game, sigma, tuple(int(a) for a in target), delta)
 
     stage_plan, mid_game = build_welfare_transfer_stage(game, sigma, payoffs, delta)
-    a_sw = stage_plan.target.profile
-    sub = _improvement_plan(mid_game, sigma, a_sw, delta)
-    rounds = stage_plan.rounds + sub.rounds
+    sub = _improvement_plan(mid_game, sigma, stage_plan.target.profile, delta)
+    # The sub-plan starts from the stage's last game, so its checkpoints
+    # continue the stage's, shifted by the stage's rounds.
     offset = len(stage_plan.rounds)
-    stages = [*stage_plan.punishment,
-              *(replace(s, first_round=s.first_round + offset) for s in sub.punishment)]
-    lam_values = [c.lam for c in stage_plan.checkpoints[1:]]
-    return _finalize_plan(game, rounds, case_tag="welfare_transfer_stage",
-                          mode="transfers", delta=delta,
-                          target=OutcomeTarget(a_sw, "welfare_maximizer"),
-                          baseline=sigma, punishment=stages,
-                          expected=payoffs,
-                          welfare_stage_rounds=offset, lam_values=lam_values,
-                          action_orders=sub.action_orders)
+    return replace(
+        stage_plan, rounds=stage_plan.rounds + sub.rounds,
+        punishment=(*stage_plan.punishment,
+                    *(replace(s, first_round=s.first_round + offset)
+                      for s in sub.punishment)),
+        checkpoints=(*stage_plan.checkpoints,
+                     *(replace(c, rounds_applied=c.rounds_applied + offset)
+                       for c in sub.checkpoints[1:])),
+        action_orders=sub.action_orders)
 
 
 def choose_delta(game: Game, sigma: MixedProfile, *,
@@ -1058,6 +1057,35 @@ def _check_plan(plan: ProtocolPlan) -> None:
                 len(counts) == 2 and counts[0] != counts[1]):
             raise DocumentError(f"case {plan.case_tag} needs a full-support baseline, "
                                 "with equal action counts for two players")
+
+
+def check_plan_for_game(plan: ProtocolPlan, game: Game) -> None:
+    """DocumentError unless the plan's baseline, punishment seeds, supports
+    and ceilings fit `game`'s players and actions; labels are 1-based, as
+    in plan files."""
+    counts = game.action_counts
+    n = len(counts)
+
+    def fits(profile: MixedProfile) -> bool:
+        return [p.size for p in profile.probs] == list(counts)
+
+    if not fits(plan.baseline):
+        raise DocumentError(f"baseline has {[p.size for p in plan.baseline.probs]} "
+                            f"actions per player, the game has {list(counts)}")
+    for s, stage in enumerate(plan.punishment, start=1):
+        if not fits(stage.seed):
+            raise DocumentError(f"punishment stage {s}: seed has "
+                                f"{[p.size for p in stage.seed.probs]} actions per "
+                                f"player, the game has {list(counts)}")
+        if len(stage.supports) != n or len(stage.ceiling) != n:
+            raise DocumentError(f"punishment stage {s} needs one support and one "
+                                f"ceiling per player")
+        for i, (supp, c) in enumerate(zip(stage.supports, counts), start=1):
+            if not supp or len(set(supp)) != len(supp) or any(
+                    not 0 <= a < c for a in supp):
+                raise DocumentError(f"punishment stage {s}: player {i}'s support "
+                                    f"{[a + 1 for a in supp]} is not a set of "
+                                    f"actions among 1..{c}")
 
 
 def plan_from_dict(doc: dict) -> ProtocolPlan:

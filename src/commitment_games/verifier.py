@@ -34,18 +34,25 @@ from .equilibria import (
 )
 from .games import (
     Game,
+    GameShapeError,
     MixedProfile,
+    TransferError,
     apply_transfers,
     content_hash,
     deviation_payoffs,
     expected_utility,
     game_distance,
+    round_violation,
     welfare_max,
 )
 from .protocols import FoldError, ProtocolPlan, fold_rounds
 
 ROUND_BOUND_CONSTANT = 64.0
 ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
+# Games per stacked punishment search.  Larger stacks make fewer, larger
+# calls, but the search's working arrays grow with them and raise the
+# peak memory of a verify run.
+ROW_BUDGET = 1024
 
 DEVIATION_CLASSES = ("commitment", "early_stop", "continue_when_stop",
                      "terminal_action")
@@ -151,12 +158,21 @@ def _seed_nash_applies(case: str) -> bool:
     return case != "two_by_two"
 
 
-def _stage_groups(plan: ProtocolPlan, ks: Sequence[int]):
-    """Each punishment stage with the prefixes among `ks` it is in force at."""
-    for stage in plan.punishment:
-        group = [k for k in ks if plan.stage_for(k) is stage]
-        if group:
+def _stage_groups(plan: ProtocolPlan, ks: Sequence[int], rows_per_prefix: int = 1):
+    """Runs of consecutive prefixes among `ks` under one punishment stage,
+    with that stage; a run holds at most ROW_BUDGET rows of
+    `rows_per_prefix` each, and always at least one prefix."""
+    limit = max(1, ROW_BUDGET // rows_per_prefix)
+    stage, group = None, []
+    for k in ks:
+        s = plan.stage_for(k)
+        if group and (s is not stage or len(group) == limit):
             yield stage, group
+            group = []
+        stage = s
+        group.append(k)
+    if group:
+        yield stage, group
 
 
 def _stacked(games: Sequence[Game], ks: Sequence[int]) -> np.ndarray:
@@ -433,16 +449,37 @@ def _move_edits(game: Game, moves) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     return [tuple(np.array(col) for col in zip(*slot)) for slot in slots]
 
 
+def _check_moves(base: Game, moves, flat: np.ndarray, plan: ProtocolPlan) -> None:
+    """Raise what folding each move into `base` would raise, move by move:
+    the round's first broken rule, else non-finite utilities.  `flat`
+    holds the folded games, one flattened row per move.
+
+    A move's pledges all have payer d and the others' never do, so their
+    cap totals never mix, and a round's rules do not depend on the
+    payoffs: checking each move's rules once, on the first prefix, raises
+    what folding it everywhere would.  Non-finite games of later prefixes
+    raise in `punish_batch`, with the same message.
+    """
+    finite = np.isfinite(flat).all(axis=1)
+    for (_, pledges), ok in zip(moves, finite.tolist()):
+        v = round_violation(base, pledges, plan.delta, plan.mode)
+        if v is not None:
+            raise TransferError(v.code, v.message, v.payer, v.outcome)
+        if not ok:
+            raise GameShapeError("utilities must be finite")
+
+
 def check_deviations(game: Game, plan: ProtocolPlan, *,
                      amounts: Sequence[float] | None = None,
                      budget: int | None = None,
                      games: Sequence[Game] | None = None) -> dict[str, DeviationClassResult]:
     """Probe the four deviation classes against the plan's punishment rule.
 
-    The deviation games of one prefix are solved as one stack: per
-    deviator, the prefix game with the others' pledges folded in, plus each
-    move's cell updates.  `games` are the plan's prefix games when the
-    caller has folded them already.
+    The deviation games of consecutive prefixes under one punishment stage
+    are solved as one stack of at most ROW_BUDGET games (or one prefix's):
+    per prefix and deviator, the prefix game with the others' pledges
+    folded in, plus each move's cell updates.  `games` are the plan's
+    prefix games when the caller has folded them already.
     """
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if games is None else games
@@ -454,45 +491,41 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
     moves = [commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
              for d in range(n)]
     edits = [_move_edits(game, m) for m in moves]
-    for step, k in enumerate(_prefix_indices(R, budget)):
-        g = games[k]
+    prefixes = _prefix_indices(R, budget)
+    for stage, group in _stage_groups(plan, prefixes, sum(map(len, moves))):
         blocks = []
-        for d in range(n):
-            others = CommitmentRound(tuple(p for p in plan.rounds[k].pledges
-                                           if p.payer != d))
-            base = apply_transfers(g, others, delta=plan.delta, mode=plan.mode)
-            if step == 0:
-                # A move's pledges all have payer d and the others' never do,
-                # so their cap totals never mix: checking each move once, on
-                # the first prefix, raises what folding it everywhere would.
-                for _, pledges in moves[d]:
-                    apply_transfers(base, CommitmentRound(tuple(pledges)),
-                                    delta=plan.delta, mode=plan.mode)
-            block = np.repeat(base.utilities[None], len(moves[d]), axis=0)
-            flat = block.reshape(len(block), -1)
-            for rows, cells, values in edits[d]:
-                flat[rows, cells] += values
-            blocks.append(block)
-        stage = plan.stage_for(k)
+        for k in group:
+            for d in range(n):
+                others = CommitmentRound(tuple(p for p in plan.rounds[k].pledges
+                                               if p.payer != d))
+                base = apply_transfers(games[k], others, delta=plan.delta, mode=plan.mode)
+                block = np.repeat(base.utilities[None], len(moves[d]), axis=0)
+                flat = block.reshape(len(block), -1)
+                for rows, cells, values in edits[d]:
+                    flat[rows, cells] += values
+                if k == prefixes[0]:
+                    _check_moves(base, moves[d], flat, plan)
+                blocks.append(block)
         found = punish_batch(np.concatenate(blocks), stage.supports, stage.seed,
                              stage.ceiling)
         row = 0
-        for d in range(n):
-            for name, _ in moves[d]:
-                if found.kinds[row] == "none":
-                    # Priced at the deviator's best pure equilibrium, if any.
-                    pure = found.pure_best[row, d]
-                    gain = pure - on_path[d] if pure > -math.inf else math.inf
-                    results["commitment"].record(DeviationFinding(
-                        float(gain), k, d, name, "unavailable", structural=True))
-                else:
-                    results["commitment"].record(DeviationFinding(
-                        float(found.best_response[row, d] - on_path[d]), k, d, name,
-                        found.kinds[row]))
-                row += 1
+        for k in group:
+            for d in range(n):
+                for name, _ in moves[d]:
+                    if found.kinds[row] == "none":
+                        # Priced at the deviator's best pure equilibrium, if any.
+                        pure = found.pure_best[row, d]
+                        gain = pure - on_path[d] if pure > -math.inf else math.inf
+                        results["commitment"].record(DeviationFinding(
+                            float(gain), k, d, name, "unavailable", structural=True))
+                    else:
+                        results["commitment"].record(DeviationFinding(
+                            float(found.best_response[row, d] - on_path[d]), k, d,
+                            name, found.kinds[row]))
+                    row += 1
 
     # The first vote happens after round 1.
-    stops = [k for k in _prefix_indices(R, budget) if k != 0]
+    stops = [k for k in prefixes if k != 0]
     found = _stage_punishments(plan, games, stops)
     for k in stops:
         kind, best = found[k]

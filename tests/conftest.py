@@ -9,7 +9,9 @@ property of the draw and is filtered for.
 
 from __future__ import annotations
 
+import os
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,12 @@ from commitment_games import (
     welfare_max,
 )
 from commitment_games.equilibria import _support_patterns
+
+# The CLI tests run `python -m commitment_games.cli` in child processes,
+# which import the package from src/ as this process does.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def full_support_two_player(rng, actions=3, min_prob=0.08, span=2.0):

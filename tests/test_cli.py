@@ -292,6 +292,9 @@ _PLAN_EDITS = {
     "pledge_nan": lambda d: d["rounds"][0][0].update(amount=math.nan),
     "pledge_inf": lambda d: d["rounds"][0][0].update(amount=math.inf),
     "pledge_over_cap": lambda d: d["rounds"][0][0].update(amount=5.0),
+    "baseline_three_actions": lambda d: d.update(baseline=[[1.0, 0.0, 0.0],
+                                                           [1.0, 0.0, 0.0]]),
+    "support_names_action_7": lambda d: d["punishment"][0].update(supports=[[7], [1]]),
 }
 
 
@@ -313,6 +316,18 @@ def test_bad_plan_documents_exit_2_without_traceback(workdir, capsys, command, e
                       "-o", str(workdir / f"edited_{edit}_{command}.json"))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_plan_against_game_errors_use_one_based_labels(workdir, capsys, command):
+    doc = _ex3_plan_doc(workdir)
+    doc["punishment"][0]["supports"] = [[1], [6]]
+    plan_path = workdir / f"support_6_{command}.json"
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _main(capsys, command, str(workdir / "ex3.json"), str(plan_path),
+                      "-o", str(workdir / f"support_6_{command}_out.json"))
+    assert code == 2
+    assert "player 2's support [6]" in err and "1..2" in err
 
 
 def test_verify_reports_an_over_cap_round_as_round_cap_failure(workdir, capsys):

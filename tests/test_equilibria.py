@@ -19,6 +19,7 @@ from commitment_games import (
     probe_strong_punishability,
     solve_on_support,
 )
+from commitment_games import equilibria
 from commitment_games.equilibria import (
     DegenerateEquilibriumError,
     ProbeFailure,
@@ -361,6 +362,29 @@ def test_probe_thread_cap_is_deterministic(monkeypatch):
 # The batched punishment chain against the scalar search.
 # ---------------------------------------------------------------------------
 
+def _assert_rows_match_scalar_search(stack, supports, seed, ceiling):
+    """punish_batch against find_punishment_equilibrium on every row: the
+    same kind, and the same payoff bits; returns the batch result."""
+    n = stack.shape[1]
+    found = punish_batch(stack, supports, seed, ceiling)
+    for r in range(len(stack)):
+        g = Game(stack[r])
+        pun = find_punishment_equilibrium(g, supports, seed, ceiling)
+        assert found.kinds[r] == pun.kind
+        if pun.profile is None:
+            assert np.all(np.isnan(found.best_response[r]))
+            pure = enumerate_pure_nash(g)
+            assert found.pure_best[r].tolist() == [
+                max((g.payoff(i, p) for p in pure), default=-np.inf)
+                for i in range(n)]
+            continue
+        best = [np.max(deviation_payoffs(g, pun.profile, i)) for i in range(n)]
+        pay = [expected_utility(g, pun.profile, i) for i in range(n)]
+        assert found.best_response[r].tobytes() == np.array(best).tobytes()
+        assert found.payoffs[r].tobytes() == np.array(pay).tobytes()
+    return found
+
+
 def test_punish_batch_matches_scalar_search_row_for_row():
     # Small-integer games tie often, so rows end at every step of the chain;
     # row 0 of each stack is the zero game, where the support system is
@@ -377,25 +401,65 @@ def test_punish_batch_matches_scalar_search_row_for_row():
             ceiling = rng.integers(0, 4, n).astype(float)
             stack = base.utilities + rng.integers(-1, 2, (8, *base.utilities.shape))
             stack[0] = 0.0
-            found = punish_batch(stack, supports, seed, ceiling)
-            for r in range(len(stack)):
-                g = Game(stack[r])
-                pun = find_punishment_equilibrium(g, supports, seed, ceiling)
-                assert found.kinds[r] == pun.kind
-                if pun.profile is None:
-                    assert np.all(np.isnan(found.best_response[r]))
-                    pure = enumerate_pure_nash(g)
-                    assert found.pure_best[r].tolist() == [
-                        max((g.payoff(i, p) for p in pure), default=-np.inf)
-                        for i in range(n)]
-                    continue
-                best = [np.max(deviation_payoffs(g, pun.profile, i)) for i in range(n)]
-                pay = [expected_utility(g, pun.profile, i) for i in range(n)]
-                assert found.best_response[r].tobytes() == np.array(best).tobytes()
-                assert found.payoffs[r].tobytes() == np.array(pay).tobytes()
+            found = _assert_rows_match_scalar_search(stack, supports, seed, ceiling)
             kinds.update(found.kinds)
     assert set(kinds) == {"support_solve", "seed", "pure", "support_enum",
                           "semi_mixed", "none"}
+
+    # Rows the seed settles, and rows with tied pure equilibria of which
+    # only a later one in lexicographic order is under the ceiling.
+    supports = [(0, 1), (0, 1)]
+    seed = MixedProfile.uniform_over((3, 3), supports)
+    ceiling = (0.75, 0.75)
+    # Four pure equilibria tie at 1, above the ceiling; (3, 3) pays 0.5.
+    tied = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    stack = np.stack([np.stack([tied, tied])] * 8)
+    # Constant games leave the support system singular and the seed Nash,
+    # here under the ceiling and within tolerance of it.
+    stack[0] = 0.5
+    stack[1] = 0.75 + 5e-10
+    stack[2, 0, 0, 2] = 0.5 + 5e-10  # (3, 3) stays Nash within tolerance
+    stack[3, 0, 0, 2] = 0.5 + 2e-9  # (3, 3) is not Nash any more
+    stack[4, :, 2, 2] = 0.75 + 2e-9  # (3, 3) is Nash but over the ceiling
+    # Each player's ties now differ by column or row: of the tied four only
+    # (2, 2) is under the ceiling, and it comes before (3, 3).
+    stack[5, 0, :2, 1] = stack[5, 1, 1, :2] = 0.6
+    stack[6, 1] = tied.T - 1.0  # player 2 under the ceiling everywhere
+    found = _assert_rows_match_scalar_search(stack, supports, seed, ceiling)
+    assert found.kinds[:3] == ("seed", "seed", "pure")
+    assert found.kinds[5:] == ("pure", "pure", "pure")
+    assert found.payoffs[2].tolist() == [0.5, 0.5]
+    assert found.payoffs[5].tolist() == [0.6, 0.6]
+    assert found.payoffs[6].tolist() == [0.5, -0.5]
+    assert found.pure_best[2].tolist() == [1.0, 1.0]
+    assert np.all(np.isnan(found.pure_best[:2]))
+
+
+def test_bsolve_bisects_down_to_the_singular_rows(monkeypatch):
+    rng = np.random.default_rng(5)
+    A = rng.uniform(-1, 1, (64, 5, 5))
+    b = rng.uniform(-1, 1, (64, 5))
+    singular_rows = (0, 31, 63)
+    A[list(singular_rows), :, 2] = 0.0  # a zero column: an exact zero pivot
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, rhs):
+        calls.append(a.shape)
+        return solve(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    x, singular = equilibria._bsolve(A, b)
+    monkeypatch.undo()
+    assert np.flatnonzero(singular).tolist() == list(singular_rows)
+    for r in range(len(A)):
+        if r in singular_rows:
+            assert np.all(np.isnan(x[r]))
+        else:
+            assert x[r].tobytes() == np.linalg.solve(A[r], b[r]).tobytes()
+    # Each singular row costs at most two solves per halving of the stack.
+    assert len(calls) <= 1 + 2 * len(singular_rows) * 6
+    assert calls[0] == (64, 5, 5) and calls.count((1, 5, 5)) == 2 * len(singular_rows)
 
 
 @pytest.mark.parametrize("case", ["full_2p", "full_3p", "partial_2p"])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from commitment_games import (
     build_plan,
     build_two_player_full_support_plan,
     build_welfare_transfer_stage,
+    content_hash,
     choose_delta,
     classify_case,
     expected_utility,
@@ -25,6 +28,7 @@ from commitment_games import (
     alternating_shift_array,
     verify_plan,
 )
+from commitment_games import protocols
 from commitment_games.equilibria import DegenerateEquilibriumError
 from commitment_games.protocols import InfeasibleError, fold_rounds
 from commitment_games.catalog import (
@@ -368,6 +372,41 @@ def test_build_plan_chains_stage_and_anchor():
     assert plan.expected_terminal_payoffs == (4.0, 3.0)
     terminal = fold_plan(game, plan)
     assert tuple(terminal.payoffs((1, 1))) == (4.0, 3.0)
+
+
+def test_build_plan_with_payoffs_folds_each_round_once():
+    game = unfair_split()
+    sigma = MixedProfile.pure((2, 2), (0, 0))
+    calls = []
+    fold = protocols.apply_transfers
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fold(*args, **kwargs)
+
+    with mock.patch.object(protocols, "apply_transfers", counted):
+        plan = build_plan(game, sigma, payoffs=(4.0, 3.0), delta=0.1)
+    assert plan.num_rounds == 60
+    assert len(calls) == 60
+
+
+def test_build_plan_with_payoffs_checkpoints_follow_the_whole_fold():
+    # Both the welfare stage and the burn sub-plan have rounds here, so the
+    # sub-plan's checkpoints are shifted onto the stage's.
+    rng = np.random.default_rng(3)
+    game, sigma = full_support_two_player(rng)
+    split = feasible_payoff_split(rng, game, sigma)
+    plan = build_plan(game, sigma, payoffs=split, delta=0.25)
+    S = plan.welfare_stage_rounds
+    assert 0 < S < plan.num_rounds
+    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    assert [c.rounds_applied for c in plan.checkpoints] == list(range(len(games)))
+    assert [c.game_hash for c in plan.checkpoints] == [content_hash(g) for g in games]
+    lams = [c.lam for c in plan.checkpoints]
+    assert lams[0] == 0.0 and lams[S] == 1.0
+    assert all(lam is not None for lam in lams[:S + 1])
+    assert all(lam is None for lam in lams[S + 1:])
+    assert plan.base_game_hash == content_hash(game)
 
 
 def test_choose_delta_examples():

@@ -22,7 +22,7 @@ from commitment_games import (
     round_bound_check,
     verify_plan,
 )
-from commitment_games import verifier
+from commitment_games import equilibria, verifier
 from commitment_games.catalog import (
     cyclic_with_prize,
     cyclic_with_prize_overlap,
@@ -378,6 +378,73 @@ def test_batched_grid_raises_what_the_scalar_loop_raises(case):
     assert raised[0][0] is (TransferError if case == "over_cap" else GameShapeError)
 
 
+def _welfare_then_burn_plan():
+    """A 2x2 transfers plan whose burn sub-plan takes over at round 3 of 6."""
+    rng = np.random.default_rng(0)
+    game, sigma = full_support_two_player(rng, actions=2)
+    split = feasible_payoff_split(rng, game, sigma)
+    return game, build_plan(game, sigma, payoffs=split, delta=0.25)
+
+
+CHUNK_CASES = {
+    "mix3x3_indirect": lambda: (two_mode_mixing(), build_plan(
+        two_mode_mixing(), MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]),
+        target=(0, 0), delta=0.25)),
+    "welfare_then_burn": _welfare_then_burn_plan,
+}
+
+
+@pytest.mark.parametrize("case, prefixes, kwargs", [
+    ("mix3x3_indirect", 1, {}),
+    ("mix3x3_indirect", 1, {"budget": 4}),
+    ("welfare_then_burn", 2, {}),  # the stage change at round 3 cuts a chunk
+])
+def test_chunked_grid_matches_scalar_loop(monkeypatch, case, prefixes, kwargs):
+    game, plan = CHUNK_CASES[case]()
+    rows = sum(len(commitment_deviation_moves(game, d, plan.delta, plan.mode,
+                                              (plan.delta / 2, plan.delta)))
+               for d in range(game.num_players))
+    # Below two prefixes' rows, a chunk holds one prefix.
+    budget = 2 * rows - 1 if prefixes == 1 else prefixes * rows
+    monkeypatch.setattr(verifier, "ROW_BUDGET", budget)
+    sizes = []
+    batch = verifier.punish_batch
+
+    def recorded(utilities, *args):
+        sizes.append(len(utilities))
+        return batch(utilities, *args)
+
+    monkeypatch.setattr(verifier, "punish_batch", recorded)
+    _assert_grids_agree(game, plan, **kwargs)
+    assert max(sizes) == prefixes * rows
+    if case == "welfare_then_burn":
+        assert plan.punishment[1].first_round == 3 and rows in sizes
+
+
+def test_spoiler_grid_builds_no_game_in_the_punishment_chain():
+    game, plan = spoiler_3x3(), naive_spoiler_plan(0.1)
+    stacks = []
+    batch = verifier.punish_batch
+
+    def recorded(utilities, *args):
+        stacks.append((utilities, args))
+        return batch(utilities, *args)
+
+    with mock.patch.object(verifier, "punish_batch", recorded):
+        check_deviations(game, plan)
+
+    def scalar_step(*args, **kwargs):
+        raise AssertionError("the punishment chain left the stack")
+
+    kinds = Counter()
+    with mock.patch.object(equilibria, "Game", scalar_step), \
+            mock.patch.object(equilibria, "enumerate_pure_nash", scalar_step), \
+            mock.patch.object(equilibria, "is_nash", scalar_step):
+        for utilities, args in stacks:
+            kinds.update(punish_batch(utilities, *args).kinds)
+    assert kinds["none"] and kinds["pure"]
+
+
 def _random_plan(rng, counts):
     """A random game with a full-support equilibrium and a plan (toward a
     Pareto-improving pure outcome, or a transfers plan to a welfare split).
@@ -479,7 +546,7 @@ def test_singular_row_is_retried_alone_and_left_to_the_fallback():
 
     with mock.patch.object(np.linalg, "solve", spied):
         first = first_stage_batch(stack, stage.supports, stage.seed, stage.ceiling)
-    assert shapes == [(3, 6, 6), (6, 6), (6, 6), (6, 6)]
+    assert shapes == [(3, 6, 6), (1, 6, 6), (2, 6, 6), (1, 6, 6), (1, 6, 6)]
     assert first.settled.tolist() == [True, False, True]
     scalar = find_punishment_equilibrium(game, stage.supports, stage.seed,
                                          stage.ceiling)
