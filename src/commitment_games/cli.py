@@ -120,7 +120,8 @@ def _parse_supports(text: str, game: Game) -> list[tuple[int, ...]]:
             idx = tuple(int(t) - 1 for t in block.split(",") if t.strip())
         except ValueError as exc:
             raise InputError(f"bad support block {block!r}") from exc
-        if not idx or any(not 0 <= a < game.action_counts[i] for a in idx):
+        if (not idx or len(set(idx)) != len(idx)
+                or any(not 0 <= a < game.action_counts[i] for a in idx)):
             raise InputError(f"player {i + 1}: bad support {block!r}")
         out.append(idx)
     return out
@@ -131,9 +132,19 @@ def _parse_sigma(text: str, game: Game) -> MixedProfile:
     try:
         vecs = [[float(x) for x in block.split(",")]
                 for block in text.split(";")]
-        return MixedProfile(vecs)
-    except (ValueError, ProfileError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad --sigma: {exc}") from exc
+    if len(vecs) != game.num_players:
+        raise InputError(f"bad --sigma: expected {game.num_players} probability "
+                         f"vectors, got {len(vecs)}")
+    for i, (v, count) in enumerate(zip(vecs, game.action_counts)):
+        if len(v) != count:
+            raise InputError(f"bad --sigma: player {i + 1}: {len(v)} probabilities "
+                             f"for {count} actions")
+    try:
+        return MixedProfile(vecs)
+    except ProfileError as exc:  # about one player: the shapes match the game
+        raise InputError(f"bad --sigma: player {exc.player + 1}: {exc.detail}") from exc
 
 
 def _default_sigma(game: Game) -> MixedProfile:

@@ -37,7 +37,12 @@ class GameShapeError(ValueError):
 
 class ProfileError(ValueError):
     """Malformed mixed profile (non-finite or negative mass, bad length,
-    sum != 1)."""
+    sum != 1).  `player` is the 0-based player at fault, if one is, and
+    `detail` the message without the player."""
+
+    def __init__(self, detail: str, player: int | None = None):
+        super().__init__(detail if player is None else f"player {player}: {detail}")
+        self.detail, self.player = detail, player
 
 
 class DocumentError(ValueError):
@@ -168,13 +173,13 @@ class MixedProfile:
         for i, p in enumerate(probs):
             v = np.asarray(p, dtype=np.float64)
             if v.ndim != 1 or v.size < 1:
-                raise ProfileError(f"player {i}: probability vector must be 1-D")
+                raise ProfileError("probability vector must be 1-D", i)
             if not np.all(np.isfinite(v)):
-                raise ProfileError(f"player {i}: probabilities must be finite")
+                raise ProfileError("probabilities must be finite", i)
             if np.any(v < -tol) or np.any(v > 1 + tol):
-                raise ProfileError(f"player {i}: probabilities outside [0, 1]")
+                raise ProfileError("probabilities outside [0, 1]", i)
             if abs(float(v.sum()) - 1.0) > tol:
-                raise ProfileError(f"player {i}: probabilities sum to {v.sum():.12g}")
+                raise ProfileError(f"probabilities sum to {v.sum():.12g}", i)
             vecs.append(_frozen(v))
         if len(vecs) < 2:
             raise ProfileError("need at least two players")

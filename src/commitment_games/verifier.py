@@ -37,7 +37,6 @@ from .games import (
     GameShapeError,
     MixedProfile,
     TransferError,
-    apply_transfers,
     content_hash,
     deviation_payoffs,
     expected_utility,
@@ -75,28 +74,70 @@ class DeviationFinding:
     structural: bool = False
 
 
+@dataclass(frozen=True)
+class FindingRows:
+    """A stack of findings of one deviation class, prefix-major: row r is
+    move `moves[r % w]` of player `players[r % w]` at prefix
+    `prefixes[r // w]`, where w = len(moves).  `kinds` are the rows'
+    punishment kinds from `punish_batch`; kind "none" is a structural
+    failure, reported as "unavailable"."""
+
+    gains: np.ndarray
+    kinds: Sequence[str]
+    prefixes: Sequence[int]
+    players: Sequence[int]
+    moves: Sequence[str]
+
+    def __len__(self) -> int:
+        return len(self.gains)
+
+    def finding(self, r: int) -> DeviationFinding:
+        k, i = divmod(r, len(self.moves))
+        structural = self.kinds[r] == "none"
+        return DeviationFinding(float(self.gains[r]), self.prefixes[k],
+                                int(self.players[i]), self.moves[i],
+                                "unavailable" if structural else self.kinds[r],
+                                structural)
+
+
 @dataclass
 class DeviationClassResult:
+    """One deviation class's findings, reduced as they are recorded: the
+    count, the first finding with the largest gain, the structural
+    failures, and a histogram of punishment kinds."""
+
     worst_gain: float = -math.inf
     worst: DeviationFinding | None = None
     checked: int = 0
     structural_failures: list[DeviationFinding] = field(default_factory=list)
-    kinds: list[str] = field(default_factory=list)  # per finding, in order
-
-    @property
-    def punishment_kinds(self) -> Counter:
-        """Findings per punishment kind; not in `to_dict`, whose bytes the
-        benchmark pins."""
-        return Counter(self.kinds)
+    # Findings per punishment kind; not in `to_dict`, whose bytes the
+    # benchmark pins.
+    punishment_kinds: Counter = field(default_factory=Counter)
 
     def record(self, finding: DeviationFinding):
         self.checked += 1
-        self.kinds.append(finding.punishment_kind)
+        self.punishment_kinds[finding.punishment_kind] += 1
         if finding.structural:
             self.structural_failures.append(finding)
         if finding.gain > self.worst_gain:
             self.worst_gain = finding.gain
             self.worst = finding
+
+    def record_rows(self, rows: FindingRows):
+        """`record` each row of `rows` in order, on the arrays: only the
+        structural rows and a new worst become `DeviationFinding`s.  A NaN
+        gain never becomes the worst, as under `record`'s strict `>`."""
+        self.checked += len(rows)
+        kinds = Counter(rows.kinds)
+        if "none" in kinds:
+            kinds["unavailable"] = kinds.pop("none")
+            structural = np.flatnonzero(np.asarray(rows.kinds) == "none")
+            self.structural_failures.extend(map(rows.finding, structural.tolist()))
+        self.punishment_kinds.update(kinds)
+        gains = np.where(np.isnan(rows.gains), -math.inf, rows.gains)
+        if len(gains) and gains.max() > self.worst_gain:
+            self.worst = rows.finding(int(gains.argmax()))
+            self.worst_gain = self.worst.gain
 
 
 @dataclass(frozen=True)
@@ -180,16 +221,17 @@ def _stacked(games: Sequence[Game], ks: Sequence[int]) -> np.ndarray:
 
 
 def _stage_punishments(plan: ProtocolPlan, games: Sequence[Game],
-                       ks: Sequence[int]) -> dict[int, tuple[str, np.ndarray]]:
-    """The punishment search on each prefix game k in `ks`: its kind and
-    each player's best-response payoff, from one `punish_batch` per
-    punishment stage."""
-    found = {}
+                       ks: Sequence[int]) -> tuple[list[str], np.ndarray]:
+    """The punishment search on each prefix game k in `ks`, in order: the
+    kinds and each player's best-response payoff (one row per k), from one
+    `punish_batch` per punishment stage."""
+    kinds, best = [], []
     for stage, group in _stage_groups(plan, ks):
         res = punish_batch(_stacked(games, group), stage.supports, stage.seed,
                            stage.ceiling)
-        found.update(zip(group, zip(res.kinds, res.best_response)))
-    return found
+        kinds += res.kinds
+        best.append(res.best_response)
+    return kinds, np.concatenate(best)
 
 
 def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
@@ -240,8 +282,8 @@ def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
         if k is not None:
             anchor_fail = {"checkpoint": k, "player": checks[k].player + 1,
                            "gain": checks[k].gain}
-    found = _stage_punishments(plan, games, probed)
-    k = next((k for k in probed if found[k][0] == "none"), None)
+    kinds, _ = _stage_punishments(plan, games, probed)
+    k = next((k for k, kind in zip(probed, kinds) if kind == "none"), None)
     if k is not None:
         # The scalar search states why nothing qualified.
         stage = plan.stage_for(k)
@@ -426,17 +468,18 @@ def _prefix_indices(total: int, budget: int | None) -> list[int]:
     return sorted(picked)
 
 
-def _move_edits(game: Game, moves) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The moves as cell updates of a stack of flattened utility tensors.
+def _cell_edits(game: Game, pledge_lists) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Pledge lists as cell updates of a stack of flattened utility tensors.
 
-    Row m of the stack takes move m.  Slot s holds the s-th update of every
-    move that has one, as (rows, cells, signed amounts), in the order
-    `apply_transfers` makes them: per pledge the payer's debit, then the
-    recipient's credit.  Adding -a is `u -= a` bit for bit.
+    Row m of the stack takes `pledge_lists[m]`.  Slot s holds the s-th
+    update of every row that has one, as (rows, cells, signed amounts), in
+    the order `apply_transfers` makes them: per pledge the payer's debit,
+    then the recipient's credit.  Adding -a is `u -= a` bit for bit, so
+    the folded bits match.
     """
     shape = game.utilities.shape
     slots: list[list[tuple[int, int, float]]] = []
-    for m, (_, pledges) in enumerate(moves):
+    for m, pledges in enumerate(pledge_lists):
         edits = []
         for p in pledges:
             edits.append(((p.payer, *p.outcome), -float(p.amount)))
@@ -449,20 +492,21 @@ def _move_edits(game: Game, moves) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     return [tuple(np.array(col) for col in zip(*slot)) for slot in slots]
 
 
-def _check_moves(base: Game, moves, flat: np.ndarray, plan: ProtocolPlan) -> None:
-    """Raise what folding each move into `base` would raise, move by move:
-    the round's first broken rule, else non-finite utilities.  `flat`
-    holds the folded games, one flattened row per move.
+def _check_moves(game: Game, moves, flat: np.ndarray, plan: ProtocolPlan) -> None:
+    """Raise what folding each move into the first prefix's deviation game
+    would raise, move by move: the round's first broken rule, else
+    non-finite utilities.  `flat` holds the folded games, one flattened
+    row per move.
 
     A move's pledges all have payer d and the others' never do, so their
-    cap totals never mix, and a round's rules do not depend on the
-    payoffs: checking each move's rules once, on the first prefix, raises
-    what folding it everywhere would.  Non-finite games of later prefixes
-    raise in `punish_batch`, with the same message.
+    cap totals never mix, and a round's rules depend only on the game's
+    shape: checking each move's rules once, on `game`, raises what folding
+    it at every prefix would.  Non-finite games of later prefixes raise in
+    `punish_batch`, with the same message.
     """
     finite = np.isfinite(flat).all(axis=1)
     for (_, pledges), ok in zip(moves, finite.tolist()):
-        v = round_violation(base, pledges, plan.delta, plan.mode)
+        v = round_violation(game, pledges, plan.delta, plan.mode)
         if v is not None:
             raise TransferError(v.code, v.message, v.payer, v.outcome)
         if not ok:
@@ -478,8 +522,11 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
     The deviation games of consecutive prefixes under one punishment stage
     are solved as one stack of at most ROW_BUDGET games (or one prefix's):
     per prefix and deviator, the prefix game with the others' pledges
-    folded in, plus each move's cell updates.  `games` are the plan's
-    prefix games when the caller has folded them already.
+    folded in as cell updates, plus each move's cell updates.  Each
+    stack's findings are reduced as arrays (`DeviationClassResult.
+    record_rows`): a gain per row, the first largest as the worst, and a
+    `DeviationFinding` only for rows without a punishment.  `games` are
+    the plan's prefix games when the caller has folded them already.
     """
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if games is None else games
@@ -488,54 +535,55 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
 
-    moves = [commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
-             for d in range(n)]
-    edits = [_move_edits(game, m) for m in moves]
+    # One prefix's rows: each deviator's moves, deviator by deviator.
+    per_player = [commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
+                  for d in range(n)]
+    moves = [move for m in per_player for move in m]
+    names = [name for name, _ in moves]
+    width = len(moves)
+    sizes = [len(m) for m in per_player]
+    deviator = np.repeat(np.arange(n), sizes)
+    edits = _cell_edits(game, [pledges for _, pledges in moves])
     prefixes = _prefix_indices(R, budget)
-    for stage, group in _stage_groups(plan, prefixes, sum(map(len, moves))):
-        blocks = []
-        for k in group:
-            for d in range(n):
-                others = CommitmentRound(tuple(p for p in plan.rounds[k].pledges
-                                               if p.payer != d))
-                base = apply_transfers(games[k], others, delta=plan.delta, mode=plan.mode)
-                block = np.repeat(base.utilities[None], len(moves[d]), axis=0)
-                flat = block.reshape(len(block), -1)
-                for rows, cells, values in edits[d]:
-                    flat[rows, cells] += values
-                if k == prefixes[0]:
-                    _check_moves(base, moves[d], flat, plan)
-                blocks.append(block)
-        found = punish_batch(np.concatenate(blocks), stage.supports, stage.seed,
-                             stage.ceiling)
-        row = 0
-        for k in group:
-            for d in range(n):
-                for name, _ in moves[d]:
-                    if found.kinds[row] == "none":
-                        # Priced at the deviator's best pure equilibrium, if any.
-                        pure = found.pure_best[row, d]
-                        gain = pure - on_path[d] if pure > -math.inf else math.inf
-                        results["commitment"].record(DeviationFinding(
-                            float(gain), k, d, name, "unavailable", structural=True))
-                    else:
-                        results["commitment"].record(DeviationFinding(
-                            float(found.best_response[row, d] - on_path[d]), k, d,
-                            name, found.kinds[row]))
-                    row += 1
+    for stage, group in _stage_groups(plan, prefixes, width):
+        # Per prefix k and deviator d, prefix game k with the others'
+        # round-k pledges; the whole round passed the fold, so any subset
+        # of it is legal.
+        base = np.repeat(_stacked(games, group), n, axis=0)
+        flat = base.reshape(len(base), -1)
+        others = [[p for p in plan.rounds[k].pledges if p.payer != d]
+                  for k in group for d in range(n)]
+        for rows, cells, values in _cell_edits(game, others):
+            flat[rows, cells] += values
+        stack = np.repeat(base, sizes * len(group), axis=0)
+        flat = stack.reshape(len(stack), -1)
+        offsets = width * np.arange(len(group))[:, None]
+        for rows, cells, values in edits:
+            flat[(offsets + rows).ravel(), np.tile(cells, len(group))] += \
+                np.tile(values, len(group))
+        if group[0] == prefixes[0]:
+            _check_moves(game, moves, flat[:width], plan)
+        found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
+        rows, dev = np.arange(len(stack)), np.tile(deviator, len(group))
+        gains = found.best_response[rows, dev] - on_path[dev]
+        none = np.asarray(found.kinds) == "none"
+        if none.any():
+            # Priced at the deviator's best pure equilibrium, if any.
+            pure = found.pure_best[rows[none], dev[none]]
+            gains[none] = np.where(pure > -math.inf, pure - on_path[dev[none]],
+                                   math.inf)
+        results["commitment"].record_rows(
+            FindingRows(gains, found.kinds, group, deviator, names))
 
     # The first vote happens after round 1.
     stops = [k for k in prefixes if k != 0]
-    found = _stage_punishments(plan, games, stops)
-    for k in stops:
-        kind, best = found[k]
-        for d in range(n):
-            if kind == "none":
-                results["early_stop"].record(DeviationFinding(
-                    math.inf, k, d, "stop", "unavailable", structural=True))
-            else:
-                results["early_stop"].record(DeviationFinding(
-                    float(best[d] - on_path[d]), k, d, "stop", kind))
+    if stops:
+        kinds, best = _stage_punishments(plan, games, stops)
+        gains = best - on_path
+        gains[np.asarray(kinds) == "none"] = math.inf
+        results["early_stop"].record_rows(FindingRows(
+            gains.ravel(), [kind for kind in kinds for _ in range(n)], stops,
+            range(n), ("stop",) * n))
 
     # Voting to continue when the others stop cannot change the outcome:
     # continuation requires unanimity, so the gain is identically zero.

@@ -258,6 +258,7 @@ def _input_error_case(workdir, case):
         "reproduce_unknown_id": ["reproduce", "ex99"],
         "sigma_nan": ["plan", game, "--sigma", "nan,1;0.5,0.5", "--payoffs", "4,3",
                       "--delta", "0.5"],
+        "support_repeated": ["analyze", game, "--support", "1,1x1,1"],
     }[case]
 
 
@@ -265,11 +266,29 @@ def _input_error_case(workdir, case):
                                   "script_not_object", "script_rounds_not_list",
                                   "script_pledge_nan",
                                   "reproduce_unknown_id", "sigma_nan",
-                                  "plan_baseline_nan"])
+                                  "plan_baseline_nan", "support_repeated"])
 def test_malformed_inputs_exit_2_without_traceback(workdir, capsys, case):
     code, err = _main(capsys, *_input_error_case(workdir, case))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--support", "1,1x1,1", "player 1: bad support '1,1'"),
+    ("--support", "1,2x2,2", "player 2: bad support '2,2'"),
+    ("--sigma", "0.7,0.7;0.5,0.5", "bad --sigma: player 1: probabilities sum to 1.4"),
+    ("--sigma", "0.5,0.5;1.5,-0.5", "bad --sigma: player 2: probabilities outside [0, 1]"),
+    ("--sigma", "0.5,0.25,0.25;0.5,0.5", "bad --sigma: player 1: 3 probabilities for 2 actions"),
+    ("--sigma", "0.5,0.5;0.5,0.5;1", "bad --sigma: expected 2 probability vectors, got 3"),
+])
+def test_support_and_sigma_errors_use_one_based_labels(workdir, capsys, option, value,
+                                                       message):
+    argv = ([option, value] if option == "--support" else
+            [option, value, "--payoffs", "4,3", "--delta", "0.5"])
+    code, err = _main(capsys, "analyze" if option == "--support" else "plan",
+                      str(workdir / "ex3.json"), *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 # Plan documents that decode but break what every built plan meets.

@@ -49,7 +49,8 @@ from commitment_games.games import (
     game_distance,
     welfare_max,
 )
-from commitment_games.protocols import FoldError, PunishmentStage, fold_rounds
+from commitment_games.games import OutcomeTarget
+from commitment_games.protocols import FoldError, ProtocolPlan, PunishmentStage, fold_rounds
 from commitment_games.verifier import (
     DeviationClassResult,
     DeviationFinding,
@@ -276,15 +277,21 @@ def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=Non
 
 @contextlib.contextmanager
 def _recorded_findings():
-    """Every finding any DeviationClassResult records, in order."""
+    """Every finding any DeviationClassResult records, in order; a stack of
+    rows recorded at once is expanded into its findings, row by row."""
     log = []
-    record = DeviationClassResult.record
+    record, record_rows = DeviationClassResult.record, DeviationClassResult.record_rows
 
     def logged(self, finding):
         log.append(finding)
         record(self, finding)
 
-    with mock.patch.object(DeviationClassResult, "record", logged):
+    def logged_rows(self, rows):
+        log.extend(rows.finding(r) for r in range(len(rows)))
+        record_rows(self, rows)
+
+    with mock.patch.object(DeviationClassResult, "record", logged), \
+            mock.patch.object(DeviationClassResult, "record_rows", logged_rows):
         yield log
 
 
@@ -320,6 +327,9 @@ def _assert_grids_agree(game, plan, **kwargs) -> Counter:
         scalar = verify_plan(game, plan, **kwargs)
     assert batched.to_json() == scalar.to_json()
     _assert_same_rows(batched_rows, scalar_rows)
+    for c, r in batched.deviations.items():
+        _assert_same_rows(r.structural_failures,
+                          scalar.deviations[c].structural_failures)
     kinds = {c: r.punishment_kinds for c, r in batched.deviations.items()}
     assert kinds == {c: r.punishment_kinds for c, r in scalar.deviations.items()}
     assert all(sum(h.values()) == batched.deviations[c].checked
@@ -443,6 +453,145 @@ def test_spoiler_grid_builds_no_game_in_the_punishment_chain():
         for utilities, args in stacks:
             kinds.update(punish_batch(utilities, *args).kinds)
     assert kinds["none"] and kinds["pure"]
+
+
+def _plan_with_rounds(game, rounds, mode, delta):
+    """A plan that is only `rounds` on `game`, punished at the first pure
+    profile."""
+    n = game.num_players
+    first = MixedProfile.pure(game.action_counts, (0,) * n)
+    stage = PunishmentStage(0, first.supports(), first, (math.inf,) * n)
+    return ProtocolPlan("partial_support_disjoint", mode, delta, tuple(rounds),
+                        OutcomeTarget((0,) * n, "pareto_improver"), first, (stage,),
+                        (), (0.0,) * n, content_hash(game))
+
+
+def _base_row_cases():
+    """Rounds where several payers pledge into one deviator, one payer
+    pledges twice at one outcome, and a burn-only round does the same."""
+    rng = np.random.default_rng(7)
+    o, o2 = (1, 0, 1), (0, 1, 1)
+    three = Game(rng.uniform(-3, 3, (3, 2, 2, 2)))
+    transfers = [
+        CommitmentRound((Pledge(1, o, 0, 0.3), Pledge(2, o, 0, 0.7),
+                         Pledge(1, o, BURN, 0.1), Pledge(0, o, 2, 0.2),
+                         Pledge(2, o2, 1, 0.9))),
+        CommitmentRound((Pledge(2, o, 0, 0.1), Pledge(1, o, 0, 0.2),
+                         Pledge(1, o, 0, 0.6), Pledge(0, o2, 1, 0.3))),
+    ]
+    two = Game(rng.uniform(-3, 3, (2, 3, 3)))
+    burns = [
+        CommitmentRound((Pledge(0, (1, 1), BURN, 0.3), Pledge(1, (1, 1), BURN, 0.1),
+                         Pledge(1, (1, 1), BURN, 0.2), Pledge(1, (0, 2), BURN, 0.4))),
+        CommitmentRound((Pledge(1, (2, 2), BURN, 0.25), Pledge(1, (2, 2), BURN, 0.5),
+                         Pledge(0, (2, 2), BURN, 0.7))),
+    ]
+    return [(three, _plan_with_rounds(three, transfers, "transfers", 1.0)),
+            (two, _plan_with_rounds(two, burns, "burn_only", 1.0))]
+
+
+def test_base_rows_fold_the_others_pledges_as_apply_transfers_does():
+    order_matters = False
+    for game, plan in _base_row_cases():
+        n = game.num_players
+        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+        stacks = []
+        batch = verifier.punish_batch
+
+        def recorded(utilities, *args):
+            stacks.append(np.array(utilities))
+            return batch(utilities, *args)
+
+        with mock.patch.object(verifier, "punish_batch", recorded):
+            check_deviations(game, plan, games=games)
+        sizes = [len(commitment_deviation_moves(game, d, plan.delta, plan.mode,
+                                                (plan.delta / 2, plan.delta)))
+                 for d in range(n)]
+        # The commitment grid's stacks come first, then the early stops'.
+        grid = np.concatenate(stacks)[:len(plan.rounds) * sum(sizes)]
+        for k, r in enumerate(plan.rounds):
+            for d in range(n):
+                others = [p for p in r.pledges if p.payer != d]
+                want = apply_transfers(games[k], CommitmentRound(tuple(others)),
+                                       delta=plan.delta, mode=plan.mode).utilities
+                noop = grid[k * sum(sizes) + sum(sizes[:d])]  # the deviator's no-op
+                assert np.array_equal(noop, want)
+                assert noop.tobytes() == want.tobytes()
+                backwards = apply_transfers(games[k], CommitmentRound(tuple(others[::-1])),
+                                            delta=plan.delta, mode=plan.mode).utilities
+                order_matters |= backwards.tobytes() != want.tobytes()
+    assert order_matters  # the pledge order shows in the bits
+
+
+@pytest.mark.parametrize("bad_round", [0, 2])
+def test_overflowing_base_row_raises_what_apply_transfers_raises(bad_round):
+    # 25 outcomes: no combination moves, whose amount is the cap, so only
+    # the others' pledges reach the cell at the largest float.
+    u = np.random.default_rng(3).uniform(-3, 3, (2, 5, 5))
+    u[0, 1, 1] = np.finfo(float).max
+    game = Game(u)
+    x = 1e300
+    # Player 1 burns x at (2, 2) before player 2 pays it back in: the round
+    # folds, but without player 1's burn the cell overflows.
+    rounds = [CommitmentRound(())] * 3
+    rounds[bad_round] = CommitmentRound((Pledge(0, (1, 1), BURN, x),
+                                         Pledge(1, (1, 1), 0, x)))
+    plan = _plan_with_rounds(game, rounds[:bad_round + 1], "transfers", x)
+    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    others = CommitmentRound((plan.rounds[bad_round].pledges[1],))
+    with np.errstate(over="ignore"), pytest.raises(GameShapeError) as want:
+        apply_transfers(games[bad_round], others, delta=x, mode="transfers")
+    stacks = []
+    batch = verifier.punish_batch
+
+    def recorded(utilities, *args):
+        stacks.append(len(utilities))
+        return batch(utilities, *args)
+
+    with np.errstate(over="ignore"), pytest.raises(GameShapeError) as got, \
+            mock.patch.object(verifier, "punish_batch", recorded):
+        check_deviations(game, plan, games=games, amounts=(1.0,))
+    assert str(got.value) == str(want.value) == "utilities must be finite"
+    # The first prefix raises while its moves are checked, a later one in
+    # the punishment search.
+    assert len(stacks) == (0 if bad_round == 0 else 1)
+
+
+@pytest.mark.parametrize("case", ["ex4", "spoiler"])
+def test_grid_builds_no_per_row_objects(case):
+    if case == "ex4":
+        game, plan = prize_plan(0.02)
+    else:
+        game, plan = spoiler_3x3(), naive_spoiler_plan(0.1)
+    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    made, stacks = [], []
+    finding, batch = verifier.DeviationFinding, verifier.punish_batch
+
+    def counted(*args, **kwargs):
+        made.append(finding(*args, **kwargs))
+        return made[-1]
+
+    def recorded(utilities, *args):
+        stacks.append(len(utilities))
+        return batch(utilities, *args)
+
+    def no_game(*args, **kwargs):
+        raise AssertionError("the grid built a Game")
+
+    with mock.patch.object(verifier, "DeviationFinding", counted), \
+            mock.patch.object(verifier, "punish_batch", recorded), \
+            mock.patch.object(Game, "__init__", no_game):
+        results = check_deviations(game, plan, games=games)
+    structural = sum(len(r.structural_failures) for r in results.values())
+    scalar = results["continue_when_stop"].checked + results["terminal_action"].checked
+    # One worst per stack at most, plus the rows without a punishment and
+    # the handful the two small classes record one by one.
+    assert len(made) <= len(stacks) + structural + scalar
+    if case == "ex4":
+        assert (results["commitment"].checked, results["early_stop"].checked) == (13000, 198)
+        assert structural == 0
+    else:
+        assert structural == 574
 
 
 def _random_plan(rng, counts):
