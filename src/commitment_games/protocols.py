@@ -46,6 +46,7 @@ from .games import (
     Game,
     MixedProfile,
     OutcomeTarget,
+    ProfileError,
     TransferError,
     apply_transfers,
     check_schema,
@@ -1119,8 +1120,11 @@ def plan_from_dict(doc: dict) -> ProtocolPlan:
             else tuple(tuple(a - 1 for a in o) for o in doc["action_orders"]),
         )
     except MALFORMED as exc:
+        text = str(exc)
+        if isinstance(exc, ProfileError) and exc.player is not None:
+            text = f"player {exc.player + 1}: {exc.detail}"  # 1-based, as in all I/O
         raise DocumentError(f"malformed plan document: "
-                            f"{type(exc).__name__}: {exc}") from exc
+                            f"{type(exc).__name__}: {text}") from exc
     _check_plan(plan)
     return plan
 

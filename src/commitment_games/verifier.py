@@ -24,10 +24,9 @@ import numpy as np
 
 from .engine import BURN, CommitmentRound, Pledge, round_to_dict
 from .equilibria import (
+    NotNashError,
     StackedSystem,
-    find_punishment_equilibrium,
     is_nash,
-    is_non_degenerate,
     nash_batch,
     non_degenerate_batch,
     punish_batch,
@@ -221,17 +220,18 @@ def _stacked(games: Sequence[Game], ks: Sequence[int]) -> np.ndarray:
 
 
 def _stage_punishments(plan: ProtocolPlan, games: Sequence[Game],
-                       ks: Sequence[int]) -> tuple[list[str], np.ndarray]:
+                       ks: Sequence[int]) -> tuple[list[str], np.ndarray, list[str]]:
     """The punishment search on each prefix game k in `ks`, in order: the
-    kinds and each player's best-response payoff (one row per k), from one
-    `punish_batch` per punishment stage."""
-    kinds, best = [], []
+    kinds, each player's best-response payoff (one row per k) and the
+    reasons, from one `punish_batch` per punishment stage."""
+    kinds, best, reasons = [], [], []
     for stage, group in _stage_groups(plan, ks):
         res = punish_batch(_stacked(games, group), stage.supports, stage.seed,
                            stage.ceiling)
         kinds += res.kinds
         best.append(res.best_response)
-    return kinds, np.concatenate(best)
+        reasons += res.reasons
+    return kinds, np.concatenate(best), reasons
 
 
 def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
@@ -244,7 +244,7 @@ def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
     scans stay exhaustive.  Leave it None for the definitive run.  `games`
     are the plan's prefix games when the caller has folded them already.
     The checkpoint checks run as stacks, one per punishment stage or
-    profile; only a failure's witness is recomputed on its single game.
+    profile, and a failure's witness is read off its row of the stack.
     """
     results: dict[str, PropertyResult] = {}
     if games is None:
@@ -282,25 +282,21 @@ def check_on_path(game: Game, plan: ProtocolPlan, tol: float = 1e-9,
         if k is not None:
             anchor_fail = {"checkpoint": k, "player": checks[k].player + 1,
                            "gain": checks[k].gain}
-    kinds, _ = _stage_punishments(plan, games, probed)
-    k = next((k for k, kind in zip(probed, kinds) if kind == "none"), None)
-    if k is not None:
-        # The scalar search states why nothing qualified.
-        stage = plan.stage_for(k)
-        pun = find_punishment_equilibrium(games[k], stage.supports, stage.seed,
-                                          stage.ceiling)
-        punish_fail = {"checkpoint": k, "reason": pun.reason}
+    kinds, _, reasons = _stage_punishments(plan, games, probed)
+    if "none" in kinds:
+        j = kinds.index("none")
+        punish_fail = {"checkpoint": probed[j], "reason": reasons[j]}
     if full_support_case:
         stack = _stacked(games, probed)
-        nd_ok = non_degenerate_batch(stack, plan.baseline)
-        if not nd_ok.all():
-            k = probed[int(np.argmin(nd_ok))]
+        nd = non_degenerate_batch(stack, plan.baseline)
+        if not nd.ok.all():
+            j = int(np.argmin(nd.ok))
             try:
-                nd = is_non_degenerate(games[k], plan.baseline)
-                nd_fail = {"checkpoint": k, "det": nd.det,
-                           "min_residual": nd.min_residual}
-            except ValueError as exc:
-                nd_fail = {"checkpoint": k, "error": str(exc)}
+                report = nd.report(j)
+                nd_fail = {"checkpoint": probed[j], "det": report.det,
+                           "min_residual": report.min_residual}
+            except NotNashError as exc:
+                nd_fail = {"checkpoint": probed[j], "error": str(exc)}
         system = StackedSystem(stack, plan.action_orders or plan.baseline.supports())
         if game.num_players == 2:
             dets = [np.linalg.det(system.block_matrix(0)),
@@ -578,7 +574,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
     # The first vote happens after round 1.
     stops = [k for k in prefixes if k != 0]
     if stops:
-        kinds, best = _stage_punishments(plan, games, stops)
+        kinds, best, _ = _stage_punishments(plan, games, stops)
         gains = best - on_path
         gains[np.asarray(kinds) == "none"] = math.inf
         results["early_stop"].record_rows(FindingRows(

@@ -337,16 +337,35 @@ def test_bad_plan_documents_exit_2_without_traceback(workdir, capsys, command, e
     assert "error:" in err and "Traceback" not in err
 
 
+_ONE_BASED_PLAN_EDITS = {
+    "support_6": (lambda d: d["punishment"][0].update(supports=[[1], [6]]),
+                  ("player 2's support [6]", "1..2")),
+    "baseline_sum": (lambda d: d.update(baseline=[[0.7, 0.7], [0.5, 0.5]]),
+                     ("ProfileError: player 1: probabilities sum to 1.4",)),
+    "seed_sum": (lambda d: d["punishment"][0].update(seed=[[1.0, 0.0], [0.6, 0.6]]),
+                 ("ProfileError: player 2: probabilities sum to 1.2",)),
+}
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_plan_against_game_errors_use_one_based_labels(workdir, capsys, command):
-    doc = _ex3_plan_doc(workdir)
-    doc["punishment"][0]["supports"] = [[1], [6]]
-    plan_path = workdir / f"support_6_{command}.json"
-    plan_path.write_text(json.dumps(doc), encoding="utf-8")
-    code, err = _main(capsys, command, str(workdir / "ex3.json"), str(plan_path),
-                      "-o", str(workdir / f"support_6_{command}_out.json"))
-    assert code == 2
-    assert "player 2's support [6]" in err and "1..2" in err
+    for name, (edit, texts) in _ONE_BASED_PLAN_EDITS.items():
+        doc = _ex3_plan_doc(workdir)
+        edit(doc)
+        plan_path = workdir / f"{name}_{command}.json"
+        plan_path.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = _main(capsys, command, str(workdir / "ex3.json"), str(plan_path),
+                          "-o", str(workdir / f"{name}_{command}_out.json"))
+        assert code == 2
+        assert all(text in err for text in texts), err
+
+
+def test_not_nash_sigma_is_reported_with_one_based_labels(workdir, capsys):
+    code, err = _main(capsys, "plan", str(workdir / "ex3.json"), "--payoffs", "4,3",
+                      "--delta", "0.5", "--sigma", "0,1;1,0",
+                      "-o", str(workdir / "not_nash_plan.json"))
+    assert code == 3
+    assert "profile is not Nash: player 1 gains 2 by action 1" in err
 
 
 def test_verify_reports_an_over_cap_round_as_round_cap_failure(workdir, capsys):

@@ -25,6 +25,7 @@ from commitment_games.equilibria import (
     ProbeFailure,
     PunishabilityReport,
     SupportError,
+    first_stage_batch,
     nash_batch,
     non_degenerate_batch,
     punish_batch,
@@ -39,6 +40,7 @@ from commitment_games.catalog import (
     unfair_split,
 )
 
+import scalar_reference as reference
 from conftest import full_support_multiplayer, full_support_two_player, random_game
 
 
@@ -363,17 +365,19 @@ def test_probe_thread_cap_is_deterministic(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _assert_rows_match_scalar_search(stack, supports, seed, ceiling):
-    """punish_batch against find_punishment_equilibrium on every row: the
-    same kind, and the same payoff bits; returns the batch result."""
+    """punish_batch against the reference search on every row: the same
+    kind, reason and profile, and the same payoff bits; returns the batch
+    result."""
     n = stack.shape[1]
     found = punish_batch(stack, supports, seed, ceiling)
     for r in range(len(stack)):
         g = Game(stack[r])
-        pun = find_punishment_equilibrium(g, supports, seed, ceiling)
-        assert found.kinds[r] == pun.kind
+        pun = reference.find_punishment_equilibrium(g, supports, seed, ceiling)
+        assert (found.kinds[r], found.reasons[r]) == (pun.kind, pun.reason)
+        assert found.profile(r) == pun.profile
         if pun.profile is None:
             assert np.all(np.isnan(found.best_response[r]))
-            pure = enumerate_pure_nash(g)
+            pure = reference.enumerate_pure_nash(g)
             assert found.pure_best[r].tolist() == [
                 max((g.payoff(i, p) for p in pure), default=-np.inf)
                 for i in range(n)]
@@ -478,16 +482,20 @@ def test_stacked_nash_and_non_degeneracy_match_scalar_checks(rng, case):
         stack = game.utilities + scale * rng.uniform(-1, 1, (12, *game.utilities.shape))
         stack[0], stack[1] = game.utilities, 0.0
         checks = nash_batch(stack, sigma, 1e-8)
-        ok = non_degenerate_batch(stack, sigma)
+        found = non_degenerate_batch(stack, sigma)
         for r in range(len(stack)):
             g = Game(stack[r])
-            assert checks[r] == is_nash(g, sigma, 1e-8)
+            assert checks[r] == reference.is_nash(g, sigma, 1e-8)
             try:
-                want = is_non_degenerate(g, sigma).ok
-            except NotNashError:
-                want = False
-            assert ok[r] == want
-        assert ok[0] and not ok[1] and not all(c.ok for c in checks)
+                want = reference.is_non_degenerate(g, sigma)
+            except NotNashError as exc:
+                with pytest.raises(NotNashError) as raised:
+                    found.report(r)
+                assert str(raised.value) == str(exc)
+                assert not found.ok[r]
+            else:
+                assert found.report(r) == want and found.ok[r] == want.ok
+        assert found.ok[0] and not found.ok[1] and not all(c.ok for c in checks)
 
 
 def test_nash_batch_rejects_a_profile_of_the_wrong_shape():
@@ -508,7 +516,8 @@ def test_unequal_support_sizes_never_solve(rng):
                         continue
                     for s1 in combinations(range(counts[0]), m1):
                         for s2 in combinations(range(counts[1]), m2):
-                            assert solve_on_support(game, (s1, s2)).status == "degenerate"
+                            solve = reference.solve_on_support(game, (s1, s2))
+                            assert solve.status == "degenerate"
 
 
 def test_punish_batch_rejects_non_finite_rows():
@@ -522,7 +531,8 @@ def test_punish_batch_rejects_non_finite_rows():
 
 def _scalar_probe(game, profile, epsilon, delta, samples, rng_seed,
                   perturbations=None):
-    """Reference probe: one perturbed game and one scalar search per sample."""
+    """Reference probe: one perturbed game and one reference search per
+    sample."""
     base_u = np.array([expected_utility(game, profile, i)
                        for i in range(game.num_players)])
     ceiling = base_u + epsilon
@@ -533,7 +543,8 @@ def _scalar_probe(game, profile, epsilon, delta, samples, rng_seed,
     failures, worst = [], -np.inf
     for idx, shift in enumerate(perturbations):
         pert = game.with_utilities(game.utilities + shift)
-        result = find_punishment_equilibrium(pert, profile.supports(), profile, ceiling)
+        result = reference.find_punishment_equilibrium(pert, profile.supports(), profile,
+                                                       ceiling)
         if result.profile is None:
             failures.append(ProbeFailure(idx, pert, result.reason))
         else:
@@ -570,11 +581,76 @@ PROBE_CASES = {
 }
 
 
+def _forbid_single_game_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a single-game search ran")
+
+    for module in (equilibria, reference):
+        for name in ("find_punishment_equilibrium", "is_non_degenerate"):
+            monkeypatch.setattr(module, name, forbidden)
+
+
 @pytest.mark.parametrize("case", sorted(PROBE_CASES))
-def test_probe_is_byte_identical_to_scalar_loop(case):
+def test_probe_is_byte_identical_to_scalar_loop(monkeypatch, case):
     game, profile, kwargs = PROBE_CASES[case]()
-    batched = probe_strong_punishability(game, profile, allow_degenerate=True, **kwargs)
     scalar = _scalar_probe(game, profile, **kwargs)
+    # The failure reasons come from the stack, not from a second search.
+    _forbid_single_game_search(monkeypatch)
+    batched = probe_strong_punishability(game, profile, allow_degenerate=True, **kwargs)
     assert batched.to_json() == scalar.to_json()
     if case != "mix3x3_seed3":
         assert batched.failures and all(f.reason for f in batched.failures)
+
+
+# ---------------------------------------------------------------------------
+# Reason codes: each way the first stage can fail, against the reference.
+# ---------------------------------------------------------------------------
+
+def _two_mode_mixing_with_a_better_third_row():
+    u = two_mode_mixing().utilities.copy()
+    u[0, 2] = 10.0  # player 1's third action beats the (0, 1) mix
+    return Game(u)
+
+
+_P3 = [(0, 1)] * 3
+REASON_CASES = {
+    # every indifference row vanishes: a singular linear system
+    "degenerate": (lambda: Game(np.zeros((2, 2, 2))), [(0, 1), (0, 1)]),
+    # a singular Newton Jacobian
+    "degenerate_3p": (lambda: Game([[[[0, -1], [3, -2]], [[3, -3], [1, 1]]],
+                                    [[[3, -1], [3, 1]], [[3, -2], [2, 3]]],
+                                    [[[-3, -1], [1, -3]], [[0, 1], [2, 3]]]]), _P3),
+    # Newton stops above its tolerance
+    "no_converge": (lambda: Game([[[[-1, 0], [2, 3]], [[-3, 3], [0, -1]]],
+                                  [[[1, 1], [-2, -1]], [[2, 1], [0, -1]]],
+                                  [[[2, -1], [-1, 3]], [[-2, -2], [1, 1]]]]), _P3),
+    # player 2's indifference needs a negative probability
+    "out_of_range": (lambda: Game([[[2, 1], [0, 0]], [[0, 1], [1, 0]]]), [(0, 1), (0, 1)]),
+    "residual_negative": (_two_mode_mixing_with_a_better_third_row, [(0, 1), (0, 1)]),
+    # at payoffs near 1e10 the rounded mix leaves a gain above 1e-8
+    "not_nash": (lambda: Game(np.array([[[2, 0], [0, 1]], [[1, 0], [0, 2]]]) + 1e10),
+                 [(0, 1), (0, 1)]),
+    "over_ceiling": (two_mode_mixing, [(0, 1), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REASON_CASES))
+def test_reason_codes_match_the_reference(case):
+    make, supports = REASON_CASES[case]
+    game = make()
+    seed = MixedProfile.uniform_over(game.action_counts, supports)
+    ceiling = (-100.0,) * game.num_players  # below every payoff: no fallback settles
+    first = first_stage_batch(game.utilities[None], supports, seed, ceiling)
+    assert equilibria.STATUSES[first.status[0]] == case.removesuffix("_3p")
+
+    got, want = (solve_on_support(game, supports, seed),
+                 reference.solve_on_support(game, supports, seed))
+    assert (got.status, got.profile) == (want.status, want.profile)
+    assert np.array_equal([got.f_norm, got.min_residual],
+                          [want.f_norm, want.min_residual], equal_nan=True)
+
+    got, want = (find_punishment_equilibrium(game, supports, seed, ceiling),
+                 reference.find_punishment_equilibrium(game, supports, seed, ceiling))
+    assert (got.kind, got.profile, got.reason) == ("none", None, want.reason)
+    assert want.kind == "none"
+    assert got.reason.endswith("; no pure equilibrium under ceiling")

@@ -12,7 +12,6 @@ from commitment_games import (
     CommitmentRound,
     MixedProfile,
     Pledge,
-    build_characteristic_system,
     build_plan,
     check_deviations,
     check_on_path,
@@ -32,14 +31,7 @@ from commitment_games.catalog import (
     two_mode_mixing,
     unfair_split,
 )
-from commitment_games.equilibria import (
-    enumerate_pure_nash,
-    find_punishment_equilibrium,
-    first_stage_batch,
-    is_nash,
-    is_non_degenerate,
-    punish_batch,
-)
+from commitment_games.equilibria import first_stage_batch, punish_batch
 from commitment_games.games import (
     Game,
     GameShapeError,
@@ -59,6 +51,7 @@ from commitment_games.verifier import (
     commitment_deviation_moves,
 )
 
+import scalar_reference as reference
 from conftest import (
     feasible_payoff_split,
     full_support_multiplayer,
@@ -236,10 +229,10 @@ def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=Non
                 dev_round = CommitmentRound(others + tuple(pledges))
                 g_dev = apply_transfers(games[k], dev_round, delta=plan.delta,
                                         mode=plan.mode)
-                pun = find_punishment_equilibrium(g_dev, stage.supports,
-                                                  stage.seed, stage.ceiling)
+                pun = reference.find_punishment_equilibrium(
+                    g_dev, stage.supports, stage.seed, stage.ceiling)
                 if pun.profile is None:
-                    pure = enumerate_pure_nash(g_dev)
+                    pure = reference.enumerate_pure_nash(g_dev)
                     gain = (max(g_dev.payoff(d, p) for p in pure) - on_path[d]
                             if pure else math.inf)
                     finding = DeviationFinding(float(gain), k, d, name,
@@ -250,8 +243,8 @@ def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=Non
                 results["commitment"].record(finding)
     for k in prefixes[1:] if prefixes[:1] == [0] else prefixes:
         stage = plan.stage_for(k)
-        pun = find_punishment_equilibrium(games[k], stage.supports, stage.seed,
-                                          stage.ceiling)
+        pun = reference.find_punishment_equilibrium(
+            games[k], stage.supports, stage.seed, stage.ceiling)
         for d in range(n):
             if pun.profile is None:
                 finding = DeviationFinding(math.inf, k, d, "stop", "unavailable",
@@ -666,14 +659,14 @@ def test_batched_first_stage_matches_scalar_search_hypothesis():
         found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
         for r in range(len(stack)):
             g = game.with_utilities(stack[r])
-            pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
-                                              stage.ceiling)
+            pun = reference.find_punishment_equilibrium(
+                g, stage.supports, stage.seed, stage.ceiling)
             assert found.kinds[r] == pun.kind
             if pun.profile is not None:
                 want = [best_response_payoff(g, pun.profile, i) for i in range(n)]
                 assert np.all(np.abs(found.best_response[r] - want) <= 1e-12)
             else:
-                pure = enumerate_pure_nash(g)
+                pure = reference.enumerate_pure_nash(g)
                 want = [max((g.payoff(i, p) for p in pure), default=-np.inf)
                         for i in range(n)]
                 assert found.pure_best[r].tolist() == want
@@ -697,8 +690,8 @@ def test_singular_row_is_retried_alone_and_left_to_the_fallback():
         first = first_stage_batch(stack, stage.supports, stage.seed, stage.ceiling)
     assert shapes == [(3, 6, 6), (1, 6, 6), (2, 6, 6), (1, 6, 6), (1, 6, 6)]
     assert first.settled.tolist() == [True, False, True]
-    scalar = find_punishment_equilibrium(game, stage.supports, stage.seed,
-                                         stage.ceiling)
+    scalar = reference.find_punishment_equilibrium(
+        game, stage.supports, stage.seed, stage.ceiling)
     assert scalar.kind == "support_solve"
     for i in range(2):
         want = deviation_payoffs(game, scalar.profile, i)
@@ -746,24 +739,24 @@ def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games
         stage = plan.stage_for(k)
         g = games[k]
         if seed_applies:
-            check = is_nash(g, stage.seed, 1e-8)
+            check = reference.is_nash(g, stage.seed, 1e-8)
             if not check.ok and anchor_fail is None:
                 anchor_fail = {"checkpoint": k, "player": check.player + 1,
                                "gain": check.gain}
-        pun = find_punishment_equilibrium(g, stage.supports, stage.seed,
-                                          stage.ceiling)
+        pun = reference.find_punishment_equilibrium(
+            g, stage.supports, stage.seed, stage.ceiling)
         if pun.profile is None and punish_fail is None:
             punish_fail = {"checkpoint": k, "reason": pun.reason}
         if full_support_case:
             try:
-                nd = is_non_degenerate(g, plan.baseline)
+                nd = reference.is_non_degenerate(g, plan.baseline)
                 if not nd.ok and nd_fail is None:
                     nd_fail = {"checkpoint": k, "det": nd.det,
                                "min_residual": nd.min_residual}
             except ValueError as exc:
                 if nd_fail is None:
                     nd_fail = {"checkpoint": k, "error": str(exc)}
-            system = build_characteristic_system(
+            system = reference.build_characteristic_system(
                 g, plan.action_orders or plan.baseline.supports())
             if g.num_players == 2:
                 det_series.append((float(np.linalg.det(system.x1)),
@@ -834,7 +827,7 @@ def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games
 
     # (b) == (P5'): the target is Nash at the end.
     target_profile = MixedProfile.pure(game.action_counts, t)
-    terminal = is_nash(games[R], target_profile, tol)
+    terminal = reference.is_nash(games[R], target_profile, tol)
     payoff_ok = np.all(np.abs(games[R].payoffs(t)
                               - np.asarray(plan.expected_terminal_payoffs)) <= 1e-9)
     b_res = (PropertyResult("pass") if terminal.ok and payoff_ok else
@@ -854,7 +847,7 @@ def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games
         x = np.asarray(plan.expected_terminal_payoffs)
         q3_ok = np.all(np.abs(games[S].payoffs(t) - x) <= 1e-9)
         results["Q3"] = PropertyResult("pass" if q3_ok else "fail")
-        q4_ok = all(is_nash(games[k], plan.baseline, 1e-8).ok for k in range(S + 1))
+        q4_ok = all(reference.is_nash(games[k], plan.baseline, 1e-8).ok for k in range(S + 1))
         results["Q4"] = PropertyResult("pass" if q4_ok else "fail")
         base_u = [expected_utility(game, plan.baseline, i)
                   for i in range(game.num_players)]
@@ -920,16 +913,25 @@ def test_stacked_on_path_matches_scalar_loop_on_seeded_2x2_plans():
         _assert_on_path_agrees(*mismatching_two_by_two(rng))
 
 
-def _counted_searches():
-    return mock.patch.object(verifier, "find_punishment_equilibrium",
-                             wraps=find_punishment_equilibrium)
+@contextlib.contextmanager
+def _no_scalar_search():
+    """Any call of the single-game search or non-degeneracy check, in the
+    library or in the reference, fails the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a single-game search ran")
+
+    with contextlib.ExitStack() as stack:
+        for module in (equilibria, verifier, reference):
+            for name in ("find_punishment_equilibrium", "is_non_degenerate"):
+                stack.enter_context(mock.patch.object(module, name, forbidden,
+                                                      create=True))
+        yield
 
 
 def test_accepted_plan_makes_no_scalar_search():
     game, plan = prize_plan()
-    with _counted_searches() as search:
+    with _no_scalar_search():
         assert verify_plan(game, plan).accepted
-    assert search.call_count == 0
 
 
 def _with_stage(plan, k, **changes):
@@ -950,9 +952,8 @@ def test_checkpoint_without_punishment_gets_the_scalar_reason():
     assert props["a"].status == "fail"
     assert props["a"].witness["checkpoint"] == 2
     assert "no pure equilibrium under ceiling" in props["a"].witness["reason"]
-    with _counted_searches() as search:
-        check_on_path(game, bad)
-    assert search.call_count == 1
+    with _no_scalar_search():
+        assert check_on_path(game, bad) == props
 
 
 def test_stage_seed_not_nash_at_one_checkpoint():
@@ -973,6 +974,22 @@ def test_full_support_baseline_not_nash(make):
     props = _assert_on_path_agrees(game, dataclasses.replace(plan, baseline=skewed))
     assert props["P4prime"].status == "fail"
     assert props["P4prime"].witness["error"].startswith("profile is not Nash")
+    with _no_scalar_search():
+        assert check_on_path(game, dataclasses.replace(plan, baseline=skewed)) == props
+
+
+def test_spoiler_report_needs_no_scalar_search():
+    # The structural findings of the grid and the on-path verdicts come from
+    # the stacks, byte for byte as the reference loops give them.
+    game, plan = spoiler_3x3(), naive_spoiler_plan(0.1)
+    with mock.patch.object(verifier, "check_deviations", _scalar_check_deviations), \
+            mock.patch.object(verifier, "check_on_path", _scalar_check_on_path):
+        want = verify_plan(game, plan).to_json()
+    with _no_scalar_search():
+        report = verify_plan(game, plan)
+    assert report.to_json() == want
+    assert not report.accepted
+    assert report.deviations["commitment"].structural_failures
 
 
 def test_stacked_on_path_matches_scalar_loop_hypothesis():
