@@ -7,7 +7,7 @@ per example; the CLI exposes it as a regression table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ from .equilibria import (
 )
 from .games import Game, MixedProfile, apply_transfers
 from .protocols import ProtocolPlan, build_partial_support_plan, build_plan
-from .protocols import _finalize_plan  # naive negative-control plan assembly
 from .verifier import commitment_deviation_moves, verify_plan
 
 
@@ -124,13 +123,8 @@ def naive_spoiler_plan(delta: float = 0.5) -> ProtocolPlan:
     """
     game = spoiler_3x3()
     sigma = MixedProfile.pure(game.action_counts, (0, 0))
-    burn = build_partial_support_plan(game, sigma, (2, 2), delta,
-                                      case="partial_support_disjoint",
-                                      validate=False)
-    return _finalize_plan(game, burn.rounds, case_tag=burn.case_tag,
-                          mode="transfers", delta=delta, target=burn.target,
-                          baseline=sigma, punishment=burn.punishment,
-                          expected=burn.expected_terminal_payoffs)
+    burn = build_partial_support_plan(game, sigma, (2, 2), delta, validate=False)
+    return replace(burn, mode="transfers")
 
 
 GAMES: dict[str, Callable[[], Game]] = {

@@ -86,12 +86,6 @@ class CommitmentRound:
     def __post_init__(self):
         object.__setattr__(self, "pledges", tuple(self.pledges))
 
-    def by_payer(self, player: int) -> tuple[Pledge, ...]:
-        return tuple(p for p in self.pledges if p.payer == player)
-
-    def merged(self, other: "CommitmentRound") -> "CommitmentRound":
-        return CommitmentRound(self.pledges + other.pledges)
-
 
 @dataclass(frozen=True)
 class Transcript:

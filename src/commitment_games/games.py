@@ -298,6 +298,10 @@ def _iter_pledges(round_or_pledges) -> Iterable:
     return list(pledges)
 
 
+def _one_based(outcome: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a + 1 for a in outcome)
+
+
 def round_violation(game: Game, round, delta: float | None = None,
                     mode: str | None = None) -> RoundViolation | None:
     """The first rule one round of pledges breaks in `game`, or None.
@@ -305,22 +309,25 @@ def round_violation(game: Game, round, delta: float | None = None,
     Payer, outcome and recipient must exist in the game; `mode="burn_only"`
     rejects player recipients; when `delta` is given, each payer's total
     per outcome is capped at delta.  Sign and self-payment are rules of a
-    single pledge, which `Pledge` enforces when it is made.
+    single pledge, which `Pledge` enforces when it is made.  The violation
+    keeps payer and outcome 0-based; its message labels them 1-based, as
+    in all I/O.
     """
     n = game.num_players
     totals: dict[tuple[int, tuple[int, ...]], float] = {}
     for p in _iter_pledges(round):
         if not 0 <= p.payer < n:
             return RoundViolation("payer", p.payer, p.outcome,
-                                  f"payer {p.payer} out of range")
+                                  f"payer {p.payer + 1} out of range")
         if len(p.outcome) != n or any(
                 not 0 <= a < c for a, c in zip(p.outcome, game.action_counts)):
             return RoundViolation("outcome", p.payer, p.outcome,
-                                  f"outcome {p.outcome} out of range")
+                                  f"outcome {_one_based(p.outcome)} out of range")
         if p.recipient != BURN:
             if not isinstance(p.recipient, int) or not 0 <= p.recipient < n:
+                label = p.recipient + 1 if isinstance(p.recipient, int) else p.recipient
                 return RoundViolation("recipient", p.payer, p.outcome,
-                                      f"recipient {p.recipient!r} out of range")
+                                      f"recipient {label!r} out of range")
             if mode == "burn_only":
                 return RoundViolation("mode", p.payer, p.outcome,
                                       "only BURN pledges are allowed in burn_only mode")
@@ -328,8 +335,8 @@ def round_violation(game: Game, round, delta: float | None = None,
         totals[key] = totals.get(key, 0.0) + p.amount
         if delta is not None and totals[key] > delta + 1e-12:
             return RoundViolation("cap", p.payer, p.outcome,
-                                  f"player {p.payer} pays {totals[key]:.12g} > "
-                                  f"delta={delta:.12g} at outcome {p.outcome}")
+                                  f"player {p.payer + 1} pays {totals[key]:.12g} > "
+                                  f"delta={delta:.12g} at outcome {_one_based(p.outcome)}")
     return None
 
 

@@ -10,12 +10,13 @@ objective outcome ends up a Nash equilibrium of the folded game:
   column would otherwise erode the target action's residual;
 * indirect three-stage variant when the target sits inside the support:
   anchor an out-of-support pure profile first, then steer to the target;
-* two-player full-support row operations: pledges compile to row
-  operations on the two indifference blocks, which preserve both block
-  determinants and the mixed equilibrium while the first columns climb
-  to zero;
+* two-player full-support row operations on the two indifference blocks,
+  which preserve both block determinants and the mixed equilibrium while
+  the first columns climb to zero;
 * n >= 3 full-support coefficient shifts with the alternating-sign array,
   which leave the system value and gradient at the baseline untouched;
+  both full-support cases compile their delta-capped shifts of one
+  indifference row to burns through the same step;
 * the 2x2 gap-narrowing protocol;
 * the welfare-transfer stage: a linear homotopy of payoff tensors that
   moves the welfare-maximizing outcome's payoffs to a requested split
@@ -73,6 +74,8 @@ _AMOUNT_FLOOR = 1e-15
 # Round counts grow with utility_range / delta (ex4 at delta 0.02 is 300);
 # build_plan refuses caps that would need millions of rounds.
 MAX_RANGE_PER_DELTA = 1e6
+DELTA_FLOOR = 1e-6
+DELTA_SEARCH_BUDGET = 8
 
 
 class InfeasibleError(ValueError):
@@ -145,10 +148,11 @@ class ProtocolPlan:
 
 
 class FoldError(ValueError):
-    """A plan round broke a round rule while folding."""
+    """A plan round broke a round rule while folding; `round_index` is
+    0-based, the text 1-based."""
 
     def __init__(self, round_index: int, cause: Exception):
-        super().__init__(f"round {round_index}: {cause}")
+        super().__init__(f"round {round_index + 1}: {cause}")
         self.round_index = round_index
 
 
@@ -393,14 +397,10 @@ def _choose_auxiliary_profile(game: Game, sigma: MixedProfile,
 
 def build_partial_support_plan(game: Game, sigma: MixedProfile,
                                target: Sequence[int], delta: float, *,
-                               case: str | None = None,
                                validate: bool = True) -> ProtocolPlan:
     """Burn-only plan for the disjoint, mixed, and indirect cases."""
     target = tuple(int(a) for a in target)
-    if validate:
-        case = classify_case(game, sigma, target)
-    elif case is None:
-        case = _structural_case(game, sigma, target)
+    case = (classify_case if validate else _structural_case)(game, sigma, target)
     _expect_case(case, ("partial_support_disjoint", "partial_support_mixed",
                         "in_support_indirect"))
     if sigma.is_pure() and sigma.pure_profile() == target:
@@ -432,33 +432,61 @@ def build_partial_support_plan(game: Game, sigma: MixedProfile,
 
 
 # ---------------------------------------------------------------------------
-# Two-player full support: row operations on the indifference blocks
+# Full support: capped coefficient shifts compiled to burns
 # ---------------------------------------------------------------------------
 
-def _row_op_pledges(player: int, row: int, coeffs: np.ndarray,
-                    own_order: Sequence[int], opp_order: Sequence[int],
-                    counts: Sequence[int]) -> list[Pledge]:
-    """Pledges realizing `block[row] += coeffs` for one player's block."""
+def _capped_coefficients(total: float, array: np.ndarray, delta: float):
+    """Coefficients c = sign * min(delta / max|array|, remaining), one per
+    round, summing to `total`: no entry of c * array exceeds delta."""
+    step = delta / max(float(np.max(np.abs(array))), _AMOUNT_FLOOR)
+    remaining = abs(total)
+    sign = 1.0 if total >= 0 else -1.0
+    while remaining > _AMOUNT_FLOOR:
+        c = sign * min(step, remaining)
+        yield c
+        remaining -= abs(c)
+
+
+def _r_commitment_pledges(player: int, compared_action: int, lam: float,
+                          array: np.ndarray, orders: Sequence[Sequence[int]],
+                          counts: Sequence[int]) -> list[Pledge]:
+    """Pledges realizing a coefficient shift lam*array on one row.
+
+    A two-player row operation is the one-dimensional case.  Amounts within
+    _AMOUNT_FLOOR of zero, relative to the largest (and at least 1), are
+    dropped.
+    """
+    n = len(orders)
+    others = [j for j in range(n) if j != player]
+    amounts = lam * np.asarray(array, dtype=float)
+    floor = _AMOUNT_FLOOR * max(1.0, float(np.max(np.abs(amounts))))
     pledges = []
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    for k, d in enumerate(coeffs):
-        if abs(d) <= _AMOUNT_FLOOR * scale:
+    for q, amt in np.ndenumerate(amounts):
+        amt = float(amt)
+        if abs(amt) <= floor:
             continue
-        own, opp = own_order[row], opp_order[k]
-        outcome = (own, opp) if player == 0 else (opp, own)
-        if d > 0:
-            pledges.append(Pledge(player, outcome, BURN, float(d)))
+        prof = [0] * n
+        prof[player] = compared_action
+        for pos, j in enumerate(others):
+            prof[j] = orders[j][q[pos]]
+        if amt > 0:
+            pledges.append(Pledge(player, tuple(prof), BURN, amt))
         else:
             for a in range(counts[player]):
-                if a == own:
+                if a == compared_action:
                     continue
-                prof = (a, opp) if player == 0 else (opp, a)
-                pledges.append(Pledge(player, prof, BURN, float(-d)))
+                alt = list(prof)
+                alt[player] = a
+                pledges.append(Pledge(player, tuple(alt), BURN, -amt))
     return pledges
 
 
-def _first_column_stream(X: np.ndarray, player: int, own_order, opp_order,
-                         counts, delta: float) -> list[list[Pledge]]:
+# ---------------------------------------------------------------------------
+# Two-player full support: row operations on the indifference blocks
+# ---------------------------------------------------------------------------
+
+def _first_column_stream(X: np.ndarray, player: int, orders, counts,
+                         delta: float) -> list[list[Pledge]]:
     """Row operations (never touching row 0) until column 0 is nonnegative."""
     N = X.shape[0]
     scale = max(1.0, float(np.max(np.abs(X))))
@@ -466,17 +494,12 @@ def _first_column_stream(X: np.ndarray, player: int, own_order, opp_order,
     rounds: list[list[Pledge]] = []
 
     def apply_op(j: int, r: int, c_total: float):
-        """row j += c_total * row r, in delta-capped chunks (one per round)."""
+        """row j += c_total * row r, one delta-capped coefficient per round."""
         row_r = X[r].copy()
-        step = delta / max(float(np.max(np.abs(row_r))), _AMOUNT_FLOOR)
-        remaining = abs(c_total)
-        sign = 1.0 if c_total >= 0 else -1.0
-        while remaining > _AMOUNT_FLOOR:
-            c = sign * min(step, remaining)
-            d = c * row_r
-            rounds.append(_row_op_pledges(player, j, d, own_order, opp_order, counts))
-            X[j] += d
-            remaining -= abs(c)
+        for c in _capped_coefficients(c_total, row_r, delta):
+            rounds.append(_r_commitment_pledges(player, orders[player][j], c, row_r,
+                                                orders, counts))
+            X[j] += c * row_r
 
     for _ in range(4):
         if np.all(X[1:, 0] >= -tol):
@@ -522,8 +545,7 @@ def build_two_player_full_support_plan(game: Game, sigma: MixedProfile,
     system = build_characteristic_system(game, orders)
     streams = []
     for player, block in ((0, system.x1), (1, system.x2)):
-        streams.append(_first_column_stream(np.array(block), player,
-                                            orders[player], orders[1 - player],
+        streams.append(_first_column_stream(np.array(block), player, orders,
                                             game.action_counts, delta))
     return _pareto_plan(game, sigma, target, _merge_streams(streams),
                         "full_support_2p", delta, action_orders=orders)
@@ -575,33 +597,6 @@ def alternating_shift_array(sigma: MixedProfile, n_players: int, component: int,
     return x
 
 
-def _r_commitment_pledges(player: int, compared_action: int, lam: float,
-                          array: np.ndarray, orders: Sequence[Sequence[int]],
-                          counts: Sequence[int]) -> list[Pledge]:
-    """Pledges realizing a coefficient shift lam*array on one row."""
-    n = len(orders)
-    others = [j for j in range(n) if j != player]
-    pledges = []
-    for q, v in np.ndenumerate(array):
-        amt = lam * float(v)
-        if abs(amt) <= _AMOUNT_FLOOR:
-            continue
-        prof = [0] * n
-        prof[player] = compared_action
-        for pos, j in enumerate(others):
-            prof[j] = orders[j][q[pos]]
-        if amt > 0:
-            pledges.append(Pledge(player, tuple(prof), BURN, amt))
-        else:
-            for a in range(counts[player]):
-                if a == compared_action:
-                    continue
-                alt = list(prof)
-                alt[player] = a
-                pledges.append(Pledge(player, tuple(alt), BURN, -amt))
-    return pledges
-
-
 def build_multiplayer_plan(game: Game, sigma: MixedProfile,
                            target: Sequence[int], delta: float, *,
                            validate: bool = True) -> ProtocolPlan:
@@ -635,14 +630,9 @@ def build_multiplayer_plan(game: Game, sigma: MixedProfile,
                 continue
             x = alternating_shift_array(sigma, n, comp_index, orders)
             lead = float(x[(0,) * (n - 1)])
-            lam_total = needed / lead
-            lam_step = delta / float(np.max(np.abs(x)))
-            remaining = lam_total
-            while remaining > _AMOUNT_FLOOR:
-                lam = min(lam_step, remaining)
-                stream.append(_r_commitment_pledges(i, orders[i][k], lam, x,
-                                                    orders, game.action_counts))
-                remaining -= lam
+            stream.extend(_r_commitment_pledges(i, orders[i][k], lam, x, orders,
+                                                game.action_counts)
+                          for lam in _capped_coefficients(needed / lead, x, delta))
         streams.append(stream)
     return _pareto_plan(game, sigma, target, _merge_streams(streams),
                         "full_support_np", delta, action_orders=orders)
@@ -910,8 +900,7 @@ def _improvement_plan(game: Game, sigma: MixedProfile, target: tuple[int, ...],
     case = classify_case(game, sigma, target)
     if case in ("partial_support_disjoint", "partial_support_mixed",
                 "in_support_indirect"):
-        return build_partial_support_plan(game, sigma, target, delta,
-                                          case=case, validate=False)
+        return build_partial_support_plan(game, sigma, target, delta, validate=False)
     if case == "full_support_2p":
         return build_two_player_full_support_plan(game, sigma, target, delta,
                                                   validate=False)
@@ -961,24 +950,22 @@ def build_plan(game: Game, sigma: MixedProfile, *,
 
 def choose_delta(game: Game, sigma: MixedProfile, *,
                  target: Sequence[int] | None = None,
-                 payoffs: Sequence[float] | None = None,
-                 floor: float = 1e-6,
-                 deviation_budget: int | None = 8) -> tuple[float, ProtocolPlan]:
-    """Geometric cap search: halve from 1% of the utility range until the
-    built plan passes verification (punishment ceiling at every checkpoint,
-    deviation grid up to the budget, round bound); returns the largest
-    passing cap and its plan.
+                 payoffs: Sequence[float] | None = None) -> tuple[float, ProtocolPlan]:
+    """Geometric cap search: halve from 1% of the utility range down to
+    DELTA_FLOOR until the built plan passes verification (punishment
+    ceiling at every checkpoint, deviation grid on DELTA_SEARCH_BUDGET
+    prefixes, round bound); returns the largest passing cap and its plan.
     """
     from .verifier import verify_plan
 
     scale = game.utility_range
     delta = 0.01 * scale if scale > 0 else 0.01
     last_error = None
-    while delta >= floor:
+    while delta >= DELTA_FLOOR:
         try:
             plan = build_plan(game, sigma, target=target, payoffs=payoffs,
                               delta=delta)
-            report = verify_plan(game, plan, budget=deviation_budget,
+            report = verify_plan(game, plan, budget=DELTA_SEARCH_BUDGET,
                                  checkpoint_budget=64)
             if report.accepted:
                 return delta, plan
@@ -988,7 +975,7 @@ def choose_delta(game: Game, sigma: MixedProfile, *,
         except InfeasibleError as exc:
             last_error = str(exc)
         delta /= 2.0
-    raise InfeasibleError(f"no cap above {floor:g} passes: {last_error}")
+    raise InfeasibleError(f"no cap above {DELTA_FLOOR:g} passes: {last_error}")
 
 
 # ---------------------------------------------------------------------------

@@ -601,13 +601,14 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
     return results
 
 
-def round_bound_check(plan: ProtocolPlan, game: Game,
-                      constant: float = ROUND_BOUND_CONSTANT) -> BoundCheck:
-    """|rounds| <= C * n * delta^-1 * utility_range * max action count."""
+def round_bound_check(plan: ProtocolPlan, game: Game) -> BoundCheck:
+    """|rounds| <= C * n * delta^-1 * utility_range * max action count,
+    with C = ROUND_BOUND_CONSTANT."""
     u_range = max(game.utility_range, 1e-12)
-    bound = (constant * game.num_players * u_range
+    bound = (ROUND_BOUND_CONSTANT * game.num_players * u_range
              * max(game.action_counts) / plan.delta)
-    return BoundCheck(len(plan.rounds) <= bound, len(plan.rounds), bound, constant)
+    return BoundCheck(len(plan.rounds) <= bound, len(plan.rounds), bound,
+                      ROUND_BOUND_CONSTANT)
 
 
 def witness_transcript(game: Game, plan: ProtocolPlan, finding: DeviationFinding,

@@ -375,4 +375,13 @@ def test_verify_reports_an_over_cap_round_as_round_cap_failure(workdir, capsys):
     assert code == 1
     round_cap = json.loads(report.read_text())["properties"]["round_cap"]
     assert round_cap == {"status": "fail",
-                         "detail": "round 0: player 0 pays 5 > delta=1 at outcome (1, 1)"}
+                         "detail": "round 1: player 1 pays 5 > delta=1 at outcome (2, 2)"}
+
+
+def test_simulate_names_an_over_cap_round_with_one_based_labels(workdir, capsys):
+    code, err = _main(capsys, "simulate", str(workdir / "ex3.json"),
+                      _edited_plan(workdir, "pledge_over_cap"),
+                      "-o", str(workdir / "over_cap_transcript.json"))
+    assert code == 2
+    assert ("plan round 1 breaks a session rule: "
+            "[cap] player 1 pays 5 > delta=1 at outcome (2, 2)") in err, err

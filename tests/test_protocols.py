@@ -504,3 +504,18 @@ def test_coefficient_shift_compiles_to_the_displayed_pattern():
         (0, 1, 0): 0.25,  # lower the third
         (1, 1, 1): 0.25,  # raise the fourth
     }
+
+
+def test_coefficient_shift_drops_amounts_near_zero_relative_to_the_largest():
+    # 5e-12 is above the absolute 1e-15 floor but within 1e-15 of the
+    # largest amount, 1e4, so it is rounding noise of the shift
+    from commitment_games.protocols import _r_commitment_pledges
+
+    orders = ((0, 1), (0, 1), (0, 1))
+    x = np.array([[1e4, 5e-12], [1.0, -1.0]])
+    pledges = _r_commitment_pledges(0, 1, 1.0, x, orders, (2, 2, 2))
+    assert {p.outcome: p.amount for p in pledges} == {
+        (1, 0, 0): 1e4,
+        (1, 1, 0): 1.0,
+        (0, 1, 1): 1.0,  # a negative entry burns on the complement
+    }

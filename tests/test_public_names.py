@@ -35,6 +35,26 @@ SIGNATURES = {
                                    " -> 'PunishmentResult'",
 }
 
+# The plan builders, the cap search and the round bound take no tuning knobs.
+_BUILDER = ("(game: 'Game', sigma: 'MixedProfile', target: 'Sequence[int]',"
+            " delta: 'float', *, validate: 'bool' = True) -> 'ProtocolPlan'")
+SIGNATURES.update({
+    "build_partial_support_plan": _BUILDER,
+    "build_two_player_full_support_plan": _BUILDER,
+    "build_multiplayer_plan": _BUILDER,
+    "build_2x2_plan": _BUILDER,
+    "build_welfare_transfer_stage": "(game: 'Game', sigma: 'MixedProfile', payoff_targets:"
+                                    " 'Sequence[float]', delta: 'float', *, validate:"
+                                    " 'bool' = True) -> 'tuple[ProtocolPlan, Game]'",
+    "build_plan": "(game: 'Game', sigma: 'MixedProfile', *, target: 'Sequence[int] | None'"
+                  " = None, payoffs: 'Sequence[float] | None' = None, delta: 'float')"
+                  " -> 'ProtocolPlan'",
+    "choose_delta": "(game: 'Game', sigma: 'MixedProfile', *, target: 'Sequence[int] | None'"
+                    " = None, payoffs: 'Sequence[float] | None' = None)"
+                    " -> 'tuple[float, ProtocolPlan]'",
+    "round_bound_check": "(plan: 'ProtocolPlan', game: 'Game') -> 'BoundCheck'",
+})
+
 
 def _exported_names():
     tree = ast.parse((ROOT / "src" / "commitment_games" / "__init__.py").read_text())
