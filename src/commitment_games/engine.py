@@ -108,8 +108,8 @@ class SessionState:
 
 
 def open_session(game: Game, delta: float, mode: str = "transfers") -> SessionState:
-    if not delta > 0:
-        raise SessionError(f"delta must be strictly positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise SessionError(f"delta must be finite and positive, got {delta}")
     if mode not in MODES:
         raise SessionError(f"mode must be one of {MODES}")
     return SessionState(game, game, float(delta), mode, "committing", Transcript())

@@ -1030,6 +1030,12 @@ def _check_plan(plan: ProtocolPlan) -> None:
         raise DocumentError("plan has no punishment stage")
     if any(not 0 <= c.rounds_applied <= len(plan.rounds) for c in plan.checkpoints):
         raise DocumentError(f"a checkpoint is outside rounds 0..{len(plan.rounds)}")
+    if not 0 <= plan.welfare_stage_rounds <= len(plan.rounds):
+        raise DocumentError(f"welfare_stage_rounds {plan.welfare_stage_rounds} is "
+                            f"outside 0..{len(plan.rounds)}")
+    if not all(map(math.isfinite, (*plan.expected_terminal_payoffs,
+                                   *(x for s in plan.punishment for x in s.ceiling)))):
+        raise DocumentError("ceilings and expected_terminal_payoffs must be finite")
     counts = [p.size for p in plan.baseline.probs]
     target = plan.target.profile
     if not len(target) == len(plan.expected_terminal_payoffs) == len(counts) or any(

@@ -244,6 +244,8 @@ def _input_error_case(workdir, case):
                                                                  "rounds": 3},
                                       "script_pledge_nan": {"delta": 1.0,
                                                             "rounds": [[nan_pledge]]},
+                                      "script_delta_inf": {"delta": math.inf,
+                                                           "rounds": []},
                                       }[case]),
                           encoding="utf-8")
         return ["simulate", game, "--script", str(script), "-o", "-"]
@@ -264,7 +266,7 @@ def _input_error_case(workdir, case):
 
 @pytest.mark.parametrize("case", ["simulate_without_plan", "script_missing_delta",
                                   "script_not_object", "script_rounds_not_list",
-                                  "script_pledge_nan",
+                                  "script_pledge_nan", "script_delta_inf",
                                   "reproduce_unknown_id", "sigma_nan",
                                   "plan_baseline_nan", "support_repeated"])
 def test_malformed_inputs_exit_2_without_traceback(workdir, capsys, case):
@@ -314,6 +316,10 @@ _PLAN_EDITS = {
     "baseline_three_actions": lambda d: d.update(baseline=[[1.0, 0.0, 0.0],
                                                            [1.0, 0.0, 0.0]]),
     "support_names_action_7": lambda d: d["punishment"][0].update(supports=[[7], [1]]),
+    "welfare_rounds_past_end": lambda d: d.update(welfare_stage_rounds=999),
+    "welfare_rounds_negative": lambda d: d.update(welfare_stage_rounds=-3),
+    "expected_payoff_nan": lambda d: d.update(expected_terminal_payoffs=[math.nan, 3.0]),
+    "ceiling_inf": lambda d: d["punishment"][0].update(ceiling=[math.inf, math.inf]),
 }
 
 

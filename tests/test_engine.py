@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,8 +44,9 @@ def test_open_session_validation():
     state = open_session(game, 1.0)
     assert state.phase == "committing" and state.current_game == game
     assert open_session(game, 1e-6).delta == 1e-6
-    with pytest.raises(SessionError):
-        open_session(game, 0.0)
+    for delta in (0.0, math.inf):
+        with pytest.raises(SessionError):
+            open_session(game, delta)
     with pytest.raises(SessionError):
         open_session(game, 1.0, "barter")
 

@@ -55,6 +55,19 @@ SIGNATURES.update({
     "round_bound_check": "(plan: 'ProtocolPlan', game: 'Game') -> 'BoundCheck'",
 })
 
+# The verifier's entry points take no tolerance knob.
+SIGNATURES.update({
+    "verify_plan": "(game: 'Game', plan: 'ProtocolPlan', *, amounts: 'Sequence[float] | None'"
+                   " = None, budget: 'int | None' = None, checkpoint_budget: 'int | None'"
+                   " = None) -> 'VerificationReport'",
+    "check_on_path": "(game: 'Game', plan: 'ProtocolPlan', checkpoint_budget: 'int | None'"
+                     " = None, *, games: 'Sequence[Game] | None' = None)"
+                     " -> 'dict[str, PropertyResult]'",
+    "check_deviations": "(game: 'Game', plan: 'ProtocolPlan', *, amounts: 'Sequence[float]"
+                        " | None' = None, budget: 'int | None' = None, games: 'Sequence[Game]"
+                        " | None' = None) -> 'dict[str, DeviationClassResult]'",
+})
+
 
 def _exported_names():
     tree = ast.parse((ROOT / "src" / "commitment_games" / "__init__.py").read_text())

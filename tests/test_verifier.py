@@ -964,6 +964,34 @@ def test_stage_seed_not_nash_at_one_checkpoint():
     assert props["baseline_nash"].witness["checkpoint"] == 3
 
 
+def _extra_final_round(plan):
+    pay = CommitmentRound((Pledge(0, plan.target.profile, 1, 0.5),))
+    return dataclasses.replace(plan, rounds=plan.rounds + (pay,))
+
+
+def _payment_in_round_0(plan):
+    first = CommitmentRound(plan.rounds[0].pledges + (Pledge(1, (0, 0), 0, 0.5),))
+    return dataclasses.replace(plan, rounds=(first,) + plan.rounds[1:])
+
+
+# Edits of the ex3 welfare-stage plan and the properties each one fails.
+SCAN_FAILURES = {
+    "extra_final_round": (_extra_final_round, {"P2prime", "P3prime", "b", "P5prime"}),
+    "payment_in_round_0": (_payment_in_round_0, {"a1", "Q5", "checkpoint_hashes"}),
+    "expected_payoffs_off": (
+        lambda plan: dataclasses.replace(plan, expected_terminal_payoffs=(4.5, 2.5)),
+        {"Q3", "b", "P5prime"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_FAILURES))
+def test_failing_scans_match_scalar_loop(case):
+    edit, failing = SCAN_FAILURES[case]
+    game, plan = split_plan()
+    props = _assert_on_path_agrees(game, edit(plan))
+    assert {k for k, v in props.items() if v.status == "fail"} == failing
+
+
 @pytest.mark.parametrize("make", [full_support_2p_plan,
                                   lambda: CATALOG_PLANS["ex6"]()[:2]])
 def test_full_support_baseline_not_nash(make):
