@@ -30,7 +30,6 @@ from .games import (
     content_hash,
     game_from_dict,
     game_to_dict,
-    round_violation,
 )
 
 TRANSCRIPT_SCHEMA_VERSION = 1
@@ -113,11 +112,6 @@ def open_session(game: Game, delta: float, mode: str = "transfers") -> SessionSt
     if mode not in MODES:
         raise SessionError(f"mode must be one of {MODES}")
     return SessionState(game, game, float(delta), mode, "committing", Transcript())
-
-
-def validate_round(state: SessionState, round: CommitmentRound) -> RoundViolation | None:
-    """The first session rule the round breaks, or None when it is legal."""
-    return round_violation(state.current_game, round, state.delta, state.mode)
 
 
 def submit_round(state: SessionState, round: CommitmentRound) -> SessionState:

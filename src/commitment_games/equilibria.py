@@ -231,20 +231,19 @@ def _bcontract(t: np.ndarray, probs: Sequence[np.ndarray],
 
 
 def _bsolve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked solve; when a row is singular, solve each half of the stack
-    alone, down to single rows.
-
-    Returns (x, singular) with NaN rows where `singular` is set.  Every row
-    is solved by the same LAPACK routine as in the whole stack.
+    """Stacked solve, as (x, singular) with NaN rows where `singular` is
+    set.  When a row is singular, one `slogdet` finds the singular rows: it
+    runs the `getrf` of the solve's `gesv`, so its sign is 0 on exactly the
+    rows with an exact zero pivot.  One more solve takes the other rows,
+    each by the same LAPACK routine as in the whole stack.
     """
     try:
         return np.linalg.solve(A, b[..., None])[..., 0], np.zeros(len(A), dtype=bool)
     except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.full(b.shape, np.nan), np.ones(1, dtype=bool)
-        h = len(A) // 2
-        (x0, s0), (x1, s1) = _bsolve(A[:h], b[:h]), _bsolve(A[h:], b[h:])
-        return np.concatenate([x0, x1]), np.concatenate([s0, s1])
+        singular = np.linalg.slogdet(A)[0] == 0
+        x = np.full(b.shape, np.nan)
+        x[~singular] = np.linalg.solve(A[~singular], b[~singular][..., None])[..., 0]
+        return x, singular
 
 
 def _inf_norm(f: np.ndarray) -> np.ndarray:
@@ -601,47 +600,60 @@ _SUPPORT_ENUM_MAX_ACTIONS = 4
 
 @cache
 def _support_patterns(action_counts: tuple[int, ...]) -> tuple:
-    """Support pairs (s1, s2) in enumeration order, or none beyond desk
-    scale."""
+    """Equal-size support pairs (s1, s2) in enumeration order, or none
+    beyond desk scale.  Unequal sizes never solve: one block of the linear
+    system has more rows than columns, and its structural zeros stay exact
+    under elimination, so the solve meets a zero pivot on every game."""
     if len(action_counts) != 2 or max(action_counts) > _SUPPORT_ENUM_MAX_ACTIONS:
         return ()
     opts = [[s for size in range(1, c + 1) for s in combinations(range(c), size)]
             for c in action_counts]
-    return tuple(product(*opts))
+    return tuple((s1, s2) for s1, s2 in product(*opts) if len(s1) == len(s2))
 
 
-def _boundary_semi_mixed(u: np.ndarray, ceiling: Sequence[float], tol: float):
+def _first_settling(V: np.ndarray, probs: Sequence[np.ndarray], valid: np.ndarray,
+                    ceiling: Sequence[float], tol: float):
+    """Per game of the stack `V`, the first of its candidate profiles (row
+    c*len(V) + r of `probs` is candidate c of game r) that is `valid`, Nash
+    at 1e-8 and under the ceiling: (settled, probabilities, deviation
+    payoffs, expected payoffs), one row per game."""
+    R = len(V)
+    pay, exp = _bpayoffs(np.tile(V, (len(valid) // R,) + (1,) * (V.ndim - 1)), probs)
+    valid = valid & (_bnash(pay, probs, 1e-8)[0] < 0) & _under_ceiling(exp, ceiling, tol)
+    valid = valid.reshape(-1, R)
+    pick = valid.argmax(axis=0) * R + np.arange(R)
+    return valid.any(axis=0), [p[pick] for p in probs], [p[pick] for p in pay], exp[pick]
+
+
+def _semi_mixed_batch(V: np.ndarray, ceiling: Sequence[float], tol: float):
     """2x2 continuum equilibria: one player pure, the other indifferent.
 
     The gap-closing protocols drive preference gaps to exact zeros, where
     the support-constrained systems go singular; the equilibria form a
-    segment and any feasible point on it punishes.  Returns the first point
-    on `u` (shape (2, 2, 2)) that is Nash at 1e-8 and under the ceiling, as
-    one-row (probabilities, deviation payoffs, expected payoffs), or None.
+    segment and any feasible point on it punishes.  `_first_settling` over
+    the 12 candidates per game of the (R, 2, 2, 2) stack `V`, in the scalar
+    search's order: the pure player, its action, then the mixer's
+    probability q of its first action ascending (0, root, 1).
     """
+    R = len(V)
+    probs, valid = [[], []], []
     for p in (0, 1):  # the pure player; the other one mixes
-        v = u if p == 0 else u.transpose(0, 2, 1)  # v[i, p's action, mixer's]
+        W = V if p == 0 else V.transpose(0, 1, 3, 2)  # W[:, i, p's action, mixer's]
         for b in (0, 1):
-            if abs(v[1 - p, b, 0] - v[1 - p, b, 1]) > tol:
-                continue  # the mixer is not indifferent against b
+            indifferent = np.abs(W[:, 1 - p, b, 0] - W[:, 1 - p, b, 1]) <= tol
             # b must be a weak best response to the mix q over the mixer's
             # first action: g(q) = alpha*q + beta*(1-q) >= -tol
-            alpha, beta = v[p, b] - v[p, 1 - b]
-            candidates = [0.0, 1.0]
-            if abs(alpha - beta) > 1e-15:
-                root = -beta / (alpha - beta)
-                if 0.0 < root < 1.0:
-                    candidates.append(root)
-            for q in sorted(candidates):
-                if alpha * q + beta * (1.0 - q) < -tol:
-                    continue
-                pure, mix = np.eye(2)[b][None], np.array([[q, 1.0 - q]])
-                probs = [pure, mix] if p == 0 else [mix, pure]
-                pay, exp = _bpayoffs(u[None], probs)
-                nash = _bnash(pay, probs, 1e-8)[0][0] < 0
-                if nash and _under_ceiling(exp, ceiling, tol)[0]:
-                    return probs, pay, exp
-    return None
+            alpha, beta = (W[:, p, b] - W[:, p, 1 - b]).T
+            has_root = np.abs(alpha - beta) > 1e-15
+            root = np.divide(-beta, alpha - beta, out=np.zeros(R), where=has_root)
+            has_root &= (0.0 < root) & (root < 1.0)
+            for q, ok in ((np.zeros(R), indifferent), (root, indifferent & has_root),
+                          (np.ones(R), indifferent)):
+                valid.append(ok & ~(alpha * q + beta * (1.0 - q) < -tol))
+                probs[p].append(np.tile(np.eye(2)[b], (R, 1)))
+                probs[1 - p].append(np.stack([q, 1.0 - q], axis=1))
+    return _first_settling(V, [np.concatenate(v) for v in probs], np.concatenate(valid),
+                           ceiling, tol)
 
 
 @dataclass(frozen=True)
@@ -685,9 +697,9 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     on the rows the steps before it leave open, as one stack: the first
     stage; the seed's Nash and ceiling checks; the pure equilibria from a
     best-response mask per player, of which the first under the ceiling
-    in lexicographic order settles the row; then one `first_stage_batch`
-    per support pattern, in ascending size then lexicographic order.  Only
-    2x2 rows left over try the boundary equilibria, one game at a time.
+    in lexicographic order settles the row; the support enumeration, one
+    solve per support size (in runs of at most B games), where a row ends
+    at its first settling pattern; and on 2x2 rows the boundary equilibria.
     Raises GameShapeError when an entry is not finite, as building the
     games would.
     """
@@ -705,7 +717,7 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     for a in (best, expected, *profiles):
         a[rows] = np.nan
 
-    def settle(rows, ok, kind, probs, pay, exp):
+    def settle(kind, rows, ok, probs, pay, exp):
         """Rows `rows[ok]` end at `kind`, at profile `probs` with deviation and
         expected payoffs `pay` and `exp` (one row each); returns the rest."""
         hit = rows[ok]
@@ -719,9 +731,8 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     if seed is not None and rows.size:
         _check_profile(counts, seed)
         probs = [np.tile(p, (len(rows), 1)) for p in seed.probs]
-        pay, exp = _bpayoffs(U[rows], probs)
-        ok = (_bnash(pay, probs, 1e-8)[0] < 0) & _under_ceiling(exp, ceiling, tol)
-        rows = settle(rows, ok, "seed", probs, pay, exp)
+        rows = settle("seed", rows, *_first_settling(U[rows], probs, np.ones(len(rows), bool),
+                                                     ceiling, tol))
 
     pure_best = np.full((B, n), np.nan)
     if rows.size:
@@ -735,26 +746,35 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
                                tol)
         cells = np.unravel_index(flat.argmax(axis=1), counts)
         probs = [np.eye(c)[a] for c, a in zip(counts, cells)]
-        rows = settle(rows, flat.any(axis=1), "pure", probs, *_bpayoffs(V, probs))
+        rows = settle("pure", rows, flat.any(axis=1), probs, *_bpayoffs(V, probs))
 
-    for pattern in _support_patterns(counts):
-        if not rows.size:
-            break
-        if len(pattern[0]) != len(pattern[1]):
-            # One block of the linear system has more rows than columns, and
-            # its structural zeros stay exact under elimination: the solve
-            # meets a zero pivot on every game and accepts none.
-            continue
-        stage = first_stage_batch(U[rows], pattern, None, ceiling, tol=tol)
-        rows = settle(rows, stage.settled, "support_enum", stage.profiles,
-                      stage.deviation_payoffs, stage.payoffs)
+    # Sizes ascend, so runs of one size keep the enumeration order; a run
+    # holds at most B (pattern, game) pairs.  Each pair is solved on supports
+    # (range(k), range(k)) with the pattern's supports moved first and the
+    # other actions after them ascending, so its coefficient and residual
+    # rows are the pattern's, the same floats in the same order.  The profiles
+    # go back to the game's action order before any payoff is contracted: a
+    # reordered tensor contracts in another order.
+    patterns = _support_patterns(counts)
+    while rows.size and patterns:
+        V, k = U[rows], len(patterns[0][0])
+        run = [p for p in patterns[:max(1, B // rows.size)] if len(p[0]) == k]
+        patterns = patterns[len(run):]
+        orders = [np.array([[*s, *(a for a in range(c) if a not in s)] for s in supps])
+                  for c, supps in zip(counts, zip(*run))]
+        system = StackedSystem(np.concatenate([V[:, :, o1][..., o2] for o1, o2 in zip(*orders)]),
+                               (range(k), range(k)))
+        X, status, _, _ = _solve(system, None)
+        probs = [np.zeros((len(X), c)) for c in counts]
+        for v, o, block in zip(probs, orders, system.split(np.clip(X, 0.0, 1.0))):
+            v[np.arange(len(X))[:, None], np.repeat(o[:, :k], len(rows), axis=0)] = block
+        rows = settle("support_enum", rows,
+                      *_first_settling(V, probs, status == _OK, ceiling, tol))
+    if rows.size and counts == (2, 2):
+        rows = settle("semi_mixed", rows, *_semi_mixed_batch(U[rows], ceiling, tol))
 
     reasons = [""] * B
     for r in rows.tolist():
-        hit = _boundary_semi_mixed(U[r], ceiling, tol) if counts == (2, 2) else None
-        if hit is not None:
-            settle(np.array([r]), np.array([True]), "semi_mixed", *hit)
-            continue
         status = STATUSES[first.status[r]]
         reason = _FIRST_STAGE_REASONS.get(status, f"support solve failed: {status}")
         reasons[r] = f"{reason}; no pure equilibrium under ceiling"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,7 +49,7 @@ class DocumentError(ValueError):
 
 
 # What a malformed JSON document raises while being decoded.
-MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def check_schema(doc, kind: str, version: int) -> None:
@@ -274,23 +273,12 @@ def deviation_payoffs(game: Game, profile: MixedProfile, player: int) -> np.ndar
     return t
 
 
-def social_welfare(game: Game, profile: MixedProfile) -> float:
-    return sum(expected_utility(game, profile, i) for i in range(game.num_players))
-
-
 def welfare_max(game: Game) -> tuple[float, tuple[int, ...]]:
     """Maximum social welfare and the lexicographically smallest argmax profile."""
     w = game.utilities.sum(axis=0)
     flat = int(np.argmax(w))  # first occurrence in C order = lexicographic min
     idx = tuple(int(x) for x in np.unravel_index(flat, w.shape))
     return float(w[idx]), idx
-
-
-def game_distance(g1: Game, g2: Game) -> float:
-    """Sup-norm distance between same-structure games, +inf otherwise."""
-    if g1.num_players != g2.num_players or g1.action_counts != g2.action_counts:
-        return math.inf
-    return float(np.max(np.abs(g1.utilities - g2.utilities)))
 
 
 def _iter_pledges(round_or_pledges) -> Iterable:
@@ -410,8 +398,9 @@ def game_from_dict(doc: dict) -> Game:
         else:
             raise KeyError("action_counts")
         payoffs = doc["payoffs"]
-    except (KeyError, TypeError) as exc:
-        raise GameShapeError(f"malformed game document: missing {exc}") from exc
+    except MALFORMED as exc:
+        what = f"missing {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+        raise GameShapeError(f"malformed game document: {what}") from exc
     total = int(np.prod(counts))
     if len(payoffs) != total or any(len(row) != n for row in payoffs):
         raise GameShapeError("payoffs array does not match players/action_counts")

@@ -87,22 +87,6 @@ class NotImprovingError(InfeasibleError):
 
 
 @dataclass(frozen=True)
-class PathSegment:
-    """A linear homotopy of utility tensors: U(lam) = start + lam * direction
-    over lam in [lam_start, lam_end].  Plans discretize segments into rounds
-    whose per-outcome spend respects the cap."""
-
-    start: Game
-    direction: np.ndarray
-    lam_start: float = 0.0
-    lam_end: float = 1.0
-
-    def at(self, lam: float) -> Game:
-        return self.start.with_utilities(self.start.utilities
-                                         + lam * self.direction)
-
-
-@dataclass(frozen=True)
 class PunishmentStage:
     """Punishment anchor in force from `first_round` on."""
 
@@ -853,15 +837,6 @@ def _stage_rounds(rates: np.ndarray, delta: float) -> tuple[list[CommitmentRound
     return rounds, lams
 
 
-def welfare_path_segment(game: Game, sigma: MixedProfile,
-                         payoff_targets: Sequence[float]) -> PathSegment:
-    """The unit homotopy moving the welfare maximizer's payoffs to the
-    requested split; its direction tensor is what the stage discretizes."""
-    rates, _ = _welfare_stage_rates(game, sigma,
-                                    [float(x) for x in payoff_targets])
-    return PathSegment(game, rates)
-
-
 def build_welfare_transfer_stage(game: Game, sigma: MixedProfile,
                                  payoff_targets: Sequence[float], delta: float, *,
                                  validate: bool = True) -> tuple[ProtocolPlan, Game]:
@@ -1054,9 +1029,10 @@ def _check_plan(plan: ProtocolPlan) -> None:
 
 
 def check_plan_for_game(plan: ProtocolPlan, game: Game) -> None:
-    """DocumentError unless the plan's baseline, punishment seeds, supports
-    and ceilings fit `game`'s players and actions; labels are 1-based, as
-    in plan files."""
+    """DocumentError unless the plan meets what every built plan meets and
+    its baseline, punishment seeds, supports and ceilings fit `game`'s
+    players and actions; labels are 1-based, as in plan files."""
+    _check_plan(plan)
     counts = game.action_counts
     n = len(counts)
 

@@ -37,12 +37,11 @@ from .games import (
     MixedProfile,
     TransferError,
     content_hash,
-    deviation_payoffs,
     expected_utility,
     round_violation,
     welfare_max,
 )
-from .protocols import FoldError, ProtocolPlan, fold_rounds
+from .protocols import FoldError, ProtocolPlan, check_plan_for_game, fold_rounds
 
 ROUND_BOUND_CONSTANT = 64.0
 # Slack of the terminal Nash check and of every deviation gain.
@@ -186,10 +185,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def best_response_payoff(game: Game, profile: MixedProfile, player: int) -> float:
-    return float(np.max(deviation_payoffs(game, profile, player)))
 
 
 def _seed_nash_applies(case: str) -> bool:
@@ -606,9 +601,14 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
                 amounts: Sequence[float] | None = None,
                 budget: int | None = None,
                 checkpoint_budget: int | None = None) -> VerificationReport:
-    """Full verification: on-path properties, deviation grid, round bound."""
+    """Full verification: on-path properties, deviation grid, round bound.
+
+    Raises DocumentError, as for a plan file, when the plan breaks what
+    every built plan meets or does not fit `game`.
+    """
     if content_hash(game) != plan.base_game_hash:
         raise ValueError("plan was built for a different game (hash mismatch)")
+    check_plan_for_game(plan, game)
     try:
         games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     except FoldError:

@@ -9,6 +9,7 @@ property of the draw and is filtered for.
 
 from __future__ import annotations
 
+import math
 import os
 import zlib
 from pathlib import Path
@@ -95,6 +96,14 @@ def feasible_payoff_split(rng, game, sigma, min_spare=0.3):
         return None
     weights = rng.dirichlet(np.ones(game.num_players))
     return [base[i] + float(weights[i]) * spare for i in range(game.num_players)]
+
+
+def game_distance(g1, g2) -> float:
+    """Sup-norm distance between same-structure games, +inf otherwise: the
+    reference for the verifier's step-size check (P1')."""
+    if g1.num_players != g2.num_players or g1.action_counts != g2.action_counts:
+        return math.inf
+    return float(np.max(np.abs(g1.utilities - g2.utilities)))
 
 
 def random_game(rng, players, counts, span=3.0, integer=False):

@@ -249,6 +249,15 @@ def _input_error_case(workdir, case):
                                       }[case]),
                           encoding="utf-8")
         return ["simulate", game, "--script", str(script), "-o", "-"]
+    if case.startswith("game"):
+        doc = json.loads((workdir / "ex3.json").read_text(encoding="utf-8"))
+        if case == "game_players_inf":
+            doc["players"] = math.inf
+        else:
+            doc["action_counts"] = [math.inf, 2]
+        path = workdir / f"{case}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return ["analyze", str(path)]
     if case == "plan_baseline_nan":
         doc = _ex3_plan_doc(workdir)
         doc["baseline"] = [[math.nan, 1.0], [0.5, 0.5]]
@@ -268,7 +277,8 @@ def _input_error_case(workdir, case):
                                   "script_not_object", "script_rounds_not_list",
                                   "script_pledge_nan", "script_delta_inf",
                                   "reproduce_unknown_id", "sigma_nan",
-                                  "plan_baseline_nan", "support_repeated"])
+                                  "plan_baseline_nan", "support_repeated",
+                                  "game_players_inf", "game_action_counts_inf"])
 def test_malformed_inputs_exit_2_without_traceback(workdir, capsys, case):
     code, err = _main(capsys, *_input_error_case(workdir, case))
     assert code == 2
@@ -320,6 +330,10 @@ _PLAN_EDITS = {
     "welfare_rounds_negative": lambda d: d.update(welfare_stage_rounds=-3),
     "expected_payoff_nan": lambda d: d.update(expected_terminal_payoffs=[math.nan, 3.0]),
     "ceiling_inf": lambda d: d["punishment"][0].update(ceiling=[math.inf, math.inf]),
+    "welfare_rounds_inf": lambda d: d.update(welfare_stage_rounds=math.inf),
+    "first_round_inf": lambda d: d["punishment"][0].update(first_round=math.inf),
+    "rounds_applied_inf": lambda d: d["checkpoints"][0].update(rounds_applied=math.inf),
+    "payer_inf": lambda d: d["rounds"][0][0].update(payer=math.inf),
 }
 
 

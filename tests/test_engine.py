@@ -15,12 +15,10 @@ from commitment_games import (
     TransferError,
     apply_transfers,
     cast_votes,
-    game_distance,
     open_session,
     play_terminal,
     replay,
     submit_round,
-    validate_round,
 )
 from commitment_games.engine import (
     Transcript,
@@ -29,10 +27,10 @@ from commitment_games.engine import (
     transcript_from_dict,
     transcript_to_dict,
 )
-from commitment_games.games import DocumentError
+from commitment_games.games import DocumentError, round_violation
 from commitment_games.catalog import chicken, prisoners_dilemma, unfair_split
 
-from conftest import random_game
+from conftest import game_distance, random_game
 
 
 def _pay_round(amount=1.0):
@@ -51,20 +49,25 @@ def test_open_session_validation():
         open_session(game, 1.0, "barter")
 
 
+def _validate_round(state, round):
+    """The first session rule `round` breaks in `state`, or None."""
+    return round_violation(state.current_game, round, state.delta, state.mode)
+
+
 def test_validate_round_examples():
     state = open_session(unfair_split(), 1.0)
-    assert validate_round(state, _pay_round(1.0)) is None
-    violation = validate_round(state, _pay_round(1.5))
+    assert _validate_round(state, _pay_round(1.0)) is None
+    violation = _validate_round(state, _pay_round(1.5))
     assert violation is not None and violation.code == "cap"
     assert violation.payer == 0 and violation.outcome == (1, 1)
 
     burn_state = open_session(unfair_split(), 1.0, "burn_only")
-    violation = validate_round(burn_state, _pay_round(1.0))
+    violation = _validate_round(burn_state, _pay_round(1.0))
     assert violation is not None and violation.code == "mode"
 
     split = CommitmentRound((Pledge(0, (1, 1), 1, 0.6),
                              Pledge(0, (1, 1), BURN, 0.6)))
-    assert validate_round(state, split).code == "cap"  # cap sums per outcome
+    assert _validate_round(state, split).code == "cap"  # cap sums per outcome
 
 
 @pytest.mark.parametrize("code, pledge, mode", [
@@ -82,7 +85,7 @@ def test_round_rules_agree_on_every_path(code, pledge, mode):
         apply_transfers(state.current_game, round, delta=1.0, mode=mode)
     with pytest.raises(RoundViolationError) as submitted:
         submit_round(state, round)
-    reports = [validate_round(state, round), folded.value.violation,
+    reports = [_validate_round(state, round), folded.value.violation,
                submitted.value.violation]
     assert all(v == reports[0] for v in reports)
     assert (reports[0].code, reports[0].payer, reports[0].outcome) == (
@@ -228,6 +231,10 @@ def test_transcript_with_tampered_base_game_is_rejected(tmp_path):
     with pytest.raises(DocumentError, match="rounds"):
         transcript_from_dict({k: v for k, v in transcript_to_dict(state).items()
                               if k != "rounds"})
+    infinite_payer = transcript_to_dict(state)
+    infinite_payer["rounds"][0][0]["payer"] = math.inf
+    with pytest.raises(DocumentError, match="OverflowError"):
+        transcript_from_dict(infinite_payer)
 
 
 def test_states_are_immutable_values():

@@ -439,21 +439,40 @@ def test_punish_batch_matches_scalar_search_row_for_row():
     assert np.all(np.isnan(found.pure_best[:2]))
 
 
-def test_bsolve_bisects_down_to_the_singular_rows(monkeypatch):
+def _spied(monkeypatch, names):
+    """Patch each of `names` in `np.linalg` to record (name, shape of the
+    matrix stack) in the returned list before it runs."""
+    calls = []
+    for name in names:
+        def spy(a, *rest, _name=name, _f=getattr(np.linalg, name)):
+            calls.append((_name, a.shape))
+            return _f(a, *rest)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def _solve_sizes(monkeypatch):
+    """Patch `equilibria._solve` to record the games of each call in the
+    returned list."""
+    sizes, solve = [], equilibria._solve
+
+    def spied(system, *args, **kwargs):
+        sizes.append(len(system.utilities))
+        return solve(system, *args, **kwargs)
+
+    monkeypatch.setattr(equilibria, "_solve", spied)
+    return sizes
+
+
+def test_bsolve_finds_the_singular_rows_from_one_factorisation(monkeypatch):
     rng = np.random.default_rng(5)
     A = rng.uniform(-1, 1, (64, 5, 5))
     b = rng.uniform(-1, 1, (64, 5))
     singular_rows = (0, 31, 63)
     A[list(singular_rows), :, 2] = 0.0  # a zero column: an exact zero pivot
-    calls = []
-    solve = np.linalg.solve
-
-    def counted(a, rhs):
-        calls.append(a.shape)
-        return solve(a, rhs)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    calls = _spied(monkeypatch, ("solve", "slogdet"))
     x, singular = equilibria._bsolve(A, b)
+    everything_singular = equilibria._bsolve(np.zeros((2, 3, 3)), np.ones((2, 3)))
     monkeypatch.undo()
     assert np.flatnonzero(singular).tolist() == list(singular_rows)
     for r in range(len(A)):
@@ -461,9 +480,87 @@ def test_bsolve_bisects_down_to_the_singular_rows(monkeypatch):
             assert np.all(np.isnan(x[r]))
         else:
             assert x[r].tobytes() == np.linalg.solve(A[r], b[r]).tobytes()
-    # Each singular row costs at most two solves per halving of the stack.
-    assert len(calls) <= 1 + 2 * len(singular_rows) * 6
-    assert calls[0] == (64, 5, 5) and calls.count((1, 5, 5)) == 2 * len(singular_rows)
+    # One failed solve, one factorisation, one solve of the other rows.
+    assert calls[:3] == [("solve", (64, 5, 5)), ("slogdet", (64, 5, 5)),
+                         ("solve", (61, 5, 5))]
+    assert calls[3:] == [("solve", (2, 3, 3)), ("slogdet", (2, 3, 3)), ("solve", (0, 3, 3))]
+    assert everything_singular[1].tolist() == [True, True]
+    assert np.all(np.isnan(everything_singular[0]))
+
+
+def _rows_open_to_enumeration():
+    """Two 3x3 games that reach the support enumeration under full supports,
+    a uniform seed and ceiling (10, 10): matching pennies on the first two
+    actions with the third strictly dominated (it settles at the first size-2
+    pattern), and the same game plus 100 (every equilibrium is over the
+    ceiling); and rock-paper-scissors, which the first stage settles."""
+    pennies = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-2.0, -2.0, -2.0]])
+    enum = np.stack([pennies, -pennies.T])
+    enum[1, :, 2] = -2.0
+    enum[1, 2, :2] = 0.0
+    rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    return enum, enum + 100.0, np.stack([rps, -rps])
+
+
+def test_support_enumeration_solves_once_per_support_size(monkeypatch):
+    enum, over, settled = _rows_open_to_enumeration()
+    stack = np.stack([settled] * 16 + [enum, over])  # 2 of 18 rows enumerate
+    supports = [(0, 1, 2), (0, 1, 2)]
+    seed = MixedProfile.uniform_over((3, 3), supports)
+    sizes = _solve_sizes(monkeypatch)
+    found = punish_batch(stack, supports, seed, (10.0, 10.0))
+    monkeypatch.undo()
+    assert found.kinds[:16] == ("support_solve",) * 16
+    assert found.kinds[16:] == ("support_enum", "none")
+    assert found.profile(16) == MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    # The first stage, then one stacked solve each for sizes 1, 2 and 3: the
+    # two open rows on the nine size-1 patterns, on the nine size-2
+    # patterns, then the row left open on the full supports.
+    assert sizes == [18, 18, 18, 1]
+    _assert_rows_match_scalar_search(stack, supports, seed, (10.0, 10.0))
+
+
+def test_support_enumeration_runs_hold_at_most_the_stack(monkeypatch):
+    # Every row reaches the enumeration of a 4x4 game (69 equal-size
+    # patterns, 36 of size 2), so each run holds a single pattern until
+    # rows settle.
+    rng = np.random.default_rng(3)
+    supports = [(0,), (0,)]
+    seed = MixedProfile.uniform_over((4, 4), supports)
+    draws = rng.integers(-1, 2, (96, 2, 4, 4)).astype(float)
+    kinds = punish_batch(draws, supports, seed, (0.5, 0.5)).kinds
+    stack = draws[[k in ("support_enum", "none") for k in kinds]][:12]
+    sizes = _solve_sizes(monkeypatch)
+    found = punish_batch(stack, supports, seed, (0.5, 0.5))
+    monkeypatch.undo()
+    assert len(stack) == 12 and set(found.kinds) == {"support_enum", "none"}
+    assert max(sizes) <= len(stack) and len(sizes) > 40
+
+
+def _settling_candidate(found, r):
+    """Row r's punishment: its supports for kind "support_enum", its
+    probabilities for "semi_mixed"."""
+    if found.kinds[r] == "support_enum":
+        return tuple(tuple(np.flatnonzero(p[r]).tolist()) for p in found.profiles)
+    return tuple(tuple(p[r].tolist()) for p in found.profiles)
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (3, 3), (4, 4)])
+def test_stacked_enumeration_and_boundary_match_scalar_search(counts):
+    # Ties in -1..1 games leave many rows to the enumeration under a pure
+    # anchor; they settle at different patterns (and, on 2x2, at different
+    # boundary candidates).  Every other row keeps the anchor, so a run holds
+    # two patterns or more, and the 4x4 stack still splits each size's runs.
+    rng = np.random.default_rng(len(counts) + counts[0])
+    supports = [(0,), (0,)]
+    seed = MixedProfile.uniform_over(counts, supports)
+    stack = rng.integers(-1, 2, (64 if counts == (4, 4) else 96, 2, *counts)).astype(float)
+    stack[1::2] = -1.0
+    stack[1::2, :, 0, 0] = 0.0
+    found = _assert_rows_match_scalar_search(stack, supports, seed, (0.5, 0.5))
+    kind = "semi_mixed" if counts == (2, 2) else "support_enum"
+    assert len({_settling_candidate(found, r) for r in range(len(stack))
+                if found.kinds[r] == kind}) >= 3
 
 
 @pytest.mark.parametrize("case", ["full_2p", "full_3p", "partial_2p"])

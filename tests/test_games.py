@@ -13,11 +13,9 @@ from commitment_games import (
     TransferError,
     apply_transfers,
     expected_utility,
-    game_distance,
     game_from_dict,
     game_to_dict,
     pareto_improves,
-    social_welfare,
     welfare_max,
 )
 from commitment_games.engine import CommitmentRound
@@ -32,7 +30,7 @@ from commitment_games.catalog import (
     unfair_split,
 )
 
-from conftest import random_game
+from conftest import game_distance, random_game
 
 
 def test_game_shape_validation():
@@ -180,12 +178,6 @@ def test_pareto_improves_examples():
     baseline = MixedProfile.pure((2, 2), (0, 0))
     ok, L = pareto_improves(shifted, (1, 1), baseline)
     assert ok and L == pytest.approx(3.0, abs=1e-12)
-
-
-def test_social_welfare_matches_sum():
-    game = unfair_split()
-    prof = MixedProfile.pure((2, 2), (1, 1))
-    assert social_welfare(game, prof) == pytest.approx(7.0, abs=1e-12)
 
 
 def test_json_round_trip_is_bit_exact(rng):

@@ -474,19 +474,6 @@ def test_every_round_respects_the_cap():
         assert all(v <= 0.25 + 1e-12 for v in totals.values())
 
 
-def test_welfare_path_segment_matches_stage():
-    from commitment_games import welfare_path_segment
-
-    game = unfair_split()
-    sigma = MixedProfile.pure((2, 2), (0, 0))
-    segment = welfare_path_segment(game, sigma, (4.0, 3.0))
-    assert segment.at(0.0) == game
-    end = segment.at(1.0)
-    assert tuple(end.payoffs((1, 1))) == (4.0, 3.0)
-    _, terminal = build_welfare_transfer_stage(game, sigma, (4.0, 3.0), 1.0)
-    assert np.max(np.abs(end.utilities - terminal.utilities)) <= 1e-12
-
-
 def test_coefficient_shift_compiles_to_the_displayed_pattern():
     # binary three-player case: signs (+,-,-,+) compile to burns at the
     # compared action's outcome for + entries and at the complementary

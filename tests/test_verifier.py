@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 from collections import Counter
 from unittest import mock
 
@@ -33,12 +34,12 @@ from commitment_games.catalog import (
 )
 from commitment_games.equilibria import first_stage_batch, punish_batch
 from commitment_games.games import (
+    DocumentError,
     Game,
     GameShapeError,
     TransferError,
     apply_transfers,
     content_hash,
-    game_distance,
     welfare_max,
 )
 from commitment_games.games import OutcomeTarget
@@ -47,18 +48,22 @@ from commitment_games.verifier import (
     DeviationClassResult,
     DeviationFinding,
     PropertyResult,
-    best_response_payoff,
     commitment_deviation_moves,
 )
 
 import scalar_reference as reference
 from conftest import (
     feasible_payoff_split,
+    game_distance,
     full_support_multiplayer,
     full_support_two_player,
     mismatching_two_by_two,
     small_integer_plan,
 )
+
+
+def best_response_payoff(game, profile, player):
+    return float(np.max(deviation_payoffs(game, profile, player)))
 
 
 def split_plan(delta=1.0):
@@ -104,6 +109,19 @@ def test_sabotaged_plan_fails_with_round_index():
     assert results["round_cap"].witness == {"round": 2}
     report = verify_plan(game, bad)
     assert not report.accepted
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"welfare_stage_rounds": 999}, "welfare_stage_rounds 999 is outside"),
+    ({"welfare_stage_rounds": -3}, "welfare_stage_rounds -3 is outside"),
+    ({"baseline": MixedProfile.pure((3, 2), (0, 0))}, "baseline has [3, 2] actions"),
+])
+def test_verify_plan_checks_a_plan_built_in_process(changes, message):
+    # Plan files pass these checks when they are read; an in-process plan
+    # meets them at `verify_plan`.
+    game, plan = split_plan()
+    with pytest.raises(DocumentError, match=re.escape(message)):
+        verify_plan(game, dataclasses.replace(plan, **changes))
 
 
 def test_deviation_classes_on_split_plan():
@@ -674,21 +692,25 @@ def test_batched_first_stage_matches_scalar_search_hypothesis():
     run()
 
 
-def test_singular_row_is_retried_alone_and_left_to_the_fallback():
+def test_singular_row_is_found_by_one_factorisation_and_left_to_the_fallback():
     game, plan = prize_plan()
     stage = plan.punishment[0]
     stack = np.stack([game.utilities, np.zeros_like(game.utilities),
                       game.utilities])
-    shapes = []
-    solve = np.linalg.solve
+    calls = []
+    solve, slogdet = np.linalg.solve, np.linalg.slogdet
 
-    def spied(a, b):
-        shapes.append(a.shape)
-        return solve(a, b)
+    def spied(name, f):
+        def call(a, *rest):
+            calls.append((name, a.shape))
+            return f(a, *rest)
+        return call
 
-    with mock.patch.object(np.linalg, "solve", spied):
+    with mock.patch.object(np.linalg, "solve", spied("solve", solve)), \
+            mock.patch.object(np.linalg, "slogdet", spied("slogdet", slogdet)):
         first = first_stage_batch(stack, stage.supports, stage.seed, stage.ceiling)
-    assert shapes == [(3, 6, 6), (1, 6, 6), (2, 6, 6), (1, 6, 6), (1, 6, 6)]
+    # One failed solve, one factorisation, one solve of the other rows.
+    assert calls == [("solve", (3, 6, 6)), ("slogdet", (3, 6, 6)), ("solve", (2, 6, 6))]
     assert first.settled.tolist() == [True, False, True]
     scalar = reference.find_punishment_equilibrium(
         game, stage.supports, stage.seed, stage.ceiling)
