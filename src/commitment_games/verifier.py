@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -54,6 +55,7 @@ ROW_BUDGET = 1024
 
 DEVIATION_CLASSES = ("commitment", "early_stop", "continue_when_stop",
                      "terminal_action")
+PrefixPunishments = dict[int, tuple[str, np.ndarray, str]]
 
 
 @dataclass(frozen=True)
@@ -211,33 +213,32 @@ def _stage_groups(plan: ProtocolPlan, ks: Sequence[int], rows_per_prefix: int = 
         yield stage, group
 
 
-def _stage_punishments(plan: ProtocolPlan, U: np.ndarray,
-                       ks: Sequence[int]) -> tuple[list[str], np.ndarray, list[str]]:
-    """The punishment search on each prefix game k in `ks`, in order: the
-    kinds, each player's best-response payoff (one row per k) and the
-    reasons, from one `punish_batch` per punishment stage on the stack `U`."""
-    kinds, best, reasons = [], [], []
+def _prefix_punishments(plan: ProtocolPlan, U: np.ndarray,
+                        ks: Sequence[int]) -> PrefixPunishments:
+    """The punishment search on each prefix game k in `ks`: k's kind, each
+    player's best-response payoff and the reason, from one `punish_batch`
+    per punishment stage on the stack `U`."""
+    found = {}
     for stage, group in _stage_groups(plan, ks):
         res = punish_batch(U[group], stage.supports, stage.seed, stage.ceiling)
-        kinds += res.kinds
-        best.append(res.best_response)
-        reasons += res.reasons
-    return kinds, np.concatenate(best), reasons
+        found.update(zip(group, zip(res.kinds, res.best_response, res.reasons)))
+    return found
 
 
 def _verdict(ok, detail: str = "") -> PropertyResult:
     return PropertyResult("pass" if ok else "fail", detail)
 
 
-def check_on_path(game: Game, plan: ProtocolPlan,
-                  checkpoint_budget: int | None = None, *,
-                  games: Sequence[Game] | None = None) -> dict[str, PropertyResult]:
+def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None = None, *,
+                  games: Sequence[Game] | None = None,
+                  punishments: PrefixPunishments | None = None) -> dict[str, PropertyResult]:
     """Replay the plan and evaluate its construction promises per checkpoint.
 
     `checkpoint_budget` caps how many checkpoints get the expensive anchor
     and punishment checks (endpoints always included); cheap whole-plan
     scans stay exhaustive.  Leave it None for the definitive run.  `games`
-    are the plan's prefix games when the caller has folded them already.
+    are the plan's prefix games and `punishments` the search on them when
+    the caller has them already.
     Every check reads one stack U of the prefix games, U[k] after k rounds;
     the checkpoint checks run per punishment stage or profile on its rows,
     and a failure's witness is read off its row.
@@ -275,10 +276,10 @@ def check_on_path(game: Game, plan: ProtocolPlan,
         if j is not None:
             anchor_fail = {"checkpoint": probed[j], "player": checks[j].player + 1,
                            "gain": checks[j].gain}
-    kinds, _, reasons = _stage_punishments(plan, U, probed)
-    if "none" in kinds:
-        j = kinds.index("none")
-        punish_fail = {"checkpoint": probed[j], "reason": reasons[j]}
+    punishments = punishments or _prefix_punishments(plan, U, probed)
+    k = next((k for k in probed if punishments[k][0] == "none"), None)
+    if k is not None:
+        punish_fail = {"checkpoint": k, "reason": punishments[k][2]}
     if full_support_case:
         stack = U[probed]
         nd = non_degenerate_batch(stack, plan.baseline)
@@ -431,35 +432,39 @@ def _prefix_indices(total: int, budget: int | None) -> list[int]:
     return sorted(picked)
 
 
-def _cell_edits(game: Game, pledge_lists) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Pledge lists as cell updates of a stack of flattened utility tensors.
-
-    Row m of the stack takes `pledge_lists[m]`.  Slot s holds the s-th
-    update of every row that has one, as (rows, cells, signed amounts), in
-    the order `apply_transfers` makes them: per pledge the payer's debit,
-    then the recipient's credit.  Adding -a is `u -= a` bit for bit, so
-    the folded bits match.
-    """
+def _edit_lists(game: Game, pledge_lists) -> list[tuple[tuple[int, float], ...]]:
+    """Each pledge list as (flat cell, signed amount) updates of a flattened
+    utility tensor, in the order `apply_transfers` makes them: per pledge
+    the payer's debit, then the recipient's credit.  Adding -a is `u -= a`
+    bit for bit, so the folded bits match."""
     shape = game.utilities.shape
-    slots: list[list[tuple[int, int, float]]] = []
-    for m, pledges in enumerate(pledge_lists):
+    block, *strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
+    lists = []
+    for pledges in pledge_lists:
         edits = []
         for p in pledges:
-            edits.append(((p.payer, *p.outcome), -float(p.amount)))
+            at = sum(map(operator.mul, p.outcome, strides))
+            edits.append((p.payer * block + at, -float(p.amount)))
             if p.recipient != BURN:
-                edits.append(((p.recipient, *p.outcome), float(p.amount)))
-        for s, (cell, amount) in enumerate(edits):
-            if s == len(slots):
-                slots.append([])
-            slots[s].append((m, int(np.ravel_multi_index(cell, shape)), amount))
+                edits.append((p.recipient * block + at, float(p.amount)))
+        lists.append(tuple(edits))
+    return lists
+
+
+def _cell_edits(edit_lists) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Edit lists as cell updates of a stack of flattened utility tensors:
+    row m of the stack takes `edit_lists[m]`, and slot s holds the s-th
+    update of every row that has one, as (rows, cells, signed amounts)."""
+    slots = [[(m, *edits[s]) for m, edits in enumerate(edit_lists) if s < len(edits)]
+             for s in range(max(map(len, edit_lists), default=0))]
     return [tuple(np.array(col) for col in zip(*slot)) for slot in slots]
 
 
-def _check_moves(game: Game, moves, flat: np.ndarray, plan: ProtocolPlan) -> None:
-    """Raise what folding each move into the first prefix's deviation game
-    would raise, move by move: the round's first broken rule, else
-    non-finite utilities.  `flat` holds the folded games, one flattened
-    row per move.
+def _check_moves(game: Game, pledge_lists, finite: np.ndarray, plan: ProtocolPlan) -> None:
+    """Raise what folding each move's pledges into the first prefix's
+    deviation game would raise, move by move: the round's first broken
+    rule, else non-finite utilities.  `finite` says, per move, whether its
+    folded game is finite.
 
     A move's pledges all have payer d and the others' never do, so their
     cap totals never mix, and a round's rules depend only on the game's
@@ -467,8 +472,7 @@ def _check_moves(game: Game, moves, flat: np.ndarray, plan: ProtocolPlan) -> Non
     it at every prefix would.  Non-finite games of later prefixes raise in
     `punish_batch`, with the same message.
     """
-    finite = np.isfinite(flat).all(axis=1)
-    for (_, pledges), ok in zip(moves, finite.tolist()):
+    for pledges, ok in zip(pledge_lists, finite.tolist()):
         v = round_violation(game, pledges, plan.delta, plan.mode)
         if v is not None:
             raise TransferError(v.code, v.message, v.payer, v.outcome)
@@ -476,20 +480,23 @@ def _check_moves(game: Game, moves, flat: np.ndarray, plan: ProtocolPlan) -> Non
             raise GameShapeError("utilities must be finite")
 
 
-def check_deviations(game: Game, plan: ProtocolPlan, *,
-                     amounts: Sequence[float] | None = None,
-                     budget: int | None = None,
-                     games: Sequence[Game] | None = None) -> dict[str, DeviationClassResult]:
+def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float] | None = None,
+                     budget: int | None = None, games: Sequence[Game] | None = None,
+                     punishments: PrefixPunishments | None = None
+                     ) -> dict[str, DeviationClassResult]:
     """Probe the four deviation classes against the plan's punishment rule.
 
     The deviation games of consecutive prefixes under one punishment stage
     are solved as one stack of at most ROW_BUDGET games (or one prefix's):
     per prefix and deviator, the prefix game with the others' pledges
-    folded in as cell updates, plus each move's cell updates.  Each
-    stack's findings are reduced as arrays (`DeviationClassResult.
-    record_rows`): a gain per row, the first largest as the worst, and a
-    `DeviationFinding` only for rows without a punishment.  `games` are
-    the plan's prefix games when the caller has folded them already.
+    folded in as cell updates, plus each move's cell updates.  Moves with
+    the same cell updates make the same game, so a stack holds each
+    deviator's distinct games once and its duplicate moves share that
+    row's search.  Each stack's findings are reduced as arrays, one row
+    per move (`DeviationClassResult.record_rows`): a gain per row, the
+    first largest as the worst, and a `DeviationFinding` only for rows
+    without a punishment.  `games` are the plan's prefix games and
+    `punishments` the search on them when the caller has them already.
     """
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if games is None else games
@@ -498,15 +505,18 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
 
-    # One prefix's rows: each deviator's moves, deviator by deviator.
+    # One prefix's rows: each deviator's distinct moves; move m reads row spread[m].
     per_player = [commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
                   for d in range(n)]
-    moves = [move for m in per_player for move in m]
-    names = [name for name, _ in moves]
-    width = len(moves)
-    sizes = [len(m) for m in per_player]
-    deviator = np.repeat(np.arange(n), sizes)
-    edits = _cell_edits(game, [pledges for _, pledges in moves])
+    names, pledge_lists = zip(*[move for m in per_player for move in m])
+    deviator = np.repeat(np.arange(n), [len(m) for m in per_player])
+    edit_lists = _edit_lists(game, pledge_lists)
+    row_of: dict = {}
+    spread = np.array([row_of.setdefault(key, len(row_of))
+                       for key in zip(deviator.tolist(), edit_lists)])
+    width = len(row_of)
+    sizes = np.bincount([d for d, _ in row_of], minlength=n).tolist()
+    edits = _cell_edits([e for _, e in row_of])
     prefixes = _prefix_indices(R, budget)
     for stage, group in _stage_groups(plan, prefixes, width):
         # Per prefix k and deviator d, prefix game k with the others'
@@ -516,7 +526,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
         flat = base.reshape(len(base), -1)
         others = [[p for p in plan.rounds[k].pledges if p.payer != d]
                   for k in group for d in range(n)]
-        for rows, cells, values in _cell_edits(game, others):
+        for rows, cells, values in _cell_edits(_edit_lists(game, others)):
             flat[rows, cells] += values
         stack = np.repeat(base, sizes * len(group), axis=0)
         flat = stack.reshape(len(stack), -1)
@@ -525,24 +535,29 @@ def check_deviations(game: Game, plan: ProtocolPlan, *,
             flat[(offsets + rows).ravel(), np.tile(cells, len(group))] += \
                 np.tile(values, len(group))
         if group[0] == prefixes[0]:
-            _check_moves(game, moves, flat[:width], plan)
+            _check_moves(game, pledge_lists, np.isfinite(flat[:width]).all(axis=1)[spread], plan)
         found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
-        rows, dev = np.arange(len(stack)), np.tile(deviator, len(group))
-        gains = found.best_response[rows, dev] - on_path[dev]
-        none = np.asarray(found.kinds) == "none"
+        best, kinds, pure_best = found.best_response, found.kinds, found.pure_best
+        if width < len(names):
+            at = (offsets + spread).ravel()
+            best, pure_best, kinds = best[at], pure_best[at], [kinds[r] for r in at.tolist()]
+        rows, dev = np.arange(len(best)), np.tile(deviator, len(group))
+        gains = best[rows, dev] - on_path[dev]
+        none = np.asarray(kinds) == "none"
         if none.any():
             # Priced at the deviator's best pure equilibrium, if any.
-            pure = found.pure_best[rows[none], dev[none]]
+            pure = pure_best[rows[none], dev[none]]
             gains[none] = np.where(pure > -math.inf, pure - on_path[dev[none]],
                                    math.inf)
         results["commitment"].record_rows(
-            FindingRows(gains, found.kinds, group, deviator, names))
+            FindingRows(gains, kinds, group, deviator, names))
 
     # The first vote happens after round 1.
     stops = [k for k in prefixes if k != 0]
     if stops:
-        kinds, best, _ = _stage_punishments(plan, U, stops)
-        gains = best - on_path
+        punishments = punishments or _prefix_punishments(plan, U, stops)
+        kinds = [punishments[k][0] for k in stops]
+        gains = np.stack([punishments[k][1] for k in stops]) - on_path
         gains[np.asarray(kinds) == "none"] = math.inf
         results["early_stop"].record_rows(FindingRows(
             gains.ravel(), [kind for kind in kinds for _ in range(n)], stops,
@@ -613,13 +628,18 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
         games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     except FoldError:
         games = None  # check_on_path reports the failing round
+    # One search serves the probed checkpoints and the early stops.
+    punishments = None if games is None else _prefix_punishments(
+        plan, np.stack([g.utilities for g in games]),
+        sorted({*_prefix_indices(len(games), checkpoint_budget),
+                *_prefix_indices(len(games) - 1, budget)}))
     properties = check_on_path(game, plan, checkpoint_budget=checkpoint_budget,
-                               games=games)
+                               games=games, punishments=punishments)
     if properties["round_cap"].status == "fail":
         deviations = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
     else:
-        deviations = check_deviations(game, plan, amounts=amounts,
-                                      budget=budget, games=games)
+        deviations = check_deviations(game, plan, amounts=amounts, budget=budget,
+                                      games=games, punishments=punishments)
     bound = round_bound_check(plan, game)
     grid = {
         "amounts": list(amounts) if amounts else [plan.delta / 2, plan.delta],

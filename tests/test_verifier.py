@@ -229,9 +229,11 @@ def test_report_serialization_round_trip():
 # Differential tests: the batched grid against the per-game scalar loop.
 # ---------------------------------------------------------------------------
 
-def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=None):
+def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=None,
+                             punishments=None):
     """Reference grid: fold and search every deviation game one at a time.
-    `games` is accepted for `verify_plan`'s call and ignored."""
+    `games` and `punishments` are accepted for `verify_plan`'s call and
+    ignored."""
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     R, n = plan.num_rounds, game.num_players
@@ -304,6 +306,20 @@ def _recorded_findings():
     with mock.patch.object(DeviationClassResult, "record", logged), \
             mock.patch.object(DeviationClassResult, "record_rows", logged_rows):
         yield log
+
+
+@contextlib.contextmanager
+def _recorded_stacks():
+    """Every stack the verifier hands `punish_batch`, in call order."""
+    stacks = []
+    batch = verifier.punish_batch
+
+    def recorded(utilities, *args):
+        stacks.append(np.array(utilities))
+        return batch(utilities, *args)
+
+    with mock.patch.object(verifier, "punish_batch", recorded):
+        yield stacks
 
 
 def _assert_same_rows(batched, scalar):
@@ -399,6 +415,25 @@ def test_batched_grid_raises_what_the_scalar_loop_raises(case):
     assert raised[0][0] is (TransferError if case == "over_cap" else GameShapeError)
 
 
+def _distinct_moves(game, plan, d, amounts=None):
+    """Deviator d's grid moves that fold to a new game: the first of each
+    set of moves with the same cell edits (per pledge the payer's debit,
+    then the recipient's credit)."""
+    amounts = amounts or (plan.delta / 2, plan.delta)
+    seen, kept = set(), []
+    for name, pledges in commitment_deviation_moves(game, d, plan.delta, plan.mode,
+                                                    amounts):
+        edits = []
+        for p in pledges:
+            edits.append(((p.payer, *p.outcome), -p.amount))
+            if p.recipient != BURN:
+                edits.append(((p.recipient, *p.outcome), p.amount))
+        if tuple(edits) not in seen:
+            seen.add(tuple(edits))
+            kept.append((name, pledges))
+    return kept
+
+
 def _welfare_then_burn_plan():
     """A 2x2 transfers plan whose burn sub-plan takes over at round 3 of 6."""
     rng = np.random.default_rng(0)
@@ -422,24 +457,17 @@ CHUNK_CASES = {
 ])
 def test_chunked_grid_matches_scalar_loop(monkeypatch, case, prefixes, kwargs):
     game, plan = CHUNK_CASES[case]()
-    rows = sum(len(commitment_deviation_moves(game, d, plan.delta, plan.mode,
-                                              (plan.delta / 2, plan.delta)))
-               for d in range(game.num_players))
+    rows = sum(len(_distinct_moves(game, plan, d)) for d in range(game.num_players))
     # Below two prefixes' rows, a chunk holds one prefix.
     budget = 2 * rows - 1 if prefixes == 1 else prefixes * rows
     monkeypatch.setattr(verifier, "ROW_BUDGET", budget)
-    sizes = []
-    batch = verifier.punish_batch
-
-    def recorded(utilities, *args):
-        sizes.append(len(utilities))
-        return batch(utilities, *args)
-
-    monkeypatch.setattr(verifier, "punish_batch", recorded)
-    _assert_grids_agree(game, plan, **kwargs)
+    with _recorded_stacks() as stacks:
+        _assert_grids_agree(game, plan, **kwargs)
+    sizes = [len(u) for u in stacks]
     assert max(sizes) == prefixes * rows
     if case == "welfare_then_burn":
         assert plan.punishment[1].first_round == 3 and rows in sizes
+        assert rows == 2 * 29  # 37 moves per deviator, 8 of them M/P twins
 
 
 def test_spoiler_grid_builds_no_game_in_the_punishment_chain():
@@ -506,18 +534,9 @@ def test_base_rows_fold_the_others_pledges_as_apply_transfers_does():
     for game, plan in _base_row_cases():
         n = game.num_players
         games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
-        stacks = []
-        batch = verifier.punish_batch
-
-        def recorded(utilities, *args):
-            stacks.append(np.array(utilities))
-            return batch(utilities, *args)
-
-        with mock.patch.object(verifier, "punish_batch", recorded):
+        with _recorded_stacks() as stacks:
             check_deviations(game, plan, games=games)
-        sizes = [len(commitment_deviation_moves(game, d, plan.delta, plan.mode,
-                                                (plan.delta / 2, plan.delta)))
-                 for d in range(n)]
+        sizes = [len(_distinct_moves(game, plan, d)) for d in range(n)]
         # The commitment grid's stacks come first, then the early stops'.
         grid = np.concatenate(stacks)[:len(plan.rounds) * sum(sizes)]
         for k, r in enumerate(plan.rounds):
@@ -603,6 +622,112 @@ def test_grid_builds_no_per_row_objects(case):
         assert structural == 0
     else:
         assert structural == 574
+
+
+# Moves that fold to the same game share one stack row.
+
+def test_ex6_stacks_hold_each_distinct_deviation_game_once():
+    game = three_player_cycle()
+    sigma = MixedProfile.uniform_over((2, 2, 2), [(0, 1)] * 3)
+    plan = build_plan(game, sigma, target=(0, 0, 0), delta=0.01)
+    with _recorded_stacks() as stacks:
+        results = check_deviations(game, plan)
+    # Each deviator has two actions, so each of its 16 M moves burns where
+    # a P move does: 17 distinct games of 33 moves.
+    assert [len(_distinct_moves(game, plan, d)) for d in range(3)] == [17] * 3
+    *grid, stops = [len(u) for u in stacks]
+    assert sum(grid) == 50 * 51 and all(size % 51 == 0 for size in grid)
+    assert stops == 49
+    assert results["commitment"].checked == 50 * 99 == 4950
+
+
+def test_transfers_grid_folds_only_the_burn_twins():
+    game, plan = split_plan()
+    amounts = (0.5, 1.0)
+    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    with _recorded_stacks() as stacks:
+        check_deviations(game, plan, amounts=amounts, games=games)
+    kept = [_distinct_moves(game, plan, d, amounts) for d in range(2)]
+    width = sum(map(len, kept))
+    grid = np.concatenate(stacks)[:len(plan.rounds) * width]
+    assert len(np.concatenate(stacks)) > len(grid)  # the early stops follow
+    for d in range(2):
+        moves = commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
+        names = [name for name, _ in kept[d]]
+        dropped = [name for name, _ in moves if name not in names]
+        assert len(moves) == 37 and len(dropped) == 8
+        # Each dropped move is the burn twin of a kept one: M at o burns at
+        # o', the deviator's other action, as P at o' does.
+        for name in dropped:
+            kind, *o, x = re.fullmatch(r"([MP])\((\d), (\d)\)x(.*)", name).groups()
+            o[d] = str(1 - int(o[d]))
+            assert f"{'P' if kind == 'M' else 'M'}({o[0]}, {o[1]})x{x}" in names
+        assert all(name in names for name, _ in moves if name[0] in "TA")
+        # The stack holds the kept moves' games, bit for bit.
+        for k, r in enumerate(plan.rounds):
+            others = tuple(p for p in r.pledges if p.payer != d)
+            rows = grid[k * width + len(kept[0]) * d:][:len(kept[d])]
+            for row, (_, pledges) in zip(rows, kept[d]):
+                want = apply_transfers(games[k], CommitmentRound(others + tuple(pledges)),
+                                       delta=plan.delta, mode=plan.mode).utilities
+                assert row.tobytes() == want.tobytes()
+
+
+def test_worst_gain_on_a_folded_twin_names_the_scalar_loops_move():
+    game, plan = mismatching_two_by_two(np.random.default_rng(1))
+    with _recorded_stacks() as stacks, _recorded_findings() as rows:
+        results = check_deviations(game, plan)
+    worst = results["commitment"].worst
+    x = worst.move.split("x")[1]
+    assert (worst.player, worst.move) == (0, f"M(0, 0)x{x}")
+    # Its twin P(1, 0)x burns at the same cell and shares its row, so the
+    # two gains tie; the first of the two is the worst.
+    twin = next(f for f in rows if (f.prefix, f.player, f.move)
+                == (worst.prefix, 0, f"P(1, 0)x{x}"))
+    assert twin.gain == worst.gain == results["commitment"].worst_gain
+    # 17 moves per deviator fold to 9 games.
+    assert len(_distinct_moves(game, plan, 0)) == 9
+    assert sum(len(u) for u in stacks[:-1]) == len(plan.rounds) * 2 * 9
+    _assert_grids_agree(game, plan)
+
+
+def test_overflowing_twin_at_a_later_prefix_raises_what_the_scalar_loop_raises():
+    # Player 0 burns x at (1, 0) in round 0.  At prefix 0 one more burn of
+    # x there stays finite; at prefix 1 it overflows, for M(0, 0)x and its
+    # twin P(1, 0)x alike.
+    big, x = np.finfo(float).max, 1e300
+    u = np.random.default_rng(5).uniform(-3, 3, (2, 2, 2))
+    u[0, 1, 0] = -big + 1.5 * x
+    game = Game(u)
+    rounds = [CommitmentRound((Pledge(0, (1, 0), BURN, x),)), CommitmentRound(())]
+    plan = _plan_with_rounds(game, rounds, "transfers", x)
+    raised = []
+    with np.errstate(over="ignore"):
+        with pytest.raises(GameShapeError) as info:
+            _scalar_check_deviations(game, plan, amounts=(x,))
+        raised.append(str(info.value))
+        with _recorded_stacks() as stacks, pytest.raises(GameShapeError) as info:
+            check_deviations(game, plan, amounts=(x,))
+        raised.append(str(info.value))
+    assert raised == ["utilities must be finite"] * 2
+    # Both prefixes in one stack, of 21 distinct games of 25 per deviator.
+    assert [len(u) for u in stacks] == [2 * 2 * 21]
+    assert np.isfinite(stacks[0][:42]).all() and not np.isfinite(stacks[0][42:]).all()
+
+
+def test_verify_plan_searches_each_prefix_game_once():
+    game, plan = prize_plan(0.02)
+    budgets = {"budget": 8, "checkpoint_budget": 64}
+    with _recorded_stacks() as stacks:
+        report = verify_plan(game, plan, **budgets)
+    R = len(plan.rounds)
+    probed = verifier._prefix_indices(R + 1, budgets["checkpoint_budget"])
+    stops = verifier._prefix_indices(R, budgets["budget"])[1:]
+    shared = set(probed) | set(stops)
+    assert len(shared) < len(probed) + len(stops)
+    # ex4 is 4x4, so no two moves fold alike: one row per move.
+    rows = sum(map(len, stacks))
+    assert rows == report.deviations["commitment"].checked + len(shared)
 
 
 def _random_plan(rng, counts):
@@ -726,10 +851,11 @@ def test_singular_row_is_found_by_one_factorisation_and_left_to_the_fallback():
 # loop.
 # ---------------------------------------------------------------------------
 
-def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games=None):
+def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games=None,
+                          punishments=None):
     """Reference on-path checks: every checkpoint searched and checked one
-    game at a time.  `games` is accepted for `verify_plan`'s call and
-    ignored."""
+    game at a time.  `games` and `punishments` are accepted for
+    `verify_plan`'s call and ignored."""
     results = {}
     try:
         games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
