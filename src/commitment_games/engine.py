@@ -192,13 +192,31 @@ def pledge_to_dict(p: Pledge) -> dict:
     }
 
 
+def _index_from_label(label, field: str) -> int:
+    """A document's 1-based integer label as a 0-based index.  Naming
+    `field`, an infinite label raises OverflowError, as `int` would, and a
+    bool or any other non-integral value ValueError."""
+    if isinstance(label, float) and math.isinf(label):
+        raise OverflowError(f"pledge {field} must be a finite integer label, got {label}")
+    if isinstance(label, float) and label.is_integer():
+        label = int(label)
+    if isinstance(label, bool) or not isinstance(label, int):
+        raise ValueError(f"pledge {field} must be an integer label, got {label!r}")
+    return label - 1
+
+
 def pledge_from_dict(doc: dict) -> Pledge:
-    recipient = doc["recipient"]
+    """Decode a pledge; ValueError naming the field on a bool or
+    non-integral payer, recipient or outcome entry, or a non-number amount."""
+    recipient, amount = doc["recipient"], doc["amount"]
+    if isinstance(amount, bool) or not isinstance(amount, (int, float)):
+        raise ValueError(f"pledge amount must be a number, got {amount!r}")
     return Pledge(
-        payer=int(doc["payer"]) - 1,
-        outcome=tuple(int(a) - 1 for a in doc["outcome"]),
-        recipient=BURN if recipient == BURN else int(recipient) - 1,
-        amount=float(doc["amount"]),
+        payer=_index_from_label(doc["payer"], "payer"),
+        outcome=tuple(_index_from_label(a, f"outcome entry {j}")
+                      for j, a in enumerate(doc["outcome"], start=1)),
+        recipient=BURN if recipient == BURN else _index_from_label(recipient, "recipient"),
+        amount=float(amount),
     )
 
 

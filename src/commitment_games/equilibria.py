@@ -22,9 +22,10 @@ keeps its reason codes, so no caller searches again for a reason text.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, combinations, product
 from typing import Sequence
 
@@ -262,13 +263,20 @@ class StackedSystem:
         supp = self.supports = _checked_supports(counts, supports)
         self.offsets = [0, *accumulate(len(s) for s in supp)]
         self.others = [[j for j in range(n) if j != i] for i in range(n)]
-        # (player, action, coefficients) of each indifference and each
-        # out-of-support residual row, in system order.
-        self.indiff = [(i, a, self._coeffs(i, a)) for i, s in enumerate(supp)
-                       for a in s[1:]]
-        self.residual_rows = [(i, a, self._coeffs(i, a)) for i, s in enumerate(supp)
-                              for a in range(counts[i]) if a not in s]
-        self.rhs = np.array([1.0] * n + [0.0] * len(self.indiff))
+        self.rhs = np.array([1.0] * n + [0.0] * (self.offsets[-1] - n))
+
+    # (player, action, coefficients) of each indifference and each
+    # out-of-support residual row, in system order; built on first use, so
+    # a stack that only checks residuals builds no indifference rows.
+    @cached_property
+    def indiff(self) -> list:
+        return [(i, a, self._coeffs(i, a)) for i, s in enumerate(self.supports)
+                for a in s[1:]]
+
+    @cached_property
+    def residual_rows(self) -> list:
+        return [(i, a, self._coeffs(i, a)) for i, s in enumerate(self.supports)
+                for a in range(self.utilities.shape[2 + i]) if a not in s]
 
     def _coeffs(self, i, a):
         """u_i(ref, b) - u_i(a, b) over the other players' listed support
@@ -359,12 +367,73 @@ STATUSES = ("ok", "degenerate", "no_converge", "out_of_range", "residual_negativ
 
 
 def _solve(system: StackedSystem, seed: MixedProfile | None, tol: float = 1e-10,
-           residual_tol: float = DEFAULT_TOL):
+           residual_tol: float = DEFAULT_TOL, *, distinct: bool = False):
     """`solve_on_support` on every row: (X, status, f_norm, min_residual).
 
     Two players: one stacked linear solve.  Three or more: damped Newton
-    from `seed` with stacked Jacobians and a per-row line search.
+    from `seed` with stacked Jacobians and a per-row line search.  The
+    solve, its norm check and its range check read only a row's support
+    block, the cells `U[:, :, *np.ix_(*supports)]`.  With `distinct` they
+    run once per distinct block, on one row whose block cells have those
+    bytes; every such row takes its X, status and f_norm, the same bits
+    it would compute itself.  Full supports skip the keying: the block is
+    then the whole game.  The out-of-support residual check runs on every
+    row.  The support enumeration leaves `distinct` off: its runs pair
+    each game with other patterns, so they repeat few blocks, and keying
+    them measured no faster.
     """
+    U, supp = system.utilities, system.supports
+    solved = system
+    if distinct and any(len(s) < c for s, c in zip(supp, U.shape[2:])):
+        first, index = _distinct_rows(U[(slice(None), slice(None), *np.ix_(*supp))])
+        if len(first) < len(U):
+            solved = StackedSystem(U[first], supp)
+    X, status, f_norm = _solve_block(solved, seed, tol)
+    if solved is not system:
+        X, status, f_norm = X[index], status[index], f_norm[index]
+    min_res = system.min_residuals(X)
+    status[(status == _OK) & (min_res < -residual_tol)] = _RESIDUAL_NEGATIVE
+    min_res[(status != _OK) & (status != _RESIDUAL_NEGATIVE)] = np.nan
+    return X, status, f_norm, min_res
+
+
+# Odd multiples of this odd constant weight a row's 64-bit words in
+# `_distinct_rows`' hash.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index): one row of each distinct byte pattern among
+    `block`'s rows, and per row the position of its pattern in `first`.
+
+    A multiply-hash of each row's 64-bit words (wrapping mod 2**64)
+    orders the rows, and neighbours with equal hashes are compared word
+    for word, so 0.0 and -0.0 never share a pattern.  Should two patterns
+    share a hash, `np.unique` on the words decides instead.
+    """
+    B = len(block)
+    words = np.ascontiguousarray(block).reshape(B, math.prod(block.shape[1:])).view(np.uint64)
+    # Folding the high half into the low one first lets the sign and
+    # exponent bits reach every bit of the products: unfolded, flipping the
+    # signs of two words kept the hash.
+    folded = words >> np.uint64(32)
+    folded ^= words
+    h = folded @ (np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * _HASH_MULTIPLIER)
+    order = np.argsort(h)
+    h = h[order]
+    pairs = np.flatnonzero(h[1:] == h[:-1])
+    repeat = np.zeros(B, dtype=bool)  # sorted row r repeats sorted row r - 1
+    repeat[pairs + 1] = (words[order[pairs]] == words[order[pairs + 1]]).all(axis=1)
+    if not repeat[pairs + 1].all():
+        _, first, index = np.unique(words, axis=0, return_index=True, return_inverse=True)
+        return first, index.reshape(B)
+    index = np.empty(B, dtype=np.intp)
+    index[order] = np.cumsum(~repeat) - 1
+    return order[~repeat], index
+
+
+def _solve_block(system: StackedSystem, seed: MixedProfile | None, tol: float):
+    """`_solve` up to the residual check: (X, status, f_norm)."""
     B, n = system.utilities.shape[:2]
     if n > 2 and seed is None:
         raise SupportError("a seed profile is required for three or more players")
@@ -412,10 +481,7 @@ def _solve(system: StackedSystem, seed: MixedProfile | None, tol: float = 1e-10,
     f_norm[solved] = norm[solved]
     status[solved & (norm > tol)] = _NO_CONVERGE
     status[(status == _OK) & np.any((X <= 1e-9) | (X > 1 + 1e-9), axis=1)] = _OUT_OF_RANGE
-    min_res = system.min_residuals(X)
-    status[(status == _OK) & (min_res < -residual_tol)] = _RESIDUAL_NEGATIVE
-    min_res[(status != _OK) & (status != _RESIDUAL_NEGATIVE)] = np.nan
-    return X, status, f_norm, min_res
+    return X, status, f_norm
 
 
 def _bdeviation_payoffs(U: np.ndarray, probs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -489,9 +555,12 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     `utilities` has shape (B, n, N_1..N_n).  Per row: `solve_on_support`
     (system to 1e-10, probabilities in (1e-9, 1+1e-9], residuals at least
     -DEFAULT_TOL), then `is_nash` at 1e-8 and the payoff ceiling plus `tol`.
+    Rows whose support-block cells have the same bytes share one solve
+    (`_solve` with `distinct`); the residual, Nash and ceiling checks run
+    on every row.
     """
     system = StackedSystem(utilities, supports)
-    X, status, _, _ = _solve(system, seed)
+    X, status, _, _ = _solve(system, seed, distinct=True)
     full = system.embed(np.clip(X, 0.0, 1.0))
     deviation, expected = _bpayoffs(system.utilities, full)
     status[(status == _OK) & (_bnash(deviation, full, 1e-8)[0] >= 0)] = _NOT_NASH

@@ -543,7 +543,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
             best, pure_best, kinds = best[at], pure_best[at], [kinds[r] for r in at.tolist()]
         rows, dev = np.arange(len(best)), np.tile(deviator, len(group))
         gains = best[rows, dev] - on_path[dev]
-        none = np.asarray(kinds) == "none"
+        none = np.isnan(gains)  # best_response is NaN on exactly the rows of kind "none"
         if none.any():
             # Priced at the deviator's best pure equilibrium, if any.
             pure = pure_best[rows[none], dev[none]]

@@ -334,6 +334,13 @@ _PLAN_EDITS = {
     "first_round_inf": lambda d: d["punishment"][0].update(first_round=math.inf),
     "rounds_applied_inf": lambda d: d["checkpoints"][0].update(rounds_applied=math.inf),
     "payer_inf": lambda d: d["rounds"][0][0].update(payer=math.inf),
+    "payer_fraction": lambda d: d["rounds"][0][0].update(payer=1.9),
+    "payer_bool": lambda d: d["rounds"][0][0].update(payer=True),
+    "recipient_fraction": lambda d: d["rounds"][0][0].update(recipient=2.5),
+    "outcome_fraction": lambda d: d["rounds"][0][0].update(outcome=[1.7, 1]),
+    "outcome_bool": lambda d: d["rounds"][0][0].update(outcome=[True, 1]),
+    "amount_string": lambda d: d["rounds"][0][0].update(amount="0.5"),
+    "amount_bool": lambda d: d["rounds"][0][0].update(amount=True),
 }
 
 

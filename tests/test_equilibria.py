@@ -537,6 +537,116 @@ def test_support_enumeration_runs_hold_at_most_the_stack(monkeypatch):
     assert max(sizes) <= len(stack) and len(sizes) > 40
 
 
+def _assert_rows_match_one_row_stacks(stack, supports, seed, ceiling):
+    """first_stage_batch and punish_batch on `stack` against each row run
+    as a one-row stack: the same statuses, kinds and reasons, and the same
+    array bytes."""
+    first = first_stage_batch(stack, supports, seed, ceiling)
+    found = punish_batch(stack, supports, seed, ceiling)
+    for r in range(len(stack)):
+        one = first_stage_batch(stack[r:r + 1], supports, seed, ceiling)
+        assert first.status[r] == one.status[0]
+        for got, want in ((first.profiles, one.profiles),
+                          (first.deviation_payoffs, one.deviation_payoffs)):
+            assert all(g[r].tobytes() == w[0].tobytes() for g, w in zip(got, want))
+        assert first.payoffs[r].tobytes() == one.payoffs[0].tobytes()
+        alone = punish_batch(stack[r:r + 1], supports, seed, ceiling)
+        assert (found.kinds[r], found.reasons[r]) == (alone.kinds[0], alone.reasons[0])
+        assert all(g[r].tobytes() == w[0].tobytes()
+                   for g, w in zip(found.profiles, alone.profiles))
+        for name in ("best_response", "payoffs", "pure_best"):
+            assert getattr(found, name)[r].tobytes() == getattr(alone, name)[0].tobytes()
+    return first
+
+
+def test_first_stage_solves_each_distinct_support_block_once(monkeypatch):
+    # 4x4 games on 3x3 and 2x2 supports, drawn with many repeats of six
+    # blocks: block 0 is singular (all zero), block 1 a zero-sum cycle that
+    # settles while the out-of-support actions pay less.  Rows 0..5 hold
+    # blocks 0..5; the extra rows differ from row 1 only outside the block,
+    # from row 2 only in the sign of its zeros, and from row 0 likewise.
+    rng = np.random.default_rng(11)
+    cycles = {2: np.array([[1.0, -1.0], [-1.0, 1.0]]),
+              3: np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])}
+    for supports in ([(0, 1, 2), (0, 1, 2)], [(1, 3), (0, 2)]):
+        seed = MixedProfile.uniform_over((4, 4), supports)
+        cell = (slice(None), slice(None), *np.ix_(*supports))
+        blocks = rng.integers(-2, 3, (6, 2, 4, 4)).astype(float)
+        blocks[0] = 0.0
+        cycle = cycles[len(supports[0])]
+        blocks[1][cell[1:]] = np.stack([cycle, -cycle])
+        blocks[2, 0, supports[0][0], supports[1][0]] = 0.0
+        stack = blocks[np.concatenate([np.arange(6), rng.integers(0, 6, 84)])]
+        outside = np.ones((4, 4), dtype=bool)
+        outside[np.ix_(*supports)] = False
+        stack[:, :, outside] = rng.integers(-9, -4, (90, 2, outside.sum()))
+        twin = stack[1].copy()
+        twin[:, outside] = 40.0  # out-of-support actions now pay more
+        signed = np.where(stack[[2, 0]] == 0.0, -0.0, stack[[2, 0]])
+        stack = np.concatenate([stack, [twin], signed])
+        calls, solve = [], equilibria._solve_block
+
+        def spied(system, *args):
+            calls.append(len(system.utilities))
+            return solve(system, *args)
+
+        monkeypatch.setattr(equilibria, "_solve_block", spied)
+        first = _assert_rows_match_one_row_stacks(stack, supports, seed, (1.0, 1.0))
+        monkeypatch.undo()
+        keys = [row.tobytes() for row in stack[cell]]
+        assert keys[1] == keys[90] and keys[2] != keys[91] and keys[0] != keys[92]
+        assert calls[0] == len(set(keys)) < len(stack)
+        assert equilibria.STATUSES[first.status[1]] == "ok"
+        assert equilibria.STATUSES[first.status[90]] == "residual_negative"
+        assert equilibria.STATUSES[first.status[0]] == "degenerate"
+
+
+def test_full_supports_skip_the_keying(monkeypatch):
+    rng = np.random.default_rng(12)
+    supports = [(0, 1), (0, 1)]
+    seed = MixedProfile.uniform_over((2, 2), supports)
+    stack = rng.integers(-2, 3, (4, 2, 2, 2)).astype(float)[[0, 1, 0, 2, 3, 1]]
+    monkeypatch.setattr(equilibria, "_distinct_rows", None)
+    _assert_rows_match_one_row_stacks(stack, supports, seed, (1.0, 1.0))
+
+
+def test_distinct_rows_compares_the_words_of_rows_whose_hashes_collide(monkeypatch):
+    # The hash weighs folded word j, w ^ (w >> 32) (its own inverse), by the
+    # (j+1)-th odd multiple of a constant c, so adding (3c, -c) to folded
+    # words (0, 1) keeps it: a collision, which np.unique then settles.
+    rng = np.random.default_rng(13)
+    words = rng.integers(0, 2 ** 64, (5, 4), dtype=np.uint64)
+    words[3] = words[4] = words[1]
+    fold = lambda w: w ^ (w >> 32)
+    c = int(equilibria._HASH_MULTIPLIER)
+    words[4, :2] = [fold((fold(int(words[1, 0])) + 3 * c) % 2 ** 64),
+                    fold((fold(int(words[1, 1])) - c) % 2 ** 64)]
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    _assert_distinct_rows(words.view(np.float64), 4)
+    assert calls == [1]
+    _assert_distinct_rows(words.view(np.float64)[:0], 0)
+
+
+def test_distinct_rows_hashes_a_block_apart_from_its_negation(monkeypatch):
+    # Zero-sum blocks differ from their negations only in sign bits, which a
+    # plain multiply-hash cancels in pairs; such rows must not reach the
+    # exact fallback.
+    rng = np.random.default_rng(14)
+    block = rng.normal(size=(50, 2, 3, 3))
+    block = np.concatenate([block, -block, block])
+    monkeypatch.setattr(np, "unique", None)
+    _assert_distinct_rows(block, 100)
+
+
+def _assert_distinct_rows(block, patterns):
+    """`_distinct_rows` finds `patterns` patterns, each row mapped to one
+    with its bytes."""
+    first, index = equilibria._distinct_rows(block)
+    assert len(first) == patterns
+    assert all(block[first[i]].tobytes() == row.tobytes() for i, row in zip(index, block))
+
+
 def _settling_candidate(found, r):
     """Row r's punishment: its supports for kind "support_enum", its
     probabilities for "semi_mixed"."""

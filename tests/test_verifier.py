@@ -730,6 +730,33 @@ def test_verify_plan_searches_each_prefix_game_once():
     assert rows == report.deviations["commitment"].checked + len(shared)
 
 
+def test_ex4_first_stage_solves_each_distinct_support_block_once(monkeypatch):
+    # The plan and nearly every move burn outside the baseline's 3x3 support
+    # block, which is all the first stage's solve reads.
+    game, plan = prize_plan(0.02)
+    supports = plan.punishment[0].supports
+    blocks, solved = [], []
+    first_stage, solve = equilibria.first_stage_batch, equilibria._solve_block
+
+    def keyed(U, *args, **kwargs):
+        cells = U[(slice(None), slice(None), *np.ix_(*supports))]
+        blocks.append((len(U), len({row.tobytes() for row in cells})))
+        return first_stage(U, *args, **kwargs)
+
+    def counted(system, *args):
+        solved.append(len(system.utilities))
+        return solve(system, *args)
+
+    monkeypatch.setattr(equilibria, "first_stage_batch", keyed)
+    monkeypatch.setattr(equilibria, "_solve_block", counted)
+    report = verify_plan(game, plan)
+    monkeypatch.undo()
+    assert report.accepted
+    rows, distinct = zip(*blocks)
+    assert sum(rows) == 13_101 and sum(distinct) == 1276
+    assert solved == list(distinct)
+
+
 def _random_plan(rng, counts):
     """A random game with a full-support equilibrium and a plan (toward a
     Pareto-improving pure outcome, or a transfers plan to a welfare split).
@@ -834,8 +861,9 @@ def test_singular_row_is_found_by_one_factorisation_and_left_to_the_fallback():
     with mock.patch.object(np.linalg, "solve", spied("solve", solve)), \
             mock.patch.object(np.linalg, "slogdet", spied("slogdet", slogdet)):
         first = first_stage_batch(stack, stage.supports, stage.seed, stage.ceiling)
-    # One failed solve, one factorisation, one solve of the other rows.
-    assert calls == [("solve", (3, 6, 6)), ("slogdet", (3, 6, 6)), ("solve", (2, 6, 6))]
+    # Rows 0 and 2 are one game, so one block each: one failed solve, one
+    # factorisation, one solve of the other block.
+    assert calls == [("solve", (2, 6, 6)), ("slogdet", (2, 6, 6)), ("solve", (1, 6, 6))]
     assert first.settled.tolist() == [True, False, True]
     scalar = reference.find_punishment_equilibrium(
         game, stage.supports, stage.seed, stage.ceiling)
