@@ -17,11 +17,12 @@ import sys
 from . import __version__
 from .catalog import GAMES, RUNNERS, reproduce
 from .engine import (
+    CommitmentRound,
     RoundViolationError,
+    _session_fields,
     cast_votes,
     open_session,
     play_terminal,
-    round_from_dict,
     submit_round,
     transcript_to_dict,
 )
@@ -40,6 +41,8 @@ from .games import (
     GameShapeError,
     MixedProfile,
     ProfileError,
+    _decoding,
+    _write_json,
     content_hash,
     expected_utility,
     format_matrix,
@@ -83,8 +86,7 @@ def _meta(args, inputs: dict) -> dict:
 def _load_game(path) -> Game:
     try:
         return load_game(path)
-    except (OSError, json.JSONDecodeError, GameShapeError, KeyError,
-            TypeError, ValueError) as exc:
+    except (OSError, *MALFORMED) as exc:
         raise InputError(f"cannot read game file {path}: {exc}") from exc
 
 
@@ -144,7 +146,7 @@ def _parse_sigma(text: str, game: Game) -> MixedProfile:
     try:
         return MixedProfile(vecs)
     except ProfileError as exc:  # about one player: the shapes match the game
-        raise InputError(f"bad --sigma: player {exc.player + 1}: {exc.detail}") from exc
+        raise InputError(f"bad --sigma: {exc}") from exc
 
 
 def _default_sigma(game: Game) -> MixedProfile:
@@ -166,12 +168,10 @@ def _profile_label(game: Game, profile) -> str:
 
 
 def _write_doc(doc: dict, path) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_json(doc, path)
 
 
 def cmd_analyze(args) -> int:
@@ -322,20 +322,15 @@ def _run_script(game: Game, path):
     is malformed or breaks a session rule."""
     with open(path, "r", encoding="utf-8") as fh:
         script = json.load(fh)
-    try:
-        state = open_session(game, float(script["delta"]),
-                             script.get("mode", "transfers"))
-        votes = list(script.get("votes", []))
-        for r in script.get("rounds", []):
-            state = submit_round(state, round_from_dict(r))
+    with _decoding("script"):
+        state, rounds, votes, actions = _session_fields(game, script, rounds=[], votes=[])
+        votes = list(votes)
+        for r in rounds:
+            state = submit_round(state, r)
             state = cast_votes(state, votes.pop(0) if votes
                                else [True] * game.num_players)
-        if state.phase == "playing" and script.get("terminal_actions"):
-            state = play_terminal(state, [int(a) - 1
-                                          for a in script["terminal_actions"]])
-    except MALFORMED as exc:
-        raise DocumentError(f"malformed script document: "
-                            f"{type(exc).__name__}: {exc}") from exc
+        if state.phase == "playing" and actions:
+            state = play_terminal(state, actions)
     return state
 
 
@@ -348,20 +343,14 @@ def cmd_simulate(args) -> int:
     else:
         plan = _plan_for_game(args, game)
         state = open_session(game, plan.delta, plan.mode)
-        n = game.num_players
-        if plan.rounds:
-            for k, r in enumerate(plan.rounds):
-                try:
-                    state = submit_round(state, r)
-                except RoundViolationError as exc:
-                    raise DocumentError(f"plan round {k + 1} breaks a session rule: "
-                                        f"{exc}") from exc
-                keep_going = k + 1 < len(plan.rounds)
-                state = cast_votes(state, [keep_going] * n)
-        else:
-            from .engine import CommitmentRound
-            state = submit_round(state, CommitmentRound())
-            state = cast_votes(state, [False] * n)
+        rounds = plan.rounds or (CommitmentRound(),)  # stop at once without rounds
+        for k, r in enumerate(rounds):
+            try:
+                state = submit_round(state, r)
+            except RoundViolationError as exc:
+                raise DocumentError(f"plan round {k + 1} breaks a session rule: "
+                                    f"{exc}") from exc
+            state = cast_votes(state, [k + 1 < len(rounds)] * game.num_players)
         state = play_terminal(state, plan.target.profile)
         payoffs = state.transcript.final_payoffs
         print("final payoffs:", ",".join(f"{x:.12g}" for x in payoffs))

@@ -20,11 +20,16 @@ from typing import Sequence
 
 from .games import (
     BURN,
-    MALFORMED,
     DocumentError,
     Game,
     RoundViolation,
     TransferError,
+    _decoding,
+    _read_bool,
+    _read_label,
+    _read_list,
+    _read_number,
+    _write_json,
     apply_transfers,
     check_schema,
     content_hash,
@@ -192,31 +197,15 @@ def pledge_to_dict(p: Pledge) -> dict:
     }
 
 
-def _index_from_label(label, field: str) -> int:
-    """A document's 1-based integer label as a 0-based index.  Naming
-    `field`, an infinite label raises OverflowError, as `int` would, and a
-    bool or any other non-integral value ValueError."""
-    if isinstance(label, float) and math.isinf(label):
-        raise OverflowError(f"pledge {field} must be a finite integer label, got {label}")
-    if isinstance(label, float) and label.is_integer():
-        label = int(label)
-    if isinstance(label, bool) or not isinstance(label, int):
-        raise ValueError(f"pledge {field} must be an integer label, got {label!r}")
-    return label - 1
-
-
 def pledge_from_dict(doc: dict) -> Pledge:
     """Decode a pledge; ValueError naming the field on a bool or
     non-integral payer, recipient or outcome entry, or a non-number amount."""
-    recipient, amount = doc["recipient"], doc["amount"]
-    if isinstance(amount, bool) or not isinstance(amount, (int, float)):
-        raise ValueError(f"pledge amount must be a number, got {amount!r}")
+    recipient = doc["recipient"]
     return Pledge(
-        payer=_index_from_label(doc["payer"], "payer"),
-        outcome=tuple(_index_from_label(a, f"outcome entry {j}")
-                      for j, a in enumerate(doc["outcome"], start=1)),
-        recipient=BURN if recipient == BURN else _index_from_label(recipient, "recipient"),
-        amount=float(amount),
+        payer=_read_label(doc["payer"], "pledge payer"),
+        outcome=_read_list(doc["outcome"], "pledge outcome", _read_label),
+        recipient=BURN if recipient == BURN else _read_label(recipient, "pledge recipient"),
+        amount=_read_number(doc["amount"], "pledge amount"),
     )
 
 
@@ -226,6 +215,10 @@ def round_to_dict(round: CommitmentRound) -> list[dict]:
 
 def round_from_dict(doc: Sequence[dict]) -> CommitmentRound:
     return CommitmentRound(tuple(pledge_from_dict(p) for p in doc))
+
+
+def _read_rounds(value, field: str) -> tuple[CommitmentRound, ...]:
+    return _read_list(value, field, lambda r, f: round_from_dict(_read_list(r, f)))
 
 
 def transcript_to_dict(state: SessionState) -> dict:
@@ -244,34 +237,37 @@ def transcript_to_dict(state: SessionState) -> dict:
     }
 
 
+def _session_fields(game: Game, doc: dict, **defaults):
+    """The fields scripts and transcripts share, decoded: the session opened
+    on `game` at the document's `delta` and `mode`, its rounds, its vote
+    rows and its 0-based terminal actions (None when absent).  `defaults`
+    fill absent keys; a malformed field raises inside MALFORMED."""
+    doc = {"mode": "transfers", **defaults, **doc}
+    state = open_session(game, _read_number(doc["delta"], "delta"), doc["mode"])
+    actions = doc.get("terminal_actions")
+    return (state, _read_rounds(doc["rounds"], "rounds"),
+            _read_list(doc["votes"], "votes", _read_list, _read_bool),
+            None if actions is None else _read_list(actions, "terminal_actions", _read_label))
+
+
 def transcript_from_dict(doc: dict) -> tuple[Game, Transcript, float, str]:
     """Decode a transcript document; DocumentError when it is malformed or
     its base game does not match the stored content hash."""
     check_schema(doc, "transcript", TRANSCRIPT_SCHEMA_VERSION)
-    try:
+    with _decoding("transcript"):
         base = game_from_dict(doc["base_game"])
         stored_hash = doc["base_game_hash"]
-        transcript = Transcript(
-            rounds=tuple(round_from_dict(r) for r in doc["rounds"]),
-            votes=tuple(tuple(bool(v) for v in row) for row in doc["votes"]),
-            terminal_actions=None if doc.get("terminal_actions") is None
-            else tuple(int(a) - 1 for a in doc["terminal_actions"]),
-            final_payoffs=None if doc.get("final_payoffs") is None
-            else tuple(float(x) for x in doc["final_payoffs"]),
-        )
-        delta = float(doc["delta"])
-    except MALFORMED as exc:
-        raise DocumentError(f"malformed transcript document: "
-                            f"{type(exc).__name__}: {exc}") from exc
+        state, rounds, votes, actions = _session_fields(base, doc)
+        payoffs = doc.get("final_payoffs")
+        payoffs = None if payoffs is None else _read_list(payoffs, "final_payoffs",
+                                                          _read_number)
     if stored_hash != content_hash(base):
         raise DocumentError("transcript base_game does not match its base_game_hash")
-    return base, transcript, delta, doc.get("mode", "transfers")
+    return base, Transcript(rounds, votes, actions, payoffs), state.delta, state.mode
 
 
 def save_transcript(state: SessionState, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(transcript_to_dict(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(transcript_to_dict(state), path)
 
 
 def load_transcript(path) -> tuple[Game, Transcript, float, str]:

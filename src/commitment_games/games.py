@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,12 +37,10 @@ class GameShapeError(ValueError):
 
 class ProfileError(ValueError):
     """Malformed mixed profile (non-finite or negative mass, bad length,
-    sum != 1).  `player` is the 0-based player at fault, if one is, and
-    `detail` the message without the player."""
+    sum != 1), naming the 0-based `player` at fault 1-based, as in all I/O."""
 
     def __init__(self, detail: str, player: int | None = None):
-        super().__init__(detail if player is None else f"player {player}: {detail}")
-        self.detail, self.player = detail, player
+        super().__init__(detail if player is None else f"player {player + 1}: {detail}")
 
 
 class DocumentError(ValueError):
@@ -56,9 +55,66 @@ def check_schema(doc, kind: str, version: int) -> None:
     """Raise DocumentError unless `doc` is an object of the given schema version."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{kind} document must be a JSON object")
-    if doc.get("schema_version") != version:
-        raise DocumentError(f"{kind} schema_version is {doc.get('schema_version')!r}, "
-                            f"expected {version}")
+    found = doc.get("schema_version")
+    if isinstance(found, bool) or found != version:
+        raise DocumentError(f"{kind} schema_version is {found!r}, expected {version}")
+
+
+# Typed readers for document fields: each converts one JSON value or raises
+# inside MALFORMED, naming `field` with 1-based labels.  A bool is never a
+# number, a fraction never an integer, and a string, null or container never
+# a scalar.  Ranges and finiteness are checked by the objects the values build.
+
+def _read_int(value, field: str, low: int = 0, noun: str = "an integer") -> int:
+    """An integral float counts; an infinite one raises OverflowError, as `int` would."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        error = OverflowError if isinstance(value, float) and np.isinf(value) else ValueError
+        raise error(f"{field} must be {noun}, got {value!r}")
+    if value < low:
+        raise ValueError(f"{field} must be at least {low}, got {value}")
+    return value
+
+
+def _read_label(value, field: str) -> int:
+    """A 1-based label as a 0-based index."""
+    return _read_int(value, field, 1, "an integer label") - 1
+
+
+def _read_number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _read_bool(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
+def _read_list(value, field: str, read=None, *inner) -> tuple:
+    """`value` as a tuple, entry i read by `read(entry, f"{field} entry {i}", *inner)`:
+    `_read_list(v, field, _read_list, _read_number)` reads rows of numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return tuple(value if read is None else
+                 (read(x, f"{field} entry {i}", *inner) for i, x in enumerate(value, 1)))
+
+
+@contextmanager
+def _decoding(kind: str, error: type = DocumentError):
+    """Raise `error` naming the document `kind` for what a malformed field raises."""
+    try:
+        yield
+    except MALFORMED as exc:
+        raise error(f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
+
+
+def _write_json(doc: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 class TransferError(ValueError):
@@ -388,30 +444,24 @@ def game_to_dict(game: Game) -> dict:
 
 
 def game_from_dict(doc: dict) -> Game:
-    try:
-        n = int(doc["players"])
+    with _decoding("game", GameShapeError):
+        n = _read_int(doc["players"], "players")
         names = doc.get("action_names")
         if "action_counts" in doc:
-            counts = [int(c) for c in doc["action_counts"]]
+            counts = _read_list(doc["action_counts"], "action_counts", _read_int)
         elif names is not None:
-            counts = [len(row) for row in names]
+            counts = [len(row) for row in _read_list(names, "action_names", _read_list)]
         else:
             raise KeyError("action_counts")
-        payoffs = doc["payoffs"]
-    except MALFORMED as exc:
-        what = f"missing {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
-        raise GameShapeError(f"malformed game document: {what}") from exc
-    total = int(np.prod(counts))
-    if len(payoffs) != total or any(len(row) != n for row in payoffs):
+        payoffs = _read_list(doc["payoffs"], "payoffs", _read_list, _read_number)
+    if len(payoffs) != np.prod(counts) or any(len(row) != n for row in payoffs):
         raise GameShapeError("payoffs array does not match players/action_counts")
     u = np.asarray(payoffs, dtype=np.float64).T.reshape(n, *counts)
     return Game(u, names)
 
 
 def save_game(game: Game, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(game_to_dict(game), path)
 
 
 def load_game(path) -> Game:

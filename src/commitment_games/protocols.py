@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import MODES, CommitmentRound, Pledge, round_from_dict, round_to_dict
+from .engine import MODES, CommitmentRound, Pledge, _read_rounds, round_to_dict
 from .equilibria import (
     DegenerateEquilibriumError,
     build_characteristic_system,
@@ -42,13 +42,17 @@ from .equilibria import (
 )
 from .games import (
     BURN,
-    MALFORMED,
     DocumentError,
     Game,
     MixedProfile,
     OutcomeTarget,
-    ProfileError,
     TransferError,
+    _decoding,
+    _read_int,
+    _read_label,
+    _read_list,
+    _read_number,
+    _write_json,
     apply_transfers,
     check_schema,
     content_hash,
@@ -1058,42 +1062,48 @@ def check_plan_for_game(plan: ProtocolPlan, game: Game) -> None:
                                     f"actions among 1..{c}")
 
 
+def _read_stage(doc: dict, field: str) -> PunishmentStage:
+    return PunishmentStage(
+        _read_int(doc["first_round"], f"{field} first_round"),
+        _read_list(doc["supports"], f"{field} supports", _read_list, _read_label),
+        MixedProfile(_read_list(doc["seed"], f"{field} seed", _read_list, _read_number)),
+        _read_list(doc["ceiling"], f"{field} ceiling", _read_number),
+        doc.get("label", "baseline"))
+
+
+def _read_checkpoint(doc: dict, field: str) -> Checkpoint:
+    lam = doc.get("lambda")
+    return Checkpoint(_read_int(doc["rounds_applied"], f"{field} rounds_applied"),
+                      doc["game_hash"],
+                      None if lam is None else _read_number(lam, f"{field} lambda"))
+
+
 def plan_from_dict(doc: dict) -> ProtocolPlan:
     """Decode a plan document; DocumentError when it is malformed."""
     check_schema(doc, "plan", PLAN_SCHEMA_VERSION)
-    try:
+    orders = doc.get("action_orders")
+    with _decoding("plan"):
         plan = ProtocolPlan(
             case_tag=doc["case_tag"],
             mode=doc["mode"],
-            delta=float(doc["delta"]),
-            rounds=tuple(round_from_dict(r) for r in doc["rounds"]),
-            target=OutcomeTarget(tuple(a - 1 for a in doc["target"]["profile"]),
-                                 doc["target"]["role"]),
-            baseline=MixedProfile(doc["baseline"]),
-            punishment=tuple(
-                PunishmentStage(
-                    int(s["first_round"]),
-                    tuple(tuple(a - 1 for a in supp) for supp in s["supports"]),
-                    MixedProfile(s["seed"]),
-                    tuple(float(x) for x in s["ceiling"]),
-                    s.get("label", "baseline"))
-                for s in doc["punishment"]),
-            checkpoints=tuple(
-                Checkpoint(int(c["rounds_applied"]), c["game_hash"], c.get("lambda"))
-                for c in doc["checkpoints"]),
-            expected_terminal_payoffs=tuple(float(x)
-                                            for x in doc["expected_terminal_payoffs"]),
+            delta=_read_number(doc["delta"], "delta"),
+            rounds=_read_rounds(doc["rounds"], "rounds"),
+            target=OutcomeTarget(_read_list(doc["target"]["profile"], "target profile",
+                                            _read_label), doc["target"]["role"]),
+            baseline=MixedProfile(_read_list(doc["baseline"], "baseline", _read_list,
+                                             _read_number)),
+            punishment=tuple(_read_stage(s, f"punishment stage {k}") for k, s in
+                             enumerate(_read_list(doc["punishment"], "punishment"), 1)),
+            checkpoints=tuple(_read_checkpoint(c, f"checkpoint {k}") for k, c in
+                              enumerate(_read_list(doc["checkpoints"], "checkpoints"), 1)),
+            expected_terminal_payoffs=_read_list(doc["expected_terminal_payoffs"],
+                                                 "expected_terminal_payoffs", _read_number),
             base_game_hash=doc["base_game_hash"],
-            welfare_stage_rounds=int(doc.get("welfare_stage_rounds", 0)),
-            action_orders=None if doc.get("action_orders") is None
-            else tuple(tuple(a - 1 for a in o) for o in doc["action_orders"]),
+            welfare_stage_rounds=_read_int(doc.get("welfare_stage_rounds", 0),
+                                           "welfare_stage_rounds"),
+            action_orders=None if orders is None else _read_list(
+                orders, "action_orders", _read_list, _read_label),
         )
-    except MALFORMED as exc:
-        text = str(exc)
-        if isinstance(exc, ProfileError) and exc.player is not None:
-            text = f"player {exc.player + 1}: {exc.detail}"  # 1-based, as in all I/O
-        raise DocumentError(f"malformed plan document: "
-                            f"{type(exc).__name__}: {text}") from exc
     _check_plan(plan)
     return plan
 
@@ -1102,9 +1112,7 @@ def save_plan(plan: ProtocolPlan, path, extra: dict | None = None) -> None:
     doc = plan_to_dict(plan)
     if extra:
         doc["meta"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_plan(path) -> ProtocolPlan:

@@ -255,7 +255,7 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
     t = plan.target.profile
     T = U[(..., *t)]  # the target's payoffs, one row per prefix
     x = np.asarray(plan.expected_terminal_payoffs)
-    probed = _prefix_indices(R + 1, checkpoint_budget)
+    probed = _prefix_indices(R + 1, checkpoint_budget, "checkpoint_budget")
 
     # Checkpoint hashes and per-round legality fell out of the fold: a bad
     # round would have raised while folding.
@@ -421,7 +421,9 @@ def commitment_deviation_moves(game: Game, player: int, delta: float,
     return moves
 
 
-def _prefix_indices(total: int, budget: int | None) -> list[int]:
+def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> list[int]:
+    if budget is not None and budget < 1:
+        raise ValueError(f"{keyword} must be at least 1, got {budget}")
     if total == 0:
         return []
     if budget is None or budget >= total:
@@ -624,15 +626,15 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
     if content_hash(game) != plan.base_game_hash:
         raise ValueError("plan was built for a different game (hash mismatch)")
     check_plan_for_game(plan, game)
+    # One search serves the probed checkpoints and the early stops.
+    ks = sorted({*_prefix_indices(plan.num_rounds + 1, checkpoint_budget, "checkpoint_budget"),
+                 *_prefix_indices(plan.num_rounds, budget)})
     try:
         games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     except FoldError:
         games = None  # check_on_path reports the failing round
-    # One search serves the probed checkpoints and the early stops.
     punishments = None if games is None else _prefix_punishments(
-        plan, np.stack([g.utilities for g in games]),
-        sorted({*_prefix_indices(len(games), checkpoint_budget),
-                *_prefix_indices(len(games) - 1, budget)}))
+        plan, np.stack([g.utilities for g in games]), ks)
     properties = check_on_path(game, plan, checkpoint_budget=checkpoint_budget,
                                games=games, punishments=punishments)
     if properties["round_cap"].status == "fail":

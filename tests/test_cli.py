@@ -238,6 +238,9 @@ def _input_error_case(workdir, case):
         script = workdir / f"{case}.json"
         nan_pledge = {"payer": 1, "outcome": [2, 2], "recipient": "BURN",
                       "amount": math.nan}
+        # One idle round, a unanimous stop and the terminal play (1, 1).
+        stop = {"delta": 1.0, "rounds": [[]], "votes": [[False, False]],
+                "terminal_actions": [1, 1]}
         script.write_text(json.dumps({"script_missing_delta": {"rounds": 3},
                                       "script_not_object": [1, 2],
                                       "script_rounds_not_list": {"delta": 1.0,
@@ -246,15 +249,27 @@ def _input_error_case(workdir, case):
                                                             "rounds": [[nan_pledge]]},
                                       "script_delta_inf": {"delta": math.inf,
                                                            "rounds": []},
+                                      "script_votes_string": {**stop, "votes": [["no", True]]},
+                                      "script_votes_int": {**stop, "votes": [[0, 1]]},
+                                      "script_terminal_bool": {**stop,
+                                                               "terminal_actions": [True, 1]},
+                                      "script_terminal_fraction": {
+                                          **stop, "terminal_actions": [1.5, 1]},
+                                      "script_delta_string": {**stop, "delta": "1"},
                                       }[case]),
                           encoding="utf-8")
         return ["simulate", game, "--script", str(script), "-o", "-"]
     if case.startswith("game"):
         doc = json.loads((workdir / "ex3.json").read_text(encoding="utf-8"))
-        if case == "game_players_inf":
-            doc["players"] = math.inf
-        else:
-            doc["action_counts"] = [math.inf, 2]
+        key, value = {"game_players_inf": ("players", math.inf),
+                      "game_action_counts_inf": ("action_counts", [math.inf, 2]),
+                      "game_players_fraction": ("players", 2.9),
+                      "game_action_counts_fraction": ("action_counts", [2.5, 2]),
+                      "game_action_counts_string": ("action_counts", ["2", 2]),
+                      "game_payoff_string": ("payoffs", [["3", 0.0], *doc["payoffs"][1:]]),
+                      "game_payoff_bool": ("payoffs", [[True, 0.0], *doc["payoffs"][1:]]),
+                      }[case]
+        doc[key] = value
         path = workdir / f"{case}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         return ["analyze", str(path)]
@@ -273,16 +288,55 @@ def _input_error_case(workdir, case):
     }[case]
 
 
+# The field a document error names, with 1-based labels.
+_NAMED_FIELDS = {
+    "game_players_fraction": "players must be an integer, got 2.9",
+    "game_action_counts_fraction": "action_counts entry 1 must be an integer, got 2.5",
+    "game_action_counts_string": "action_counts entry 1 must be an integer, got '2'",
+    "game_payoff_string": "payoffs entry 1 entry 1 must be a number, got '3'",
+    "game_payoff_bool": "payoffs entry 1 entry 1 must be a number, got True",
+    "script_votes_string": "votes entry 1 entry 1 must be true or false, got 'no'",
+    "script_votes_int": "votes entry 1 entry 1 must be true or false, got 0",
+    "script_terminal_bool": "terminal_actions entry 1 must be an integer label, got True",
+    "script_terminal_fraction": "terminal_actions entry 1 must be an integer label, got 1.5",
+    "script_delta_string": "delta must be a number, got '1'",
+    "target_fraction": "target profile entry 1 must be an integer label, got 2.5",
+    "target_bool": "target profile entry 1 must be an integer label, got True",
+    "first_round_fraction": "punishment stage 1 first_round must be an integer, got 1.9",
+    "first_round_bool": "punishment stage 1 first_round must be an integer, got True",
+    "rounds_applied_fraction": "checkpoint 2 rounds_applied must be an integer, got 1.5",
+    "welfare_rounds_bool": "welfare_stage_rounds must be an integer, got True",
+    "support_fraction": "punishment stage 1 supports entry 1 entry 1 must be an integer "
+                        "label, got 1.5",
+    "support_bool": "punishment stage 1 supports entry 1 entry 1 must be an integer "
+                    "label, got True",
+    "action_orders_bool": "action_orders entry 1 entry 1 must be an integer label, got True",
+    "delta_string": "delta must be a number, got '1'",
+    "delta_bool": "delta must be a number, got True",
+    "ceiling_string": "punishment stage 1 ceiling entry 1 must be a number, got '4.0'",
+    "expected_payoff_string": "expected_terminal_payoffs entry 1 must be a number, got '4'",
+    "baseline_string": "baseline entry 1 entry 1 must be a number, got '1'",
+    "baseline_bool": "baseline entry 1 entry 1 must be a number, got True",
+}
+
+
 @pytest.mark.parametrize("case", ["simulate_without_plan", "script_missing_delta",
                                   "script_not_object", "script_rounds_not_list",
                                   "script_pledge_nan", "script_delta_inf",
+                                  "script_votes_string", "script_votes_int",
+                                  "script_terminal_bool", "script_terminal_fraction",
+                                  "script_delta_string",
                                   "reproduce_unknown_id", "sigma_nan",
                                   "plan_baseline_nan", "support_repeated",
-                                  "game_players_inf", "game_action_counts_inf"])
+                                  "game_players_inf", "game_action_counts_inf",
+                                  "game_players_fraction", "game_action_counts_fraction",
+                                  "game_action_counts_string", "game_payoff_string",
+                                  "game_payoff_bool"])
 def test_malformed_inputs_exit_2_without_traceback(workdir, capsys, case):
     code, err = _main(capsys, *_input_error_case(workdir, case))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+    assert _NAMED_FIELDS.get(case, "") in err
 
 
 @pytest.mark.parametrize("option, value, message", [
@@ -341,6 +395,23 @@ _PLAN_EDITS = {
     "outcome_bool": lambda d: d["rounds"][0][0].update(outcome=[True, 1]),
     "amount_string": lambda d: d["rounds"][0][0].update(amount="0.5"),
     "amount_bool": lambda d: d["rounds"][0][0].update(amount=True),
+    "target_fraction": lambda d: d["target"].update(profile=[2.5, 2]),
+    "target_bool": lambda d: d["target"].update(profile=[True, 2]),
+    "first_round_fraction": lambda d: d["punishment"][0].update(first_round=1.9),
+    "first_round_bool": lambda d: d["punishment"][0].update(first_round=True),
+    "rounds_applied_fraction": lambda d: d["checkpoints"][1].update(
+        rounds_applied=d["checkpoints"][1]["rounds_applied"] + 0.5),
+    "welfare_rounds_bool": lambda d: d.update(welfare_stage_rounds=True),
+    "support_fraction": lambda d: d["punishment"][0].update(supports=[[1.5], [1]]),
+    "support_bool": lambda d: d["punishment"][0].update(supports=[[True], [1]]),
+    "action_orders_bool": lambda d: d.update(action_orders=[[True, 2], [1, 2]]),
+    "delta_string": lambda d: d.update(delta="1"),
+    "delta_bool": lambda d: d.update(delta=True),
+    "ceiling_string": lambda d: d["punishment"][0].update(
+        ceiling=[str(x) for x in d["punishment"][0]["ceiling"]]),
+    "expected_payoff_string": lambda d: d.update(expected_terminal_payoffs=["4", 3]),
+    "baseline_string": lambda d: d.update(baseline=[["1", 0], [1, 0]]),
+    "baseline_bool": lambda d: d.update(baseline=[[True, 0], [1, 0]]),
 }
 
 
@@ -362,6 +433,7 @@ def test_bad_plan_documents_exit_2_without_traceback(workdir, capsys, command, e
                       "-o", str(workdir / f"edited_{edit}_{command}.json"))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+    assert _NAMED_FIELDS.get(edit, "") in err
 
 
 _ONE_BASED_PLAN_EDITS = {
@@ -412,3 +484,85 @@ def test_simulate_names_an_over_cap_round_with_one_based_labels(workdir, capsys)
     assert code == 2
     assert ("plan round 1 breaks a session rule: "
             "[cap] player 1 pays 5 > delta=1 at outcome (2, 2)") in err, err
+
+
+def _fields(doc, path=()):
+    """The path of every value below the top of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, (*path, key))
+
+
+def test_one_field_mutations_exit_cleanly(workdir, capsys):
+    """One field of ex3's game, plan, transcript or script replaced by a
+    bool, fraction, numeric string, null, list, object, Infinity, NaN, 0 or
+    a negative integer: every run exits 0-3 or raises a document error.
+    Where a number, bool, list or object field gets a value of another JSON
+    type (or an integer field a fraction), the run exits 2; null is allowed
+    where a field is optional."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from commitment_games.engine import transcript_from_dict
+    from commitment_games.games import DocumentError, GameShapeError
+
+    game = str(workdir / "ex3.json")
+    plan_path = workdir / "fuzz_plan.json"
+    plan_path.write_text(json.dumps(_ex3_plan_doc(workdir)), encoding="utf-8")
+    assert _main(capsys, "simulate", game, str(plan_path),
+                 "-o", str(workdir / "fuzz_transcript.json"))[0] == 0
+    transcript = json.loads((workdir / "fuzz_transcript.json").read_text())
+    del transcript["meta"]
+    docs = {"game": json.loads((workdir / "ex3.json").read_text()),
+            "plan": json.loads(plan_path.read_text()), "transcript": transcript,
+            "script": {"delta": 1.0, "mode": "burn_only", "votes": [[True, True], [False, True]],
+                       "rounds": [[{"payer": 1, "outcome": [2, 1], "recipient": "BURN",
+                                    "amount": 0.5}], []],
+                       "terminal_actions": [1, 2]}}
+    # Game documents need no schema_version (in a game file or a transcript's
+    # base_game), so no decoder reads it.
+    fields = [(kind, path) for kind, doc in docs.items() for path in _fields(doc)
+              if path[-1] != "schema_version" or (kind in ("plan", "transcript")
+                                                  and len(path) == 1)]
+    optional = ("action_names", "action_orders", "lambda", "terminal_actions",
+                "final_payoffs")
+    values = [True, 1.5, "1", None, [1], {"x": 1}, math.inf, math.nan, 0, -2]
+
+    def json_type(value):
+        return {bool: "bool", int: "number", float: "number", str: "string",
+                type(None): "null", list: "list", dict: "object"}[type(value)]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(fields), st.sampled_from(values), st.booleans())
+    def run(field, value, simulate):
+        kind, path = field
+        doc = json.loads(json.dumps(docs[kind]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old, parent[path[-1]] = parent[path[-1]], value
+        wrong_type = json_type(old) not in ("string", "null") and (
+            json_type(value) != json_type(old)
+            or type(old) is int and isinstance(value, float) and math.isfinite(value))
+        if value is None and path[-1] in optional:
+            wrong_type = False
+        if kind == "transcript":
+            try:
+                transcript_from_dict(doc)
+            except (DocumentError, GameShapeError):
+                return
+            assert not wrong_type, (path, value)
+            return
+        target = workdir / f"fuzz_{kind}.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        argv = {"game": ["analyze", str(target)],
+                "plan": ["simulate" if simulate else "verify", game, str(target)],
+                "script": ["simulate", game, "--script", str(target)]}[kind]
+        code, err = _main(capsys, *argv, *(() if kind == "game" else
+                                           ("-o", str(workdir / "fuzz_out.json"))))
+        assert code in (0, 1, 2, 3), (path, value, err)
+        assert code == 2 or not wrong_type, (path, value, code)
+
+    run()

@@ -245,13 +245,29 @@ def test_transcript_with_tampered_base_game_is_rejected(tmp_path):
     ("outcome", [False, 1], "outcome entry 1 must be an integer label, got False"),
     ("amount", "0.5", "amount must be a number, got '0.5'"),
     ("amount", True, "amount must be a number, got True"),
+    # Transcript fields, with the error's class: scripts share their decoder.
+    ("votes", [["no", True]], "ValueError: votes entry 1 entry 1 must be true or false, "
+                              "got 'no'"),
+    ("votes", [[0, 1]], "ValueError: votes entry 1 entry 1 must be true or false, got 0"),
+    ("terminal_actions", [True, 1], "ValueError: terminal_actions entry 1 must be an "
+                                    "integer label, got True"),
+    ("terminal_actions", [1.5, 1], "ValueError: terminal_actions entry 1 must be an "
+                                   "integer label, got 1.5"),
+    ("final_payoffs", ["4", 3], "ValueError: final_payoffs entry 1 must be a number, "
+                                "got '4'"),
+    ("delta", "1", "ValueError: delta must be a number, got '1'"),
+    ("mode", "zzz", "SessionError: mode must be one of ('transfers', 'burn_only')"),
 ])
 def test_transcript_pledges_reject_bools_and_fractions_by_field(field, value, text):
-    doc = transcript_to_dict(submit_round(open_session(unfair_split(), 1.0), _pay_round(1.0)))
-    doc["rounds"][0][0][field] = value
+    state = cast_votes(submit_round(open_session(unfair_split(), 1.0), _pay_round(1.0)),
+                       [False, False])
+    doc = transcript_to_dict(play_terminal(state, (1, 1)))
+    where = doc if field in doc else doc["rounds"][0][0]
+    valid, where[field] = where[field], value
     with pytest.raises(DocumentError) as err:
         transcript_from_dict(doc)
-    assert f"ValueError: pledge {text}" in str(err.value)
+    assert (text if where is doc else f"ValueError: pledge {text}") in str(err.value)
+    where[field] = valid
     doc["rounds"][0][0].update(payer=1.0, outcome=[2.0, 2], recipient=2.0, amount=1)
     assert transcript_from_dict(doc)[1].rounds == (_pay_round(1.0),)
 

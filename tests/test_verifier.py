@@ -124,6 +124,15 @@ def test_verify_plan_checks_a_plan_built_in_process(changes, message):
         verify_plan(game, dataclasses.replace(plan, **changes))
 
 
+@pytest.mark.parametrize("keyword", ["budget", "checkpoint_budget"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_verify_plan_rejects_a_budget_below_one(keyword, value):
+    # 0 divided by zero, and -2 probed only the first and last prefixes.
+    game, plan = split_plan()
+    with pytest.raises(ValueError, match=f"^{keyword} must be at least 1, got {value}$"):
+        verify_plan(game, plan, **{keyword: value})
+
+
 def test_deviation_classes_on_split_plan():
     game, plan = split_plan()
     results = check_deviations(game, plan, amounts=(0.5, 1.0))
