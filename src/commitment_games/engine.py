@@ -177,7 +177,8 @@ def replay(base: Game, transcript: Transcript, delta: float,
         state = play_terminal(state, transcript.terminal_actions)
         if transcript.final_payoffs is not None:
             got = state.transcript.final_payoffs
-            if any(abs(a - b) > 1e-12 for a, b in zip(got, transcript.final_payoffs)):
+            if len(got) != len(transcript.final_payoffs) or any(
+                    abs(a - b) > 1e-12 for a, b in zip(got, transcript.final_payoffs)):
                 raise ReplayError(len(transcript.rounds),
                                   f"replayed payoffs {got} != recorded "
                                   f"{transcript.final_payoffs}")

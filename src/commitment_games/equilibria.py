@@ -92,12 +92,14 @@ def enumerate_pure_nash(game: Game, tol: float = DEFAULT_TOL) -> list[tuple[int,
     return [tuple(p) for p in np.argwhere(_pure_nash_mask(game.utilities[None], tol)[0]).tolist()]
 
 
-def _pure_nash_mask(U: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _pure_nash_mask(U: np.ndarray, tol: float = DEFAULT_TOL, residual=False) -> np.ndarray:
     """Per game of a (B, n, N_1..N_n) stack, the mask of pure profiles where
-    no player's payoff plus `tol` is below its best unilateral switch."""
+    no player's payoff plus `tol` is below its best unilateral switch; with
+    `residual`, where none minus that switch is below -tol (a 1x1 solve's test)."""
     nash = np.ones((len(U), *U.shape[2:]), dtype=bool)
     for i in range(U.shape[1]):
-        nash &= ~(U[:, i] + tol < U[:, i].max(axis=i + 1, keepdims=True))
+        best = U[:, i].max(axis=i + 1, keepdims=True)
+        nash &= ~(U[:, i] - best < -tol) if residual else ~(U[:, i] + tol < best)
     return nash
 
 
@@ -766,9 +768,10 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     on the rows the steps before it leave open, as one stack: the first
     stage; the seed's Nash and ceiling checks; the pure equilibria from a
     best-response mask per player, of which the first under the ceiling
-    in lexicographic order settles the row; the support enumeration, one
-    solve per support size (in runs of at most B games), where a row ends
-    at its first settling pattern; and on 2x2 rows the boundary equilibria.
+    in lexicographic order settles the row; the support enumeration, where
+    a row ends at its first settling pattern: a mask over the pure cells,
+    then one solve per larger size (in runs of at most B games) but the
+    stage's own; and on 2x2 rows the boundary equilibria.
     Raises GameShapeError when an entry is not finite, as building the
     games would.
     """
@@ -803,20 +806,26 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         rows = settle("seed", rows, *_first_settling(U[rows], probs, np.ones(len(rows), bool),
                                                      ceiling, tol))
 
+    def settle_cells(kind, rows, mask):
+        """End `rows` at `kind` at their first `mask` cell under the ceiling, in C order."""
+        V = U[rows]
+        mask = mask.reshape(len(rows), -1) & _under_ceiling(
+            V.reshape(len(rows), n, -1).transpose(0, 2, 1), ceiling, tol)
+        cells = np.unravel_index(mask.argmax(axis=1), counts)
+        probs = [np.eye(c)[a] for c, a in zip(counts, cells)]
+        return settle(kind, rows, mask.any(axis=1), probs, *_bpayoffs(V, probs))
+
     pure_best = np.full((B, n), np.nan)
     if rows.size:
         V = U[rows]
         flat = _pure_nash_mask(V).reshape(len(rows), -1)
         pure_best[rows] = np.stack([np.where(flat, V[:, i].reshape(len(rows), -1), -np.inf)
                                     .max(axis=1) for i in range(n)], axis=1)
-        # A pure profile's expected payoffs are its cells, so the first cell
-        # under the ceiling in C order is the search's pick.
-        flat &= _under_ceiling(V.reshape(len(rows), n, -1).transpose(0, 2, 1), ceiling,
-                               tol)
-        cells = np.unravel_index(flat.argmax(axis=1), counts)
-        probs = [np.eye(c)[a] for c, a in zip(counts, cells)]
-        rows = settle("pure", rows, flat.any(axis=1), probs, *_bpayoffs(V, probs))
+        rows = settle_cells("pure", rows, flat)
 
+    # The one-action patterns are one mask: a 1x1 system solves at X = 1
+    # exactly, so its residuals are the cells' payoff gaps, which imply its
+    # Nash check.  The first stage rejected the stage's own pattern already.
     # Sizes ascend, so runs of one size keep the enumeration order; a run
     # holds at most B (pattern, game) pairs.  Each pair is solved on supports
     # (range(k), range(k)) with the pattern's supports moved first and the
@@ -825,6 +834,10 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     # go back to the game's action order before any payoff is contracted: a
     # reordered tensor contracts in another order.
     patterns = _support_patterns(counts)
+    if rows.size and patterns:
+        rows = settle_cells("support_enum", rows, _pure_nash_mask(U[rows], residual=True))
+        own = _checked_supports(counts, supports)
+        patterns = [p for p in patterns if len(p[0]) > 1 and p != own]
     while rows.size and patterns:
         V, k = U[rows], len(patterns[0][0])
         run = [p for p in patterns[:max(1, B // rows.size)] if len(p[0]) == k]

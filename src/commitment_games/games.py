@@ -51,11 +51,12 @@ class DocumentError(ValueError):
 MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def check_schema(doc, kind: str, version: int) -> None:
-    """Raise DocumentError unless `doc` is an object of the given schema version."""
+def check_schema(doc, kind: str, version: int, required: bool = True) -> None:
+    """Raise DocumentError unless `doc` is an object of the given schema
+    version, which need not be given unless `required`."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{kind} document must be a JSON object")
-    found = doc.get("schema_version")
+    found = doc.get("schema_version", None if required else version)
     if isinstance(found, bool) or found != version:
         raise DocumentError(f"{kind} schema_version is {found!r}, expected {version}")
 
@@ -86,6 +87,12 @@ def _read_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {value!r}")
     return float(value)
+
+
+def _read_str(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
 
 
 def _read_bool(value, field: str) -> bool:
@@ -445,12 +452,14 @@ def game_to_dict(game: Game) -> dict:
 
 def game_from_dict(doc: dict) -> Game:
     with _decoding("game", GameShapeError):
+        check_schema(doc, "game", GAME_SCHEMA_VERSION, required=False)
         n = _read_int(doc["players"], "players")
         names = doc.get("action_names")
+        names = None if names is None else _read_list(names, "action_names", _read_list, _read_str)
         if "action_counts" in doc:
             counts = _read_list(doc["action_counts"], "action_counts", _read_int)
         elif names is not None:
-            counts = [len(row) for row in _read_list(names, "action_names", _read_list)]
+            counts = [len(row) for row in names]
         else:
             raise KeyError("action_counts")
         payoffs = _read_list(doc["payoffs"], "payoffs", _read_list, _read_number)

@@ -52,6 +52,7 @@ from .games import (
     _read_label,
     _read_list,
     _read_number,
+    _read_str,
     _write_json,
     apply_transfers,
     check_schema,
@@ -1068,13 +1069,13 @@ def _read_stage(doc: dict, field: str) -> PunishmentStage:
         _read_list(doc["supports"], f"{field} supports", _read_list, _read_label),
         MixedProfile(_read_list(doc["seed"], f"{field} seed", _read_list, _read_number)),
         _read_list(doc["ceiling"], f"{field} ceiling", _read_number),
-        doc.get("label", "baseline"))
+        _read_str(doc.get("label", "baseline"), f"{field} label"))
 
 
 def _read_checkpoint(doc: dict, field: str) -> Checkpoint:
     lam = doc.get("lambda")
     return Checkpoint(_read_int(doc["rounds_applied"], f"{field} rounds_applied"),
-                      doc["game_hash"],
+                      _read_str(doc["game_hash"], f"{field} game_hash"),
                       None if lam is None else _read_number(lam, f"{field} lambda"))
 
 
@@ -1084,12 +1085,13 @@ def plan_from_dict(doc: dict) -> ProtocolPlan:
     orders = doc.get("action_orders")
     with _decoding("plan"):
         plan = ProtocolPlan(
-            case_tag=doc["case_tag"],
-            mode=doc["mode"],
+            case_tag=_read_str(doc["case_tag"], "case_tag"),
+            mode=_read_str(doc["mode"], "mode"),
             delta=_read_number(doc["delta"], "delta"),
             rounds=_read_rounds(doc["rounds"], "rounds"),
             target=OutcomeTarget(_read_list(doc["target"]["profile"], "target profile",
-                                            _read_label), doc["target"]["role"]),
+                                            _read_label),
+                                 _read_str(doc["target"]["role"], "target role")),
             baseline=MixedProfile(_read_list(doc["baseline"], "baseline", _read_list,
                                              _read_number)),
             punishment=tuple(_read_stage(s, f"punishment stage {k}") for k, s in
@@ -1098,7 +1100,7 @@ def plan_from_dict(doc: dict) -> ProtocolPlan:
                               enumerate(_read_list(doc["checkpoints"], "checkpoints"), 1)),
             expected_terminal_payoffs=_read_list(doc["expected_terminal_payoffs"],
                                                  "expected_terminal_payoffs", _read_number),
-            base_game_hash=doc["base_game_hash"],
+            base_game_hash=_read_str(doc["base_game_hash"], "base_game_hash"),
             welfare_stage_rounds=_read_int(doc.get("welfare_stage_rounds", 0),
                                            "welfare_stage_rounds"),
             action_orders=None if orders is None else _read_list(

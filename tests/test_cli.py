@@ -44,6 +44,14 @@ def test_analyze_malformed_file_exits_2(workdir):
     assert "error" in res.stderr
 
 
+def test_game_files_need_no_schema_version(workdir, capsys):
+    doc = json.loads((workdir / "ex3.json").read_text(encoding="utf-8"))
+    del doc["schema_version"]
+    path = workdir / "ex3_unversioned.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _main(capsys, "analyze", str(path))[0] == 0
+
+
 def test_plan_simulate_verify_chain(workdir):
     plan_path = workdir / "plan3.json"
     res = run("plan", str(workdir / "ex3.json"), "--payoffs", "4,3",
@@ -268,6 +276,10 @@ def _input_error_case(workdir, case):
                       "game_action_counts_string": ("action_counts", ["2", 2]),
                       "game_payoff_string": ("payoffs", [["3", 0.0], *doc["payoffs"][1:]]),
                       "game_payoff_bool": ("payoffs", [[True, 0.0], *doc["payoffs"][1:]]),
+                      "game_schema_version_2": ("schema_version", 2),
+                      "game_schema_version_bool": ("schema_version", True),
+                      "game_action_name_number": ("action_names",
+                                                  [[1.5, "B"], doc["action_names"][1]]),
                       }[case]
         doc[key] = value
         path = workdir / f"{case}.json"
@@ -295,6 +307,9 @@ _NAMED_FIELDS = {
     "game_action_counts_string": "action_counts entry 1 must be an integer, got '2'",
     "game_payoff_string": "payoffs entry 1 entry 1 must be a number, got '3'",
     "game_payoff_bool": "payoffs entry 1 entry 1 must be a number, got True",
+    "game_schema_version_2": "game schema_version is 2, expected 1",
+    "game_schema_version_bool": "game schema_version is True, expected 1",
+    "game_action_name_number": "action_names entry 1 entry 1 must be a string, got 1.5",
     "script_votes_string": "votes entry 1 entry 1 must be true or false, got 'no'",
     "script_votes_int": "votes entry 1 entry 1 must be true or false, got 0",
     "script_terminal_bool": "terminal_actions entry 1 must be an integer label, got True",
@@ -317,6 +332,12 @@ _NAMED_FIELDS = {
     "expected_payoff_string": "expected_terminal_payoffs entry 1 must be a number, got '4'",
     "baseline_string": "baseline entry 1 entry 1 must be a number, got '1'",
     "baseline_bool": "baseline entry 1 entry 1 must be a number, got True",
+    "case_tag_list": "case_tag must be a string, got ['pure_anchor']",
+    "mode_bool": "mode must be a string, got True",
+    "role_number": "target role must be a string, got 1",
+    "label_bool": "punishment stage 1 label must be a string, got True",
+    "game_hash_number": "checkpoint 1 game_hash must be a string, got 0",
+    "base_game_hash_number": "base_game_hash must be a string, got 0",
 }
 
 
@@ -331,7 +352,8 @@ _NAMED_FIELDS = {
                                   "game_players_inf", "game_action_counts_inf",
                                   "game_players_fraction", "game_action_counts_fraction",
                                   "game_action_counts_string", "game_payoff_string",
-                                  "game_payoff_bool"])
+                                  "game_payoff_bool", "game_schema_version_2",
+                                  "game_schema_version_bool", "game_action_name_number"])
 def test_malformed_inputs_exit_2_without_traceback(workdir, capsys, case):
     code, err = _main(capsys, *_input_error_case(workdir, case))
     assert code == 2
@@ -412,6 +434,12 @@ _PLAN_EDITS = {
     "expected_payoff_string": lambda d: d.update(expected_terminal_payoffs=["4", 3]),
     "baseline_string": lambda d: d.update(baseline=[["1", 0], [1, 0]]),
     "baseline_bool": lambda d: d.update(baseline=[[True, 0], [1, 0]]),
+    "case_tag_list": lambda d: d.update(case_tag=["pure_anchor"]),
+    "mode_bool": lambda d: d.update(mode=True),
+    "role_number": lambda d: d["target"].update(role=1),
+    "label_bool": lambda d: d["punishment"][0].update(label=True),
+    "game_hash_number": lambda d: d["checkpoints"][0].update(game_hash=0),
+    "base_game_hash_number": lambda d: d.update(base_game_hash=0),
 }
 
 
@@ -499,9 +527,8 @@ def test_one_field_mutations_exit_cleanly(workdir, capsys):
     """One field of ex3's game, plan, transcript or script replaced by a
     bool, fraction, numeric string, null, list, object, Infinity, NaN, 0 or
     a negative integer: every run exits 0-3 or raises a document error.
-    Where a number, bool, list or object field gets a value of another JSON
-    type (or an integer field a fraction), the run exits 2; null is allowed
-    where a field is optional."""
+    Where a field gets a value of another JSON type (or an integer field a
+    fraction), the run exits 2; null is allowed where a field is optional."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -521,11 +548,7 @@ def test_one_field_mutations_exit_cleanly(workdir, capsys):
                        "rounds": [[{"payer": 1, "outcome": [2, 1], "recipient": "BURN",
                                     "amount": 0.5}], []],
                        "terminal_actions": [1, 2]}}
-    # Game documents need no schema_version (in a game file or a transcript's
-    # base_game), so no decoder reads it.
-    fields = [(kind, path) for kind, doc in docs.items() for path in _fields(doc)
-              if path[-1] != "schema_version" or (kind in ("plan", "transcript")
-                                                  and len(path) == 1)]
+    fields = [(kind, path) for kind, doc in docs.items() for path in _fields(doc)]
     optional = ("action_names", "action_orders", "lambda", "terminal_actions",
                 "final_payoffs")
     values = [True, 1.5, "1", None, [1], {"x": 1}, math.inf, math.nan, 0, -2]
@@ -543,7 +566,7 @@ def test_one_field_mutations_exit_cleanly(workdir, capsys):
         for key in path[:-1]:
             parent = parent[key]
         old, parent[path[-1]] = parent[path[-1]], value
-        wrong_type = json_type(old) not in ("string", "null") and (
+        wrong_type = json_type(old) != "null" and (
             json_type(value) != json_type(old)
             or type(old) is int and isinstance(value, float) and math.isfinite(value))
         if value is None and path[-1] in optional:

@@ -150,6 +150,19 @@ def test_replay_rejects_cap_violation_with_index():
     assert err.value.step == 1
 
 
+@pytest.mark.parametrize("recorded", [[9.0], []])
+def test_replay_rejects_recorded_payoffs_of_another_length(recorded):
+    state = cast_votes(submit_round(open_session(unfair_split(), 1.0), _pay_round(1.0)),
+                       [False, False])
+    doc = transcript_to_dict(play_terminal(state, (1, 1)))
+    assert doc["final_payoffs"] == [9.0, -2.0]
+    doc["final_payoffs"] = recorded
+    base, transcript, delta, mode = transcript_from_dict(doc)
+    with pytest.raises(ReplayError, match="replayed payoffs") as err:
+        replay(base, transcript, delta, mode)
+    assert err.value.step == 1
+
+
 def test_fold_invariance_additive_order_independent(rng):
     game = random_game(rng, 2, (2, 3))
     rounds = []

@@ -513,11 +513,50 @@ def test_support_enumeration_solves_once_per_support_size(monkeypatch):
     assert found.kinds[:16] == ("support_solve",) * 16
     assert found.kinds[16:] == ("support_enum", "none")
     assert found.profile(16) == MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-    # The first stage, then one stacked solve each for sizes 1, 2 and 3: the
-    # two open rows on the nine size-1 patterns, on the nine size-2
-    # patterns, then the row left open on the full supports.
-    assert sizes == [18, 18, 18, 1]
+    # The first stage, then one stacked solve of the two open rows on the
+    # nine size-2 patterns.  The size-1 patterns are a mask over the pure
+    # cells, and the full supports are the stage's own, already rejected.
+    assert sizes == [18, 18]
     _assert_rows_match_scalar_search(stack, supports, seed, (10.0, 10.0))
+
+
+def _tolerance_band_game():
+    """A 2x2 game whose cell (1, 1) the pure step rejects and a 1x1 support
+    solve accepts: player 1's gap x - y is -1e-9 to the last bit, where
+    x + 1e-9 < y but fl(x - y) is not below -1e-9.  Its other equilibrium,
+    cell (2, 2), pays (1, 2)."""
+    x = float.fromhex("-0x1.36571b4339e5ep-30")
+    y = float.fromhex("-0x1.1bb2e60663e47p-33")
+    return np.array([[[x, 0.0], [y, 1.0]], [[0.0, -1.0], [0.0, 2.0]]])
+
+
+def test_one_action_patterns_keep_the_residual_test_of_a_1x1_solve():
+    u = _tolerance_band_game()
+    assert not equilibria._pure_nash_mask(u[None])[0, 0, 0]
+    assert equilibria._pure_nash_mask(u[None], residual=True)[0, 0, 0]
+    supports = [(0, 1), (0, 1)]
+    found = _assert_rows_match_scalar_search(u[None], supports, None, (0.5, 0.5))
+    assert found.kinds == ("support_enum",)
+    assert found.profile(0) == MixedProfile([[1.0, 0.0], [1.0, 0.0]])
+
+
+def test_full_support_2x2_stack_makes_no_enumeration_solve(monkeypatch):
+    # The one-action patterns are a mask and the only larger pattern is the
+    # stage's own, so every row the chain leaves open is settled without a
+    # solve beyond the first stage's.
+    rng = np.random.default_rng(21)
+    supports = [(0, 1), (0, 1)]
+    seed = MixedProfile.uniform_over((2, 2), supports)
+    stack = rng.integers(-1, 2, (96, 2, 2, 2)).astype(float)
+    band = _tolerance_band_game()
+    stack[0], stack[1] = band, band[::-1].transpose(0, 2, 1)  # and with players swapped
+    sizes = _solve_sizes(monkeypatch)
+    found = punish_batch(stack, supports, seed, (0.5, 0.5))
+    monkeypatch.undo()
+    assert sizes == [len(stack)]
+    assert found.kinds[:2] == ("support_enum", "support_enum")
+    assert {"pure", "semi_mixed", "none"} <= set(found.kinds)
+    _assert_rows_match_scalar_search(stack, supports, seed, (0.5, 0.5))
 
 
 def test_support_enumeration_runs_hold_at_most_the_stack(monkeypatch):
