@@ -702,29 +702,30 @@ def _semi_mixed_batch(V: np.ndarray, ceiling: Sequence[float], tol: float):
     The gap-closing protocols drive preference gaps to exact zeros, where
     the support-constrained systems go singular; the equilibria form a
     segment and any feasible point on it punishes.  `_first_settling` over
-    the 12 candidates per game of the (R, 2, 2, 2) stack `V`, in the scalar
-    search's order: the pure player, its action, then the mixer's
-    probability q of its first action ascending (0, root, 1).
+    the 12 candidates per game of the (R, 2, 2, 2) stack `V`, built as one
+    (pure player, its action, q, game) array in the scalar search's order:
+    the pure player p, its action b, then the mixer's probability q of its
+    first action ascending (0, root, 1).
     """
-    R = len(V)
-    probs, valid = [[], []], []
-    for p in (0, 1):  # the pure player; the other one mixes
-        W = V if p == 0 else V.transpose(0, 1, 3, 2)  # W[:, i, p's action, mixer's]
-        for b in (0, 1):
-            indifferent = np.abs(W[:, 1 - p, b, 0] - W[:, 1 - p, b, 1]) <= tol
-            # b must be a weak best response to the mix q over the mixer's
-            # first action: g(q) = alpha*q + beta*(1-q) >= -tol
-            alpha, beta = (W[:, p, b] - W[:, p, 1 - b]).T
-            has_root = np.abs(alpha - beta) > 1e-15
-            root = np.divide(-beta, alpha - beta, out=np.zeros(R), where=has_root)
-            has_root &= (0.0 < root) & (root < 1.0)
-            for q, ok in ((np.zeros(R), indifferent), (root, indifferent & has_root),
-                          (np.ones(R), indifferent)):
-                valid.append(ok & ~(alpha * q + beta * (1.0 - q) < -tol))
-                probs[p].append(np.tile(np.eye(2)[b], (R, 1)))
-                probs[1 - p].append(np.stack([q, 1.0 - q], axis=1))
-    return _first_settling(V, [np.concatenate(v) for v in probs], np.concatenate(valid),
-                           ceiling, tol)
+    p = np.arange(2)  # the pure player; the other one mixes
+    W = np.stack([V, V.transpose(0, 1, 3, 2)])  # W[p][:, i, p's action, mixer's]
+    mixer = W[p, :, 1 - p].transpose(0, 2, 1, 3)  # [p, b, game, mixer's action]
+    pure = W[p, :, p].transpose(0, 2, 1, 3)
+    indifferent = np.abs(mixer[..., 0] - mixer[..., 1]) <= tol
+    # b must be a weak best response to the mix q over the mixer's first
+    # action: g(q) = alpha*q + beta*(1-q) >= -tol
+    alpha, beta = np.moveaxis(pure - pure[:, ::-1], -1, 0)
+    has_root = np.abs(alpha - beta) > 1e-15
+    root = np.divide(-beta, alpha - beta, out=np.zeros_like(alpha), where=has_root)
+    has_root &= (0.0 < root) & (root < 1.0)
+    q = np.stack([np.zeros_like(root), root, np.ones_like(root)], axis=2)
+    valid = np.stack([indifferent, indifferent & has_root, indifferent], axis=2)
+    valid &= ~(alpha[:, :, None] * q + beta[:, :, None] * (1.0 - q) < -tol)
+    mixed = np.stack([q, 1.0 - q], axis=-1)
+    pure = np.broadcast_to(np.eye(2)[None, :, None, None], mixed.shape)
+    probs = [np.where(p[:, None, None, None, None] == i, pure, mixed).reshape(-1, 2)
+             for i in (0, 1)]
+    return _first_settling(V, probs, valid.ravel(), ceiling, tol)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
-from .engine import BURN, CommitmentRound, Pledge, round_to_dict
+from .engine import BURN, Pledge, round_to_dict
 from .equilibria import (
     NotNashError,
     StackedSystem,
@@ -196,33 +197,21 @@ def _seed_nash_applies(case: str) -> bool:
     return case != "two_by_two"
 
 
-def _stage_groups(plan: ProtocolPlan, ks: Sequence[int], rows_per_prefix: int = 1):
+def _stage_groups(plan: ProtocolPlan, ks: Sequence[int], rows: Sequence[int] | None = None):
     """Runs of consecutive prefixes among `ks` under one punishment stage,
-    with that stage; a run holds at most ROW_BUDGET rows of
-    `rows_per_prefix` each, and always at least one prefix."""
-    limit = max(1, ROW_BUDGET // rows_per_prefix)
-    stage, group = None, []
-    for k in ks:
+    with that stage; a run holds at most ROW_BUDGET rows, `rows[j]` for
+    prefix `ks[j]` (one each by default), and always at least one prefix."""
+    stage, group, size = None, [], 0
+    for k, r in zip(ks, rows or [1] * len(ks)):
         s = plan.stage_for(k)
-        if group and (s is not stage or len(group) == limit):
+        if group and (s is not stage or size + r > ROW_BUDGET):
             yield stage, group
-            group = []
+            group, size = [], 0
         stage = s
         group.append(k)
+        size += r
     if group:
         yield stage, group
-
-
-def _prefix_punishments(plan: ProtocolPlan, U: np.ndarray,
-                        ks: Sequence[int]) -> PrefixPunishments:
-    """The punishment search on each prefix game k in `ks`: k's kind, each
-    player's best-response payoff and the reason, from one `punish_batch`
-    per punishment stage on the stack `U`."""
-    found = {}
-    for stage, group in _stage_groups(plan, ks):
-        res = punish_batch(U[group], stage.supports, stage.seed, stage.ceiling)
-        found.update(zip(group, zip(res.kinds, res.best_response, res.reasons)))
-    return found
 
 
 def _verdict(ok, detail: str = "") -> PropertyResult:
@@ -276,7 +265,11 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
         if j is not None:
             anchor_fail = {"checkpoint": probed[j], "player": checks[j].player + 1,
                            "gain": checks[j].gain}
-    punishments = punishments or _prefix_punishments(plan, U, probed)
+    if not punishments:
+        punishments = {}
+        for stage, group in _stage_groups(plan, probed):
+            res = punish_batch(U[group], stage.supports, stage.seed, stage.ceiling)
+            punishments.update(zip(group, zip(res.kinds, res.best_response, res.reasons)))
     k = next((k for k in probed if punishments[k][0] == "none"), None)
     if k is not None:
         punish_fail = {"checkpoint": k, "reason": punishments[k][2]}
@@ -382,6 +375,64 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
     return results
 
 
+@dataclass(frozen=True)
+class _MoveGrid:
+    """Every player's deviation grid on one game shape and mode, for
+    `slots` amounts.  Move m is player `deviator[m]`'s, makes `pledges[m]`
+    at amount `slot[m]` of (*amounts, delta) (the combinations pay delta,
+    the no-op is slot -1), and is named `labels[m]` formatted with that
+    amount.  Moves with the same cell updates make the same game:
+    `spread[m]` is move m's distinct game, `distinct[j]` the first move of
+    game j, and `columns` the games' updates at amount 1 in `_cell_edits`'
+    form, (games, cells, signs) per position."""
+
+    deviator: np.ndarray
+    labels: tuple[str, ...]
+    slot: np.ndarray
+    pledges: tuple
+    spread: np.ndarray
+    distinct: np.ndarray
+    columns: list
+
+    def names(self, amounts: Sequence[float]) -> list[str]:
+        """Every move's name; `amounts` are (*amounts, delta)."""
+        return [label.format(amounts[s]) for label, s in zip(self.labels, self.slot.tolist())]
+
+    def move_pledges(self, m: int, amounts: Sequence[float]) -> list[Pledge]:
+        """Move m's pledges; `amounts` are (*amounts, delta)."""
+        return [replace(p, amount=amounts[self.slot[m]]) for p in self.pledges[m]]
+
+
+@cache
+def _move_grid(counts: tuple[int, ...], mode: str, slots: int) -> _MoveGrid:
+    """The grid of `commitment_deviation_moves` for every player, compiled."""
+    n = len(counts)
+    outcomes = list(np.ndindex(*counts))
+    moves = []  # (deviator, label, slot, pledges at amount 1)
+    for d in range(n):
+        moves.append((d, "noop", -1, ()))
+        for o in outcomes:
+            elsewhere = tuple(Pledge(d, (*o[:d], b, *o[d + 1:]), BURN, 1.0)
+                              for b in range(counts[d]) if b != o[d])
+            for s in range(slots):
+                moves += [(d, f"P{o}x{{:g}}", s, (Pledge(d, o, BURN, 1.0),)),
+                          (d, f"M{o}x{{:g}}", s, elsewhere)]
+                moves += [(d, f"T{o}->{r + 1}x{{:g}}", s, (Pledge(d, o, r, 1.0),))
+                          for r in range(n) if r != d and mode == "transfers"]
+        if mode == "transfers" and len(outcomes) <= ADVERSARIAL_COMBO_OUTCOME_LIMIT:
+            moves += [(d, f"A pay{pay}->{r + 1} burn{burn}", slots,
+                       (Pledge(d, pay, r, 1.0), Pledge(d, burn, BURN, 1.0)))
+                      for r in range(n) if r != d for pay in outcomes for burn in outcomes
+                      if burn != pay]
+    deviator, labels, slot, pledges = zip(*moves)
+    row_of: dict = {}  # the same pledges at one amount make the same game
+    spread = np.array([row_of.setdefault((d, p, s if p else -1), len(row_of))
+                       for d, p, s in zip(deviator, pledges, slot)])
+    distinct = np.unique(spread, return_index=True)[1]
+    return _MoveGrid(np.array(deviator), labels, np.array(slot), pledges, spread, distinct,
+                     _cell_edits((n, *counts), [pledges[m] for m in distinct.tolist()]))
+
+
 def commitment_deviation_moves(game: Game, player: int, delta: float,
                                mode: str,
                                amounts: Sequence[float]) -> list[tuple[str, list[Pledge]]]:
@@ -391,34 +442,11 @@ def commitment_deviation_moves(game: Game, player: int, delta: float,
     transfers per recipient in transfers mode, the empty round, and (for
     small games) the pay-here/burn-there combination pattern.
     """
-    n = game.num_players
-    outcomes = [tuple(int(a) for a in p) for p in game.pure_profiles()]
-    moves: list[tuple[str, list[Pledge]]] = [("noop", [])]
-    for o in outcomes:
-        for x in amounts:
-            moves.append((f"P{o}x{x:g}", [Pledge(player, o, BURN, x)]))
-            m_pledges = [Pledge(player, tuple(a if j != player else b
-                                              for j, a in enumerate(o)), BURN, x)
-                         for b in range(game.action_counts[player])
-                         if b != o[player]]
-            moves.append((f"M{o}x{x:g}", m_pledges))
-            if mode == "transfers":
-                for r in range(n):
-                    if r != player:
-                        moves.append((f"T{o}->{r + 1}x{x:g}",
-                                      [Pledge(player, o, r, x)]))
-    if mode == "transfers" and len(outcomes) <= ADVERSARIAL_COMBO_OUTCOME_LIMIT:
-        for r in range(n):
-            if r == player:
-                continue
-            for pay in outcomes:
-                for burn in outcomes:
-                    if burn == pay:
-                        continue
-                    moves.append((f"A pay{pay}->{r + 1} burn{burn}",
-                                  [Pledge(player, pay, r, delta),
-                                   Pledge(player, burn, BURN, delta)]))
-    return moves
+    grid = _move_grid(game.action_counts, mode, len(amounts))
+    xs = (*amounts, delta)
+    names = grid.names(xs)
+    return [(names[m], grid.move_pledges(m, xs))
+            for m in np.flatnonzero(grid.deviator == player).tolist()]
 
 
 def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> list[int]:
@@ -434,13 +462,14 @@ def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> 
     return sorted(picked)
 
 
-def _edit_lists(game: Game, pledge_lists) -> list[tuple[tuple[int, float], ...]]:
-    """Each pledge list as (flat cell, signed amount) updates of a flattened
-    utility tensor, in the order `apply_transfers` makes them: per pledge
-    the payer's debit, then the recipient's credit.  Adding -a is `u -= a`
-    bit for bit, so the folded bits match."""
-    shape = game.utilities.shape
-    block, *strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
+def _cell_edits(shape: tuple[int, ...], pledge_lists) -> list[tuple[np.ndarray, ...]]:
+    """Pledge lists as cell updates of a stack of flattened utility tensors
+    of `shape`: row m takes the updates `apply_transfers` makes for list m,
+    in its order (per pledge the payer's debit, then the recipient's
+    credit; adding -a is `u -= a` bit for bit, so the folded bits match),
+    and slot s holds the s-th update of every row that has one, as (rows,
+    cells, signed amounts)."""
+    block, *strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
     lists = []
     for pledges in pledge_lists:
         edits = []
@@ -449,36 +478,32 @@ def _edit_lists(game: Game, pledge_lists) -> list[tuple[tuple[int, float], ...]]
             edits.append((p.payer * block + at, -float(p.amount)))
             if p.recipient != BURN:
                 edits.append((p.recipient * block + at, float(p.amount)))
-        lists.append(tuple(edits))
-    return lists
-
-
-def _cell_edits(edit_lists) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Edit lists as cell updates of a stack of flattened utility tensors:
-    row m of the stack takes `edit_lists[m]`, and slot s holds the s-th
-    update of every row that has one, as (rows, cells, signed amounts)."""
-    slots = [[(m, *edits[s]) for m, edits in enumerate(edit_lists) if s < len(edits)]
-             for s in range(max(map(len, edit_lists), default=0))]
+        lists.append(edits)
+    slots = [[(m, *edits[s]) for m, edits in enumerate(lists) if s < len(edits)]
+             for s in range(max(map(len, lists), default=0))]
     return [tuple(np.array(col) for col in zip(*slot)) for slot in slots]
 
 
-def _check_moves(game: Game, pledge_lists, finite: np.ndarray, plan: ProtocolPlan) -> None:
-    """Raise what folding each move's pledges into the first prefix's
-    deviation game would raise, move by move: the round's first broken
-    rule, else non-finite utilities.  `finite` says, per move, whether its
-    folded game is finite.
+def _check_moves(game: Game, plan: ProtocolPlan, grid: _MoveGrid, amounts: Sequence[float],
+                 finite: np.ndarray) -> None:
+    """Raise what folding the moves into the first prefix's deviation games
+    would raise first: a round's first broken rule, else non-finite
+    utilities.  `amounts` are (*amounts, delta); `finite` says per move
+    whether its folded game is finite.
 
     A move's pledges all have payer d and the others' never do, so their
     cap totals never mix, and a round's rules depend only on the game's
-    shape: checking each move's rules once, on `game`, raises what folding
-    it at every prefix would.  Non-finite games of later prefixes raise in
-    `punish_batch`, with the same message.
+    shape: checking a move once, on `game`, raises what folding it at every
+    prefix would.  A move pays each outcome once, at its one amount, so
+    only moves over delta (the cap) or not finite are rebuilt as pledges.
+    Later prefixes' non-finite games raise the same in `punish_batch`.
     """
-    for pledges, ok in zip(pledge_lists, finite.tolist()):
-        v = round_violation(game, pledges, plan.delta, plan.mode)
+    over = np.asarray(amounts)[grid.slot] > plan.delta + 1e-12
+    for m in np.flatnonzero(over | ~finite).tolist():
+        v = round_violation(game, grid.move_pledges(m, amounts), plan.delta, plan.mode)
         if v is not None:
             raise TransferError(v.code, v.message, v.payer, v.outcome)
-        if not ok:
+        if not finite[m]:
             raise GameShapeError("utilities must be finite")
 
 
@@ -488,17 +513,17 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
                      ) -> dict[str, DeviationClassResult]:
     """Probe the four deviation classes against the plan's punishment rule.
 
-    The deviation games of consecutive prefixes under one punishment stage
-    are solved as one stack of at most ROW_BUDGET games (or one prefix's):
-    per prefix and deviator, the prefix game with the others' pledges
-    folded in as cell updates, plus each move's cell updates.  Moves with
-    the same cell updates make the same game, so a stack holds each
-    deviator's distinct games once and its duplicate moves share that
-    row's search.  Each stack's findings are reduced as arrays, one row
-    per move (`DeviationClassResult.record_rows`): a gain per row, the
-    first largest as the worst, and a `DeviationFinding` only for rows
-    without a punishment.  `games` are the plan's prefix games and
-    `punishments` the search on them when the caller has them already.
+    One `punish_batch` per run of consecutive prefixes under one punishment
+    stage searches the run's deviation games, one row per deviator's
+    distinct move (`_move_grid`), and the run's prefix games that the early
+    stops or a None in `punishments` ask for; a run holds at most
+    ROW_BUDGET rows, or one prefix's.  Each stack's findings are reduced as
+    arrays, one row per move (`DeviationClassResult.record_rows`): a gain
+    per row, the first largest as the worst, and a `DeviationFinding` only
+    for rows without a punishment.  `games` are the plan's prefix games.
+    `punishments` maps prefixes to their search (kind, best-response
+    payoffs, reason): a search it holds is read, and every search made is
+    written into it.
     """
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if games is None else games
@@ -507,57 +532,64 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
 
-    # One prefix's rows: each deviator's distinct moves; move m reads row spread[m].
-    per_player = [commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
-                  for d in range(n)]
-    names, pledge_lists = zip(*[move for m in per_player for move in m])
-    deviator = np.repeat(np.arange(n), [len(m) for m in per_player])
-    edit_lists = _edit_lists(game, pledge_lists)
-    row_of: dict = {}
-    spread = np.array([row_of.setdefault(key, len(row_of))
-                       for key in zip(deviator.tolist(), edit_lists)])
-    width = len(row_of)
-    sizes = np.bincount([d for d, _ in row_of], minlength=n).tolist()
-    edits = _cell_edits([e for _, e in row_of])
+    grid = _move_grid(game.action_counts, plan.mode, len(amounts))
+    xs = (*amounts, plan.delta)
+    x = np.array(xs, dtype=np.float64)
+    if not np.all(np.isfinite(x) & (x >= 0)):  # raise what making the moves raises
+        commitment_deviation_moves(game, 0, plan.delta, plan.mode, amounts)
+    names = grid.names(xs)
+    width = len(grid.distinct)
+    sizes = np.bincount(grid.deviator[grid.distinct], minlength=n).tolist()
+    edits = [(rows, cells, signs * x[grid.slot[grid.distinct[rows]]])
+             for rows, cells, signs in grid.columns]
+
     prefixes = _prefix_indices(R, budget)
-    for stage, group in _stage_groups(plan, prefixes, width):
-        # Per prefix k and deviator d, prefix game k with the others'
-        # round-k pledges; the whole round passed the fold, so any subset
-        # of it is legal.
-        base = np.repeat(U[group], n, axis=0)
-        flat = base.reshape(len(base), -1)
+    # The first vote happens after round 1.
+    stops = [k for k in prefixes if k != 0]
+    punishments = {} if punishments is None else punishments
+    punishments |= dict.fromkeys(set(stops) - set(punishments))
+    on_grid = set(prefixes)
+    searched = {k for k, found in punishments.items() if found is None}
+    ks = sorted(on_grid | searched)
+    for stage, group in _stage_groups(plan, ks, [width * (k in on_grid) + (k in searched)
+                                                 for k in ks]):
+        moved = [k for k in group if k in on_grid]
+        shared = [k for k in group if k in searched]
+        # Per grid prefix k and deviator d, prefix game k with the others'
+        # round-k pledges (the whole round passed the fold, so any subset of
+        # it is legal), once per distinct move of d with its updates; then
+        # the prefix games whose search is asked for.
+        base = np.repeat(U[moved], n, axis=0)
+        flat = base.reshape(len(base), U[0].size)
         others = [[p for p in plan.rounds[k].pledges if p.payer != d]
-                  for k in group for d in range(n)]
-        for rows, cells, values in _cell_edits(_edit_lists(game, others)):
+                  for k in moved for d in range(n)]
+        for rows, cells, values in _cell_edits(U[0].shape, others):
             flat[rows, cells] += values
-        stack = np.repeat(base, sizes * len(group), axis=0)
-        flat = stack.reshape(len(stack), -1)
-        offsets = width * np.arange(len(group))[:, None]
+        stack = np.repeat(np.concatenate([base, U[shared]]),
+                          sizes * len(moved) + [1] * len(shared), axis=0)
+        flat = stack.reshape(len(stack), U[0].size)
+        offsets = width * np.arange(len(moved))[:, None]
         for rows, cells, values in edits:
-            flat[(offsets + rows).ravel(), np.tile(cells, len(group))] += \
-                np.tile(values, len(group))
-        if group[0] == prefixes[0]:
-            _check_moves(game, pledge_lists, np.isfinite(flat[:width]).all(axis=1)[spread], plan)
+            flat[(offsets + rows).ravel(), np.tile(cells, len(moved))] += \
+                np.tile(values, len(moved))
+        if moved and moved[0] == prefixes[0]:
+            _check_moves(game, plan, grid, xs,
+                         np.isfinite(stack[:width]).reshape(width, -1).all(axis=1)[grid.spread])
         found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
-        best, kinds, pure_best = found.best_response, found.kinds, found.pure_best
-        if width < len(names):
-            at = (offsets + spread).ravel()
-            best, pure_best, kinds = best[at], pure_best[at], [kinds[r] for r in at.tolist()]
-        rows, dev = np.arange(len(best)), np.tile(deviator, len(group))
-        gains = best[rows, dev] - on_path[dev]
+        for r, k in enumerate(shared, width * len(moved)):
+            punishments[k] = (found.kinds[r], found.best_response[r], found.reasons[r])
+        at = (offsets + grid.spread).ravel()  # the row each move reads
+        dev = np.tile(grid.deviator, len(moved))
+        gains = found.best_response[at, dev] - on_path[dev]
         none = np.isnan(gains)  # best_response is NaN on exactly the rows of kind "none"
         if none.any():
             # Priced at the deviator's best pure equilibrium, if any.
-            pure = pure_best[rows[none], dev[none]]
-            gains[none] = np.where(pure > -math.inf, pure - on_path[dev[none]],
-                                   math.inf)
-        results["commitment"].record_rows(
-            FindingRows(gains, kinds, group, deviator, names))
+            pure = found.pure_best[at[none], dev[none]]
+            gains[none] = np.where(pure > -math.inf, pure - on_path[dev[none]], math.inf)
+        results["commitment"].record_rows(FindingRows(
+            gains, np.array(found.kinds, dtype=object)[at], moved, grid.deviator, names))
 
-    # The first vote happens after round 1.
-    stops = [k for k in prefixes if k != 0]
     if stops:
-        punishments = punishments or _prefix_punishments(plan, U, stops)
         kinds = [punishments[k][0] for k in stops]
         gains = np.stack([punishments[k][1] for k in stops]) - on_path
         gains[np.asarray(kinds) == "none"] = math.inf
@@ -591,12 +623,11 @@ def round_bound_check(plan: ProtocolPlan, game: Game) -> BoundCheck:
                       ROUND_BOUND_CONSTANT)
 
 
-def witness_transcript(game: Game, plan: ProtocolPlan, finding: DeviationFinding,
-                       move_pledges: Sequence[Pledge] | None = None) -> dict:
+def witness_transcript(game: Game, plan: ProtocolPlan, finding: DeviationFinding) -> dict:
     """Replayable prefix+deviation transcript for a failed deviation check."""
     rounds = [round_to_dict(r) for r in plan.rounds[:finding.prefix]]
     votes = [[True] * game.num_players for _ in range(finding.prefix)]
-    doc = {
+    return {
         "base_game_hash": content_hash(game),
         "delta": plan.delta,
         "mode": plan.mode,
@@ -609,9 +640,6 @@ def witness_transcript(game: Game, plan: ProtocolPlan, finding: DeviationFinding
             "gain": finding.gain,
         },
     }
-    if move_pledges is not None:
-        doc["deviation"]["pledges"] = [round_to_dict(CommitmentRound(tuple(move_pledges)))]
-    return doc
 
 
 def verify_plan(game: Game, plan: ProtocolPlan, *,
@@ -620,28 +648,28 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
                 checkpoint_budget: int | None = None) -> VerificationReport:
     """Full verification: on-path properties, deviation grid, round bound.
 
+    The plan is folded once, and the punishment search on each prefix game
+    that property (a) or the early-stop class reads rides in the grid's
+    stack of its punishment stage: one `punish_batch` per stage chunk.
     Raises DocumentError, as for a plan file, when the plan breaks what
     every built plan meets or does not fit `game`.
     """
     if content_hash(game) != plan.base_game_hash:
         raise ValueError("plan was built for a different game (hash mismatch)")
     check_plan_for_game(plan, game)
-    # One search serves the probed checkpoints and the early stops.
-    ks = sorted({*_prefix_indices(plan.num_rounds + 1, checkpoint_budget, "checkpoint_budget"),
-                 *_prefix_indices(plan.num_rounds, budget)})
+    probed = _prefix_indices(plan.num_rounds + 1, checkpoint_budget, "checkpoint_budget")
+    _prefix_indices(plan.num_rounds, budget)  # a bad budget raises before the fold
     try:
         games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     except FoldError:
         games = None  # check_on_path reports the failing round
-    punishments = None if games is None else _prefix_punishments(
-        plan, np.stack([g.utilities for g in games]), ks)
-    properties = check_on_path(game, plan, checkpoint_budget=checkpoint_budget,
-                               games=games, punishments=punishments)
-    if properties["round_cap"].status == "fail":
-        deviations = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
-    else:
+    punishments = dict.fromkeys(probed)
+    deviations = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
+    if games is not None:
         deviations = check_deviations(game, plan, amounts=amounts, budget=budget,
                                       games=games, punishments=punishments)
+    properties = check_on_path(game, plan, checkpoint_budget=checkpoint_budget,
+                               games=games, punishments=punishments)
     bound = round_bound_check(plan, game)
     grid = {
         "amounts": list(amounts) if amounts else [plan.delta / 2, plan.delta],

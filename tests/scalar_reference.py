@@ -1,4 +1,4 @@
-"""Scalar reference for the equilibrium kernel.
+"""Scalar reference for the equilibrium kernel and the deviation grid.
 
 These are the one-game implementations that `commitment_games.equilibria`
 carried before its checks became stacks: the best-response check, the
@@ -7,11 +7,14 @@ the support-constrained solve (linear for two players, damped Newton for
 more), the non-degeneracy check and the punishment search with its
 fallback chain.  They share no code with the stacked kernel, only the
 result types, so the differential tests compare the kernel against an
-independent computation of the same quantities.
+independent computation of the same quantities.  The deviation grid is
+here as the verifier built it before it was compiled into edit arrays:
+`Pledge` lists per move, and their (flat cell, signed amount) edits.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
@@ -31,6 +34,7 @@ from commitment_games.equilibria import (
     SupportError,
     SupportSolve,
 )
+from commitment_games.engine import BURN, Pledge
 from commitment_games.games import (
     DEFAULT_TOL,
     Game,
@@ -459,3 +463,60 @@ def find_punishment_equilibrium(game: Game, reference_support: Sequence[Sequence
     if boundary is not None:
         return PunishmentResult(boundary, "semi_mixed")
     return PunishmentResult(None, "none", "; ".join(reasons))
+
+
+ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
+
+
+def commitment_deviation_moves(game: Game, player: int, delta: float, mode: str,
+                               amounts: Sequence[float]) -> list[tuple[str, list[Pledge]]]:
+    """Finite grid of single-round deviations for one player: the empty
+    round, per outcome and amount a burn there (P), burns at the player's
+    other actions (M) and, in transfers mode, a transfer per recipient (T),
+    then (for small games) pay-here/burn-there combinations (A)."""
+    n = game.num_players
+    outcomes = [tuple(int(a) for a in p) for p in game.pure_profiles()]
+    moves: list[tuple[str, list[Pledge]]] = [("noop", [])]
+    for o in outcomes:
+        for x in amounts:
+            moves.append((f"P{o}x{x:g}", [Pledge(player, o, BURN, x)]))
+            m_pledges = [Pledge(player, tuple(a if j != player else b
+                                              for j, a in enumerate(o)), BURN, x)
+                         for b in range(game.action_counts[player])
+                         if b != o[player]]
+            moves.append((f"M{o}x{x:g}", m_pledges))
+            if mode == "transfers":
+                for r in range(n):
+                    if r != player:
+                        moves.append((f"T{o}->{r + 1}x{x:g}",
+                                      [Pledge(player, o, r, x)]))
+    if mode == "transfers" and len(outcomes) <= ADVERSARIAL_COMBO_OUTCOME_LIMIT:
+        for r in range(n):
+            if r == player:
+                continue
+            for pay in outcomes:
+                for burn in outcomes:
+                    if burn == pay:
+                        continue
+                    moves.append((f"A pay{pay}->{r + 1} burn{burn}",
+                                  [Pledge(player, pay, r, delta),
+                                   Pledge(player, burn, BURN, delta)]))
+    return moves
+
+
+def edit_lists(game: Game, pledge_lists) -> list[tuple[tuple[int, float], ...]]:
+    """Each pledge list as (flat cell, signed amount) updates of a flattened
+    utility tensor, in the order `apply_transfers` makes them: per pledge
+    the payer's debit, then the recipient's credit."""
+    shape = game.utilities.shape
+    block, *strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
+    lists = []
+    for pledges in pledge_lists:
+        edits = []
+        for p in pledges:
+            at = sum(map(operator.mul, p.outcome, strides))
+            edits.append((p.payer * block + at, -float(p.amount)))
+            if p.recipient != BURN:
+                edits.append((p.recipient * block + at, float(p.amount)))
+        lists.append(tuple(edits))
+    return lists

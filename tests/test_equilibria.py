@@ -712,6 +712,39 @@ def test_stacked_enumeration_and_boundary_match_scalar_search(counts):
                 if found.kinds[r] == kind}) >= 3
 
 
+def test_array_built_boundary_step_matches_scalar_boundary_search():
+    # Tie-heavy 2x2 games: entries k * s with k in -2..2 and s in 1, 1/2,
+    # 1/3, so preference gaps close exactly and roots fall inside (0, 1);
+    # the ceilings accept some candidates and refuse others.
+    rng = np.random.default_rng(11)
+    values = (np.arange(-2, 3)[:, None] * np.array([1.0, 0.5, 1 / 3])).ravel()
+    tol = 1e-9
+    settling = Counter()
+    for _ in range(80):
+        V = rng.choice(values, (10, 2, 2, 2))
+        ceiling = rng.choice(values, 2) + rng.choice([0.0, 1.0, 3.0])
+        settled, probs, pay, exp = equilibria._semi_mixed_batch(V, ceiling, tol)
+        for r in range(len(V)):
+            game = Game(V[r])
+
+            def under_ceiling(profile):
+                return all(expected_utility(game, profile, i) <= ceiling[i] + tol
+                           for i in range(2))
+
+            want = reference._boundary_semi_mixed(game, under_ceiling, tol)
+            assert settled[r] == (want is not None)
+            if want is None:
+                continue
+            settling[tuple(tuple(p.tolist()) for p in want.probs)] += 1
+            for i in range(2):
+                assert probs[i][r].tobytes() == want.probs[i].tobytes()
+                assert pay[i][r].tobytes() == deviation_payoffs(game, want, i).tobytes()
+                assert exp[r, i] == expected_utility(game, want, i)
+    # Pure corners and interior roots, for either player mixing, all settle.
+    assert len(settling) > 20 and sum(settling.values()) > 120
+    assert any(0 < p[0] < 1 for profile in settling for p in profile)
+
+
 @pytest.mark.parametrize("case", ["full_2p", "full_3p", "partial_2p"])
 def test_stacked_nash_and_non_degeneracy_match_scalar_checks(rng, case):
     # Perturbations from 1e-12 (the profile stays Nash) to 1 (it breaks);

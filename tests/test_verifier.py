@@ -241,11 +241,19 @@ def test_report_serialization_round_trip():
 def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=None,
                              punishments=None):
     """Reference grid: fold and search every deviation game one at a time.
-    `games` and `punishments` are accepted for `verify_plan`'s call and
-    ignored."""
+    `games` is accepted for `verify_plan`'s call and ignored; the prefix
+    searches `punishments` asks for (its None values) are made one game at
+    a time too."""
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     R, n = plan.num_rounds, game.num_players
+    for k in [k for k, found in (punishments or {}).items() if found is None]:
+        stage = plan.stage_for(k)
+        pun = reference.find_punishment_equilibrium(
+            games[k], stage.supports, stage.seed, stage.ceiling)
+        best = np.full(n, np.nan) if pun.profile is None else np.array(
+            [best_response_payoff(games[k], pun.profile, i) for i in range(n)])
+        punishments[k] = (pun.kind, best, pun.reason)
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in verifier.DEVIATION_CLASSES}
     prefixes = verifier._prefix_indices(R, budget)
@@ -253,7 +261,7 @@ def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=Non
         stage = plan.stage_for(k)
         for d in range(n):
             others = tuple(p for p in plan.rounds[k].pledges if p.payer != d)
-            for name, pledges in commitment_deviation_moves(
+            for name, pledges in reference.commitment_deviation_moves(
                     game, d, plan.delta, plan.mode, amounts):
                 dev_round = CommitmentRound(others + tuple(pledges))
                 g_dev = apply_transfers(games[k], dev_round, delta=plan.delta,
@@ -406,14 +414,22 @@ def test_batched_grid_matches_scalar_loop_on_small_integer_games_hypothesis():
     assert kinds["support_enum"] and kinds["pure"]
 
 
-@pytest.mark.parametrize("case", ["over_cap", "overflow"])
+GRID_ERRORS = {
+    "over_cap": ((2.0,), TransferError),  # above the cap of 1
+    "negative": ((0.5, -0.5), TransferError),
+    "nan": ((math.nan, 0.5), TransferError),
+    "overflow": (None, GameShapeError),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_ERRORS))
 def test_batched_grid_raises_what_the_scalar_loop_raises(case):
+    amounts, error = GRID_ERRORS[case]
     game, plan = split_plan()
-    amounts = (2.0,)  # above the cap of 1
     if case == "overflow":
         u = np.array(game.utilities)
         u[0, 0, 1] = -np.finfo(float).max  # any burn there overflows
-        game, plan, amounts = Game(u), dataclasses.replace(plan, delta=1e300), None
+        game, plan = Game(u), dataclasses.replace(plan, delta=1e300)
     raised = []
     for grid in (check_deviations, _scalar_check_deviations):
         with np.errstate(over="ignore"), \
@@ -421,7 +437,37 @@ def test_batched_grid_raises_what_the_scalar_loop_raises(case):
             grid(game, plan, amounts=amounts)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
-    assert raised[0][0] is (TransferError if case == "over_cap" else GameShapeError)
+    assert raised[0][0] is error
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (3, 3), (4, 5), (3, 7), (2, 2, 2)])
+@pytest.mark.parametrize("mode", ["transfers", "burn_only"])
+def test_compiled_move_grid_matches_the_pledge_loop(counts, mode):
+    # 4x5 has 20 outcomes, so it gets the combinations; 3x7 has 21 and none.
+    game = Game(np.zeros((len(counts), *counts)))
+    delta, amounts = 0.3, (0.15, 0.3, 0.07)
+    grid = verifier._move_grid(counts, mode, len(amounts))
+    xs = (*amounts, delta)
+    # Each move's updates, read back from the distinct games' columns.
+    per_game = [[] for _ in grid.distinct]
+    for games, cells, signs in grid.columns:
+        for j, cell, sign in zip(games.tolist(), cells.tolist(), signs.tolist()):
+            per_game[j].append((cell, sign))
+    x = np.array(xs)
+    edits = [tuple((cell, sign * x[s]) for cell, sign in per_game[j])
+             for j, s in zip(grid.spread.tolist(), grid.slot.tolist())]
+    got = list(zip(grid.deviator.tolist(), grid.names(xs), edits))
+    want = []
+    for d in range(len(counts)):
+        moves = reference.commitment_deviation_moves(game, d, delta, mode, amounts)
+        want += [(d, name, edit_list) for (name, _), edit_list
+                 in zip(moves, reference.edit_lists(game, [p for _, p in moves]))]
+    assert got == want
+    assert any(name.startswith("A") for _, name, _ in got) == (
+        mode == "transfers" and math.prod(counts) <= 20)
+    for d in range(len(counts)):
+        assert (commitment_deviation_moves(game, d, delta, mode, amounts)
+                == reference.commitment_deviation_moves(game, d, delta, mode, amounts))
 
 
 def _distinct_moves(game, plan, d, amounts=None):
@@ -467,15 +513,25 @@ CHUNK_CASES = {
 def test_chunked_grid_matches_scalar_loop(monkeypatch, case, prefixes, kwargs):
     game, plan = CHUNK_CASES[case]()
     rows = sum(len(_distinct_moves(game, plan, d)) for d in range(game.num_players))
-    # Below two prefixes' rows, a chunk holds one prefix.
-    budget = 2 * rows - 1 if prefixes == 1 else prefixes * rows
+    # Every prefix game's own search rides along, one more row per prefix:
+    # below two grid prefixes' rows, a chunk holds one grid prefix.
+    budget = 2 * rows - 1 if prefixes == 1 else prefixes * (rows + 1)
     monkeypatch.setattr(verifier, "ROW_BUDGET", budget)
     with _recorded_stacks() as stacks:
         _assert_grids_agree(game, plan, **kwargs)
     sizes = [len(u) for u in stacks]
-    assert max(sizes) == prefixes * rows
+    grid = verifier._prefix_indices(plan.num_rounds, kwargs.get("budget"))
+    assert sum(sizes) == len(grid) * rows + plan.num_rounds + 1
+    assert max(sizes) <= budget
+    if prefixes == 1:
+        # mix3x3's last prefix game, past the grid, has a stage of its own.
+        own_stage = plan.stage_for(plan.num_rounds) is not plan.stage_for(grid[-1])
+        assert own_stage == (case == "mix3x3_indirect")
+        assert len(sizes) == len(grid) + own_stage and sizes[-1] == 1
+    else:
+        assert max(sizes) == prefixes * (rows + 1)
     if case == "welfare_then_burn":
-        assert plan.punishment[1].first_round == 3 and rows in sizes
+        assert plan.punishment[1].first_round == 3 and rows + 1 in sizes
         assert rows == 2 * 29  # 37 moves per deviator, 8 of them M/P twins
 
 
@@ -644,9 +700,10 @@ def test_ex6_stacks_hold_each_distinct_deviation_game_once():
     # Each deviator has two actions, so each of its 16 M moves burns where
     # a P move does: 17 distinct games of 33 moves.
     assert [len(_distinct_moves(game, plan, d)) for d in range(3)] == [17] * 3
-    *grid, stops = [len(u) for u in stacks]
-    assert sum(grid) == 50 * 51 and all(size % 51 == 0 for size in grid)
-    assert stops == 49
+    # 51 games per prefix, and the prefix game of each of the 49 early stops
+    # in the same stacks: 19 prefixes fit in ROW_BUDGET, the first without
+    # an early stop.
+    assert [len(u) for u in stacks] == [19 * 51 + 18, 19 * 52, 12 * 52]
     assert results["commitment"].checked == 50 * 99 == 4950
 
 
@@ -694,9 +751,11 @@ def test_worst_gain_on_a_folded_twin_names_the_scalar_loops_move():
     twin = next(f for f in rows if (f.prefix, f.player, f.move)
                 == (worst.prefix, 0, f"P(1, 0)x{x}"))
     assert twin.gain == worst.gain == results["commitment"].worst_gain
-    # 17 moves per deviator fold to 9 games.
+    # 17 moves per deviator fold to 9 games; the early stops' prefix games
+    # ride in the same stack.
     assert len(_distinct_moves(game, plan, 0)) == 9
-    assert sum(len(u) for u in stacks[:-1]) == len(plan.rounds) * 2 * 9
+    R = len(plan.rounds)
+    assert [len(u) for u in stacks] == [R * 2 * 9 + R - 1]
     _assert_grids_agree(game, plan)
 
 
@@ -719,8 +778,9 @@ def test_overflowing_twin_at_a_later_prefix_raises_what_the_scalar_loop_raises()
             check_deviations(game, plan, amounts=(x,))
         raised.append(str(info.value))
     assert raised == ["utilities must be finite"] * 2
-    # Both prefixes in one stack, of 21 distinct games of 25 per deviator.
-    assert [len(u) for u in stacks] == [2 * 2 * 21]
+    # Both prefixes in one stack, of 21 distinct games of 25 per deviator,
+    # then the early stop's prefix game.
+    assert [len(u) for u in stacks] == [2 * 2 * 21 + 1]
     assert np.isfinite(stacks[0][:42]).all() and not np.isfinite(stacks[0][42:]).all()
 
 
@@ -737,6 +797,100 @@ def test_verify_plan_searches_each_prefix_game_once():
     # ex4 is 4x4, so no two moves fold alike: one row per move.
     rows = sum(map(len, stacks))
     assert rows == report.deviations["commitment"].checked + len(shared)
+    # One call per stage chunk: the 8 grid prefixes' 1,040 rows and the
+    # shared prefix games exceed ROW_BUDGET once.
+    grid_rows = report.deviations["commitment"].checked // len(verifier._prefix_indices(R, 8))
+    assert grid_rows == 130 and len(stacks) == 2
+    assert max(map(len, stacks)) <= verifier.ROW_BUDGET
+
+
+@contextlib.contextmanager
+def _recorded_rows():
+    """Every row the verifier hands `punish_batch`, keyed by its stage and
+    bytes, with the row's kind and the bytes of its best-response and
+    best-pure-equilibrium payoffs."""
+    rows = {}
+    batch = verifier.punish_batch
+
+    def recorded(utilities, *args):
+        found = batch(utilities, *args)
+        for r, u in enumerate(utilities):
+            got = (found.kinds[r], found.best_response[r].tobytes(),
+                   found.pure_best[r].tobytes())
+            assert rows.setdefault((repr(args), u.tobytes()), got) == got
+        return found
+
+    with mock.patch.object(verifier, "punish_batch", recorded):
+        yield rows
+
+
+def _two_call_check_deviations(game, plan, *, games, punishments, **kwargs):
+    """`check_deviations` with the prefix searches run first, in calls of
+    their own per punishment stage, so the grid's stacks hold deviation
+    games only."""
+    U = np.stack([g.utilities for g in games])
+    stops = verifier._prefix_indices(plan.num_rounds, kwargs.get("budget"))[1:]
+    wanted = sorted({*stops, *(k for k, found in punishments.items() if found is None)})
+    for stage, group in verifier._stage_groups(plan, wanted):
+        found = verifier.punish_batch(U[group], stage.supports, stage.seed, stage.ceiling)
+        punishments.update(zip(group, zip(found.kinds, found.best_response, found.reasons)))
+    return check_deviations(game, plan, games=games, punishments=punishments, **kwargs)
+
+
+def _assert_merged_search_matches_separate_calls(game, plan, **kwargs) -> list:
+    """verify_plan's one stack per stage chunk gives the report bytes and,
+    row for row, the kinds, best responses and pure_best of separate prefix
+    and grid searches; returns the merged run's stack sizes."""
+    with _recorded_stacks() as stacks, _recorded_rows() as merged:
+        report = verify_plan(game, plan, **kwargs).to_json()
+    with _recorded_stacks() as separate_stacks, _recorded_rows() as separate, \
+            mock.patch.object(verifier, "check_deviations", _two_call_check_deviations):
+        assert verify_plan(game, plan, **kwargs).to_json() == report
+    assert merged == separate
+    sizes = [len(u) for u in stacks]
+    assert max(sizes) <= verifier.ROW_BUDGET
+    assert sum(sizes) == sum(map(len, separate_stacks)) and len(sizes) < len(separate_stacks)
+    return sizes
+
+
+MERGED_SEARCH_PLANS = {
+    "ex4_budgets": lambda: (*prize_plan(0.02), {"budget": 8, "checkpoint_budget": 64}),
+    "ex6": lambda: (three_player_cycle(), build_plan(
+        three_player_cycle(), MixedProfile.uniform_over((2, 2, 2), [(0, 1)] * 3),
+        target=(0, 0, 0), delta=0.01), {}),
+    "spoiler": lambda: (spoiler_3x3(), naive_spoiler_plan(0.1), {}),
+    # Checkpoint 51 alone is under a stage of its own, which the grid's
+    # prefixes 0, 50 and 99 skip: its search gets a call of its own.
+    "own_stage_past_budget": lambda: (
+        prize_plan(0.02)[0], _with_stage(prize_plan(0.02)[1], 51, ceiling=(-100.0, -100.0)),
+        {"budget": 2}),
+}
+
+
+@pytest.mark.parametrize("case, calls", [("ex4_budgets", 2), ("ex6", 3), ("spoiler", 3),
+                                         ("own_stage_past_budget", 3)])
+def test_merged_search_matches_separate_calls(case, calls):
+    game, plan, kwargs = MERGED_SEARCH_PLANS[case]()
+    sizes = _assert_merged_search_matches_separate_calls(game, plan, **kwargs)
+    assert len(sizes) == calls
+    if case == "own_stage_past_budget":
+        assert plan.stage_for(51).first_round == 51 and sizes[1] == 1
+
+
+def test_merged_search_matches_separate_calls_on_seeded_2x2_plans():
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        assert len(_assert_merged_search_matches_separate_calls(*mismatching_two_by_two(rng))) == 1
+
+
+@pytest.mark.parametrize("case, prefixes", [("mix3x3_indirect", 1), ("welfare_then_burn", 2)])
+def test_merged_search_matches_separate_calls_in_small_chunks(monkeypatch, case, prefixes):
+    # mix3x3's last prefix game has a stage of its own; welfare_then_burn's
+    # stage change at round 3 cuts a chunk.
+    game, plan = CHUNK_CASES[case]()
+    rows = sum(len(_distinct_moves(game, plan, d)) for d in range(game.num_players))
+    monkeypatch.setattr(verifier, "ROW_BUDGET", prefixes * (rows + 1))
+    _assert_merged_search_matches_separate_calls(game, plan)
 
 
 def test_ex4_first_stage_solves_each_distinct_support_block_once(monkeypatch):
@@ -762,7 +916,10 @@ def test_ex4_first_stage_solves_each_distinct_support_block_once(monkeypatch):
     monkeypatch.undo()
     assert report.accepted
     rows, distinct = zip(*blocks)
-    assert sum(rows) == 13_101 and sum(distinct) == 1276
+    # The prefix games ride in the grid's 15 stacks, where their blocks can
+    # repeat a deviation game's.
+    assert len(rows) == 15
+    assert sum(rows) == 13_101 and sum(distinct) == 1275
     assert solved == list(distinct)
 
 
