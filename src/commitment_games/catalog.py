@@ -20,7 +20,7 @@ from .equilibria import (
     probe_strong_punishability,
     solve_on_support,
 )
-from .games import Game, MixedProfile, apply_transfers
+from .games import DEFAULT_TOL, EXACT_SLACK, Game, MixedProfile, apply_transfers
 from .protocols import ProtocolPlan, build_partial_support_plan, build_plan
 from .verifier import commitment_deviation_moves, verify_plan
 
@@ -214,7 +214,7 @@ def _run_ex5() -> ReproduceRow:
                 headroom[p.outcome] = headroom.get(p.outcome, 0.0) + p.amount
     _check(set(headroom) == {(3, 0), (3, 1), (3, 3)},
            f"headroom burns hit {sorted(headroom)}", problems)
-    _check(all(abs(v - 1.0) <= 1e-9 for v in headroom.values()),
+    _check(all(abs(v - 1.0) <= DEFAULT_TOL for v in headroom.values()),
            f"headroom totals {headroom} != 1 each", problems)
     report = verify_plan(game, plan)
     _check(report.accepted, "verification rejected the plan", problems)
@@ -251,7 +251,7 @@ def _run_mix3x3() -> ReproduceRow:
     solve = solve_on_support(game, [(0, 1), (0, 1)])
     _check(solve.profile is not None and
            max(abs(float(p) - 0.5) for vec in solve.profile.probs
-               for p in vec[:2]) <= 1e-12,
+               for p in vec[:2]) <= EXACT_SLACK,
            "solution is not the half-half mix", problems)
     _check(is_non_degenerate(game, solve.profile).ok if solve.profile else False,
            "mixed equilibrium reported degenerate", problems)

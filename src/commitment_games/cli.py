@@ -150,14 +150,12 @@ def _parse_sigma(text: str, game: Game) -> MixedProfile:
 
 
 def _default_sigma(game: Game) -> MixedProfile:
-    """First pure Nash profile (lex order) that is non-degenerate."""
+    """First pure Nash profile (lex order) that is non-degenerate.  Its Nash
+    check passes: it is `enumerate_pure_nash`'s test at the looser NASH_TOL."""
     for prof in enumerate_pure_nash(game):
         sigma = MixedProfile.pure(game.action_counts, prof)
-        try:
-            if is_non_degenerate(game, sigma).ok:
-                return sigma
-        except NotNashError:
-            continue
+        if is_non_degenerate(game, sigma).ok:
+            return sigma
     raise InfeasibleError("no non-degenerate pure equilibrium to default to; "
                           "pass --sigma explicitly")
 

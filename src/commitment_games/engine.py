@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .games import (
     BURN,
+    EXACT_SLACK,
     DocumentError,
     Game,
     RoundViolation,
@@ -178,7 +179,7 @@ def replay(base: Game, transcript: Transcript, delta: float,
         if transcript.final_payoffs is not None:
             got = state.transcript.final_payoffs
             if len(got) != len(transcript.final_payoffs) or any(
-                    abs(a - b) > 1e-12 for a, b in zip(got, transcript.final_payoffs)):
+                    abs(a - b) > EXACT_SLACK for a, b in zip(got, transcript.final_payoffs)):
                 raise ReplayError(len(transcript.rounds),
                                   f"replayed payoffs {got} != recorded "
                                   f"{transcript.final_payoffs}")

@@ -33,6 +33,12 @@ import numpy as np
 
 from .games import (
     DEFAULT_TOL,
+    DET_TOL,
+    NASH_TOL,
+    NEWTON_TOL,
+    PROFILE_SLACK,
+    ROOT_FLOOR,
+    SYSTEM_TOL,
     Game,
     GameShapeError,
     MixedProfile,
@@ -43,8 +49,6 @@ from .games import (
 )
 
 NEWTON_MAX_ITER = 200
-NEWTON_TOL = 1e-12
-DET_TOL = 1e-8
 
 
 class SupportError(ValueError):
@@ -92,14 +96,14 @@ def enumerate_pure_nash(game: Game, tol: float = DEFAULT_TOL) -> list[tuple[int,
     return [tuple(p) for p in np.argwhere(_pure_nash_mask(game.utilities[None], tol)[0]).tolist()]
 
 
-def _pure_nash_mask(U: np.ndarray, tol: float = DEFAULT_TOL, residual=False) -> np.ndarray:
+def _pure_nash_mask(U: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per game of a (B, n, N_1..N_n) stack, the mask of pure profiles where
-    no player's payoff plus `tol` is below its best unilateral switch; with
-    `residual`, where none minus that switch is below -tol (a 1x1 solve's test)."""
+    no player's payoff minus its best unilateral switch is below -tol: the
+    test of `_bnash`, of the residual rows and so of a 1x1 support solve."""
     nash = np.ones((len(U), *U.shape[2:]), dtype=bool)
     for i in range(U.shape[1]):
         best = U[:, i].max(axis=i + 1, keepdims=True)
-        nash &= ~(U[:, i] - best < -tol) if residual else ~(U[:, i] + tol < best)
+        nash &= ~(U[:, i] - best < -tol)
     return nash
 
 
@@ -196,7 +200,7 @@ class SupportSolve:
 
 def solve_on_support(game: Game, supports: Sequence[Sequence[int]],
                      seed: MixedProfile | None = None, *,
-                     tol: float = 1e-10,
+                     tol: float = SYSTEM_TOL,
                      residual_tol: float = DEFAULT_TOL) -> SupportSolve:
     """Find a profile solving the characteristic system on the support.
 
@@ -206,8 +210,8 @@ def solve_on_support(game: Game, supports: Sequence[Sequence[int]],
     """
     system = StackedSystem(game.utilities[None], supports)
     X, status, f_norm, min_res = _solve(system, seed, tol, residual_tol)
-    profile = (MixedProfile([v[0] for v in system.embed(np.clip(X, 0.0, 1.0))], tol=1e-6)
-               if status[0] == _OK else None)
+    profile = (MixedProfile([v[0] for v in system.embed(np.clip(X, 0.0, 1.0))],
+                            tol=PROFILE_SLACK) if status[0] == _OK else None)
     return SupportSolve(profile, STATUSES[status[0]], float(f_norm[0]), float(min_res[0]))
 
 
@@ -368,7 +372,7 @@ STATUSES = ("ok", "degenerate", "no_converge", "out_of_range", "residual_negativ
  _OVER_CEILING) = range(len(STATUSES))
 
 
-def _solve(system: StackedSystem, seed: MixedProfile | None, tol: float = 1e-10,
+def _solve(system: StackedSystem, seed: MixedProfile | None, tol: float = SYSTEM_TOL,
            residual_tol: float = DEFAULT_TOL, *, distinct: bool = False):
     """`solve_on_support` on every row: (X, status, f_norm, min_residual).
 
@@ -482,7 +486,8 @@ def _solve_block(system: StackedSystem, seed: MixedProfile | None, tol: float):
     norm = _inf_norm(f(X))
     f_norm[solved] = norm[solved]
     status[solved & (norm > tol)] = _NO_CONVERGE
-    status[(status == _OK) & np.any((X <= 1e-9) | (X > 1 + 1e-9), axis=1)] = _OUT_OF_RANGE
+    out_of_range = np.any((X <= DEFAULT_TOL) | (X > 1 + DEFAULT_TOL), axis=1)
+    status[(status == _OK) & out_of_range] = _OUT_OF_RANGE
     return X, status, f_norm
 
 
@@ -555,8 +560,9 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     """The first stage of the punishment search over a stack of games.
 
     `utilities` has shape (B, n, N_1..N_n).  Per row: `solve_on_support`
-    (system to 1e-10, probabilities in (1e-9, 1+1e-9], residuals at least
-    -DEFAULT_TOL), then `is_nash` at 1e-8 and the payoff ceiling plus `tol`.
+    (system to SYSTEM_TOL, probabilities in (DEFAULT_TOL, 1 + DEFAULT_TOL],
+    residuals at least -DEFAULT_TOL), then `is_nash` at NASH_TOL and the
+    payoff ceiling plus `tol`.
     Rows whose support-block cells have the same bytes share one solve
     (`_solve` with `distinct`); the residual, Nash and ceiling checks run
     on every row.
@@ -565,7 +571,7 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     X, status, _, _ = _solve(system, seed, distinct=True)
     full = system.embed(np.clip(X, 0.0, 1.0))
     deviation, expected = _bpayoffs(system.utilities, full)
-    status[(status == _OK) & (_bnash(deviation, full, 1e-8)[0] >= 0)] = _NOT_NASH
+    status[(status == _OK) & (_bnash(deviation, full, NASH_TOL)[0] >= 0)] = _NOT_NASH
     status[(status == _OK) & ~_under_ceiling(expected, ceiling, tol)] = _OVER_CEILING
     return BatchFirstStage(status, tuple(full), tuple(deviation), expected)
 
@@ -611,7 +617,7 @@ class BatchNonDegeneracy:
 
 def is_non_degenerate(game: Game, profile: MixedProfile, *,
                       det_tol: float = DET_TOL,
-                      nash_tol: float = 1e-8) -> NonDegeneracyReport:
+                      nash_tol: float = NASH_TOL) -> NonDegeneracyReport:
     """Nonsingular Jacobian at the profile and strictly positive residuals.
 
     Raises NotNashError when the profile is not a Nash equilibrium.
@@ -622,7 +628,7 @@ def is_non_degenerate(game: Game, profile: MixedProfile, *,
 
 def non_degenerate_batch(utilities: np.ndarray, profile: MixedProfile, *,
                          det_tol: float = DET_TOL,
-                         nash_tol: float = 1e-8) -> BatchNonDegeneracy:
+                         nash_tol: float = NASH_TOL) -> BatchNonDegeneracy:
     """`is_non_degenerate` of one profile on every game of a
     (B, n, N_1..N_n) stack."""
     nash = nash_batch(utilities, profile, nash_tol)
@@ -686,11 +692,11 @@ def _first_settling(V: np.ndarray, probs: Sequence[np.ndarray], valid: np.ndarra
                     ceiling: Sequence[float], tol: float):
     """Per game of the stack `V`, the first of its candidate profiles (row
     c*len(V) + r of `probs` is candidate c of game r) that is `valid`, Nash
-    at 1e-8 and under the ceiling: (settled, probabilities, deviation
+    at NASH_TOL and under the ceiling: (settled, probabilities, deviation
     payoffs, expected payoffs), one row per game."""
     R = len(V)
     pay, exp = _bpayoffs(np.tile(V, (len(valid) // R,) + (1,) * (V.ndim - 1)), probs)
-    valid = valid & (_bnash(pay, probs, 1e-8)[0] < 0) & _under_ceiling(exp, ceiling, tol)
+    valid = valid & (_bnash(pay, probs, NASH_TOL)[0] < 0) & _under_ceiling(exp, ceiling, tol)
     valid = valid.reshape(-1, R)
     pick = valid.argmax(axis=0) * R + np.arange(R)
     return valid.any(axis=0), [p[pick] for p in probs], [p[pick] for p in pay], exp[pick]
@@ -715,7 +721,7 @@ def _semi_mixed_batch(V: np.ndarray, ceiling: Sequence[float], tol: float):
     # b must be a weak best response to the mix q over the mixer's first
     # action: g(q) = alpha*q + beta*(1-q) >= -tol
     alpha, beta = np.moveaxis(pure - pure[:, ::-1], -1, 0)
-    has_root = np.abs(alpha - beta) > 1e-15
+    has_root = np.abs(alpha - beta) > ROOT_FLOOR
     root = np.divide(-beta, alpha - beta, out=np.zeros_like(alpha), where=has_root)
     has_root &= (0.0 < root) & (root < 1.0)
     q = np.stack([np.zeros_like(root), root, np.ones_like(root)], axis=2)
@@ -752,7 +758,7 @@ class BatchPunishment:
         """Row `row`'s punishment, None on a row of kind "none"."""
         if self.kinds[row] == "none":
             return None
-        return MixedProfile([p[row] for p in self.profiles], tol=1e-6)
+        return MixedProfile([p[row] for p in self.profiles], tol=PROFILE_SLACK)
 
 
 # Why the first stage did not settle a row, in the search's words.
@@ -770,9 +776,8 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     stage; the seed's Nash and ceiling checks; the pure equilibria from a
     best-response mask per player, of which the first under the ceiling
     in lexicographic order settles the row; the support enumeration, where
-    a row ends at its first settling pattern: a mask over the pure cells,
-    then one solve per larger size (in runs of at most B games) but the
-    stage's own; and on 2x2 rows the boundary equilibria.
+    a row ends at its first settling pattern, one solve per size above 1
+    (in runs of at most B games); and on 2x2 rows the boundary equilibria.
     Raises GameShapeError when an entry is not finite, as building the
     games would.
     """
@@ -807,26 +812,22 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         rows = settle("seed", rows, *_first_settling(U[rows], probs, np.ones(len(rows), bool),
                                                      ceiling, tol))
 
-    def settle_cells(kind, rows, mask):
-        """End `rows` at `kind` at their first `mask` cell under the ceiling, in C order."""
-        V = U[rows]
-        mask = mask.reshape(len(rows), -1) & _under_ceiling(
-            V.reshape(len(rows), n, -1).transpose(0, 2, 1), ceiling, tol)
-        cells = np.unravel_index(mask.argmax(axis=1), counts)
-        probs = [np.eye(c)[a] for c, a in zip(counts, cells)]
-        return settle(kind, rows, mask.any(axis=1), probs, *_bpayoffs(V, probs))
-
     pure_best = np.full((B, n), np.nan)
     if rows.size:
         V = U[rows]
         flat = _pure_nash_mask(V).reshape(len(rows), -1)
         pure_best[rows] = np.stack([np.where(flat, V[:, i].reshape(len(rows), -1), -np.inf)
                                     .max(axis=1) for i in range(n)], axis=1)
-        rows = settle_cells("pure", rows, flat)
+        # A row ends at its first Nash cell under the ceiling, in C order.
+        flat &= _under_ceiling(V.reshape(len(rows), n, -1).transpose(0, 2, 1), ceiling, tol)
+        cells = np.unravel_index(flat.argmax(axis=1), counts)
+        probs = [np.eye(c)[a] for c, a in zip(counts, cells)]
+        rows = settle("pure", rows, flat.any(axis=1), probs, *_bpayoffs(V, probs))
 
-    # The one-action patterns are one mask: a 1x1 system solves at X = 1
-    # exactly, so its residuals are the cells' payoff gaps, which imply its
-    # Nash check.  The first stage rejected the stage's own pattern already.
+    # Size 1 is skipped: a 1x1 solve accepts exactly the cells the pure step did.
+    # The stage's own pattern is skipped: the first stage rejected it already.
+    own = _checked_supports(counts, supports)
+    patterns = [p for p in _support_patterns(counts) if len(p[0]) > 1 and p != own]
     # Sizes ascend, so runs of one size keep the enumeration order; a run
     # holds at most B (pattern, game) pairs.  Each pair is solved on supports
     # (range(k), range(k)) with the pattern's supports moved first and the
@@ -834,11 +835,6 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     # rows are the pattern's, the same floats in the same order.  The profiles
     # go back to the game's action order before any payoff is contracted: a
     # reordered tensor contracts in another order.
-    patterns = _support_patterns(counts)
-    if rows.size and patterns:
-        rows = settle_cells("support_enum", rows, _pure_nash_mask(U[rows], residual=True))
-        own = _checked_supports(counts, supports)
-        patterns = [p for p in patterns if len(p[0]) > 1 and p != own]
     while rows.size and patterns:
         V, k = U[rows], len(patterns[0][0])
         run = [p for p in patterns[:max(1, B // rows.size)] if len(p[0]) == k]

@@ -22,11 +22,22 @@ import numpy as np
 # Recipient marker for pledges that destroy utility instead of moving it.
 BURN = "BURN"
 
-# Probability mass below this is treated as outside the support.
-SUPPORT_EPSILON = 1e-9
-
-# Default comparison tolerance for utility arithmetic.
-DEFAULT_TOL = 1e-9
+# Every tolerance of the package, with the comparison it belongs to: no other
+# module writes one as a literal (tests/test_tolerances.py keeps it so).
+SUPPORT_EPSILON = 1e-9  # probability mass at or below it is off the support
+DEFAULT_TOL = 1e-9  # payoff gaps (fail at fl(u - best) < -tol), ceilings, solve ranges
+SYSTEM_TOL = 1e-10  # the max-norm of a solved characteristic system
+NEWTON_TOL = 1e-12  # the max-norm at which damped Newton stops
+NASH_TOL = 1e-8  # the Nash check of a solved, seed or baseline profile
+DET_TOL = 1e-8  # a non-degenerate Jacobian's |det| over its scale ** size
+GAIN_TOL = 1e-9  # a deviation gain, and the terminal target's Nash check
+PROFILE_SLACK = 1e-6  # the range and sum of a profile read off a solve
+CAP_SLACK = 1e-12  # a payer's total per outcome over the cap delta
+EXACT_SLACK = 1e-12  # on-path identities (P1'-P3'), replays, zero tests, denominators
+PAYOFF_SLACK = 1e-9  # on-path payoff drift: the baseline's, the welfare series', (b)'s
+DRIFT_TOL = 1e-7  # the relative drift of the block determinants along a plan
+AMOUNT_FLOOR = 1e-15  # a pledge amount or probability at or below it is zero
+ROOT_FLOOR = 1e-15  # the 2x2 boundary step's slopes must differ by more for a root
 
 GAME_SCHEMA_VERSION = 1
 
@@ -384,7 +395,7 @@ def round_violation(game: Game, round, delta: float | None = None,
                                       "only BURN pledges are allowed in burn_only mode")
         key = (p.payer, p.outcome)
         totals[key] = totals.get(key, 0.0) + p.amount
-        if delta is not None and totals[key] > delta + 1e-12:
+        if delta is not None and totals[key] > delta + CAP_SLACK:
             return RoundViolation("cap", p.payer, p.outcome,
                                   f"player {p.payer + 1} pays {totals[key]:.12g} > "
                                   f"delta={delta:.12g} at outcome {_one_based(p.outcome)}")

@@ -42,6 +42,8 @@ from .equilibria import (
 )
 from .games import (
     BURN,
+    DEFAULT_TOL,
+    EXACT_SLACK,
     DocumentError,
     Game,
     MixedProfile,
@@ -62,6 +64,7 @@ from .games import (
     pareto_improves,
     welfare_max,
 )
+from .games import AMOUNT_FLOOR as _AMOUNT_FLOOR
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -75,7 +78,6 @@ CASE_TAGS = (
     "welfare_transfer_stage",
 )
 
-_AMOUNT_FLOOR = 1e-15
 # Round counts grow with utility_range / delta (ex4 at delta 0.02 is 300);
 # build_plan refuses caps that would need millions of rounds.
 MAX_RANGE_PER_DELTA = 1e6
@@ -125,11 +127,8 @@ class ProtocolPlan:
     action_orders: tuple[tuple[int, ...], ...] | None = None
 
     def stage_for(self, rounds_applied: int) -> PunishmentStage:
-        stage = self.punishment[0]
-        for s in self.punishment:
-            if s.first_round <= rounds_applied:
-                stage = s
-        return stage
+        """The stage in force after `rounds_applied` rounds; stages ascend from 0."""
+        return [s for s in self.punishment if s.first_round <= rounds_applied][-1]
 
     @property
     def num_rounds(self) -> int:
@@ -409,7 +408,7 @@ def build_partial_support_plan(game: Game, sigma: MixedProfile,
     s1_rounds = _merge_streams([_burn_stream(i, {aux: t}, delta)
                                 for i, t in s1_totals.items()])
     g1 = fold_rounds(game, s1_rounds, delta, "burn_only")[-1]
-    s2_rounds = _anchor_rounds(g1, sigma, aux, delta, delta + 1e-9)
+    s2_rounds = _anchor_rounds(g1, sigma, aux, delta, delta + DEFAULT_TOL)
     g2 = fold_rounds(g1, s2_rounds, delta, "burn_only")[-1]
     aux_profile = MixedProfile.pure(game.action_counts, aux)
     s3_rounds = _anchor_rounds(g2, aux_profile, target, delta, 0.0)
@@ -479,7 +478,7 @@ def _first_column_stream(X: np.ndarray, player: int, orders, counts,
     """Row operations (never touching row 0) until column 0 is nonnegative."""
     N = X.shape[0]
     scale = max(1.0, float(np.max(np.abs(X))))
-    tol = 1e-12 * scale
+    tol = EXACT_SLACK * scale
     rounds: list[list[Pledge]] = []
 
     def apply_op(j: int, r: int, c_total: float):
@@ -644,7 +643,7 @@ def _gap_pair(game: Game, player: int, orders) -> tuple[float, float]:
     return u(own0, opp0) - u(own1, opp0), u(own0, opp1) - u(own1, opp1)
 
 
-def _player_type(d0: float, d1: float, tol: float = 1e-12) -> str:
+def _player_type(d0: float, d1: float, tol: float = EXACT_SLACK) -> str:
     if abs(d0) <= tol and abs(d1) <= tol:
         return "indifferent"
     if d0 > tol and d1 < -tol:
@@ -748,7 +747,7 @@ def _welfare_stage_rates(game: Game, sigma: MixedProfile,
     """Per-player per-outcome utility rates for the unit homotopy."""
     n = game.num_players
     w_val, a_sw = welfare_max(game)
-    if abs(sum(targets) - w_val) > 1e-9:
+    if abs(sum(targets) - w_val) > DEFAULT_TOL:
         raise InfeasibleError(
             f"payoff targets sum to {sum(targets):.12g}, welfare max is {w_val:.12g}")
     u_sigma = [expected_utility(game, sigma, i) for i in range(n)]
@@ -797,7 +796,7 @@ def _welfare_stage_rates(game: Game, sigma: MixedProfile,
             comp_column[s] = c
             rates[(i, *comp_column)] -= ratio * D
     welfare_rate = rates.sum(axis=0)
-    if float(welfare_rate.max()) > 1e-9:
+    if float(welfare_rate.max()) > DEFAULT_TOL:
         raise InfeasibleError("internal: homotopy would raise per-outcome welfare")
     return rates, a_sw
 
@@ -813,7 +812,7 @@ def _stage_rounds(rates: np.ndarray, delta: float) -> tuple[list[CommitmentRound
     rate_max = float(np.max(np.abs(rates)))
     if rate_max <= _AMOUNT_FLOOR:
         return [], []
-    steps = int(math.ceil(rate_max / delta - 1e-12))
+    steps = int(math.ceil(rate_max / delta - EXACT_SLACK))
     outcomes = []
     for prof in np.ndindex(*rates.shape[1:]):
         col = rates[(slice(None), *prof)]
@@ -1008,6 +1007,10 @@ def _check_plan(plan: ProtocolPlan) -> None:
         raise DocumentError(f"delta must be finite and positive, got {plan.delta}")
     if not plan.punishment:
         raise DocumentError("plan has no punishment stage")
+    starts = [s.first_round for s in plan.punishment]
+    if starts[0] != 0 or starts != sorted(starts) or starts[-1] > len(plan.rounds):
+        raise DocumentError(f"punishment stages must start at rounds ascending from 0 "
+                            f"to at most {len(plan.rounds)}, got {starts}")
     if any(not 0 <= c.rounds_applied <= len(plan.rounds) for c in plan.checkpoints):
         raise DocumentError(f"a checkpoint is outside rounds 0..{len(plan.rounds)}")
     if not 0 <= plan.welfare_stage_rounds <= len(plan.rounds):

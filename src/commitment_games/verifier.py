@@ -8,8 +8,8 @@ the four deviation classes over a finite grid: replacing one round of
 pledges, stopping early, continuing when everyone else stops, and playing
 off-target at the end.  Grid verification discretizes a continuous
 deviation space, so a pass is grid-certified evidence, not a proof; every
-report records the grid it used, and every failure carries a replayable
-witness.
+report records its grid.  A failing class's witness holds the prefix
+rounds and votes, which replay, and names the deviation by its move.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ from .equilibria import (
     punish_batch,
 )
 from .games import (
+    CAP_SLACK,
+    DRIFT_TOL,
+    EXACT_SLACK,
+    NASH_TOL,
+    PAYOFF_SLACK,
     Game,
     GameShapeError,
     MixedProfile,
@@ -43,11 +48,10 @@ from .games import (
     round_violation,
     welfare_max,
 )
+from .games import GAIN_TOL as TOLERANCE
 from .protocols import FoldError, ProtocolPlan, check_plan_for_game, fold_rounds
 
 ROUND_BOUND_CONSTANT = 64.0
-# Slack of the terminal Nash check and of every deviation gain.
-TOLERANCE = 1e-9
 ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
 # Games per stacked punishment search.  Larger stacks make fewer, larger
 # calls, but the search's working arrays grow with them and raise the
@@ -252,7 +256,7 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
         content_hash(games[c.rounds_applied]) == c.game_hash for c in plan.checkpoints))
 
     # (P1') discretized continuity: every step stays within the cap ball.
-    results["P1prime"] = _verdict(np.all(np.abs(U[1:] - U[:-1]) <= 2 * plan.delta + 1e-12))
+    results["P1prime"] = _verdict(np.all(np.abs(U[1:] - U[:-1]) <= 2 * plan.delta + EXACT_SLACK))
 
     # Stage anchors: Nash where promised, punishment under ceiling everywhere.
     anchor_fail = punish_fail = nd_fail = None
@@ -260,7 +264,7 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
     full_support_case = plan.case_tag in ("full_support_2p", "full_support_np")
     if seed_applies:
         checks = [check for stage, group in _stage_groups(plan, probed)
-                  for check in nash_batch(U[group], stage.seed, 1e-8)]
+                  for check in nash_batch(U[group], stage.seed, NASH_TOL)]
         j = next((j for j, check in enumerate(checks) if not check.ok), None)
         if j is not None:
             anchor_fail = {"checkpoint": probed[j], "player": checks[j].player + 1,
@@ -317,19 +321,19 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
     # (a1): the baseline stays a same-support punishable equilibrium, which
     # needs the anchor Nash checks plus baseline payoffs never rising.
     if a1_applies:
-        drift_ok = np.all(base[probed] <= base[0] + 1e-9)
+        drift_ok = np.all(base[probed] <= base[0] + PAYOFF_SLACK)
         results["a1"] = _verdict(anchor_fail is None and punish_fail is None and drift_ok)
     else:
         results["a1"] = PropertyResult("na", "construction does not promise (a1)")
 
     if full_support_case:
-        rel = float(np.max(np.abs(dets - dets[0]) / np.maximum(np.abs(dets[0]), 1e-12)))
+        rel = float(np.max(np.abs(dets - dets[0]) / np.maximum(np.abs(dets[0]), EXACT_SLACK)))
         results["P4prime"] = (
             PropertyResult("pass") if nd_fail is None else
             PropertyResult("fail", "baseline degenerate at a checkpoint", nd_fail))
         results["det_invariance"] = (
             PropertyResult("pass", f"max relative drift {rel:.3g}")
-            if rel <= 1e-7 else
+            if rel <= DRIFT_TOL else
             PropertyResult("fail", f"determinant drift {rel:.3g} > 1e-7"))
     else:
         results["P4prime"] = _verdict(anchor_fail is None and punish_fail is None,
@@ -338,14 +342,14 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
 
     # (P2') burn monotonicity outside the welfare stage; the comparison
     # stays `a > b + eps`, since `a - b > eps` can round differently.
-    results["P2prime"] = _verdict(not np.any(U[S + 1:] > U[S:-1] + 1e-12))
+    results["P2prime"] = _verdict(not np.any(U[S + 1:] > U[S:-1] + EXACT_SLACK))
 
     # (P3') target payoffs pinned after the welfare stage.
-    results["P3prime"] = _verdict(np.all(np.abs(T[S:] - T[S]) <= 1e-12))
+    results["P3prime"] = _verdict(np.all(np.abs(T[S:] - T[S]) <= EXACT_SLACK))
 
     # (b) == (P5'): the target is Nash at the end.
     terminal = is_nash(games[R], MixedProfile.pure(game.action_counts, t), TOLERANCE)
-    b_res = (PropertyResult("pass") if terminal.ok and np.all(np.abs(T[R] - x) <= 1e-9)
+    b_res = (PropertyResult("pass") if terminal.ok and np.all(np.abs(T[R] - x) <= PAYOFF_SLACK)
              else PropertyResult("fail", "terminal target not Nash or payoffs off",
                                  {"nash_gain": terminal.gain}))
     results["b"] = b_res
@@ -355,19 +359,19 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
     if welfare:
         welfare_series = U[:S + 1].sum(axis=1)
         results["Q1"] = results["P1prime"]
-        results["Q2"] = _verdict(np.all(welfare_series[1:] <= welfare_series[:-1] + 1e-9))
-        results["Q3"] = _verdict(np.all(np.abs(T[S] - x) <= 1e-9))
+        results["Q2"] = _verdict(np.all(welfare_series[1:] <= welfare_series[:-1] + PAYOFF_SLACK))
+        results["Q3"] = _verdict(np.all(np.abs(T[S] - x) <= PAYOFF_SLACK))
         results["Q4"] = _verdict(all(check.ok for check in
-                                     nash_batch(U[:S + 1], plan.baseline, 1e-8)))
-        q5_ok = np.all(base[1:S + 1] <= base[:S] + 1e-9)
+                                     nash_batch(U[:S + 1], plan.baseline, NASH_TOL)))
+        q5_ok = np.all(base[1:S + 1] <= base[:S] + PAYOFF_SLACK)
         # Players whose raise at the welfare maximizer has baseline support
         # mass are compensated; their baseline payoff must be pinned.
         _, a_sw = welfare_max(game)
         pinned = [i for i in range(n)
-                  if x[i] - game.payoff(i, a_sw) > 1e-12
+                  if x[i] - game.payoff(i, a_sw) > EXACT_SLACK
                   and math.prod(float(plan.baseline.probs[j][a_sw[j]])
-                                for j in range(n) if j != i) > 1e-12]
-        pinned_ok = not np.any(np.abs(base[:S + 1, pinned] - base[0, pinned]) > 1e-9)
+                                for j in range(n) if j != i) > EXACT_SLACK]
+        pinned_ok = not np.any(np.abs(base[:S + 1, pinned] - base[0, pinned]) > PAYOFF_SLACK)
         results["Q5"] = _verdict(q5_ok and pinned_ok)
     else:
         for key in ("Q1", "Q2", "Q3", "Q4", "Q5"):
@@ -498,7 +502,7 @@ def _check_moves(game: Game, plan: ProtocolPlan, grid: _MoveGrid, amounts: Seque
     only moves over delta (the cap) or not finite are rebuilt as pledges.
     Later prefixes' non-finite games raise the same in `punish_batch`.
     """
-    over = np.asarray(amounts)[grid.slot] > plan.delta + 1e-12
+    over = np.asarray(amounts)[grid.slot] > plan.delta + CAP_SLACK
     for m in np.flatnonzero(over | ~finite).tolist():
         v = round_violation(game, grid.move_pledges(m, amounts), plan.delta, plan.mode)
         if v is not None:
@@ -616,7 +620,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
 def round_bound_check(plan: ProtocolPlan, game: Game) -> BoundCheck:
     """|rounds| <= C * n * delta^-1 * utility_range * max action count,
     with C = ROUND_BOUND_CONSTANT."""
-    u_range = max(game.utility_range, 1e-12)
+    u_range = max(game.utility_range, EXACT_SLACK)
     bound = (ROUND_BOUND_CONSTANT * game.num_players * u_range
              * max(game.action_counts) / plan.delta)
     return BoundCheck(len(plan.rounds) <= bound, len(plan.rounds), bound,
@@ -624,7 +628,8 @@ def round_bound_check(plan: ProtocolPlan, game: Game) -> BoundCheck:
 
 
 def witness_transcript(game: Game, plan: ProtocolPlan, finding: DeviationFinding) -> dict:
-    """Replayable prefix+deviation transcript for a failed deviation check."""
+    """A failed deviation check's witness: the plan's first `finding.prefix`
+    rounds and all-continue votes, which replay, and the deviation's move name."""
     rounds = [round_to_dict(r) for r in plan.rounds[:finding.prefix]]
     votes = [[True] * game.num_players for _ in range(finding.prefix)]
     return {

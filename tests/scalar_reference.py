@@ -65,7 +65,7 @@ def enumerate_pure_nash(game: Game, tol: float = DEFAULT_TOL) -> list[tuple[int,
         ok = True
         for i in range(game.num_players):
             idx = (i, *prof[:i], slice(None), *prof[i + 1:])
-            if float(u[(i, *prof)]) + tol < float(u[idx].max()):
+            if float(u[(i, *prof)]) - float(u[idx].max()) < -tol:
                 ok = False
                 break
         if ok:

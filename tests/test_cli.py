@@ -321,6 +321,8 @@ _NAMED_FIELDS = {
     "first_round_bool": "punishment stage 1 first_round must be an integer, got True",
     "rounds_applied_fraction": "checkpoint 2 rounds_applied must be an integer, got 1.5",
     "welfare_rounds_bool": "welfare_stage_rounds must be an integer, got True",
+    "punishment_reversed": "punishment stages must start at rounds ascending from 0",
+    "stage_past_end": "to at most 6, got [0, 999]",
     "support_fraction": "punishment stage 1 supports entry 1 entry 1 must be an integer "
                         "label, got 1.5",
     "support_bool": "punishment stage 1 supports entry 1 entry 1 must be an integer "
@@ -440,6 +442,10 @@ _PLAN_EDITS = {
     "label_bool": lambda d: d["punishment"][0].update(label=True),
     "game_hash_number": lambda d: d["checkpoints"][0].update(game_hash=0),
     "base_game_hash_number": lambda d: d.update(base_game_hash=0),
+    # stage_for reads stages as ascending from round 0 inside the plan
+    "punishment_reversed": lambda d: d["punishment"].reverse(),
+    "first_stage_at_3": lambda d: d["punishment"][0].update(first_round=3),
+    "stage_past_end": lambda d: d["punishment"][-1].update(first_round=999),
 }
 
 

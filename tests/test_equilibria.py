@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -30,7 +31,13 @@ from commitment_games.equilibria import (
     non_degenerate_batch,
     punish_batch,
 )
-from commitment_games.games import GameShapeError, content_hash, deviation_payoffs
+from commitment_games.games import (
+    DEFAULT_TOL,
+    GameShapeError,
+    content_hash,
+    deviation_payoffs,
+    save_game,
+)
 from commitment_games.catalog import (
     chicken,
     chicken_bribe_round,
@@ -514,36 +521,72 @@ def test_support_enumeration_solves_once_per_support_size(monkeypatch):
     assert found.kinds[16:] == ("support_enum", "none")
     assert found.profile(16) == MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
     # The first stage, then one stacked solve of the two open rows on the
-    # nine size-2 patterns.  The size-1 patterns are a mask over the pure
-    # cells, and the full supports are the stage's own, already rejected.
+    # nine size-2 patterns.  The size-1 patterns are the pure step's cells,
+    # and the full supports are the stage's own, already rejected.
     assert sizes == [18, 18]
     _assert_rows_match_scalar_search(stack, supports, seed, (10.0, 10.0))
 
 
 def _tolerance_band_game():
-    """A 2x2 game whose cell (1, 1) the pure step rejects and a 1x1 support
-    solve accepts: player 1's gap x - y is -1e-9 to the last bit, where
-    x + 1e-9 < y but fl(x - y) is not below -1e-9.  Its other equilibrium,
-    cell (2, 2), pays (1, 2)."""
+    """A 2x2 game whose cell (1, 1) sits in the tolerance band: player 1's
+    gap x - y is -1e-9 to the last bit, where x + 1e-9 < y but fl(x - y) is
+    not below -1e-9.  Its other equilibrium, cell (2, 2), pays (1, 2)."""
     x = float.fromhex("-0x1.36571b4339e5ep-30")
     y = float.fromhex("-0x1.1bb2e60663e47p-33")
     return np.array([[[x, 0.0], [y, 1.0]], [[0.0, -1.0], [0.0, 2.0]]])
 
 
-def test_one_action_patterns_keep_the_residual_test_of_a_1x1_solve():
+def test_tolerance_band_game_gets_one_answer_on_every_path(tmp_path, capsys):
+    from commitment_games.cli import main
+
     u = _tolerance_band_game()
-    assert not equilibria._pure_nash_mask(u[None])[0, 0, 0]
-    assert equilibria._pure_nash_mask(u[None], residual=True)[0, 0, 0]
-    supports = [(0, 1), (0, 1)]
-    found = _assert_rows_match_scalar_search(u[None], supports, None, (0.5, 0.5))
-    assert found.kinds == ("support_enum",)
-    assert found.profile(0) == MixedProfile([[1.0, 0.0], [1.0, 0.0]])
+    game = Game(u)
+    # Every path accepts cell (1, 1) with the one test fl(u - best) >= -tol.
+    # Exact arithmetic rejects it: player 1's gain y - x exceeds the
+    # tolerance by about 2.6e-26, which the subtraction of these ~1e-9
+    # payoffs rounds away.  The disagreement is documented, not mended by a
+    # looser tolerance.
+    excess = Fraction(u[0, 1, 0]) - Fraction(u[0, 0, 0]) - Fraction(DEFAULT_TOL)
+    assert float(excess) == pytest.approx(2.6e-26, rel=0.05)
+    assert (u[0, 0, 0] - u[0, 1, 0]) == -DEFAULT_TOL
+    assert enumerate_pure_nash(game) == reference.enumerate_pure_nash(game) == [(0, 0), (1, 1)]
+    pure = MixedProfile([[1.0, 0.0], [1.0, 0.0]])
+    found = _assert_rows_match_scalar_search(u[None], [(0, 1), (0, 1)], None, (0.5, 0.5))
+    assert found.kinds == ("pure",) and found.profile(0) == pure
+    assert solve_on_support(game, [(0,), (0,)]).profile == pure
+    path = tmp_path / "band.json"
+    save_game(game, path)
+    assert main(["analyze", str(path), "--support", "1x1"]) == 0
+    out = capsys.readouterr().out
+    assert "pure Nash: (a1,a1) (a2,a2)" in out
+    assert "solution 1,0; 1,0" in out
+
+
+def test_pure_nash_mask_matches_exact_arithmetic_near_the_tolerance():
+    """Seeded near-tie cells at catalog payoff scale, within 4 ulps of
+    best - u = tol: the mask's verdict is the exact verdict best - u <= tol.
+    Two floats this close differ by a float (Sterbenz), so fl(u - best) is
+    exact; the old form `u + tol < best` rounds the sum and misses some."""
+    rng = np.random.default_rng(20260419)
+    best = rng.uniform(-10.0, 10.0, 4000)
+    u = best - DEFAULT_TOL
+    steps = rng.integers(-4, 5, len(u))
+    for s in range(4):
+        u = np.where(steps > s, np.nextafter(u, np.inf), u)
+        u = np.where(-steps > s, np.nextafter(u, -np.inf), u)
+    U = np.zeros((len(u), 2, 2, 2))
+    U[:, 0, 0, 0], U[:, 0, 1, 0] = u, best  # only player 1's column 1 matters
+    exact = [Fraction(b) - Fraction(a) <= Fraction(DEFAULT_TOL)
+             for a, b in zip(u.tolist(), best.tolist())]
+    assert equilibria._pure_nash_mask(U)[:, 0, 0].tolist() == exact
+    assert 0 < sum(exact) < len(exact)
+    assert (~(u + DEFAULT_TOL < best) != np.array(exact)).any()
 
 
 def test_full_support_2x2_stack_makes_no_enumeration_solve(monkeypatch):
-    # The one-action patterns are a mask and the only larger pattern is the
-    # stage's own, so every row the chain leaves open is settled without a
-    # solve beyond the first stage's.
+    # The one-action patterns are the pure step's cells and the only larger
+    # pattern is the stage's own, so every row the chain leaves open is
+    # settled without a solve beyond the first stage's.
     rng = np.random.default_rng(21)
     supports = [(0, 1), (0, 1)]
     seed = MixedProfile.uniform_over((2, 2), supports)
@@ -554,7 +597,7 @@ def test_full_support_2x2_stack_makes_no_enumeration_solve(monkeypatch):
     found = punish_batch(stack, supports, seed, (0.5, 0.5))
     monkeypatch.undo()
     assert sizes == [len(stack)]
-    assert found.kinds[:2] == ("support_enum", "support_enum")
+    assert found.kinds[:2] == ("pure", "pure")
     assert {"pure", "semi_mixed", "none"} <= set(found.kinds)
     _assert_rows_match_scalar_search(stack, supports, seed, (0.5, 0.5))
 
