@@ -499,12 +499,16 @@ def _bdeviation_payoffs(U: np.ndarray, probs: Sequence[np.ndarray]) -> list[np.n
                        [j for j in range(n) if j != i]) for i in range(n)]
 
 
+def _bexpected(U: np.ndarray, probs: Sequence[np.ndarray]) -> np.ndarray:
+    """The (B, n) expected payoffs per row, as `expected_utility` contracts them."""
+    n = U.shape[1]
+    return np.stack([_bcontract(U[:, i], probs, range(n)) for i in range(n)], axis=1)
+
+
 def _bpayoffs(U: np.ndarray, probs: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """Per row, the deviation payoffs of every player and the (B, n)
-    expected payoffs, as `expected_utility` contracts them."""
-    n = U.shape[1]
-    expected = np.stack([_bcontract(U[:, i], probs, range(n)) for i in range(n)], axis=1)
-    return _bdeviation_payoffs(U, probs), expected
+    expected payoffs."""
+    return _bdeviation_payoffs(U, probs), _bexpected(U, probs)
 
 
 def _bnash(pay: Sequence[np.ndarray], probs: Sequence[np.ndarray],

@@ -5,6 +5,11 @@ entry (i, a_1, ..., a_n) is player i's payoff on the pure profile a.
 Indices are 0-based everywhere inside the library; JSON files and CLI
 text use 1-based labels.
 
+Pledges fold through one path: `compile_pledges` turns rounds into cell
+updates once and screens them as arrays, `fold_rounds` folds them into one
+prefix stack (`apply_transfers` is its one-round case), and `stack_hashes`
+hashes the stack's rows with the bytes of `content_hash`.
+
 All objects are immutable after construction (arrays are marked
 read-only), so values can be shared freely across threads.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -170,7 +176,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Game:
     """Immutable finite normal-form game."""
 
-    __slots__ = ("utilities", "action_names")
+    __slots__ = ("utilities", "action_names", "_hash")
 
     def __init__(self, utilities, action_names: Sequence[Sequence[str]] | None = None):
         u = np.array(utilities, dtype=np.float64)
@@ -402,6 +408,102 @@ def round_violation(game: Game, round, delta: float | None = None,
     return None
 
 
+def compile_pledges(shape: tuple[int, ...], pledge_lists: Sequence, delta: float | None = None,
+                    mode: str | None = None) -> tuple[tuple[np.ndarray, ...], list[int]]:
+    """Pledge lists as cell updates of a stack of flattened utility tensors
+    of `shape`, and the lists an array screen of `round_violation`'s rules flags.
+
+    Update j of (step, payer, cell, value) adds value[j] to cell[j] of row
+    step[j] for a pledge of payer[j], in `apply_transfers`' order: per pledge
+    the payer's debit, then the recipient's credit (adding -a is `u -= a`
+    bit for bit).  The screen flags a list with a payer, outcome or
+    recipient out of range (tested before an offset is trusted; such a
+    pledge makes no update), a player recipient in burn_only mode, or a
+    payer's total at an outcome over `delta` (summed in pledge order; amounts
+    are >= 0, so a running total is over exactly when the final one is).
+    OverflowError for an index too large for a float.
+    """
+    n, counts, size = shape[0], shape[1:], math.prod(shape)
+    # One row per pledge: (list, payer, recipient, amount, *outcome), BURN
+    # as recipient -1 and what is not a player index as n, an outcome of
+    # the wrong length as -1s.  Float64 holds every index up to 2**53
+    # exactly; larger ones are out of range.
+    table = np.array([(k, p.payer, -1 if p.recipient == BURN else p.recipient
+                       if isinstance(p.recipient, int) and p.recipient >= 0 else n,
+                       p.amount, *(p.outcome if len(p.outcome) == n else (-1,) * n))
+                      for k, pledges in enumerate(pledge_lists) for p in _iter_pledges(pledges)],
+                     dtype=np.float64).reshape(-1, n + 4)
+    low = [-math.inf, 0, -1, -math.inf, *[0] * n]
+    high = [math.inf, n - 1, n - 1, math.inf, *(c - 1 for c in counts)]
+    ok = np.logical_and.reduce((table >= low) & (table <= high), axis=1)
+    # Per pledge, the flat offsets of (list, payer) and (list, recipient) at the outcome.
+    keys = table @ np.array([[size, size], [size // n, 0], [0, size // n], [0, 0],
+                             *([math.prod(counts[j + 1:])] * 2 for j in range(n))])
+    keep = table[:, 1:3] >= 0  # a debit, and a credit to a player
+    bad = ~ok
+    if bad.any():  # a pledge out of range points past the last list and makes no update
+        keys[bad] = len(pledge_lists) * size
+        keep &= ok[:, None]
+    keys = keys.astype(np.int64)
+    if mode == "burn_only":
+        bad |= table[:, 2] >= 0
+    if delta is not None:
+        debit = keys[:, 0]
+        bad |= np.bincount(debit, table[:, 3])[debit] > delta + CAP_SLACK
+    step, cell = np.divmod(keys[keep], size)
+    updates = (step, table[:, 1:2].repeat(2, axis=1)[keep].astype(np.int64), cell,
+               (table[:, 3:4] * [-1.0, 1.0])[keep])
+    return updates, np.unique(table[bad, 0]).astype(int).tolist() if bad.any() else []
+
+
+class FoldError(ValueError):
+    """A round broke a round rule while folding; `round_index` is 0-based,
+    the text 1-based, and the cause the round's TransferError."""
+
+    def __init__(self, round_index: int, cause: Exception):
+        super().__init__(f"round {round_index + 1}: {cause}")
+        self.round_index = round_index
+
+
+def fold_rounds(game: Game, rounds, delta: float | None = None,
+                mode: str | None = None) -> np.ndarray:
+    """The prefix stack of `rounds` folded into `game`: row k of the
+    read-only (R+1, n, N_1..N_n) stack is the utility tensor after k rounds.
+
+    Only the rounds the array screen of `compile_pledges` flags go through
+    `round_violation`; FoldError names the first it rejects, after the
+    rounds before it fold.  GameShapeError when a folded tensor is not finite.
+    """
+    rounds = list(rounds)
+    shape = game.utilities.shape
+    try:
+        updates, flagged = compile_pledges(shape, rounds, delta, mode)
+    except OverflowError:  # an index past a float is out of range: the rules find its round
+        updates, flagged = None, range(len(rounds))
+    R, rejected = len(rounds), None
+    for k in flagged:
+        v = round_violation(game, rounds[k], delta, mode)
+        if v is not None:
+            R, rejected = k, TransferError(v.code, v.message, v.payer, v.outcome)
+            break
+    if updates is None:
+        updates = compile_pledges(shape, rounds[:R])[0]
+    step, _, cell, value = updates
+    # Row k + 1 is row k with round k's updates; `np.add.at` applies them in
+    # order, so a cell that a round updates twice takes both as `u -= a` did.
+    stack = np.empty((R + 1, game.utilities.size))
+    stack[0] = game.utilities.ravel()
+    bounds = np.searchsorted(step, np.arange(R + 1)).tolist()
+    for k in range(R):
+        stack[k + 1] = stack[k]
+        np.add.at(stack[k + 1], cell[bounds[k]:bounds[k + 1]], value[bounds[k]:bounds[k + 1]])
+    if not np.isfinite(stack).all():
+        raise GameShapeError("utilities must be finite")
+    if rejected:
+        raise FoldError(R, rejected) from rejected
+    return _frozen(stack.reshape(R + 1, *shape))
+
+
 def apply_transfers(game: Game, round, *, delta: float | None = None,
                     mode: str | None = None) -> Game:
     """Fold one round of pledges into a new game.
@@ -411,17 +513,10 @@ def apply_transfers(game: Game, round, *, delta: float | None = None,
     destroys it.  TransferError when the round breaks a rule of
     `round_violation`.
     """
-    pledges = _iter_pledges(round)
-    violation = round_violation(game, pledges, delta, mode)
-    if violation is not None:
-        raise TransferError(violation.code, violation.message, violation.payer,
-                            violation.outcome)
-    u = np.array(game.utilities)
-    for p in pledges:
-        u[(p.payer, *p.outcome)] -= p.amount
-        if p.recipient != BURN:
-            u[(p.recipient, *p.outcome)] += p.amount
-    return game.with_utilities(u)
+    try:
+        return game.with_utilities(fold_rounds(game, [round], delta, mode)[1])
+    except FoldError as exc:
+        raise exc.__cause__ from None
 
 
 def pareto_improves(game: Game, target: Sequence[int],
@@ -490,13 +585,20 @@ def load_game(path) -> Game:
 
 
 def content_hash(game: Game) -> str:
-    """Deterministic content hash over structure and exact payoff bits."""
-    payload = {
-        "counts": list(game.action_counts),
-        "payoffs": [x.hex() for x in game.utilities.ravel().tolist()],
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """Deterministic content hash over structure and exact payoff bits,
+    made once per game."""
+    if not hasattr(game, "_hash"):
+        object.__setattr__(game, "_hash", stack_hashes(game.utilities[None])[0])
+    return game._hash
+
+
+def stack_hashes(stack: np.ndarray) -> list[str]:
+    """`content_hash` of each game of a (K, n, N_1..N_n) utility stack:
+    sha256 of `{"counts": [...], "payoffs": [hex, ...]}` as
+    `json.dumps(..., sort_keys=True)` writes it, without a dict per row."""
+    head = '{"counts": ' + json.dumps(list(stack.shape[2:])) + ', "payoffs": ["'
+    return [hashlib.sha256((head + '", "'.join(map(float.hex, row)) + '"]}').encode())
+            .hexdigest() for row in stack.reshape(len(stack), math.prod(stack.shape[1:])).tolist()]
 
 
 def format_matrix(game: Game) -> str:

@@ -22,6 +22,9 @@ objective outcome ends up a Nash equilibrium of the folded game:
   moves the welfare-maximizing outcome's payoffs to a requested split
   while keeping the baseline an equilibrium, then chains into the burn
   machinery.
+
+A plan's rounds fold once into its prefix stack (`fold_rounds`), and its
+checkpoint hashes are hashed from the stack's rows.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ from .games import (
     DEFAULT_TOL,
     EXACT_SLACK,
     DocumentError,
+    FoldError,  # raised by fold_rounds, so callers of the plan folds catch it from here
     Game,
     MixedProfile,
     OutcomeTarget,
-    TransferError,
     _decoding,
     _read_int,
     _read_label,
@@ -56,12 +59,13 @@ from .games import (
     _read_number,
     _read_str,
     _write_json,
-    apply_transfers,
     check_schema,
     content_hash,
     deviation_payoffs,
     expected_utility,
+    fold_rounds,
     pareto_improves,
+    stack_hashes,
     welfare_max,
 )
 from .games import AMOUNT_FLOOR as _AMOUNT_FLOOR
@@ -135,34 +139,12 @@ class ProtocolPlan:
         return len(self.rounds)
 
 
-class FoldError(ValueError):
-    """A plan round broke a round rule while folding; `round_index` is
-    0-based, the text 1-based."""
-
-    def __init__(self, round_index: int, cause: Exception):
-        super().__init__(f"round {round_index + 1}: {cause}")
-        self.round_index = round_index
-
-
-def fold_rounds(game: Game, rounds: Sequence[CommitmentRound], delta: float,
-                mode: str) -> list[Game]:
-    """Every prefix game of `rounds` folded into `game`, `game` first.
-
-    FoldError names the first round (0-based) that breaks a round rule.
-    """
-    games = [game]
-    for k, r in enumerate(rounds):
-        try:
-            games.append(apply_transfers(games[-1], r, delta=delta, mode=mode))
-        except TransferError as exc:
-            raise FoldError(k, exc) from exc
-    return games
-
-
 def fold_plan(game: Game, plan: ProtocolPlan,
               upto: int | None = None) -> Game:
-    """Apply the first `upto` rounds (all when None) to the base game."""
-    return fold_rounds(game, plan.rounds[:upto], plan.delta, plan.mode)[-1]
+    """The game after the first `upto` rounds (all when None) of the plan."""
+    if upto is not None and not 0 <= upto <= plan.num_rounds:
+        raise ValueError(f"upto must be None or in 0..{plan.num_rounds}, got {upto}")
+    return game.with_utilities(fold_rounds(game, plan.rounds[:upto], plan.delta, plan.mode)[-1])
 
 
 def _finalize_plan(game: Game, rounds: Sequence[CommitmentRound], *, case_tag: str,
@@ -170,21 +152,22 @@ def _finalize_plan(game: Game, rounds: Sequence[CommitmentRound], *, case_tag: s
                    baseline: MixedProfile, punishment: Sequence[PunishmentStage],
                    expected: Sequence[float], welfare_stage_rounds: int = 0,
                    lam_values: Sequence[float] | None = None,
-                   action_orders=None,
-                   games: Sequence[Game] | None = None) -> ProtocolPlan:
-    """The plan with a checkpoint per prefix game; `games` are those prefix
-    games when the caller has folded them already."""
-    if games is None:
-        games = fold_rounds(game, rounds, delta, mode)
+                   action_orders=None, stack: np.ndarray | None = None) -> ProtocolPlan:
+    """The plan with a checkpoint per prefix game, hashed from the rows of
+    the prefix stack; `stack` is that stack when the caller has folded it
+    already."""
+    if stack is None:
+        stack = fold_rounds(game, rounds, delta, mode)
     lams = [] if lam_values is None else [0.0, *lam_values]
-    checkpoints = tuple(Checkpoint(k, content_hash(g), lams[k] if k < len(lams) else None)
-                        for k, g in enumerate(games))
+    hashes = [content_hash(game), *stack_hashes(stack[1:])]
+    checkpoints = tuple(Checkpoint(k, h, lams[k] if k < len(lams) else None)
+                        for k, h in enumerate(hashes))
     return ProtocolPlan(
         case_tag=case_tag, mode=mode, delta=float(delta), rounds=tuple(rounds),
         target=target, baseline=baseline, punishment=tuple(punishment),
         checkpoints=checkpoints,
         expected_terminal_payoffs=tuple(float(x) for x in expected),
-        base_game_hash=checkpoints[0].game_hash,
+        base_game_hash=hashes[0],
         welfare_stage_rounds=welfare_stage_rounds, action_orders=action_orders,
     )
 
@@ -407,9 +390,9 @@ def build_partial_support_plan(game: Game, sigma: MixedProfile,
             s1_totals[i] = need
     s1_rounds = _merge_streams([_burn_stream(i, {aux: t}, delta)
                                 for i, t in s1_totals.items()])
-    g1 = fold_rounds(game, s1_rounds, delta, "burn_only")[-1]
+    g1 = game.with_utilities(fold_rounds(game, s1_rounds, delta, "burn_only")[-1])
     s2_rounds = _anchor_rounds(g1, sigma, aux, delta, delta + DEFAULT_TOL)
-    g2 = fold_rounds(g1, s2_rounds, delta, "burn_only")[-1]
+    g2 = g1.with_utilities(fold_rounds(g1, s2_rounds, delta, "burn_only")[-1])
     aux_profile = MixedProfile.pure(game.action_counts, aux)
     s3_rounds = _anchor_rounds(g2, aux_profile, target, delta, 0.0)
     aux_stage = PunishmentStage(len(s1_rounds) + len(s2_rounds), aux_profile.supports(),
@@ -860,14 +843,14 @@ def build_welfare_transfer_stage(game: Game, sigma: MixedProfile,
     stage = PunishmentStage(0, sigma.supports(), sigma,
                             tuple(u_sigma[i] + L for i in range(n)),
                             "welfare-stage")
-    games = fold_rounds(game, rounds, delta, "transfers")
+    stack = fold_rounds(game, rounds, delta, "transfers")
     plan = _finalize_plan(game, rounds, case_tag="welfare_transfer_stage",
                           mode="transfers", delta=delta,
                           target=OutcomeTarget(a_sw, "welfare_maximizer"),
                           baseline=sigma, punishment=[stage], expected=targets,
                           welfare_stage_rounds=len(rounds), lam_values=lams,
-                          games=games)
-    return plan, games[-1]
+                          stack=stack)
+    return plan, game.with_utilities(stack[-1])
 
 
 # ---------------------------------------------------------------------------

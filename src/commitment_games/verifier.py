@@ -2,21 +2,23 @@
 
 A plan extends to the intended equilibrium strategy when (a) a punishment
 anchor survives every prefix with its payoff ceiling, and (b) the target
-outcome is Nash at the end.  The checker replays the plan, evaluates the
-on-path properties that the plan's construction promises, and then probes
-the four deviation classes over a finite grid: replacing one round of
-pledges, stopping early, continuing when everyone else stops, and playing
-off-target at the end.  Grid verification discretizes a continuous
-deviation space, so a pass is grid-certified evidence, not a proof; every
-report records its grid.  A failing class's witness holds the prefix
-rounds and votes, which replay, and names the deviation by its move.
+outcome is Nash at the end.  The checker folds the plan once into one
+prefix stack, whose rows every check reads and whose rows' hashes the
+checkpoints must match.  It evaluates the on-path properties that the
+plan's construction promises, and then probes the four deviation classes
+over a finite grid, each deviation game a stack row plus cell updates:
+replacing one round of pledges, stopping early, continuing when everyone
+else stops, and playing off-target at the end.  Grid verification
+discretizes a continuous deviation space, so a pass is grid-certified
+evidence, not a proof; every report records its grid.  A failing class's
+witness holds the prefix rounds and votes, which replay, and names the
+deviation by its move.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -28,7 +30,7 @@ from .engine import BURN, Pledge, round_to_dict
 from .equilibria import (
     NotNashError,
     StackedSystem,
-    is_nash,
+    _bexpected,
     nash_batch,
     non_degenerate_batch,
     punish_batch,
@@ -39,17 +41,20 @@ from .games import (
     EXACT_SLACK,
     NASH_TOL,
     PAYOFF_SLACK,
+    FoldError,
     Game,
     GameShapeError,
     MixedProfile,
     TransferError,
+    compile_pledges,
     content_hash,
-    expected_utility,
+    fold_rounds,
     round_violation,
+    stack_hashes,
     welfare_max,
 )
 from .games import GAIN_TOL as TOLERANCE
-from .protocols import FoldError, ProtocolPlan, check_plan_for_game, fold_rounds
+from .protocols import ProtocolPlan, check_plan_for_game
 
 ROUND_BOUND_CONSTANT = 64.0
 ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
@@ -223,37 +228,38 @@ def _verdict(ok, detail: str = "") -> PropertyResult:
 
 
 def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None = None, *,
-                  games: Sequence[Game] | None = None,
+                  stack: np.ndarray | None = None,
                   punishments: PrefixPunishments | None = None) -> dict[str, PropertyResult]:
     """Replay the plan and evaluate its construction promises per checkpoint.
 
     `checkpoint_budget` caps how many checkpoints get the expensive anchor
     and punishment checks (endpoints always included); cheap whole-plan
-    scans stay exhaustive.  Leave it None for the definitive run.  `games`
-    are the plan's prefix games and `punishments` the search on them when
-    the caller has them already.
-    Every check reads one stack U of the prefix games, U[k] after k rounds;
-    the checkpoint checks run per punishment stage or profile on its rows,
-    and a failure's witness is read off its row.
+    scans stay exhaustive.  Leave it None for the definitive run.  `stack`
+    is the plan's prefix stack (`fold_rounds`) and `punishments` the search
+    on its rows when the caller has them already.
+    Every check reads that stack U, U[k] after k rounds: the checkpoint
+    hashes come from its rows, the checkpoint checks run per punishment
+    stage or profile on its rows, and a failure's witness is read off its row.
     """
-    if games is None:
+    if stack is None:
         try:
-            games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+            stack = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
         except FoldError as exc:
             return {"round_cap": PropertyResult("fail", str(exc),
                                                 {"round": exc.round_index})}
     results = {"round_cap": PropertyResult("pass")}
-    U = np.stack([g.utilities for g in games])
-    R, n, S = len(plan.rounds), game.num_players, plan.welfare_stage_rounds
+    U, R, n, S = stack, len(plan.rounds), game.num_players, plan.welfare_stage_rounds
     t = plan.target.profile
     T = U[(..., *t)]  # the target's payoffs, one row per prefix
     x = np.asarray(plan.expected_terminal_payoffs)
     probed = _prefix_indices(R + 1, checkpoint_budget, "checkpoint_budget")
 
-    # Checkpoint hashes and per-round legality fell out of the fold: a bad
-    # round would have raised while folding.
+    # Checkpoint hashes, from the rows (row 0 is `game`); per-round legality
+    # fell out of the fold: a bad round would have raised while folding.
+    rows = sorted({c.rounds_applied for c in plan.checkpoints} - {0})
+    hashes = {0: content_hash(game), **dict(zip(rows, stack_hashes(U[rows])))}
     results["checkpoint_hashes"] = _verdict(all(
-        content_hash(games[c.rounds_applied]) == c.game_hash for c in plan.checkpoints))
+        hashes[c.rounds_applied] == c.game_hash for c in plan.checkpoints))
 
     # (P1') discretized continuity: every step stays within the cap ball.
     results["P1prime"] = _verdict(np.all(np.abs(U[1:] - U[:-1]) <= 2 * plan.delta + EXACT_SLACK))
@@ -309,14 +315,14 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
                                                   "2x2 narrowing recomputes the anchor")
 
     # The baseline's payoff per prefix and player, at the prefixes that
-    # (a1) and Q5 read.
+    # (a1) and Q5 read, in one contraction of their rows.
     a1_applies = plan.case_tag in ("partial_support_disjoint", "partial_support_mixed",
                                    "full_support_2p", "full_support_np",
                                    "welfare_transfer_stage")
     welfare = S > 0 or plan.case_tag == "welfare_transfer_stage"
     base = np.full((R + 1, n), np.nan)
-    for k in {*(probed if a1_applies else ()), *(range(S + 1) if welfare else ())}:
-        base[k] = [expected_utility(games[k], plan.baseline, i) for i in range(n)]
+    ks = sorted({*(probed if a1_applies else ()), *(range(S + 1) if welfare else ())})
+    base[ks] = _bexpected(U[ks], [np.tile(p, (len(ks), 1)) for p in plan.baseline.probs])
 
     # (a1): the baseline stays a same-support punishable equilibrium, which
     # needs the anchor Nash checks plus baseline payoffs never rising.
@@ -348,7 +354,7 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
     results["P3prime"] = _verdict(np.all(np.abs(T[S:] - T[S]) <= EXACT_SLACK))
 
     # (b) == (P5'): the target is Nash at the end.
-    terminal = is_nash(games[R], MixedProfile.pure(game.action_counts, t), TOLERANCE)
+    terminal = nash_batch(U[R:], MixedProfile.pure(game.action_counts, t), TOLERANCE)[0]
     b_res = (PropertyResult("pass") if terminal.ok and np.all(np.abs(T[R] - x) <= PAYOFF_SLACK)
              else PropertyResult("fail", "terminal target not Nash or payoffs off",
                                  {"nash_gain": terminal.gain}))
@@ -387,8 +393,8 @@ class _MoveGrid:
     the no-op is slot -1), and is named `labels[m]` formatted with that
     amount.  Moves with the same cell updates make the same game:
     `spread[m]` is move m's distinct game, `distinct[j]` the first move of
-    game j, and `columns` the games' updates at amount 1 in `_cell_edits`'
-    form, (games, cells, signs) per position."""
+    game j, and `updates` the games' (game, payer, cell, sign) updates at
+    amount 1 from `compile_pledges`."""
 
     deviator: np.ndarray
     labels: tuple[str, ...]
@@ -396,7 +402,7 @@ class _MoveGrid:
     pledges: tuple
     spread: np.ndarray
     distinct: np.ndarray
-    columns: list
+    updates: tuple[np.ndarray, ...]
 
     def names(self, amounts: Sequence[float]) -> list[str]:
         """Every move's name; `amounts` are (*amounts, delta)."""
@@ -434,7 +440,7 @@ def _move_grid(counts: tuple[int, ...], mode: str, slots: int) -> _MoveGrid:
                        for d, p, s in zip(deviator, pledges, slot)])
     distinct = np.unique(spread, return_index=True)[1]
     return _MoveGrid(np.array(deviator), labels, np.array(slot), pledges, spread, distinct,
-                     _cell_edits((n, *counts), [pledges[m] for m in distinct.tolist()]))
+                     compile_pledges((n, *counts), [pledges[m] for m in distinct.tolist()])[0])
 
 
 def commitment_deviation_moves(game: Game, player: int, delta: float,
@@ -466,28 +472,6 @@ def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> 
     return sorted(picked)
 
 
-def _cell_edits(shape: tuple[int, ...], pledge_lists) -> list[tuple[np.ndarray, ...]]:
-    """Pledge lists as cell updates of a stack of flattened utility tensors
-    of `shape`: row m takes the updates `apply_transfers` makes for list m,
-    in its order (per pledge the payer's debit, then the recipient's
-    credit; adding -a is `u -= a` bit for bit, so the folded bits match),
-    and slot s holds the s-th update of every row that has one, as (rows,
-    cells, signed amounts)."""
-    block, *strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
-    lists = []
-    for pledges in pledge_lists:
-        edits = []
-        for p in pledges:
-            at = sum(map(operator.mul, p.outcome, strides))
-            edits.append((p.payer * block + at, -float(p.amount)))
-            if p.recipient != BURN:
-                edits.append((p.recipient * block + at, float(p.amount)))
-        lists.append(edits)
-    slots = [[(m, *edits[s]) for m, edits in enumerate(lists) if s < len(edits)]
-             for s in range(max(map(len, lists), default=0))]
-    return [tuple(np.array(col) for col in zip(*slot)) for slot in slots]
-
-
 def _check_moves(game: Game, plan: ProtocolPlan, grid: _MoveGrid, amounts: Sequence[float],
                  finite: np.ndarray) -> None:
     """Raise what folding the moves into the first prefix's deviation games
@@ -512,7 +496,7 @@ def _check_moves(game: Game, plan: ProtocolPlan, grid: _MoveGrid, amounts: Seque
 
 
 def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float] | None = None,
-                     budget: int | None = None, games: Sequence[Game] | None = None,
+                     budget: int | None = None, stack: np.ndarray | None = None,
                      punishments: PrefixPunishments | None = None
                      ) -> dict[str, DeviationClassResult]:
     """Probe the four deviation classes against the plan's punishment rule.
@@ -521,18 +505,18 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     stage searches the run's deviation games, one row per deviator's
     distinct move (`_move_grid`), and the run's prefix games that the early
     stops or a None in `punishments` ask for; a run holds at most
-    ROW_BUDGET rows, or one prefix's.  Each stack's findings are reduced as
-    arrays, one row per move (`DeviationClassResult.record_rows`): a gain
-    per row, the first largest as the worst, and a `DeviationFinding` only
-    for rows without a punishment.  `games` are the plan's prefix games.
-    `punishments` maps prefixes to their search (kind, best-response
-    payoffs, reason): a search it holds is read, and every search made is
-    written into it.
+    ROW_BUDGET rows, or one prefix's.  A deviation game is a row of the
+    prefix stack `stack` (`fold_rounds`) with the compiled updates of the
+    others' pledges of its round, then of the move.  Each stack's findings
+    are reduced as arrays, one row per move (`DeviationClassResult.record_rows`):
+    a gain per row, the first largest as the worst, and a `DeviationFinding`
+    only for rows without a punishment.  `punishments` maps prefixes to
+    their search (kind, best-response payoffs, reason): a search it holds is
+    read, and every search made is written into it.
     """
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
-    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if games is None else games
-    U = np.stack([g.utilities for g in games])
-    R, n = len(plan.rounds), game.num_players
+    U = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if stack is None else stack
+    R, n, size = len(plan.rounds), game.num_players, U[0].size
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
 
@@ -544,38 +528,40 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     names = grid.names(xs)
     width = len(grid.distinct)
     sizes = np.bincount(grid.deviator[grid.distinct], minlength=n).tolist()
-    edits = [(rows, cells, signs * x[grid.slot[grid.distinct[rows]]])
-             for rows, cells, signs in grid.columns]
+    moves, _, cells, signs = grid.updates
+    values = signs * x[grid.slot[grid.distinct[moves]]]
 
     prefixes = _prefix_indices(R, budget)
+    # The grid prefixes' rounds as updates: step j is round prefixes[j]'s.
+    step, payer, cell, value = compile_pledges(U[0].shape, [plan.rounds[k] for k in prefixes])[0]
     # The first vote happens after round 1.
     stops = [k for k in prefixes if k != 0]
     punishments = {} if punishments is None else punishments
     punishments |= dict.fromkeys(set(stops) - set(punishments))
-    on_grid = set(prefixes)
+    on_grid = {k: j for j, k in enumerate(prefixes)}
     searched = {k for k, found in punishments.items() if found is None}
-    ks = sorted(on_grid | searched)
+    ks = sorted(on_grid.keys() | searched)
     for stage, group in _stage_groups(plan, ks, [width * (k in on_grid) + (k in searched)
                                                  for k in ks]):
         moved = [k for k in group if k in on_grid]
         shared = [k for k in group if k in searched]
-        # Per grid prefix k and deviator d, prefix game k with the others'
-        # round-k pledges (the whole round passed the fold, so any subset of
-        # it is legal), once per distinct move of d with its updates; then
-        # the prefix games whose search is asked for.
+        # Per grid prefix k and deviator d, prefix game k with the updates of
+        # the others' round-k pledges in order (the whole round passed the
+        # fold, so any subset of it is legal), once per distinct move of d
+        # with its updates; then the prefix games whose search is asked for.
         base = np.repeat(U[moved], n, axis=0)
-        flat = base.reshape(len(base), U[0].size)
-        others = [[p for p in plan.rounds[k].pledges if p.payer != d]
-                  for k in moved for d in range(n)]
-        for rows, cells, values in _cell_edits(U[0].shape, others):
-            flat[rows, cells] += values
+        first = on_grid[moved[0]] if moved else 0
+        lo, hi = np.searchsorted(step, [first, first + len(moved)])
+        d = np.arange(n)
+        others = payer[lo:hi, None] != d
+        flat = ((step[lo:hi, None] - first) * n + d) * size + cell[lo:hi, None]
+        np.add.at(base.reshape(-1), flat[others],
+                  np.broadcast_to(value[lo:hi, None], flat.shape)[others])
         stack = np.repeat(np.concatenate([base, U[shared]]),
                           sizes * len(moved) + [1] * len(shared), axis=0)
-        flat = stack.reshape(len(stack), U[0].size)
         offsets = width * np.arange(len(moved))[:, None]
-        for rows, cells, values in edits:
-            flat[(offsets + rows).ravel(), np.tile(cells, len(moved))] += \
-                np.tile(values, len(moved))
+        np.add.at(stack.reshape(-1), ((offsets + moves) * size + cells).ravel(),
+                  np.tile(values, len(moved)))
         if moved and moved[0] == prefixes[0]:
             _check_moves(game, plan, grid, xs,
                          np.isfinite(stack[:width]).reshape(width, -1).all(axis=1)[grid.spread])
@@ -653,9 +639,11 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
                 checkpoint_budget: int | None = None) -> VerificationReport:
     """Full verification: on-path properties, deviation grid, round bound.
 
-    The plan is folded once, and the punishment search on each prefix game
-    that property (a) or the early-stop class reads rides in the grid's
-    stack of its punishment stage: one `punish_batch` per stage chunk.
+    The plan is folded once into one prefix stack, which every check reads;
+    the checkpoint hashes come from its rows, and the base game is hashed
+    once.  The punishment search on each prefix game that property (a) or
+    the early-stop class reads rides in the grid's stack of its punishment
+    stage: one `punish_batch` per stage chunk.
     Raises DocumentError, as for a plan file, when the plan breaks what
     every built plan meets or does not fit `game`.
     """
@@ -665,16 +653,16 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
     probed = _prefix_indices(plan.num_rounds + 1, checkpoint_budget, "checkpoint_budget")
     _prefix_indices(plan.num_rounds, budget)  # a bad budget raises before the fold
     try:
-        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+        stack = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     except FoldError:
-        games = None  # check_on_path reports the failing round
+        stack = None  # check_on_path reports the failing round
     punishments = dict.fromkeys(probed)
     deviations = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
-    if games is not None:
+    if stack is not None:
         deviations = check_deviations(game, plan, amounts=amounts, budget=budget,
-                                      games=games, punishments=punishments)
+                                      stack=stack, punishments=punishments)
     properties = check_on_path(game, plan, checkpoint_budget=checkpoint_budget,
-                               games=games, punishments=punishments)
+                               stack=stack, punishments=punishments)
     bound = round_bound_check(plan, game)
     grid = {
         "amounts": list(amounts) if amounts else [plan.delta / 2, plan.delta],

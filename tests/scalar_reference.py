@@ -9,11 +9,16 @@ fallback chain.  They share no code with the stacked kernel, only the
 result types, so the differential tests compare the kernel against an
 independent computation of the same quantities.  The deviation grid is
 here as the verifier built it before it was compiled into edit arrays:
-`Pledge` lists per move, and their (flat cell, signed amount) edits.
+`Pledge` lists per move, and their (flat cell, signed amount) edits.  So
+is the fold before rounds were compiled: `apply_transfers` one pledge at a
+time after `round_violation`, a `Game` per prefix, and `content_hash`
+through a JSON dict.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import operator
 from dataclasses import dataclass
 from functools import cache
@@ -39,9 +44,12 @@ from commitment_games.games import (
     DEFAULT_TOL,
     Game,
     MixedProfile,
+    TransferError,
     deviation_payoffs,
     expected_utility,
+    round_violation,
 )
+from commitment_games.protocols import FoldError
 
 
 def is_nash(game: Game, profile: MixedProfile, tol: float = DEFAULT_TOL) -> NashCheck:
@@ -520,3 +528,42 @@ def edit_lists(game: Game, pledge_lists) -> list[tuple[tuple[int, float], ...]]:
                 edits.append((p.recipient * block + at, float(p.amount)))
         lists.append(tuple(edits))
     return lists
+
+
+def apply_transfers(game: Game, round, *, delta: float | None = None,
+                    mode: str | None = None) -> Game:
+    """Fold one round of pledges into a new game, one pledge at a time:
+    TransferError for the first rule of `round_violation` the round breaks."""
+    pledges = list(getattr(round, "pledges", round))
+    violation = round_violation(game, pledges, delta, mode)
+    if violation is not None:
+        raise TransferError(violation.code, violation.message, violation.payer,
+                            violation.outcome)
+    u = np.array(game.utilities)
+    for p in pledges:
+        u[(p.payer, *p.outcome)] -= p.amount
+        if p.recipient != BURN:
+            u[(p.recipient, *p.outcome)] += p.amount
+    return game.with_utilities(u)
+
+
+def fold_rounds(game: Game, rounds, delta: float, mode: str) -> list[Game]:
+    """Every prefix game of `rounds` folded into `game`, `game` first;
+    FoldError names the first round (0-based) that breaks a round rule."""
+    games = [game]
+    for k, r in enumerate(rounds):
+        try:
+            games.append(apply_transfers(games[-1], r, delta=delta, mode=mode))
+        except TransferError as exc:
+            raise FoldError(k, exc) from exc
+    return games
+
+
+def content_hash(game: Game) -> str:
+    """Deterministic content hash over structure and exact payoff bits."""
+    payload = {
+        "counts": list(game.action_counts),
+        "payoffs": [x.hex() for x in game.utilities.ravel().tolist()],
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()

@@ -30,7 +30,7 @@ from commitment_games import (
 )
 from commitment_games import protocols
 from commitment_games.equilibria import DegenerateEquilibriumError
-from commitment_games.protocols import InfeasibleError, fold_rounds
+from commitment_games.protocols import InfeasibleError
 from commitment_games.catalog import (
     cyclic_with_prize,
     cyclic_with_prize_overlap,
@@ -40,6 +40,7 @@ from commitment_games.catalog import (
     unfair_split,
 )
 
+import scalar_reference as reference
 from conftest import (
     feasible_payoff_split,
     full_support_multiplayer,
@@ -82,7 +83,7 @@ def test_partial_disjoint_plan_anchors_prize():
     terminal = fold_plan(game, plan)
     assert is_nash(terminal, MixedProfile.pure((4, 4), (3, 3)), 1e-9).ok
     assert tuple(terminal.payoffs((3, 3))) == (4.0, 4.0)
-    for g in fold_rounds(game, plan.rounds, plan.delta, plan.mode):
+    for g in reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode):
         assert is_nash(g, sigma, 1e-8).ok
 
 
@@ -119,7 +120,7 @@ def test_indirect_plan_three_stages():
     assert tuple(terminal.payoffs((0, 0))) == (5.0, 5.0)
     # sigma anchors the early stages, the auxiliary profile the last one
     boundary = plan.punishment[1].first_round
-    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     for g in games[:boundary + 1]:
         assert is_nash(g, sigma, 1e-8).ok
     aux_profile = plan.punishment[1].seed
@@ -158,7 +159,7 @@ def test_two_player_full_support_plan_random(rng):
         game, sigma = full_support_two_player(rng)
         plan = build_two_player_full_support_plan(game, sigma, (0, 0), 0.4,
                                                   validate=False)
-        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+        games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
         assert is_nash(games[-1], MixedProfile.pure((3, 3), (0, 0)), 1e-9).ok
         assert all(is_nash(g, sigma, 1e-8).ok for g in games)
         dets0 = None
@@ -247,7 +248,7 @@ def test_multiplayer_plan_preserves_everything():
     game = three_player_cycle()
     sigma = MixedProfile.uniform_over((2, 2, 2), [(0, 1)] * 3)
     plan = build_multiplayer_plan(game, sigma, (0, 0, 0), 0.1)
-    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     assert is_nash(games[-1], MixedProfile.pure((2, 2, 2), (0, 0, 0)), 1e-9).ok
     assert all(is_nash(g, sigma, 1e-8).ok for g in games)
     det0 = None
@@ -352,7 +353,7 @@ def test_welfare_stage_compensated_players(rng):
         for i in range(3):
             assert terminal.payoff(i, a_sw) == pytest.approx(x[i], abs=1e-9)
         base_u = [expected_utility(game, sigma, i) for i in range(3)]
-        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+        games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
         for i in range(3):
             if x[i] - game.payoff(i, a_sw) > 1e-12:  # compensated player
                 for g in games:
@@ -377,17 +378,30 @@ def test_build_plan_chains_stage_and_anchor():
 def test_build_plan_with_payoffs_folds_each_round_once():
     game = unfair_split()
     sigma = MixedProfile.pure((2, 2), (0, 0))
-    calls = []
-    fold = protocols.apply_transfers
+    folded = []
+    fold = protocols.fold_rounds
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fold(*args, **kwargs)
+    def counted(game, rounds, *args, **kwargs):
+        folded.append(len(rounds))
+        return fold(game, rounds, *args, **kwargs)
 
-    with mock.patch.object(protocols, "apply_transfers", counted):
+    with mock.patch.object(protocols, "fold_rounds", counted):
         plan = build_plan(game, sigma, payoffs=(4.0, 3.0), delta=0.1)
     assert plan.num_rounds == 60
-    assert len(calls) == 60
+    assert sum(folded) == 60
+
+
+@pytest.mark.parametrize("upto", [-1, 51, 10**6])
+def test_fold_plan_rejects_a_prefix_the_plan_does_not_have(upto):
+    game = three_player_cycle()
+    sigma = MixedProfile.uniform_over((2, 2, 2), [(0, 1)] * 3)
+    plan = build_plan(game, sigma, target=(0, 0, 0), delta=0.01)
+    assert plan.num_rounds == 50
+    with pytest.raises(ValueError, match=r"upto must be None or in 0\.\.50"):
+        fold_plan(game, plan, upto)
+    games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    assert [fold_plan(game, plan, k) for k in (0, 49, 50, None)] == [
+        games[0], games[49], games[50], games[50]]
 
 
 def test_build_plan_with_payoffs_checkpoints_follow_the_whole_fold():
@@ -399,9 +413,9 @@ def test_build_plan_with_payoffs_checkpoints_follow_the_whole_fold():
     plan = build_plan(game, sigma, payoffs=split, delta=0.25)
     S = plan.welfare_stage_rounds
     assert 0 < S < plan.num_rounds
-    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     assert [c.rounds_applied for c in plan.checkpoints] == list(range(len(games)))
-    assert [c.game_hash for c in plan.checkpoints] == [content_hash(g) for g in games]
+    assert [c.game_hash for c in plan.checkpoints] == [reference.content_hash(g) for g in games]
     lams = [c.lam for c in plan.checkpoints]
     assert lams[0] == 0.0 and lams[S] == 1.0
     assert all(lam is not None for lam in lams[:S + 1])

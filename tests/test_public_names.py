@@ -61,10 +61,10 @@ SIGNATURES.update({
                    " = None, budget: 'int | None' = None, checkpoint_budget: 'int | None'"
                    " = None) -> 'VerificationReport'",
     "check_on_path": "(game: 'Game', plan: 'ProtocolPlan', checkpoint_budget: 'int | None'"
-                     " = None, *, games: 'Sequence[Game] | None' = None, punishments:"
+                     " = None, *, stack: 'np.ndarray | None' = None, punishments:"
                      " 'PrefixPunishments | None' = None) -> 'dict[str, PropertyResult]'",
     "check_deviations": "(game: 'Game', plan: 'ProtocolPlan', *, amounts: 'Sequence[float]"
-                        " | None' = None, budget: 'int | None' = None, games: 'Sequence[Game]"
+                        " | None' = None, budget: 'int | None' = None, stack: 'np.ndarray"
                         " | None' = None, punishments: 'PrefixPunishments | None' = None)"
                         " -> 'dict[str, DeviationClassResult]'",
 })

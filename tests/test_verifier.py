@@ -91,7 +91,7 @@ def test_on_path_prize_plan_all_pass():
 def test_on_path_split_plan_checkpoints():
     game, plan = split_plan()
     sigma = plan.baseline
-    for g in fold_rounds(game, plan.rounds, plan.delta, plan.mode):
+    for g in reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode):
         assert g.payoff(0, (0, 0)) == 0.0  # anchor outcome untouched
     results = check_on_path(game, plan)
     assert all(v.status != "fail" for v in results.values())
@@ -202,7 +202,7 @@ def test_punishment_ceiling_bound_for_burn_plans():
     game, plan = prize_plan()
     from commitment_games import find_punishment_equilibrium
     stage = plan.punishment[0]
-    for g in fold_rounds(game, plan.rounds, plan.delta, plan.mode):
+    for g in reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode):
         result = find_punishment_equilibrium(g, stage.supports, stage.seed,
                                              stage.ceiling)
         assert result.profile is not None
@@ -238,14 +238,14 @@ def test_report_serialization_round_trip():
 # Differential tests: the batched grid against the per-game scalar loop.
 # ---------------------------------------------------------------------------
 
-def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=None,
+def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, stack=None,
                              punishments=None):
     """Reference grid: fold and search every deviation game one at a time.
-    `games` is accepted for `verify_plan`'s call and ignored; the prefix
+    `stack` is accepted for `verify_plan`'s call and ignored; the prefix
     searches `punishments` asks for (its None values) are made one game at
     a time too."""
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
-    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     R, n = plan.num_rounds, game.num_players
     for k in [k for k, found in (punishments or {}).items() if found is None]:
         stage = plan.stage_for(k)
@@ -264,8 +264,8 @@ def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, games=Non
             for name, pledges in reference.commitment_deviation_moves(
                     game, d, plan.delta, plan.mode, amounts):
                 dev_round = CommitmentRound(others + tuple(pledges))
-                g_dev = apply_transfers(games[k], dev_round, delta=plan.delta,
-                                        mode=plan.mode)
+                g_dev = reference.apply_transfers(games[k], dev_round, delta=plan.delta,
+                                                  mode=plan.mode)
                 pun = reference.find_punishment_equilibrium(
                     g_dev, stage.supports, stage.seed, stage.ceiling)
                 if pun.profile is None:
@@ -448,11 +448,10 @@ def test_compiled_move_grid_matches_the_pledge_loop(counts, mode):
     delta, amounts = 0.3, (0.15, 0.3, 0.07)
     grid = verifier._move_grid(counts, mode, len(amounts))
     xs = (*amounts, delta)
-    # Each move's updates, read back from the distinct games' columns.
+    # Each move's updates, read back from the distinct games' updates.
     per_game = [[] for _ in grid.distinct]
-    for games, cells, signs in grid.columns:
-        for j, cell, sign in zip(games.tolist(), cells.tolist(), signs.tolist()):
-            per_game[j].append((cell, sign))
+    for j, _, cell, sign in zip(*(a.tolist() for a in grid.updates)):
+        per_game[j].append((cell, sign))
     x = np.array(xs)
     edits = [tuple((cell, sign * x[s]) for cell, sign in per_game[j])
              for j, s in zip(grid.spread.tolist(), grid.slot.tolist())]
@@ -598,22 +597,24 @@ def test_base_rows_fold_the_others_pledges_as_apply_transfers_does():
     order_matters = False
     for game, plan in _base_row_cases():
         n = game.num_players
-        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+        games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
         with _recorded_stacks() as stacks:
-            check_deviations(game, plan, games=games)
+            check_deviations(game, plan, stack=fold_rounds(game, plan.rounds, plan.delta,
+                                                           plan.mode))
         sizes = [len(_distinct_moves(game, plan, d)) for d in range(n)]
         # The commitment grid's stacks come first, then the early stops'.
         grid = np.concatenate(stacks)[:len(plan.rounds) * sum(sizes)]
         for k, r in enumerate(plan.rounds):
             for d in range(n):
                 others = [p for p in r.pledges if p.payer != d]
-                want = apply_transfers(games[k], CommitmentRound(tuple(others)),
-                                       delta=plan.delta, mode=plan.mode).utilities
+                want = reference.apply_transfers(games[k], CommitmentRound(tuple(others)),
+                                                 delta=plan.delta, mode=plan.mode).utilities
                 noop = grid[k * sum(sizes) + sum(sizes[:d])]  # the deviator's no-op
                 assert np.array_equal(noop, want)
                 assert noop.tobytes() == want.tobytes()
-                backwards = apply_transfers(games[k], CommitmentRound(tuple(others[::-1])),
-                                            delta=plan.delta, mode=plan.mode).utilities
+                backwards = reference.apply_transfers(
+                    games[k], CommitmentRound(tuple(others[::-1])), delta=plan.delta,
+                    mode=plan.mode).utilities
                 order_matters |= backwards.tobytes() != want.tobytes()
     assert order_matters  # the pledge order shows in the bits
 
@@ -632,10 +633,11 @@ def test_overflowing_base_row_raises_what_apply_transfers_raises(bad_round):
     rounds[bad_round] = CommitmentRound((Pledge(0, (1, 1), BURN, x),
                                          Pledge(1, (1, 1), 0, x)))
     plan = _plan_with_rounds(game, rounds[:bad_round + 1], "transfers", x)
-    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    stack = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     others = CommitmentRound((plan.rounds[bad_round].pledges[1],))
     with np.errstate(over="ignore"), pytest.raises(GameShapeError) as want:
-        apply_transfers(games[bad_round], others, delta=x, mode="transfers")
+        apply_transfers(game.with_utilities(stack[bad_round]), others, delta=x,
+                        mode="transfers")
     stacks = []
     batch = verifier.punish_batch
 
@@ -645,7 +647,7 @@ def test_overflowing_base_row_raises_what_apply_transfers_raises(bad_round):
 
     with np.errstate(over="ignore"), pytest.raises(GameShapeError) as got, \
             mock.patch.object(verifier, "punish_batch", recorded):
-        check_deviations(game, plan, games=games, amounts=(1.0,))
+        check_deviations(game, plan, stack=stack, amounts=(1.0,))
     assert str(got.value) == str(want.value) == "utilities must be finite"
     # The first prefix raises while its moves are checked, a later one in
     # the punishment search.
@@ -658,7 +660,7 @@ def test_grid_builds_no_per_row_objects(case):
         game, plan = prize_plan(0.02)
     else:
         game, plan = spoiler_3x3(), naive_spoiler_plan(0.1)
-    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    stack = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     made, stacks = [], []
     finding, batch = verifier.DeviationFinding, verifier.punish_batch
 
@@ -676,7 +678,7 @@ def test_grid_builds_no_per_row_objects(case):
     with mock.patch.object(verifier, "DeviationFinding", counted), \
             mock.patch.object(verifier, "punish_batch", recorded), \
             mock.patch.object(Game, "__init__", no_game):
-        results = check_deviations(game, plan, games=games)
+        results = check_deviations(game, plan, stack=stack)
     structural = sum(len(r.structural_failures) for r in results.values())
     scalar = results["continue_when_stop"].checked + results["terminal_action"].checked
     # One worst per stack at most, plus the rows without a punishment and
@@ -710,9 +712,10 @@ def test_ex6_stacks_hold_each_distinct_deviation_game_once():
 def test_transfers_grid_folds_only_the_burn_twins():
     game, plan = split_plan()
     amounts = (0.5, 1.0)
-    games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     with _recorded_stacks() as stacks:
-        check_deviations(game, plan, amounts=amounts, games=games)
+        check_deviations(game, plan, amounts=amounts,
+                         stack=fold_rounds(game, plan.rounds, plan.delta, plan.mode))
     kept = [_distinct_moves(game, plan, d, amounts) for d in range(2)]
     width = sum(map(len, kept))
     grid = np.concatenate(stacks)[:len(plan.rounds) * width]
@@ -734,8 +737,9 @@ def test_transfers_grid_folds_only_the_burn_twins():
             others = tuple(p for p in r.pledges if p.payer != d)
             rows = grid[k * width + len(kept[0]) * d:][:len(kept[d])]
             for row, (_, pledges) in zip(rows, kept[d]):
-                want = apply_transfers(games[k], CommitmentRound(others + tuple(pledges)),
-                                       delta=plan.delta, mode=plan.mode).utilities
+                want = reference.apply_transfers(
+                    games[k], CommitmentRound(others + tuple(pledges)), delta=plan.delta,
+                    mode=plan.mode).utilities
                 assert row.tobytes() == want.tobytes()
 
 
@@ -824,17 +828,17 @@ def _recorded_rows():
         yield rows
 
 
-def _two_call_check_deviations(game, plan, *, games, punishments, **kwargs):
+def _two_call_check_deviations(game, plan, *, stack, punishments, **kwargs):
     """`check_deviations` with the prefix searches run first, in calls of
     their own per punishment stage, so the grid's stacks hold deviation
     games only."""
-    U = np.stack([g.utilities for g in games])
+    U = stack
     stops = verifier._prefix_indices(plan.num_rounds, kwargs.get("budget"))[1:]
     wanted = sorted({*stops, *(k for k, found in punishments.items() if found is None)})
     for stage, group in verifier._stage_groups(plan, wanted):
         found = verifier.punish_batch(U[group], stage.supports, stage.seed, stage.ceiling)
         punishments.update(zip(group, zip(found.kinds, found.best_response, found.reasons)))
-    return check_deviations(game, plan, games=games, punishments=punishments, **kwargs)
+    return check_deviations(game, plan, stack=stack, punishments=punishments, **kwargs)
 
 
 def _assert_merged_search_matches_separate_calls(game, plan, **kwargs) -> list:
@@ -1045,14 +1049,14 @@ def test_singular_row_is_found_by_one_factorisation_and_left_to_the_fallback():
 # loop.
 # ---------------------------------------------------------------------------
 
-def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games=None,
+def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, stack=None,
                           punishments=None):
     """Reference on-path checks: every checkpoint searched and checked one
-    game at a time.  `games` and `punishments` are accepted for
+    game at a time.  `stack` and `punishments` are accepted for
     `verify_plan`'s call and ignored."""
     results = {}
     try:
-        games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+        games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     except FoldError as exc:
         return {"round_cap": PropertyResult("fail", str(exc),
                                             {"round": exc.round_index})}
@@ -1062,7 +1066,7 @@ def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, games
 
     # Checkpoint hashes and per-round legality fell out of the fold: a bad
     # round would have raised while folding.
-    hash_ok = all(content_hash(games[c.rounds_applied]) == c.game_hash
+    hash_ok = all(reference.content_hash(games[c.rounds_applied]) == c.game_hash
                   for c in plan.checkpoints)
     results["checkpoint_hashes"] = PropertyResult("pass" if hash_ok else "fail")
 
