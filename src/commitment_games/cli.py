@@ -18,12 +18,10 @@ from . import __version__
 from .catalog import GAMES, RUNNERS, reproduce
 from .engine import (
     CommitmentRound,
-    RoundViolationError,
     _session_fields,
-    cast_votes,
     open_session,
     play_terminal,
-    submit_round,
+    run_rounds,
     transcript_to_dict,
 )
 from .equilibria import (
@@ -37,6 +35,7 @@ from .equilibria import (
 from .games import (
     MALFORMED,
     DocumentError,
+    FoldError,
     Game,
     GameShapeError,
     MixedProfile,
@@ -322,11 +321,11 @@ def _run_script(game: Game, path):
         script = json.load(fh)
     with _decoding("script"):
         state, rounds, votes, actions = _session_fields(game, script, rounds=[], votes=[])
-        votes = list(votes)
-        for r in rounds:
-            state = submit_round(state, r)
-            state = cast_votes(state, votes.pop(0) if votes
-                               else [True] * game.num_players)
+        try:  # a round without a vote row continues
+            state = run_rounds(state, rounds, votes + ((True,) * game.num_players,)
+                               * (len(rounds) - len(votes)))
+        except FoldError as exc:
+            raise exc.__cause__ from None
         if state.phase == "playing" and actions:
             state = play_terminal(state, actions)
     return state
@@ -340,15 +339,13 @@ def cmd_simulate(args) -> int:
         raise InputError("give a plan file or --script")
     else:
         plan = _plan_for_game(args, game)
-        state = open_session(game, plan.delta, plan.mode)
         rounds = plan.rounds or (CommitmentRound(),)  # stop at once without rounds
-        for k, r in enumerate(rounds):
-            try:
-                state = submit_round(state, r)
-            except RoundViolationError as exc:
-                raise DocumentError(f"plan round {k + 1} breaks a session rule: "
-                                    f"{exc}") from exc
-            state = cast_votes(state, [k + 1 < len(rounds)] * game.num_players)
+        try:
+            state = run_rounds(open_session(game, plan.delta, plan.mode), rounds, [
+                [True] * game.num_players] * (len(rounds) - 1) + [[False] * game.num_players])
+        except FoldError as exc:
+            raise DocumentError(f"plan round {exc.round_index + 1} breaks a session rule: "
+                                f"{exc.__cause__}") from exc.__cause__
         state = play_terminal(state, plan.target.profile)
         payoffs = state.transcript.final_payoffs
         print("final payoffs:", ",".join(f"{x:.12g}" for x in payoffs))

@@ -22,6 +22,7 @@ from .games import (
     BURN,
     EXACT_SLACK,
     DocumentError,
+    FoldError,
     Game,
     RoundViolation,
     TransferError,
@@ -31,9 +32,9 @@ from .games import (
     _read_list,
     _read_number,
     _write_json,
-    apply_transfers,
     check_schema,
     content_hash,
+    fold_rounds,
     game_from_dict,
     game_to_dict,
 )
@@ -41,7 +42,6 @@ from .games import (
 TRANSCRIPT_SCHEMA_VERSION = 1
 
 MODES = ("transfers", "burn_only")
-PHASES = ("committing", "voting", "playing", "done")
 
 
 class SessionError(ValueError):
@@ -108,7 +108,7 @@ class SessionState:
     current_game: Game
     delta: float
     mode: str
-    phase: str
+    phase: str  # "committing" -> "voting" -> "committing" or "playing" -> "done"
     transcript: Transcript
 
 
@@ -121,26 +121,54 @@ def open_session(game: Game, delta: float, mode: str = "transfers") -> SessionSt
 
 
 def submit_round(state: SessionState, round: CommitmentRound) -> SessionState:
-    if state.phase != "committing":
-        raise SessionError(f"cannot submit a round in phase {state.phase!r}")
     try:
-        new_game = apply_transfers(state.current_game, round,
-                                   delta=state.delta, mode=state.mode)
-    except TransferError as exc:
-        raise RoundViolationError(exc.violation) from exc
-    transcript = replace(state.transcript, rounds=state.transcript.rounds + (round,))
-    return replace(state, current_game=new_game, phase="voting", transcript=transcript)
+        return run_rounds(state, [round], ())
+    except FoldError as exc:
+        raise exc.__cause__ from None
+
+
+def _vote(phase: str, votes: Sequence[bool], n: int) -> tuple[tuple[bool, ...], str]:
+    if phase != "voting":
+        raise SessionError(f"cannot vote in phase {phase!r}")
+    votes = tuple(bool(v) for v in votes)
+    if len(votes) != n:
+        raise SessionError("one vote per player required")
+    return votes, "committing" if all(votes) else "playing"
 
 
 def cast_votes(state: SessionState, votes: Sequence[bool]) -> SessionState:
-    if state.phase != "voting":
-        raise SessionError(f"cannot vote in phase {state.phase!r}")
-    votes = tuple(bool(v) for v in votes)
-    if len(votes) != state.current_game.num_players:
-        raise SessionError("one vote per player required")
+    votes, phase = _vote(state.phase, votes, state.current_game.num_players)
     transcript = replace(state.transcript, votes=state.transcript.votes + (votes,))
-    phase = "committing" if all(votes) else "playing"
     return replace(state, phase=phase, transcript=transcript)
+
+
+def run_rounds(state: SessionState, rounds: Sequence[CommitmentRound],
+               votes: Sequence[Sequence[bool]]) -> SessionState:
+    """For each round k, `submit_round` then `cast_votes` of row k while rows are
+    left, folding the rounds reached in one call; FoldError(k, cause) names the
+    first step that fails and what it raised, GameShapeError a non-finite fold."""
+    rounds, phase, rows, reached, failure = tuple(rounds), state.phase, [], 0, None
+    for k in range(len(rounds)):
+        try:
+            if phase != "committing":
+                raise SessionError(f"cannot submit a round in phase {phase!r}")
+            reached, phase = k + 1, "voting"
+            if k < len(votes):
+                row, phase = _vote(phase, votes[k], state.current_game.num_players)
+                rows.append(row)
+        except SessionError as exc:
+            failure = k, exc
+            break
+    try:
+        stack = fold_rounds(state.current_game, rounds[:reached], state.delta, state.mode)
+    except FoldError as exc:  # a broken round comes before any later step
+        failure = exc.round_index, RoundViolationError(exc.__cause__.violation)
+    if failure:
+        raise FoldError(*failure) from failure[1]
+    transcript = replace(state.transcript, rounds=state.transcript.rounds + rounds[:reached],
+                         votes=state.transcript.votes + tuple(rows))
+    return replace(state, current_game=state.current_game.with_utilities(stack[-1]),
+                   phase=phase, transcript=transcript)
 
 
 def play_terminal(state: SessionState, actions: Sequence[int]) -> SessionState:
@@ -159,30 +187,25 @@ def play_terminal(state: SessionState, actions: Sequence[int]) -> SessionState:
 
 def replay(base: Game, transcript: Transcript, delta: float,
            mode: str = "transfers") -> SessionState:
-    """Re-execute a transcript from the base game, validating every step."""
-    state = open_session(base, delta, mode)
-    votes = list(transcript.votes)
-    for k, round in enumerate(transcript.rounds):
-        try:
-            state = submit_round(state, round)
-        except (RoundViolationError, SessionError) as exc:
-            raise ReplayError(k, str(exc)) from exc
-        if votes:
-            state = cast_votes(state, votes.pop(0))
-    if votes:
-        raise ReplayError(len(transcript.rounds), "more votes than rounds")
-    if transcript.terminal_actions is not None:
-        if state.phase != "playing":
-            raise ReplayError(len(transcript.rounds),
-                              f"terminal actions recorded but phase is {state.phase!r}")
-        state = play_terminal(state, transcript.terminal_actions)
-        if transcript.final_payoffs is not None:
+    """Re-execute a transcript from the base game; ReplayError names a broken step."""
+    rounds, votes, want = transcript.rounds, transcript.votes, transcript.final_payoffs
+    try:
+        state = run_rounds(open_session(base, delta, mode), rounds, votes)
+    except FoldError as exc:
+        raise ReplayError(exc.round_index, str(exc.__cause__)) from exc.__cause__
+    try:
+        if len(votes) > len(rounds):
+            raise SessionError("more votes than rounds")
+        if transcript.terminal_actions is not None:
+            if state.phase != "playing":
+                raise SessionError(f"terminal actions recorded but phase is {state.phase!r}")
+            state = play_terminal(state, transcript.terminal_actions)
             got = state.transcript.final_payoffs
-            if len(got) != len(transcript.final_payoffs) or any(
-                    abs(a - b) > EXACT_SLACK for a, b in zip(got, transcript.final_payoffs)):
-                raise ReplayError(len(transcript.rounds),
-                                  f"replayed payoffs {got} != recorded "
-                                  f"{transcript.final_payoffs}")
+            if want is not None and (len(got) != len(want) or any(
+                    abs(a - b) > EXACT_SLACK for a, b in zip(got, want))):
+                raise SessionError(f"replayed payoffs {got} != recorded {want}")
+    except SessionError as exc:
+        raise ReplayError(len(rounds), str(exc)) from exc
     return state
 
 

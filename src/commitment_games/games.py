@@ -457,8 +457,8 @@ def compile_pledges(shape: tuple[int, ...], pledge_lists: Sequence, delta: float
 
 
 class FoldError(ValueError):
-    """A round broke a round rule while folding; `round_index` is 0-based,
-    the text 1-based, and the cause the round's TransferError."""
+    """A step broke a rule while folding; `round_index` is 0-based, the text
+    1-based, and the cause the round's TransferError (or a session error)."""
 
     def __init__(self, round_index: int, cause: Exception):
         super().__init__(f"round {round_index + 1}: {cause}")

@@ -145,6 +145,41 @@ def test_simulate_script(workdir):
     assert tr["rounds"][0][0]["recipient"] == 2
 
 
+def _pay(amount):
+    return [{"payer": 1, "outcome": [2, 2], "recipient": 2, "amount": amount}]
+
+
+# The texts a script that breaks a session rule at its second round exits
+# with, as the per-round session loop gave them.
+@pytest.mark.parametrize("rounds, votes, text", [
+    ([_pay(1.0), _pay(1.5)], [[True, True], [False, False]],
+     "error: malformed script document: RoundViolationError: "
+     "[cap] player 1 pays 1.5 > delta=1 at outcome (2, 2)\n"),
+    ([_pay(1.0), _pay(1.0)], [[False, True], [False, False]],
+     "error: malformed script document: SessionError: "
+     "cannot submit a round in phase 'playing'\n"),
+], ids=["cap_at_round_2", "round_after_stop"])
+def test_a_script_that_breaks_a_rule_at_round_2_exits_2(workdir, capsys, rounds, votes, text):
+    script = workdir / "round_2_script.json"
+    script.write_text(json.dumps({"delta": 1.0, "rounds": rounds, "votes": votes,
+                                  "terminal_actions": [2, 2]}), encoding="utf-8")
+    assert _main(capsys, "simulate", str(workdir / "ex3.json"), "--script", str(script),
+                 "-o", str(workdir / "round_2_transcript.json")) == (2, text)
+
+
+def test_a_script_round_without_a_vote_row_continues(workdir, capsys):
+    script = workdir / "short_votes_script.json"
+    script.write_text(json.dumps({"delta": 1.0, "rounds": [_pay(1.0), _pay(0.5), []],
+                                  "votes": [[True, True]], "terminal_actions": [1, 1]}),
+                      encoding="utf-8")
+    out = workdir / "short_votes_transcript.json"
+    assert _main(capsys, "simulate", str(workdir / "ex3.json"), "--script", str(script),
+                 "-o", str(out)) == (0, "")
+    doc = json.loads(out.read_text())
+    assert doc["votes"] == [[True, True]] * 3 and len(doc["rounds"]) == 3
+    assert doc["terminal_actions"] is None  # still committing: nothing is played
+
+
 def test_verify_witness_dump(workdir):
     # build a game+naive plan pair that fails verification, dump witnesses
     from commitment_games import save_game, save_plan

@@ -150,6 +150,21 @@ def test_replay_rejects_cap_violation_with_index():
     assert err.value.step == 1
 
 
+def test_replay_names_the_round_of_a_vote_row_of_the_wrong_length():
+    rounds = (_pay_round(1.0), _pay_round(1.0))
+    with pytest.raises(ReplayError, match="one vote per player required") as err:
+        replay(unfair_split(), Transcript(rounds=rounds, votes=((True, True), (True,))), 1.0)
+    assert err.value.step == 1
+
+
+def test_replay_names_the_final_step_for_out_of_range_terminal_actions():
+    transcript = Transcript(rounds=(_pay_round(1.0),), votes=((False, False),),
+                            terminal_actions=(5, 5))
+    with pytest.raises(ReplayError, match=r"terminal actions \(5, 5\) out of range") as err:
+        replay(unfair_split(), transcript, 1.0)
+    assert err.value.step == 1
+
+
 @pytest.mark.parametrize("recorded", [[9.0], []])
 def test_replay_rejects_recorded_payoffs_of_another_length(recorded):
     state = cast_votes(submit_round(open_session(unfair_split(), 1.0), _pay_round(1.0)),

@@ -69,6 +69,17 @@ SIGNATURES.update({
                         " -> 'dict[str, DeviationClassResult]'",
 })
 
+# The session path: `run_rounds` folds a session's rounds once, and
+# `submit_round` (its one-round case) and `replay` keep the names the
+# benchmark's layer tracer wraps.
+SIGNATURES.update({
+    "run_rounds": "(state: 'SessionState', rounds: 'Sequence[CommitmentRound]',"
+                  " votes: 'Sequence[Sequence[bool]]') -> 'SessionState'",
+    "submit_round": "(state: 'SessionState', round: 'CommitmentRound') -> 'SessionState'",
+    "replay": "(base: 'Game', transcript: 'Transcript', delta: 'float',"
+              " mode: 'str' = 'transfers') -> 'SessionState'",
+})
+
 
 def _exported_names():
     tree = ast.parse((ROOT / "src" / "commitment_games" / "__init__.py").read_text())

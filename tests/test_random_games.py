@@ -7,8 +7,8 @@ drawn target or a welfare split; then `simulate`, `verify` and a
 script run of the transcript.  Every `plan` run exits 2 or 3 without a
 traceback, or writes a plan whose rounds keep the cap, whose checkpoint
 hashes are those of the scalar reference fold, which `verify` judges as
-`plan` did, and whose transcript replays to the plan's expected terminal
-payoffs within 1e-12.
+`plan` did, and whose transcript replays to the reference fold's last
+game bit for bit and to the plan's expected terminal payoffs within 1e-12.
 """
 
 import json
@@ -99,7 +99,9 @@ def test_random_games_run_end_to_end(tmp_path, capsys):
         assert main(["simulate", game_path, plan_path, "-o", transcript_path]) == 0
         doc = json.loads(tmp_path.joinpath("tr.json").read_text())
         base, transcript, delta, mode = transcript_from_dict(doc)
-        final = replay(base, transcript, delta, mode).transcript.final_payoffs
+        replayed = replay(base, transcript, delta, mode)
+        assert replayed.current_game.utilities.tobytes() == games[-1].utilities.tobytes()
+        final = replayed.transcript.final_payoffs
         assert np.allclose(final, plan.expected_terminal_payoffs, rtol=0, atol=1e-12)
         assert main(["simulate", game_path, "--script", transcript_path,
                      "-o", script_out]) == 0
