@@ -18,9 +18,12 @@ from . import __version__
 from .catalog import GAMES, RUNNERS, reproduce
 from .engine import (
     CommitmentRound,
+    ReplayError,
+    Transcript,
     _session_fields,
     open_session,
     play_terminal,
+    replay,
     run_rounds,
     transcript_to_dict,
 )
@@ -306,12 +309,7 @@ def cmd_plan(args) -> int:
 
 
 def _plan_for_game(args, game: Game):
-    plan = load_plan(args.plan)
-    if plan.base_game_hash != content_hash(game):
-        raise InputError("plan/game mismatch: the plan was built for a game "
-                         "with a different content hash")
-    check_plan_for_game(plan, game)
-    return plan
+    return check_plan_for_game(load_plan(args.plan), game)
 
 
 def _run_script(game: Game, path):
@@ -321,14 +319,12 @@ def _run_script(game: Game, path):
         script = json.load(fh)
     with _decoding("script"):
         state, rounds, votes, actions = _session_fields(game, script, rounds=[], votes=[])
-        try:  # a round without a vote row continues
-            state = run_rounds(state, rounds, votes + ((True,) * game.num_players,)
-                               * (len(rounds) - len(votes)))
-        except FoldError as exc:
+        # A round without a vote row continues.
+        votes += ((True,) * game.num_players,) * (len(rounds) - len(votes))
+        try:
+            return replay(game, Transcript(rounds, votes, actions), state.delta, state.mode)
+        except ReplayError as exc:
             raise exc.__cause__ from None
-        if state.phase == "playing" and actions:
-            state = play_terminal(state, actions)
-    return state
 
 
 def cmd_simulate(args) -> int:

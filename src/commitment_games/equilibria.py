@@ -91,19 +91,19 @@ def is_nash(game: Game, profile: MixedProfile, tol: float = DEFAULT_TOL) -> Nash
     return nash_batch(game.utilities[None], profile, tol)[0]
 
 
-def enumerate_pure_nash(game: Game, tol: float = DEFAULT_TOL) -> list[tuple[int, ...]]:
+def enumerate_pure_nash(game: Game) -> list[tuple[int, ...]]:
     """All pure Nash profiles, lexicographically sorted."""
-    return [tuple(p) for p in np.argwhere(_pure_nash_mask(game.utilities[None], tol)[0]).tolist()]
+    return [tuple(p) for p in np.argwhere(_pure_nash_mask(game.utilities[None])[0]).tolist()]
 
 
-def _pure_nash_mask(U: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _pure_nash_mask(U: np.ndarray) -> np.ndarray:
     """Per game of a (B, n, N_1..N_n) stack, the mask of pure profiles where
-    no player's payoff minus its best unilateral switch is below -tol: the
-    test of `_bnash`, of the residual rows and so of a 1x1 support solve."""
+    no player's payoff minus its best unilateral switch is below -DEFAULT_TOL:
+    the test of `_bnash`, of the residual rows and so of a 1x1 support solve."""
     nash = np.ones((len(U), *U.shape[2:]), dtype=bool)
     for i in range(U.shape[1]):
         best = U[:, i].max(axis=i + 1, keepdims=True)
-        nash &= ~(U[:, i] - best < -tol)
+        nash &= ~(U[:, i] - best < -DEFAULT_TOL)
     return nash
 
 
@@ -199,17 +199,16 @@ class SupportSolve:
 
 
 def solve_on_support(game: Game, supports: Sequence[Sequence[int]],
-                     seed: MixedProfile | None = None, *,
-                     tol: float = SYSTEM_TOL,
-                     residual_tol: float = DEFAULT_TOL) -> SupportSolve:
+                     seed: MixedProfile | None = None) -> SupportSolve:
     """Find a profile solving the characteristic system on the support.
 
     Two players: direct linear solve.  Three or more: damped Newton from
     `seed` (required).  The result must have support probabilities in
-    (0, 1], satisfy the system to `tol`, and have residuals >= -residual_tol.
+    (0, 1], satisfy the system to SYSTEM_TOL, and have residuals of at
+    least -DEFAULT_TOL.
     """
     system = StackedSystem(game.utilities[None], supports)
-    X, status, f_norm, min_res = _solve(system, seed, tol, residual_tol)
+    X, status, f_norm, min_res = _solve(system, seed)
     profile = (MixedProfile([v[0] for v in system.embed(np.clip(X, 0.0, 1.0))],
                             tol=PROFILE_SLACK) if status[0] == _OK else None)
     return SupportSolve(profile, STATUSES[status[0]], float(f_norm[0]), float(min_res[0]))
@@ -372,8 +371,7 @@ STATUSES = ("ok", "degenerate", "no_converge", "out_of_range", "residual_negativ
  _OVER_CEILING) = range(len(STATUSES))
 
 
-def _solve(system: StackedSystem, seed: MixedProfile | None, tol: float = SYSTEM_TOL,
-           residual_tol: float = DEFAULT_TOL, *, distinct: bool = False):
+def _solve(system: StackedSystem, seed: MixedProfile | None, *, distinct: bool = False):
     """`solve_on_support` on every row: (X, status, f_norm, min_residual).
 
     Two players: one stacked linear solve.  Three or more: damped Newton
@@ -394,11 +392,11 @@ def _solve(system: StackedSystem, seed: MixedProfile | None, tol: float = SYSTEM
         first, index = _distinct_rows(U[(slice(None), slice(None), *np.ix_(*supp))])
         if len(first) < len(U):
             solved = StackedSystem(U[first], supp)
-    X, status, f_norm = _solve_block(solved, seed, tol)
+    X, status, f_norm = _solve_block(solved, seed)
     if solved is not system:
         X, status, f_norm = X[index], status[index], f_norm[index]
     min_res = system.min_residuals(X)
-    status[(status == _OK) & (min_res < -residual_tol)] = _RESIDUAL_NEGATIVE
+    status[(status == _OK) & (min_res < -DEFAULT_TOL)] = _RESIDUAL_NEGATIVE
     min_res[(status != _OK) & (status != _RESIDUAL_NEGATIVE)] = np.nan
     return X, status, f_norm, min_res
 
@@ -438,7 +436,7 @@ def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[~repeat], index
 
 
-def _solve_block(system: StackedSystem, seed: MixedProfile | None, tol: float):
+def _solve_block(system: StackedSystem, seed: MixedProfile | None):
     """`_solve` up to the residual check: (X, status, f_norm)."""
     B, n = system.utilities.shape[:2]
     if n > 2 and seed is None:
@@ -485,7 +483,7 @@ def _solve_block(system: StackedSystem, seed: MixedProfile | None, tol: float):
 
     norm = _inf_norm(f(X))
     f_norm[solved] = norm[solved]
-    status[solved & (norm > tol)] = _NO_CONVERGE
+    status[solved & (norm > SYSTEM_TOL)] = _NO_CONVERGE
     out_of_range = np.any((X <= DEFAULT_TOL) | (X > 1 + DEFAULT_TOL), axis=1)
     status[(status == _OK) & out_of_range] = _OUT_OF_RANGE
     return X, status, f_norm
@@ -559,14 +557,13 @@ class BatchFirstStage:
 
 
 def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
-                      seed: MixedProfile | None, ceiling: Sequence[float], *,
-                      tol: float = DEFAULT_TOL) -> BatchFirstStage:
+                      seed: MixedProfile | None, ceiling: Sequence[float]) -> BatchFirstStage:
     """The first stage of the punishment search over a stack of games.
 
     `utilities` has shape (B, n, N_1..N_n).  Per row: `solve_on_support`
     (system to SYSTEM_TOL, probabilities in (DEFAULT_TOL, 1 + DEFAULT_TOL],
     residuals at least -DEFAULT_TOL), then `is_nash` at NASH_TOL and the
-    payoff ceiling plus `tol`.
+    payoff ceiling plus DEFAULT_TOL.
     Rows whose support-block cells have the same bytes share one solve
     (`_solve` with `distinct`); the residual, Nash and ceiling checks run
     on every row.
@@ -576,13 +573,13 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     full = system.embed(np.clip(X, 0.0, 1.0))
     deviation, expected = _bpayoffs(system.utilities, full)
     status[(status == _OK) & (_bnash(deviation, full, NASH_TOL)[0] >= 0)] = _NOT_NASH
-    status[(status == _OK) & ~_under_ceiling(expected, ceiling, tol)] = _OVER_CEILING
+    status[(status == _OK) & ~_under_ceiling(expected, ceiling)] = _OVER_CEILING
     return BatchFirstStage(status, tuple(full), tuple(deviation), expected)
 
 
-def _under_ceiling(expected: np.ndarray, ceiling: Sequence[float], tol: float) -> np.ndarray:
+def _under_ceiling(expected: np.ndarray, ceiling: Sequence[float]) -> np.ndarray:
     """The search's ceiling test on payoff vectors along the last axis."""
-    return np.all(expected <= np.asarray(ceiling, dtype=np.float64) + tol, axis=-1)
+    return np.all(expected <= np.asarray(ceiling, dtype=np.float64) + DEFAULT_TOL, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -619,29 +616,24 @@ class BatchNonDegeneracy:
                                    float(self.min_residual[row]))
 
 
-def is_non_degenerate(game: Game, profile: MixedProfile, *,
-                      det_tol: float = DET_TOL,
-                      nash_tol: float = NASH_TOL) -> NonDegeneracyReport:
+def is_non_degenerate(game: Game, profile: MixedProfile) -> NonDegeneracyReport:
     """Nonsingular Jacobian at the profile and strictly positive residuals.
 
     Raises NotNashError when the profile is not a Nash equilibrium.
     """
-    return non_degenerate_batch(game.utilities[None], profile, det_tol=det_tol,
-                                nash_tol=nash_tol).report(0)
+    return non_degenerate_batch(game.utilities[None], profile).report(0)
 
 
-def non_degenerate_batch(utilities: np.ndarray, profile: MixedProfile, *,
-                         det_tol: float = DET_TOL,
-                         nash_tol: float = NASH_TOL) -> BatchNonDegeneracy:
+def non_degenerate_batch(utilities: np.ndarray, profile: MixedProfile) -> BatchNonDegeneracy:
     """`is_non_degenerate` of one profile on every game of a
     (B, n, N_1..N_n) stack."""
-    nash = nash_batch(utilities, profile, nash_tol)
+    nash = nash_batch(utilities, profile, NASH_TOL)
     system = StackedSystem(utilities, profile.supports())
     X = system.profile_vectors(profile)
     J = system.jacobian(X)
     m = J.shape[1]
     det = np.linalg.det(J)
-    threshold = np.array([det_tol * (scale ** m if scale > 0 else 1.0)
+    threshold = np.array([DET_TOL * (scale ** m if scale > 0 else 1.0)
                           for scale in np.abs(J).max(axis=(1, 2)).tolist()])
     min_res = system.min_residuals(X)
     ok = np.array([check.ok for check in nash], dtype=bool)
@@ -661,8 +653,7 @@ class PunishmentResult:
 
 def find_punishment_equilibrium(game: Game, reference_support: Sequence[Sequence[int]],
                                 seed: MixedProfile | None,
-                                ceiling: Sequence[float], *,
-                                tol: float = DEFAULT_TOL) -> PunishmentResult:
+                                ceiling: Sequence[float]) -> PunishmentResult:
     """Same-support equilibrium whose payoffs stay under the ceiling.
 
     Tries the support-constrained solve first; if the solve fails or
@@ -670,7 +661,7 @@ def find_punishment_equilibrium(game: Game, reference_support: Sequence[Sequence
     still an equilibrium) and then to pure equilibria in lexicographic
     order.  Returns a result with profile None when nothing qualifies.
     """
-    found = punish_batch(game.utilities[None], reference_support, seed, ceiling, tol=tol)
+    found = punish_batch(game.utilities[None], reference_support, seed, ceiling)
     return PunishmentResult(found.profile(0), found.kinds[0], found.reasons[0])
 
 
@@ -693,20 +684,20 @@ def _support_patterns(action_counts: tuple[int, ...]) -> tuple:
 
 
 def _first_settling(V: np.ndarray, probs: Sequence[np.ndarray], valid: np.ndarray,
-                    ceiling: Sequence[float], tol: float):
+                    ceiling: Sequence[float]):
     """Per game of the stack `V`, the first of its candidate profiles (row
     c*len(V) + r of `probs` is candidate c of game r) that is `valid`, Nash
     at NASH_TOL and under the ceiling: (settled, probabilities, deviation
     payoffs, expected payoffs), one row per game."""
     R = len(V)
     pay, exp = _bpayoffs(np.tile(V, (len(valid) // R,) + (1,) * (V.ndim - 1)), probs)
-    valid = valid & (_bnash(pay, probs, NASH_TOL)[0] < 0) & _under_ceiling(exp, ceiling, tol)
+    valid = valid & (_bnash(pay, probs, NASH_TOL)[0] < 0) & _under_ceiling(exp, ceiling)
     valid = valid.reshape(-1, R)
     pick = valid.argmax(axis=0) * R + np.arange(R)
     return valid.any(axis=0), [p[pick] for p in probs], [p[pick] for p in pay], exp[pick]
 
 
-def _semi_mixed_batch(V: np.ndarray, ceiling: Sequence[float], tol: float):
+def _semi_mixed_batch(V: np.ndarray, ceiling: Sequence[float]):
     """2x2 continuum equilibria: one player pure, the other indifferent.
 
     The gap-closing protocols drive preference gaps to exact zeros, where
@@ -721,21 +712,21 @@ def _semi_mixed_batch(V: np.ndarray, ceiling: Sequence[float], tol: float):
     W = np.stack([V, V.transpose(0, 1, 3, 2)])  # W[p][:, i, p's action, mixer's]
     mixer = W[p, :, 1 - p].transpose(0, 2, 1, 3)  # [p, b, game, mixer's action]
     pure = W[p, :, p].transpose(0, 2, 1, 3)
-    indifferent = np.abs(mixer[..., 0] - mixer[..., 1]) <= tol
+    indifferent = np.abs(mixer[..., 0] - mixer[..., 1]) <= DEFAULT_TOL
     # b must be a weak best response to the mix q over the mixer's first
-    # action: g(q) = alpha*q + beta*(1-q) >= -tol
+    # action: g(q) = alpha*q + beta*(1-q) >= -DEFAULT_TOL
     alpha, beta = np.moveaxis(pure - pure[:, ::-1], -1, 0)
     has_root = np.abs(alpha - beta) > ROOT_FLOOR
     root = np.divide(-beta, alpha - beta, out=np.zeros_like(alpha), where=has_root)
     has_root &= (0.0 < root) & (root < 1.0)
     q = np.stack([np.zeros_like(root), root, np.ones_like(root)], axis=2)
     valid = np.stack([indifferent, indifferent & has_root, indifferent], axis=2)
-    valid &= ~(alpha[:, :, None] * q + beta[:, :, None] * (1.0 - q) < -tol)
+    valid &= ~(alpha[:, :, None] * q + beta[:, :, None] * (1.0 - q) < -DEFAULT_TOL)
     mixed = np.stack([q, 1.0 - q], axis=-1)
     pure = np.broadcast_to(np.eye(2)[None, :, None, None], mixed.shape)
     probs = [np.where(p[:, None, None, None, None] == i, pure, mixed).reshape(-1, 2)
              for i in (0, 1)]
-    return _first_settling(V, probs, valid.ravel(), ceiling, tol)
+    return _first_settling(V, probs, valid.ravel(), ceiling)
 
 
 @dataclass(frozen=True)
@@ -771,8 +762,7 @@ _FIRST_STAGE_REASONS = {"not_nash": "support solve is not Nash (residuals violat
 
 
 def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
-                 seed: MixedProfile | None, ceiling: Sequence[float], *,
-                 tol: float = DEFAULT_TOL) -> BatchPunishment:
+                 seed: MixedProfile | None, ceiling: Sequence[float]) -> BatchPunishment:
     """`find_punishment_equilibrium` over a stack of games, row for row.
 
     `utilities` has shape (B, n, N_1..N_n).  Each step of the chain runs
@@ -790,7 +780,7 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         raise GameShapeError("utilities must be finite")
     B, n, counts = U.shape[0], U.shape[1], U.shape[2:]
 
-    first = first_stage_batch(U, supports, seed, ceiling, tol=tol)
+    first = first_stage_batch(U, supports, seed, ceiling)
     kinds = np.full(B, "support_solve", dtype=object)
     profiles, expected = list(first.profiles), first.payoffs
     best = np.stack([p.max(axis=1) for p in first.deviation_payoffs], axis=1)
@@ -814,7 +804,7 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         _check_profile(counts, seed)
         probs = [np.tile(p, (len(rows), 1)) for p in seed.probs]
         rows = settle("seed", rows, *_first_settling(U[rows], probs, np.ones(len(rows), bool),
-                                                     ceiling, tol))
+                                                     ceiling))
 
     pure_best = np.full((B, n), np.nan)
     if rows.size:
@@ -823,7 +813,7 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         pure_best[rows] = np.stack([np.where(flat, V[:, i].reshape(len(rows), -1), -np.inf)
                                     .max(axis=1) for i in range(n)], axis=1)
         # A row ends at its first Nash cell under the ceiling, in C order.
-        flat &= _under_ceiling(V.reshape(len(rows), n, -1).transpose(0, 2, 1), ceiling, tol)
+        flat &= _under_ceiling(V.reshape(len(rows), n, -1).transpose(0, 2, 1), ceiling)
         cells = np.unravel_index(flat.argmax(axis=1), counts)
         probs = [np.eye(c)[a] for c, a in zip(counts, cells)]
         rows = settle("pure", rows, flat.any(axis=1), probs, *_bpayoffs(V, probs))
@@ -851,10 +841,9 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
         probs = [np.zeros((len(X), c)) for c in counts]
         for v, o, block in zip(probs, orders, system.split(np.clip(X, 0.0, 1.0))):
             v[np.arange(len(X))[:, None], np.repeat(o[:, :k], len(rows), axis=0)] = block
-        rows = settle("support_enum", rows,
-                      *_first_settling(V, probs, status == _OK, ceiling, tol))
+        rows = settle("support_enum", rows, *_first_settling(V, probs, status == _OK, ceiling))
     if rows.size and counts == (2, 2):
-        rows = settle("semi_mixed", rows, *_semi_mixed_batch(U[rows], ceiling, tol))
+        rows = settle("semi_mixed", rows, *_semi_mixed_batch(U[rows], ceiling))
 
     reasons = [""] * B
     for r in rows.tolist():

@@ -290,19 +290,19 @@ class MixedProfile:
     def num_players(self) -> int:
         return len(self.probs)
 
-    def support(self, player: int, eps: float = SUPPORT_EPSILON) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.probs[player] > eps))
+    def support(self, player: int) -> tuple[int, ...]:
+        return tuple(int(j) for j in np.flatnonzero(self.probs[player] > SUPPORT_EPSILON))
 
-    def supports(self, eps: float = SUPPORT_EPSILON) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.support(i, eps) for i in range(self.num_players))
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.support(i) for i in range(self.num_players))
 
-    def is_pure(self, eps: float = SUPPORT_EPSILON) -> bool:
-        return all(len(s) == 1 for s in self.supports(eps))
+    def is_pure(self) -> bool:
+        return all(len(s) == 1 for s in self.supports())
 
-    def pure_profile(self, eps: float = SUPPORT_EPSILON) -> tuple[int, ...]:
-        if not self.is_pure(eps):
+    def pure_profile(self) -> tuple[int, ...]:
+        if not self.is_pure():
             raise ProfileError("profile is not pure")
-        return tuple(s[0] for s in self.supports(eps))
+        return tuple(s[0] for s in self.supports())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MixedProfile)
@@ -491,12 +491,14 @@ def fold_rounds(game: Game, rounds, delta: float | None = None,
     step, _, cell, value = updates
     # Row k + 1 is row k with round k's updates; `np.add.at` applies them in
     # order, so a cell that a round updates twice takes both as `u -= a` did.
+    # A sum past the float range is caught by the finiteness check below.
     stack = np.empty((R + 1, game.utilities.size))
     stack[0] = game.utilities.ravel()
     bounds = np.searchsorted(step, np.arange(R + 1)).tolist()
-    for k in range(R):
-        stack[k + 1] = stack[k]
-        np.add.at(stack[k + 1], cell[bounds[k]:bounds[k + 1]], value[bounds[k]:bounds[k + 1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(R):
+            stack[k + 1] = stack[k]
+            np.add.at(stack[k + 1], cell[bounds[k]:bounds[k + 1]], value[bounds[k]:bounds[k + 1]])
     if not np.isfinite(stack).all():
         raise GameShapeError("utilities must be finite")
     if rejected:

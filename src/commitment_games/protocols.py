@@ -626,12 +626,12 @@ def _gap_pair(game: Game, player: int, orders) -> tuple[float, float]:
     return u(own0, opp0) - u(own1, opp0), u(own0, opp1) - u(own1, opp1)
 
 
-def _player_type(d0: float, d1: float, tol: float = EXACT_SLACK) -> str:
-    if abs(d0) <= tol and abs(d1) <= tol:
+def _player_type(d0: float, d1: float) -> str:
+    if abs(d0) <= EXACT_SLACK and abs(d1) <= EXACT_SLACK:
         return "indifferent"
-    if d0 > tol and d1 < -tol:
+    if d0 > EXACT_SLACK and d1 < -EXACT_SLACK:
         return "matching"
-    if d0 < -tol and d1 > tol:
+    if d0 < -EXACT_SLACK and d1 > EXACT_SLACK:
         return "mismatching"
     return "other"
 
@@ -825,16 +825,15 @@ def _stage_rounds(rates: np.ndarray, delta: float) -> tuple[list[CommitmentRound
 
 
 def build_welfare_transfer_stage(game: Game, sigma: MixedProfile,
-                                 payoff_targets: Sequence[float], delta: float, *,
-                                 validate: bool = True) -> tuple[ProtocolPlan, Game]:
+                                 payoff_targets: Sequence[float],
+                                 delta: float) -> tuple[ProtocolPlan, Game]:
     """Stage plan moving the welfare maximizer's payoffs to the target split.
 
     Returns the stage-only plan plus the folded terminal game; the full
     construction chains the burn machinery on the terminal game.
     """
     targets = [float(x) for x in payoff_targets]
-    if validate:
-        _require_non_degenerate(game, sigma)
+    _require_non_degenerate(game, sigma)
     rates, a_sw = _welfare_stage_rates(game, sigma, targets)
     rounds, lams = _stage_rounds(rates, delta)
     n = game.num_players
@@ -1019,10 +1018,14 @@ def _check_plan(plan: ProtocolPlan) -> None:
                                 "with equal action counts for two players")
 
 
-def check_plan_for_game(plan: ProtocolPlan, game: Game) -> None:
-    """DocumentError unless the plan meets what every built plan meets and
-    its baseline, punishment seeds, supports and ceilings fit `game`'s
-    players and actions; labels are 1-based, as in plan files."""
+def check_plan_for_game(plan: ProtocolPlan, game: Game) -> ProtocolPlan:
+    """The plan, or DocumentError unless it was built for `game` (its base
+    hash), meets what every built plan meets and its baseline, punishment
+    seeds, supports and ceilings fit `game`'s players and actions; labels
+    are 1-based, as in plan files."""
+    if plan.base_game_hash != content_hash(game):
+        raise DocumentError("plan/game mismatch: the plan was built for a game "
+                            "with a different content hash")
     _check_plan(plan)
     counts = game.action_counts
     n = len(counts)
@@ -1047,6 +1050,7 @@ def check_plan_for_game(plan: ProtocolPlan, game: Game) -> None:
                 raise DocumentError(f"punishment stage {s}: player {i}'s support "
                                     f"{[a + 1 for a in supp]} is not a set of "
                                     f"actions among 1..{c}")
+    return plan
 
 
 def _read_stage(doc: dict, field: str) -> PunishmentStage:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -170,14 +171,41 @@ def test_a_script_that_breaks_a_rule_at_round_2_exits_2(workdir, capsys, rounds,
 def test_a_script_round_without_a_vote_row_continues(workdir, capsys):
     script = workdir / "short_votes_script.json"
     script.write_text(json.dumps({"delta": 1.0, "rounds": [_pay(1.0), _pay(0.5), []],
-                                  "votes": [[True, True]], "terminal_actions": [1, 1]}),
-                      encoding="utf-8")
+                                  "votes": [[True, True]]}), encoding="utf-8")
     out = workdir / "short_votes_transcript.json"
     assert _main(capsys, "simulate", str(workdir / "ex3.json"), "--script", str(script),
                  "-o", str(out)) == (0, "")
     doc = json.loads(out.read_text())
     assert doc["votes"] == [[True, True]] * 3 and len(doc["rounds"]) == 3
     assert doc["terminal_actions"] is None  # still committing: nothing is played
+
+
+# Scripts follow the session rules `replay` enforces on transcripts.
+@pytest.mark.parametrize("rounds, votes, text", [
+    ([_pay(1.0), _pay(0.5), []], [[True, True]],
+     "error: malformed script document: SessionError: "
+     "terminal actions recorded but phase is 'committing'\n"),
+    ([_pay(1.0)], [[False, False]] * 3,
+     "error: malformed script document: SessionError: more votes than rounds\n"),
+], ids=["terminal_actions_while_committing", "votes_past_the_last_round"])
+def test_a_script_that_breaks_a_replay_rule_exits_2(workdir, capsys, rounds, votes, text):
+    script = workdir / "replay_rule_script.json"
+    script.write_text(json.dumps({"delta": 1.0, "rounds": rounds, "votes": votes,
+                                  "terminal_actions": [1, 1]}), encoding="utf-8")
+    assert _main(capsys, "simulate", str(workdir / "ex3.json"), "--script", str(script),
+                 "-o", str(workdir / "replay_rule_transcript.json")) == (2, text)
+
+
+def test_an_overflowing_script_fold_prints_only_its_error(workdir, capsys):
+    burn = [{"payer": 1, "outcome": [1, 1], "recipient": "BURN", "amount": 1.7e308}]
+    script = workdir / "overflow_script.json"
+    script.write_text(json.dumps({"delta": 1.7e308, "rounds": [burn, burn],
+                                  "votes": [[True, True], [False, False]]}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _main(capsys, "simulate", str(workdir / "ex3.json"), "--script", str(script),
+                     "-o", str(workdir / "overflow_transcript.json")) == (
+            2, "error: malformed script document: GameShapeError: utilities must be finite\n")
 
 
 def test_verify_witness_dump(workdir):

@@ -761,12 +761,12 @@ def test_array_built_boundary_step_matches_scalar_boundary_search():
     # the ceilings accept some candidates and refuse others.
     rng = np.random.default_rng(11)
     values = (np.arange(-2, 3)[:, None] * np.array([1.0, 0.5, 1 / 3])).ravel()
-    tol = 1e-9
+    tol = DEFAULT_TOL  # the tolerance the kernel reads
     settling = Counter()
     for _ in range(80):
         V = rng.choice(values, (10, 2, 2, 2))
         ceiling = rng.choice(values, 2) + rng.choice([0.0, 1.0, 3.0])
-        settled, probs, pay, exp = equilibria._semi_mixed_batch(V, ceiling, tol)
+        settled, probs, pay, exp = equilibria._semi_mixed_batch(V, ceiling)
         for r in range(len(V)):
             game = Game(V[r])
 

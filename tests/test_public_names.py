@@ -19,20 +19,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SIGNATURES = {
     "is_nash": "(game: 'Game', profile: 'MixedProfile', tol: 'float' = 1e-09)"
                " -> 'NashCheck'",
-    "enumerate_pure_nash": "(game: 'Game', tol: 'float' = 1e-09)"
-                           " -> 'list[tuple[int, ...]]'",
+    "enumerate_pure_nash": "(game: 'Game') -> 'list[tuple[int, ...]]'",
     "build_characteristic_system": "(game: 'Game', supports: 'Sequence[Sequence[int]]')"
                                    " -> 'CharacteristicSystem'",
     "solve_on_support": "(game: 'Game', supports: 'Sequence[Sequence[int]]',"
-                        " seed: 'MixedProfile | None' = None, *, tol: 'float' = 1e-10,"
-                        " residual_tol: 'float' = 1e-09) -> 'SupportSolve'",
-    "is_non_degenerate": "(game: 'Game', profile: 'MixedProfile', *,"
-                         " det_tol: 'float' = 1e-08, nash_tol: 'float' = 1e-08)"
-                         " -> 'NonDegeneracyReport'",
+                        " seed: 'MixedProfile | None' = None) -> 'SupportSolve'",
+    "is_non_degenerate": "(game: 'Game', profile: 'MixedProfile') -> 'NonDegeneracyReport'",
     "find_punishment_equilibrium": "(game: 'Game', reference_support:"
                                    " 'Sequence[Sequence[int]]', seed: 'MixedProfile | None',"
-                                   " ceiling: 'Sequence[float]', *, tol: 'float' = 1e-09)"
-                                   " -> 'PunishmentResult'",
+                                   " ceiling: 'Sequence[float]') -> 'PunishmentResult'",
 }
 
 # The plan builders, the cap search and the round bound take no tuning knobs.
@@ -44,8 +39,8 @@ SIGNATURES.update({
     "build_multiplayer_plan": _BUILDER,
     "build_2x2_plan": _BUILDER,
     "build_welfare_transfer_stage": "(game: 'Game', sigma: 'MixedProfile', payoff_targets:"
-                                    " 'Sequence[float]', delta: 'float', *, validate:"
-                                    " 'bool' = True) -> 'tuple[ProtocolPlan, Game]'",
+                                    " 'Sequence[float]', delta: 'float')"
+                                    " -> 'tuple[ProtocolPlan, Game]'",
     "build_plan": "(game: 'Game', sigma: 'MixedProfile', *, target: 'Sequence[int] | None'"
                   " = None, payoffs: 'Sequence[float] | None' = None, delta: 'float')"
                   " -> 'ProtocolPlan'",

@@ -124,6 +124,15 @@ def test_verify_plan_checks_a_plan_built_in_process(changes, message):
         verify_plan(game, dataclasses.replace(plan, **changes))
 
 
+def test_verify_plan_rejects_a_plan_built_for_another_game():
+    # The CLI's plan/game check, with its text: one check for both.
+    game, plan = split_plan()
+    other = game.with_utilities(game.utilities + 1.0)
+    with pytest.raises(DocumentError, match="^plan/game mismatch: the plan was built for a game "
+                                            "with a different content hash$"):
+        verify_plan(other, plan)
+
+
 @pytest.mark.parametrize("keyword", ["budget", "checkpoint_budget"])
 @pytest.mark.parametrize("value", [0, -2])
 def test_verify_plan_rejects_a_budget_below_one(keyword, value):
