@@ -17,6 +17,7 @@ import sys
 from . import __version__
 from .catalog import GAMES, RUNNERS, reproduce
 from .engine import (
+    MODES,
     CommitmentRound,
     ReplayError,
     Transcript,
@@ -278,7 +279,7 @@ def cmd_plan(args) -> int:
             raise InputError("--target plans are burn-only constructions")
     elif args.payoffs is not None:
         payoffs = _parse_payoffs(args.payoffs, game)
-        if args.mode == "burn":
+        if args.mode == "burn_only":
             raise InfeasibleError("payoff splits need transfers; burning "
                                   "cannot redistribute welfare")
     else:
@@ -420,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="pure target outcome, e.g. 4,4 or B,B")
     p.add_argument("--payoffs", help="welfare split, e.g. 4,3")
     p.add_argument("--delta", default="auto", help="per-round cap or 'auto'")
-    p.add_argument("--mode", choices=["transfers", "burn"], default=None)
+    p.add_argument("--mode", choices=MODES, type=lambda m: {"burn": "burn_only"}.get(m, m),
+                   help="burn is an alias of burn_only")
     p.add_argument("-o", "--out", help="plan file to write")
     p.add_argument("--report", help="verification report file")
     _add_grid_args(p)

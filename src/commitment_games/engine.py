@@ -56,7 +56,7 @@ class RoundViolationError(ValueError):
 
 class ReplayError(ValueError):
     def __init__(self, step: int, message: str):
-        super().__init__(f"replay failed at step {step}: {message}")
+        super().__init__(f"replay failed at step {step + 1}: {message}")
         self.step = step
 
 

@@ -178,9 +178,9 @@ def _checked_supports(action_counts: Sequence[int],
     for i, s in enumerate(supports):
         s = tuple(int(a) for a in s)
         if not s:
-            raise SupportError(f"player {i}: empty support")
+            raise SupportError(f"player {i + 1}: empty support")
         if len(set(s)) != len(s) or any(not 0 <= a < action_counts[i] for a in s):
-            raise SupportError(f"player {i}: bad support {s}")
+            raise SupportError(f"player {i + 1}: bad support {tuple(a + 1 for a in s)}")
         supp.append(s)
     return tuple(supp)
 

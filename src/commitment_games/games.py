@@ -331,7 +331,7 @@ def _check_profile(action_counts: Sequence[int], profile: MixedProfile) -> None:
         raise GameShapeError("profile has wrong number of players")
     for i, p in enumerate(profile.probs):
         if p.size != action_counts[i]:
-            raise GameShapeError(f"player {i}: profile length {p.size} != "
+            raise GameShapeError(f"player {i + 1}: profile length {p.size} != "
                                  f"{action_counts[i]} actions")
 
 

@@ -72,15 +72,19 @@ from .games import AMOUNT_FLOOR as _AMOUNT_FLOOR
 
 PLAN_SCHEMA_VERSION = 1
 
-CASE_TAGS = (
-    "partial_support_disjoint",
-    "partial_support_mixed",
-    "in_support_indirect",
-    "full_support_2p",
-    "full_support_np",
-    "two_by_two",
-    "welfare_transfer_stage",
-)
+# What each construction case promises, which the verifier checks: Nash stage
+# seeds, property (a1), a non-degenerate full-support baseline, and the welfare
+# homotopy.  The 2x2 narrowing moves the indifference point, so its seed need
+# not stay Nash.
+CASE_PROMISES = {
+    "partial_support_disjoint": {"seed_nash", "a1"},
+    "partial_support_mixed": {"seed_nash", "a1"},
+    "in_support_indirect": {"seed_nash"},
+    "full_support_2p": {"seed_nash", "a1", "full_support"},
+    "full_support_np": {"seed_nash", "a1", "full_support"},
+    "two_by_two": set(),
+    "welfare_transfer_stage": {"seed_nash", "a1", "welfare"},
+}
 
 # Round counts grow with utility_range / delta (ex4 at delta 0.02 is 300);
 # build_plan refuses caps that would need millions of rounds.
@@ -300,7 +304,7 @@ def _anchor_burn_streams(game: Game, sigma: MixedProfile, target: tuple[int, ...
             col_outcomes.append(tuple(prof))
             best_other = max(best_other, game.payoff(i, tuple(prof)))
         if not col_outcomes:
-            raise InfeasibleError(f"player {i} has a single action")
+            raise InfeasibleError(f"player {i + 1} has a single action")
         T = max(0.0, best_other - game.payoff(i, target) + margin)
         Q = 1.0
         for j in range(n):
@@ -314,10 +318,10 @@ def _anchor_burn_streams(game: Game, sigma: MixedProfile, target: tuple[int, ...
                 deviation_payoffs(game, sigma, i)[t_i])
             if rho <= _AMOUNT_FLOOR:
                 raise InfeasibleError(
-                    f"player {i}: no residual slack for the target action")
+                    f"player {i + 1}: no residual slack for the target action")
             if 1.0 - Q <= _AMOUNT_FLOOR:
                 raise InfeasibleError(
-                    f"player {i}: everyone else is locked on the target column")
+                    f"player {i + 1}: everyone else is locked on the target column")
             E = max(T, (T * Q - rho / 2.0) / (1.0 - Q))
             head_outcomes = []
             for other in product(*[range(game.action_counts[j])
@@ -584,7 +588,7 @@ def build_multiplayer_plan(game: Game, sigma: MixedProfile,
         ordered = (target[i],) + tuple(rest)
         orders.append(ordered)
         if float(sigma.probs[i][ordered[1]]) <= _AMOUNT_FLOOR:
-            raise InfeasibleError(f"player {i} lacks a second support action")
+            raise InfeasibleError(f"player {i + 1} lacks a second support action")
     orders = tuple(orders)
     system = build_characteristic_system(game, orders)
     streams = []
@@ -651,7 +655,7 @@ def build_2x2_plan(game: Game, sigma: MixedProfile, target: Sequence[int],
         kind = _player_type(d0, d1)
         if kind == "other":
             raise InfeasibleError(
-                f"player {i} preferences ({d0:.3g}, {d1:.3g}) admit no "
+                f"player {i + 1} preferences ({d0:.3g}, {d1:.3g}) admit no "
                 "full-support equilibrium")
         kinds.append(kind)
         gaps.append((d0, d1))
@@ -737,7 +741,7 @@ def _welfare_stage_rates(game: Game, sigma: MixedProfile,
     for i in range(n):
         if not targets[i] > u_sigma[i]:
             raise InfeasibleError(
-                f"player {i}: target {targets[i]:.6g} does not strictly improve "
+                f"player {i + 1}: target {targets[i]:.6g} does not strictly improve "
                 f"the baseline utility {u_sigma[i]:.6g}")
     rates = np.zeros_like(game.utilities)
     deficits = []
@@ -770,8 +774,8 @@ def _welfare_stage_rates(game: Game, sigma: MixedProfile,
                           and float(sigma.probs[s][b]) > _AMOUNT_FLOOR]
             if not candidates:
                 raise InfeasibleError(
-                    f"player {s} has no second support action to compensate "
-                    f"player {i}'s raise")
+                    f"player {s + 1} has no second support action to compensate "
+                    f"player {i + 1}'s raise")
             c = max(candidates, key=lambda b: (float(sigma.probs[s][b]), -b))
             ratio = float(sigma.probs[s][a_sw[s]]) / float(sigma.probs[s][c])
             comp_column = [a_sw[j] if j not in (i, s) else slice(None)
@@ -981,7 +985,7 @@ def plan_to_dict(plan: ProtocolPlan) -> dict:
 def _check_plan(plan: ProtocolPlan) -> None:
     """DocumentError unless the decoded plan meets what every built plan
     meets and what the verifier and the engine take on trust."""
-    if plan.case_tag not in CASE_TAGS:
+    if plan.case_tag not in CASE_PROMISES:
         raise DocumentError(f"unknown case_tag {plan.case_tag!r}")
     if plan.mode not in MODES:
         raise DocumentError(f"mode must be one of {MODES}, got {plan.mode!r}")
@@ -1010,7 +1014,7 @@ def _check_plan(plan: ProtocolPlan) -> None:
     if plan.action_orders is not None and (
             [sorted(o) for o in plan.action_orders] != [list(range(c)) for c in counts]):
         raise DocumentError("action_orders must list each player's actions once")
-    if plan.case_tag in ("full_support_2p", "full_support_np"):
+    if "full_support" in CASE_PROMISES[plan.case_tag]:
         supports = plan.baseline.supports()
         if any(len(s) != c for s, c in zip(supports, counts)) or (
                 len(counts) == 2 and counts[0] != counts[1]):

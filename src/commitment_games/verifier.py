@@ -36,14 +36,12 @@ from .equilibria import (
     punish_batch,
 )
 from .games import (
-    CAP_SLACK,
     DRIFT_TOL,
     EXACT_SLACK,
     NASH_TOL,
     PAYOFF_SLACK,
     FoldError,
     Game,
-    GameShapeError,
     MixedProfile,
     TransferError,
     compile_pledges,
@@ -54,7 +52,7 @@ from .games import (
     welfare_max,
 )
 from .games import GAIN_TOL as TOLERANCE
-from .protocols import ProtocolPlan, check_plan_for_game
+from .protocols import CASE_PROMISES, ProtocolPlan, check_plan_for_game
 
 ROUND_BOUND_CONSTANT = 64.0
 ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
@@ -199,13 +197,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _seed_nash_applies(case: str) -> bool:
-    # The 2x2 gap-narrowing moves the indifference point, so the original
-    # mixture need not stay an equilibrium there; its guarantee is the
-    # recomputed same-support punishment instead.
-    return case != "two_by_two"
-
-
 def _stage_groups(plan: ProtocolPlan, ks: Sequence[int], rows: Sequence[int] | None = None):
     """Runs of consecutive prefixes among `ks` under one punishment stage,
     with that stage; a run holds at most ROW_BUDGET rows, `rows[j]` for
@@ -266,9 +257,8 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
 
     # Stage anchors: Nash where promised, punishment under ceiling everywhere.
     anchor_fail = punish_fail = nd_fail = None
-    seed_applies = _seed_nash_applies(plan.case_tag)
-    full_support_case = plan.case_tag in ("full_support_2p", "full_support_np")
-    if seed_applies:
+    promised = CASE_PROMISES[plan.case_tag]
+    if "seed_nash" in promised:
         checks = [check for stage, group in _stage_groups(plan, probed)
                   for check in nash_batch(U[group], stage.seed, NASH_TOL)]
         j = next((j for j, check in enumerate(checks) if not check.ok), None)
@@ -283,7 +273,7 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
     k = next((k for k in probed if punishments[k][0] == "none"), None)
     if k is not None:
         punish_fail = {"checkpoint": k, "reason": punishments[k][2]}
-    if full_support_case:
+    if "full_support" in promised:
         stack = U[probed]
         nd = non_degenerate_batch(stack, plan.baseline)
         if not nd.ok.all():
@@ -305,7 +295,7 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
     results["a"] = (PropertyResult("pass") if punish_fail is None else
                     PropertyResult("fail", "punishment anchor missing",
                                    punish_fail))
-    if seed_applies:
+    if "seed_nash" in promised:
         results["baseline_nash"] = (
             PropertyResult("pass") if anchor_fail is None else
             PropertyResult("fail", "stage anchor not Nash at a checkpoint",
@@ -316,23 +306,20 @@ def check_on_path(game: Game, plan: ProtocolPlan, checkpoint_budget: int | None 
 
     # The baseline's payoff per prefix and player, at the prefixes that
     # (a1) and Q5 read, in one contraction of their rows.
-    a1_applies = plan.case_tag in ("partial_support_disjoint", "partial_support_mixed",
-                                   "full_support_2p", "full_support_np",
-                                   "welfare_transfer_stage")
-    welfare = S > 0 or plan.case_tag == "welfare_transfer_stage"
+    welfare = S > 0 or "welfare" in promised
     base = np.full((R + 1, n), np.nan)
-    ks = sorted({*(probed if a1_applies else ()), *(range(S + 1) if welfare else ())})
+    ks = sorted({*(probed if "a1" in promised else ()), *(range(S + 1) if welfare else ())})
     base[ks] = _bexpected(U[ks], [np.tile(p, (len(ks), 1)) for p in plan.baseline.probs])
 
     # (a1): the baseline stays a same-support punishable equilibrium, which
     # needs the anchor Nash checks plus baseline payoffs never rising.
-    if a1_applies:
+    if "a1" in promised:
         drift_ok = np.all(base[probed] <= base[0] + PAYOFF_SLACK)
         results["a1"] = _verdict(anchor_fail is None and punish_fail is None and drift_ok)
     else:
         results["a1"] = PropertyResult("na", "construction does not promise (a1)")
 
-    if full_support_case:
+    if "full_support" in promised:
         rel = float(np.max(np.abs(dets - dets[0]) / np.maximum(np.abs(dets[0]), EXACT_SLACK)))
         results["P4prime"] = (
             PropertyResult("pass") if nd_fail is None else
@@ -413,6 +400,16 @@ class _MoveGrid:
         return [replace(p, amount=amounts[self.slot[m]]) for p in self.pledges[m]]
 
 
+def _grid_amounts(plan: ProtocolPlan, amounts: Sequence[float] | None) -> tuple[float, ...]:
+    """The grid's amounts: `amounts`, or (delta/2, delta) when none are given."""
+    return tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
+
+
+def _has_combos(counts: tuple[int, ...], mode: str) -> bool:
+    """Whether the grid holds the pay-here/burn-there combinations."""
+    return mode == "transfers" and math.prod(counts) <= ADVERSARIAL_COMBO_OUTCOME_LIMIT
+
+
 @cache
 def _move_grid(counts: tuple[int, ...], mode: str, slots: int) -> _MoveGrid:
     """The grid of `commitment_deviation_moves` for every player, compiled."""
@@ -429,7 +426,7 @@ def _move_grid(counts: tuple[int, ...], mode: str, slots: int) -> _MoveGrid:
                           (d, f"M{o}x{{:g}}", s, elsewhere)]
                 moves += [(d, f"T{o}->{r + 1}x{{:g}}", s, (Pledge(d, o, r, 1.0),))
                           for r in range(n) if r != d and mode == "transfers"]
-        if mode == "transfers" and len(outcomes) <= ADVERSARIAL_COMBO_OUTCOME_LIMIT:
+        if _has_combos(counts, mode):
             moves += [(d, f"A pay{pay}->{r + 1} burn{burn}", slots,
                        (Pledge(d, pay, r, 1.0), Pledge(d, burn, BURN, 1.0)))
                       for r in range(n) if r != d for pay in outcomes for burn in outcomes
@@ -472,29 +469,6 @@ def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> 
     return sorted(picked)
 
 
-def _check_moves(game: Game, plan: ProtocolPlan, grid: _MoveGrid, amounts: Sequence[float],
-                 finite: np.ndarray) -> None:
-    """Raise what folding the moves into the first prefix's deviation games
-    would raise first: a round's first broken rule, else non-finite
-    utilities.  `amounts` are (*amounts, delta); `finite` says per move
-    whether its folded game is finite.
-
-    A move's pledges all have payer d and the others' never do, so their
-    cap totals never mix, and a round's rules depend only on the game's
-    shape: checking a move once, on `game`, raises what folding it at every
-    prefix would.  A move pays each outcome once, at its one amount, so
-    only moves over delta (the cap) or not finite are rebuilt as pledges.
-    Later prefixes' non-finite games raise the same in `punish_batch`.
-    """
-    over = np.asarray(amounts)[grid.slot] > plan.delta + CAP_SLACK
-    for m in np.flatnonzero(over | ~finite).tolist():
-        v = round_violation(game, grid.move_pledges(m, amounts), plan.delta, plan.mode)
-        if v is not None:
-            raise TransferError(v.code, v.message, v.payer, v.outcome)
-        if not finite[m]:
-            raise GameShapeError("utilities must be finite")
-
-
 def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float] | None = None,
                      budget: int | None = None, stack: np.ndarray | None = None,
                      punishments: PrefixPunishments | None = None
@@ -514,17 +488,21 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     their search (kind, best-response payoffs, reason): a search it holds is
     read, and every search made is written into it.
     """
-    amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
+    # A move pays each outcome at most once, at its one amount, and the grid's
+    # shape fixes the rest, so it breaks a round's rule exactly when the
+    # grid's first move at its amount, player 1's burn at the first outcome,
+    # does.  Every pledge is made before any is checked: a sign error wins.
+    xs = (*_grid_amounts(plan, amounts), plan.delta)
+    burns = [Pledge(0, (0,) * game.num_players, BURN, a) for a in xs]
+    for v in filter(None, (round_violation(game, [p], plan.delta, plan.mode) for p in burns)):
+        raise TransferError(v.code, v.message, v.payer, v.outcome)
     U = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if stack is None else stack
     R, n, size = len(plan.rounds), game.num_players, U[0].size
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
 
-    grid = _move_grid(game.action_counts, plan.mode, len(amounts))
-    xs = (*amounts, plan.delta)
+    grid = _move_grid(game.action_counts, plan.mode, len(xs) - 1)
     x = np.array(xs, dtype=np.float64)
-    if not np.all(np.isfinite(x) & (x >= 0)):  # raise what making the moves raises
-        commitment_deviation_moves(game, 0, plan.delta, plan.mode, amounts)
     names = grid.names(xs)
     width = len(grid.distinct)
     sizes = np.bincount(grid.deviator[grid.distinct], minlength=n).tolist()
@@ -562,9 +540,6 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
         offsets = width * np.arange(len(moved))[:, None]
         np.add.at(stack.reshape(-1), ((offsets + moves) * size + cells).ravel(),
                   np.tile(values, len(moved)))
-        if moved and moved[0] == prefixes[0]:
-            _check_moves(game, plan, grid, xs,
-                         np.isfinite(stack[:width]).reshape(width, -1).all(axis=1)[grid.spread])
         found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
         for r, k in enumerate(shared, width * len(moved)):
             punishments[k] = (found.kinds[r], found.best_response[r], found.reasons[r])
@@ -663,11 +638,10 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
                                stack=stack, punishments=punishments)
     bound = round_bound_check(plan, game)
     grid = {
-        "amounts": list(amounts) if amounts else [plan.delta / 2, plan.delta],
+        "amounts": list(_grid_amounts(plan, amounts)),
         "budget": budget,
         "tolerance": TOLERANCE,
-        "adversarial_combos": len(list(game.pure_profiles()))
-        <= ADVERSARIAL_COMBO_OUTCOME_LIMIT and plan.mode == "transfers",
+        "adversarial_combos": _has_combos(game.action_counts, plan.mode),
         "certification": "grid",
     }
     prop_ok = all(r.status != "fail" for r in properties.values())

@@ -107,6 +107,22 @@ def test_plan_burn_target(workdir):
     assert doc["case_tag"] == "partial_support_disjoint"
 
 
+def test_plan_mode_burn_is_an_alias_of_burn_only(workdir, capsys):
+    sigma = "0.33333333333333333,0.33333333333333333,0.33333333333333334,0"
+    plans = []
+    for mode in ("burn_only", "burn"):
+        path = workdir / f"plan4_{mode}.json"
+        code, _ = _main(capsys, "plan", str(workdir / "ex4.json"), "--sigma",
+                        f"{sigma};{sigma}", "--target", "4,4", "--delta", "0.5",
+                        "--mode", mode, "-o", str(path))
+        assert code == 0
+        plans.append(path.read_bytes())
+        code, err = _main(capsys, "plan", str(workdir / "ex3.json"), "--payoffs", "4,3",
+                          "--delta", "1", "--mode", mode)
+        assert code == 3 and "payoff splits need transfers" in err
+    assert plans[0] == plans[1]
+
+
 def test_verify_rejects_mismatched_game(workdir):
     res = run("verify", str(workdir / "ex1.json"), str(workdir / "plan3.json"))
     assert res.returncode == 2

@@ -31,6 +31,8 @@ from commitment_games import (
 from commitment_games import protocols
 from commitment_games.equilibria import DegenerateEquilibriumError
 from commitment_games.protocols import InfeasibleError
+from commitment_games.equilibria import SupportError, solve_on_support
+from commitment_games.games import GameShapeError
 from commitment_games.catalog import (
     cyclic_with_prize,
     cyclic_with_prize_overlap,
@@ -338,6 +340,52 @@ def test_welfare_stage_trivial_cases():
         build_welfare_transfer_stage(game, sigma, (5.0, 3.0), 1.0)  # sum != 7
     with pytest.raises(InfeasibleError):
         build_welfare_transfer_stage(game, sigma, (8.0, -1.0), 1.0)
+
+
+def _pure(counts, profile):
+    return MixedProfile.pure(counts, profile)
+
+
+# One call per error text that names a player or an action; in each, player 2
+# (index 1) is at fault, and its labels are 1-based, as in all other I/O.
+LABELLED_ERRORS = {
+    "single_action": (lambda: build_partial_support_plan(
+        Game([[[0], [5]], [[0], [0]]]), _pure((2, 1), (0, 0)), (1, 0), 0.5, validate=False),
+        "player 2 has a single action"),
+    "no_residual_slack": (lambda: build_partial_support_plan(
+        Game([[[0, 0], [0, 0]], [[1, 0], [0, 1]]]), MixedProfile([[0.5, 0.5], [1, 0]]), (0, 1),
+        0.5, validate=False), "player 2: no residual slack for the target action"),
+    "locked": (lambda: build_partial_support_plan(
+        Game([[[0, 0], [0, 0]], [[2, 1], [0, 0]]]), _pure((2, 2), (0, 0)), (0, 1), 0.5,
+        validate=False), "player 2: everyone else is locked on the target column"),
+    "second_support_action": (lambda: build_multiplayer_plan(
+        Game(np.zeros((3, 2, 2, 2))), MixedProfile([[0.5, 0.5], [1, 0], [0.5, 0.5]]),
+        (0, 0, 0), 0.5, validate=False), "player 2 lacks a second support action"),
+    "preferences": (lambda: build_2x2_plan(
+        Game([[[1, 0], [0, 1]], [[1, 0], [1, 0]]]), MixedProfile([[0.5, 0.5]] * 2), (0, 0),
+        0.5, validate=False), "player 2 preferences (1, 1) admit no full-support equilibrium"),
+    "not_improving": (lambda: build_welfare_transfer_stage(
+        unfair_split(), _pure((2, 2), (0, 0)), (8.0, -1.0), 1.0),
+        "player 2: target -1 does not strictly improve the baseline utility 0"),
+    "compensation": (lambda: build_welfare_transfer_stage(
+        Game([[[0, 3], [0, 2]], [[-1, 0], [0, 6]]]), _pure((2, 2), (0, 1)), (4.0, 4.0), 1.0),
+        "player 2 has no second support action to compensate player 1's raise"),
+    "empty_support": (lambda: solve_on_support(unfair_split(), [(0,), ()]),
+                      "player 2: empty support"),
+    "bad_support": (lambda: solve_on_support(unfair_split(), [(0,), (0, 5)]),
+                    "player 2: bad support (1, 6)"),
+    "profile_length": (lambda: expected_utility(
+        unfair_split(), MixedProfile([[0.5, 0.5], [0.2, 0.3, 0.5]]), 0),
+        "player 2: profile length 3 != 2 actions"),
+}
+
+
+@pytest.mark.parametrize("case", list(LABELLED_ERRORS))
+def test_error_texts_label_players_and_actions_one_based(case):
+    call, text = LABELLED_ERRORS[case]
+    with pytest.raises((InfeasibleError, SupportError, GameShapeError)) as info:
+        call()
+    assert str(info.value) == text
 
 
 def test_welfare_stage_compensated_players(rng):

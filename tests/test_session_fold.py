@@ -171,4 +171,4 @@ def test_a_broken_session_fails_where_the_per_round_loop_does(session, rounds, v
             replay(state.base_game, transcript, delta, mode)
     if error is not GameShapeError:
         assert (err.value.step, str(err.value)) == (got[0], f"replay failed at step "
-                                                            f"{got[0]}: {got[1]}")
+                                                            f"{got[0] + 1}: {got[1]}")

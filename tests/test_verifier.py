@@ -1,8 +1,11 @@
+import ast
 import contextlib
 import dataclasses
+import inspect
 import math
 import re
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +26,7 @@ from commitment_games import (
     verify_plan,
 )
 from commitment_games import equilibria, verifier
+from commitment_games import build_partial_support_plan, protocols
 from commitment_games.catalog import (
     cyclic_with_prize,
     cyclic_with_prize_overlap,
@@ -44,6 +48,7 @@ from commitment_games.games import (
 )
 from commitment_games.games import OutcomeTarget
 from commitment_games.protocols import FoldError, ProtocolPlan, PunishmentStage, fold_rounds
+from commitment_games.protocols import CASE_PROMISES
 from commitment_games.verifier import (
     DeviationClassResult,
     DeviationFinding,
@@ -60,6 +65,7 @@ from conftest import (
     mismatching_two_by_two,
     small_integer_plan,
 )
+from test_plan_digests import CORPUS
 
 
 def best_response_payoff(game, profile, player):
@@ -425,7 +431,9 @@ def test_batched_grid_matches_scalar_loop_on_small_integer_games_hypothesis():
 
 GRID_ERRORS = {
     "over_cap": ((2.0,), TransferError),  # above the cap of 1
+    "over_cap_second": ((0.5, 2.0), TransferError),
     "negative": ((0.5, -0.5), TransferError),
+    "negative_after_over_cap": ((2.0, -0.5), TransferError),  # the sign error wins
     "nan": ((math.nan, 0.5), TransferError),
     "overflow": (None, GameShapeError),
 }
@@ -447,6 +455,56 @@ def test_batched_grid_raises_what_the_scalar_loop_raises(case):
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
     assert raised[0][0] is error
+    if case == "negative_after_over_cap":
+        assert raised[0][1] == "negative pledge amount -0.5"
+
+
+def test_amounts_over_the_cap_raise_on_a_plan_without_rounds():
+    # The per-game reference checks no move when a plan has no round, so
+    # this case cannot join GRID_ERRORS.
+    game = unfair_split()
+    plan = build_partial_support_plan(game, MixedProfile.pure((2, 2), (0, 0)), (0, 0), 0.5,
+                                      validate=False)
+    assert plan.num_rounds == 0
+    with pytest.raises(TransferError, match=r"^player 1 pays 5 > delta=0\.5 at outcome \(1, 1\)$"):
+        check_deviations(game, plan, amounts=(5.0,))
+
+
+# The plan of each construction case, from the digest corpus, and the
+# properties each promise governs.
+CASE_PLANS = {
+    "partial_support_disjoint": "ex4_d0.02",
+    "partial_support_mixed": "ex5_auto",
+    "in_support_indirect": "mix3x3_indirect",
+    "full_support_2p": "full_support_2p",
+    "full_support_np": "ex6_d0.01",
+    "two_by_two": "two_by_two",
+    "welfare_transfer_stage": "ex3_payoffs_d0.5",
+}
+GOVERNED = {"seed_nash": ("baseline_nash",), "a1": ("a1",), "full_support": ("det_invariance",),
+            "welfare": ("Q1", "Q2", "Q3", "Q4", "Q5")}
+
+
+def test_case_promises_decide_which_properties_are_checked():
+    source = ast.parse(inspect.getsource(protocols._structural_case))
+    returned = {node.value.value for node in ast.walk(source) if isinstance(node, ast.Return)}
+    assert CASE_PROMISES.keys() == CASE_PLANS.keys() == returned | {"welfare_transfer_stage"}
+    for tag, key in CASE_PLANS.items():
+        game, plan = CORPUS[key]()
+        assert plan.case_tag == tag
+        properties = check_on_path(game, plan)
+        for promise, names in GOVERNED.items():
+            for name in names:
+                promised = promise in CASE_PROMISES[tag]
+                assert (properties[name].status == "na") != promised, (tag, name)
+
+
+def test_verifier_names_no_case_tag():
+    # Which properties a case promises is read from protocols.CASE_PROMISES.
+    tree = ast.parse(Path(verifier.__file__).read_text())
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not literals & CASE_PROMISES.keys()
 
 
 @pytest.mark.parametrize("counts", [(2, 2), (3, 3), (4, 5), (3, 7), (2, 2, 2)])
@@ -658,9 +716,8 @@ def test_overflowing_base_row_raises_what_apply_transfers_raises(bad_round):
             mock.patch.object(verifier, "punish_batch", recorded):
         check_deviations(game, plan, stack=stack, amounts=(1.0,))
     assert str(got.value) == str(want.value) == "utilities must be finite"
-    # The first prefix raises while its moves are checked, a later one in
-    # the punishment search.
-    assert len(stacks) == (0 if bad_round == 0 else 1)
+    # Each raises in the punishment search, at its finiteness check.
+    assert len(stacks) == 1
 
 
 @pytest.mark.parametrize("case", ["ex4", "spoiler"])
@@ -1088,7 +1145,7 @@ def _scalar_check_on_path(game, plan, tol=1e-9, checkpoint_budget=None, *, stack
     anchor_fail = punish_fail = None
     nd_fail = None
     det_series = []
-    seed_applies = verifier._seed_nash_applies(plan.case_tag)
+    seed_applies = plan.case_tag != "two_by_two"
     full_support_case = plan.case_tag in ("full_support_2p", "full_support_np")
     for k in probed:
         stage = plan.stage_for(k)
