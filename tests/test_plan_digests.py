@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 from commitment_games import (
+    Game,
     MixedProfile,
+    build_2x2_plan,
     build_partial_support_plan,
     build_plan,
     build_two_player_full_support_plan,
     choose_delta,
     plan_to_dict,
+    solve_on_support,
     verify_plan,
 )
 from commitment_games.catalog import (
@@ -79,6 +82,16 @@ def _full_support_2p():
                                                     validate=False)
 
 
+def _two_by_two(utilities, target):
+    """A 2x2 plan toward the 0-based `target` from the game's mixed
+    equilibrium at a cap of 0.25.  Targets with a second action relabel
+    the players' actions, so the builder's burns name outcomes out of
+    ascending order."""
+    game = Game(utilities)
+    sigma = solve_on_support(game, [(0, 1), (0, 1)]).profile
+    return game, build_2x2_plan(game, sigma, target, 0.25)
+
+
 CORPUS = {
     "ex3_payoffs_d0.5": lambda: _ex3(0.5),
     "ex3_payoffs_auto": lambda: _ex3(None),
@@ -91,6 +104,13 @@ CORPUS = {
     "spoiler_d0.1": lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)),
     "full_support_2p": _full_support_2p,
     "two_by_two": lambda: mismatching_two_by_two(np.random.default_rng(7)),
+    # Mismatching players toward (2, 1) and (2, 2), matching ones toward (2, 2).
+    "two_by_two_t21": lambda: _two_by_two([[[2.0, -2.5], [0.0, -1.0]],
+                                            [[2.5, -1.5], [2.5, 3.0]]], (1, 0)),
+    "two_by_two_t22": lambda: _two_by_two([[[-2.5, 2.5], [0.0, 1.5]],
+                                            [[-1.0, -0.5], [2.5, 2.0]]], (1, 1)),
+    "two_by_two_matching": lambda: _two_by_two([[[3.0, -3.0], [-3.0, 3.0]],
+                                                 [[3.0, -1.5], [-2.5, -1.0]]], (1, 1)),
 }
 
 # sha256 of each entry's (canonical plan document, verification report JSON).
@@ -117,6 +137,12 @@ DIGESTS = {
                      "bc876a7872c18a2abbb7683447b616464e9e272732a500ee0ab5cd7d4e6c29b8"),
     "two_by_two": ("e7f43ca66a6b78283f0a5d4e0f9d6f75638e4d6e8a3075f7b5e4a1a03db0d3c2",
                    "c29466fd41857275b790a2ba388eef3dd15d11907040f5680e4c7d6d1ff3bc9c"),
+    "two_by_two_matching": ("c8cc1f4bb0889fe56822ac072d3b898a60591d936a4550f6dd21081c4d6cd29f",
+                            "c486705fdf40254f8d77daeb3b7f1c906d85c38324dbc50b0f85b43049e421e7"),
+    "two_by_two_t21": ("259af91d7b89543c3dabfda25b7f63b7bb79bb7fe4f72b4dabcfb2fec49cc4cc",
+                       "003bb9d3fad8245f0a49166a0608da3d729ac3d9f88cc3250258fe7b14b1bc90"),
+    "two_by_two_t22": ("0167c2db890a2f551fc438d1fbd4e6085cc8221c2efddc1b88f6a727855dd993",
+                       "503eb4f61323a0ad27ecd4a7a4766223774de6c60adbb38e1916d82d4f3abc05"),
 }
 
 
