@@ -22,10 +22,7 @@ from .engine import (
     ReplayError,
     Transcript,
     _session_fields,
-    open_session,
-    play_terminal,
     replay,
-    run_rounds,
     transcript_to_dict,
 )
 from .equilibria import (
@@ -39,7 +36,6 @@ from .equilibria import (
 from .games import (
     MALFORMED,
     DocumentError,
-    FoldError,
     Game,
     GameShapeError,
     MixedProfile,
@@ -337,13 +333,13 @@ def cmd_simulate(args) -> int:
     else:
         plan = _plan_for_game(args, game)
         rounds = plan.rounds or (CommitmentRound(),)  # stop at once without rounds
+        votes = ((True,) * game.num_players,) * (len(rounds) - 1) + ((False,) * game.num_players,)
         try:
-            state = run_rounds(open_session(game, plan.delta, plan.mode), rounds, [
-                [True] * game.num_players] * (len(rounds) - 1) + [[False] * game.num_players])
-        except FoldError as exc:
-            raise DocumentError(f"plan round {exc.round_index + 1} breaks a session rule: "
+            state = replay(game, Transcript(rounds, votes, plan.target.profile),
+                           plan.delta, plan.mode)
+        except ReplayError as exc:
+            raise DocumentError(f"plan round {exc.step + 1} breaks a session rule: "
                                 f"{exc.__cause__}") from exc.__cause__
-        state = play_terminal(state, plan.target.profile)
         payoffs = state.transcript.final_payoffs
         print("final payoffs:", ",".join(f"{x:.12g}" for x in payoffs))
     doc = transcript_to_dict(state)

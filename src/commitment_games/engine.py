@@ -24,7 +24,6 @@ from .games import (
     DocumentError,
     FoldError,
     Game,
-    RoundViolation,
     TransferError,
     _decoding,
     _read_bool,
@@ -46,12 +45,6 @@ MODES = ("transfers", "burn_only")
 
 class SessionError(ValueError):
     """Operation applied in the wrong phase or with bad session parameters."""
-
-
-class RoundViolationError(ValueError):
-    def __init__(self, violation: RoundViolation):
-        super().__init__(str(violation))
-        self.violation = violation
 
 
 class ReplayError(ValueError):
@@ -162,7 +155,7 @@ def run_rounds(state: SessionState, rounds: Sequence[CommitmentRound],
     try:
         stack = fold_rounds(state.current_game, rounds[:reached], state.delta, state.mode)
     except FoldError as exc:  # a broken round comes before any later step
-        failure = exc.round_index, RoundViolationError(exc.__cause__.violation)
+        failure = exc.round_index, exc.__cause__
     if failure:
         raise FoldError(*failure) from failure[1]
     transcript = replace(state.transcript, rounds=state.transcript.rounds + rounds[:reached],
@@ -178,7 +171,7 @@ def play_terminal(state: SessionState, actions: Sequence[int]) -> SessionState:
     game = state.current_game
     if len(actions) != game.num_players or any(
             not 0 <= a < c for a, c in zip(actions, game.action_counts)):
-        raise SessionError(f"terminal actions {actions} out of range")
+        raise SessionError(f"terminal actions {tuple(a + 1 for a in actions)} out of range")
     payoffs = tuple(float(x) for x in game.payoffs(actions))
     transcript = replace(state.transcript, terminal_actions=actions,
                          final_payoffs=payoffs)

@@ -142,7 +142,9 @@ def _write_json(doc: dict, path) -> None:
 
 
 class TransferError(ValueError):
-    """Illegal pledge set: negative amount, self-payment, cap or mode breach."""
+    """Illegal pledge set: negative amount, self-payment, cap or mode breach.
+    `code` names the rule: "amount", "negative", "recipient", "payer",
+    "outcome", "mode" or "cap"."""
 
     def __init__(self, code: str, message: str, payer: int | None = None,
                  outcome: tuple[int, ...] | None = None):
@@ -150,21 +152,6 @@ class TransferError(ValueError):
         self.code = code
         self.payer = payer
         self.outcome = outcome
-
-    @property
-    def violation(self) -> "RoundViolation":
-        return RoundViolation(self.code, self.payer, self.outcome, str(self))
-
-
-@dataclass(frozen=True)
-class RoundViolation:
-    code: str  # "cap" | "recipient" | "mode" | "outcome" | "payer"
-    payer: int | None
-    outcome: tuple[int, ...] | None
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.code}] {self.message}"
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -371,13 +358,14 @@ def _one_based(outcome: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def round_violation(game: Game, round, delta: float | None = None,
-                    mode: str | None = None) -> RoundViolation | None:
-    """The first rule one round of pledges breaks in `game`, or None.
+                    mode: str | None = None) -> TransferError | None:
+    """The unraised TransferError of the first rule one round of pledges
+    breaks in `game`, or None.
 
     Payer, outcome and recipient must exist in the game; `mode="burn_only"`
     rejects player recipients; when `delta` is given, each payer's total
     per outcome is capped at delta.  Sign and self-payment are rules of a
-    single pledge, which `Pledge` enforces when it is made.  The violation
+    single pledge, which `Pledge` enforces when it is made.  The error
     keeps payer and outcome 0-based; its message labels them 1-based, as
     in all I/O.
     """
@@ -385,26 +373,26 @@ def round_violation(game: Game, round, delta: float | None = None,
     totals: dict[tuple[int, tuple[int, ...]], float] = {}
     for p in _iter_pledges(round):
         if not 0 <= p.payer < n:
-            return RoundViolation("payer", p.payer, p.outcome,
-                                  f"payer {p.payer + 1} out of range")
+            return TransferError("payer", f"payer {p.payer + 1} out of range",
+                                 p.payer, p.outcome)
         if len(p.outcome) != n or any(
                 not 0 <= a < c for a, c in zip(p.outcome, game.action_counts)):
-            return RoundViolation("outcome", p.payer, p.outcome,
-                                  f"outcome {_one_based(p.outcome)} out of range")
+            return TransferError("outcome", f"outcome {_one_based(p.outcome)} out of range",
+                                 p.payer, p.outcome)
         if p.recipient != BURN:
             if not isinstance(p.recipient, int) or not 0 <= p.recipient < n:
                 label = p.recipient + 1 if isinstance(p.recipient, int) else p.recipient
-                return RoundViolation("recipient", p.payer, p.outcome,
-                                      f"recipient {label!r} out of range")
+                return TransferError("recipient", f"recipient {label!r} out of range",
+                                     p.payer, p.outcome)
             if mode == "burn_only":
-                return RoundViolation("mode", p.payer, p.outcome,
-                                      "only BURN pledges are allowed in burn_only mode")
+                return TransferError("mode", "only BURN pledges are allowed in burn_only mode",
+                                     p.payer, p.outcome)
         key = (p.payer, p.outcome)
         totals[key] = totals.get(key, 0.0) + p.amount
         if delta is not None and totals[key] > delta + CAP_SLACK:
-            return RoundViolation("cap", p.payer, p.outcome,
-                                  f"player {p.payer + 1} pays {totals[key]:.12g} > "
-                                  f"delta={delta:.12g} at outcome {_one_based(p.outcome)}")
+            return TransferError("cap", f"player {p.payer + 1} pays {totals[key]:.12g} > "
+                                 f"delta={delta:.12g} at outcome {_one_based(p.outcome)}",
+                                 p.payer, p.outcome)
     return None
 
 
@@ -482,9 +470,9 @@ def fold_rounds(game: Game, rounds, delta: float | None = None,
         updates, flagged = None, range(len(rounds))
     R, rejected = len(rounds), None
     for k in flagged:
-        v = round_violation(game, rounds[k], delta, mode)
-        if v is not None:
-            R, rejected = k, TransferError(v.code, v.message, v.payer, v.outcome)
+        rejected = round_violation(game, rounds[k], delta, mode)
+        if rejected:
+            R = k
             break
     if updates is None:
         updates = compile_pledges(shape, rounds[:R])[0]

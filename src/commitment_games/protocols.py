@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import product, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -200,32 +200,28 @@ def _pareto_plan(game: Game, sigma: MixedProfile, target: tuple[int, ...],
                           expected=expected, action_orders=action_orders)
 
 
+def _slices(total: float, step: float):
+    """`total` cut into per-round slices of at most `step`, the last one the rest."""
+    remaining = total
+    while remaining > _AMOUNT_FLOOR:
+        c = min(step, remaining)
+        yield c
+        remaining -= c
+
+
 def _merge_streams(streams: Sequence[Sequence[list[Pledge]]]) -> list[CommitmentRound]:
-    length = max((len(s) for s in streams), default=0)
-    rounds = []
-    for k in range(length):
-        pledges: list[Pledge] = []
-        for s in streams:
-            if k < len(s):
-                pledges.extend(s[k])
-        rounds.append(CommitmentRound(tuple(pledges)))
-    return rounds
+    """Round k holds round k of every stream, in stream order."""
+    return [CommitmentRound(tuple(p for pledges in row for p in pledges))
+            for row in zip_longest(*streams, fillvalue=())]
 
 
 def _burn_stream(payer: int, totals: dict[tuple[int, ...], float],
                  delta: float) -> list[list[Pledge]]:
-    """Burn each outcome's total in delta-capped per-round slices."""
-    remaining = {o: t for o, t in totals.items() if t > _AMOUNT_FLOOR}
-    rounds = []
-    while remaining:
-        pledges = []
-        for outcome in sorted(remaining):
-            amt = min(delta, remaining[outcome])
-            pledges.append(Pledge(payer, outcome, BURN, amt))
-            remaining[outcome] -= amt
-        remaining = {o: t for o, t in remaining.items() if t > _AMOUNT_FLOOR}
-        rounds.append(pledges)
-    return rounds
+    """Burn each outcome's total in delta-capped per-round slices, the
+    outcomes of a round in the order of `totals`."""
+    columns = [[Pledge(payer, o, BURN, a) for a in _slices(t, delta)]
+               for o, t in totals.items()]
+    return [[p for p in row if p is not None] for row in zip_longest(*columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +407,11 @@ def build_partial_support_plan(game: Game, sigma: MixedProfile,
 # ---------------------------------------------------------------------------
 
 def _capped_coefficients(total: float, array: np.ndarray, delta: float):
-    """Coefficients c = sign * min(delta / max|array|, remaining), one per
-    round, summing to `total`: no entry of c * array exceeds delta."""
+    """Coefficients of `total`'s sign, one per round, summing to `total`,
+    each at most delta / max|array| in size: no entry of c * array exceeds delta."""
     step = delta / max(float(np.max(np.abs(array))), _AMOUNT_FLOOR)
-    remaining = abs(total)
     sign = 1.0 if total >= 0 else -1.0
-    while remaining > _AMOUNT_FLOOR:
-        c = sign * min(step, remaining)
-        yield c
-        remaining -= abs(c)
+    return (sign * c for c in _slices(abs(total), step))
 
 
 def _r_commitment_pledges(player: int, compared_action: int, lam: float,
@@ -669,57 +661,23 @@ def build_2x2_plan(game: Game, sigma: MixedProfile, target: Sequence[int],
     def outcome(player, own, opp):
         return (own, opp) if player == 0 else (opp, own)
 
-    # Step 1: burn the opponent-plays-other column until the target outcome
-    # strictly dominates it (margin delta), preserving d1.
-    step1 = []
+    # Step 1 burns the opponent-plays-other column until the target outcome
+    # strictly dominates it (margin delta), preserving d1.  Step 2 narrows a
+    # mismatching player's two gaps to exactly delta, and step 3 closes both
+    # with one final delta.
+    steps = ([], [], [])
     for i in (0, 1):
-        own0, own1 = orders[i]
-        opp1 = orders[1 - i][1]
-        u00 = game.payoff(i, target)
-        worst = max(game.payoff(i, outcome(i, own0, opp1)),
-                    game.payoff(i, outcome(i, own1, opp1)))
-        need = max(0.0, worst - u00 + delta)
-        totals = {}
-        if need > _AMOUNT_FLOOR:
-            totals[outcome(i, own0, opp1)] = need
-            totals[outcome(i, own1, opp1)] = need
-        step1.append(_burn_stream(i, totals, delta))
-
-    # Step 2: mismatching players narrow both gaps to exactly delta with the
-    # min-capped per-round amounts.
-    step2 = []
-    for i in (0, 1):
-        stream: list[list[Pledge]] = []
+        (own0, own1), (opp0, opp1) = orders[i], orders[1 - i]
+        gap_a, gap_b = outcome(i, own1, opp0), outcome(i, own0, opp1)
+        other = outcome(i, own1, opp1)
+        need = max(0.0, max(game.payoff(i, gap_b), game.payoff(i, other))
+                   - game.payoff(i, target) + delta)
+        steps[0].append(_burn_stream(i, dict.fromkeys(sorted((gap_b, other)), need), delta))
         if kinds[i] == "mismatching":
             d0, d1 = gaps[i]
-            own0, own1 = orders[i]
-            opp0, opp1 = orders[1 - i]
-            rem0 = -d0 - delta  # burn on (own-other, opp-target)
-            rem1 = d1 - delta  # burn on (own-target, opp-other)
-            while rem0 > _AMOUNT_FLOOR or rem1 > _AMOUNT_FLOOR:
-                pledges = []
-                if rem0 > _AMOUNT_FLOOR:
-                    amt = min(delta, rem0)
-                    pledges.append(Pledge(i, outcome(i, own1, opp0), BURN, amt))
-                    rem0 -= amt
-                if rem1 > _AMOUNT_FLOOR:
-                    amt = min(delta, rem1)
-                    pledges.append(Pledge(i, outcome(i, own0, opp1), BURN, amt))
-                    rem1 -= amt
-                stream.append(pledges)
-        step2.append(stream)
-
-    # Step 3: one final delta on both gap outcomes closes them to zero.
-    step3_pledges = []
-    for i in (0, 1):
-        if kinds[i] == "mismatching":
-            own0, own1 = orders[i]
-            opp0, opp1 = orders[1 - i]
-            step3_pledges.append(Pledge(i, outcome(i, own1, opp0), BURN, delta))
-            step3_pledges.append(Pledge(i, outcome(i, own0, opp1), BURN, delta))
-    rounds = _merge_streams(step1) + _merge_streams(step2)
-    if step3_pledges:
-        rounds.append(CommitmentRound(tuple(step3_pledges)))
+            steps[1].append(_burn_stream(i, {gap_a: -d0 - delta, gap_b: d1 - delta}, delta))
+            steps[2].append([[Pledge(i, gap_a, BURN, delta), Pledge(i, gap_b, BURN, delta)]])
+    rounds = [r for step in steps for r in _merge_streams(step)]
     return _pareto_plan(game, sigma, target, rounds, "two_by_two", delta,
                         ceiling=[game.payoff(i, target) for i in (0, 1)],
                         action_orders=orders)

@@ -43,7 +43,6 @@ from .games import (
     FoldError,
     Game,
     MixedProfile,
-    TransferError,
     compile_pledges,
     content_hash,
     fold_rounds,
@@ -494,8 +493,8 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     # does.  Every pledge is made before any is checked: a sign error wins.
     xs = (*_grid_amounts(plan, amounts), plan.delta)
     burns = [Pledge(0, (0,) * game.num_players, BURN, a) for a in xs]
-    for v in filter(None, (round_violation(game, [p], plan.delta, plan.mode) for p in burns)):
-        raise TransferError(v.code, v.message, v.payer, v.outcome)
+    for error in filter(None, (round_violation(game, [p], plan.delta, plan.mode) for p in burns)):
+        raise error
     U = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if stack is None else stack
     R, n, size = len(plan.rounds), game.num_players, U[0].size
     on_path = np.asarray(plan.expected_terminal_payoffs)

@@ -537,8 +537,7 @@ def apply_transfers(game: Game, round, *, delta: float | None = None,
     pledges = list(getattr(round, "pledges", round))
     violation = round_violation(game, pledges, delta, mode)
     if violation is not None:
-        raise TransferError(violation.code, violation.message, violation.payer,
-                            violation.outcome)
+        raise violation
     u = np.array(game.utilities)
     for p in pledges:
         u[(p.payer, *p.outcome)] -= p.amount

@@ -170,8 +170,8 @@ def _pay(amount):
 # with, as the per-round session loop gave them.
 @pytest.mark.parametrize("rounds, votes, text", [
     ([_pay(1.0), _pay(1.5)], [[True, True], [False, False]],
-     "error: malformed script document: RoundViolationError: "
-     "[cap] player 1 pays 1.5 > delta=1 at outcome (2, 2)\n"),
+     "error: malformed script document: TransferError: "
+     "player 1 pays 1.5 > delta=1 at outcome (2, 2)\n"),
     ([_pay(1.0), _pay(1.0)], [[False, True], [False, False]],
      "error: malformed script document: SessionError: "
      "cannot submit a round in phase 'playing'\n"),
@@ -343,6 +343,8 @@ def _input_error_case(workdir, case):
                                       "script_terminal_fraction": {
                                           **stop, "terminal_actions": [1.5, 1]},
                                       "script_delta_string": {**stop, "delta": "1"},
+                                      "script_terminal_out_of_range": {
+                                          **stop, "terminal_actions": [1, 9]},
                                       }[case]),
                           encoding="utf-8")
         return ["simulate", game, "--script", str(script), "-o", "-"]
@@ -394,6 +396,7 @@ _NAMED_FIELDS = {
     "script_terminal_bool": "terminal_actions entry 1 must be an integer label, got True",
     "script_terminal_fraction": "terminal_actions entry 1 must be an integer label, got 1.5",
     "script_delta_string": "delta must be a number, got '1'",
+    "script_terminal_out_of_range": "SessionError: terminal actions (1, 9) out of range",
     "target_fraction": "target profile entry 1 must be an integer label, got 2.5",
     "target_bool": "target profile entry 1 must be an integer label, got True",
     "first_round_fraction": "punishment stage 1 first_round must be an integer, got 1.9",
@@ -428,6 +431,7 @@ _NAMED_FIELDS = {
                                   "script_votes_string", "script_votes_int",
                                   "script_terminal_bool", "script_terminal_fraction",
                                   "script_delta_string",
+                                  "script_terminal_out_of_range",
                                   "reproduce_unknown_id", "sigma_nan",
                                   "plan_baseline_nan", "support_repeated",
                                   "game_players_inf", "game_action_counts_inf",
@@ -596,7 +600,7 @@ def test_simulate_names_an_over_cap_round_with_one_based_labels(workdir, capsys)
                       "-o", str(workdir / "over_cap_transcript.json"))
     assert code == 2
     assert ("plan round 1 breaks a session rule: "
-            "[cap] player 1 pays 5 > delta=1 at outcome (2, 2)") in err, err
+            "player 1 pays 5 > delta=1 at outcome (2, 2)") in err, err
 
 
 def _fields(doc, path=()):

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from commitment_games import (
     MixedProfile,
     Pledge,
     ReplayError,
-    RoundViolationError,
     SessionError,
     TransferError,
     apply_transfers,
@@ -18,9 +18,11 @@ from commitment_games import (
     open_session,
     play_terminal,
     replay,
+    run_rounds,
     submit_round,
 )
 from commitment_games.engine import (
+    FoldError,
     Transcript,
     load_transcript,
     save_transcript,
@@ -54,6 +56,12 @@ def _validate_round(state, round):
     return round_violation(state.current_game, round, state.delta, state.mode)
 
 
+def _broken_rule(error):
+    """What an error reports of the rule a round breaks."""
+    return SimpleNamespace(type=type(error), code=error.code, payer=error.payer,
+                           outcome=error.outcome, text=str(error))
+
+
 def test_validate_round_examples():
     state = open_session(unfair_split(), 1.0)
     assert _validate_round(state, _pay_round(1.0)) is None
@@ -83,10 +91,15 @@ def test_round_rules_agree_on_every_path(code, pledge, mode):
     round = CommitmentRound((Pledge(1, (0, 0), BURN, 0.5), pledge))
     with pytest.raises(TransferError) as folded:
         apply_transfers(state.current_game, round, delta=1.0, mode=mode)
-    with pytest.raises(RoundViolationError) as submitted:
+    with pytest.raises(TransferError) as submitted:
         submit_round(state, round)
-    reports = [_validate_round(state, round), folded.value.violation,
-               submitted.value.violation]
+    with pytest.raises(ReplayError) as replayed:
+        replay(state.base_game, Transcript(rounds=(round,)), 1.0, mode)
+    with pytest.raises(FoldError) as ran:
+        run_rounds(state, [round], ())
+    reports = [_broken_rule(e) for e in (_validate_round(state, round), folded.value,
+               submitted.value, replayed.value.__cause__, ran.value.__cause__)]
+    assert reports[0].type is TransferError
     assert all(v == reports[0] for v in reports)
     assert (reports[0].code, reports[0].payer, reports[0].outcome) == (
         code, pledge.payer, pledge.outcome)
@@ -120,7 +133,7 @@ def test_phase_errors():
     state = submit_round(state, CommitmentRound())
     with pytest.raises(SessionError):
         submit_round(state, CommitmentRound())
-    with pytest.raises(RoundViolationError):
+    with pytest.raises(TransferError):
         submit_round(cast_votes(state, [True, True]), _pay_round(2.0))
 
 
@@ -160,7 +173,7 @@ def test_replay_names_the_round_of_a_vote_row_of_the_wrong_length():
 def test_replay_names_the_final_step_for_out_of_range_terminal_actions():
     transcript = Transcript(rounds=(_pay_round(1.0),), votes=((False, False),),
                             terminal_actions=(5, 5))
-    with pytest.raises(ReplayError, match=r"terminal actions \(5, 5\) out of range") as err:
+    with pytest.raises(ReplayError, match=r"terminal actions \(6, 6\) out of range") as err:
         replay(unfair_split(), transcript, 1.0)
     assert err.value.step == 1
 

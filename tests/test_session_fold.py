@@ -18,7 +18,6 @@ from commitment_games.engine import (
     CommitmentRound,
     Pledge,
     ReplayError,
-    RoundViolationError,
     SessionError,
     Transcript,
     cast_votes,
@@ -28,7 +27,7 @@ from commitment_games.engine import (
     submit_round,
 )
 from commitment_games.catalog import unfair_split
-from commitment_games.games import FoldError, GameShapeError
+from commitment_games.games import FoldError, GameShapeError, TransferError
 
 import scalar_reference as reference
 from conftest import random_game
@@ -42,7 +41,7 @@ def _per_round(state, rounds, votes):
             state = submit_round(state, round)
             if k < len(votes):
                 state = cast_votes(state, votes[k])
-        except (RoundViolationError, SessionError, GameShapeError) as exc:
+        except (TransferError, SessionError, GameShapeError) as exc:
             return k, exc
     return state
 
@@ -138,16 +137,16 @@ def test_random_sessions_run_as_the_per_round_loop_does():
 
 
 @pytest.mark.parametrize("session, rounds, votes, step, error", [
-    (T, [OK, OK, _pay(1.5)], [GO] * 3, 2, RoundViolationError),
-    (B, [_pay(0.5, recipient=BURN), OK], [GO] * 2, 1, RoundViolationError),
-    (T, [OK, _pay(0.5, payer=2, recipient=BURN)], [GO] * 2, 1, RoundViolationError),
-    (T, [OK, _pay(0.5, outcome=(1, 5))], [GO] * 2, 1, RoundViolationError),
-    (T, [OK, _pay(0.5, recipient=2)], [GO] * 2, 1, RoundViolationError),
+    (T, [OK, OK, _pay(1.5)], [GO] * 3, 2, TransferError),
+    (B, [_pay(0.5, recipient=BURN), OK], [GO] * 2, 1, TransferError),
+    (T, [OK, _pay(0.5, payer=2, recipient=BURN)], [GO] * 2, 1, TransferError),
+    (T, [OK, _pay(0.5, outcome=(1, 5))], [GO] * 2, 1, TransferError),
+    (T, [OK, _pay(0.5, recipient=2)], [GO] * 2, 1, TransferError),
     (T, [OK, OK, _pay(1.5)], [STOP, GO, GO], 1, SessionError),
     (T, [OK, OK, OK], [GO], 2, SessionError),
-    (T, [OK, _pay(1.5), OK], [GO], 1, RoundViolationError),
+    (T, [OK, _pay(1.5), OK], [GO], 1, TransferError),
     (T, [OK, OK], [GO, (True,)], 1, SessionError),
-    (T, [_pay(1.5), OK], [(True,), GO], 0, RoundViolationError),
+    (T, [_pay(1.5), OK], [(True,), GO], 0, TransferError),
     (T, [OK], [GO, STOP, GO], None, None),
     (BIG, [HUGE, HUGE, _pay(0.5, payer=3, recipient=BURN)], [GO] * 3, 1, GameShapeError),
     (BIG, [HUGE, HUGE], [STOP, GO], 1, SessionError),
