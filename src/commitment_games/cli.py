@@ -326,6 +326,8 @@ def _run_script(game: Game, path):
 
 def cmd_simulate(args) -> int:
     game = _load_game(args.game)
+    if args.script and args.plan is not None:
+        raise InputError("give a plan file or --script, not both")
     if args.script:
         state = _run_script(game, args.script)
     elif args.plan is None:

@@ -577,6 +577,37 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     return BatchFirstStage(status, tuple(full), tuple(deviation), expected)
 
 
+@cache
+def _first_stage_cells(shape: tuple[int, ...],
+                       supports: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The flat mask of the cells of an (n, N_1..N_n) utility tensor that
+    `first_stage_batch` on `supports` reads: u_i at every own action
+    against every profile of the other players' support actions.
+
+    The solve, its norm and range checks read the support block, and the
+    residual rows u_i(ref, b) - u_i(a, b) over the others' support
+    profiles b; all are these cells.  The deviation and expected payoffs
+    contract u_i with the profile embedded with +0.0 off the supports, so
+    any other cell enters only through a product with +0.0 (for three or
+    more players, through a partial sum times +0.0), which is +-0.0.
+    Adding +-0.0 leaves a sum unchanged unless the sum is 0.0, whose sign
+    it may flip.  So two games equal bit for bit on these cells get the
+    same status and profile, and the same deviation and expected payoffs
+    except that a payoff of exactly 0.0 may differ in sign, as long as no
+    partial sum overflows.  None does when every cell is at most half the
+    largest float in magnitude: a solved row's probabilities per player sum
+    to at most 1 + SYSTEM_TOL, so no partial sum exceeds the largest cell
+    by more than that factor per player.
+    """
+    supports = _checked_supports(shape[1:], supports)
+    cells = np.zeros(shape, dtype=bool)
+    for i in range(shape[0]):
+        cells[i][np.ix_(*(range(c) if j == i else s
+                          for j, (c, s) in enumerate(zip(shape[1:], supports))))] = True
+    cells.setflags(write=False)
+    return cells.ravel()
+
+
 def _under_ceiling(expected: np.ndarray, ceiling: Sequence[float]) -> np.ndarray:
     """The search's ceiling test on payoff vectors along the last axis."""
     return np.all(expected <= np.asarray(ceiling, dtype=np.float64) + DEFAULT_TOL, axis=-1)
@@ -668,6 +699,10 @@ def find_punishment_equilibrium(game: Game, reference_support: Sequence[Sequence
 # Support patterns per player for the two-player enumeration fallback,
 # ascending size then lexicographic; capped at desk scale.
 _SUPPORT_ENUM_MAX_ACTIONS = 4
+# (pattern, game) pairs per stacked enumeration solve.  A run's working
+# arrays grow with it; a fixed budget makes a run's patterns depend on the
+# rows still open alone, not on how many rows the call holds.
+_SUPPORT_ENUM_PAIRS = 1024
 
 
 @cache
@@ -771,7 +806,8 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     best-response mask per player, of which the first under the ceiling
     in lexicographic order settles the row; the support enumeration, where
     a row ends at its first settling pattern, one solve per size above 1
-    (in runs of at most B games); and on 2x2 rows the boundary equilibria.
+    (in runs of at most _SUPPORT_ENUM_PAIRS (pattern, game) pairs, or one
+    pattern); and on 2x2 rows the boundary equilibria.
     Raises GameShapeError when an entry is not finite, as building the
     games would.
     """
@@ -823,15 +859,17 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     own = _checked_supports(counts, supports)
     patterns = [p for p in _support_patterns(counts) if len(p[0]) > 1 and p != own]
     # Sizes ascend, so runs of one size keep the enumeration order; a run
-    # holds at most B (pattern, game) pairs.  Each pair is solved on supports
-    # (range(k), range(k)) with the pattern's supports moved first and the
-    # other actions after them ascending, so its coefficient and residual
-    # rows are the pattern's, the same floats in the same order.  The profiles
-    # go back to the game's action order before any payoff is contracted: a
-    # reordered tensor contracts in another order.
+    # holds at most _SUPPORT_ENUM_PAIRS (pattern, game) pairs, or one
+    # pattern.  Each pair is solved on supports (range(k), range(k)) with the
+    # pattern's supports moved first and the other actions after them
+    # ascending, so its coefficient and residual rows are the pattern's, the
+    # same floats in the same order.  The profiles go back to the game's
+    # action order before any payoff is contracted: a reordered tensor
+    # contracts in another order.
     while rows.size and patterns:
         V, k = U[rows], len(patterns[0][0])
-        run = [p for p in patterns[:max(1, B // rows.size)] if len(p[0]) == k]
+        run = [p for p in patterns[:max(1, _SUPPORT_ENUM_PAIRS // rows.size)]
+               if len(p[0]) == k]
         patterns = patterns[len(run):]
         orders = [np.array([[*s, *(a for a in range(c) if a not in s)] for s in supps])
                   for c, supps in zip(counts, zip(*run))]

@@ -31,6 +31,7 @@ from .equilibria import (
     NotNashError,
     StackedSystem,
     _bexpected,
+    _first_stage_cells,
     nash_batch,
     non_degenerate_batch,
     punish_batch,
@@ -468,24 +469,112 @@ def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> 
     return sorted(picked)
 
 
+@dataclass
+class _Runs:
+    """The clean runs of one kind of search, rows or prefix games: `head`
+    maps each prefix past a run's first to that first prefix, and `kept`
+    holds, per first prefix searched, which of its rows a later prefix may
+    take and their best-response payoffs."""
+
+    head: dict[int, int]
+    kept: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    firsts: set[int] = field(init=False)
+
+    def __post_init__(self):
+        self.firsts = set(self.head.values())
+
+
+def _clean_runs(plan: ProtocolPlan, shape: tuple[int, ...], prefixes: Sequence[int],
+                step: np.ndarray, cell: np.ndarray, asked: Sequence[int]) -> tuple[_Runs, _Runs]:
+    """The clean runs of the grid prefixes' rows and of the prefix games
+    `asked` (ascending).  A round is clean when the grid compiles it (step j
+    of the updates (`step`, `cell`) is round prefixes[j]) and none of its
+    updates lands on a cell its stage's first stage reads
+    (`equilibria._first_stage_cells`).  Grid prefixes k < k' of one stage are
+    one run when rounds k..k' are clean, since the others' round-k' pledges
+    are applied to its rows; prefix games k < k', when rounds k..k'-1 are.
+    Either way the games of a run agree bit for bit on those cells."""
+    firsts = [s.first_round for s in plan.punishment]
+    rounds = np.asarray(prefixes, dtype=int)[step]
+    stage = np.searchsorted(firsts, rounds, "right") - 1
+    cells = np.zeros((len(firsts), math.prod(shape)), dtype=bool)
+    for i in set(stage.tolist()):
+        cells[i] = _first_stage_cells(shape, tuple(map(tuple, plan.punishment[i].supports)))
+    clean = np.zeros(plan.num_rounds, dtype=bool)
+    clean[prefixes] = True
+    clean[rounds[cells[stage, cell]]] = False
+    if not clean.any():
+        return _Runs({}), _Runs({})
+    done = np.concatenate([[0], np.cumsum(clean)])  # clean rounds before each round
+
+    def runs(ks: Sequence[int], last: int) -> _Runs:
+        """k' joins the run of k, the entry before it, when rounds k..k'+last-1
+        are clean under one stage."""
+        ks = np.asarray(ks, dtype=int)
+        at, ends = np.searchsorted(firsts, ks, "right") - 1, ks[1:] + last
+        joined = (at[1:] == at[:-1]) & (done[ends] - done[ks[:-1]] == ends - ks[:-1])
+        start = np.arange(len(ks))
+        start[1:][joined] = 0
+        head = ks[np.maximum.accumulate(start)]
+        return _Runs({k: h for k, h in zip(ks.tolist(), head.tolist()) if h != k})
+
+    return runs(prefixes, 1), runs(asked, 0)
+
+
+def _fits(rows: np.ndarray) -> np.ndarray:
+    """Per row, whether every cell is at most half the largest float in
+    magnitude (NaN is not), so that the first stage's partial sums cannot
+    overflow (`equilibria._first_stage_cells`).  A min and a max over all
+    rows settle the usual case."""
+    big = np.finfo(np.float64).max / 2
+    if -big <= rows.min() and rows.max() <= big:
+        return np.ones(len(rows), dtype=bool)
+    return np.abs(rows).max(axis=tuple(range(1, rows.ndim))) <= big
+
+
+def _search(stack: np.ndarray, stage, take: np.ndarray, best: np.ndarray):
+    """`punish_batch` on the rows of `stack` not in `take`, as (kinds, best
+    responses, payoffs, pure_best, reasons) over all rows; a taken row is of
+    kind "support_solve" with its row of `best`."""
+    if not take.any():
+        found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
+        return (np.array(found.kinds, dtype=object), found.best_response, found.payoffs,
+                found.pure_best, found.reasons)
+    S, n = stack.shape[:2]
+    kinds, reasons = np.empty(S, dtype=object), np.empty(S, dtype=object)
+    kinds[:], reasons[:] = "support_solve", ""  # `np.full` of an object is slower
+    payoffs, pure_best = np.full((S, n), np.nan), np.full((S, n), np.nan)
+    rows = np.flatnonzero(~take)
+    if rows.size:
+        found = punish_batch(stack[rows], stage.supports, stage.seed, stage.ceiling)
+        kinds[rows], reasons[rows] = found.kinds, found.reasons
+        best[rows], payoffs[rows], pure_best[rows] = (found.best_response, found.payoffs,
+                                                      found.pure_best)
+    return kinds, best, payoffs, pure_best, reasons
+
+
 def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float] | None = None,
                      budget: int | None = None, stack: np.ndarray | None = None,
                      punishments: PrefixPunishments | None = None
                      ) -> dict[str, DeviationClassResult]:
     """Probe the four deviation classes against the plan's punishment rule.
 
-    One `punish_batch` per run of consecutive prefixes under one punishment
-    stage searches the run's deviation games, one row per deviator's
-    distinct move (`_move_grid`), and the run's prefix games that the early
-    stops or a None in `punishments` ask for; a run holds at most
-    ROW_BUDGET rows, or one prefix's.  A deviation game is a row of the
-    prefix stack `stack` (`fold_rounds`) with the compiled updates of the
-    others' pledges of its round, then of the move.  Each stack's findings
-    are reduced as arrays, one row per move (`DeviationClassResult.record_rows`):
-    a gain per row, the first largest as the worst, and a `DeviationFinding`
-    only for rows without a punishment.  `punishments` maps prefixes to
-    their search (kind, best-response payoffs, reason): a search it holds is
-    read, and every search made is written into it.
+    Per run of consecutive prefixes under one punishment stage, the run's
+    deviation games, one row per deviator's distinct move (`_move_grid`),
+    and the run's prefix games that the early stops or a None in
+    `punishments` ask for, make one stack of at most ROW_BUDGET rows, or
+    one prefix's.  A deviation game is a row of the prefix stack `stack`
+    (`fold_rounds`) with the compiled updates of the others' pledges of its
+    round, then of the move.  A row whose clean run (`_clean_runs`) began
+    in an earlier stack takes the search of the run's first prefix when
+    that search settled at the first stage with no payoff of exactly 0.0,
+    and both rows' cells are within half the float range; the other rows
+    go to one `punish_batch`.  Each stack's findings are reduced as arrays,
+    one row per move (`DeviationClassResult.record_rows`): a gain per row,
+    the first largest as the worst, and a `DeviationFinding` only for rows
+    without a punishment.  `punishments` maps prefixes to their search
+    (kind, best-response payoffs, reason): a search it holds is read, and
+    every search made or taken is written into it.
     """
     # A move pays each outcome at most once, at its one amount, and the grid's
     # shape fixes the rest, so it breaks a round's rule exactly when the
@@ -516,7 +605,10 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     punishments = {} if punishments is None else punishments
     punishments |= dict.fromkeys(set(stops) - set(punishments))
     on_grid = {k: j for j, k in enumerate(prefixes)}
-    searched = {k for k, found in punishments.items() if found is None}
+    asked = sorted(k for k, found in punishments.items() if found is None)
+    searched = set(asked)
+    row_runs, game_runs = _clean_runs(plan, U[0].shape, prefixes, step, cell, asked)
+    reuse = bool(row_runs.head or game_runs.head)
     ks = sorted(on_grid.keys() | searched)
     for stage, group in _stage_groups(plan, ks, [width * (k in on_grid) + (k in searched)
                                                  for k in ks]):
@@ -539,19 +631,39 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
         offsets = width * np.arange(len(moved))[:, None]
         np.add.at(stack.reshape(-1), ((offsets + moves) * size + cells).ravel(),
                   np.tile(values, len(moved)))
-        found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
+        # Each prefix's rows: where the prefix's clean run began in an
+        # earlier stack, they take the searches its first prefix kept.
+        spans = ([(row_runs, k, width) for k in moved]
+                 + [(game_runs, k, 1) for k in shared]) if reuse else []
+        fit = _fits(stack) if reuse else None
+        take, best = np.zeros(len(stack), dtype=bool), np.full((len(stack), n), np.nan)
+        r = 0
+        for runs, k, w in spans:
+            h = runs.head.get(k)
+            if h is not None and h < group[0]:
+                kept, best[r:r + w] = runs.kept[h]
+                take[r:r + w] = kept & fit[r:r + w]
+            r += w
+        kinds, best, payoffs, pure_best, reasons = _search(stack, stage, take, best)
+        r = 0
+        for runs, k, w in spans:
+            if k in runs.firsts:
+                runs.kept[k] = (fit[r:r + w] & (kinds[r:r + w] == "support_solve")
+                                & (best[r:r + w] != 0).all(axis=1)
+                                & (payoffs[r:r + w] != 0).all(axis=1)), best[r:r + w]
+            r += w
         for r, k in enumerate(shared, width * len(moved)):
-            punishments[k] = (found.kinds[r], found.best_response[r], found.reasons[r])
+            punishments[k] = (kinds[r], best[r], reasons[r])
         at = (offsets + grid.spread).ravel()  # the row each move reads
         dev = np.tile(grid.deviator, len(moved))
-        gains = found.best_response[at, dev] - on_path[dev]
-        none = np.isnan(gains)  # best_response is NaN on exactly the rows of kind "none"
+        gains = best[at, dev] - on_path[dev]
+        none = np.isnan(gains)  # best is NaN on exactly the rows of kind "none"
         if none.any():
             # Priced at the deviator's best pure equilibrium, if any.
-            pure = found.pure_best[at[none], dev[none]]
+            pure = pure_best[at[none], dev[none]]
             gains[none] = np.where(pure > -math.inf, pure - on_path[dev[none]], math.inf)
-        results["commitment"].record_rows(FindingRows(
-            gains, np.array(found.kinds, dtype=object)[at], moved, grid.deviator, names))
+        results["commitment"].record_rows(FindingRows(gains, kinds[at], moved, grid.deviator,
+                                                      names))
 
     if stops:
         kinds = [punishments[k][0] for k in stops]

@@ -162,6 +162,20 @@ def test_simulate_script(workdir):
     assert tr["rounds"][0][0]["recipient"] == 2
 
 
+def test_simulate_with_a_plan_and_a_script_exits_2(workdir, capsys):
+    script = workdir / "plan_and_script.json"
+    script.write_text(json.dumps({"delta": 1.0, "rounds": [_pay(1.0)],
+                                  "votes": [[False, False]], "terminal_actions": [1, 1]}),
+                      encoding="utf-8")
+    plan_path = workdir / "plan_and_script_plan.json"
+    plan_path.write_text(json.dumps(_ex3_plan_doc(workdir)), encoding="utf-8")
+    out = workdir / "plan_and_script_transcript.json"
+    assert _main(capsys, "simulate", str(workdir / "ex3.json"), str(plan_path),
+                 "--script", str(script), "-o", str(out)) == (
+        2, "error: give a plan file or --script, not both\n")
+    assert not out.exists()
+
+
 def _pay(amount):
     return [{"payer": 1, "outcome": [2, 2], "recipient": 2, "amount": amount}]
 

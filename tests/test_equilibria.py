@@ -602,21 +602,33 @@ def test_full_support_2x2_stack_makes_no_enumeration_solve(monkeypatch):
     _assert_rows_match_scalar_search(stack, supports, seed, (0.5, 0.5))
 
 
-def test_support_enumeration_runs_hold_at_most_the_stack(monkeypatch):
+def test_support_enumeration_runs_hold_at_most_the_pair_budget(monkeypatch):
     # Every row reaches the enumeration of a 4x4 game (69 equal-size
-    # patterns, 36 of size 2), so each run holds a single pattern until
-    # rows settle.
+    # patterns, 36 of size 2).  A run holds as many patterns as fit in the
+    # budget of (pattern, game) pairs, however few rows the stack has, and
+    # the budget changes no result.
     rng = np.random.default_rng(3)
     supports = [(0,), (0,)]
     seed = MixedProfile.uniform_over((4, 4), supports)
     draws = rng.integers(-1, 2, (96, 2, 4, 4)).astype(float)
     kinds = punish_batch(draws, supports, seed, (0.5, 0.5)).kinds
     stack = draws[[k in ("support_enum", "none") for k in kinds]][:12]
-    sizes = _solve_sizes(monkeypatch)
-    found = punish_batch(stack, supports, seed, (0.5, 0.5))
-    monkeypatch.undo()
-    assert len(stack) == 12 and set(found.kinds) == {"support_enum", "none"}
-    assert max(sizes) <= len(stack) and len(sizes) > 40
+    found, runs = {}, {}
+    for budget in (24, equilibria._SUPPORT_ENUM_PAIRS):
+        monkeypatch.setattr(equilibria, "_SUPPORT_ENUM_PAIRS", budget)
+        sizes = _solve_sizes(monkeypatch)
+        found[budget] = punish_batch(stack, supports, seed, (0.5, 0.5))
+        monkeypatch.undo()
+        runs[budget] = sizes[1:]  # the first is the first stage's
+        assert max(runs[budget]) <= budget
+    assert len(stack) == 12 and set(found[24].kinds) == {"support_enum", "none"}
+    # Two patterns of the 12 rows per run, against all 36 size-2 patterns.
+    assert runs[24][0] == 2 * 12 and len(runs[24]) > 20
+    assert runs[equilibria._SUPPORT_ENUM_PAIRS][0] == 36 * 12
+    small, large = found[24], found[equilibria._SUPPORT_ENUM_PAIRS]
+    assert (small.kinds, small.reasons) == (large.kinds, large.reasons)
+    for name in ("best_response", "payoffs", "pure_best"):
+        assert getattr(small, name).tobytes() == getattr(large, name).tobytes()
 
 
 def _assert_rows_match_one_row_stacks(stack, supports, seed, ceiling):

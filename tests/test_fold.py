@@ -6,8 +6,8 @@ them as arrays and folds them into one prefix stack, whose rows
 as it was before: `apply_transfers` one pledge at a time after
 `round_violation`, a `Game` per prefix, and a JSON-dict `content_hash`.
 Stacks are compared as uint64, so every bit counts (a -0.0 too), hashes as
-strings, and a rejected round by its `FoldError` index and text and its
-`RoundViolation` code.
+strings, and a rejected round by its `FoldError` index and text and the
+code of the `TransferError` that is its cause.
 """
 
 import itertools

@@ -727,8 +727,9 @@ def test_grid_builds_no_per_row_objects(case):
     else:
         game, plan = spoiler_3x3(), naive_spoiler_plan(0.1)
     stack = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
-    made, stacks = [], []
+    made, stacks, reduced = [], [], []
     finding, batch = verifier.DeviationFinding, verifier.punish_batch
+    record_rows = DeviationClassResult.record_rows
 
     def counted(*args, **kwargs):
         made.append(finding(*args, **kwargs))
@@ -738,21 +739,31 @@ def test_grid_builds_no_per_row_objects(case):
         stacks.append(len(utilities))
         return batch(utilities, *args)
 
+    def reduced_rows(self, rows):
+        reduced.append(len(rows))
+        record_rows(self, rows)
+
     def no_game(*args, **kwargs):
         raise AssertionError("the grid built a Game")
 
     with mock.patch.object(verifier, "DeviationFinding", counted), \
             mock.patch.object(verifier, "punish_batch", recorded), \
+            mock.patch.object(DeviationClassResult, "record_rows", reduced_rows), \
             mock.patch.object(Game, "__init__", no_game):
         results = check_deviations(game, plan, stack=stack)
     structural = sum(len(r.structural_failures) for r in results.values())
     scalar = results["continue_when_stop"].checked + results["terminal_action"].checked
-    # One worst per stack at most, plus the rows without a punishment and
-    # the handful the two small classes record one by one.
-    assert len(made) <= len(stacks) + structural + scalar
+    # One worst per stack of findings at most, plus the rows without a
+    # punishment and the handful the two small classes record one by one.
+    assert len(made) <= len(reduced) + structural + scalar
     if case == "ex4":
         assert (results["commitment"].checked, results["early_stop"].checked) == (13000, 198)
         assert structural == 0
+        # No round touches a cell the first stage reads, so every later
+        # stack takes the searches of the first: prefix 0's 130 rows and six
+        # prefixes of 130 rows and an early stop's prefix game each.
+        assert stacks == [130 + 6 * 131]
+        assert 130 + 7 * 131 > verifier.ROW_BUDGET
     else:
         assert structural == 574
 
@@ -907,20 +918,34 @@ def _two_call_check_deviations(game, plan, *, stack, punishments, **kwargs):
     return check_deviations(game, plan, stack=stack, punishments=punishments, **kwargs)
 
 
+def _takeable(rows, stage) -> list[bool]:
+    """Per row of `rows`, whether a later prefix of its clean run may take
+    its search: it settles at the first stage and pays no player 0.0, in
+    the best response or in the punishment."""
+    found = punish_batch(rows, stage.supports, stage.seed, stage.ceiling)
+    return [kind == "support_solve" and bool(np.all(best != 0) and np.all(pay != 0))
+            for kind, best, pay in zip(found.kinds, found.best_response, found.payoffs)]
+
+
 def _assert_merged_search_matches_separate_calls(game, plan, **kwargs) -> list:
     """verify_plan's one stack per stage chunk gives the report bytes and,
     row for row, the kinds, best responses and pure_best of separate prefix
-    and grid searches; returns the merged run's stack sizes."""
+    and grid searches; returns the merged run's stacks.  The separate calls
+    search every prefix game; the merged stacks leave out only prefix games,
+    those that take the search of their clean run's first prefix."""
     with _recorded_stacks() as stacks, _recorded_rows() as merged:
         report = verify_plan(game, plan, **kwargs).to_json()
     with _recorded_stacks() as separate_stacks, _recorded_rows() as separate, \
             mock.patch.object(verifier, "check_deviations", _two_call_check_deviations):
         assert verify_plan(game, plan, **kwargs).to_json() == report
-    assert merged == separate
+    assert merged.items() <= separate.items()
+    prefix_games = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+    assert ({row for _, row in separate.keys() - merged.keys()}
+            <= {u.tobytes() for u in prefix_games})
     sizes = [len(u) for u in stacks]
     assert max(sizes) <= verifier.ROW_BUDGET
-    assert sum(sizes) == sum(map(len, separate_stacks)) and len(sizes) < len(separate_stacks)
-    return sizes
+    assert sum(sizes) <= sum(map(len, separate_stacks)) and len(sizes) < len(separate_stacks)
+    return stacks
 
 
 MERGED_SEARCH_PLANS = {
@@ -941,10 +966,22 @@ MERGED_SEARCH_PLANS = {
                                          ("own_stage_past_budget", 3)])
 def test_merged_search_matches_separate_calls(case, calls):
     game, plan, kwargs = MERGED_SEARCH_PLANS[case]()
-    sizes = _assert_merged_search_matches_separate_calls(game, plan, **kwargs)
+    stacks = _assert_merged_search_matches_separate_calls(game, plan, **kwargs)
+    sizes = [len(u) for u in stacks]
     assert len(sizes) == calls
     if case == "own_stage_past_budget":
         assert plan.stage_for(51).first_round == 51 and sizes[1] == 1
+    if case == "spoiler":
+        # The spoiler's ten rounds stay off the cells the first stage reads:
+        # one run of grid prefixes, one of prefix games.  The first stack
+        # holds prefixes 0-3, their rows and then their prefix games; the
+        # later ones hold only the rows whose first-prefix search did not
+        # settle at the first stage or has a payoff of exactly 0.0.
+        width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
+        assert sizes[0] == 4 * (width + 1) and len(plan.rounds) == 10
+        kept = _takeable(stacks[0][[*range(width), 4 * width]], plan.stage_for(0))
+        rows, games = kept[:width].count(False), int(not kept[width])
+        assert rows and sizes[1:] == [4 * (rows + games), 2 * rows + 3 * games]
 
 
 def test_merged_search_matches_separate_calls_on_seeded_2x2_plans():
@@ -986,11 +1023,132 @@ def test_ex4_first_stage_solves_each_distinct_support_block_once(monkeypatch):
     monkeypatch.undo()
     assert report.accepted
     rows, distinct = zip(*blocks)
-    # The prefix games ride in the grid's 15 stacks, where their blocks can
-    # repeat a deviation game's.
-    assert len(rows) == 15
-    assert sum(rows) == 13_101 and sum(distinct) == 1275
+    # No round touches a cell the first stage reads, so only the first
+    # stack is searched: prefixes 0-6, each with its 130 moves (no two
+    # alike) and its prefix game.  Its blocks are those of prefix 0: the
+    # plan's own, and per deviator and amount the P burn at each of the 9
+    # block outcomes and the M burn at each of the 12 outcomes whose other
+    # player's action is in the support.
+    assert rows == (7 * 131,)
+    assert distinct == (1 + 2 * 2 * (9 + 12),)
     assert solved == list(distinct)
+
+
+def test_ex4_verify_searches_only_its_first_stack():
+    game, plan = prize_plan(0.02)
+    stage = plan.punishment[0]
+    assert len(plan.punishment) == 1 and len(plan.rounds) == 100
+    read = equilibria._first_stage_cells((2, 4, 4), stage.supports)
+    assert read.sum() == 24
+    # Every pledge of the plan lands off those 24 cells: the 100 grid
+    # prefixes are one clean run, and the 101 prefix games another.
+    for r in plan.rounds:
+        for p in r.pledges:
+            assert not read.reshape(2, 4, 4)[(p.payer, *p.outcome)]
+    with _recorded_stacks() as stacks:
+        report = verify_plan(game, plan)
+    # The first stack holds 7 prefixes of 130 moves and a prefix game each;
+    # all 13,101 rows settle at the first stage with no payoff of 0.0, and
+    # every later row takes the search of prefix 0.
+    assert [len(u) for u in stacks] == [7 * 131] and 8 * 131 > verifier.ROW_BUDGET
+    assert report.accepted
+    assert report.deviations["commitment"].punishment_kinds == {"support_solve": 13000}
+    assert report.deviations["early_stop"].punishment_kinds == {"support_solve": 198}
+
+
+def test_spoiler_unsettled_rows_search_alike_alone_and_in_their_stack(monkeypatch):
+    game, plan = spoiler_3x3(), naive_spoiler_plan(0.1)
+    with _recorded_stacks() as stacks:
+        verify_plan(game, plan)
+    stage = plan.stage_for(0)
+    args = (stage.supports, stage.seed, stage.ceiling)
+    chunk = stacks[0]
+    open_rows = ~first_stage_batch(chunk, *args).settled
+    found, runs = {}, {}
+    for name, rows in (("chunk", chunk), ("alone", chunk[open_rows])):
+        sizes, solve = [], equilibria._solve
+
+        def counted(system, *a, **kw):
+            sizes.append(len(system.utilities))
+            return solve(system, *a, **kw)
+
+        monkeypatch.setattr(equilibria, "_solve", counted)
+        found[name] = punish_batch(rows, *args)
+        monkeypatch.undo()
+        runs[name] = sizes[1:]  # the first is the first stage's
+    # 232 rows of the 1,020 leave the first stage; whether the stack holds
+    # only them or the whole chunk, their enumeration runs hold the same
+    # (pattern, game) pairs, and their results are the same bytes.
+    assert open_rows.sum() == 232 and len(runs["alone"]) > 1
+    assert runs["chunk"] == runs["alone"]
+    chunk_found, alone = found["chunk"], found["alone"]
+    picked = np.flatnonzero(open_rows)
+    assert [chunk_found.kinds[r] for r in picked] == list(alone.kinds)
+    assert [chunk_found.reasons[r] for r in picked] == list(alone.reasons)
+    assert Counter(alone.kinds) == {"none": 232}
+    for name in ("best_response", "payoffs", "pure_best"):
+        assert getattr(chunk_found, name)[picked].tobytes() == getattr(alone, name).tobytes()
+    for got, want in zip(chunk_found.profiles, alone.profiles):
+        assert got[picked].tobytes() == want.tobytes()
+
+
+def _middle_round_on_a_read_cell():
+    """ex4 at delta 0.05 with one more round in the middle, in which player 1
+    burns delta / 2 at (1, 1), a cell the first stage reads: the grid
+    prefixes make two clean runs around that round's prefix, and the prefix
+    games two runs split after it."""
+    game, plan = prize_plan(0.05)
+    m = len(plan.rounds) // 2
+    burn = CommitmentRound((Pledge(0, (0, 0), BURN, plan.delta / 2),))
+    return game, dataclasses.replace(plan, rounds=(*plan.rounds[:m], burn, *plan.rounds[m:]))
+
+
+def _ex3_auto():
+    """ex3 as `plan --payoffs 4,3 --delta auto` builds it: its punishment is
+    pure and pays (0, 0), so most searches are not taken."""
+    game = unfair_split()
+    return game, protocols.choose_delta(game, MixedProfile.pure((2, 2), (0, 0)),
+                                        payoffs=(4.0, 3.0))[1]
+
+
+REUSE_PLANS = {
+    "ex4_400_rounds": lambda: prize_plan(0.005),
+    "middle_round_on_a_read_cell": _middle_round_on_a_read_cell,
+    "ex3_auto": _ex3_auto,
+    "spoiler": lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_PLANS))
+def test_taken_searches_match_scalar_loop(case):
+    game, plan = REUSE_PLANS[case]()
+    kinds = _assert_grids_agree(game, plan)
+    with _recorded_stacks() as stacks:
+        report = verify_plan(game, plan)
+    sizes = [len(u) for u in stacks]
+    R = len(plan.rounds)
+    width = sum(len(_distinct_moves(game, plan, d)) for d in range(game.num_players))
+    if case == "ex4_400_rounds":
+        assert R > 400 and sizes == [7 * (width + 1)] and kinds["support_solve"] == 2 * R * 66 - 2
+    elif case == "middle_round_on_a_read_cell":
+        # Stacks of prefixes 0-6 (searched), 7-13 (taken), 14-20 (only the
+        # middle round's prefix 20 has rows of its own, its prefix game
+        # joins the first run), 21-27 (a new run: searched), 28-41 (taken).
+        assert R == 41 and width == 130
+        assert sizes == [7 * (width + 1), width, 7 * (width + 1)]
+    elif case == "ex3_auto":
+        # Stacks of 17 prefixes: 0-16 searched, then 17-33 and 34-46, and
+        # the last prefix game under a stage of its own.  Only the moves that
+        # pay at the punishment's cell (0, 0) to the other player leave both
+        # payoffs off 0.0 and are taken; the prefix games pay (0, 0).
+        assert (R, width) == (47, 58) and plan.stage_for(R) is not plan.stage_for(0)
+        kept = _takeable(stacks[0][[*range(width), 17 * width]], plan.stage_for(0))
+        open_rows = kept[:width].count(False) + (not kept[width])
+        assert kept[:width].count(True) == 10 and not kept[width]
+        assert sizes == [17 * (width + 1), 17 * open_rows, 13 * open_rows, 1]
+    else:
+        assert kinds["unavailable"] == 574 == len(
+            report.deviations["commitment"].structural_failures)
 
 
 def _random_plan(rng, counts):
