@@ -1111,8 +1111,26 @@ def _ex3_auto():
                                         payoffs=(4.0, 3.0))[1]
 
 
+def _cells_past_half_the_float_range():
+    """40 rounds punished at the pure (1, 1), of which round 20 has player 1
+    burn 0.3 of the largest float at (2, 2), a cell the first stage does
+    not read: one clean run, where from prefix 21 on a move of player 1
+    that burns or pays delta at (2, 2) takes that cell past half the float
+    range."""
+    big = float(np.finfo(float).max)
+    u = np.random.default_rng(11).uniform(-3, 3, (2, 2, 2))
+    u[0, :, 0], u[1, 0, :] = (2.0, 1.0), (2.0, 1.0)  # (1, 1) is Nash
+    game = Game(u)
+    rounds = [CommitmentRound(())] * 40
+    rounds[20] = CommitmentRound((Pledge(0, (1, 1), BURN, 0.3 * big),))
+    plan = _plan_with_rounds(game, rounds, "transfers", 0.3 * big)
+    stage = dataclasses.replace(plan.punishment[0], ceiling=(3.0, 3.0))
+    return game, dataclasses.replace(plan, punishment=(stage,))
+
+
 REUSE_PLANS = {
     "ex4_400_rounds": lambda: prize_plan(0.005),
+    "cells_past_half_the_float_range": _cells_past_half_the_float_range,
     "middle_round_on_a_read_cell": _middle_round_on_a_read_cell,
     "ex3_auto": _ex3_auto,
     "spoiler": lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)),
@@ -1123,7 +1141,13 @@ REUSE_PLANS = {
 def test_taken_searches_match_scalar_loop(case):
     game, plan = REUSE_PLANS[case]()
     kinds = _assert_grids_agree(game, plan)
-    with _recorded_stacks() as stacks:
+    built, fits = [], verifier._fits
+
+    def spied(rows):
+        built.append(np.array(rows))
+        return fits(rows)
+
+    with mock.patch.object(verifier, "_fits", spied), _recorded_stacks() as stacks:
         report = verify_plan(game, plan)
     sizes = [len(u) for u in stacks]
     R = len(plan.rounds)
@@ -1146,6 +1170,18 @@ def test_taken_searches_match_scalar_loop(case):
         open_rows = kept[:width].count(False) + (not kept[width])
         assert kept[:width].count(True) == 10 and not kept[width]
         assert sizes == [17 * (width + 1), 17 * open_rows, 13 * open_rows, 1]
+    elif case == "cells_past_half_the_float_range":
+        # Stacks of prefixes 0-16, 17-33 and 34-39 with their prefix games.
+        # Every later row past half the float range is searched, though
+        # prefix 0's row of the same move may be taken; others are taken.
+        def past_half(us):
+            half = np.finfo(float).max / 2
+            return sum(int((np.abs(u).reshape(len(u), -1).max(axis=1) > half).sum())
+                       for u in us)
+
+        assert len(built) == len(stacks) == 3 and sizes[0] == len(built[0])
+        assert past_half(built[1:]) == past_half(stacks[1:]) > 0
+        assert sum(sizes[1:]) < sum(map(len, built[1:]))
     else:
         assert kinds["unavailable"] == 574 == len(
             report.deviations["commitment"].structural_failures)
