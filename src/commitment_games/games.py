@@ -462,6 +462,12 @@ def fold_rounds(game: Game, rounds, delta: float | None = None,
     `round_violation`; FoldError names the first it rejects, after the
     rounds before it fold.  GameShapeError when a folded tensor is not finite.
     """
+    return fold_compiled(game, rounds, delta, mode)[0]
+
+
+def fold_compiled(game: Game, rounds, delta: float | None = None,
+                  mode: str | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """`fold_rounds`, and the rounds' updates from `compile_pledges`."""
     rounds = list(rounds)
     shape = game.utilities.shape
     try:
@@ -491,7 +497,7 @@ def fold_rounds(game: Game, rounds, delta: float | None = None,
         raise GameShapeError("utilities must be finite")
     if rejected:
         raise FoldError(R, rejected) from rejected
-    return _frozen(stack.reshape(R + 1, *shape))
+    return _frozen(stack.reshape(R + 1, *shape)), updates
 
 
 def apply_transfers(game: Game, round, *, delta: float | None = None,

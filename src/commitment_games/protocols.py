@@ -47,6 +47,7 @@ from .games import (
     BURN,
     DEFAULT_TOL,
     EXACT_SLACK,
+    GAIN_TOL,
     DocumentError,
     FoldError,  # raised by fold_rounds, so callers of the plan folds catch it from here
     Game,
@@ -832,6 +833,11 @@ def _improvement_plan(game: Game, sigma: MixedProfile, target: tuple[int, ...],
     return build_multiplayer_plan(game, sigma, target, delta, validate=False)
 
 
+def _below_round_guard(game: Game, delta: float) -> bool:
+    """Whether `delta` is below the utility range / MAX_RANGE_PER_DELTA."""
+    return game.utility_range > MAX_RANGE_PER_DELTA * delta
+
+
 def build_plan(game: Game, sigma: MixedProfile, *,
                target: Sequence[int] | None = None,
                payoffs: Sequence[float] | None = None,
@@ -846,7 +852,7 @@ def build_plan(game: Game, sigma: MixedProfile, *,
         raise ValueError(f"delta must be finite, got {delta}")
     if not delta > 0:
         raise InfeasibleError("delta must be strictly positive")
-    if game.utility_range > MAX_RANGE_PER_DELTA * delta:
+    if _below_round_guard(game, delta):
         raise InfeasibleError(
             f"delta {delta:g} is below the utility range / {MAX_RANGE_PER_DELTA:g}: "
             f"the plan would take too many rounds")
@@ -878,13 +884,16 @@ def choose_delta(game: Game, sigma: MixedProfile, *,
     DELTA_FLOOR until the built plan passes verification (punishment
     ceiling at every checkpoint, deviation grid on DELTA_SEARCH_BUDGET
     prefixes, round bound); returns the largest passing cap and its plan.
+    The search also stops at the round guard of `build_plan`, which a
+    smaller cap only breaks further; InfeasibleError then names the last
+    rejection.
     """
     from .verifier import verify_plan
 
     scale = game.utility_range
     delta = 0.01 * scale if scale > 0 else 0.01
     last_error = None
-    while delta >= DELTA_FLOOR:
+    while delta >= DELTA_FLOOR and not _below_round_guard(game, delta):
         try:
             plan = build_plan(game, sigma, target=target, payoffs=payoffs,
                               delta=delta)
@@ -892,13 +901,27 @@ def choose_delta(game: Game, sigma: MixedProfile, *,
                                  checkpoint_budget=64)
             if report.accepted:
                 return delta, plan
-            last_error = "verification rejected the plan"
+            last_error = _rejection(delta, report)
         except NotImprovingError:
             raise  # no cap can fix a non-improving target
         except InfeasibleError as exc:
             last_error = str(exc)
         delta /= 2.0
-    raise InfeasibleError(f"no cap above {DELTA_FLOOR:g} passes: {last_error}")
+    raise InfeasibleError(f"no cap above {max(delta, DELTA_FLOOR):g} passes: {last_error}")
+
+
+def _rejection(delta: float, report) -> str:
+    """A rejected verification's failing properties and deviation classes,
+    with their counts."""
+    props = [k for k, r in sorted(report.properties.items()) if r.status == "fail"]
+    failing = [f"{len(props)} failing properties: {', '.join(props)}"] if props else []
+    failing += [f"{c} deviations: {len(r.structural_failures)} of {r.checked} without a "
+                f"punishment, worst gain {r.worst_gain:.3g}"
+                for c, r in sorted(report.deviations.items())
+                if r.structural_failures or r.worst_gain > GAIN_TOL]
+    if not report.bound.ok:
+        failing.append(f"round bound: {report.bound.rounds} rounds over {report.bound.bound:g}")
+    return f"verification rejected delta {delta:g}: {'; '.join(failing)}"
 
 
 # ---------------------------------------------------------------------------

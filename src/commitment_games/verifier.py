@@ -46,6 +46,7 @@ from .games import (
     MixedProfile,
     compile_pledges,
     content_hash,
+    fold_compiled,
     fold_rounds,
     round_violation,
     stack_hashes,
@@ -88,11 +89,11 @@ class FindingRows:
     """A stack of findings of one deviation class, prefix-major: row r is
     move `moves[r % w]` of player `players[r % w]` at prefix
     `prefixes[r // w]`, where w = len(moves).  `kinds` are the rows'
-    punishment kinds from `punish_batch`; kind "none" is a structural
-    failure, reported as "unavailable"."""
+    punishment kinds from `punish_batch`, or one kind of every row; kind
+    "none" is a structural failure, reported as "unavailable"."""
 
     gains: np.ndarray
-    kinds: Sequence[str]
+    kinds: Sequence[str] | str
     prefixes: Sequence[int]
     players: Sequence[int]
     moves: Sequence[str]
@@ -102,11 +103,10 @@ class FindingRows:
 
     def finding(self, r: int) -> DeviationFinding:
         k, i = divmod(r, len(self.moves))
-        structural = self.kinds[r] == "none"
+        kind = self.kinds if isinstance(self.kinds, str) else self.kinds[r]
         return DeviationFinding(float(self.gains[r]), self.prefixes[k],
                                 int(self.players[i]), self.moves[i],
-                                "unavailable" if structural else self.kinds[r],
-                                structural)
+                                "unavailable" if kind == "none" else kind, kind == "none")
 
 
 @dataclass
@@ -137,11 +137,13 @@ class DeviationClassResult:
         structural rows and a new worst become `DeviationFinding`s.  A NaN
         gain never becomes the worst, as under `record`'s strict `>`."""
         self.checked += len(rows)
-        kinds = Counter(rows.kinds)
+        one = isinstance(rows.kinds, str)
+        kinds = Counter({rows.kinds: len(rows)} if one else rows.kinds)
         if "none" in kinds:
             kinds["unavailable"] = kinds.pop("none")
-            structural = np.flatnonzero(np.asarray(rows.kinds) == "none")
-            self.structural_failures.extend(map(rows.finding, structural.tolist()))
+            structural = (range(len(rows)) if one else
+                          np.flatnonzero(np.asarray(rows.kinds) == "none").tolist())
+            self.structural_failures.extend(map(rows.finding, structural))
         self.punishment_kinds.update(kinds)
         gains = np.where(np.isnan(rows.gains), -math.inf, rows.gains)
         if len(gains) and gains.max() > self.worst_gain:
@@ -474,10 +476,11 @@ class _Runs:
     """The clean runs of one kind of search, rows or prefix games: `head`
     maps each prefix past a run's first to that first prefix, and `kept`
     holds, per first prefix searched, which of its rows a later prefix may
-    take and their best-response payoffs."""
+    take and their best-response payoffs; `whole` the firsts that kept all."""
 
     head: dict[int, int]
     kept: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    whole: set[int] = field(default_factory=set)
     firsts: set[int] = field(init=False)
 
     def __post_init__(self):
@@ -555,7 +558,8 @@ def _search(stack: np.ndarray, stage, take: np.ndarray, best: np.ndarray):
 
 def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float] | None = None,
                      budget: int | None = None, stack: np.ndarray | None = None,
-                     punishments: PrefixPunishments | None = None
+                     punishments: PrefixPunishments | None = None,
+                     updates: tuple[np.ndarray, ...] | None = None
                      ) -> dict[str, DeviationClassResult]:
     """Probe the four deviation classes against the plan's punishment rule.
 
@@ -569,12 +573,18 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     in an earlier stack takes the search of the run's first prefix when
     that search settled at the first stage with no payoff of exactly 0.0,
     and both rows' cells are within half the float range; the other rows
-    go to one `punish_batch`.  Each stack's findings are reduced as arrays,
-    one row per move (`DeviationClassResult.record_rows`): a gain per row,
-    the first largest as the worst, and a `DeviationFinding` only for rows
-    without a punishment.  `punishments` maps prefixes to their search
-    (kind, best-response payoffs, reason): a search it holds is read, and
-    every search made or taken is written into it.
+    go to one `punish_batch`.  A stack whose every row would take, with
+    max|U[k]| + Σ|round-k values| + the largest Σ|values| of a move at most
+    a quarter of the largest float for each of its prefixes k (so every
+    cell is within half of it), is not built: its gains are read off the
+    kept searches.  Each stack's findings are reduced as arrays, one row
+    per move (`DeviationClassResult.record_rows`), consecutive stacks taken
+    whole as one: a gain per row, the first largest as the worst, and a
+    `DeviationFinding` only for rows without a punishment.  `punishments`
+    maps prefixes to their search (kind, best-response payoffs, reason): a
+    search it holds is read, and every search made or taken is written into
+    it.  `updates` are the plan's rounds compiled (`fold_compiled`), given
+    with `stack`.
     """
     # A move pays each outcome at most once, at its one amount, and the grid's
     # shape fixes the rest, so it breaks a round's rule exactly when the
@@ -584,7 +594,8 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     burns = [Pledge(0, (0,) * game.num_players, BURN, a) for a in xs]
     for error in filter(None, (round_violation(game, [p], plan.delta, plan.mode) for p in burns)):
         raise error
-    U = fold_rounds(game, plan.rounds, plan.delta, plan.mode) if stack is None else stack
+    U, updates = (fold_compiled(game, plan.rounds, plan.delta, plan.mode) if stack is None
+                  else (stack, updates))
     R, n, size = len(plan.rounds), game.num_players, U[0].size
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
@@ -599,7 +610,12 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
 
     prefixes = _prefix_indices(R, budget)
     # The grid prefixes' rounds as updates: step j is round prefixes[j]'s.
-    step, payer, cell, value = compile_pledges(U[0].shape, [plan.rounds[k] for k in prefixes])[0]
+    if updates is None:
+        updates = compile_pledges(U[0].shape, plan.rounds)[0]
+    at = np.full(R, -1)
+    at[prefixes] = np.arange(len(prefixes))
+    keep = at[updates[0]] >= 0
+    step, payer, cell, value = at[updates[0][keep]], *(u[keep] for u in updates[1:])
     # The first vote happens after round 1.
     stops = [k for k in prefixes if k != 0]
     punishments = {} if punishments is None else punishments
@@ -610,10 +626,36 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     row_runs, game_runs = _clean_runs(plan, U[0].shape, prefixes, step, cell, asked)
     reuse = bool(row_runs.head or game_runs.head)
     ks = sorted(on_grid.keys() | searched)
+    taken, sums = [], None  # taken: (prefix, kept best responses) of stacks taken whole
+
+    def record_taken():
+        if taken:
+            moved, best = zip(*taken)
+            d = grid.deviator
+            gains = (np.stack(best)[:, grid.spread, d] - on_path[d]).ravel()
+            results["commitment"].record_rows(FindingRows(gains, "support_solve", moved, d, names))
+            taken.clear()
+
     for stage, group in _stage_groups(plan, ks, [width * (k in on_grid) + (k in searched)
                                                  for k in ks]):
         moved = [k for k in group if k in on_grid]
         shared = [k for k in group if k in searched]
+        spans = ([(row_runs, k, width) for k in moved]
+                 + [(game_runs, k, 1) for k in shared]) if reuse else []
+        heads = [runs.head.get(k, group[0]) for runs, k, _ in spans]
+        if spans and all(h < group[0] and h in runs.whole for h, (runs, _, _) in zip(heads, spans)):
+            if sums is None:  # Σ|values| per round, and the most of any move
+                sums = (np.bincount(np.asarray(prefixes, dtype=int)[step], np.abs(value),
+                                    minlength=R + 1), np.bincount(moves, np.abs(values)).max())
+            with np.errstate(over="ignore"):
+                bound = (np.abs(U[group]).reshape(len(group), -1).max(axis=1)
+                         + sums[0][group]).max() + sums[1]
+            if bound <= np.finfo(np.float64).max / 4:
+                taken += [(k, row_runs.kept[h][1]) for k, h in zip(moved, heads)]
+                for k, h in zip(shared, heads[len(moved):]):
+                    punishments[k] = ("support_solve", game_runs.kept[h][1][0], "")
+                continue
+        record_taken()
         # Per grid prefix k and deviator d, prefix game k with the updates of
         # the others' round-k pledges in order (the whole round passed the
         # fold, so any subset of it is legal), once per distinct move of d
@@ -633,14 +675,11 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
                   np.tile(values, len(moved)))
         # Each prefix's rows: where the prefix's clean run began in an
         # earlier stack, they take the searches its first prefix kept.
-        spans = ([(row_runs, k, width) for k in moved]
-                 + [(game_runs, k, 1) for k in shared]) if reuse else []
         fit = _fits(stack) if reuse else None
         take, best = np.zeros(len(stack), dtype=bool), np.full((len(stack), n), np.nan)
         r = 0
-        for runs, k, w in spans:
-            h = runs.head.get(k)
-            if h is not None and h < group[0]:
+        for (runs, k, w), h in zip(spans, heads):
+            if h < group[0]:
                 kept, best[r:r + w] = runs.kept[h]
                 take[r:r + w] = kept & fit[r:r + w]
             r += w
@@ -648,9 +687,11 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
         r = 0
         for runs, k, w in spans:
             if k in runs.firsts:
-                runs.kept[k] = (fit[r:r + w] & (kinds[r:r + w] == "support_solve")
-                                & (best[r:r + w] != 0).all(axis=1)
-                                & (payoffs[r:r + w] != 0).all(axis=1)), best[r:r + w]
+                kept = (fit[r:r + w] & (kinds[r:r + w] == "support_solve")
+                        & (best[r:r + w] != 0).all(axis=1) & (payoffs[r:r + w] != 0).all(axis=1))
+                runs.kept[k] = kept, best[r:r + w]
+                if kept.all():
+                    runs.whole.add(k)
             r += w
         for r, k in enumerate(shared, width * len(moved)):
             punishments[k] = (kinds[r], best[r], reasons[r])
@@ -664,6 +705,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
             gains[none] = np.where(pure > -math.inf, pure - on_path[dev[none]], math.inf)
         results["commitment"].record_rows(FindingRows(gains, kinds[at], moved, grid.deviator,
                                                       names))
+    record_taken()
 
     if stops:
         kinds = [punishments[k][0] for k in stops]
@@ -737,14 +779,14 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
     probed = _prefix_indices(plan.num_rounds + 1, checkpoint_budget, "checkpoint_budget")
     _prefix_indices(plan.num_rounds, budget)  # a bad budget raises before the fold
     try:
-        stack = fold_rounds(game, plan.rounds, plan.delta, plan.mode)
+        stack, updates = fold_compiled(game, plan.rounds, plan.delta, plan.mode)
     except FoldError:
         stack = None  # check_on_path reports the failing round
     punishments = dict.fromkeys(probed)
     deviations = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
     if stack is not None:
         deviations = check_deviations(game, plan, amounts=amounts, budget=budget,
-                                      stack=stack, punishments=punishments)
+                                      stack=stack, punishments=punishments, updates=updates)
     properties = check_on_path(game, plan, checkpoint_budget=checkpoint_budget,
                                stack=stack, punishments=punishments)
     bound = round_bound_check(plan, game)

@@ -491,6 +491,31 @@ def test_choose_delta_examples():
         choose_delta(game4, sigma4, target=(0, 3))
 
 
+def test_choose_delta_stops_at_the_round_guard_and_names_the_last_rejection(monkeypatch):
+    # A 2x2 welfare split over a full-support baseline that no cap tried
+    # passes.  Its utility range is 5, so with the round guard at range / 200
+    # the caps 0.05 and 0.025 are tried; 0.0125 breaks the guard, as every
+    # smaller cap would, and the search stops there.
+    game = Game(np.array([[[0.5, -3], [-3, -2.5]], [[-2, 2], [1, 0]]]))
+    sigma = MixedProfile([np.array([0.2, 0.8]), np.array([0.125, 0.875])])
+    monkeypatch.setattr(protocols, "MAX_RANGE_PER_DELTA", 200.0)
+    tried, build = [], protocols.build_plan
+
+    def counted(*args, delta, **kwargs):
+        tried.append(delta)
+        return build(*args, delta=delta, **kwargs)
+
+    monkeypatch.setattr(protocols, "build_plan", counted)
+    with pytest.raises(InfeasibleError) as info:
+        choose_delta(game, sigma, payoffs=(-2.271875, 1.271875))
+    assert tried == [0.05, 0.025]
+    # The text names the last verification rejection, not the guard.
+    assert str(info.value).startswith(
+        "no cap above 0.0125 passes: verification rejected delta 0.025: 3 failing "
+        "properties: P4prime, a1, baseline_nash; commitment deviations: 8 of 666 without "
+        "a punishment, worst gain ")
+
+
 def test_plan_json_round_trip():
     game = cyclic_with_prize()
     plan = build_plan(game, uniform_cycle_sigma(), target=(3, 3), delta=0.5)

@@ -60,7 +60,8 @@ SIGNATURES.update({
                      " 'PrefixPunishments | None' = None) -> 'dict[str, PropertyResult]'",
     "check_deviations": "(game: 'Game', plan: 'ProtocolPlan', *, amounts: 'Sequence[float]"
                         " | None' = None, budget: 'int | None' = None, stack: 'np.ndarray"
-                        " | None' = None, punishments: 'PrefixPunishments | None' = None)"
+                        " | None' = None, punishments: 'PrefixPunishments | None' = None,"
+                        " updates: 'tuple[np.ndarray, ...] | None' = None)"
                         " -> 'dict[str, DeviationClassResult]'",
 })
 

@@ -254,11 +254,11 @@ def test_report_serialization_round_trip():
 # ---------------------------------------------------------------------------
 
 def _scalar_check_deviations(game, plan, *, amounts=None, budget=None, stack=None,
-                             punishments=None):
+                             punishments=None, updates=None):
     """Reference grid: fold and search every deviation game one at a time.
-    `stack` is accepted for `verify_plan`'s call and ignored; the prefix
-    searches `punishments` asks for (its None values) are made one game at
-    a time too."""
+    `stack` and `updates` are accepted for `verify_plan`'s call and ignored;
+    the prefix searches `punishments` asks for (its None values) are made one
+    game at a time too."""
     amounts = tuple(amounts) if amounts else (plan.delta / 2, plan.delta)
     games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
     R, n = plan.num_rounds, game.num_players
@@ -1045,12 +1045,18 @@ def test_ex4_verify_searches_only_its_first_stack():
     for r in plan.rounds:
         for p in r.pledges:
             assert not read.reshape(2, 4, 4)[(p.payer, *p.outcome)]
-    with _recorded_stacks() as stacks:
+    built, fits = [], verifier._fits
+
+    def spied(rows):
+        built.append(len(rows))
+        return fits(rows)
+
+    with mock.patch.object(verifier, "_fits", spied), _recorded_stacks() as stacks:
         report = verify_plan(game, plan)
     # The first stack holds 7 prefixes of 130 moves and a prefix game each;
     # all 13,101 rows settle at the first stage with no payoff of 0.0, and
-    # every later row takes the search of prefix 0.
-    assert [len(u) for u in stacks] == [7 * 131] and 8 * 131 > verifier.ROW_BUDGET
+    # every later row takes the search of prefix 0: no later stack is built.
+    assert [len(u) for u in stacks] == built == [7 * 131] and 8 * 131 > verifier.ROW_BUDGET
     assert report.accepted
     assert report.deviations["commitment"].punishment_kinds == {"support_solve": 13000}
     assert report.deviations["early_stop"].punishment_kinds == {"support_solve": 198}
@@ -1103,6 +1109,20 @@ def _middle_round_on_a_read_cell():
     return game, dataclasses.replace(plan, rounds=(*plan.rounds[:m], burn, *plan.rounds[m:]))
 
 
+def _cell_at(fraction):
+    """40 empty rounds punished at the pure (1, 1), on a game where player 1
+    gets `fraction` of the largest float, negated, at (2, 2), a cell the first
+    stage does not read: one clean run, where every row stays within half
+    the float range."""
+    u = np.random.default_rng(11).uniform(-3, 3, (2, 2, 2))
+    u[0, :, 0], u[1, 0, :] = (2.0, 1.0), (2.0, 1.0)  # (1, 1) is Nash
+    u[0, 1, 1] = -fraction * float(np.finfo(float).max)
+    game = Game(u)
+    plan = _plan_with_rounds(game, [CommitmentRound(())] * 40, "transfers", 1.0)
+    stage = dataclasses.replace(plan.punishment[0], ceiling=(3.0, 3.0))
+    return game, dataclasses.replace(plan, punishment=(stage,))
+
+
 def _ex3_auto():
     """ex3 as `plan --payoffs 4,3 --delta auto` builds it: its punishment is
     pure and pays (0, 0), so most searches are not taken."""
@@ -1131,6 +1151,8 @@ def _cells_past_half_the_float_range():
 REUSE_PLANS = {
     "ex4_400_rounds": lambda: prize_plan(0.005),
     "cells_past_half_the_float_range": _cells_past_half_the_float_range,
+    "cell_at_0.2_of_the_float_range": lambda: _cell_at(0.2),
+    "cell_at_0.3_of_the_float_range": lambda: _cell_at(0.3),
     "middle_round_on_a_read_cell": _middle_round_on_a_read_cell,
     "ex3_auto": _ex3_auto,
     "spoiler": lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)),
@@ -1154,6 +1176,15 @@ def test_taken_searches_match_scalar_loop(case):
     width = sum(len(_distinct_moves(game, plan, d)) for d in range(game.num_players))
     if case == "ex4_400_rounds":
         assert R > 400 and sizes == [7 * (width + 1)] and kinds["support_solve"] == 2 * R * 66 - 2
+        assert [len(u) for u in built] == sizes  # no later stack is built
+    elif case.startswith("cell_at_"):
+        # Stacks of prefixes 0-16, 17-33 and 34-39 with their prefix games;
+        # only the first is searched.  At 0.2 of the largest float the later
+        # ones are bounded within a quarter of it and not built; at 0.3 the
+        # bound fails, so they are built, and every row fits and is taken.
+        assert sizes == [len(built[0])] and set(kinds) == {"support_solve", "n/a"}
+        assert len(built) == (1 if case.startswith("cell_at_0.2") else 3)
+        assert all(verifier._fits(u).all() for u in built)
     elif case == "middle_round_on_a_read_cell":
         # Stacks of prefixes 0-6 (searched), 7-13 (taken), 14-20 (only the
         # middle round's prefix 20 has rows of its own, its prefix game
@@ -1185,6 +1216,32 @@ def test_taken_searches_match_scalar_loop(case):
     else:
         assert kinds["unavailable"] == 574 == len(
             report.deviations["commitment"].structural_failures)
+
+
+def test_stacks_taken_whole_interleave_with_searched_ones(monkeypatch):
+    game, plan = _middle_round_on_a_read_cell()
+    width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
+    monkeypatch.setattr(verifier, "ROW_BUDGET", width + 1)  # one prefix per stack
+    recorded, record_rows = [], DeviationClassResult.record_rows
+
+    def logged(self, rows):
+        recorded.append((rows.moves[0], isinstance(rows.kinds, str), list(rows.prefixes)))
+        record_rows(self, rows)
+
+    # The report bytes (each class's worst finding too), the rows and the
+    # histograms match the scalar loop's, which records no stack of rows
+    # and searches nothing through `punish_batch`.
+    with mock.patch.object(DeviationClassResult, "record_rows", logged), \
+            _recorded_stacks() as stacks:
+        _assert_grids_agree(game, plan)
+    # Prefixes 0, 20 (the middle round's) and 21 (a new run) are searched;
+    # the stacks taken whole between them, 1-19 and 22-40 with the last
+    # prefix game, are recorded as one reduction each, in prefix order.
+    assert recorded[:-1] == [("noop", False, [0]), ("noop", True, list(range(1, 20))),
+                             ("noop", False, [20]), ("noop", False, [21]),
+                             ("noop", True, list(range(22, 41)))]
+    assert recorded[-1][0] == "stop" and len(plan.rounds) == 41
+    assert [len(u) for u in stacks] == [width + 1, width, width + 1]
 
 
 def _random_plan(rng, counts):
