@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,9 +57,10 @@ from .protocols import CASE_PROMISES, ProtocolPlan, check_plan_for_game
 
 ROUND_BOUND_CONSTANT = 64.0
 ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
-# Games per stacked punishment search.  Larger stacks make fewer, larger
-# calls, but the search's working arrays grow with them and raise the
-# peak memory of a verify run.
+# Games searched per stacked punishment search.  Larger stacks make fewer,
+# larger calls, but the search's working arrays grow with them and raise
+# the peak memory of a verify run; a row taken from an earlier search
+# (`check_deviations`) makes no such arrays and is not counted.
 ROW_BUDGET = 1024
 
 DEVIATION_CLASSES = ("commitment", "early_stop", "continue_when_stop",
@@ -199,21 +200,28 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _stage_groups(plan: ProtocolPlan, ks: Sequence[int], rows: Sequence[int] | None = None):
+def _stage_index(plan: ProtocolPlan, ks) -> np.ndarray:
+    """The index of `plan.stage_for(k)` for each prefix k of `ks`."""
+    return np.searchsorted([s.first_round for s in plan.punishment], ks, "right") - 1
+
+
+def _stage_groups(plan: ProtocolPlan, ks: Sequence[int],
+                  rows: Callable[[int], int] | None = None):
     """Runs of consecutive prefixes among `ks` under one punishment stage,
-    with that stage; a run holds at most ROW_BUDGET rows, `rows[j]` for
-    prefix `ks[j]` (one each by default), and always at least one prefix."""
-    stage, group, size = None, [], 0
-    for k, r in zip(ks, rows or [1] * len(ks)):
-        s = plan.stage_for(k)
-        if group and (s is not stage or size + r > ROW_BUDGET):
-            yield stage, group
-            group, size = [], 0
+    with that stage; a run holds at most ROW_BUDGET rows, `rows(k)` for
+    prefix k (one by default), and always at least one prefix.  The prefix
+    that starts a run is counted again after the runs before it are consumed."""
+    rows, group, size = rows or (lambda k: 1), [], 0
+    for k, s in zip(ks, _stage_index(plan, ks).tolist()):
+        r = rows(k)
+        if group and (s != stage or size + r > ROW_BUDGET):
+            yield plan.punishment[stage], group
+            group, size, r = [], 0, rows(k)
         stage = s
         group.append(k)
         size += r
     if group:
-        yield stage, group
+        yield plan.punishment[stage], group
 
 
 def _verdict(ok, detail: str = "") -> PropertyResult:
@@ -476,84 +484,61 @@ class _Runs:
     """The clean runs of one kind of search, rows or prefix games: `head`
     maps each prefix past a run's first to that first prefix, and `kept`
     holds, per first prefix searched, which of its rows a later prefix may
-    take and their best-response payoffs; `whole` the firsts that kept all."""
+    take, their best-response payoffs and how many there are."""
 
     head: dict[int, int]
-    kept: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    whole: set[int] = field(default_factory=set)
+    kept: dict[int, tuple[np.ndarray, np.ndarray, int]] = field(default_factory=dict)
     firsts: set[int] = field(init=False)
 
     def __post_init__(self):
         self.firsts = set(self.head.values())
 
 
-def _clean_runs(plan: ProtocolPlan, shape: tuple[int, ...], prefixes: Sequence[int],
-                step: np.ndarray, cell: np.ndarray, asked: Sequence[int]) -> tuple[_Runs, _Runs]:
+def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int], step: np.ndarray,
+                cell: np.ndarray, value: np.ndarray, move: float,
+                asked: Sequence[int]) -> tuple[_Runs, _Runs]:
     """The clean runs of the grid prefixes' rows and of the prefix games
-    `asked` (ascending).  A round is clean when the grid compiles it (step j
-    of the updates (`step`, `cell`) is round prefixes[j]) and none of its
-    updates lands on a cell its stage's first stage reads
-    (`equilibria._first_stage_cells`).  Grid prefixes k < k' of one stage are
-    one run when rounds k..k' are clean, since the others' round-k' pledges
-    are applied to its rows; prefix games k < k', when rounds k..k'-1 are.
-    Either way the games of a run agree bit for bit on those cells."""
-    firsts = [s.first_round for s in plan.punishment]
+    `asked` (ascending) in the prefix stack `U`.  A round is clean when the
+    grid compiles it (step j of the updates (`step`, `cell`, `value`) is
+    round prefixes[j]) and none of its updates lands on a cell its stage's
+    first stage reads (`equilibria._first_stage_cells`).  Grid prefixes
+    k < k' of one stage are one run when rounds k..k' are clean, since the
+    others' round-k' pledges are applied to its rows; prefix games k < k',
+    when rounds k..k'-1 are.  Either way the games of a run agree bit for
+    bit on those cells.  A run holds only the prefixes k within the
+    magnitude guard: max|U[k]| + Σ|round-k values| + `move`, the largest
+    Σ|values| of a move, at most a quarter of the largest float, so every
+    cell of their rows is within half of it and no partial sum of the first
+    stage overflows."""
     rounds = np.asarray(prefixes, dtype=int)[step]
-    stage = np.searchsorted(firsts, rounds, "right") - 1
-    cells = np.zeros((len(firsts), math.prod(shape)), dtype=bool)
+    stage = _stage_index(plan, rounds)
+    cells = np.zeros((len(plan.punishment), U[0].size), dtype=bool)
     for i in set(stage.tolist()):
-        cells[i] = _first_stage_cells(shape, tuple(map(tuple, plan.punishment[i].supports)))
+        cells[i] = _first_stage_cells(U.shape[1:], tuple(map(tuple, plan.punishment[i].supports)))
     clean = np.zeros(plan.num_rounds, dtype=bool)
     clean[prefixes] = True
     clean[rounds[cells[stage, cell]]] = False
     if not clean.any():
         return _Runs({}), _Runs({})
     done = np.concatenate([[0], np.cumsum(clean)])  # clean rounds before each round
+    with np.errstate(over="ignore"):  # past the float range the bound is +inf
+        bound = (np.abs(U).reshape(len(U), -1).max(axis=1)
+                 + np.bincount(rounds, np.abs(value), minlength=len(U)) + move)
+    fits = (bound <= np.finfo(np.float64).max / 4).tolist()  # NaN fails
 
     def runs(ks: Sequence[int], last: int) -> _Runs:
         """k' joins the run of k, the entry before it, when rounds k..k'+last-1
         are clean under one stage."""
         ks = np.asarray(ks, dtype=int)
-        at, ends = np.searchsorted(firsts, ks, "right") - 1, ks[1:] + last
+        at, ends = _stage_index(plan, ks), ks[1:] + last
         joined = (at[1:] == at[:-1]) & (done[ends] - done[ks[:-1]] == ends - ks[:-1])
         start = np.arange(len(ks))
         start[1:][joined] = 0
         head = ks[np.maximum.accumulate(start)]
-        return _Runs({k: h for k, h in zip(ks.tolist(), head.tolist()) if h != k})
+        return _Runs({k: h for k, h in zip(ks.tolist(), head.tolist())
+                      if h != k and fits[k] and fits[h]})
 
     return runs(prefixes, 1), runs(asked, 0)
-
-
-def _fits(rows: np.ndarray) -> np.ndarray:
-    """Per row, whether every cell is at most half the largest float in
-    magnitude (NaN is not), so that the first stage's partial sums cannot
-    overflow (`equilibria._first_stage_cells`).  A min and a max over all
-    rows settle the usual case."""
-    big = np.finfo(np.float64).max / 2
-    if -big <= rows.min() and rows.max() <= big:
-        return np.ones(len(rows), dtype=bool)
-    return np.abs(rows).max(axis=tuple(range(1, rows.ndim))) <= big
-
-
-def _search(stack: np.ndarray, stage, take: np.ndarray, best: np.ndarray):
-    """`punish_batch` on the rows of `stack` not in `take`, as (kinds, best
-    responses, payoffs, pure_best, reasons) over all rows; a taken row is of
-    kind "support_solve" with its row of `best`."""
-    if not take.any():
-        found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
-        return (np.array(found.kinds, dtype=object), found.best_response, found.payoffs,
-                found.pure_best, found.reasons)
-    S, n = stack.shape[:2]
-    kinds, reasons = np.empty(S, dtype=object), np.empty(S, dtype=object)
-    kinds[:], reasons[:] = "support_solve", ""  # `np.full` of an object is slower
-    payoffs, pure_best = np.full((S, n), np.nan), np.full((S, n), np.nan)
-    rows = np.flatnonzero(~take)
-    if rows.size:
-        found = punish_batch(stack[rows], stage.supports, stage.seed, stage.ceiling)
-        kinds[rows], reasons[rows] = found.kinds, found.reasons
-        best[rows], payoffs[rows], pure_best[rows] = (found.best_response, found.payoffs,
-                                                      found.pure_best)
-    return kinds, best, payoffs, pure_best, reasons
 
 
 def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float] | None = None,
@@ -563,24 +548,17 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
                      ) -> dict[str, DeviationClassResult]:
     """Probe the four deviation classes against the plan's punishment rule.
 
-    Per run of consecutive prefixes under one punishment stage, the run's
-    deviation games, one row per deviator's distinct move (`_move_grid`),
-    and the run's prefix games that the early stops or a None in
-    `punishments` ask for, make one stack of at most ROW_BUDGET rows, or
-    one prefix's.  A deviation game is a row of the prefix stack `stack`
-    (`fold_rounds`) with the compiled updates of the others' pledges of its
-    round, then of the move.  A row whose clean run (`_clean_runs`) began
-    in an earlier stack takes the search of the run's first prefix when
-    that search settled at the first stage with no payoff of exactly 0.0,
-    and both rows' cells are within half the float range; the other rows
-    go to one `punish_batch`.  A stack whose every row would take, with
-    max|U[k]| + Σ|round-k values| + the largest Σ|values| of a move at most
-    a quarter of the largest float for each of its prefixes k (so every
-    cell is within half of it), is not built: its gains are read off the
-    kept searches.  Each stack's findings are reduced as arrays, one row
-    per move (`DeviationClassResult.record_rows`), consecutive stacks taken
-    whole as one: a gain per row, the first largest as the worst, and a
-    `DeviationFinding` only for rows without a punishment.  `punishments`
+    A deviation game is a row of the prefix stack `stack` (`fold_rounds`)
+    with the compiled updates of the others' pledges of its round, then of
+    the move, one per deviator's distinct move (`_move_grid`).  A prefix
+    takes the rows that the first prefix of its clean run (`_clean_runs`,
+    within the magnitude guard) kept in an earlier stack; a searched row is
+    kept when it settled at the first stage with no payoff of exactly 0.0.
+    Per run of consecutive prefixes under one punishment stage with at
+    most ROW_BUDGET rows left, the deviation games left and then the prefix
+    games left that the early stops or a None in `punishments` ask for go
+    to one `punish_batch`, and the run's findings are reduced as arrays,
+    one row per move (`DeviationClassResult.record_rows`).  `punishments`
     maps prefixes to their search (kind, best-response payoffs, reason): a
     search it holds is read, and every search made or taken is written into
     it.  `updates` are the plan's rounds compiled (`fold_compiled`), given
@@ -604,7 +582,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     x = np.array(xs, dtype=np.float64)
     names = grid.names(xs)
     width = len(grid.distinct)
-    sizes = np.bincount(grid.deviator[grid.distinct], minlength=n).tolist()
+    starts = np.searchsorted(grid.deviator[grid.distinct], np.arange(n))  # each deviator's first
     moves, _, cells, signs = grid.updates
     values = signs * x[grid.slot[grid.distinct[moves]]]
 
@@ -623,89 +601,78 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     on_grid = {k: j for j, k in enumerate(prefixes)}
     asked = sorted(k for k, found in punishments.items() if found is None)
     searched = set(asked)
-    row_runs, game_runs = _clean_runs(plan, U[0].shape, prefixes, step, cell, asked)
-    reuse = bool(row_runs.head or game_runs.head)
-    ks = sorted(on_grid.keys() | searched)
-    taken, sums = [], None  # taken: (prefix, kept best responses) of stacks taken whole
+    row_runs, game_runs = _clean_runs(plan, U, prefixes, step, cell, value,
+                                      np.bincount(moves, np.abs(values)).max(), asked)
+    none_kept = {w: (np.zeros(w, dtype=bool), np.full((w, n), np.nan), 0) for w in (width, 1)}
 
-    def record_taken():
-        if taken:
-            moved, best = zip(*taken)
-            d = grid.deviator
-            gains = (np.stack(best)[:, grid.spread, d] - on_path[d]).ravel()
-            results["commitment"].record_rows(FindingRows(gains, "support_solve", moved, d, names))
-            taken.clear()
+    def taken(runs: _Runs, k: int):
+        """The rows k's run head kept, with their best responses and count, if any."""
+        return runs.kept.get(runs.head.get(k))
 
-    for stage, group in _stage_groups(plan, ks, [width * (k in on_grid) + (k in searched)
-                                                 for k in ks]):
+    def open_rows(k: int) -> int:
+        """The rows of prefix k left to search, once the searches before it are made."""
+        return (width * (k in on_grid) + (k in searched)
+                - sum(t[2] for t in (taken(row_runs, k), taken(game_runs, k)) if t))
+
+    for stage, group in _stage_groups(plan, sorted(on_grid.keys() | searched), open_rows):
         moved = [k for k in group if k in on_grid]
         shared = [k for k in group if k in searched]
-        spans = ([(row_runs, k, width) for k in moved]
-                 + [(game_runs, k, 1) for k in shared]) if reuse else []
-        heads = [runs.head.get(k, group[0]) for runs, k, _ in spans]
-        if spans and all(h < group[0] and h in runs.whole for h, (runs, _, _) in zip(heads, spans)):
-            if sums is None:  # Σ|values| per round, and the most of any move
-                sums = (np.bincount(np.asarray(prefixes, dtype=int)[step], np.abs(value),
-                                    minlength=R + 1), np.bincount(moves, np.abs(values)).max())
-            with np.errstate(over="ignore"):
-                bound = (np.abs(U[group]).reshape(len(group), -1).max(axis=1)
-                         + sums[0][group]).max() + sums[1]
-            if bound <= np.finfo(np.float64).max / 4:
-                taken += [(k, row_runs.kept[h][1]) for k, h in zip(moved, heads)]
-                for k, h in zip(shared, heads[len(moved):]):
-                    punishments[k] = ("support_solve", game_runs.kept[h][1][0], "")
-                continue
-        record_taken()
-        # Per grid prefix k and deviator d, prefix game k with the updates of
-        # the others' round-k pledges in order (the whole round passed the
-        # fold, so any subset of it is legal), once per distinct move of d
-        # with its updates; then the prefix games whose search is asked for.
-        base = np.repeat(U[moved], n, axis=0)
-        first = on_grid[moved[0]] if moved else 0
-        lo, hi = np.searchsorted(step, [first, first + len(moved)])
-        d = np.arange(n)
-        others = payer[lo:hi, None] != d
-        flat = ((step[lo:hi, None] - first) * n + d) * size + cell[lo:hi, None]
-        np.add.at(base.reshape(-1), flat[others],
-                  np.broadcast_to(value[lo:hi, None], flat.shape)[others])
-        stack = np.repeat(np.concatenate([base, U[shared]]),
-                          sizes * len(moved) + [1] * len(shared), axis=0)
-        offsets = width * np.arange(len(moved))[:, None]
-        np.add.at(stack.reshape(-1), ((offsets + moves) * size + cells).ravel(),
-                  np.tile(values, len(moved)))
-        # Each prefix's rows: where the prefix's clean run began in an
-        # earlier stack, they take the searches its first prefix kept.
-        fit = _fits(stack) if reuse else None
-        take, best = np.zeros(len(stack), dtype=bool), np.full((len(stack), n), np.nan)
-        r = 0
-        for (runs, k, w), h in zip(spans, heads):
-            if h < group[0]:
-                kept, best[r:r + w] = runs.kept[h]
-                take[r:r + w] = kept & fit[r:r + w]
-            r += w
-        kinds, best, payoffs, pure_best, reasons = _search(stack, stage, take, best)
-        r = 0
-        for runs, k, w in spans:
-            if k in runs.firsts:
-                kept = (fit[r:r + w] & (kinds[r:r + w] == "support_solve")
-                        & (best[r:r + w] != 0).all(axis=1) & (payoffs[r:r + w] != 0).all(axis=1))
-                runs.kept[k] = kept, best[r:r + w]
-                if kept.all():
-                    runs.whole.add(k)
-            r += w
-        for r, k in enumerate(shared, width * len(moved)):
-            punishments[k] = (kinds[r], best[r], reasons[r])
-        at = (offsets + grid.spread).ravel()  # the row each move reads
-        dev = np.tile(grid.deviator, len(moved))
-        gains = best[at, dev] - on_path[dev]
-        none = np.isnan(gains)  # best is NaN on exactly the rows of kind "none"
-        if none.any():
-            # Priced at the deviator's best pure equilibrium, if any.
-            pure = pure_best[at[none], dev[none]]
-            gains[none] = np.where(pure > -math.inf, pure - on_path[dev[none]], math.inf)
-        results["commitment"].record_rows(FindingRows(gains, kinds[at], moved, grid.deviator,
-                                                      names))
-    record_taken()
+        spans = [(row_runs, k, width) for k in moved] + [(game_runs, k, 1) for k in shared]
+        parts = [taken(runs, k) or none_kept[w] for runs, k, w in spans]
+        take, best = np.concatenate([t[0] for t in parts]), np.concatenate([t[1] for t in parts])
+        rows, left, kinds = width * len(moved), np.flatnonzero(~take), None
+        if left.size:
+            # Per grid prefix k and deviator d, prefix game k with the updates
+            # of the others' round-k pledges in order (the whole round passed
+            # the fold, so any subset of it is legal), once per row of d left,
+            # with its move's updates; then the prefix games left.
+            base = np.repeat(U[moved], n, axis=0)
+            first = on_grid[moved[0]] if moved else 0
+            lo, hi = np.searchsorted(step, [first, first + len(moved)])
+            d = np.arange(n)
+            others = payer[lo:hi, None] != d
+            flat = ((step[lo:hi, None] - first) * n + d) * size + cell[lo:hi, None]
+            np.add.at(base.reshape(-1), flat[others],
+                      np.broadcast_to(value[lo:hi, None], flat.shape)[others])
+            per_base = np.add.reduceat(~take[:rows].reshape(len(moved), width), starts, axis=1,
+                                       dtype=int).ravel()
+            stack = np.repeat(np.concatenate([base, U[shared]]),
+                              np.concatenate([per_base, ~take[rows:]]), axis=0)
+            src = np.cumsum(~take) - 1  # each searched row's row of the stack
+            row = (width * np.arange(len(moved))[:, None] + moves).ravel()  # each update's
+            mine = ~take[row]
+            np.add.at(stack.reshape(-1), src[row[mine]] * size + np.tile(cells, len(moved))[mine],
+                      np.tile(values, len(moved))[mine])
+            found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
+            best[left] = found.best_response
+            kinds = np.empty(len(take), dtype=object)
+            kinds[:] = "support_solve"  # `np.full` of an object is slower
+            kinds[left] = found.kinds
+            r = 0
+            for runs, k, w in spans:
+                if k in runs.firsts:  # a first prefix searches all its rows
+                    j = slice(src[r], src[r] + w)
+                    kept = ((kinds[r:r + w] == "support_solve")
+                            & (found.best_response[j] != 0).all(axis=1)
+                            & (found.payoffs[j] != 0).all(axis=1))
+                    runs.kept[k] = kept, best[r:r + w], int(kept.sum())
+                r += w
+        for r, k in enumerate(shared, rows):
+            punishments[k] = (("support_solve", best[r], "") if take[r]
+                              else (kinds[r], best[r], found.reasons[src[r]]))
+        if moved:
+            d = grid.deviator
+            gains = best[:rows].reshape(-1, width, n)[:, grid.spread, d] - on_path[d]
+            none = np.isnan(gains)  # best is NaN on exactly the searched rows of kind "none"
+            if none.any():
+                # Priced at the deviator's best pure equilibrium, if any.
+                pure = np.full_like(best, np.nan)
+                pure[left] = found.pure_best
+                pure = pure[:rows].reshape(-1, width, n)[:, grid.spread, d] - on_path[d]
+                gains[none] = np.where(pure > -math.inf, pure, math.inf)[none]
+            results["commitment"].record_rows(FindingRows(
+                gains.ravel(), "support_solve" if kinds is None else
+                kinds[:rows].reshape(-1, width)[:, grid.spread].ravel(), moved, d, names))
 
     if stops:
         kinds = [punishments[k][0] for k in stops]

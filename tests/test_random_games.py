@@ -12,6 +12,7 @@ game bit for bit and to the plan's expected terminal payoffs within 1e-12.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -70,7 +71,7 @@ def cases(draw):
 def test_random_games_run_end_to_end(tmp_path, capsys):
     game_path, plan_path = str(tmp_path / "game.json"), str(tmp_path / "plan.json")
     transcript_path, script_out = str(tmp_path / "tr.json"), str(tmp_path / "script.json")
-    outcomes, mixed_baselines = [], []
+    outcomes, mixed_baselines, tagged = [], [], []
 
     @settings(max_examples=120, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -89,6 +90,7 @@ def test_random_games_run_end_to_end(tmp_path, capsys):
             return
         assert code in (0, 1), (options, code, err)
         plan = load_plan(plan_path)
+        tagged.append((plan.case_tag, code))
         assert all(round_violation(game, r, plan.delta, plan.mode) is None
                    for r in plan.rounds)
         games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
@@ -109,7 +111,12 @@ def test_random_games_run_end_to_end(tmp_path, capsys):
         assert script["final_payoffs"] == doc["final_payoffs"]
 
     run()
+    # Per case tag, the written plans that `verify` rejects (exit 1) of all
+    # written, so that a failure also shows how often `plan` wrote such a plan.
+    written = Counter(tag for tag, _ in tagged)
+    rejected = {tag: f"{sum(c == 1 for t, c in tagged if t == tag)}/{count}"
+                for tag, count in sorted(written.items())}
     # The draws reach both ends: plans written, and runs refused; and some
     # written plans start from a mixed baseline.
-    assert {0, 3} <= set(outcomes), outcomes
-    assert any(mixed_baselines)
+    assert {0, 3} <= set(outcomes), (outcomes, rejected)
+    assert any(mixed_baselines), rejected

@@ -962,7 +962,7 @@ MERGED_SEARCH_PLANS = {
 }
 
 
-@pytest.mark.parametrize("case, calls", [("ex4_budgets", 2), ("ex6", 3), ("spoiler", 3),
+@pytest.mark.parametrize("case, calls", [("ex4_budgets", 2), ("ex6", 3), ("spoiler", 2),
                                          ("own_stage_past_budget", 3)])
 def test_merged_search_matches_separate_calls(case, calls):
     game, plan, kwargs = MERGED_SEARCH_PLANS[case]()
@@ -975,13 +975,14 @@ def test_merged_search_matches_separate_calls(case, calls):
         # The spoiler's ten rounds stay off the cells the first stage reads:
         # one run of grid prefixes, one of prefix games.  The first stack
         # holds prefixes 0-3, their rows and then their prefix games; the
-        # later ones hold only the rows whose first-prefix search did not
-        # settle at the first stage or has a payoff of exactly 0.0.
+        # second, prefixes 4-9 and prefix game 10, holds only the rows whose
+        # first-prefix search did not settle at the first stage or has a
+        # payoff of exactly 0.0.
         width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
         assert sizes[0] == 4 * (width + 1) and len(plan.rounds) == 10
         kept = _takeable(stacks[0][[*range(width), 4 * width]], plan.stage_for(0))
         rows, games = kept[:width].count(False), int(not kept[width])
-        assert rows and sizes[1:] == [4 * (rows + games), 2 * rows + 3 * games]
+        assert rows and sizes[1:] == [6 * rows + 7 * games] and not games
 
 
 def test_merged_search_matches_separate_calls_on_seeded_2x2_plans():
@@ -1045,18 +1046,13 @@ def test_ex4_verify_searches_only_its_first_stack():
     for r in plan.rounds:
         for p in r.pledges:
             assert not read.reshape(2, 4, 4)[(p.payer, *p.outcome)]
-    built, fits = [], verifier._fits
-
-    def spied(rows):
-        built.append(len(rows))
-        return fits(rows)
-
-    with mock.patch.object(verifier, "_fits", spied), _recorded_stacks() as stacks:
+    with _recorded_stacks() as stacks:
         report = verify_plan(game, plan)
     # The first stack holds 7 prefixes of 130 moves and a prefix game each;
     # all 13,101 rows settle at the first stage with no payoff of 0.0, and
-    # every later row takes the search of prefix 0: no later stack is built.
-    assert [len(u) for u in stacks] == built == [7 * 131] and 8 * 131 > verifier.ROW_BUDGET
+    # every later row takes the search of prefix 0: prefixes 7-100 leave no
+    # row to search, so no later stack is built.
+    assert [len(u) for u in stacks] == [7 * 131] and 8 * 131 > verifier.ROW_BUDGET
     assert report.accepted
     assert report.deviations["commitment"].punishment_kinds == {"support_solve": 13000}
     assert report.deviations["early_stop"].punishment_kinds == {"support_solve": 198}
@@ -1163,65 +1159,84 @@ REUSE_PLANS = {
 def test_taken_searches_match_scalar_loop(case):
     game, plan = REUSE_PLANS[case]()
     kinds = _assert_grids_agree(game, plan)
-    built, fits = [], verifier._fits
-
-    def spied(rows):
-        built.append(np.array(rows))
-        return fits(rows)
-
-    with mock.patch.object(verifier, "_fits", spied), _recorded_stacks() as stacks:
+    with _recorded_stacks() as stacks:
         report = verify_plan(game, plan)
     sizes = [len(u) for u in stacks]
     R = len(plan.rounds)
     width = sum(len(_distinct_moves(game, plan, d)) for d in range(game.num_players))
+    # A prefix past the magnitude guard (a quarter of the largest float)
+    # takes nothing: with no prefix within it, every row is searched.
+    every_row = R * width + R + 1
     if case == "ex4_400_rounds":
         assert R > 400 and sizes == [7 * (width + 1)] and kinds["support_solve"] == 2 * R * 66 - 2
-        assert [len(u) for u in built] == sizes  # no later stack is built
     elif case.startswith("cell_at_"):
-        # Stacks of prefixes 0-16, 17-33 and 34-39 with their prefix games;
-        # only the first is searched.  At 0.2 of the largest float the later
-        # ones are bounded within a quarter of it and not built; at 0.3 the
-        # bound fails, so they are built, and every row fits and is taken.
-        assert sizes == [len(built[0])] and set(kinds) == {"support_solve", "n/a"}
-        assert len(built) == (1 if case.startswith("cell_at_0.2") else 3)
-        assert all(verifier._fits(u).all() for u in built)
+        # Prefixes 0-16 with their prefix games make the first stack.  At
+        # 0.2 of the largest float every prefix is within the guard, and the
+        # later ones take the first stack's searches; at 0.3 none is, and
+        # prefixes 17-33 and 34-39, with every prefix game, are searched too.
+        assert set(kinds) == {"support_solve", "n/a"}
+        if case.startswith("cell_at_0.2"):
+            assert sizes == [17 * (width + 1)]
+        else:
+            assert sizes == [17 * (width + 1)] * 2 + [6 * (width + 1) + 1]
+            assert sum(sizes) == every_row
     elif case == "middle_round_on_a_read_cell":
-        # Stacks of prefixes 0-6 (searched), 7-13 (taken), 14-20 (only the
-        # middle round's prefix 20 has rows of its own, its prefix game
-        # joins the first run), 21-27 (a new run: searched), 28-41 (taken).
+        # Stacks of prefixes 0-6 (searched), then 7-26: 7-19 take, the middle
+        # round's prefix 20 searches its rows (its prefix game joins the first
+        # run), and 21-26 start a new run and are searched; 27-41 take.
         assert R == 41 and width == 130
-        assert sizes == [7 * (width + 1), width, 7 * (width + 1)]
+        assert sizes == [7 * (width + 1), width + 6 * (width + 1)]
     elif case == "ex3_auto":
-        # Stacks of 17 prefixes: 0-16 searched, then 17-33 and 34-46, and
-        # the last prefix game under a stage of its own.  Only the moves that
-        # pay at the punishment's cell (0, 0) to the other player leave both
-        # payoffs off 0.0 and are taken; the prefix games pay (0, 0).
+        # Stacks of 17 prefixes: 0-16 searched, then as many prefixes' rows
+        # left as fit: 17-36 and 37-46, and the last prefix game under a
+        # stage of its own.  Only the moves that pay at the punishment's
+        # cell (0, 0) to the other player leave both payoffs off 0.0 and are
+        # taken; the prefix games pay (0, 0).
         assert (R, width) == (47, 58) and plan.stage_for(R) is not plan.stage_for(0)
         kept = _takeable(stacks[0][[*range(width), 17 * width]], plan.stage_for(0))
         open_rows = kept[:width].count(False) + (not kept[width])
         assert kept[:width].count(True) == 10 and not kept[width]
-        assert sizes == [17 * (width + 1), 17 * open_rows, 13 * open_rows, 1]
+        assert sizes == [17 * (width + 1), 20 * open_rows, 10 * open_rows, 1]
+        assert 21 * open_rows > verifier.ROW_BUDGET
     elif case == "cells_past_half_the_float_range":
-        # Stacks of prefixes 0-16, 17-33 and 34-39 with their prefix games.
-        # Every later row past half the float range is searched, though
-        # prefix 0's row of the same move may be taken; others are taken.
+        # Round 20's burn and every move's delta are 0.3 of the largest
+        # float, so no prefix is within the guard: every row is searched,
+        # each one past half the float range among them.
         def past_half(us):
             half = np.finfo(float).max / 2
             return sum(int((np.abs(u).reshape(len(u), -1).max(axis=1) > half).sum())
                        for u in us)
 
-        assert len(built) == len(stacks) == 3 and sizes[0] == len(built[0])
-        assert past_half(built[1:]) == past_half(stacks[1:]) > 0
-        assert sum(sizes[1:]) < sum(map(len, built[1:]))
+        assert sizes == [17 * (width + 1)] * 2 + [6 * (width + 1) + 1]
+        assert sum(sizes) == every_row and past_half(stacks) > 0
     else:
         assert kinds["unavailable"] == 574 == len(
             report.deviations["commitment"].structural_failures)
 
 
-def test_stacks_taken_whole_interleave_with_searched_ones(monkeypatch):
-    game, plan = _middle_round_on_a_read_cell()
+# Per plan, with one searched prefix's rows per stack: the prefixes of each
+# `record_rows` call, and whether it took all of its rows.
+INTERLEAVED = {
+    # Prefix 0 is searched; 1-19 take its search, and the middle round's
+    # prefix 20 searches its rows; 21 begins a new run and is searched; 22-40
+    # take its search, and so does the last prefix game.
+    "middle_round_on_a_read_cell": (
+        _middle_round_on_a_read_cell,
+        [([0], False), (list(range(1, 21)), False), ([21], False), (list(range(22, 41)), True)]),
+    # Every later prefix takes 196 of its 254 rows and searches 58, four
+    # prefixes per stack; prefix game 10 takes prefix game 0's search.
+    "spoiler": (
+        lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)),
+        [([0], False), ([1, 2, 3, 4], False), ([5, 6, 7, 8], False), ([9], False)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERLEAVED))
+def test_stacks_taken_whole_interleave_with_searched_ones(monkeypatch, case):
+    make, calls = INTERLEAVED[case]
+    game, plan = make()
     width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
-    monkeypatch.setattr(verifier, "ROW_BUDGET", width + 1)  # one prefix per stack
+    monkeypatch.setattr(verifier, "ROW_BUDGET", width + 1)  # one searched prefix per stack
     recorded, record_rows = [], DeviationClassResult.record_rows
 
     def logged(self, rows):
@@ -1234,14 +1249,17 @@ def test_stacks_taken_whole_interleave_with_searched_ones(monkeypatch):
     with mock.patch.object(DeviationClassResult, "record_rows", logged), \
             _recorded_stacks() as stacks:
         _assert_grids_agree(game, plan)
-    # Prefixes 0, 20 (the middle round's) and 21 (a new run) are searched;
-    # the stacks taken whole between them, 1-19 and 22-40 with the last
-    # prefix game, are recorded as one reduction each, in prefix order.
-    assert recorded[:-1] == [("noop", False, [0]), ("noop", True, list(range(1, 20))),
-                             ("noop", False, [20]), ("noop", False, [21]),
-                             ("noop", True, list(range(22, 41)))]
-    assert recorded[-1][0] == "stop" and len(plan.rounds) == 41
-    assert [len(u) for u in stacks] == [width + 1, width, width + 1]
+    # One reduction per stack, in prefix order; a stack that took all of its
+    # rows is recorded with one kind.
+    assert recorded[:-1] == [("noop", whole, prefixes) for prefixes, whole in calls]
+    assert sum((prefixes for _, _, prefixes in recorded[:-1]), []) == list(range(len(plan.rounds)))
+    assert recorded[-1][0] == "stop"
+    sizes = [len(u) for u in stacks]
+    if case == "spoiler":
+        rows = _takeable(stacks[0][:width], plan.stage_for(0)).count(False)
+        assert sizes == [width + 1, 4 * rows, 4 * rows, rows] and 5 * rows > width + 1
+    else:
+        assert sizes == [width + 1, width, width + 1]
 
 
 def _random_plan(rng, counts):
