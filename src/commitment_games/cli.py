@@ -29,6 +29,7 @@ from .equilibria import (
     DegenerateEquilibriumError,
     NotNashError,
     SupportError,
+    _checked_supports,
     enumerate_pure_nash,
     is_non_degenerate,
     solve_on_support,
@@ -40,6 +41,7 @@ from .games import (
     GameShapeError,
     MixedProfile,
     ProfileError,
+    _check_profile,
     _decoding,
     _write_json,
     content_hash,
@@ -90,62 +92,40 @@ def _load_game(path) -> Game:
 
 
 def _parse_profile_indices(text: str, game: Game) -> tuple[int, ...]:
-    """One action per player, 1-based indices or action names, comma-separated."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != game.num_players:
-        raise InputError(f"expected {game.num_players} actions, got {len(parts)}")
+    """0-based actions of 1-based indices or action names, comma-separated;
+    the library checks them against the game."""
     out = []
-    for i, token in enumerate(parts):
-        if game.action_names is not None and token in game.action_names[i]:
-            out.append(game.action_names[i].index(token))
+    for i, token in enumerate(p.strip() for p in text.split(",")):
+        names = game.action_names[i] if game.action_names and i < game.num_players else ()
+        if token in names:
+            out.append(names.index(token))
             continue
         try:
-            a = int(token) - 1
+            out.append(int(token) - 1)
         except ValueError as exc:
             raise InputError(f"player {i + 1}: unknown action {token!r}") from exc
-        if not 0 <= a < game.action_counts[i]:
-            raise InputError(f"player {i + 1}: action index {token} out of range")
-        out.append(a)
     return tuple(out)
 
 
-def _parse_supports(text: str, game: Game) -> list[tuple[int, ...]]:
-    """Per-player 1-based index lists, e.g. '1,2x1,2' for two players."""
-    blocks = text.split("x")
-    if len(blocks) != game.num_players:
-        raise InputError(f"expected {game.num_players} support blocks, "
-                         f"got {len(blocks)}")
-    out = []
-    for i, block in enumerate(blocks):
-        try:
-            idx = tuple(int(t) - 1 for t in block.split(",") if t.strip())
-        except ValueError as exc:
-            raise InputError(f"bad support block {block!r}") from exc
-        if (not idx or len(set(idx)) != len(idx)
-                or any(not 0 <= a < game.action_counts[i] for a in idx)):
-            raise InputError(f"player {i + 1}: bad support {block!r}")
-        out.append(idx)
-    return out
+def _parse_supports(text: str) -> list[tuple[int, ...]]:
+    """0-based index lists of per-player 1-based ones, e.g. '1,2x1,2' for two
+    players; `_checked_supports` checks them against the game."""
+    try:
+        return [tuple(int(t) - 1 for t in block.split(",") if t.strip())
+                for block in text.split("x")]
+    except ValueError as exc:
+        raise InputError(f"bad --support: {exc}") from exc
 
 
 def _parse_sigma(text: str, game: Game) -> MixedProfile:
     """Per-player probability vectors, ';'-separated, ','-separated entries."""
     try:
-        vecs = [[float(x) for x in block.split(",")]
-                for block in text.split(";")]
-    except ValueError as exc:
+        sigma = MixedProfile([[float(x) for x in block.split(",")]
+                              for block in text.split(";")])
+        _check_profile(game.action_counts, sigma)
+    except ValueError as exc:  # a bad float, ProfileError or GameShapeError
         raise InputError(f"bad --sigma: {exc}") from exc
-    if len(vecs) != game.num_players:
-        raise InputError(f"bad --sigma: expected {game.num_players} probability "
-                         f"vectors, got {len(vecs)}")
-    for i, (v, count) in enumerate(zip(vecs, game.action_counts)):
-        if len(v) != count:
-            raise InputError(f"bad --sigma: player {i + 1}: {len(v)} probabilities "
-                             f"for {count} actions")
-    try:
-        return MixedProfile(vecs)
-    except ProfileError as exc:  # about one player: the shapes match the game
-        raise InputError(f"bad --sigma: {exc}") from exc
+    return sigma
 
 
 def _default_sigma(game: Game) -> MixedProfile:
@@ -179,7 +159,7 @@ def cmd_analyze(args) -> int:
     w, prof = welfare_max(game)
     print(f"welfare max: {w:g} at {_profile_label(game, prof)}")
     for spec in args.support or []:
-        supports = _parse_supports(spec, game)
+        supports = _checked_supports(game.action_counts, _parse_supports(spec))
         solve = solve_on_support(game, supports,
                                  MixedProfile.uniform_over(game.action_counts,
                                                            supports))
@@ -226,16 +206,12 @@ def _parse_delta(text: str) -> float | None:
     return delta
 
 
-def _parse_payoffs(text: str, game: Game) -> list[float]:
+def _parse_payoffs(text: str) -> list[float]:
+    """The split's entries; the welfare stage checks them against the game."""
     try:
-        payoffs = [float(x) for x in text.split(",")]
+        return [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise InputError(f"bad --payoffs: {exc}") from exc
-    if len(payoffs) != game.num_players:
-        raise InputError("one payoff per player required")
-    if not all(math.isfinite(x) for x in payoffs):
-        raise InputError(f"--payoffs must be finite, got {text}")
-    return payoffs
 
 
 def _parse_grid(args) -> None:
@@ -274,7 +250,7 @@ def cmd_plan(args) -> int:
         if args.mode == "transfers":
             raise InputError("--target plans are burn-only constructions")
     elif args.payoffs is not None:
-        payoffs = _parse_payoffs(args.payoffs, game)
+        payoffs = _parse_payoffs(args.payoffs)
         if args.mode == "burn_only":
             raise InfeasibleError("payoff splits need transfers; burning "
                                   "cannot redistribute welfare")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -63,7 +64,15 @@ class Pledge:
     amount: float
 
     def __post_init__(self):
-        object.__setattr__(self, "outcome", tuple(int(a) for a in self.outcome))
+        try:  # NumPy integers pass; what `int` would truncate does not
+            object.__setattr__(self, "payer", operator.index(self.payer))
+        except TypeError:
+            raise TransferError("payer", f"payer {self.payer!r} is not an integer") from None
+        try:
+            object.__setattr__(self, "outcome", tuple(map(operator.index, self.outcome)))
+        except TypeError:
+            raise TransferError("outcome", f"outcome {tuple(self.outcome)!r} is not integral",
+                                self.payer) from None
         if not math.isfinite(self.amount):
             raise TransferError("amount", f"pledge amount {self.amount} is not finite",
                                 self.payer, self.outcome)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations, product
@@ -64,15 +63,9 @@ class DegenerateEquilibriumError(ValueError):
 
 
 def worker_count() -> int:
-    """COMMITMENT_GAMES_THREADS as a positive count (default 1).
-
-    No library operation runs in parallel any more; the benchmark still
-    records this value in its run info.
-    """
-    try:
-        return max(1, int(os.environ.get("COMMITMENT_GAMES_THREADS", "1")))
-    except ValueError:
-        return 1
+    """1: no library operation runs in parallel; the benchmark records this
+    value in its run info."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -172,16 +165,21 @@ def build_characteristic_system(game: Game,
 
 def _checked_supports(action_counts: Sequence[int],
                       supports: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The supports as tuples of ints; SupportError unless each player has
+    one non-empty list of distinct integral actions inside its actions."""
     if len(supports) != len(action_counts):
-        raise SupportError("one support list per player required")
+        raise SupportError(f"one support list per player: got {len(supports)} "
+                           f"for {len(action_counts)} players")
     supp = []
-    for i, s in enumerate(supports):
-        s = tuple(int(a) for a in s)
+    for i, (s, count) in enumerate(zip(supports, action_counts)):
+        s = tuple(s)
         if not s:
             raise SupportError(f"player {i + 1}: empty support")
-        if len(set(s)) != len(s) or any(not 0 <= a < action_counts[i] for a in s):
-            raise SupportError(f"player {i + 1}: bad support {tuple(a + 1 for a in s)}")
-        supp.append(s)
+        if len(set(s)) != len(s) or any(not isinstance(a, (int, np.integer))
+                                        or not 0 <= a < count for a in s):
+            raise SupportError(f"player {i + 1}: bad support "
+                               f"({', '.join(str(a + 1) for a in s)})")
+        supp.append(tuple(map(int, s)))
     return tuple(supp)
 
 
@@ -655,6 +653,15 @@ def is_non_degenerate(game: Game, profile: MixedProfile) -> NonDegeneracyReport:
     return non_degenerate_batch(game.utilities[None], profile).report(0)
 
 
+def _require_non_degenerate(game: Game, profile: MixedProfile) -> None:
+    """DegenerateEquilibriumError unless `is_non_degenerate` accepts `profile`."""
+    report = is_non_degenerate(game, profile)
+    if not report.ok:
+        raise DegenerateEquilibriumError(
+            f"baseline equilibrium is degenerate (det={report.det:.3g}, "
+            f"min residual={report.min_residual:.3g})")
+
+
 def non_degenerate_batch(utilities: np.ndarray, profile: MixedProfile) -> BatchNonDegeneracy:
     """`is_non_degenerate` of one profile on every game of a
     (B, n, N_1..N_n) stack."""
@@ -948,11 +955,7 @@ def probe_strong_punishability(game: Game, profile: MixedProfile,
     sampling can only falsify, never certify.
     """
     if not allow_degenerate:
-        report = non_degenerate_batch(game.utilities[None], profile).report(0)
-        if not report.ok:
-            raise DegenerateEquilibriumError(
-                f"baseline profile is degenerate (det={report.det:.3g}, "
-                f"min residual={report.min_residual:.3g})")
+        _require_non_degenerate(game, profile)
     base_u = np.array([expected_utility(game, profile, i)
                        for i in range(game.num_players)])
     ceiling = base_u + epsilon

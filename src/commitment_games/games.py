@@ -53,8 +53,9 @@ class GameShapeError(ValueError):
 
 
 class ProfileError(ValueError):
-    """Malformed mixed profile (non-finite or negative mass, bad length,
-    sum != 1), naming the 0-based `player` at fault 1-based, as in all I/O."""
+    """Malformed per-player input: a mixed profile (non-finite or negative
+    mass, bad length, sum != 1), a pure target or a payoff split, naming the
+    0-based `player` at fault 1-based, as in all I/O."""
 
     def __init__(self, detail: str, player: int | None = None):
         super().__init__(detail if player is None else f"player {player + 1}: {detail}")
@@ -315,11 +316,25 @@ class OutcomeTarget:
 
 def _check_profile(action_counts: Sequence[int], profile: MixedProfile) -> None:
     if profile.num_players != len(action_counts):
-        raise GameShapeError("profile has wrong number of players")
+        raise GameShapeError(f"profile has {profile.num_players} players, "
+                             f"the game has {len(action_counts)}")
     for i, p in enumerate(profile.probs):
         if p.size != action_counts[i]:
             raise GameShapeError(f"player {i + 1}: profile length {p.size} != "
                                  f"{action_counts[i]} actions")
+
+
+def _checked_target(action_counts: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
+    """The pure `target` as ints; ProfileError unless it holds one integral
+    action per player, inside that player's actions."""
+    target = tuple(target)
+    if len(target) != len(action_counts):
+        raise ProfileError(f"target needs one action per player: got {len(target)} "
+                           f"for {len(action_counts)} players")
+    for i, (a, count) in enumerate(zip(target, action_counts)):
+        if not isinstance(a, (int, np.integer)) or not 0 <= a < count:
+            raise ProfileError(f"target action {a + 1} is not among actions 1..{count}", i)
+    return tuple(map(int, target))
 
 
 def expected_utility(game: Game, profile: MixedProfile, player: int) -> float:
@@ -522,7 +537,7 @@ def pareto_improves(game: Game, target: Sequence[int],
     Returns (verdict, L) where L is the minimum per-player surplus of the
     target over the baseline's expected utilities (may be <= 0 when False).
     """
-    target = tuple(int(a) for a in target)
+    target = _checked_target(game.action_counts, target)
     margins = [game.payoff(i, target) - expected_utility(game, baseline, i)
                for i in range(game.num_players)]
     L = min(margins)

@@ -39,9 +39,10 @@ import numpy as np
 
 from .engine import MODES, CommitmentRound, Pledge, _read_rounds, round_to_dict
 from .equilibria import (
-    DegenerateEquilibriumError,
+    SupportError,
+    _checked_supports,
+    _require_non_degenerate,
     build_characteristic_system,
-    is_non_degenerate,
 )
 from .games import (
     BURN,
@@ -51,8 +52,12 @@ from .games import (
     DocumentError,
     FoldError,  # raised by fold_rounds, so callers of the plan folds catch it from here
     Game,
+    GameShapeError,
     MixedProfile,
     OutcomeTarget,
+    ProfileError,
+    _check_profile,
+    _checked_target,
     _decoding,
     _read_int,
     _read_label,
@@ -233,7 +238,6 @@ def _structural_case(game: Game, sigma: MixedProfile,
                      target: Sequence[int]) -> str:
     supports = sigma.supports()
     counts = game.action_counts
-    target = tuple(target)
     if all(len(s) == c for s, c in zip(supports, counts)):
         if game.num_players == 2 and counts == (2, 2):
             return "two_by_two"
@@ -248,16 +252,9 @@ def _structural_case(game: Game, sigma: MixedProfile,
     return "in_support_indirect"
 
 
-def _require_non_degenerate(game: Game, sigma: MixedProfile) -> None:
-    report = is_non_degenerate(game, sigma)
-    if not report.ok:
-        raise DegenerateEquilibriumError(
-            f"baseline equilibrium is degenerate (det={report.det:.3g}, "
-            f"min residual={report.min_residual:.3g})")
-
-
 def classify_case(game: Game, sigma: MixedProfile, target: Sequence[int]) -> str:
     """Validate the construction hypotheses and name the applicable case."""
+    target = _checked_target(game.action_counts, target)
     _require_non_degenerate(game, sigma)
     ok, L = pareto_improves(game, target, sigma)
     if not ok:
@@ -371,7 +368,7 @@ def build_partial_support_plan(game: Game, sigma: MixedProfile,
                                target: Sequence[int], delta: float, *,
                                validate: bool = True) -> ProtocolPlan:
     """Burn-only plan for the disjoint, mixed, and indirect cases."""
-    target = tuple(int(a) for a in target)
+    target = _checked_target(game.action_counts, target)
     case = (classify_case if validate else _structural_case)(game, sigma, target)
     _expect_case(case, ("partial_support_disjoint", "partial_support_mixed",
                         "in_support_indirect"))
@@ -495,7 +492,7 @@ def _first_column_stream(X: np.ndarray, player: int, orders, counts,
 def build_two_player_full_support_plan(game: Game, sigma: MixedProfile,
                                        target: Sequence[int], delta: float, *,
                                        validate: bool = True) -> ProtocolPlan:
-    target = tuple(int(a) for a in target)
+    target = _checked_target(game.action_counts, target)
     if validate:
         _expect_case(classify_case(game, sigma, target), ("full_support_2p",))
     if game.num_players != 2:
@@ -568,7 +565,7 @@ def alternating_shift_array(sigma: MixedProfile, n_players: int, component: int,
 def build_multiplayer_plan(game: Game, sigma: MixedProfile,
                            target: Sequence[int], delta: float, *,
                            validate: bool = True) -> ProtocolPlan:
-    target = tuple(int(a) for a in target)
+    target = _checked_target(game.action_counts, target)
     if validate:
         _expect_case(classify_case(game, sigma, target), ("full_support_np",))
     n = game.num_players
@@ -636,7 +633,7 @@ def _player_type(d0: float, d1: float) -> str:
 def build_2x2_plan(game: Game, sigma: MixedProfile, target: Sequence[int],
                    delta: float, *, validate: bool = True) -> ProtocolPlan:
     """Gap-narrowing protocol for 2x2 games with a full-support baseline."""
-    target = tuple(int(a) for a in target)
+    target = _checked_target(game.action_counts, target)
     if validate:
         _expect_case(classify_case(game, sigma, target), ("two_by_two",))
     if game.num_players != 2 or game.action_counts != (2, 2):
@@ -796,6 +793,12 @@ def build_welfare_transfer_stage(game: Game, sigma: MixedProfile,
     construction chains the burn machinery on the terminal game.
     """
     targets = [float(x) for x in payoff_targets]
+    if len(targets) != game.num_players:
+        raise ProfileError(f"payoff split needs one entry per player: got {len(targets)} "
+                           f"for {game.num_players} players")
+    for i, x in enumerate(targets):
+        if not math.isfinite(x):
+            raise ProfileError(f"payoff {x} is not finite", i)
     _require_non_degenerate(game, sigma)
     rates, a_sw = _welfare_stage_rates(game, sigma, targets)
     rounds, lams = _stage_rounds(rates, delta)
@@ -819,7 +822,7 @@ def build_welfare_transfer_stage(game: Game, sigma: MixedProfile,
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def _improvement_plan(game: Game, sigma: MixedProfile, target: tuple[int, ...],
+def _improvement_plan(game: Game, sigma: MixedProfile, target: Sequence[int],
                       delta: float) -> ProtocolPlan:
     case = classify_case(game, sigma, target)
     if case in ("partial_support_disjoint", "partial_support_mixed",
@@ -859,7 +862,7 @@ def build_plan(game: Game, sigma: MixedProfile, *,
     if (target is None) == (payoffs is None):
         raise InfeasibleError("exactly one of target/payoffs is required")
     if target is not None:
-        return _improvement_plan(game, sigma, tuple(int(a) for a in target), delta)
+        return _improvement_plan(game, sigma, target, delta)
 
     stage_plan, mid_game = build_welfare_transfer_stage(game, sigma, payoffs, delta)
     sub = _improvement_plan(mid_game, sigma, stage_plan.target.profile, delta)
@@ -1013,28 +1016,19 @@ def check_plan_for_game(plan: ProtocolPlan, game: Game) -> ProtocolPlan:
                             "with a different content hash")
     _check_plan(plan)
     counts = game.action_counts
-    n = len(counts)
-
-    def fits(profile: MixedProfile) -> bool:
-        return [p.size for p in profile.probs] == list(counts)
-
-    if not fits(plan.baseline):
-        raise DocumentError(f"baseline has {[p.size for p in plan.baseline.probs]} "
-                            f"actions per player, the game has {list(counts)}")
+    try:
+        _check_profile(counts, plan.baseline)
+    except GameShapeError as exc:
+        raise DocumentError(f"baseline has {[p.size for p in plan.baseline.probs]} actions "
+                            f"per player, the game has {list(counts)}") from exc
     for s, stage in enumerate(plan.punishment, start=1):
-        if not fits(stage.seed):
-            raise DocumentError(f"punishment stage {s}: seed has "
-                                f"{[p.size for p in stage.seed.probs]} actions per "
-                                f"player, the game has {list(counts)}")
-        if len(stage.supports) != n or len(stage.ceiling) != n:
-            raise DocumentError(f"punishment stage {s} needs one support and one "
-                                f"ceiling per player")
-        for i, (supp, c) in enumerate(zip(stage.supports, counts), start=1):
-            if not supp or len(set(supp)) != len(supp) or any(
-                    not 0 <= a < c for a in supp):
-                raise DocumentError(f"punishment stage {s}: player {i}'s support "
-                                    f"{[a + 1 for a in supp]} is not a set of "
-                                    f"actions among 1..{c}")
+        if len(stage.ceiling) != len(counts):
+            raise DocumentError(f"punishment stage {s} needs one ceiling per player")
+        try:
+            _check_profile(counts, stage.seed)
+            _checked_supports(counts, stage.supports)
+        except (GameShapeError, SupportError) as exc:
+            raise DocumentError(f"punishment stage {s}: {exc}") from exc
     return plan
 
 

@@ -461,12 +461,12 @@ def test_malformed_inputs_exit_2_without_traceback(workdir, capsys, case):
 
 
 @pytest.mark.parametrize("option, value, message", [
-    ("--support", "1,1x1,1", "player 1: bad support '1,1'"),
-    ("--support", "1,2x2,2", "player 2: bad support '2,2'"),
+    ("--support", "1,1x1,1", "player 1: bad support (1, 1)"),
+    ("--support", "1,2x2,2", "player 2: bad support (2, 2)"),
     ("--sigma", "0.7,0.7;0.5,0.5", "bad --sigma: player 1: probabilities sum to 1.4"),
     ("--sigma", "0.5,0.5;1.5,-0.5", "bad --sigma: player 2: probabilities outside [0, 1]"),
-    ("--sigma", "0.5,0.25,0.25;0.5,0.5", "bad --sigma: player 1: 3 probabilities for 2 actions"),
-    ("--sigma", "0.5,0.5;0.5,0.5;1", "bad --sigma: expected 2 probability vectors, got 3"),
+    ("--sigma", "0.5,0.25,0.25;0.5,0.5", "bad --sigma: player 1: profile length 3 != 2 actions"),
+    ("--sigma", "0.5,0.5;0.5,0.5;1", "bad --sigma: profile has 3 players, the game has 2"),
 ])
 def test_support_and_sigma_errors_use_one_based_labels(workdir, capsys, option, value,
                                                        message):
@@ -474,6 +474,23 @@ def test_support_and_sigma_errors_use_one_based_labels(workdir, capsys, option, 
             [option, value, "--payoffs", "4,3", "--delta", "0.5"])
     code, err = _main(capsys, "analyze" if option == "--support" else "plan",
                       str(workdir / "ex3.json"), *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--target=6,1", "player 1: target action 6 is not among actions 1..2"),
+    ("--target=0,1", "player 1: target action 0 is not among actions 1..2"),
+    ("--target=1", "target needs one action per player: got 1 for 2 players"),
+    ("--target=1,1,1", "target needs one action per player: got 3 for 2 players"),
+    ("--payoffs=4,3,0", "payoff split needs one entry per player: got 3 for 2 players"),
+    ("--payoffs=4,3,2", "payoff split needs one entry per player: got 3 for 2 players"),
+    ("--payoffs=4", "payoff split needs one entry per player: got 1 for 2 players"),
+    ("--payoffs=nan,3", "player 1: payoff nan is not finite"),
+])
+@pytest.mark.parametrize("delta", ["0.5", "auto"])
+def test_malformed_targets_and_splits_exit_2(workdir, capsys, option, message, delta):
+    code, err = _main(capsys, "plan", str(workdir / "ex3.json"), option, "--delta", delta)
     assert code == 2
     assert err == f"error: {message}\n"
 
@@ -569,7 +586,7 @@ def test_bad_plan_documents_exit_2_without_traceback(workdir, capsys, command, e
 
 _ONE_BASED_PLAN_EDITS = {
     "support_6": (lambda d: d["punishment"][0].update(supports=[[1], [6]]),
-                  ("player 2's support [6]", "1..2")),
+                  ("punishment stage 1: player 2: bad support (6)",)),
     "baseline_sum": (lambda d: d.update(baseline=[[0.7, 0.7], [0.5, 0.5]]),
                      ("ProfileError: player 1: probabilities sum to 1.4",)),
     "seed_sum": (lambda d: d["punishment"][0].update(seed=[[1.0, 0.0], [0.6, 0.6]]),

@@ -105,6 +105,17 @@ def test_round_rules_agree_on_every_path(code, pledge, mode):
         code, pledge.payer, pledge.outcome)
 
 
+@pytest.mark.parametrize("payer, outcome, code", [(0.5, (0, 0), "payer"),
+                                                   (0, (0.7, 0), "outcome")])
+def test_pledge_refuses_a_non_integral_payer_or_outcome(payer, outcome, code):
+    with pytest.raises(TransferError) as err:
+        Pledge(payer, outcome, BURN, 0.25)
+    assert err.value.code == code
+    # NumPy integers are integral.
+    assert Pledge(np.int64(1), (np.int8(0), np.int64(1)), BURN, 0.25) == Pledge(
+        1, (0, 1), BURN, 0.25)
+
+
 def test_six_round_session_reaches_split():
     state = open_session(unfair_split(), 1.0)
     for k in range(6):

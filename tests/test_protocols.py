@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from commitment_games import (
     expected_utility,
     fold_plan,
     is_nash,
+    pareto_improves,
     plan_from_dict,
     plan_to_dict,
     alternating_shift_array,
@@ -32,7 +34,7 @@ from commitment_games import protocols
 from commitment_games.equilibria import DegenerateEquilibriumError
 from commitment_games.protocols import InfeasibleError
 from commitment_games.equilibria import SupportError, solve_on_support
-from commitment_games.games import GameShapeError
+from commitment_games.games import GameShapeError, ProfileError
 from commitment_games.catalog import (
     cyclic_with_prize,
     cyclic_with_prize_overlap,
@@ -386,6 +388,69 @@ def test_error_texts_label_players_and_actions_one_based(case):
     with pytest.raises((InfeasibleError, SupportError, GameShapeError)) as info:
         call()
     assert str(info.value) == text
+
+
+# 0-based targets on unfair_split (2x2), each with the one target checker's
+# text, which labels players and actions 1-based.
+BAD_TARGETS = {
+    (5, 0): "player 1: target action 6 is not among actions 1..2",
+    (-1, 0): "player 1: target action 0 is not among actions 1..2",
+    (0,): "target needs one action per player: got 1 for 2 players",
+    (0, 0, 0): "target needs one action per player: got 3 for 2 players",
+}
+
+
+@pytest.mark.parametrize("target", list(BAD_TARGETS))
+def test_every_target_entry_point_refuses_a_malformed_target(target):
+    game, sigma = unfair_split(), _pure((2, 2), (0, 0))
+    builders = (build_partial_support_plan, build_two_player_full_support_plan,
+                build_multiplayer_plan, build_2x2_plan)
+    calls = [lambda: build_plan(game, sigma, target=target, delta=1.0),
+             lambda: choose_delta(game, sigma, target=target),
+             lambda: pareto_improves(game, target, sigma),
+             *(lambda b=b: b(game, sigma, target, 1.0) for b in builders)]
+    for call in calls:
+        with pytest.raises(ProfileError) as info:
+            call()
+        assert str(info.value) == BAD_TARGETS[target]
+
+
+@pytest.mark.parametrize("split, text", [
+    ((4.0, 3.0, 0.0), "payoff split needs one entry per player: got 3 for 2 players"),
+    ((4.0,), "payoff split needs one entry per player: got 1 for 2 players"),
+    ((math.nan, 3.0), "player 1: payoff nan is not finite"),
+])
+def test_malformed_splits_are_refused_before_any_round(split, text):
+    game, sigma = unfair_split(), _pure((2, 2), (0, 0))
+    with mock.patch.object(protocols, "_stage_rounds", side_effect=AssertionError):
+        for call in (lambda: build_plan(game, sigma, payoffs=split, delta=1.0),
+                     lambda: choose_delta(game, sigma, payoffs=split),
+                     lambda: build_welfare_transfer_stage(game, sigma, split, 1.0)):
+            with pytest.raises(ProfileError) as info:
+                call()
+            assert str(info.value) == text
+
+
+def test_support_entries_must_be_integral():
+    with pytest.raises(SupportError) as info:
+        solve_on_support(two_mode_mixing(), [(0.5, 1), (0, 1)])
+    assert str(info.value) == "player 1: bad support (1.5, 2)"
+
+
+def test_every_reproduced_plan_reads_back_from_its_document(monkeypatch):
+    from commitment_games import catalog
+
+    plans = []
+
+    def recording_verify(game, plan, **kwargs):
+        plans.append(plan)
+        return verify_plan(game, plan, **kwargs)
+
+    monkeypatch.setattr(catalog, "verify_plan", recording_verify)
+    assert all(row.ok for row in catalog.reproduce())
+    assert len(plans) == 5  # ex3, ex4, ex5, ex6 and counter3x3
+    for plan in plans:
+        assert plan_from_dict(plan_to_dict(plan)) == plan
 
 
 def test_welfare_stage_compensated_players(rng):

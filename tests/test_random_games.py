@@ -22,7 +22,12 @@ from commitment_games.cli import _default_sigma, main
 from commitment_games.engine import replay, transcript_from_dict
 from commitment_games.equilibria import solve_on_support
 from commitment_games.games import Game, expected_utility, round_violation, save_game
-from commitment_games.protocols import InfeasibleError, load_plan
+from commitment_games.protocols import (
+    InfeasibleError,
+    load_plan,
+    plan_from_dict,
+    plan_to_dict,
+)
 
 import scalar_reference as reference
 
@@ -90,6 +95,7 @@ def test_random_games_run_end_to_end(tmp_path, capsys):
             return
         assert code in (0, 1), (options, code, err)
         plan = load_plan(plan_path)
+        assert plan_from_dict(plan_to_dict(plan)) == plan
         tagged.append((plan.case_tag, code))
         assert all(round_violation(game, r, plan.delta, plan.mode) is None
                    for r in plan.rounds)
