@@ -29,7 +29,6 @@ from .equilibria import (
     DegenerateEquilibriumError,
     NotNashError,
     SupportError,
-    _checked_supports,
     enumerate_pure_nash,
     is_non_degenerate,
     solve_on_support,
@@ -109,7 +108,7 @@ def _parse_profile_indices(text: str, game: Game) -> tuple[int, ...]:
 
 def _parse_supports(text: str) -> list[tuple[int, ...]]:
     """0-based index lists of per-player 1-based ones, e.g. '1,2x1,2' for two
-    players; `_checked_supports` checks them against the game."""
+    players; `MixedProfile.uniform_over` checks them against the game."""
     try:
         return [tuple(int(t) - 1 for t in block.split(",") if t.strip())
                 for block in text.split("x")]
@@ -159,10 +158,9 @@ def cmd_analyze(args) -> int:
     w, prof = welfare_max(game)
     print(f"welfare max: {w:g} at {_profile_label(game, prof)}")
     for spec in args.support or []:
-        supports = _checked_supports(game.action_counts, _parse_supports(spec))
+        supports = _parse_supports(spec)
         solve = solve_on_support(game, supports,
-                                 MixedProfile.uniform_over(game.action_counts,
-                                                           supports))
+                                 MixedProfile.uniform_over(game.action_counts, supports))
         print(f"support {spec}:")
         if solve.profile is None:
             print(f"  no equilibrium ({solve.status})")

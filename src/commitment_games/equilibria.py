@@ -41,17 +41,15 @@ from .games import (
     Game,
     GameShapeError,
     MixedProfile,
+    SupportError,
     _check_profile,
+    _checked_supports,
     content_hash,
     expected_utility,
     game_to_dict,
 )
 
 NEWTON_MAX_ITER = 200
-
-
-class SupportError(ValueError):
-    """Empty or out-of-range support lists."""
 
 
 class NotNashError(ValueError):
@@ -161,26 +159,6 @@ def build_characteristic_system(game: Game,
     that player's indifference and residual rows.
     """
     return CharacteristicSystem(game, supports)
-
-
-def _checked_supports(action_counts: Sequence[int],
-                      supports: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The supports as tuples of ints; SupportError unless each player has
-    one non-empty list of distinct integral actions inside its actions."""
-    if len(supports) != len(action_counts):
-        raise SupportError(f"one support list per player: got {len(supports)} "
-                           f"for {len(action_counts)} players")
-    supp = []
-    for i, (s, count) in enumerate(zip(supports, action_counts)):
-        s = tuple(s)
-        if not s:
-            raise SupportError(f"player {i + 1}: empty support")
-        if len(set(s)) != len(s) or any(not isinstance(a, (int, np.integer))
-                                        or not 0 <= a < count for a in s):
-            raise SupportError(f"player {i + 1}: bad support "
-                               f"({', '.join(str(a + 1) for a in s)})")
-        supp.append(tuple(map(int, s)))
-    return tuple(supp)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ text use 1-based labels.
 Pledges fold through one path: `compile_pledges` turns rounds into cell
 updates once and screens them as arrays, `fold_rounds` folds them into one
 prefix stack (`apply_transfers` is its one-round case), and `stack_hashes`
-hashes the stack's rows with the bytes of `content_hash`.
+hashes the stack's rows with the bytes of `content_hash`, formatting each
+distinct value of the stack once.
 
 All objects are immutable after construction (arrays are marked
 read-only), so values can be shared freely across threads.
@@ -59,6 +60,10 @@ class ProfileError(ValueError):
 
     def __init__(self, detail: str, player: int | None = None):
         super().__init__(detail if player is None else f"player {player + 1}: {detail}")
+
+
+class SupportError(ValueError):
+    """Empty or out-of-range support lists."""
 
 
 class DocumentError(ValueError):
@@ -257,18 +262,17 @@ class MixedProfile:
 
     @classmethod
     def pure(cls, action_counts: Sequence[int], profile: Sequence[int]) -> "MixedProfile":
-        vecs = []
-        for count, a in zip(action_counts, profile):
-            v = np.zeros(count)
-            v[a] = 1.0
-            vecs.append(v)
-        return cls(vecs)
+        """ProfileError unless `profile` holds one action per player (`_checked_target`)."""
+        return cls([np.eye(count)[a] for count, a in
+                    zip(action_counts, _checked_target(action_counts, profile))])
 
     @classmethod
     def uniform_over(cls, action_counts: Sequence[int],
                      supports: Sequence[Sequence[int]]) -> "MixedProfile":
+        """SupportError unless `supports` are supports of `action_counts`
+        (`_checked_supports`)."""
         vecs = []
-        for count, supp in zip(action_counts, supports):
+        for count, supp in zip(action_counts, _checked_supports(action_counts, supports)):
             v = np.zeros(count)
             v[list(supp)] = 1.0 / len(supp)
             vecs.append(v)
@@ -335,6 +339,26 @@ def _checked_target(action_counts: Sequence[int], target: Sequence[int]) -> tupl
         if not isinstance(a, (int, np.integer)) or not 0 <= a < count:
             raise ProfileError(f"target action {a + 1} is not among actions 1..{count}", i)
     return tuple(map(int, target))
+
+
+def _checked_supports(action_counts: Sequence[int],
+                      supports: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The supports as tuples of ints; SupportError unless each player has
+    one non-empty list of distinct integral actions inside its actions."""
+    if len(supports) != len(action_counts):
+        raise SupportError(f"one support list per player: got {len(supports)} "
+                           f"for {len(action_counts)} players")
+    supp = []
+    for i, (s, count) in enumerate(zip(supports, action_counts)):
+        s = tuple(s)
+        if not s:
+            raise SupportError(f"player {i + 1}: empty support")
+        if len(set(s)) != len(s) or any(not isinstance(a, (int, np.integer))
+                                        or not 0 <= a < count for a in s):
+            raise SupportError(f"player {i + 1}: bad support "
+                               f"({', '.join(str(a + 1) for a in s)})")
+        supp.append(tuple(map(int, s)))
+    return tuple(supp)
 
 
 def expected_utility(game: Game, profile: MixedProfile, player: int) -> float:
@@ -606,10 +630,16 @@ def content_hash(game: Game) -> str:
 def stack_hashes(stack: np.ndarray) -> list[str]:
     """`content_hash` of each game of a (K, n, N_1..N_n) utility stack:
     sha256 of `{"counts": [...], "payoffs": [hex, ...]}` as
-    `json.dumps(..., sort_keys=True)` writes it, without a dict per row."""
+    `json.dumps(..., sort_keys=True)` writes it, without a dict per row.
+    A stack's rows share most values, so each distinct value (by its bits:
+    -0.0 is not 0.0) is formatted once and every row is one join."""
     head = '{"counts": ' + json.dumps(list(stack.shape[2:])) + ', "payoffs": ["'
-    return [hashlib.sha256((head + '", "'.join(map(float.hex, row)) + '"]}').encode())
-            .hexdigest() for row in stack.reshape(len(stack), math.prod(stack.shape[1:])).tolist()]
+    bits = np.ascontiguousarray(stack, dtype=np.float64).view(np.uint64).ravel()
+    values, at = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(float.hex, values.view(np.float64).tolist())), dtype=object)
+    rows = text[at].reshape(len(stack), math.prod(stack.shape[1:])).tolist()
+    return [hashlib.sha256((head + '", "'.join(row) + '"]}').encode()).hexdigest()
+            for row in rows]
 
 
 def format_matrix(game: Game) -> str:

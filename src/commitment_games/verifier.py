@@ -206,22 +206,28 @@ def _stage_index(plan: ProtocolPlan, ks) -> np.ndarray:
 
 
 def _stage_groups(plan: ProtocolPlan, ks: Sequence[int],
-                  rows: Callable[[int], int] | None = None):
+                  rows: Callable[[int, int], np.ndarray] | None = None):
     """Runs of consecutive prefixes among `ks` under one punishment stage,
-    with that stage; a run holds at most ROW_BUDGET rows, `rows(k)` for
-    prefix k (one by default), and always at least one prefix.  The prefix
-    that starts a run is counted again after the runs before it are consumed."""
-    rows, group, size = rows or (lambda k: 1), [], 0
-    for k, s in zip(ks, _stage_index(plan, ks).tolist()):
-        r = rows(k)
-        if group and (s != stage or size + r > ROW_BUDGET):
-            yield plan.punishment[stage], group
-            group, size, r = [], 0, rows(k)
-        stage = s
-        group.append(k)
-        size += r
-    if group:
-        yield plan.punishment[stage], group
+    with that stage; a run holds at most ROW_BUDGET rows and always at
+    least one prefix.  `rows(i, j)` is the array of rows of prefixes
+    ks[i:j] (one each by default), asked at each run's start, after the
+    runs before it are consumed.  It is asked for a window of prefixes,
+    doubled until the run ends inside it, so a run costs its own length."""
+    rows = rows or (lambda i, j: np.ones(j - i, dtype=int))
+    stage = _stage_index(plan, ks)
+    ends = [*(np.flatnonzero(stage[1:] != stage[:-1]) + 1).tolist(), len(ks)]
+    i = 0
+    for end in ends:
+        while i < end:
+            span = ROW_BUDGET
+            while True:
+                j = min(end, i + span)
+                cut = max(int(np.searchsorted(np.cumsum(rows(i, j)), ROW_BUDGET, "right")), 1)
+                if cut < j - i or j == end:
+                    break
+                span *= 2
+            yield plan.punishment[stage[i]], ks[i:i + cut]
+            i += cut
 
 
 def _verdict(ok, detail: str = "") -> PropertyResult:
@@ -403,11 +409,26 @@ class _MoveGrid:
 
     def names(self, amounts: Sequence[float]) -> list[str]:
         """Every move's name; `amounts` are (*amounts, delta)."""
-        return [label.format(amounts[s]) for label, s in zip(self.labels, self.slot.tolist())]
+        return list(_MoveNames(self, tuple(amounts)))
 
     def move_pledges(self, m: int, amounts: Sequence[float]) -> list[Pledge]:
         """Move m's pledges; `amounts` are (*amounts, delta)."""
         return [replace(p, amount=amounts[self.slot[m]]) for p in self.pledges[m]]
+
+
+@dataclass(frozen=True)
+class _MoveNames:
+    """The moves' names at `amounts` (*amounts, delta), as a sequence whose
+    entries are made when read."""
+
+    grid: _MoveGrid
+    amounts: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.grid.labels)
+
+    def __getitem__(self, m: int) -> str:
+        return self.grid.labels[m].format(self.amounts[self.grid.slot[m]])
 
 
 def _grid_amounts(plan: ProtocolPlan, amounts: Sequence[float] | None) -> tuple[float, ...]:
@@ -479,26 +500,12 @@ def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> 
     return sorted(picked)
 
 
-@dataclass
-class _Runs:
-    """The clean runs of one kind of search, rows or prefix games: `head`
-    maps each prefix past a run's first to that first prefix, and `kept`
-    holds, per first prefix searched, which of its rows a later prefix may
-    take, their best-response payoffs and how many there are."""
-
-    head: dict[int, int]
-    kept: dict[int, tuple[np.ndarray, np.ndarray, int]] = field(default_factory=dict)
-    firsts: set[int] = field(init=False)
-
-    def __post_init__(self):
-        self.firsts = set(self.head.values())
-
-
 def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int], step: np.ndarray,
                 cell: np.ndarray, value: np.ndarray, move: float,
-                asked: Sequence[int]) -> tuple[_Runs, _Runs]:
+                asked: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
     """The clean runs of the grid prefixes' rows and of the prefix games
-    `asked` (ascending) in the prefix stack `U`.  A round is clean when the
+    `asked` (ascending) in the prefix stack `U`, each as a map from every
+    prefix past a run's first to that first prefix.  A round is clean when the
     grid compiles it (step j of the updates (`step`, `cell`, `value`) is
     round prefixes[j]) and none of its updates lands on a cell its stage's
     first stage reads (`equilibria._first_stage_cells`).  Grid prefixes
@@ -519,14 +526,14 @@ def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int], step
     clean[prefixes] = True
     clean[rounds[cells[stage, cell]]] = False
     if not clean.any():
-        return _Runs({}), _Runs({})
+        return {}, {}
     done = np.concatenate([[0], np.cumsum(clean)])  # clean rounds before each round
     with np.errstate(over="ignore"):  # past the float range the bound is +inf
         bound = (np.abs(U).reshape(len(U), -1).max(axis=1)
                  + np.bincount(rounds, np.abs(value), minlength=len(U)) + move)
     fits = (bound <= np.finfo(np.float64).max / 4).tolist()  # NaN fails
 
-    def runs(ks: Sequence[int], last: int) -> _Runs:
+    def runs(ks: Sequence[int], last: int) -> dict[int, int]:
         """k' joins the run of k, the entry before it, when rounds k..k'+last-1
         are clean under one stage."""
         ks = np.asarray(ks, dtype=int)
@@ -535,8 +542,8 @@ def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int], step
         start = np.arange(len(ks))
         start[1:][joined] = 0
         head = ks[np.maximum.accumulate(start)]
-        return _Runs({k: h for k, h in zip(ks.tolist(), head.tolist())
-                      if h != k and fits[k] and fits[h]})
+        return {k: h for k, h in zip(ks.tolist(), head.tolist())
+                if h != k and fits[k] and fits[h]}
 
     return runs(prefixes, 1), runs(asked, 0)
 
@@ -580,7 +587,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
 
     grid = _move_grid(game.action_counts, plan.mode, len(xs) - 1)
     x = np.array(xs, dtype=np.float64)
-    names = grid.names(xs)
+    names = _MoveNames(grid, xs)
     width = len(grid.distinct)
     starts = np.searchsorted(grid.deviator[grid.distinct], np.arange(n))  # each deviator's first
     moves, _, cells, signs = grid.updates
@@ -601,24 +608,30 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     on_grid = {k: j for j, k in enumerate(prefixes)}
     asked = sorted(k for k, found in punishments.items() if found is None)
     searched = set(asked)
-    row_runs, game_runs = _clean_runs(plan, U, prefixes, step, cell, value,
-                                      np.bincount(moves, np.abs(values)).max(), asked)
-    none_kept = {w: (np.zeros(w, dtype=bool), np.full((w, n), np.nan), 0) for w in (width, 1)}
+    # Per prefix of `ks`, at its place in `ks`: its rows, and per kind of
+    # run (0 rows, 1 prefix games) the place of its run's first prefix, -1
+    # for none.  Per kind and first prefix searched: which of its rows a
+    # later prefix may take and their best-response payoffs (`kept`), and
+    # how many there are (`kept_rows`, whose last column stays 0).
+    ks = sorted(on_grid.keys() | searched)
+    place = {k: i for i, k in enumerate(ks)}
+    need = np.array([width * (k in on_grid) + (k in searched) for k in ks], dtype=int)
+    heads = np.array([[place.get(head.get(k), -1) for k in ks] for head in _clean_runs(
+        plan, U, prefixes, step, cell, value, np.bincount(moves, np.abs(values)).max(), asked)],
+        dtype=int).reshape(2, len(ks))
+    firsts, head_of = [set(h) for h in heads.tolist()], heads.tolist()
+    kept, kept_rows = ({}, {}), np.zeros((2, len(ks) + 1), dtype=int)
+    none_kept = {w: (np.zeros(w, dtype=bool), np.full((w, n), np.nan)) for w in (width, 1)}
 
-    def taken(runs: _Runs, k: int):
-        """The rows k's run head kept, with their best responses and count, if any."""
-        return runs.kept.get(runs.head.get(k))
+    def open_rows(i: int, j: int) -> np.ndarray:
+        """The rows of prefixes ks[i:j] left to search, once the searches before them are made."""
+        return need[i:j] - kept_rows[0, heads[0, i:j]] - kept_rows[1, heads[1, i:j]]
 
-    def open_rows(k: int) -> int:
-        """The rows of prefix k left to search, once the searches before it are made."""
-        return (width * (k in on_grid) + (k in searched)
-                - sum(t[2] for t in (taken(row_runs, k), taken(game_runs, k)) if t))
-
-    for stage, group in _stage_groups(plan, sorted(on_grid.keys() | searched), open_rows):
+    for stage, group in _stage_groups(plan, ks, open_rows):
         moved = [k for k in group if k in on_grid]
         shared = [k for k in group if k in searched]
-        spans = [(row_runs, k, width) for k in moved] + [(game_runs, k, 1) for k in shared]
-        parts = [taken(runs, k) or none_kept[w] for runs, k, w in spans]
+        spans = [(0, place[k], width) for k in moved] + [(1, place[k], 1) for k in shared]
+        parts = [kept[c].get(head_of[c][p]) or none_kept[w] for c, p, w in spans]
         take, best = np.concatenate([t[0] for t in parts]), np.concatenate([t[1] for t in parts])
         rows, left, kinds = width * len(moved), np.flatnonzero(~take), None
         if left.size:
@@ -649,13 +662,13 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
             kinds[:] = "support_solve"  # `np.full` of an object is slower
             kinds[left] = found.kinds
             r = 0
-            for runs, k, w in spans:
-                if k in runs.firsts:  # a first prefix searches all its rows
+            for c, p, w in spans:
+                if p in firsts[c]:  # a first prefix searches all its rows
                     j = slice(src[r], src[r] + w)
-                    kept = ((kinds[r:r + w] == "support_solve")
+                    mask = ((kinds[r:r + w] == "support_solve")
                             & (found.best_response[j] != 0).all(axis=1)
                             & (found.payoffs[j] != 0).all(axis=1))
-                    runs.kept[k] = kept, best[r:r + w], int(kept.sum())
+                    kept[c][p], kept_rows[c, p] = (mask, best[r:r + w]), mask.sum()
                 r += w
         for r, k in enumerate(shared, rows):
             punishments[k] = (("support_solve", best[r], "") if take[r]

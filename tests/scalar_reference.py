@@ -12,7 +12,8 @@ here as the verifier built it before it was compiled into edit arrays:
 `Pledge` lists per move, and their (flat cell, signed amount) edits.  So
 is the fold before rounds were compiled: `apply_transfers` one pledge at a
 time after `round_violation`, a `Game` per prefix, and `content_hash`
-through a JSON dict.
+through a JSON dict.  `stage_groups` is the verifier's chunking before it
+counted rows as arrays: one `rows(k)` call per prefix.
 """
 
 from __future__ import annotations
@@ -566,3 +567,22 @@ def content_hash(game: Game) -> str:
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def stage_groups(plan, ks: Sequence[int], budget: int, rows=None):
+    """Runs of consecutive prefixes among `ks` under one punishment stage,
+    with that stage; a run holds at most `budget` rows, `rows(k)` for
+    prefix k (one by default), and always at least one prefix.  The prefix
+    that starts a run is counted again after the runs before it are consumed."""
+    rows, group, size = rows or (lambda k: 1), [], 0
+    for k in ks:
+        s = [i for i, st in enumerate(plan.punishment) if st.first_round <= k][-1]
+        r = rows(k)
+        if group and (s != stage or size + r > budget):
+            yield plan.punishment[stage], group
+            group, size, r = [], 0, rows(k)
+        stage = s
+        group.append(k)
+        size += r
+    if group:
+        yield plan.punishment[stage], group

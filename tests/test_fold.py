@@ -7,7 +7,10 @@ as it was before: `apply_transfers` one pledge at a time after
 `round_violation`, a `Game` per prefix, and a JSON-dict `content_hash`.
 Stacks are compared as uint64, so every bit counts (a -0.0 too), hashes as
 strings, and a rejected round by its `FoldError` index and text and the
-code of the `TransferError` that is its cause.
+code of the `TransferError` that is its cause.  `stack_hashes` formats
+each distinct value once, so its hashes are also checked on hand-picked
+and drawn values: signed zeros, subnormals, powers of two, the largest
+float, and rows of one value.
 """
 
 import itertools
@@ -176,3 +179,49 @@ def test_an_overflowing_fold_raises_game_shape_error(bad_round):
             fold(game, rounds, 1e300, "transfers")
     with np.errstate(over="ignore"), pytest.raises(GameShapeError):
         apply_transfers(game, push)
+
+
+# Powers of two across the whole exponent range, subnormals included.
+POWERS = [math.ldexp(1.0, k) for k in range(-1074, 1024, 37)] + [math.ldexp(1.0, 1023)]
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+         float(np.finfo(float).max), -float(np.finfo(float).max)]
+
+
+def _assert_row_hashes(stack):
+    """`stack_hashes` of a (K, n, N_1..N_n) stack is the scalar `content_hash`
+    of each row, and `content_hash` of a fresh game is its row's hash."""
+    got = stack_hashes(stack)
+    assert got == [reference.content_hash(Game(u)) for u in stack]
+    if len(stack):
+        assert content_hash(Game(stack[0])) == got[0]
+
+
+def _rows(values, shape=(2, 2, 2)):
+    """`values` cycled to fill whole rows of `shape`."""
+    size = math.prod(shape)
+    k = -(-len(values) // size)
+    return np.resize(np.array(values, dtype=np.float64), (k, *shape))
+
+
+@pytest.mark.parametrize("values", [
+    EDGES,
+    POWERS + [-x for x in POWERS],
+    EDGES + POWERS[::3],  # a signed zero next to a zero in one row
+    [0.1] * 16,  # every cell one value
+    [-0.0] * 8,
+], ids=["edges", "powers_of_two", "mixed", "one_value", "negative_zero"])
+def test_stack_hashes_format_each_cell_as_float_hex(values):
+    _assert_row_hashes(_rows(values))
+    _assert_row_hashes(_rows(values, (2, 3, 1)))
+
+
+def test_stack_hashes_of_an_empty_stack():
+    assert stack_hashes(np.zeros((0, 2, 2, 2))) == []
+    assert stack_hashes(np.zeros((0, 3, 2, 2, 2))) == []
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+       st.sampled_from([(2, 2, 2), (2, 1, 3), (3, 2, 2, 2)]))
+def test_stack_hashes_match_the_scalar_hash_hypothesis(values, shape):
+    _assert_row_hashes(_rows(values, shape))

@@ -209,6 +209,33 @@ def test_mixed_profile_rejects_non_finite_entries(probs):
         MixedProfile(probs)
 
 
+@pytest.mark.parametrize("make, error, text", [
+    (lambda: MixedProfile.pure((2, 2), (-1, 0)), "ProfileError",
+     "player 1: target action 0 is not among actions 1..2"),
+    (lambda: MixedProfile.pure((2, 2), (5, 0)), "ProfileError",
+     "player 1: target action 6 is not among actions 1..2"),
+    (lambda: MixedProfile.pure((2, 2), (0.5, 0)), "ProfileError",
+     "player 1: target action 1.5 is not among actions 1..2"),
+    (lambda: MixedProfile.pure((2, 2), (0,)), "ProfileError",
+     "target needs one action per player: got 1 for 2 players"),
+    (lambda: MixedProfile.uniform_over((3, 2), [(-1, 0), (0,)]), "SupportError",
+     "player 1: bad support (0, 1)"),
+    (lambda: MixedProfile.uniform_over((3, 2), [(0,), (2,)]), "SupportError",
+     "player 2: bad support (3)"),
+])
+def test_pure_and_uniform_profiles_check_their_actions(make, error, text):
+    # A negative index no longer wraps, and an index past the actions or a
+    # fraction no longer raises a bare IndexError; the text is 1-based.
+    with pytest.raises(ValueError) as info:
+        make()
+    assert (type(info.value).__name__, str(info.value)) == (error, text)
+    # The support checker moved into `games`; `equilibria` still names it.
+    from commitment_games import equilibria, games
+
+    assert equilibria.SupportError is games.SupportError
+    assert equilibria._checked_supports is games._checked_supports
+
+
 def test_welfare_max_ties_break_lexicographically():
     u1 = [[3, 0], [0, 3]]
     u2 = [[1, 0], [0, 1]]  # welfare 4 at both (0,0) and (1,1)

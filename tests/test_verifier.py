@@ -1,11 +1,13 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import math
 import re
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -1260,6 +1262,118 @@ def test_stacks_taken_whole_interleave_with_searched_ones(monkeypatch, case):
         assert sizes == [width + 1, 4 * rows, 4 * rows, rows] and 5 * rows > width + 1
     else:
         assert sizes == [width + 1, width, width + 1]
+
+
+def _logged(log: list, groups):
+    """`groups` passed through, each (stage, group) appended to `log`."""
+    for stage, group in groups:
+        log.append((stage, list(group)))
+        yield stage, group
+
+
+# Hand-made chunkings, prefix 2p at place p: (budget, first rounds of the
+# stages, rows per place, {follower place: head place}, {head place: rows
+# kept once it is searched}, the groups by place).
+GROUPING_CASES = {
+    # Places 1 and 4 are wider than the budget and alone in their chunks.
+    "wider_than_the_budget": (10, [0], [3, 12, 2, 2, 11, 1], {}, {},
+                              [[0], [1], [2, 3], [4], [5]]),
+    "fills_the_budget_exactly": (10, [0], [4, 6, 1, 9, 5, 5], {}, {},
+                                 [[0, 1], [2, 3], [4, 5]]),
+    # Prefix 6 (place 3) begins a stage inside what would fit one chunk.
+    "stage_change_mid_run": (10, [0, 6], [1] * 8, {}, {}, [[0, 1, 2], [3, 4, 5, 6, 7]]),
+    # Place 0 heads places 1-4.  Place 1 is in its chunk, not yet searched,
+    # and counts at full width; places 2-4 then take the 3 rows it kept.
+    "head_and_follower_in_one_chunk": (10, [0], [4] * 6, {p: 0 for p in range(1, 5)},
+                                       {0: 3}, [[0, 1], [2, 3, 4, 5]]),
+    # Twelve followers that take all of their rows make one chunk, though
+    # they are more prefixes than the budget has rows.
+    "followers_past_the_budget": (3, [0], [2] * 13, {p: 0 for p in range(1, 13)}, {0: 2},
+                                  [[0], list(range(1, 13))]),
+    # A head in each stage, keeping every row: the stage change, not the
+    # budget, ends the chunk of place 3, which takes all of its rows.
+    "heads_across_a_stage_change": (9, [0, 8], [3] * 8, {1: 0, 2: 0, 3: 0, 5: 4, 6: 4, 7: 4},
+                                    {0: 3, 4: 3}, [[0, 1, 2], [3], [4, 5, 6], [7]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUPING_CASES))
+def test_array_grouping_matches_scalar_loop_on_hand_made_rows(monkeypatch, case):
+    budget, firsts, need, head, keeps, want = GROUPING_CASES[case]
+    monkeypatch.setattr(verifier, "ROW_BUDGET", budget)
+    plan = SimpleNamespace(punishment=tuple(SimpleNamespace(first_round=f) for f in firsts))
+    ks = [2 * p for p in range(len(need))]
+
+    def consumed(groups, keep) -> list:
+        """The groups by place, calling `keep(place, rows)` for each head in
+        a group once the group is consumed."""
+        out = []
+        for stage, group in groups:
+            out.append((plan.punishment.index(stage), [k // 2 for k in group]))
+            for p in (k // 2 for k in group if k // 2 in keeps):
+                keep(p, keeps[p])
+        return out
+
+    kept: dict = {}
+    scalar = consumed(reference.stage_groups(
+        plan, ks, budget, lambda k: need[k // 2] - kept.get(head.get(k // 2), 0)),
+        kept.__setitem__)
+    kept_rows = np.zeros(len(need) + 1, dtype=int)  # the last entry, place -1, stays 0
+    heads = np.array([head.get(p, -1) for p in range(len(need))])
+    array = consumed(verifier._stage_groups(
+        plan, ks, lambda i, j: np.array(need[i:j]) - kept_rows[heads[i:j]]),
+        kept_rows.__setitem__)
+    assert array == scalar
+    assert [group for _, group in array] == want
+    assert [group for _, group in reference.stage_groups(plan, ks, budget)] == [
+        group for _, group in verifier._stage_groups(plan, ks)]
+
+
+@pytest.mark.parametrize("budget", [150, 600])
+@pytest.mark.parametrize("case", sorted(REUSE_PLANS))
+def test_array_grouping_matches_scalar_loop_on_reuse_plans(case, budget):
+    # At these budgets every plan takes several chunks, and at 150 a
+    # spoiler prefix's 254 rows are alone in theirs; `check_deviations`
+    # fills the kept rows in as the chunks are consumed, and the scalar
+    # loop asks for each prefix's rows one at a time.
+    game, plan = REUSE_PLANS[case]()
+    stage_groups, array, scalar = verifier._stage_groups, [], []
+
+    def scalar_groups(plan, ks, rows=None):
+        place = {k: i for i, k in enumerate(ks)}
+        one = rows and (lambda k: int(rows(place[k], place[k] + 1)[0]))
+        return _logged(scalar, reference.stage_groups(plan, ks, verifier.ROW_BUDGET, one))
+
+    with mock.patch.object(verifier, "ROW_BUDGET", budget):
+        with mock.patch.object(verifier, "_stage_groups",
+                               lambda *args: _logged(array, stage_groups(*args))):
+            report = verify_plan(game, plan).to_json()
+        with mock.patch.object(verifier, "_stage_groups", scalar_groups):
+            assert verify_plan(game, plan).to_json() == report
+    assert array == scalar and len(array) > 2
+
+
+def test_an_accepted_verify_names_no_move():
+    game, plan = prize_plan(0.02)
+    names = verifier._MoveGrid.names
+    with mock.patch.object(verifier._MoveGrid, "names", autospec=True,
+                           side_effect=names) as spy:
+        assert verify_plan(game, plan).accepted
+        assert spy.call_count == 0
+        # The spoiler names its worst finding and its 574 structural
+        # failures as before names were made on demand.
+        found = verify_plan(spoiler_3x3(), naive_spoiler_plan(0.1)).deviations["commitment"]
+        assert spy.call_count == 0
+    assert found.worst == DeviationFinding(3.0, 0, 0, "P(0, 0)x0.05", "unavailable", True)
+    failures = repr([(f.prefix, f.player, f.move) for f in found.structural_failures])
+    assert len(found.structural_failures) == 574
+    assert hashlib.sha256(failures.encode()).hexdigest() == (
+        "f9efb85fbc1c5121a6efd40f27be0630395e2282313e6ad82eb3c4f9f979c17f")
+    amounts = (plan.delta / 2, plan.delta)
+    for d in range(2):
+        got = commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
+        want = reference.commitment_deviation_moves(game, d, plan.delta, plan.mode, amounts)
+        assert [name for name, _ in got] == [name for name, _ in want]
 
 
 def _random_plan(rng, counts):
