@@ -279,10 +279,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK if report.accepted else EXIT_VERIFICATION
 
 
-def _plan_for_game(args, game: Game):
-    return check_plan_for_game(load_plan(args.plan), game)
-
-
 def _run_script(game: Game, path):
     """The session a script document drives; DocumentError when the script
     is malformed or breaks a session rule."""
@@ -307,7 +303,7 @@ def cmd_simulate(args) -> int:
     elif args.plan is None:
         raise InputError("give a plan file or --script")
     else:
-        plan = _plan_for_game(args, game)
+        plan = check_plan_for_game(load_plan(args.plan), game)
         rounds = plan.rounds or (CommitmentRound(),)  # stop at once without rounds
         votes = ((True,) * game.num_players,) * (len(rounds) - 1) + ((False,) * game.num_players,)
         try:
@@ -326,7 +322,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     game = _load_game(args.game)
-    plan = _plan_for_game(args, game)
+    plan = load_plan(args.plan)  # `verify_plan` checks that it fits `game`
     report = _verify(args, game, plan)
     doc = report.to_dict()
     doc["meta"] = _meta(args, {"game": _file_sha256(args.game),

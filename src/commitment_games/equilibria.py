@@ -452,14 +452,17 @@ def _solve_block(system: StackedSystem, seed: MixedProfile | None):
                 alpha *= 0.5
             status[rows] = _NO_CONVERGE
             active &= status == _OK
-        f_norm = _inf_norm(F)  # a failed row keeps the norm it failed at
+        # F is f(X) on every row, each row evaluated as a fresh `f(X)` would
+        # (the contractions are row for row), so a solved row's norm is read
+        # from it; a failed row keeps the norm it failed at.
+        f_norm = _inf_norm(F)
         status[active & (f_norm > NEWTON_TOL)] = _NO_CONVERGE
     solved = status == _OK
     X[~solved] = 0.5  # keeps the checks below free of NaN; the rows stay failed
 
-    norm = _inf_norm(f(X))
-    f_norm[solved] = norm[solved]
-    status[solved & (norm > SYSTEM_TOL)] = _NO_CONVERGE
+    if n == 2:
+        f_norm[solved] = _inf_norm(f(X))[solved]
+    status[solved & (f_norm > SYSTEM_TOL)] = _NO_CONVERGE
     out_of_range = np.any((X <= DEFAULT_TOL) | (X > 1 + DEFAULT_TOL), axis=1)
     status[(status == _OK) & out_of_range] = _OUT_OF_RANGE
     return X, status, f_norm
@@ -481,20 +484,29 @@ def _bexpected(U: np.ndarray, probs: Sequence[np.ndarray]) -> np.ndarray:
 
 def _bpayoffs(U: np.ndarray, probs: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """Per row, the deviation payoffs of every player and the (B, n)
-    expected payoffs."""
-    return _bdeviation_payoffs(U, probs), _bexpected(U, probs)
+    expected payoffs.  Player 1's expected payoff is its deviation payoffs
+    contracted with its mix: the contractions `_bexpected` makes, on the
+    same arrays, so the same bits.  The other players' contract in another
+    order, which rounds differently."""
+    n = U.shape[1]
+    pay = _bdeviation_payoffs(U, probs)
+    own = [_bmatvec(pay[0], probs[0])]
+    return pay, np.stack(own + [_bcontract(U[:, i], probs, range(n)) for i in range(1, n)],
+                         axis=1)
 
 
-def _bnash(pay: Sequence[np.ndarray], probs: Sequence[np.ndarray],
-           tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bnash(pay: Sequence[np.ndarray], probs: Sequence[np.ndarray], tol: float,
+           expected: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best-response check per row from the deviation payoffs: the
     worst violation's (player, action, gain), with player -1 where the row
-    is Nash."""
+    is Nash.  `expected` (`_bpayoffs`), when given, holds player 1's own
+    payoff, which is then read instead of contracted again."""
     B = len(probs[0])
     player, action, worst = np.full(B, -1), np.zeros(B, dtype=int), np.zeros(B)
     for i, p in enumerate(pay):
         a = np.argmax(p, axis=1)
-        gain = p[np.arange(B), a] - _bmatvec(p, probs[i])
+        own = expected[:, 0] if i == 0 and expected is not None else _bmatvec(p, probs[i])
+        gain = p[np.arange(B), a] - own
         hit = (gain > tol) & (gain > worst)
         player[hit], action[hit], worst[hit] = i, a[hit], gain[hit]
     return player, action, worst
@@ -548,7 +560,7 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     X, status, _, _ = _solve(system, seed, distinct=True)
     full = system.embed(np.clip(X, 0.0, 1.0))
     deviation, expected = _bpayoffs(system.utilities, full)
-    status[(status == _OK) & (_bnash(deviation, full, NASH_TOL)[0] >= 0)] = _NOT_NASH
+    status[(status == _OK) & (_bnash(deviation, full, NASH_TOL, expected)[0] >= 0)] = _NOT_NASH
     status[(status == _OK) & ~_under_ceiling(expected, ceiling)] = _OVER_CEILING
     return BatchFirstStage(status, tuple(full), tuple(deviation), expected)
 
@@ -711,7 +723,7 @@ def _first_settling(V: np.ndarray, probs: Sequence[np.ndarray], valid: np.ndarra
     payoffs, expected payoffs), one row per game."""
     R = len(V)
     pay, exp = _bpayoffs(np.tile(V, (len(valid) // R,) + (1,) * (V.ndim - 1)), probs)
-    valid = valid & (_bnash(pay, probs, NASH_TOL)[0] < 0) & _under_ceiling(exp, ceiling)
+    valid = valid & (_bnash(pay, probs, NASH_TOL, exp)[0] < 0) & _under_ceiling(exp, ceiling)
     valid = valid.reshape(-1, R)
     pick = valid.argmax(axis=0) * R + np.arange(R)
     return valid.any(axis=0), [p[pick] for p in probs], [p[pick] for p in pay], exp[pick]

@@ -60,8 +60,10 @@ ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
 # Games searched per stacked punishment search.  Larger stacks make fewer,
 # larger calls, but the search's working arrays grow with them and raise
 # the peak memory of a verify run; a row taken from an earlier search
-# (`check_deviations`) makes no such arrays and is not counted.
-ROW_BUDGET = 1024
+# (`check_deviations`) makes no such arrays and is not counted.  An ex5
+# verify (`plan --delta auto`, 40 rounds, 5,241 rows in 2 stacks) peaks at
+# 3.2 MB under `tracemalloc`, against 1.2 MB at 1,024 rows (6 stacks).
+ROW_BUDGET = 3072
 
 DEVIATION_CLASSES = ("commitment", "early_stop", "continue_when_stop",
                      "terminal_action")
@@ -91,13 +93,15 @@ class FindingRows:
     move `moves[r % w]` of player `players[r % w]` at prefix
     `prefixes[r // w]`, where w = len(moves).  `kinds` are the rows'
     punishment kinds from `punish_batch`, or one kind of every row; kind
-    "none" is a structural failure, reported as "unavailable"."""
+    "none" is a structural failure, reported as "unavailable".  `counts`,
+    when given, is the histogram of `kinds`, counted by the caller."""
 
     gains: np.ndarray
     kinds: Sequence[str] | str
     prefixes: Sequence[int]
     players: Sequence[int]
     moves: Sequence[str]
+    counts: Counter | None = None
 
     def __len__(self) -> int:
         return len(self.gains)
@@ -139,7 +143,8 @@ class DeviationClassResult:
         gain never becomes the worst, as under `record`'s strict `>`."""
         self.checked += len(rows)
         one = isinstance(rows.kinds, str)
-        kinds = Counter({rows.kinds: len(rows)} if one else rows.kinds)
+        kinds = Counter(rows.counts if rows.counts is not None else
+                        {rows.kinds: len(rows)} if one else rows.kinds)
         if "none" in kinds:
             kinds["unavailable"] = kinds.pop("none")
             structural = (range(len(rows)) if one else
@@ -206,14 +211,20 @@ def _stage_index(plan: ProtocolPlan, ks) -> np.ndarray:
 
 
 def _stage_groups(plan: ProtocolPlan, ks: Sequence[int],
-                  rows: Callable[[int, int], np.ndarray] | None = None):
+                  rows: Callable[[int, int], np.ndarray] | None = None,
+                  heads: np.ndarray | None = None):
     """Runs of consecutive prefixes among `ks` under one punishment stage,
     with that stage; a run holds at most ROW_BUDGET rows and always at
     least one prefix.  `rows(i, j)` is the array of rows of prefixes
     ks[i:j] (one each by default), asked at each run's start, after the
     runs before it are consumed.  It is asked for a window of prefixes,
-    doubled until the run ends inside it, so a run costs its own length."""
+    doubled until the run ends inside it, so a run costs its own length.
+    `heads[c, p]` is the place in `ks` of a prefix whose search prefix
+    ks[p] may take (-1 for none), one row per kind c of head: a run ends
+    before a prefix whose head is in it, so the prefix takes the head's
+    search in a later run instead of being searched alongside it."""
     rows = rows or (lambda i, j: np.ones(j - i, dtype=int))
+    heads = np.full((0, len(ks)), -1) if heads is None else heads
     stage = _stage_index(plan, ks)
     ends = [*(np.flatnonzero(stage[1:] != stage[:-1]) + 1).tolist(), len(ks)]
     i = 0
@@ -222,7 +233,9 @@ def _stage_groups(plan: ProtocolPlan, ks: Sequence[int],
             span = ROW_BUDGET
             while True:
                 j = min(end, i + span)
-                cut = max(int(np.searchsorted(np.cumsum(rows(i, j)), ROW_BUDGET, "right")), 1)
+                cut = int(np.searchsorted(np.cumsum(rows(i, j)), ROW_BUDGET, "right"))
+                waits = np.flatnonzero((heads[:, i:j] >= i).any(axis=0))
+                cut = max(min(cut, int(waits[0])) if waits.size else cut, 1)
                 if cut < j - i or j == end:
                     break
                 span *= 2
@@ -564,7 +577,9 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     Per run of consecutive prefixes under one punishment stage with at
     most ROW_BUDGET rows left, the deviation games left and then the prefix
     games left that the early stops or a None in `punishments` ask for go
-    to one `punish_batch`, and the run's findings are reduced as arrays,
+    to one `punish_batch`.  A run ends before a prefix whose clean run's
+    first prefix is in it, so the prefix takes that search in the next run
+    instead of repeating it.  The run's findings are reduced as arrays,
     one row per move (`DeviationClassResult.record_rows`).  `punishments`
     maps prefixes to their search (kind, best-response payoffs, reason): a
     search it holds is read, and every search made or taken is written into
@@ -589,6 +604,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     x = np.array(xs, dtype=np.float64)
     names = _MoveNames(grid, xs)
     width = len(grid.distinct)
+    per_game = np.bincount(grid.spread, minlength=width)  # moves per distinct game
     starts = np.searchsorted(grid.deviator[grid.distinct], np.arange(n))  # each deviator's first
     moves, _, cells, signs = grid.updates
     values = signs * x[grid.slot[grid.distinct[moves]]]
@@ -627,7 +643,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
         """The rows of prefixes ks[i:j] left to search, once the searches before them are made."""
         return need[i:j] - kept_rows[0, heads[0, i:j]] - kept_rows[1, heads[1, i:j]]
 
-    for stage, group in _stage_groups(plan, ks, open_rows):
+    for stage, group in _stage_groups(plan, ks, open_rows, heads):
         moved = [k for k in group if k in on_grid]
         shared = [k for k in group if k in searched]
         spans = [(0, place[k], width) for k in moved] + [(1, place[k], 1) for k in shared]
@@ -683,9 +699,17 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
                 pure[left] = found.pure_best
                 pure = pure[:rows].reshape(-1, width, n)[:, grid.spread, d] - on_path[d]
                 gains[none] = np.where(pure > -math.inf, pure, math.inf)[none]
+            counts = None
+            if kinds is not None:
+                # The kinds' histogram: each row's kind once per move that
+                # makes its game.
+                chunk, weight = kinds[:rows], np.tile(per_game, len(moved))
+                counts = Counter({kind: c for kind in {*found.kinds, "support_solve"}
+                                  if (c := int(weight[chunk == kind].sum()))})
             results["commitment"].record_rows(FindingRows(
                 gains.ravel(), "support_solve" if kinds is None else
-                kinds[:rows].reshape(-1, width)[:, grid.spread].ravel(), moved, d, names))
+                kinds[:rows].reshape(-1, width)[:, grid.spread].ravel(), moved, d, names,
+                counts))
 
     if stops:
         kinds = [punishments[k][0] for k in stops]

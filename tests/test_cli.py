@@ -309,6 +309,28 @@ def test_verify_rejects_bad_grid_arguments(workdir, capsys, args):
     assert "error:" in err
 
 
+def test_verify_checks_the_plan_against_its_game_once(workdir, capsys, monkeypatch):
+    from commitment_games import cli, protocols, verifier
+
+    checked, check = [], protocols.check_plan_for_game
+
+    def counted(plan, game):
+        checked.append(plan)
+        return check(plan, game)
+
+    monkeypatch.setattr(verifier, "check_plan_for_game", counted)
+    monkeypatch.setattr(cli, "check_plan_for_game", counted)
+    plan_path = workdir / "checked_once_plan.json"
+    plan_path.write_text(json.dumps(_ex3_plan_doc(workdir)), encoding="utf-8")
+    code, _ = _main(capsys, "verify", str(workdir / "ex3.json"), str(plan_path),
+                    "-o", str(workdir / "checked_once_report.json"))
+    assert code == 0 and len(checked) == 1
+    # `verify_plan` makes the one check, so a bad --grid is reported first.
+    code, err = _main(capsys, "verify", str(workdir / "ex1.json"), str(plan_path),
+                      "--grid=0.5,2")
+    assert code == 2 and "--grid amounts must not exceed the plan's delta" in err
+
+
 @pytest.mark.parametrize("args", [
     ["--payoffs", "nan,3", "--delta", "1"],
     ["--payoffs", "inf,3", "--delta", "1"],

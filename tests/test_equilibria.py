@@ -43,9 +43,11 @@ from commitment_games.catalog import (
     chicken_bribe_round,
     prisoners_dilemma,
     spoiler_3x3,
+    three_player_cycle,
     two_mode_mixing,
     unfair_split,
 )
+from commitment_games.protocols import build_plan
 
 import scalar_reference as reference
 from conftest import full_support_multiplayer, full_support_two_player, random_game
@@ -702,6 +704,88 @@ def test_full_supports_skip_the_keying(monkeypatch):
     stack = rng.integers(-2, 3, (4, 2, 2, 2)).astype(float)[[0, 1, 0, 2, 3, 1]]
     monkeypatch.setattr(equilibria, "_distinct_rows", None)
     _assert_rows_match_one_row_stacks(stack, supports, seed, (1.0, 1.0))
+
+
+def _assert_newton_norm_is_a_fresh_evaluate(stack, supports, seed) -> int:
+    """`_solve_block`'s norm on the rows that pass its norm check, against
+    the norm of a fresh `evaluate` at its X, bit for bit; returns how many
+    rows pass."""
+    system = equilibria.StackedSystem(stack, supports)
+    X, status, f_norm = equilibria._solve_block(system, seed)
+    fresh = np.abs(system.evaluate(X) - system.rhs).max(axis=1)
+    passed = np.isin(status, (equilibria.STATUSES.index("ok"),
+                              equilibria.STATUSES.index("out_of_range")))
+    assert f_norm[passed].tobytes() == fresh[passed].tobytes()
+    return int(passed.sum())
+
+
+def test_newton_norm_is_a_fresh_evaluate_on_ex6_stacks(monkeypatch):
+    # Newton's last accepted F is f(X), row for row, so the norm is read
+    # from it instead of evaluating the system again.
+    from commitment_games import verifier
+
+    game = three_player_cycle()
+    sigma = MixedProfile.uniform_over((2, 2, 2), [(0, 1)] * 3)
+    plan = build_plan(game, sigma, target=(0, 0, 0), delta=0.01)
+    stacks, batch = [], verifier.punish_batch
+
+    def recorded(utilities, *args):
+        stacks.append((utilities, args))
+        return batch(utilities, *args)
+
+    monkeypatch.setattr(verifier, "punish_batch", recorded)
+    verifier.verify_plan(game, plan)
+    assert [len(u) for u, _ in stacks] == [2601]
+    for utilities, (supports, seed, _) in stacks:
+        assert _assert_newton_norm_is_a_fresh_evaluate(utilities, supports, seed) == len(utilities)
+
+
+def test_newton_norm_is_a_fresh_evaluate_hypothesis():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    passed = 0
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4]),
+           st.sampled_from([1e-3, 0.1, 1.0]))
+    def run(seed, players, scale):
+        nonlocal passed
+        rng = np.random.default_rng(seed)
+        game, sigma = full_support_multiplayer(rng, players=players)
+        stack = game.utilities + rng.uniform(-scale, scale, (16, *game.utilities.shape))
+        stack[0] = game.utilities
+        passed += _assert_newton_norm_is_a_fresh_evaluate(stack, sigma.supports(), sigma)
+
+    run()
+    assert passed
+
+
+@pytest.mark.parametrize("counts", [(3, 3), (2, 3, 2)])
+def test_bpayoffs_reads_player_ones_payoff_as_bexpected_contracts_it(counts):
+    rng = np.random.default_rng(4)
+    B, n = 64, len(counts)
+    U = rng.integers(-1, 2, (B, n, *counts)).astype(float)
+    zeros = U == 0
+    U[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    U[:8, 0] = -0.0  # player 1's payoff is exactly zero on these rows
+    probs = []
+    for c in counts:
+        p = rng.random((B, c))
+        p[rng.random((B, c)) < 0.3] = 0.0
+        p[:, 0] += 1e-3
+        probs.append(p / p.sum(axis=1, keepdims=True))
+    pay, expected = equilibria._bpayoffs(U, probs)
+    want = equilibria._bexpected(U, probs)
+    # Bytes, so a zero's sign counts too.
+    assert (expected[:, 0] == 0).sum() >= 8
+    assert expected.tobytes() == want.tobytes()
+    for got, wanted in zip(pay, equilibria._bdeviation_payoffs(U, probs)):
+        assert got.tobytes() == wanted.tobytes()
+    read = equilibria._bnash(pay, probs, 0.05, expected)
+    again = equilibria._bnash(pay, probs, 0.05)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(read, again))
+    assert (read[0] >= 0).any() and (read[0] < 0).any()
 
 
 def test_distinct_rows_compares_the_words_of_rows_whose_hashes_collide(monkeypatch):

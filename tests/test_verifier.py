@@ -356,6 +356,12 @@ def _recorded_stacks():
         yield stacks
 
 
+def _every_row_searched():
+    """No clean runs: no prefix takes another's search, so every row of the
+    grid reaches a stack."""
+    return mock.patch.object(verifier, "_clean_runs", lambda *args: ({}, {}))
+
+
 def _assert_same_rows(batched, scalar):
     assert len(batched) == len(scalar)
     for b, s in zip(batched, scalar):
@@ -667,7 +673,7 @@ def test_base_rows_fold_the_others_pledges_as_apply_transfers_does():
     for game, plan in _base_row_cases():
         n = game.num_players
         games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
-        with _recorded_stacks() as stacks:
+        with _recorded_stacks() as stacks, _every_row_searched():
             check_deviations(game, plan, stack=fold_rounds(game, plan.rounds, plan.delta,
                                                            plan.mode))
         sizes = [len(_distinct_moves(game, plan, d)) for d in range(n)]
@@ -762,10 +768,11 @@ def test_grid_builds_no_per_row_objects(case):
         assert (results["commitment"].checked, results["early_stop"].checked) == (13000, 198)
         assert structural == 0
         # No round touches a cell the first stage reads, so every later
-        # stack takes the searches of the first: prefix 0's 130 rows and six
-        # prefixes of 130 rows and an early stop's prefix game each.
-        assert stacks == [130 + 6 * 131]
-        assert 130 + 7 * 131 > verifier.ROW_BUDGET
+        # prefix takes a search of an earlier stack: prefix 0's 130 rows,
+        # then prefix game 1, the first early stop's, each alone in its
+        # stack.  The followers waited for them, not for the budget.
+        assert stacks == [130, 1]
+        assert 130 + 131 <= verifier.ROW_BUDGET
     else:
         assert structural == 574
 
@@ -782,9 +789,9 @@ def test_ex6_stacks_hold_each_distinct_deviation_game_once():
     # a P move does: 17 distinct games of 33 moves.
     assert [len(_distinct_moves(game, plan, d)) for d in range(3)] == [17] * 3
     # 51 games per prefix, and the prefix game of each of the 49 early stops
-    # in the same stacks: 19 prefixes fit in ROW_BUDGET, the first without
-    # an early stop.
-    assert [len(u) for u in stacks] == [19 * 51 + 18, 19 * 52, 12 * 52]
+    # in the same stack: no round of ex6 is clean, so no prefix waits, and
+    # all 50 prefixes fit in ROW_BUDGET, the first without an early stop.
+    assert [len(u) for u in stacks] == [50 * 51 + 49]
     assert results["commitment"].checked == 50 * 99 == 4950
 
 
@@ -792,7 +799,7 @@ def test_transfers_grid_folds_only_the_burn_twins():
     game, plan = split_plan()
     amounts = (0.5, 1.0)
     games = reference.fold_rounds(game, plan.rounds, plan.delta, plan.mode)
-    with _recorded_stacks() as stacks:
+    with _recorded_stacks() as stacks, _every_row_searched():
         check_deviations(game, plan, amounts=amounts,
                          stack=fold_rounds(game, plan.rounds, plan.delta, plan.mode))
     kept = [_distinct_moves(game, plan, d, amounts) for d in range(2)]
@@ -877,13 +884,20 @@ def test_verify_plan_searches_each_prefix_game_once():
     stops = verifier._prefix_indices(R, budgets["budget"])[1:]
     shared = set(probed) | set(stops)
     assert len(shared) < len(probed) + len(stops)
+    # The grid compiles only its prefixes' rounds, so the clean runs of
+    # prefix games are the pairs k, k + 1 of a grid prefix k and the next
+    # prefix, when both are asked.  Each k + 1 waits for k's stack and takes
+    # its search: it is not searched at all.
+    grid = verifier._prefix_indices(R, 8)
+    taken = {k + 1 for k in grid if {k, k + 1} <= shared}
+    assert sorted(taken) == [1, 26, 63, 88, 100]
     # ex4 is 4x4, so no two moves fold alike: one row per move.
     rows = sum(map(len, stacks))
-    assert rows == report.deviations["commitment"].checked + len(shared)
-    # One call per stage chunk: the 8 grid prefixes' 1,040 rows and the
-    # shared prefix games exceed ROW_BUDGET once.
-    grid_rows = report.deviations["commitment"].checked // len(verifier._prefix_indices(R, 8))
-    assert grid_rows == 130 and len(stacks) == 2
+    assert rows == report.deviations["commitment"].checked + len(shared) - len(taken)
+    # One call per chunk that searches: prefix 0 alone, then prefixes 1-25,
+    # 26-62, 63-87 and 88-99, each chunk ending before a prefix that waits
+    # for its head; prefix game 100 then searches nothing.
+    assert report.deviations["commitment"].checked // len(grid) == 130 and len(stacks) == 5
     assert max(map(len, stacks)) <= verifier.ROW_BUDGET
 
 
@@ -929,12 +943,13 @@ def _takeable(rows, stage) -> list[bool]:
             for kind, best, pay in zip(found.kinds, found.best_response, found.payoffs)]
 
 
-def _assert_merged_search_matches_separate_calls(game, plan, **kwargs) -> list:
+def _assert_merged_search_matches_separate_calls(game, plan, **kwargs) -> tuple[list, int]:
     """verify_plan's one stack per stage chunk gives the report bytes and,
     row for row, the kinds, best responses and pure_best of separate prefix
-    and grid searches; returns the merged run's stacks.  The separate calls
-    search every prefix game; the merged stacks leave out only prefix games,
-    those that take the search of their clean run's first prefix."""
+    and grid searches; returns the merged run's stacks and the number of
+    separate calls.  The separate calls search every prefix game; the merged
+    stacks leave out only prefix games, those that take the search of their
+    clean run's first prefix."""
     with _recorded_stacks() as stacks, _recorded_rows() as merged:
         report = verify_plan(game, plan, **kwargs).to_json()
     with _recorded_stacks() as separate_stacks, _recorded_rows() as separate, \
@@ -946,8 +961,8 @@ def _assert_merged_search_matches_separate_calls(game, plan, **kwargs) -> list:
             <= {u.tobytes() for u in prefix_games})
     sizes = [len(u) for u in stacks]
     assert max(sizes) <= verifier.ROW_BUDGET
-    assert sum(sizes) <= sum(map(len, separate_stacks)) and len(sizes) < len(separate_stacks)
-    return stacks
+    assert sum(sizes) <= sum(map(len, separate_stacks))
+    return stacks, len(separate_stacks)
 
 
 MERGED_SEARCH_PLANS = {
@@ -964,33 +979,47 @@ MERGED_SEARCH_PLANS = {
 }
 
 
-@pytest.mark.parametrize("case, calls", [("ex4_budgets", 2), ("ex6", 3), ("spoiler", 2),
-                                         ("own_stage_past_budget", 3)])
+# The separate searches' calls per plan: one per stage chunk of the prefix
+# games, then of the grid.
+SEPARATE_CALLS = {"ex4_budgets": 2, "ex6": 2, "spoiler": 3, "own_stage_past_budget": 5}
+
+
+@pytest.mark.parametrize("case, calls", [("ex4_budgets", 5), ("ex6", 1), ("spoiler", 2),
+                                         ("own_stage_past_budget", 4)])
 def test_merged_search_matches_separate_calls(case, calls):
     game, plan, kwargs = MERGED_SEARCH_PLANS[case]()
-    stacks = _assert_merged_search_matches_separate_calls(game, plan, **kwargs)
+    stacks, separate = _assert_merged_search_matches_separate_calls(game, plan, **kwargs)
     sizes = [len(u) for u in stacks]
-    assert len(sizes) == calls
+    # ex4 with budgets makes more calls than the separate searches: its
+    # clean runs of prefix games are pairs (`test_verify_plan_searches_each_
+    # prefix_game_once`), and each pair's second prefix waits for the first's
+    # stack.
+    assert (len(sizes), separate) == (calls, SEPARATE_CALLS[case])
     if case == "own_stage_past_budget":
-        assert plan.stage_for(51).first_round == 51 and sizes[1] == 1
+        # Prefix 0 alone, then prefixes 1-50, then checkpoint 51 under its
+        # own stage, then prefixes 52-99; prefix game 100 waits for 99 and
+        # takes its search.
+        assert plan.stage_for(51).first_round == 51 and sizes[2] == 1
     if case == "spoiler":
         # The spoiler's ten rounds stay off the cells the first stage reads:
         # one run of grid prefixes, one of prefix games.  The first stack
-        # holds prefixes 0-3, their rows and then their prefix games; the
-        # second, prefixes 4-9 and prefix game 10, holds only the rows whose
-        # first-prefix search did not settle at the first stage or has a
-        # payoff of exactly 0.0.
+        # holds prefix 0, its rows and then its prefix game, since prefix 1
+        # waits for them; the second, prefixes 1-9 and prefix game 10, holds
+        # only the rows whose first-prefix search did not settle at the first
+        # stage or has a payoff of exactly 0.0.
         width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
-        assert sizes[0] == 4 * (width + 1) and len(plan.rounds) == 10
-        kept = _takeable(stacks[0][[*range(width), 4 * width]], plan.stage_for(0))
+        assert sizes[0] == width + 1 and len(plan.rounds) == 10
+        kept = _takeable(stacks[0][[*range(width), width]], plan.stage_for(0))
         rows, games = kept[:width].count(False), int(not kept[width])
-        assert rows and sizes[1:] == [6 * rows + 7 * games] and not games
+        assert rows and sizes[1:] == [9 * rows + 10 * games] and not games
 
 
 def test_merged_search_matches_separate_calls_on_seeded_2x2_plans():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        assert len(_assert_merged_search_matches_separate_calls(*mismatching_two_by_two(rng))) == 1
+        stacks, separate = _assert_merged_search_matches_separate_calls(
+            *mismatching_two_by_two(rng))
+        assert (len(stacks), separate) == (1, 2)
 
 
 @pytest.mark.parametrize("case, prefixes", [("mix3x3_indirect", 1), ("welfare_then_burn", 2)])
@@ -1000,7 +1029,8 @@ def test_merged_search_matches_separate_calls_in_small_chunks(monkeypatch, case,
     game, plan = CHUNK_CASES[case]()
     rows = sum(len(_distinct_moves(game, plan, d)) for d in range(game.num_players))
     monkeypatch.setattr(verifier, "ROW_BUDGET", prefixes * (rows + 1))
-    _assert_merged_search_matches_separate_calls(game, plan)
+    stacks, separate = _assert_merged_search_matches_separate_calls(game, plan)
+    assert len(stacks) < separate
 
 
 def test_ex4_first_stage_solves_each_distinct_support_block_once(monkeypatch):
@@ -1027,12 +1057,12 @@ def test_ex4_first_stage_solves_each_distinct_support_block_once(monkeypatch):
     assert report.accepted
     rows, distinct = zip(*blocks)
     # No round touches a cell the first stage reads, so only the first
-    # stack is searched: prefixes 0-6, each with its 130 moves (no two
-    # alike) and its prefix game.  Its blocks are those of prefix 0: the
+    # stack is searched: prefix 0, with its 130 moves (no two alike) and its
+    # prefix game, since prefix 1 waits for it.  Its blocks are: the
     # plan's own, and per deviator and amount the P burn at each of the 9
     # block outcomes and the M burn at each of the 12 outcomes whose other
     # player's action is in the support.
-    assert rows == (7 * 131,)
+    assert rows == (131,)
     assert distinct == (1 + 2 * 2 * (9 + 12),)
     assert solved == list(distinct)
 
@@ -1050,11 +1080,12 @@ def test_ex4_verify_searches_only_its_first_stack():
             assert not read.reshape(2, 4, 4)[(p.payer, *p.outcome)]
     with _recorded_stacks() as stacks:
         report = verify_plan(game, plan)
-    # The first stack holds 7 prefixes of 130 moves and a prefix game each;
-    # all 13,101 rows settle at the first stage with no payoff of 0.0, and
-    # every later row takes the search of prefix 0: prefixes 7-100 leave no
-    # row to search, so no later stack is built.
-    assert [len(u) for u in stacks] == [7 * 131] and 8 * 131 > verifier.ROW_BUDGET
+    # The first stack holds prefix 0's 130 moves and its prefix game; all
+    # 13,101 rows settle at the first stage with no payoff of 0.0, and every
+    # later row takes the search of prefix 0: prefix 1 waits for it, though
+    # the budget has room, and prefixes 1-100 leave no row to search, so no
+    # later stack is built.
+    assert [len(u) for u in stacks] == [131] and 2 * 131 <= verifier.ROW_BUDGET
     assert report.accepted
     assert report.deviations["commitment"].punishment_kinds == {"support_solve": 13000}
     assert report.deviations["early_stop"].punishment_kinds == {"support_solve": 198}
@@ -1080,16 +1111,16 @@ def test_spoiler_unsettled_rows_search_alike_alone_and_in_their_stack(monkeypatc
         found[name] = punish_batch(rows, *args)
         monkeypatch.undo()
         runs[name] = sizes[1:]  # the first is the first stage's
-    # 232 rows of the 1,020 leave the first stage; whether the stack holds
+    # 58 rows of the 255 leave the first stage; whether the stack holds
     # only them or the whole chunk, their enumeration runs hold the same
     # (pattern, game) pairs, and their results are the same bytes.
-    assert open_rows.sum() == 232 and len(runs["alone"]) > 1
+    assert open_rows.sum() == 58 and len(runs["alone"]) > 1
     assert runs["chunk"] == runs["alone"]
     chunk_found, alone = found["chunk"], found["alone"]
     picked = np.flatnonzero(open_rows)
     assert [chunk_found.kinds[r] for r in picked] == list(alone.kinds)
     assert [chunk_found.reasons[r] for r in picked] == list(alone.reasons)
-    assert Counter(alone.kinds) == {"none": 232}
+    assert Counter(alone.kinds) == {"none": 58}
     for name in ("best_response", "payoffs", "pure_best"):
         assert getattr(chunk_found, name)[picked].tobytes() == getattr(alone, name).tobytes()
     for got, want in zip(chunk_found.profiles, alone.profiles):
@@ -1170,36 +1201,36 @@ def test_taken_searches_match_scalar_loop(case):
     # takes nothing: with no prefix within it, every row is searched.
     every_row = R * width + R + 1
     if case == "ex4_400_rounds":
-        assert R > 400 and sizes == [7 * (width + 1)] and kinds["support_solve"] == 2 * R * 66 - 2
+        assert R > 400 and sizes == [width + 1] and kinds["support_solve"] == 2 * R * 66 - 2
     elif case.startswith("cell_at_"):
-        # Prefixes 0-16 with their prefix games make the first stack.  At
-        # 0.2 of the largest float every prefix is within the guard, and the
-        # later ones take the first stack's searches; at 0.3 none is, and
-        # prefixes 17-33 and 34-39, with every prefix game, are searched too.
+        # At 0.2 of the largest float every prefix is within the guard:
+        # prefix 0 with its prefix game makes the only stack, and the later
+        # ones wait for it and take its searches.  At 0.3 none is, so none
+        # waits: the 40 prefixes and every prefix game make one stack.
         assert set(kinds) == {"support_solve", "n/a"}
         if case.startswith("cell_at_0.2"):
-            assert sizes == [17 * (width + 1)]
+            assert sizes == [width + 1]
         else:
-            assert sizes == [17 * (width + 1)] * 2 + [6 * (width + 1) + 1]
-            assert sum(sizes) == every_row
+            assert sizes == [every_row] and every_row <= verifier.ROW_BUDGET
     elif case == "middle_round_on_a_read_cell":
-        # Stacks of prefixes 0-6 (searched), then 7-26: 7-19 take, the middle
+        # Stacks of prefix 0 (searched), then 1-21: 1-19 take, the middle
         # round's prefix 20 searches its rows (its prefix game joins the first
-        # run), and 21-26 start a new run and are searched; 27-41 take.
+        # run), and 21 starts a new run and is searched with its prefix game;
+        # 22-40 and the last prefix game wait for 21 and take.
         assert R == 41 and width == 130
-        assert sizes == [7 * (width + 1), width + 6 * (width + 1)]
+        assert sizes == [width + 1, width + (width + 1)]
     elif case == "ex3_auto":
-        # Stacks of 17 prefixes: 0-16 searched, then as many prefixes' rows
-        # left as fit: 17-36 and 37-46, and the last prefix game under a
-        # stage of its own.  Only the moves that pay at the punishment's
-        # cell (0, 0) to the other player leave both payoffs off 0.0 and are
-        # taken; the prefix games pay (0, 0).
+        # Stacks of prefix 0 with its prefix game (prefix 1 waits for it),
+        # then the rows left of prefixes 1-46, and the last prefix game
+        # under a stage of its own.  Only the moves that pay at the
+        # punishment's cell (0, 0) to the other player leave both payoffs
+        # off 0.0 and are taken; the prefix games pay (0, 0).
         assert (R, width) == (47, 58) and plan.stage_for(R) is not plan.stage_for(0)
-        kept = _takeable(stacks[0][[*range(width), 17 * width]], plan.stage_for(0))
+        kept = _takeable(stacks[0][[*range(width), width]], plan.stage_for(0))
         open_rows = kept[:width].count(False) + (not kept[width])
         assert kept[:width].count(True) == 10 and not kept[width]
-        assert sizes == [17 * (width + 1), 20 * open_rows, 10 * open_rows, 1]
-        assert 21 * open_rows > verifier.ROW_BUDGET
+        assert sizes == [width + 1, 46 * open_rows, 1]
+        assert 46 * open_rows <= verifier.ROW_BUDGET
     elif case == "cells_past_half_the_float_range":
         # Round 20's burn and every move's delta are 0.3 of the largest
         # float, so no prefix is within the guard: every row is searched,
@@ -1209,8 +1240,7 @@ def test_taken_searches_match_scalar_loop(case):
             return sum(int((np.abs(u).reshape(len(u), -1).max(axis=1) > half).sum())
                        for u in us)
 
-        assert sizes == [17 * (width + 1)] * 2 + [6 * (width + 1) + 1]
-        assert sum(sizes) == every_row and past_half(stacks) > 0
+        assert sizes == [every_row] and past_half(stacks) > 0
     else:
         assert kinds["unavailable"] == 574 == len(
             report.deviations["commitment"].structural_failures)
@@ -1282,18 +1312,20 @@ GROUPING_CASES = {
                                  [[0, 1], [2, 3], [4, 5]]),
     # Prefix 6 (place 3) begins a stage inside what would fit one chunk.
     "stage_change_mid_run": (10, [0, 6], [1] * 8, {}, {}, [[0, 1, 2], [3, 4, 5, 6, 7]]),
-    # Place 0 heads places 1-4.  Place 1 is in its chunk, not yet searched,
-    # and counts at full width; places 2-4 then take the 3 rows it kept.
+    # Place 0 heads places 1-4, and place 1's full width would fit in its
+    # chunk: place 1 waits for the search of place 0, and places 1-4 then
+    # take the 3 rows it kept.
     "head_and_follower_in_one_chunk": (10, [0], [4] * 6, {p: 0 for p in range(1, 5)},
-                                       {0: 3}, [[0, 1], [2, 3, 4, 5]]),
+                                       {0: 3}, [[0], [1, 2, 3, 4, 5]]),
     # Twelve followers that take all of their rows make one chunk, though
     # they are more prefixes than the budget has rows.
     "followers_past_the_budget": (3, [0], [2] * 13, {p: 0 for p in range(1, 13)}, {0: 2},
                                   [[0], list(range(1, 13))]),
-    # A head in each stage, keeping every row: the stage change, not the
-    # budget, ends the chunk of place 3, which takes all of its rows.
+    # A head in each stage, keeping every row: each head is alone in its
+    # chunk, and its followers, which take all of their rows, make one
+    # chunk up to the stage change.
     "heads_across_a_stage_change": (9, [0, 8], [3] * 8, {1: 0, 2: 0, 3: 0, 5: 4, 6: 4, 7: 4},
-                                    {0: 3, 4: 3}, [[0, 1, 2], [3], [4, 5, 6], [7]]),
+                                    {0: 3, 4: 3}, [[0], [1, 2, 3], [4], [5, 6, 7]]),
 }
 
 
@@ -1316,12 +1348,12 @@ def test_array_grouping_matches_scalar_loop_on_hand_made_rows(monkeypatch, case)
 
     kept: dict = {}
     scalar = consumed(reference.stage_groups(
-        plan, ks, budget, lambda k: need[k // 2] - kept.get(head.get(k // 2), 0)),
-        kept.__setitem__)
+        plan, ks, budget, lambda k: need[k // 2] - kept.get(head.get(k // 2), 0),
+        lambda k: [2 * head[k // 2]] if k // 2 in head else []), kept.__setitem__)
     kept_rows = np.zeros(len(need) + 1, dtype=int)  # the last entry, place -1, stays 0
     heads = np.array([head.get(p, -1) for p in range(len(need))])
     array = consumed(verifier._stage_groups(
-        plan, ks, lambda i, j: np.array(need[i:j]) - kept_rows[heads[i:j]]),
+        plan, ks, lambda i, j: np.array(need[i:j]) - kept_rows[heads[i:j]], heads[None]),
         kept_rows.__setitem__)
     assert array == scalar
     assert [group for _, group in array] == want
@@ -1339,10 +1371,11 @@ def test_array_grouping_matches_scalar_loop_on_reuse_plans(case, budget):
     game, plan = REUSE_PLANS[case]()
     stage_groups, array, scalar = verifier._stage_groups, [], []
 
-    def scalar_groups(plan, ks, rows=None):
+    def scalar_groups(plan, ks, rows=None, heads=None):
         place = {k: i for i, k in enumerate(ks)}
         one = rows and (lambda k: int(rows(place[k], place[k] + 1)[0]))
-        return _logged(scalar, reference.stage_groups(plan, ks, verifier.ROW_BUDGET, one))
+        lead = heads is not None and (lambda k: [ks[h] for h in heads[:, place[k]] if h >= 0])
+        return _logged(scalar, reference.stage_groups(plan, ks, verifier.ROW_BUDGET, one, lead))
 
     with mock.patch.object(verifier, "ROW_BUDGET", budget):
         with mock.patch.object(verifier, "_stage_groups",
@@ -1351,6 +1384,54 @@ def test_array_grouping_matches_scalar_loop_on_reuse_plans(case, budget):
         with mock.patch.object(verifier, "_stage_groups", scalar_groups):
             assert verify_plan(game, plan).to_json() == report
     assert array == scalar and len(array) > 2
+
+
+# The reuse plans, with ex5 as `plan --delta auto` builds it (cap 0.05, 40
+# rounds) and ex6 at delta 0.01.
+WAITING_PLANS = {
+    **REUSE_PLANS,
+    "ex5_auto": lambda: (cyclic_with_prize_overlap(), build_plan(
+        cyclic_with_prize_overlap(), MixedProfile.uniform_over((4, 4), [(0, 1, 2), (0, 1, 2)]),
+        target=(3, 2), delta=0.05)),
+    "ex6": lambda: MERGED_SEARCH_PLANS["ex6"]()[:2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WAITING_PLANS))
+def test_no_stack_holds_a_prefix_with_its_run_head(case):
+    # A prefix whose run head is in its chunk, past the chunk's first prefix,
+    # waits for the head's search, so every stack's prefixes take only from
+    # earlier stacks.  Each stack's findings count their punishment kinds
+    # from the searched rows, as `Counter` counts the spread rows.
+    game, plan = WAITING_PLANS[case]()
+    stage_groups, record_rows = verifier._stage_groups, DeviationClassResult.record_rows
+    chunks, counted = [], []
+
+    def logged(plan, ks, rows=None, heads=None):
+        for stage, group in stage_groups(plan, ks, rows, heads):
+            if heads is not None:
+                chunks.append([{ks[h] for h in heads[:, ks.index(k)] if h >= 0} for k in group])
+                chunks[-1].append(set(group))
+            yield stage, group
+
+    def checked(self, rows):
+        if rows.counts is not None:
+            counted.append(rows.counts)
+            assert rows.counts == Counter(rows.kinds)
+        record_rows(self, rows)
+
+    with mock.patch.object(verifier, "_stage_groups", logged), \
+            mock.patch.object(DeviationClassResult, "record_rows", checked):
+        report = verify_plan(game, plan)
+    assert chunks
+    for *leads, group in chunks:
+        assert not any(lead & group for lead in leads[1:])
+    # The reports do not depend on the budget.
+    for budget in (150, 1024, 3072):
+        with mock.patch.object(verifier, "ROW_BUDGET", budget):
+            assert verify_plan(game, plan).to_json() == report.to_json()
+    if case in ("ex5_auto", "ex6", "spoiler", "ex3_auto"):
+        assert counted  # a stack searched some of its grid rows
 
 
 def test_an_accepted_verify_names_no_move():
