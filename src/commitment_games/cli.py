@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import cache
 
 from . import __version__
 from .catalog import GAMES, RUNNERS, reproduce
@@ -381,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--support", action="append",
                    help="per-player 1-based support lists, e.g. 1,2x1,2")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("plan", help="build and verify a commitment schedule")
     p.add_argument("game")
@@ -394,14 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="plan file to write")
     p.add_argument("--report", help="verification report file")
     _add_grid_args(p)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="replay a plan into a transcript")
     p.add_argument("game")
     p.add_argument("plan", nargs="?")
     p.add_argument("--script", help="interactive script JSON instead of a plan")
     p.add_argument("-o", "--out", default="-", help="transcript file")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="verify a plan file against its game")
     p.add_argument("game")
@@ -409,27 +407,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default="-", help="report file")
     p.add_argument("--witness", help="dump counterexample transcripts here")
     _add_grid_args(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="replay the worked-example corpus")
     p.add_argument("examples", nargs="*",
                    help="example ids (default: all)")
-    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("export", help="write a catalog game to a JSON file")
     p.add_argument("example")
     p.add_argument("-o", "--out", default="-")
-    p.set_defaults(func=cmd_export)
     return ap
 
 
+# The parser, built on first use and kept for the process, like the imports.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "grid"):
             _parse_grid(args)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call, so patchable
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -513,30 +513,28 @@ def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> 
     return sorted(picked)
 
 
-def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int], step: np.ndarray,
-                cell: np.ndarray, value: np.ndarray, move: float,
+def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int],
+                updates: tuple[np.ndarray, ...], move: float,
                 asked: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
     """The clean runs of the grid prefixes' rows and of the prefix games
     `asked` (ascending) in the prefix stack `U`, each as a map from every
-    prefix past a run's first to that first prefix.  A round is clean when the
-    grid compiles it (step j of the updates (`step`, `cell`, `value`) is
-    round prefixes[j]) and none of its updates lands on a cell its stage's
-    first stage reads (`equilibria._first_stage_cells`).  Grid prefixes
-    k < k' of one stage are one run when rounds k..k' are clean, since the
-    others' round-k' pledges are applied to its rows; prefix games k < k',
-    when rounds k..k'-1 are.  Either way the games of a run agree bit for
-    bit on those cells.  A run holds only the prefixes k within the
-    magnitude guard: max|U[k]| + Σ|round-k values| + `move`, the largest
-    Σ|values| of a move, at most a quarter of the largest float, so every
-    cell of their rows is within half of it and no partial sum of the first
-    stage overflows."""
-    rounds = np.asarray(prefixes, dtype=int)[step]
+    prefix past a run's first to that first prefix.  A round is clean when
+    none of its updates (`updates`, the plan's rounds compiled) lands on a
+    cell its stage's first stage reads (`equilibria._first_stage_cells`).
+    Grid prefixes k < k' of one stage are one run when every round k..k' is
+    clean, since the others' round-k' pledges are applied to its rows;
+    prefix games k < k', when rounds k..k'-1 are.  Either way the games of
+    a run agree bit for bit on those cells.  A run holds only the prefixes
+    k within the magnitude guard: max|U[k]| + Σ|round-k values| + `move`,
+    the largest Σ|values| of a move, at most a quarter of the largest
+    float, so every cell of their rows is within half of it and no partial
+    sum of the first stage overflows."""
+    rounds, _, cell, value = updates
     stage = _stage_index(plan, rounds)
     cells = np.zeros((len(plan.punishment), U[0].size), dtype=bool)
     for i in set(stage.tolist()):
         cells[i] = _first_stage_cells(U.shape[1:], tuple(map(tuple, plan.punishment[i].supports)))
-    clean = np.zeros(plan.num_rounds, dtype=bool)
-    clean[prefixes] = True
+    clean = np.ones(plan.num_rounds, dtype=bool)
     clean[rounds[cells[stage, cell]]] = False
     if not clean.any():
         return {}, {}
@@ -584,7 +582,8 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     maps prefixes to their search (kind, best-response payoffs, reason): a
     search it holds is read, and every search made or taken is written into
     it.  `updates` are the plan's rounds compiled (`fold_compiled`), given
-    with `stack`.
+    with `stack`; the clean test reads every round of them, so under a
+    `budget` the grid prefixes, though far apart, still make clean runs.
     """
     # A move pays each outcome at most once, at its one amount, and the grid's
     # shape fixes the rest, so it breaks a round's rule exactly when the
@@ -610,9 +609,9 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     values = signs * x[grid.slot[grid.distinct[moves]]]
 
     prefixes = _prefix_indices(R, budget)
-    # The grid prefixes' rounds as updates: step j is round prefixes[j]'s.
     if updates is None:
         updates = compile_pledges(U[0].shape, plan.rounds)[0]
+    # The grid prefixes' rounds as updates: step j is round prefixes[j]'s.
     at = np.full(R, -1)
     at[prefixes] = np.arange(len(prefixes))
     keep = at[updates[0]] >= 0
@@ -633,7 +632,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     place = {k: i for i, k in enumerate(ks)}
     need = np.array([width * (k in on_grid) + (k in searched) for k in ks], dtype=int)
     heads = np.array([[place.get(head.get(k), -1) for k in ks] for head in _clean_runs(
-        plan, U, prefixes, step, cell, value, np.bincount(moves, np.abs(values)).max(), asked)],
+        plan, U, prefixes, updates, np.bincount(moves, np.abs(values)).max(), asked)],
         dtype=int).reshape(2, len(ks))
     firsts, head_of = [set(h) for h in heads.tolist()], heads.tolist()
     kept, kept_rows = ({}, {}), np.zeros((2, len(ks) + 1), dtype=int)

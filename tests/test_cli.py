@@ -124,7 +124,7 @@ def test_plan_mode_burn_is_an_alias_of_burn_only(workdir, capsys):
 
 
 def test_verify_rejects_mismatched_game(workdir):
-    res = run("verify", str(workdir / "ex1.json"), str(workdir / "plan3.json"))
+    res = run("verify", str(workdir / "ex1.json"), _written_plan(workdir, "mismatched_plan3.json"))
     assert res.returncode == 2
     assert "mismatch" in res.stderr
 
@@ -296,6 +296,101 @@ def _main(capsys, *args):
 
     code = main(list(args))
     return code, capsys.readouterr().err
+
+
+# `cli.main` builds its parser on first use and keeps it for the process;
+# each call still gets its own namespace, and dispatches to the `cmd_*`
+# function the module holds when it is called.
+
+def _main_output(capsys, *args):
+    """cli.main in-process: its exit code, standard output and standard error."""
+    from commitment_games.cli import main
+
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _written_plan(workdir, name):
+    plan_path = workdir / name
+    plan_path.write_text(json.dumps(_ex3_plan_doc(workdir)), encoding="utf-8")
+    return str(plan_path)
+
+
+def test_repeated_in_process_calls_match_fresh_processes(workdir, capsys):
+    plan = _written_plan(workdir, "repeated_plan3.json")
+    for args in [("export", "ex3"),
+                 ("analyze", str(workdir / "mix3x3.json"), "--support", "1,2x1,2"),
+                 ("verify", str(workdir / "ex3.json"), plan, "--budget", "2"),
+                 ("verify", str(workdir / "ex1.json"), plan),
+                 ("plan", str(workdir / "ex3.json"), "--payoffs", "8,-1", "--delta", "1"),
+                 ("export", "nope")]:
+        fresh = run(*args)
+        first, second = (_main_output(capsys, *args) for _ in range(2))
+        assert first == second == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_a_grid_does_not_carry_over_to_the_next_call(workdir, capsys):
+    plan, report = _written_plan(workdir, "grid_once_plan3.json"), workdir / "grid_once.json"
+    grids = []
+    for extra in (["--grid=0.05"], []):
+        code, _, _ = _main_output(capsys, "verify", str(workdir / "ex3.json"), plan,
+                                  "-o", str(report), *extra)
+        assert code == 0
+        grids.append(json.loads(report.read_text(encoding="utf-8"))["grid"]["amounts"])
+    assert grids == [[0.05], [0.5, 1.0]]  # the plan's delta is 1
+
+
+def test_analyze_supports_do_not_accumulate(workdir, capsys):
+    game = str(workdir / "mix3x3.json")
+    first, second, other = (_main_output(capsys, "analyze", game, "--support", spec)
+                            for spec in ("1,2x1,2", "1,2x1,2", "1x1"))
+    assert first == second and first[1].count("support ") == 1
+    assert other[1].count("support ") == 1 and "support 1x1:" in other[1]
+
+
+def test_a_patched_command_is_the_one_that_runs(workdir, capsys, monkeypatch):
+    from commitment_games import cli
+
+    assert _main_output(capsys, "export", "nope")[0] == 2  # the parser is built
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: ran.append(args.plan) or 7)
+    assert cli.main(["verify", "game.json", "plan.json"]) == 7 and ran == ["plan.json"]
+
+
+@pytest.mark.parametrize("args", [[], ["nope"], ["plan"], ["verify", "g.json", "p.json",
+                                                            "--budget", "one"]])
+def test_usage_errors_exit_2_on_every_call(capsys, args):
+    from commitment_games.cli import main
+
+    fresh = run(*args)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out, captured.err) == (2, "", fresh.stderr)
+    assert fresh.returncode == 2 and fresh.stderr.startswith("usage: commitment-games")
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "\n".join([
+        "import argparse, contextlib, io",
+        "built, init = [], argparse.ArgumentParser.__init__",
+        "def counted(self, *args, **kwargs):",
+        "    built.append(1)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counted",
+        "from commitment_games import cli",
+        "counts = [len(built)]",
+        "for _ in range(3):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(['export', 'ex3']) == 0",
+        "    counts.append(len(built))",
+        "print(counts)"])
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    # None at import; the root parser and its six subcommands on the first call.
+    assert json.loads(res.stdout) == [0, 7, 7, 7]
 
 
 @pytest.mark.parametrize("args", [["--grid=-1"], ["--grid=inf"], ["--grid=nan"],

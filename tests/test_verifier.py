@@ -884,21 +884,22 @@ def test_verify_plan_searches_each_prefix_game_once():
     stops = verifier._prefix_indices(R, budgets["budget"])[1:]
     shared = set(probed) | set(stops)
     assert len(shared) < len(probed) + len(stops)
-    # The grid compiles only its prefixes' rounds, so the clean runs of
-    # prefix games are the pairs k, k + 1 of a grid prefix k and the next
-    # prefix, when both are asked.  Each k + 1 waits for k's stack and takes
-    # its search: it is not searched at all.
+    # The clean test reads every round's updates, and no round of ex4 lands
+    # on a cell the first stage reads (`test_ex4_verify_searches_only_its_
+    # first_stack`): the grid prefixes make one clean run and the prefix
+    # games another, both headed by prefix 0.  Every later prefix waits for
+    # prefix 0's stack and takes its searches, since all of its rows settle
+    # at the first stage with no payoff of 0.0.
     grid = verifier._prefix_indices(R, 8)
-    taken = {k + 1 for k in grid if {k, k + 1} <= shared}
-    assert sorted(taken) == [1, 26, 63, 88, 100]
+    taken_rows, taken_games = grid[1:], sorted(shared - {0})
+    assert len(grid) == 9 and len(shared) == 67 and 0 in shared
     # ex4 is 4x4, so no two moves fold alike: one row per move.
+    width = report.deviations["commitment"].checked // len(grid)
+    assert width == 130
     rows = sum(map(len, stacks))
-    assert rows == report.deviations["commitment"].checked + len(shared) - len(taken)
-    # One call per chunk that searches: prefix 0 alone, then prefixes 1-25,
-    # 26-62, 63-87 and 88-99, each chunk ending before a prefix that waits
-    # for its head; prefix game 100 then searches nothing.
-    assert report.deviations["commitment"].checked // len(grid) == 130 and len(stacks) == 5
-    assert max(map(len, stacks)) <= verifier.ROW_BUDGET
+    assert rows == width * (len(grid) - len(taken_rows)) + len(shared) - len(taken_games)
+    # One call: prefix 0's rows and its prefix game.
+    assert [len(u) for u in stacks] == [width + 1]
 
 
 @contextlib.contextmanager
@@ -984,17 +985,20 @@ MERGED_SEARCH_PLANS = {
 SEPARATE_CALLS = {"ex4_budgets": 2, "ex6": 2, "spoiler": 3, "own_stage_past_budget": 5}
 
 
-@pytest.mark.parametrize("case, calls", [("ex4_budgets", 5), ("ex6", 1), ("spoiler", 2),
+@pytest.mark.parametrize("case, calls", [("ex4_budgets", 1), ("ex6", 1), ("spoiler", 2),
                                          ("own_stage_past_budget", 4)])
 def test_merged_search_matches_separate_calls(case, calls):
     game, plan, kwargs = MERGED_SEARCH_PLANS[case]()
     stacks, separate = _assert_merged_search_matches_separate_calls(game, plan, **kwargs)
     sizes = [len(u) for u in stacks]
-    # ex4 with budgets makes more calls than the separate searches: its
-    # clean runs of prefix games are pairs (`test_verify_plan_searches_each_
-    # prefix_game_once`), and each pair's second prefix waits for the first's
-    # stack.
+    # ex4 with budgets makes one call: every round is clean, so its grid
+    # prefixes and its prefix games each make one run headed by prefix 0,
+    # whose stack every later prefix takes from (`test_verify_plan_searches_
+    # each_prefix_game_once`).
     assert (len(sizes), separate) == (calls, SEPARATE_CALLS[case])
+    if case == "ex4_budgets":
+        width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
+        assert sizes == [width + 1]
     if case == "own_stage_past_budget":
         # Prefix 0 alone, then prefixes 1-50, then checkpoint 51 under its
         # own stage, then prefixes 52-99; prefix game 100 waits for 99 and
@@ -1432,6 +1436,59 @@ def test_no_stack_holds_a_prefix_with_its_run_head(case):
             assert verify_plan(game, plan).to_json() == report.to_json()
     if case in ("ex5_auto", "ex6", "spoiler", "ex3_auto"):
         assert counted  # a stack searched some of its grid rows
+
+
+def test_choose_delta_verifies_ex3_in_at_most_three_stacks():
+    # ex3 as `plan --payoffs 4,3 --delta auto` builds it: the first cap
+    # passes, and its verify on choose_delta's budgets takes every round
+    # into the clean test, so the grid prefixes past prefix 0 make one run
+    # and wait for prefix 0's stack together: prefix 0 with its prefix game,
+    # then the rows left of the later prefixes, then the last prefix game
+    # under a stage of its own.
+    game = unfair_split()
+    with _recorded_stacks() as stacks:
+        delta, plan = protocols.choose_delta(game, MixedProfile.pure((2, 2), (0, 0)),
+                                             payoffs=(4.0, 3.0))
+    assert delta == 0.01 * game.utility_range and protocols.DELTA_SEARCH_BUDGET == 8
+    width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
+    sizes = [len(u) for u in stacks]
+    assert len(sizes) <= 3 and sizes[0] == width + 1 and sizes[-1] == 1
+
+
+def _seeded_two_by_two(draw: int):
+    """The `draw`-th plan of `mismatching_two_by_two` under NumPy seed 1."""
+    rng = np.random.default_rng(1)
+    for _ in range(draw):
+        game, plan = mismatching_two_by_two(rng)
+    return game, plan
+
+
+# The reuse plans, ex5 as `plan --delta auto` builds it, and the first two
+# seeded 2x2 plans.
+BUDGETED_PLANS = {
+    **REUSE_PLANS,
+    "ex5_auto": WAITING_PLANS["ex5_auto"],
+    "2x2_first": lambda: _seeded_two_by_two(1),
+    "2x2_second": lambda: _seeded_two_by_two(2),
+}
+
+
+@pytest.mark.parametrize("budget", [3, 8])
+@pytest.mark.parametrize("case", sorted(BUDGETED_PLANS))
+def test_budgeted_reports_match_every_row_searched(case, budget):
+    # Under a grid budget the clean test still reads every round, so grid
+    # prefixes far apart may take each other's searches.  The reports are
+    # those of the run with no clean runs, which searches every row, and
+    # of the scalar loop.
+    game, plan = BUDGETED_PLANS[case]()
+    for checkpoint_budget in (None, 5, 64):
+        kwargs = {"budget": budget, "checkpoint_budget": checkpoint_budget}
+        with _recorded_stacks() as stacks:
+            report = verify_plan(game, plan, **kwargs).to_json()
+        with _recorded_stacks() as every, _every_row_searched():
+            assert verify_plan(game, plan, **kwargs).to_json() == report
+        assert sum(map(len, stacks)) <= sum(map(len, every))
+        _assert_grids_agree(game, plan, **kwargs)
 
 
 def test_an_accepted_verify_names_no_move():
