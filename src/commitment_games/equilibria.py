@@ -585,7 +585,10 @@ def _first_stage_cells(shape: tuple[int, ...],
     partial sum overflows.  None does when every cell is at most half the
     largest float in magnitude: a solved row's probabilities per player sum
     to at most 1 + SYSTEM_TOL, so no partial sum exceeds the largest cell
-    by more than that factor per player.
+    by more than that factor per player.  The sign reaches a verification
+    report only through a best-response payoff of 0.0 minus an on-path
+    payoff of 0.0, the one difference it changes; the verifier reads no
+    expected payoff of a search (`verifier.check_deviations`).
     """
     supports = _checked_supports(shape[1:], supports)
     cells = np.zeros(shape, dtype=bool)

@@ -32,6 +32,7 @@ from .equilibria import (
     StackedSystem,
     _bexpected,
     _first_stage_cells,
+    first_stage_batch,
     nash_batch,
     non_degenerate_batch,
     punish_batch,
@@ -60,9 +61,10 @@ ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
 # Games searched per stacked punishment search.  Larger stacks make fewer,
 # larger calls, but the search's working arrays grow with them and raise
 # the peak memory of a verify run; a row taken from an earlier search
-# (`check_deviations`) makes no such arrays and is not counted.  An ex5
-# verify (`plan --delta auto`, 40 rounds, 5,241 rows in 2 stacks) peaks at
-# 3.2 MB under `tracemalloc`, against 1.2 MB at 1,024 rows (6 stacks).
+# (`check_deviations`) makes no such arrays and is not counted; a row
+# that waits for its class's search is.  An ex5 verify (`plan --delta
+# auto`, 40 rounds, 3,961 rows searched in 2 stacks of 5,241 counted)
+# peaks at 2.3 MB under `tracemalloc`, against 0.94 MB at 1,024 (6 stacks).
 ROW_BUDGET = 3072
 
 DEVIATION_CLASSES = ("commitment", "early_stop", "continue_when_stop",
@@ -484,6 +486,30 @@ def _move_grid(counts: tuple[int, ...], mode: str, slots: int) -> _MoveGrid:
                      compile_pledges((n, *counts), [pledges[m] for m in distinct.tolist()])[0])
 
 
+@cache
+def _move_classes(counts: tuple[int, ...], mode: str, same: tuple[int, ...],
+                  supports: tuple[tuple[int, ...], ...]) -> np.ndarray | None:
+    """Per distinct game j of `_move_grid(counts, mode, len(same) - 1)`,
+    the first distinct game of the same deviator whose updates of the cells
+    the first stage on `supports` reads (`equilibria._first_stage_cells`)
+    are the same cells, signs and amounts, in the same order; built on one
+    row, the two games agree bit for bit on those cells.  `same[s]` is the
+    first slot whose amount equals slot s's.  None when no two games share
+    a class."""
+    grid = _move_grid(counts, mode, len(same) - 1)
+    moves, _, cells, signs = grid.updates
+    read = _first_stage_cells((len(counts), *counts), supports)[cells]
+    edits: list[list] = [[] for _ in grid.distinct]
+    for j, c, s in zip(moves[read].tolist(), cells[read].tolist(), signs[read].tolist()):
+        edits[j].append((c, s))
+    first: dict = {}
+    heads = np.array([first.setdefault((d, tuple(e), same[s] if e else -1), j)
+                      for j, (d, e, s) in enumerate(zip(grid.deviator[grid.distinct].tolist(),
+                                                        edits, grid.slot[grid.distinct].tolist()))])
+    heads.setflags(write=False)
+    return None if len(first) == len(heads) else heads
+
+
 def commitment_deviation_moves(game: Game, player: int, delta: float,
                                mode: str,
                                amounts: Sequence[float]) -> list[tuple[str, list[Pledge]]]:
@@ -514,11 +540,13 @@ def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> 
 
 
 def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int],
-                updates: tuple[np.ndarray, ...], move: float,
-                asked: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
+                updates: tuple[np.ndarray, ...], move: float, asked: Sequence[int],
+                share: bool) -> tuple[dict[int, int], dict[int, int], set[int]]:
     """The clean runs of the grid prefixes' rows and of the prefix games
     `asked` (ascending) in the prefix stack `U`, each as a map from every
-    prefix past a run's first to that first prefix.  A round is clean when
+    prefix past a run's first to that first prefix, and, when `share`, the
+    grid prefixes within the magnitude guard, whose deviation games of one
+    class of moves (`_move_classes`) may take one search.  A round is clean when
     none of its updates (`updates`, the plan's rounds compiled) lands on a
     cell its stage's first stage reads (`equilibria._first_stage_cells`).
     Grid prefixes k < k' of one stage are one run when every round k..k' is
@@ -528,7 +556,7 @@ def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int],
     k within the magnitude guard: max|U[k]| + Σ|round-k values| + `move`,
     the largest Σ|values| of a move, at most a quarter of the largest
     float, so every cell of their rows is within half of it and no partial
-    sum of the first stage overflows."""
+    sum of the first stage overflows (`equilibria._first_stage_cells`)."""
     rounds, _, cell, value = updates
     stage = _stage_index(plan, rounds)
     cells = np.zeros((len(plan.punishment), U[0].size), dtype=bool)
@@ -536,13 +564,14 @@ def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int],
         cells[i] = _first_stage_cells(U.shape[1:], tuple(map(tuple, plan.punishment[i].supports)))
     clean = np.ones(plan.num_rounds, dtype=bool)
     clean[rounds[cells[stage, cell]]] = False
-    if not clean.any():
-        return {}, {}
-    done = np.concatenate([[0], np.cumsum(clean)])  # clean rounds before each round
+    if not (share or clean.any()):
+        return {}, {}, set()
     with np.errstate(over="ignore"):  # past the float range the bound is +inf
         bound = (np.abs(U).reshape(len(U), -1).max(axis=1)
                  + np.bincount(rounds, np.abs(value), minlength=len(U)) + move)
     fits = (bound <= np.finfo(np.float64).max / 4).tolist()  # NaN fails
+    within = {k for k in prefixes if fits[k]} if share else set()
+    done = np.concatenate([[0], np.cumsum(clean)])  # clean rounds before each round
 
     def runs(ks: Sequence[int], last: int) -> dict[int, int]:
         """k' joins the run of k, the entry before it, when rounds k..k'+last-1
@@ -556,7 +585,7 @@ def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int],
         return {k: h for k, h in zip(ks.tolist(), head.tolist())
                 if h != k and fits[k] and fits[h]}
 
-    return runs(prefixes, 1), runs(asked, 0)
+    return runs(prefixes, 1), runs(asked, 0), within
 
 
 def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float] | None = None,
@@ -568,14 +597,28 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
 
     A deviation game is a row of the prefix stack `stack` (`fold_rounds`)
     with the compiled updates of the others' pledges of its round, then of
-    the move, one per deviator's distinct move (`_move_grid`).  A prefix
-    takes the rows that the first prefix of its clean run (`_clean_runs`,
-    within the magnitude guard) kept in an earlier stack; a searched row is
-    kept when it settled at the first stage with no payoff of exactly 0.0.
+    the move, one per deviator's distinct move (`_move_grid`).  A row takes
+    another's search wherever the report cannot tell the two apart.  Games
+    equal bit for bit on the cells the first stage reads settle alike there,
+    with best responses that may differ only in the sign of a 0.0
+    (`equilibria._first_stage_cells`).  The grid reads a search only
+    through its kind and the gains best - on-path, the on-path payoffs
+    being `plan.expected_terminal_payoffs`, and such a sign shows in a gain
+    only where the on-path payoff is 0.0 too.  So a searched row is kept
+    for takers when it settled at the first stage and no player with an
+    on-path payoff of 0.0 has a best response of 0.0.  There are two takes:
+    a prefix takes the rows that the first prefix of its clean run
+    (`_clean_runs`, within the magnitude guard) kept in an earlier stack;
+    and a grid prefix within the guard that follows no run searches the
+    first game of each class of its moves (`_move_classes`), whose other
+    games take that search where it is kept.
     Per run of consecutive prefixes under one punishment stage with at
     most ROW_BUDGET rows left, the deviation games left and then the prefix
     games left that the early stops or a None in `punishments` ask for go
-    to one `punish_batch`.  A run ends before a prefix whose clean run's
+    to one `punish_batch`.  When some rows wait for their class's search,
+    the rows within the guard that do not wait go to `first_stage_batch`
+    first, and the rows it does not settle go to `punish_batch` with the
+    waiting rows not taken.  A run ends before a prefix whose clean run's
     first prefix is in it, so the prefix takes that search in the next run
     instead of repeating it.  The run's findings are reduced as arrays,
     one row per move (`DeviationClassResult.record_rows`).  `punishments`
@@ -607,6 +650,7 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     starts = np.searchsorted(grid.deviator[grid.distinct], np.arange(n))  # each deviator's first
     moves, _, cells, signs = grid.updates
     values = signs * x[grid.slot[grid.distinct[moves]]]
+    same = tuple(map(xs.index, xs))  # per slot, the first slot of its amount
 
     prefixes = _prefix_indices(R, budget)
     if updates is None:
@@ -631,9 +675,12 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     ks = sorted(on_grid.keys() | searched)
     place = {k: i for i, k in enumerate(ks)}
     need = np.array([width * (k in on_grid) + (k in searched) for k in ks], dtype=int)
-    heads = np.array([[place.get(head.get(k), -1) for k in ks] for head in _clean_runs(
-        plan, U, prefixes, updates, np.bincount(moves, np.abs(values)).max(), asked)],
-        dtype=int).reshape(2, len(ks))
+    classes = {id(s): _move_classes(game.action_counts, plan.mode, same,
+                                    tuple(map(tuple, s.supports))) for s in plan.punishment}
+    *runs, within = _clean_runs(plan, U, prefixes, updates, np.bincount(moves, np.abs(values)).max(),
+                                asked, any(c is not None for c in classes.values()))
+    heads = np.array([[place.get(head.get(k), -1) for k in ks] for head in runs],
+                     dtype=int).reshape(2, len(ks))
     firsts, head_of = [set(h) for h in heads.tolist()], heads.tolist()
     kept, kept_rows = ({}, {}), np.zeros((2, len(ks) + 1), dtype=int)
     none_kept = {w: (np.zeros(w, dtype=bool), np.full((w, n), np.nan)) for w in (width, 1)}
@@ -642,18 +689,33 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
         """The rows of prefixes ks[i:j] left to search, once the searches before them are made."""
         return need[i:j] - kept_rows[0, heads[0, i:j]] - kept_rows[1, heads[1, i:j]]
 
+    def keepable(r) -> np.ndarray:
+        """Whether rows `r` of a chunk, searched, may be taken: settled at the
+        first stage, with no 0.0 best response, whose sign a taker's game may
+        flip, where the on-path payoff is 0.0 too."""
+        return (kinds[r] == "support_solve") & ~((best[r] == 0) & (on_path == 0)).any(axis=1)
+
     for stage, group in _stage_groups(plan, ks, open_rows, heads):
         moved = [k for k in group if k in on_grid]
         shared = [k for k in group if k in searched]
         spans = [(0, place[k], width) for k in moved] + [(1, place[k], 1) for k in shared]
         parts = [kept[c].get(head_of[c][p]) or none_kept[w] for c, p, w in spans]
         take, best = np.concatenate([t[0] for t in parts]), np.concatenate([t[1] for t in parts])
-        rows, left, kinds = width * len(moved), np.flatnonzero(~take), None
-        if left.size:
+        rows, left, kinds = width * len(moved), ~take, None
+        # A grid prefix within the magnitude guard that is in no run searches
+        # the first game of each class of its moves (`_move_classes`); the
+        # others wait for that search.  A run's first prefix searches all
+        # its rows in one stack: their searches serve the whole run.
+        cls, wait = classes[id(stage)], np.zeros_like(take)
+        if cls is not None:
+            alone = [k in within and head_of[0][place[k]] < 0 and place[k] not in firsts[0]
+                     for k in moved]
+            wait[:rows] = np.outer(alone, cls != np.arange(width)).ravel()
+        if left.any():
             # Per grid prefix k and deviator d, prefix game k with the updates
             # of the others' round-k pledges in order (the whole round passed
-            # the fold, so any subset of it is legal), once per row of d left,
-            # with its move's updates; then the prefix games left.
+            # the fold, so any subset of it is legal), once per row of d
+            # searched, with its move's updates; then the prefix games left.
             base = np.repeat(U[moved], n, axis=0)
             first = on_grid[moved[0]] if moved else 0
             lo, hi = np.searchsorted(step, [first, first + len(moved)])
@@ -662,32 +724,53 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
             flat = ((step[lo:hi, None] - first) * n + d) * size + cell[lo:hi, None]
             np.add.at(base.reshape(-1), flat[others],
                       np.broadcast_to(value[lo:hi, None], flat.shape)[others])
-            per_base = np.add.reduceat(~take[:rows].reshape(len(moved), width), starts, axis=1,
-                                       dtype=int).ravel()
-            stack = np.repeat(np.concatenate([base, U[shared]]),
-                              np.concatenate([per_base, ~take[rows:]]), axis=0)
-            src = np.cumsum(~take) - 1  # each searched row's row of the stack
             row = (width * np.arange(len(moved))[:, None] + moves).ravel()  # each update's
-            mine = ~take[row]
-            np.add.at(stack.reshape(-1), src[row[mine]] * size + np.tile(cells, len(moved))[mine],
-                      np.tile(values, len(moved))[mine])
-            found = punish_batch(stack, stage.supports, stage.seed, stage.ceiling)
-            best[left] = found.best_response
             kinds = np.empty(len(take), dtype=object)
             kinds[:] = "support_solve"  # `np.full` of an object is slower
-            kinds[left] = found.kinds
+
+            def rows_of(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                """The stack of the chunk's rows `sel`, and each row's row of it."""
+                per_base = np.add.reduceat(sel[:rows].reshape(len(moved), width), starts,
+                                           axis=1, dtype=int).ravel()
+                stack = np.repeat(np.concatenate([base, U[shared]]),
+                                  np.concatenate([per_base, sel[rows:]]), axis=0)
+                src, mine = np.cumsum(sel) - 1, sel[row]
+                np.add.at(stack.reshape(-1),
+                          src[row[mine]] * size + np.tile(cells, len(moved))[mine],
+                          np.tile(values, len(moved))[mine])
+                return stack, src
+
+            if wait.any():
+                # The rows within the magnitude guard that do not wait go to
+                # the first stage alone; a waiting row takes its class head's
+                # search where a later prefix could take it, and every row
+                # still left gets the whole search.
+                sel = left & ~wait
+                sel[:rows] &= np.repeat([k in within for k in moved], width)
+                at = np.flatnonzero(sel)
+                early = first_stage_batch(rows_of(sel)[0], stage.supports, stage.seed,
+                                          stage.ceiling)
+                best[at] = np.stack([p.max(axis=1) for p in early.deviation_payoffs], axis=1)
+                kinds[at[~early.settled]] = "none"  # until the whole search
+                left[at[early.settled]] = False
+                waiting = np.flatnonzero(wait)
+                head = waiting - waiting % width + cls[waiting % width]
+                ok = keepable(head)
+                best[waiting[ok]] = best[head[ok]]
+                left[waiting[ok]] = False
+            if left.any():
+                batch, src = rows_of(left)
+                found = punish_batch(batch, stage.supports, stage.seed, stage.ceiling)
+                best[left], kinds[left] = found.best_response, found.kinds
             r = 0
             for c, p, w in spans:
                 if p in firsts[c]:  # a first prefix searches all its rows
-                    j = slice(src[r], src[r] + w)
-                    mask = ((kinds[r:r + w] == "support_solve")
-                            & (found.best_response[j] != 0).all(axis=1)
-                            & (found.payoffs[j] != 0).all(axis=1))
+                    mask = keepable(slice(r, r + w))
                     kept[c][p], kept_rows[c, p] = (mask, best[r:r + w]), mask.sum()
                 r += w
         for r, k in enumerate(shared, rows):
-            punishments[k] = (("support_solve", best[r], "") if take[r]
-                              else (kinds[r], best[r], found.reasons[src[r]]))
+            punishments[k] = ((kinds[r], best[r], found.reasons[src[r]]) if left[r]
+                              else ("support_solve", best[r], ""))
         if moved:
             d = grid.deviator
             gains = best[:rows].reshape(-1, width, n)[:, grid.spread, d] - on_path[d]
@@ -703,7 +786,8 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
                 # The kinds' histogram: each row's kind once per move that
                 # makes its game.
                 chunk, weight = kinds[:rows], np.tile(per_game, len(moved))
-                counts = Counter({kind: c for kind in {*found.kinds, "support_solve"}
+                seen = {*found.kinds, "support_solve"} if left.any() else {"support_solve"}
+                counts = Counter({kind: c for kind in seen
                                   if (c := int(weight[chunk == kind].sum()))})
             results["commitment"].record_rows(FindingRows(
                 gains.ravel(), "support_solve" if kinds is None else

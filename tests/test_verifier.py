@@ -24,6 +24,8 @@ from commitment_games import (
     deviation_payoffs,
     expected_utility,
     fold_plan,
+    load_game,
+    load_plan,
     round_bound_check,
     verify_plan,
 )
@@ -344,22 +346,26 @@ def _recorded_findings():
 
 @contextlib.contextmanager
 def _recorded_stacks():
-    """Every stack the verifier hands `punish_batch`, in call order."""
+    """Every stack the verifier searches, in call order: those it hands
+    `first_stage_batch`, for the first stage alone, and `punish_batch`."""
     stacks = []
-    batch = verifier.punish_batch
 
-    def recorded(utilities, *args):
-        stacks.append(np.array(utilities))
-        return batch(utilities, *args)
+    def recorder(search):
+        def recorded(utilities, *args):
+            stacks.append(np.array(utilities))
+            return search(utilities, *args)
+        return recorded
 
-    with mock.patch.object(verifier, "punish_batch", recorded):
+    with mock.patch.object(verifier, "punish_batch", recorder(verifier.punish_batch)), \
+            mock.patch.object(verifier, "first_stage_batch",
+                              recorder(verifier.first_stage_batch)):
         yield stacks
 
 
 def _every_row_searched():
-    """No clean runs: no prefix takes another's search, so every row of the
-    grid reaches a stack."""
-    return mock.patch.object(verifier, "_clean_runs", lambda *args: ({}, {}))
+    """No clean runs and no grid prefix within the magnitude guard: no row
+    takes another's search, so every row of the grid reaches a stack."""
+    return mock.patch.object(verifier, "_clean_runs", lambda *args: ({}, {}, set()))
 
 
 def _assert_same_rows(batched, scalar):
@@ -563,6 +569,33 @@ def _distinct_moves(game, plan, d, amounts=None):
     return kept
 
 
+def _classes(game, plan, stage, amounts=None) -> list[int]:
+    """Per distinct move of every deviator (`_distinct_moves`), in the
+    grid's order, the first distinct move of the same deviator with the
+    same edits of the cells that the first stage of `stage` reads (per
+    pledge the payer's debit, then the recipient's credit), in the same
+    order: the head of its class."""
+    read = equilibria._first_stage_cells(game.utilities.shape,
+                                         tuple(map(tuple, stage.supports)))
+    read = read.reshape(game.utilities.shape)
+    first, classes = {}, []
+    for d in range(game.num_players):
+        for _, pledges in _distinct_moves(game, plan, d, amounts):
+            edits = []
+            for p in pledges:
+                edits.append(((p.payer, *p.outcome), -p.amount))
+                if p.recipient != BURN:
+                    edits.append(((p.recipient, *p.outcome), p.amount))
+            key = (d, tuple((c, a) for c, a in edits if read[c]))
+            classes.append(first.setdefault(key, len(classes)))
+    return classes
+
+
+def _heads(game, plan, stage) -> int:
+    """The class heads of every deviator under `stage`."""
+    return sum(c == j for j, c in enumerate(_classes(game, plan, stage)))
+
+
 def _welfare_then_burn_plan():
     """A 2x2 transfers plan whose burn sub-plan takes over at round 3 of 6."""
     rng = np.random.default_rng(0)
@@ -595,7 +628,11 @@ def test_chunked_grid_matches_scalar_loop(monkeypatch, case, prefixes, kwargs):
         _assert_grids_agree(game, plan, **kwargs)
     sizes = [len(u) for u in stacks]
     grid = verifier._prefix_indices(plan.num_rounds, kwargs.get("budget"))
-    assert sum(sizes) == len(grid) * rows + plan.num_rounds + 1
+    # No prefix follows a run, so each searches the first game of each class
+    # of its moves (all of them, on welfare_then_burn's full-support stages),
+    # and every such search settles at the first stage and is kept.
+    heads = sum(_heads(game, plan, plan.stage_for(k)) for k in grid)
+    assert sum(sizes) == heads + plan.num_rounds + 1
     assert max(sizes) <= budget
     if prefixes == 1:
         # mix3x3's last prefix game, past the grid, has a stage of its own.
@@ -889,7 +926,7 @@ def test_verify_plan_searches_each_prefix_game_once():
     # first_stack`): the grid prefixes make one clean run and the prefix
     # games another, both headed by prefix 0.  Every later prefix waits for
     # prefix 0's stack and takes its searches, since all of its rows settle
-    # at the first stage with no payoff of 0.0.
+    # at the first stage.
     grid = verifier._prefix_indices(R, 8)
     taken_rows, taken_games = grid[1:], sorted(shared - {0})
     assert len(grid) == 9 and len(shared) == 67 and 0 in shared
@@ -904,21 +941,34 @@ def test_verify_plan_searches_each_prefix_game_once():
 
 @contextlib.contextmanager
 def _recorded_rows():
-    """Every row the verifier hands `punish_batch`, keyed by its stage and
-    bytes, with the row's kind and the bytes of its best-response and
-    best-pure-equilibrium payoffs."""
+    """Every row the verifier searches, keyed by its stage and bytes, with
+    the row's kind and the bytes of its best-response and best-pure-
+    equilibrium payoffs: each row it hands `punish_batch`, and each row
+    that `first_stage_batch` settles, as `punish_batch` returns such a row
+    (kind "support_solve", no pure equilibria enumerated)."""
     rows = {}
-    batch = verifier.punish_batch
+    batch, first_stage = verifier.punish_batch, verifier.first_stage_batch
+
+    def record(args, u, got):
+        assert rows.setdefault((repr(args), u.tobytes()), got) == got
 
     def recorded(utilities, *args):
         found = batch(utilities, *args)
         for r, u in enumerate(utilities):
-            got = (found.kinds[r], found.best_response[r].tobytes(),
-                   found.pure_best[r].tobytes())
-            assert rows.setdefault((repr(args), u.tobytes()), got) == got
+            record(args, u, (found.kinds[r], found.best_response[r].tobytes(),
+                             found.pure_best[r].tobytes()))
         return found
 
-    with mock.patch.object(verifier, "punish_batch", recorded):
+    def recorded_first_stage(utilities, *args):
+        found = first_stage(utilities, *args)
+        best = np.stack([p.max(axis=1) for p in found.deviation_payoffs], axis=1)
+        unsearched = np.full(best.shape[1], np.nan).tobytes()
+        for r in np.flatnonzero(found.settled).tolist():
+            record(args, utilities[r], ("support_solve", best[r].tobytes(), unsearched))
+        return found
+
+    with mock.patch.object(verifier, "punish_batch", recorded), \
+            mock.patch.object(verifier, "first_stage_batch", recorded_first_stage):
         yield rows
 
 
@@ -935,13 +985,24 @@ def _two_call_check_deviations(game, plan, *, stack, punishments, **kwargs):
     return check_deviations(game, plan, stack=stack, punishments=punishments, **kwargs)
 
 
-def _takeable(rows, stage) -> list[bool]:
-    """Per row of `rows`, whether a later prefix of its clean run may take
-    its search: it settles at the first stage and pays no player 0.0, in
-    the best response or in the punishment."""
+def _takeable(rows, plan) -> list[bool]:
+    """Per row of `rows`, searched under the plan's first punishment stage,
+    whether a later prefix of its clean run may take its search.  The
+    taker's game agrees with the row bit for bit on the cells the first
+    stage reads, so its search settles alike, with best-response payoffs
+    that may differ only in the sign of a 0.0 (`equilibria._first_stage_
+    cells`).  The grid reads a search only through the gains best minus
+    the on-path payoffs, so a row is takeable when it settles at the first
+    stage and flipping the sign of its zero best responses leaves those
+    gains' bytes alone.  (The verifier also searches a zero best response
+    against an on-path -0.0, whose gain no flip changes; no plan here pays
+    one.)"""
+    stage, on_path = plan.stage_for(0), np.asarray(plan.expected_terminal_payoffs)
     found = punish_batch(rows, stage.supports, stage.seed, stage.ceiling)
-    return [kind == "support_solve" and bool(np.all(best != 0) and np.all(pay != 0))
-            for kind, best, pay in zip(found.kinds, found.best_response, found.payoffs)]
+    best = found.best_response
+    flipped = np.where(best == 0, -best, best)
+    return [kind == "support_solve" and (b - on_path).tobytes() == (f - on_path).tobytes()
+            for kind, b, f in zip(found.kinds, best, flipped)]
 
 
 def _assert_merged_search_matches_separate_calls(game, plan, **kwargs) -> tuple[list, int]:
@@ -1010,10 +1071,11 @@ def test_merged_search_matches_separate_calls(case, calls):
         # holds prefix 0, its rows and then its prefix game, since prefix 1
         # waits for them; the second, prefixes 1-9 and prefix game 10, holds
         # only the rows whose first-prefix search did not settle at the first
-        # stage or has a payoff of exactly 0.0.
+        # stage (the on-path payoffs (6, 6) are not 0.0, so no zero best
+        # response keeps a row from being taken).
         width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
         assert sizes[0] == width + 1 and len(plan.rounds) == 10
-        kept = _takeable(stacks[0][[*range(width), width]], plan.stage_for(0))
+        kept = _takeable(stacks[0][[*range(width), width]], plan)
         rows, games = kept[:width].count(False), int(not kept[width])
         assert rows and sizes[1:] == [9 * rows + 10 * games] and not games
 
@@ -1085,7 +1147,7 @@ def test_ex4_verify_searches_only_its_first_stack():
     with _recorded_stacks() as stacks:
         report = verify_plan(game, plan)
     # The first stack holds prefix 0's 130 moves and its prefix game; all
-    # 13,101 rows settle at the first stage with no payoff of 0.0, and every
+    # 13,101 rows settle at the first stage, and every
     # later row takes the search of prefix 0: prefix 1 waits for it, though
     # the budget has room, and prefixes 1-100 leave no row to search, so no
     # later stack is built.
@@ -1142,6 +1204,14 @@ def _middle_round_on_a_read_cell():
     return game, dataclasses.replace(plan, rounds=(*plan.rounds[:m], burn, *plan.rounds[m:]))
 
 
+def _pure_punished(game, rounds, mode, delta, **changes):
+    """`game` and the plan of `_plan_with_rounds`, with every player's
+    ceiling at 3.0 and the plan's fields `changes` replaced."""
+    plan = _plan_with_rounds(game, rounds, mode, delta)
+    stage = dataclasses.replace(plan.punishment[0], ceiling=(3.0,) * game.num_players)
+    return game, dataclasses.replace(plan, punishment=(stage,), **changes)
+
+
 def _cell_at(fraction):
     """40 empty rounds punished at the pure (1, 1), on a game where player 1
     gets `fraction` of the largest float, negated, at (2, 2), a cell the first
@@ -1150,15 +1220,12 @@ def _cell_at(fraction):
     u = np.random.default_rng(11).uniform(-3, 3, (2, 2, 2))
     u[0, :, 0], u[1, 0, :] = (2.0, 1.0), (2.0, 1.0)  # (1, 1) is Nash
     u[0, 1, 1] = -fraction * float(np.finfo(float).max)
-    game = Game(u)
-    plan = _plan_with_rounds(game, [CommitmentRound(())] * 40, "transfers", 1.0)
-    stage = dataclasses.replace(plan.punishment[0], ceiling=(3.0, 3.0))
-    return game, dataclasses.replace(plan, punishment=(stage,))
+    return _pure_punished(Game(u), [CommitmentRound(())] * 40, "transfers", 1.0)
 
 
 def _ex3_auto():
     """ex3 as `plan --payoffs 4,3 --delta auto` builds it: its punishment is
-    pure and pays (0, 0), so most searches are not taken."""
+    pure and pays (0, 0), against on-path payoffs (4, 3)."""
     game = unfair_split()
     return game, protocols.choose_delta(game, MixedProfile.pure((2, 2), (0, 0)),
                                         payoffs=(4.0, 3.0))[1]
@@ -1173,12 +1240,9 @@ def _cells_past_half_the_float_range():
     big = float(np.finfo(float).max)
     u = np.random.default_rng(11).uniform(-3, 3, (2, 2, 2))
     u[0, :, 0], u[1, 0, :] = (2.0, 1.0), (2.0, 1.0)  # (1, 1) is Nash
-    game = Game(u)
     rounds = [CommitmentRound(())] * 40
     rounds[20] = CommitmentRound((Pledge(0, (1, 1), BURN, 0.3 * big),))
-    plan = _plan_with_rounds(game, rounds, "transfers", 0.3 * big)
-    stage = dataclasses.replace(plan.punishment[0], ceiling=(3.0, 3.0))
-    return game, dataclasses.replace(plan, punishment=(stage,))
+    return _pure_punished(Game(u), rounds, "transfers", 0.3 * big)
 
 
 REUSE_PLANS = {
@@ -1220,21 +1284,29 @@ def test_taken_searches_match_scalar_loop(case):
         # Stacks of prefix 0 (searched), then 1-21: 1-19 take, the middle
         # round's prefix 20 searches its rows (its prefix game joins the first
         # run), and 21 starts a new run and is searched with its prefix game;
-        # 22-40 and the last prefix game wait for 21 and take.
-        assert R == 41 and width == 130
-        assert sizes == [width + 1, width + (width + 1)]
+        # 22-40 and the last prefix game wait for 21 and take.  Prefix 20 is
+        # in no run, so it searches the first game of each class of its
+        # moves (`_heads`), at the first stage alone with the rows of 21;
+        # every search settles there and is kept, so its other rows take
+        # their class's.
+        heads = _heads(game, plan, plan.stage_for(20))
+        assert (R, width, heads) == (41, 130, 98)
+        assert sizes == [width + 1, heads + (width + 1)]
     elif case == "ex3_auto":
         # Stacks of prefix 0 with its prefix game (prefix 1 waits for it),
-        # then the rows left of prefixes 1-46, and the last prefix game
-        # under a stage of its own.  Only the moves that pay at the
-        # punishment's cell (0, 0) to the other player leave both payoffs
-        # off 0.0 and are taken; the prefix games pay (0, 0).
+        # then the last prefix game under a stage of its own.  The pure
+        # punishment pays (0, 0) and 48 of prefix 0's 58 rows and its prefix
+        # game have a best response of 0.0, but no on-path payoff is 0.0, so
+        # a zero's sign changes no gain: every row settles at the first stage
+        # and is taken, and prefixes 1-46 search nothing.
         assert (R, width) == (47, 58) and plan.stage_for(R) is not plan.stage_for(0)
-        kept = _takeable(stacks[0][[*range(width), width]], plan.stage_for(0))
-        open_rows = kept[:width].count(False) + (not kept[width])
-        assert kept[:width].count(True) == 10 and not kept[width]
-        assert sizes == [width + 1, 46 * open_rows, 1]
-        assert 46 * open_rows <= verifier.ROW_BUDGET
+        assert plan.expected_terminal_payoffs == (4.0, 3.0)
+        stage = plan.stage_for(0)
+        found = punish_batch(stacks[0], stage.supports, stage.seed, stage.ceiling)
+        assert (found.best_response[:width] == 0).any(axis=1).sum() == 48
+        assert (found.best_response[width] == 0).all()
+        kept = _takeable(stacks[0][[*range(width), width]], plan)
+        assert all(kept) and sizes == [width + 1, 1]
     elif case == "cells_past_half_the_float_range":
         # Round 20's burn and every move's delta are 0.3 of the largest
         # float, so no prefix is within the guard: every row is searched,
@@ -1254,8 +1326,9 @@ def test_taken_searches_match_scalar_loop(case):
 # `record_rows` call, and whether it took all of its rows.
 INTERLEAVED = {
     # Prefix 0 is searched; 1-19 take its search, and the middle round's
-    # prefix 20 searches its rows; 21 begins a new run and is searched; 22-40
-    # take its search, and so does the last prefix game.
+    # prefix 20 searches its rows, the first of each class of moves at the
+    # first stage alone; 21 begins a new run and is searched; 22-40 take its
+    # search, and so does the last prefix game.
     "middle_round_on_a_read_cell": (
         _middle_round_on_a_read_cell,
         [([0], False), (list(range(1, 21)), False), ([21], False), (list(range(22, 41)), True)]),
@@ -1292,10 +1365,10 @@ def test_stacks_taken_whole_interleave_with_searched_ones(monkeypatch, case):
     assert recorded[-1][0] == "stop"
     sizes = [len(u) for u in stacks]
     if case == "spoiler":
-        rows = _takeable(stacks[0][:width], plan.stage_for(0)).count(False)
+        rows = _takeable(stacks[0][:width], plan).count(False)
         assert sizes == [width + 1, 4 * rows, 4 * rows, rows] and 5 * rows > width + 1
     else:
-        assert sizes == [width + 1, width, width + 1]
+        assert sizes == [width + 1, _heads(game, plan, plan.stage_for(20)), width + 1]
 
 
 def _logged(log: list, groups):
@@ -1455,6 +1528,144 @@ def test_choose_delta_verifies_ex3_in_at_most_three_stacks():
     assert len(sizes) <= 3 and sizes[0] == width + 1 and sizes[-1] == 1
 
 
+def _zero_on_path():
+    """Ten rounds on a 2x2 game punished at the pure (1, 1), where player
+    1's on-path payoff is exactly 0.0 and player 2's 1.0: at (1, 1) both
+    players' best responses pay exactly 0.0, and so do those of many moves.
+    Round 1 has player 1 burn 0.75 at (1, 2), a cell the first stage does
+    not read, taking it from 0.5 to -0.25: its product with the probability
+    +0.0 turns from +0.0 to -0.0, the case in which the sign of a 0.0 best
+    response may differ between a prefix and the first prefix of its run."""
+    u = np.array([[[0.0, 0.5], [-1.0, 2.0]], [[0.0, -1.0], [1.0, 2.0]]])
+    rounds = [CommitmentRound((Pledge(0, (0, 1), BURN, 0.75),))] + [CommitmentRound(())] * 9
+    return _pure_punished(Game(u), rounds, "transfers", 1.0,
+                          expected_terminal_payoffs=(0.0, 1.0))
+
+
+def test_zero_best_responses_against_a_zero_on_path_payoff_are_searched():
+    # A taker's gain best - on-path would carry the sign of the first
+    # prefix's 0.0 best response, not of its own, where the on-path payoff
+    # is 0.0 too.  So prefix 0 keeps only the rows whose best response for
+    # player 1 is not 0.0, player 2's 0.0s against its on-path 1.0
+    # included, and prefixes 1-9 and prefix games 1-10 search the others.
+    game, plan = _zero_on_path()
+    with _recorded_stacks() as stacks:
+        report = verify_plan(game, plan).to_json()
+    R, width = len(plan.rounds), sum(len(_distinct_moves(game, plan, d)) for d in range(2))
+    stage = plan.stage_for(0)
+    found = punish_batch(stacks[0], stage.supports, stage.seed, stage.ceiling)
+    zero = found.best_response == 0
+    assert len(stacks[0]) == width + 1 and set(found.kinds) == {"support_solve"}
+    assert (zero[:, 1] & ~zero[:, 0]).any() and zero[width, 0]
+    kept = _takeable(stacks[0], plan)
+    assert kept == (~zero[:, 0]).tolist()
+    searched = kept[:width].count(False)
+    assert 0 < searched < width
+    assert [len(u) for u in stacks] == [width + 1, (R - 1) * searched + R]
+    with _every_row_searched():
+        assert verify_plan(game, plan).to_json() == report
+    _assert_grids_agree(game, plan)
+
+
+CLASS_PLANS = {
+    "ex3_auto": _ex3_auto,
+    "ex4": lambda: prize_plan(0.02),
+    "ex5_auto": lambda: WAITING_PLANS["ex5_auto"](),
+    "ex6": lambda: MERGED_SEARCH_PLANS["ex6"]()[:2],
+    "mix3x3_indirect": lambda: CHUNK_CASES["mix3x3_indirect"](),
+    "spoiler": lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)),
+}
+
+
+@pytest.mark.parametrize("grid", ["default", "delta_only"])
+@pytest.mark.parametrize("case", sorted(CLASS_PLANS))
+def test_move_classes_match_their_definition(case, grid):
+    # Under every stage, each distinct game's class head is the first game
+    # of its deviator with the same edits of the cells the first stage
+    # reads.  With the amounts (delta,), a combination's amount equals the
+    # other moves', so a combination may join their classes.
+    game, plan = CLASS_PLANS[case]()
+    amounts = None if grid == "default" else (plan.delta,)
+    xs = (*(amounts or (plan.delta / 2, plan.delta)), plan.delta)
+    sizes = []
+    for stage in plan.punishment:
+        got = verifier._move_classes(game.action_counts, plan.mode, tuple(map(xs.index, xs)),
+                                     tuple(map(tuple, stage.supports)))
+        want = _classes(game, plan, stage, amounts)
+        assert (list(range(len(want))) if got is None else got.tolist()) == want
+        sizes.append(len(set(want)))
+    if case == "ex6":  # full support: every cell is read
+        assert got is None
+    if case == "ex4" and grid == "default":
+        assert sizes == [98]
+    if case == "ex3_auto":  # combinations join other moves' classes; the reports agree
+        _assert_grids_agree(game, plan, amounts=amounts)
+
+
+# cli-auto's two plans, as `plan ... --delta auto` builds them.
+CLI_AUTO_PLANS = {
+    "ex3": ("ex3", ["--payoffs", "4,3"]),
+    "ex5": ("ex5", ["--target", "4,3", "--sigma",
+                    "0.3333333333333333,0.3333333333333333,0.3333333333333334,0;"
+                    "0.3333333333333333,0.3333333333333333,0.3333333333333334,0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_AUTO_PLANS))
+def test_cli_auto_plans_search_pinned_rows(tmp_path, capsys, case):
+    # The rows each verify of `plan --delta auto` and of `verify` searches,
+    # per stack: choose_delta's budgeted verify of each cap it tries, the
+    # plan's report, then the verify command's report.
+    from commitment_games import cli
+
+    key, args = CLI_AUTO_PLANS[case]
+    game_path, plan_path = str(tmp_path / "game.json"), str(tmp_path / "plan.json")
+    verify, calls = verifier.verify_plan, []
+
+    def recorded(*a, **kwargs):
+        with _recorded_stacks() as stacks:
+            report = verify(*a, **kwargs)
+        calls.append((kwargs.get("budget"), [len(u) for u in stacks]))
+        return report
+
+    with mock.patch.object(verifier, "verify_plan", recorded), \
+            mock.patch.object(cli, "verify_plan", recorded):
+        assert cli.main(["export", key, "-o", game_path]) == 0
+        assert cli.main(["plan", game_path, *args, "--delta", "auto", "-o", plan_path]) == 0
+        assert cli.main(["verify", game_path, plan_path]) == 0
+    capsys.readouterr()
+    game, plan = load_game(game_path), load_plan(plan_path)
+    R, width = len(plan.rounds), sum(len(_distinct_moves(game, plan, d)) for d in range(2))
+    heads = _heads(game, plan, plan.stage_for(0))
+    assert protocols.DELTA_SEARCH_BUDGET == 8
+    if case == "ex3":
+        # The first cap passes.  47 rounds, 58 distinct moves in 26 classes;
+        # the pure punishment pays (0, 0) against on-path payoffs (4, 3), and
+        # every round stays off the cells the first stage reads: prefix 0's
+        # 58 rows and its prefix game are searched, the first of a clean run
+        # searching all of its rows, and taken by every later grid prefix
+        # and prefix game, under the budget as on the full grid.  The last
+        # prefix game is under a stage of its own.
+        assert (R, width, heads) == (47, 58, 26)
+        assert calls == [(8, [59, 1]), (None, [59, 1]), (None, [59, 1])]
+    else:
+        # The first cap passes.  40 rounds, 130 distinct moves in 98 classes:
+        # the 32 that burn only where the opponent plays its 4th action, off
+        # its support, join the no-op's.  Every round burns player 1's
+        # payoffs against player 2's support actions, a read cell, so no
+        # prefix is in a run; each searches its class heads, at the first
+        # stage alone, and every search settles there and is kept.  Under
+        # the budget, the 9 grid prefixes and all 41 prefix games (64
+        # checkpoints) make one stack: 9 * 98 + 41.  On the full grid, a
+        # stack holds at most ROW_BUDGET rows left, 131 per prefix with its
+        # prefix game: 23 prefixes, then the other 17 and the last prefix
+        # game.
+        assert (R, width, heads) == (40, 130, 98)
+        assert calls == [(8, [9 * 98 + 41]), (None, [23 * 99, 17 * 99 + 1]),
+                         (None, [23 * 99, 17 * 99 + 1])]
+        assert 23 * 131 <= verifier.ROW_BUDGET < 24 * 131
+
+
 def _seeded_two_by_two(draw: int):
     """The `draw`-th plan of `mismatching_two_by_two` under NumPy seed 1."""
     rng = np.random.default_rng(1)
@@ -1463,13 +1674,30 @@ def _seeded_two_by_two(draw: int):
     return game, plan
 
 
-# The reuse plans, ex5 as `plan --delta auto` builds it, and the first two
-# seeded 2x2 plans.
+def _read_cell_transfer_at_a_grid_prefix():
+    """Nine rounds on a 2x2 game punished at the pure (1, 1), all empty but
+    round 7, in which player 1 pays player 2 0.25 at (1, 1), a cell both
+    players' first stage reads.  (1, 1) stays Nash under every move, by a
+    margin of 2.5.  The grid prefixes under a budget of 3 are 0, 3, 6 and
+    8: player 2's deviation games at prefix 6 hold that round's pledge,
+    which raises its best response from -0.5 to -0.25, the largest gain of
+    the grid, first reached there.  So prefix 6 begins a run of its own,
+    though rounds 4-6 are clean; a test of rounds k..k'-1 alone would join
+    it to prefix 0's run."""
+    u = np.array([[[-0.5, 0.3], [-3.0, 2.0]], [[-0.5, -3.0], [1.0, 2.0]]])
+    rounds = [CommitmentRound(())] * 9
+    rounds[6] = CommitmentRound((Pledge(0, (0, 0), 1, 0.25),))
+    return _pure_punished(Game(u), rounds, "transfers", 1.0)
+
+
+# The reuse plans, ex5 as `plan --delta auto` builds it, the first two
+# seeded 2x2 plans, and a plan whose round at a grid prefix is not clean.
 BUDGETED_PLANS = {
     **REUSE_PLANS,
     "ex5_auto": WAITING_PLANS["ex5_auto"],
     "2x2_first": lambda: _seeded_two_by_two(1),
     "2x2_second": lambda: _seeded_two_by_two(2),
+    "read_cell_transfer_at_a_grid_prefix": _read_cell_transfer_at_a_grid_prefix,
 }
 
 
