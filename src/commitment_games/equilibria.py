@@ -377,29 +377,41 @@ def _solve(system: StackedSystem, seed: MixedProfile | None, *, distinct: bool =
     return X, status, f_norm, min_res
 
 
-# Odd multiples of this odd constant weight a row's 64-bit words in
-# `_distinct_rows`' hash.
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# `_distinct_rows`' hash: splitmix64's increment and finalizer constants.
+_GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                                0x94D049BB133111EB))
 
 
-def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, index): one row of each distinct byte pattern among
+def _word_hashes(words: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The terms of `_distinct_rows`' hash: splitmix64's finalizer of each
+    of the 64-bit `words` XOR its position `at` times the golden increment."""
+    z = words ^ (np.asarray(at, dtype=np.uint64) * _GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _distinct_rows(block: np.ndarray,
+                   hashes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index): the first row of each distinct byte pattern among
     `block`'s rows, and per row the position of its pattern in `first`.
 
-    A multiply-hash of each row's 64-bit words (wrapping mod 2**64)
-    orders the rows, and neighbours with equal hashes are compared word
-    for word, so 0.0 and -0.0 never share a pattern.  Should two patterns
-    share a hash, `np.unique` on the words decides instead.
+    A row's hash is the sum (mod 2**64) of `_word_hashes` over its 64-bit
+    words at their positions (`hashes`, when the caller has them); the
+    finalizer is not linear, so rows that trade values between cells do
+    not share a hash as under a weighted sum.  Neighbours with equal
+    hashes are compared word for word, so 0.0 and -0.0 never share a
+    pattern.  Should two patterns share a hash, `np.unique` on the words
+    decides instead.
     """
     B = len(block)
     words = np.ascontiguousarray(block).reshape(B, math.prod(block.shape[1:])).view(np.uint64)
-    # Folding the high half into the low one first lets the sign and
-    # exponent bits reach every bit of the products: unfolded, flipping the
-    # signs of two words kept the hash.
-    folded = words >> np.uint64(32)
-    folded ^= words
-    h = folded @ (np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * _HASH_MULTIPLIER)
-    order = np.argsort(h)
+    h = (_word_hashes(words, np.arange(words.shape[1])).sum(axis=1, dtype=np.uint64)
+         if hashes is None else hashes)
+    order = np.argsort(h, kind="stable")  # rows of one hash in row order
     h = h[order]
     pairs = np.flatnonzero(h[1:] == h[:-1])
     repeat = np.zeros(B, dtype=bool)  # sorted row r repeats sorted row r - 1
@@ -585,10 +597,13 @@ def _first_stage_cells(shape: tuple[int, ...],
     partial sum overflows.  None does when every cell is at most half the
     largest float in magnitude: a solved row's probabilities per player sum
     to at most 1 + SYSTEM_TOL, so no partial sum exceeds the largest cell
-    by more than that factor per player.  The sign reaches a verification
-    report only through a best-response payoff of 0.0 minus an on-path
-    payoff of 0.0, the one difference it changes; the verifier reads no
-    expected payoff of a search (`verifier.check_deviations`).
+    by more than that factor per player.  So the verifier keys every
+    deviation search by its stage and its bytes on these cells
+    (`verifier._row_keys`), and searches each key once.  The sign reaches
+    a verification report only through a best-response payoff of 0.0
+    minus an on-path payoff of 0.0, the one difference it changes, so a
+    key's search is shared unless such a difference occurs; the verifier
+    reads no expected payoff of a search (`verifier.check_deviations`).
     """
     supports = _checked_supports(shape[1:], supports)
     cells = np.zeros(shape, dtype=bool)
@@ -817,7 +832,8 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     B, n, counts = U.shape[0], U.shape[1], U.shape[2:]
 
     first = first_stage_batch(U, supports, seed, ceiling)
-    kinds = np.full(B, "support_solve", dtype=object)
+    kinds = np.empty(B, dtype=object)
+    kinds[:] = "support_solve"  # `np.full` of an object is slower
     profiles, expected = list(first.profiles), first.payoffs
     best = np.stack([p.max(axis=1) for p in first.deviation_payoffs], axis=1)
     rows = np.flatnonzero(~first.settled)

@@ -31,8 +31,9 @@ from .equilibria import (
     NotNashError,
     StackedSystem,
     _bexpected,
+    _distinct_rows,
     _first_stage_cells,
-    first_stage_batch,
+    _word_hashes,
     nash_batch,
     non_degenerate_batch,
     punish_batch,
@@ -44,6 +45,7 @@ from .games import (
     PAYOFF_SLACK,
     FoldError,
     Game,
+    GameShapeError,
     MixedProfile,
     compile_pledges,
     content_hash,
@@ -58,13 +60,10 @@ from .protocols import CASE_PROMISES, ProtocolPlan, check_plan_for_game
 
 ROUND_BOUND_CONSTANT = 64.0
 ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
-# Games searched per stacked punishment search.  Larger stacks make fewer,
-# larger calls, but the search's working arrays grow with them and raise
-# the peak memory of a verify run; a row taken from an earlier search
-# (`check_deviations`) makes no such arrays and is not counted; a row
-# that waits for its class's search is.  An ex5 verify (`plan --delta
-# auto`, 40 rounds, 3,961 rows searched in 2 stacks of 5,241 counted)
-# peaks at 2.3 MB under `tracemalloc`, against 0.94 MB at 1,024 (6 stacks).
+# Games per stacked punishment search, a memory cap: the search's working
+# arrays grow with its stack.  An ex5 verify (`plan --delta auto`, 40 rounds,
+# 3,862 rows searched in 2 stacks) peaks at 2.8 MB under `tracemalloc`,
+# against 1.45 MB at 1,024 (4 stacks).
 ROW_BUDGET = 3072
 
 DEVIATION_CLASSES = ("commitment", "early_stop", "continue_when_stop",
@@ -95,15 +94,13 @@ class FindingRows:
     move `moves[r % w]` of player `players[r % w]` at prefix
     `prefixes[r // w]`, where w = len(moves).  `kinds` are the rows'
     punishment kinds from `punish_batch`, or one kind of every row; kind
-    "none" is a structural failure, reported as "unavailable".  `counts`,
-    when given, is the histogram of `kinds`, counted by the caller."""
+    "none" is a structural failure, reported as "unavailable"."""
 
     gains: np.ndarray
     kinds: Sequence[str] | str
     prefixes: Sequence[int]
     players: Sequence[int]
     moves: Sequence[str]
-    counts: Counter | None = None
 
     def __len__(self) -> int:
         return len(self.gains)
@@ -145,8 +142,7 @@ class DeviationClassResult:
         gain never becomes the worst, as under `record`'s strict `>`."""
         self.checked += len(rows)
         one = isinstance(rows.kinds, str)
-        kinds = Counter(rows.counts if rows.counts is not None else
-                        {rows.kinds: len(rows)} if one else rows.kinds)
+        kinds = Counter({rows.kinds: len(rows)} if one else rows.kinds)
         if "none" in kinds:
             kinds["unavailable"] = kinds.pop("none")
             structural = (range(len(rows)) if one else
@@ -212,37 +208,21 @@ def _stage_index(plan: ProtocolPlan, ks) -> np.ndarray:
     return np.searchsorted([s.first_round for s in plan.punishment], ks, "right") - 1
 
 
-def _stage_groups(plan: ProtocolPlan, ks: Sequence[int],
-                  rows: Callable[[int, int], np.ndarray] | None = None,
-                  heads: np.ndarray | None = None):
+def _stage_groups(plan: ProtocolPlan, ks: Sequence[int], rows: np.ndarray | None = None):
     """Runs of consecutive prefixes among `ks` under one punishment stage,
-    with that stage; a run holds at most ROW_BUDGET rows and always at
-    least one prefix.  `rows(i, j)` is the array of rows of prefixes
-    ks[i:j] (one each by default), asked at each run's start, after the
-    runs before it are consumed.  It is asked for a window of prefixes,
-    doubled until the run ends inside it, so a run costs its own length.
-    `heads[c, p]` is the place in `ks` of a prefix whose search prefix
-    ks[p] may take (-1 for none), one row per kind c of head: a run ends
-    before a prefix whose head is in it, so the prefix takes the head's
-    search in a later run instead of being searched alongside it."""
-    rows = rows or (lambda i, j: np.ones(j - i, dtype=int))
-    heads = np.full((0, len(ks)), -1) if heads is None else heads
+    with that stage; a run holds at most ROW_BUDGET rows, `rows[i]` for
+    prefix ks[i] (one each by default), and always at least one prefix."""
+    total = np.concatenate([[0], np.cumsum(np.ones(len(ks), dtype=int) if rows is None
+                                             else rows)])
     stage = _stage_index(plan, ks)
     ends = [*(np.flatnonzero(stage[1:] != stage[:-1]) + 1).tolist(), len(ks)]
     i = 0
     for end in ends:
         while i < end:
-            span = ROW_BUDGET
-            while True:
-                j = min(end, i + span)
-                cut = int(np.searchsorted(np.cumsum(rows(i, j)), ROW_BUDGET, "right"))
-                waits = np.flatnonzero((heads[:, i:j] >= i).any(axis=0))
-                cut = max(min(cut, int(waits[0])) if waits.size else cut, 1)
-                if cut < j - i or j == end:
-                    break
-                span *= 2
-            yield plan.punishment[stage[i]], ks[i:i + cut]
-            i += cut
+            j = min(max(int(np.searchsorted(total, total[i] + ROW_BUDGET, "right")) - 1,
+                        i + 1), end)
+            yield plan.punishment[stage[i]], ks[i:j]
+            i = j
 
 
 def _verdict(ok, detail: str = "") -> PropertyResult:
@@ -539,53 +519,131 @@ def _prefix_indices(total: int, budget: int | None, keyword: str = "budget") -> 
     return sorted(picked)
 
 
-def _clean_runs(plan: ProtocolPlan, U: np.ndarray, prefixes: Sequence[int],
-                updates: tuple[np.ndarray, ...], move: float, asked: Sequence[int],
-                share: bool) -> tuple[dict[int, int], dict[int, int], set[int]]:
-    """The clean runs of the grid prefixes' rows and of the prefix games
-    `asked` (ascending) in the prefix stack `U`, each as a map from every
-    prefix past a run's first to that first prefix, and, when `share`, the
-    grid prefixes within the magnitude guard, whose deviation games of one
-    class of moves (`_move_classes`) may take one search.  A round is clean when
-    none of its updates (`updates`, the plan's rounds compiled) lands on a
-    cell its stage's first stage reads (`equilibria._first_stage_cells`).
-    Grid prefixes k < k' of one stage are one run when every round k..k' is
-    clean, since the others' round-k' pledges are applied to its rows;
-    prefix games k < k', when rounds k..k'-1 are.  Either way the games of
-    a run agree bit for bit on those cells.  A run holds only the prefixes
-    k within the magnitude guard: max|U[k]| + Σ|round-k values| + `move`,
-    the largest Σ|values| of a move, at most a quarter of the largest
-    float, so every cell of their rows is within half of it and no partial
-    sum of the first stage overflows (`equilibria._first_stage_cells`)."""
-    rounds, _, cell, value = updates
-    stage = _stage_index(plan, rounds)
-    cells = np.zeros((len(plan.punishment), U[0].size), dtype=bool)
-    for i in set(stage.tolist()):
-        cells[i] = _first_stage_cells(U.shape[1:], tuple(map(tuple, plan.punishment[i].supports)))
-    clean = np.ones(plan.num_rounds, dtype=bool)
-    clean[rounds[cells[stage, cell]]] = False
-    if not (share or clean.any()):
-        return {}, {}, set()
+def _guarded(U: np.ndarray, updates: tuple[np.ndarray, ...], move: float) -> np.ndarray:
+    """Per prefix k of the prefix stack `U`, whether its rows are within the
+    magnitude guard: max|U[k]| + the sum of |round-k values| (`updates`, the
+    plan's rounds compiled) + `move`, the largest such sum of a move, at
+    most a quarter of the largest float.  Then every cell of the deviation
+    games of prefix k is within half of it, so no partial sum of the first
+    stage overflows (`equilibria._first_stage_cells`)."""
+    rounds, _, _, value = updates
     with np.errstate(over="ignore"):  # past the float range the bound is +inf
         bound = (np.abs(U).reshape(len(U), -1).max(axis=1)
                  + np.bincount(rounds, np.abs(value), minlength=len(U)) + move)
-    fits = (bound <= np.finfo(np.float64).max / 4).tolist()  # NaN fails
-    within = {k for k in prefixes if fits[k]} if share else set()
-    done = np.concatenate([[0], np.cumsum(clean)])  # clean rounds before each round
+    return bound <= np.finfo(np.float64).max / 4  # NaN fails
 
-    def runs(ks: Sequence[int], last: int) -> dict[int, int]:
-        """k' joins the run of k, the entry before it, when rounds k..k'+last-1
-        are clean under one stage."""
-        ks = np.asarray(ks, dtype=int)
-        at, ends = _stage_index(plan, ks), ks[1:] + last
-        joined = (at[1:] == at[:-1]) & (done[ends] - done[ks[:-1]] == ends - ks[:-1])
-        start = np.arange(len(ks))
-        start[1:][joined] = 0
-        head = ks[np.maximum.accumulate(start)]
-        return {k: h for k, h in zip(ks.tolist(), head.tolist())
-                if h != k and fits[k] and fits[h]}
 
-    return runs(prefixes, 1), runs(asked, 0), within
+@dataclass(frozen=True)
+class _GridRows:
+    """The rows a verify searches, flat, on the prefix stack `U`.  With w
+    the number of distinct games (`_MoveGrid.distinct`) and n players, row
+    p * w + j is game j, of player `deviator[j]`, at grid prefix
+    `prefixes[p]`: row p * n + deviator[j] of `bases` with the updates of
+    game j (`moves`: game, cell, value).  Row P * w + a, P = len(prefixes),
+    is prefix game `asked[a]`.  Rows are built with NumPy's overflow
+    warning off: a row past the float range is refused by the search's
+    finiteness check."""
+
+    U: np.ndarray
+    prefixes: np.ndarray
+    asked: np.ndarray
+    bases: np.ndarray
+    deviator: np.ndarray
+    moves: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.prefixes) * len(self.deviator) + len(self.asked)
+
+    def build(self, rows: np.ndarray) -> np.ndarray:
+        """The stack of rows `rows` (ascending)."""
+        n, w, size = self.U.shape[1], len(self.deviator), self.bases.shape[1]
+        D = len(self.prefixes) * w
+        cut = int(np.searchsorted(rows, D))
+        p, j = np.divmod(rows[:cut], w)
+        out = np.empty((len(rows), size))
+        np.take(self.bases, p * n + self.deviator[j], axis=0, out=out[:cut])
+        np.take(self.U.reshape(len(self.U), size), self.asked[rows[cut:] - D], axis=0,
+                out=out[cut:])
+        game, cell, value = self.moves
+        first = np.searchsorted(game, np.arange(w + 1))
+        count = (first[1:] - first[:-1])[j]
+        u = _ranges(first[j], count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(out.reshape(-1), np.repeat(np.arange(cut) * size, count) + cell[u],
+                      value[u])
+        return out.reshape(-1, *self.U.shape[1:])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i], ..., starts[i] + counts[i] - 1."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _row_keys(plan: ProtocolPlan, rows: _GridRows, same: tuple[int, ...],
+              guarded: np.ndarray) -> np.ndarray:
+    """Per row of `rows`, the first row with its key, whose search it may
+    take.  A row's key is its punishment stage and its bytes on the cells
+    that stage's first stage reads (`equilibria._first_stage_cells`); a row
+    of a prefix outside the magnitude guard (`guarded`, per prefix:
+    `_guarded`) is its own key.  No row is built to find its key.  Per
+    stage, the base rows, each with its deviator, and the prefix games are
+    told apart on those cells (`equilibria._distinct_rows`); a deviation
+    game there is its base row with its move's updates, alike within a
+    move class (`_move_classes`, `same` as there).  So only the first row of
+    each class at each first base row is built on those cells, and told
+    apart from the others and from the first prefix games: a move that
+    updates no read cell leaves its base row's bytes, which another
+    deviator's base row or a prefix game may hold too."""
+    n, w, shape = rows.U.shape[1], len(rows.deviator), rows.U.shape[1:]
+    D = len(rows.prefixes) * w
+    head = np.arange(len(rows))
+    game, cell, value = rows.moves
+    at_p, at_a = _stage_index(plan, rows.prefixes), _stage_index(plan, rows.asked)
+    for s in sorted({*at_p.tolist(), *at_a.tolist()}):
+        supports = tuple(map(tuple, plan.punishment[s].supports))
+        read = _first_stage_cells(shape, supports).ravel()
+        ps = np.flatnonzero((at_p == s) & guarded[rows.prefixes])
+        asked = np.flatnonzero((at_a == s) & guarded[rows.asked])
+        base = (ps[:, None] * n + np.arange(n)).ravel()
+        # Per entry, a base row or a prefix game: its deviator (n for a prefix
+        # game), its row of move 0 (its own row for a prefix game), and its
+        # bytes on the read cells.
+        owner = np.concatenate([base % n, np.full(len(asked), n)])
+        own = np.concatenate([base // n * w, D + asked])
+        block = np.concatenate([rows.bases[base][:, read],
+                                rows.U.reshape(len(rows.U), -1)[rows.asked[asked]][:, read]])
+        terms = _word_hashes(block.view(np.uint64), np.arange(block.shape[1]))
+        hashes = terms.sum(axis=1, dtype=np.uint64)
+        first, ids = _distinct_rows(np.column_stack([block, owner]), hashes + _word_hashes(
+            owner.astype(np.float64).view(np.uint64), block.shape[1]))
+        classes = _move_classes(shape[1:], plan.mode, same, supports)
+        classes = np.arange(w) if classes is None else classes
+        # The first rows: per first entry, in row order, its deviator's class
+        # heads, or the prefix game itself (move w, which updates nothing).
+        lead = np.append(np.flatnonzero(classes == np.arange(w)), w)
+        e, i = np.nonzero(owner[np.sort(first)][:, None] == np.append(rows.deviator, n)[lead])
+        e, j = np.sort(first)[e], lead[i]
+        firsts = own[e] + j % w
+        # Built on the read cells, where a move updates each cell at most once
+        # and, within the guard, stays finite; each one's hash is its entry's
+        # with the terms of those cells replaced.
+        on = read[cell]
+        bounds = np.searchsorted(game[on], np.arange(w + 2))
+        count = (bounds[1:] - bounds[:-1])[j]
+        u, k = _ranges(bounds[j], count), np.repeat(np.arange(len(e)), count)
+        c = (np.cumsum(read) - 1)[cell[on][u]]
+        built, h = block[e], hashes[e]
+        built[k, c] += value[on][u]
+        np.add.at(h, k, _word_hashes(built[k, c].view(np.uint64), c) - terms[e[k], c])
+        joined, index = _distinct_rows(built, h)
+        head[firsts] = firsts[joined][index]
+        # Every row takes the head of its first row.
+        lead = own[first[ids]]
+        head[:D].reshape(-1, w)[ps] = head[lead[:len(base)].reshape(-1, n)[:, rows.deviator]
+                                           + classes]
+        head[D + asked] = head[lead[len(base):]]
+    return head
 
 
 def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float] | None = None,
@@ -597,36 +655,24 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
 
     A deviation game is a row of the prefix stack `stack` (`fold_rounds`)
     with the compiled updates of the others' pledges of its round, then of
-    the move, one per deviator's distinct move (`_move_grid`).  A row takes
-    another's search wherever the report cannot tell the two apart.  Games
-    equal bit for bit on the cells the first stage reads settle alike there,
-    with best responses that may differ only in the sign of a 0.0
+    the move, one per deviator's distinct move (`_move_grid`); the prefix
+    games that the early stops or a None in `punishments` ask for are rows
+    too (`_GridRows`).  Each row has a key, its punishment stage and its
+    bytes on the cells the first stage reads (`_row_keys`).  The first row
+    of each key is searched, in stacks of one stage of at most ROW_BUDGET
+    rows (`punish_batch`); every other row then takes that search where the
+    report cannot tell the two apart, and is searched in a later stack
+    where it can.  Rows equal on those cells settle alike at the first
+    stage, with best responses that may differ only in the sign of a 0.0
     (`equilibria._first_stage_cells`).  The grid reads a search only
-    through its kind and the gains best - on-path, the on-path payoffs
-    being `plan.expected_terminal_payoffs`, and such a sign shows in a gain
-    only where the on-path payoff is 0.0 too.  So a searched row is kept
-    for takers when it settled at the first stage and no player with an
-    on-path payoff of 0.0 has a best response of 0.0.  There are two takes:
-    a prefix takes the rows that the first prefix of its clean run
-    (`_clean_runs`, within the magnitude guard) kept in an earlier stack;
-    and a grid prefix within the guard that follows no run searches the
-    first game of each class of its moves (`_move_classes`), whose other
-    games take that search where it is kept.
-    Per run of consecutive prefixes under one punishment stage with at
-    most ROW_BUDGET rows left, the deviation games left and then the prefix
-    games left that the early stops or a None in `punishments` ask for go
-    to one `punish_batch`.  When some rows wait for their class's search,
-    the rows within the guard that do not wait go to `first_stage_batch`
-    first, and the rows it does not settle go to `punish_batch` with the
-    waiting rows not taken.  A run ends before a prefix whose clean run's
-    first prefix is in it, so the prefix takes that search in the next run
-    instead of repeating it.  The run's findings are reduced as arrays,
-    one row per move (`DeviationClassResult.record_rows`).  `punishments`
-    maps prefixes to their search (kind, best-response payoffs, reason): a
-    search it holds is read, and every search made or taken is written into
-    it.  `updates` are the plan's rounds compiled (`fold_compiled`), given
-    with `stack`; the clean test reads every round of them, so under a
-    `budget` the grid prefixes, though far apart, still make clean runs.
+    through its kind and the gains best - on-path, with the on-path payoffs
+    `plan.expected_terminal_payoffs`, so a search is taken when its kind is
+    "support_solve" and no player with an on-path payoff of 0.0 has a best
+    response of 0.0.  The findings are recorded prefix-major, one row per
+    move (`DeviationClassResult.record_rows`).  `punishments` maps prefixes
+    to their search (kind, best-response payoffs, reason): a search it holds
+    is read, and every search made or taken is written into it.  `updates`
+    are the plan's rounds compiled (`fold_compiled`), given with `stack`.
     """
     # A move pays each outcome at most once, at its one amount, and the grid's
     # shape fixes the rest, so it breaks a round's rule exactly when the
@@ -638,19 +684,15 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
         raise error
     U, updates = (fold_compiled(game, plan.rounds, plan.delta, plan.mode) if stack is None
                   else (stack, updates))
-    R, n, size = len(plan.rounds), game.num_players, U[0].size
+    R, n = len(plan.rounds), game.num_players
     on_path = np.asarray(plan.expected_terminal_payoffs)
     results = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
 
     grid = _move_grid(game.action_counts, plan.mode, len(xs) - 1)
     x = np.array(xs, dtype=np.float64)
-    names = _MoveNames(grid, xs)
     width = len(grid.distinct)
-    per_game = np.bincount(grid.spread, minlength=width)  # moves per distinct game
-    starts = np.searchsorted(grid.deviator[grid.distinct], np.arange(n))  # each deviator's first
     moves, _, cells, signs = grid.updates
     values = signs * x[grid.slot[grid.distinct[moves]]]
-    same = tuple(map(xs.index, xs))  # per slot, the first slot of its amount
 
     prefixes = _prefix_indices(R, budget)
     if updates is None:
@@ -659,140 +701,71 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     at = np.full(R, -1)
     at[prefixes] = np.arange(len(prefixes))
     keep = at[updates[0]] >= 0
-    step, payer, cell, value = at[updates[0][keep]], *(u[keep] for u in updates[1:])
     # The first vote happens after round 1.
     stops = [k for k in prefixes if k != 0]
     punishments = {} if punishments is None else punishments
     punishments |= dict.fromkeys(set(stops) - set(punishments))
-    on_grid = {k: j for j, k in enumerate(prefixes)}
     asked = sorted(k for k, found in punishments.items() if found is None)
-    searched = set(asked)
-    # Per prefix of `ks`, at its place in `ks`: its rows, and per kind of
-    # run (0 rows, 1 prefix games) the place of its run's first prefix, -1
-    # for none.  Per kind and first prefix searched: which of its rows a
-    # later prefix may take and their best-response payoffs (`kept`), and
-    # how many there are (`kept_rows`, whose last column stays 0).
-    ks = sorted(on_grid.keys() | searched)
-    place = {k: i for i, k in enumerate(ks)}
-    need = np.array([width * (k in on_grid) + (k in searched) for k in ks], dtype=int)
-    classes = {id(s): _move_classes(game.action_counts, plan.mode, same,
-                                    tuple(map(tuple, s.supports))) for s in plan.punishment}
-    *runs, within = _clean_runs(plan, U, prefixes, updates, np.bincount(moves, np.abs(values)).max(),
-                                asked, any(c is not None for c in classes.values()))
-    heads = np.array([[place.get(head.get(k), -1) for k in ks] for head in runs],
-                     dtype=int).reshape(2, len(ks))
-    firsts, head_of = [set(h) for h in heads.tolist()], heads.tolist()
-    kept, kept_rows = ({}, {}), np.zeros((2, len(ks) + 1), dtype=int)
-    none_kept = {w: (np.zeros(w, dtype=bool), np.full((w, n), np.nan)) for w in (width, 1)}
+    # Per grid prefix k and deviator d, prefix game k with the updates of the
+    # others' round-k pledges in order (the whole round passed the fold, so
+    # any subset of it is legal): base row p * n + d of the grid's rows.
+    bases = np.repeat(U[prefixes].reshape(len(prefixes), U[0].size), n, axis=0)
+    step, payer, cell, value = at[updates[0][keep]], *(u[keep] for u in updates[1:])
+    others = payer[:, None] != np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(bases, ((step[:, None] * n + np.arange(n))[others],
+                          np.broadcast_to(cell[:, None], others.shape)[others]),
+                  np.broadcast_to(value[:, None], others.shape)[others])
+    rows = _GridRows(U, np.array(prefixes, dtype=int), np.array(asked, dtype=int), bases,
+                     grid.deviator[grid.distinct], (moves, cells, values))
+    head = _row_keys(plan, rows, tuple(map(xs.index, xs)),
+                     _guarded(U, updates, np.bincount(moves, np.abs(values)).max()))
 
-    def open_rows(i: int, j: int) -> np.ndarray:
-        """The rows of prefixes ks[i:j] left to search, once the searches before them are made."""
-        return need[i:j] - kept_rows[0, heads[0, i:j]] - kept_rows[1, heads[1, i:j]]
+    D, row = len(prefixes) * width, np.arange(len(rows))
+    kinds = np.empty(len(rows), dtype=object)
+    best, pure = np.empty((len(rows), n)), np.empty((len(rows), n))  # set where searched
+    reasons, seen = {}, set()
+    ks = np.array(sorted({*prefixes, *asked}), dtype=int)
+    place = np.searchsorted(ks, np.concatenate([rows.prefixes, rows.asked]))
 
-    def keepable(r) -> np.ndarray:
-        """Whether rows `r` of a chunk, searched, may be taken: settled at the
-        first stage, with no 0.0 best response, whose sign a taker's game may
-        flip, where the on-path payoff is 0.0 too."""
-        return (kinds[r] == "support_solve") & ~((best[r] == 0) & (on_path == 0)).any(axis=1)
+    def search(todo: np.ndarray):
+        """Search rows `todo` (ascending), in stacks of one stage."""
+        if not len(todo):
+            return
+        at = place[np.where(todo < D, todo // width, todo - D + len(prefixes))]
+        for stage, group in _stage_groups(plan, ks, np.bincount(at, minlength=len(ks))):
+            i, j = np.searchsorted(ks, [group[0], group[-1] + 1])
+            sel = todo[(at >= i) & (at < j)]
+            if len(sel):
+                found = punish_batch(rows.build(sel), stage.supports, stage.seed, stage.ceiling)
+                kinds[sel], best[sel], pure[sel] = found.kinds, found.best_response, found.pure_best
+                cut = int(np.searchsorted(sel, D))
+                reasons.update(zip(sel[cut:].tolist(), found.reasons[cut:]))
+                seen.update(found.kinds)
 
-    for stage, group in _stage_groups(plan, ks, open_rows, heads):
-        moved = [k for k in group if k in on_grid]
-        shared = [k for k in group if k in searched]
-        spans = [(0, place[k], width) for k in moved] + [(1, place[k], 1) for k in shared]
-        parts = [kept[c].get(head_of[c][p]) or none_kept[w] for c, p, w in spans]
-        take, best = np.concatenate([t[0] for t in parts]), np.concatenate([t[1] for t in parts])
-        rows, left, kinds = width * len(moved), ~take, None
-        # A grid prefix within the magnitude guard that is in no run searches
-        # the first game of each class of its moves (`_move_classes`); the
-        # others wait for that search.  A run's first prefix searches all
-        # its rows in one stack: their searches serve the whole run.
-        cls, wait = classes[id(stage)], np.zeros_like(take)
-        if cls is not None:
-            alone = [k in within and head_of[0][place[k]] < 0 and place[k] not in firsts[0]
-                     for k in moved]
-            wait[:rows] = np.outer(alone, cls != np.arange(width)).ravel()
-        if left.any():
-            # Per grid prefix k and deviator d, prefix game k with the updates
-            # of the others' round-k pledges in order (the whole round passed
-            # the fold, so any subset of it is legal), once per row of d
-            # searched, with its move's updates; then the prefix games left.
-            base = np.repeat(U[moved], n, axis=0)
-            first = on_grid[moved[0]] if moved else 0
-            lo, hi = np.searchsorted(step, [first, first + len(moved)])
-            d = np.arange(n)
-            others = payer[lo:hi, None] != d
-            flat = ((step[lo:hi, None] - first) * n + d) * size + cell[lo:hi, None]
-            np.add.at(base.reshape(-1), flat[others],
-                      np.broadcast_to(value[lo:hi, None], flat.shape)[others])
-            row = (width * np.arange(len(moved))[:, None] + moves).ravel()  # each update's
-            kinds = np.empty(len(take), dtype=object)
-            kinds[:] = "support_solve"  # `np.full` of an object is slower
+    heads = np.flatnonzero(head == row)
+    search(heads)
+    kept = np.zeros(len(rows), dtype=bool)
+    kept[heads] = ((kinds[heads] == "support_solve")
+                   & ~((best[heads] == 0) & (on_path == 0)).any(axis=1))
+    src = np.where(kept[head], head, row)  # the row whose search each row reads
+    search(np.flatnonzero(src != head))
+    for r, k in enumerate(asked, D):
+        punishments[k] = (kinds[src[r]], best[src[r]], reasons.get(src[r], ""))
 
-            def rows_of(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                """The stack of the chunk's rows `sel`, and each row's row of it."""
-                per_base = np.add.reduceat(sel[:rows].reshape(len(moved), width), starts,
-                                           axis=1, dtype=int).ravel()
-                stack = np.repeat(np.concatenate([base, U[shared]]),
-                                  np.concatenate([per_base, sel[rows:]]), axis=0)
-                src, mine = np.cumsum(sel) - 1, sel[row]
-                np.add.at(stack.reshape(-1),
-                          src[row[mine]] * size + np.tile(cells, len(moved))[mine],
-                          np.tile(values, len(moved))[mine])
-                return stack, src
-
-            if wait.any():
-                # The rows within the magnitude guard that do not wait go to
-                # the first stage alone; a waiting row takes its class head's
-                # search where a later prefix could take it, and every row
-                # still left gets the whole search.
-                sel = left & ~wait
-                sel[:rows] &= np.repeat([k in within for k in moved], width)
-                at = np.flatnonzero(sel)
-                early = first_stage_batch(rows_of(sel)[0], stage.supports, stage.seed,
-                                          stage.ceiling)
-                best[at] = np.stack([p.max(axis=1) for p in early.deviation_payoffs], axis=1)
-                kinds[at[~early.settled]] = "none"  # until the whole search
-                left[at[early.settled]] = False
-                waiting = np.flatnonzero(wait)
-                head = waiting - waiting % width + cls[waiting % width]
-                ok = keepable(head)
-                best[waiting[ok]] = best[head[ok]]
-                left[waiting[ok]] = False
-            if left.any():
-                batch, src = rows_of(left)
-                found = punish_batch(batch, stage.supports, stage.seed, stage.ceiling)
-                best[left], kinds[left] = found.best_response, found.kinds
-            r = 0
-            for c, p, w in spans:
-                if p in firsts[c]:  # a first prefix searches all its rows
-                    mask = keepable(slice(r, r + w))
-                    kept[c][p], kept_rows[c, p] = (mask, best[r:r + w]), mask.sum()
-                r += w
-        for r, k in enumerate(shared, rows):
-            punishments[k] = ((kinds[r], best[r], found.reasons[src[r]]) if left[r]
-                              else ("support_solve", best[r], ""))
-        if moved:
-            d = grid.deviator
-            gains = best[:rows].reshape(-1, width, n)[:, grid.spread, d] - on_path[d]
-            none = np.isnan(gains)  # best is NaN on exactly the searched rows of kind "none"
-            if none.any():
-                # Priced at the deviator's best pure equilibrium, if any.
-                pure = np.full_like(best, np.nan)
-                pure[left] = found.pure_best
-                pure = pure[:rows].reshape(-1, width, n)[:, grid.spread, d] - on_path[d]
-                gains[none] = np.where(pure > -math.inf, pure, math.inf)[none]
-            counts = None
-            if kinds is not None:
-                # The kinds' histogram: each row's kind once per move that
-                # makes its game.
-                chunk, weight = kinds[:rows], np.tile(per_game, len(moved))
-                seen = {*found.kinds, "support_solve"} if left.any() else {"support_solve"}
-                counts = Counter({kind: c for kind in seen
-                                  if (c := int(weight[chunk == kind].sum()))})
-            results["commitment"].record_rows(FindingRows(
-                gains.ravel(), "support_solve" if kinds is None else
-                kinds[:rows].reshape(-1, width)[:, grid.spread].ravel(), moved, d, names,
-                counts))
+    if prefixes:
+        d = grid.deviator
+        games = src[:D].reshape(-1, width)[:, grid.spread]  # per prefix and move
+        gains = best[games, d] - on_path[d]
+        none = np.isnan(gains)  # best is NaN on exactly the searched rows of kind "none"
+        if none.any():
+            # Priced at the deviator's best pure equilibrium, if any.
+            r, m = np.nonzero(none)
+            priced = pure[games[r, m], d[m]] - on_path[d[m]]
+            gains[r, m] = np.where(priced > -math.inf, priced, math.inf)
+        spread = kinds[games].ravel() if seen - {"support_solve"} else "support_solve"
+        results["commitment"].record_rows(FindingRows(gains.ravel(), spread, prefixes, d,
+                                                      _MoveNames(grid, xs)))
 
     if stops:
         kinds = [punishments[k][0] for k in stops]
@@ -860,7 +833,8 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
     the early-stop class reads rides in the grid's stack of its punishment
     stage: one `punish_batch` per stage chunk.
     Raises DocumentError, as for a plan file, when the plan breaks what
-    every built plan meets or does not fit `game`.
+    every built plan meets or does not fit `game`, and GameShapeError when
+    a deviation game of the grid leaves the float range.
     """
     check_plan_for_game(plan, game)
     probed = _prefix_indices(plan.num_rounds + 1, checkpoint_budget, "checkpoint_budget")
@@ -872,8 +846,12 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
     punishments = dict.fromkeys(probed)
     deviations = {c: DeviationClassResult() for c in DEVIATION_CLASSES}
     if stack is not None:
-        deviations = check_deviations(game, plan, amounts=amounts, budget=budget,
-                                      stack=stack, punishments=punishments, updates=updates)
+        try:
+            deviations = check_deviations(game, plan, amounts=amounts, budget=budget,
+                                          stack=stack, punishments=punishments, updates=updates)
+        except GameShapeError as exc:
+            raise GameShapeError(f"a deviation game of the grid leaves the float range: "
+                                 f"{exc}") from exc
     properties = check_on_path(game, plan, checkpoint_budget=checkpoint_budget,
                                stack=stack, punishments=punishments)
     bound = round_bound_check(plan, game)

@@ -569,20 +569,17 @@ def content_hash(game: Game) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def stage_groups(plan, ks: Sequence[int], budget: int, rows=None, heads=None):
+def stage_groups(plan, ks: Sequence[int], budget: int, rows=None):
     """Runs of consecutive prefixes among `ks` under one punishment stage,
     with that stage; a run holds at most `budget` rows, `rows(k)` for
-    prefix k (one by default), and always at least one prefix.  The prefix
-    that starts a run is counted again after the runs before it are consumed.
-    A run ends before a prefix k when one of `heads(k)`, the prefixes whose
-    searches k may take (none by default), is in it."""
-    rows, heads, group, size = rows or (lambda k: 1), heads or (lambda k: ()), [], 0
+    prefix k (one by default), and always at least one prefix."""
+    rows, group, size = rows or (lambda k: 1), [], 0
     for k in ks:
         s = [i for i, st in enumerate(plan.punishment) if st.first_round <= k][-1]
         r = rows(k)
-        if group and (s != stage or size + r > budget or any(h in group for h in heads(k))):
+        if group and (s != stage or size + r > budget):
             yield plan.punishment[stage], group
-            group, size, r = [], 0, rows(k)
+            group, size = [], 0
         stage = s
         group.append(k)
         size += r

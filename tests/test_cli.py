@@ -238,6 +238,40 @@ def test_an_overflowing_script_fold_prints_only_its_error(workdir, capsys):
             2, "error: malformed script document: GameShapeError: utilities must be finite\n")
 
 
+@pytest.mark.parametrize("mode", ["transfers", "burn_only"])
+def test_an_overflowing_deviation_game_prints_only_its_error(workdir, capsys, mode):
+    # 24 rounds on a 2x2 game where player 1 gets -0.6 of the largest float
+    # at (2, 2); round 21 burns 0.3 of it there, as may every move of delta,
+    # so a deviation game of the grid leaves the float range.
+    import numpy as np
+
+    from commitment_games import (BURN, CommitmentRound, Game, MixedProfile, Pledge,
+                                  save_game, save_plan)
+    from commitment_games.games import OutcomeTarget, content_hash
+    from commitment_games.protocols import ProtocolPlan, PunishmentStage
+
+    big = float(np.finfo(float).max)
+    u = np.random.default_rng(11).uniform(-3, 3, (2, 2, 2))
+    u[0, :, 0], u[1, 0, :] = (2.0, 1.0), (2.0, 1.0)  # (1, 1) is Nash
+    u[0, 1, 1] = -0.6 * big
+    game = Game(u)
+    rounds = [CommitmentRound(())] * 24
+    rounds[20] = CommitmentRound((Pledge(0, (1, 1), BURN, 0.3 * big),))
+    first = MixedProfile.pure((2, 2), (0, 0))
+    plan = ProtocolPlan("partial_support_disjoint", mode, 0.3 * big, tuple(rounds),
+                        OutcomeTarget((0, 0), "pareto_improver"), first,
+                        (PunishmentStage(0, first.supports(), first, (3.0, 3.0)),), (),
+                        (0.0, 0.0), content_hash(game))
+    game_path, plan_path = workdir / "overflow_game.json", workdir / "overflow_plan.json"
+    save_game(game, game_path)
+    save_plan(plan, plan_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _main(capsys, "verify", str(game_path), str(plan_path)) == (
+            2, "error: a deviation game of the grid leaves the float range: "
+               "utilities must be finite\n")
+
+
 def test_verify_witness_dump(workdir):
     # build a game+naive plan pair that fails verification, dump witnesses
     from commitment_games import save_game, save_plan

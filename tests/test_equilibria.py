@@ -735,7 +735,7 @@ def test_newton_norm_is_a_fresh_evaluate_on_ex6_stacks(monkeypatch):
 
     monkeypatch.setattr(verifier, "punish_batch", recorded)
     verifier.verify_plan(game, plan)
-    assert [len(u) for u, _ in stacks] == [2601]
+    assert [len(u) for u, _ in stacks] == [2451]  # the stack of every key
     for utilities, (supports, seed, _) in stacks:
         assert _assert_newton_norm_is_a_fresh_evaluate(utilities, supports, seed) == len(utilities)
 
@@ -788,17 +788,40 @@ def test_bpayoffs_reads_player_ones_payoff_as_bexpected_contracts_it(counts):
     assert (read[0] >= 0).any() and (read[0] < 0).any()
 
 
+def _splitmix64_unshift(z: int, s: int) -> int:
+    """The x with x ^ (x >> s) == z."""
+    x = z
+    for _ in range(64 // s):
+        x = z ^ (x >> s)
+    return x
+
+
 def test_distinct_rows_compares_the_words_of_rows_whose_hashes_collide(monkeypatch):
-    # The hash weighs folded word j, w ^ (w >> 32) (its own inverse), by the
-    # (j+1)-th odd multiple of a constant c, so adding (3c, -c) to folded
-    # words (0, 1) keeps it: a collision, which np.unique then settles.
+    # The hash sums mix(w_j ^ j * golden) over a row's words j, where mix,
+    # splitmix64's finalizer, is a bijection: raising mix of word 0 by t and
+    # lowering mix of word 1 by t keeps the sum, a collision that np.unique
+    # then settles.
+    m, golden = 2 ** 64, int(equilibria._GOLDEN)
+    mul1, mul2 = int(equilibria._MIX1), int(equilibria._MIX2)
+
+    def mix(w):
+        w ^= w >> 30
+        w = w * mul1 % m
+        w ^= w >> 27
+        w = w * mul2 % m
+        return w ^ (w >> 31)
+
+    def unmix(z):
+        z = _splitmix64_unshift(z, 31) * pow(mul2, -1, m) % m
+        z = _splitmix64_unshift(z, 27) * pow(mul1, -1, m) % m
+        return _splitmix64_unshift(z, 30)
+
     rng = np.random.default_rng(13)
     words = rng.integers(0, 2 ** 64, (5, 4), dtype=np.uint64)
     words[3] = words[4] = words[1]
-    fold = lambda w: w ^ (w >> 32)
-    c = int(equilibria._HASH_MULTIPLIER)
-    words[4, :2] = [fold((fold(int(words[1, 0])) + 3 * c) % 2 ** 64),
-                    fold((fold(int(words[1, 1])) - c) % 2 ** 64)]
+    w0, w1, t = int(words[1, 0]), int(words[1, 1]), 12345
+    words[4, :2] = [unmix((mix(w0) + t) % m), unmix((mix(w1 ^ golden) - t) % m) ^ golden]
+    assert words[4].tobytes() != words[1].tobytes()
     calls, unique = [], np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
     _assert_distinct_rows(words.view(np.float64), 4)

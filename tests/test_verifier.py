@@ -346,26 +346,69 @@ def _recorded_findings():
 
 @contextlib.contextmanager
 def _recorded_stacks():
-    """Every stack the verifier searches, in call order: those it hands
-    `first_stage_batch`, for the first stage alone, and `punish_batch`."""
+    """Every stack the verifier hands `punish_batch`, in call order."""
     stacks = []
+    batch = verifier.punish_batch
 
-    def recorder(search):
-        def recorded(utilities, *args):
-            stacks.append(np.array(utilities))
-            return search(utilities, *args)
-        return recorded
+    def recorded(utilities, *args):
+        stacks.append(np.array(utilities))
+        return batch(utilities, *args)
 
-    with mock.patch.object(verifier, "punish_batch", recorder(verifier.punish_batch)), \
-            mock.patch.object(verifier, "first_stage_batch",
-                              recorder(verifier.first_stage_batch)):
+    with mock.patch.object(verifier, "punish_batch", recorded):
         yield stacks
 
 
 def _every_row_searched():
-    """No clean runs and no grid prefix within the magnitude guard: no row
-    takes another's search, so every row of the grid reaches a stack."""
-    return mock.patch.object(verifier, "_clean_runs", lambda *args: ({}, {}, set()))
+    """Every row its own key: no row takes another's search, so every row
+    of the grid reaches a stack."""
+    return mock.patch.object(verifier, "_row_keys", lambda plan, rows, *args: np.arange(len(rows)))
+
+
+def _keyed(game, plan, **kwargs) -> SimpleNamespace:
+    """The rows of `verify_plan`'s grid (`verifier._GridRows`), the first row
+    of each row's key as `_row_keys` gives it (`head`) and as the key is
+    defined (`want`), and how many rows the definition searches
+    (`searched`).  By definition a row's key is its punishment stage and
+    its bytes on the cells that stage's first stage reads, found with
+    `np.unique` on every row built; a row of a prefix outside the
+    magnitude guard is its own key.  The first row of each key is
+    searched, and so is every other row whose first row's search is not
+    kept (`kept` holds the first rows whose searches are): it did not settle
+    at the first stage, or a player with an on-path payoff of 0.0 has a best
+    response of 0.0."""
+    got, keys = {}, verifier._row_keys
+
+    def spied(plan, rows, same, guarded):
+        got.update(rows=rows, guarded=guarded, head=keys(plan, rows, same, guarded))
+        return got["head"]
+
+    with mock.patch.object(verifier, "_row_keys", spied):
+        verify_plan(game, plan, **kwargs)
+    rows, guarded = got["rows"], got["guarded"]
+    prefix = np.concatenate([np.repeat(rows.prefixes, len(rows.deviator)), rows.asked])
+    stage = verifier._stage_index(plan, prefix)
+    built = rows.build(np.arange(len(rows))).reshape(len(rows), -1)
+    want, searched, kept_heads = np.arange(len(rows)), 0, set()
+    on_path = np.asarray(plan.expected_terminal_payoffs)
+    for s in sorted(set(stage.tolist())):
+        pun = plan.punishment[s]
+        read = equilibria._first_stage_cells(game.utilities.shape,
+                                             tuple(map(tuple, pun.supports)))
+        mine = np.flatnonzero((stage == s) & guarded[prefix])
+        if len(mine):
+            _, first, index = np.unique(np.ascontiguousarray(built[mine][:, read]).view(np.uint64),
+                                        axis=0, return_index=True, return_inverse=True)
+            want[mine] = mine[first][index.ravel()]
+        heads = np.flatnonzero((stage == s) & (want == np.arange(len(rows))))
+        found = punish_batch(built[heads].reshape(-1, *game.utilities.shape), pun.supports,
+                             pun.seed, pun.ceiling)
+        kept = (np.asarray(found.kinds) == "support_solve") & ~(
+            (found.best_response == 0) & (on_path == 0)).any(axis=1)
+        takers = Counter(want[(stage == s) & (want != np.arange(len(rows)))].tolist())
+        searched += len(heads) + sum(takers[h] for h in heads[~kept].tolist())
+        kept_heads.update(heads[kept].tolist())
+    return SimpleNamespace(rows=rows, head=got["head"], want=want, searched=searched,
+                           kept=kept_heads)
 
 
 def _assert_same_rows(batched, scalar):
@@ -628,22 +671,22 @@ def test_chunked_grid_matches_scalar_loop(monkeypatch, case, prefixes, kwargs):
         _assert_grids_agree(game, plan, **kwargs)
     sizes = [len(u) for u in stacks]
     grid = verifier._prefix_indices(plan.num_rounds, kwargs.get("budget"))
-    # No prefix follows a run, so each searches the first game of each class
-    # of its moves (all of them, on welfare_then_burn's full-support stages),
-    # and every such search settles at the first stage and is kept.
-    heads = sum(_heads(game, plan, plan.stage_for(k)) for k in grid)
-    assert sum(sizes) == heads + plan.num_rounds + 1
+    # The stacks hold the first row of each key, and the other rows of a key
+    # whose first row's search is not kept, at most the budget each.
+    keyed = _keyed(game, plan, **kwargs)
+    assert (keyed.head == keyed.want).all() and sum(sizes) == keyed.searched
     assert max(sizes) <= budget
     if prefixes == 1:
         # mix3x3's last prefix game, past the grid, has a stage of its own.
         own_stage = plan.stage_for(plan.num_rounds) is not plan.stage_for(grid[-1])
         assert own_stage == (case == "mix3x3_indirect")
-        assert len(sizes) == len(grid) + own_stage and sizes[-1] == 1
+        assert sizes[-1] == 1
     else:
-        assert max(sizes) == prefixes * (rows + 1)
-    if case == "welfare_then_burn":
-        assert plan.punishment[1].first_round == 3 and rows + 1 in sizes
+        # Each prefix's 58 games and prefix game: two prefixes fill a stack,
+        # and the stage change at round 3 cuts the first stage's third.
+        assert plan.punishment[1].first_round == 3
         assert rows == 2 * 29  # 37 moves per deviator, 8 of them M/P twins
+        assert sizes == [2 * (rows + 1), rows + 1, 115, 57, 1]
 
 
 def test_spoiler_grid_builds_no_game_in_the_punishment_chain():
@@ -804,12 +847,11 @@ def test_grid_builds_no_per_row_objects(case):
     if case == "ex4":
         assert (results["commitment"].checked, results["early_stop"].checked) == (13000, 198)
         assert structural == 0
-        # No round touches a cell the first stage reads, so every later
-        # prefix takes a search of an earlier stack: prefix 0's 130 rows,
-        # then prefix game 1, the first early stop's, each alone in its
-        # stack.  The followers waited for them, not for the budget.
-        assert stacks == [130, 1]
-        assert 130 + 131 <= verifier.ROW_BUDGET
+        # No round touches a cell the first stage reads, so every row has
+        # the key of a row of prefix 0: its 130 games fall in 98 move
+        # classes, and the two deviators' no-op classes and the prefix games
+        # are one key.
+        assert stacks == [97]
     else:
         assert structural == 574
 
@@ -825,10 +867,13 @@ def test_ex6_stacks_hold_each_distinct_deviation_game_once():
     # Each deviator has two actions, so each of its 16 M moves burns where
     # a P move does: 17 distinct games of 33 moves.
     assert [len(_distinct_moves(game, plan, d)) for d in range(3)] == [17] * 3
-    # 51 games per prefix, and the prefix game of each of the 49 early stops
-    # in the same stack: no round of ex6 is clean, so no prefix waits, and
-    # all 50 prefixes fit in ROW_BUDGET, the first without an early stop.
-    assert [len(u) for u in stacks] == [50 * 51 + 49]
+    # 51 games per prefix and the prefix games of the 49 early stops, in one
+    # stack, less the rows whose bytes (on this full-support stage every
+    # cell is read) repeat an earlier row's: one player pledges per round,
+    # so at prefix k the two others' no-ops are one game, prefix game k + 1,
+    # and the pledging player's no-op is prefix game k.
+    assert all(len({p.payer for p in r.pledges}) == 1 for r in plan.rounds)
+    assert [len(u) for u in stacks] == [50 * 51 + 49 - 50 - 49 - 49]
     assert results["commitment"].checked == 50 * 99 == 4950
 
 
@@ -879,10 +924,14 @@ def test_worst_gain_on_a_folded_twin_names_the_scalar_loops_move():
                 == (worst.prefix, 0, f"P(1, 0)x{x}"))
     assert twin.gain == worst.gain == results["commitment"].worst_gain
     # 17 moves per deviator fold to 9 games; the early stops' prefix games
-    # ride in the same stack.
-    assert len(_distinct_moves(game, plan, 0)) == 9
+    # ride in the same stack.  On the plan's one full-support stage every
+    # cell is read, so the stack holds each distinct game of them once.
+    assert len(_distinct_moves(game, plan, 0)) == 9 and len(plan.punishment) == 1
     R = len(plan.rounds)
-    assert [len(u) for u in stacks] == [R * 2 * 9 + R - 1]
+    with _recorded_stacks() as every, _every_row_searched():
+        check_deviations(game, plan)
+    assert [len(u) for u in every] == [R * 2 * 9 + R - 1]
+    assert [len(u) for u in stacks] == [len({u.tobytes() for u in every[0]})] == [162]
     _assert_grids_agree(game, plan)
 
 
@@ -921,54 +970,36 @@ def test_verify_plan_searches_each_prefix_game_once():
     stops = verifier._prefix_indices(R, budgets["budget"])[1:]
     shared = set(probed) | set(stops)
     assert len(shared) < len(probed) + len(stops)
-    # The clean test reads every round's updates, and no round of ex4 lands
-    # on a cell the first stage reads (`test_ex4_verify_searches_only_its_
-    # first_stack`): the grid prefixes make one clean run and the prefix
-    # games another, both headed by prefix 0.  Every later prefix waits for
-    # prefix 0's stack and takes its searches, since all of its rows settle
-    # at the first stage.
+    # No round of ex4 lands on a cell the first stage reads (`test_ex4_
+    # verify_searches_only_its_first_stack`), so every grid prefix's rows
+    # have the keys of prefix 0's, and every prefix game the key of prefix
+    # 0's no-op: one stack, of one row per key.
     grid = verifier._prefix_indices(R, 8)
-    taken_rows, taken_games = grid[1:], sorted(shared - {0})
     assert len(grid) == 9 and len(shared) == 67 and 0 in shared
     # ex4 is 4x4, so no two moves fold alike: one row per move.
     width = report.deviations["commitment"].checked // len(grid)
     assert width == 130
-    rows = sum(map(len, stacks))
-    assert rows == width * (len(grid) - len(taken_rows)) + len(shared) - len(taken_games)
-    # One call: prefix 0's rows and its prefix game.
-    assert [len(u) for u in stacks] == [width + 1]
+    keyed = _keyed(game, plan, **budgets)
+    assert (keyed.head == keyed.want).all() and set(keyed.want[len(grid) * width:]) == {0}
+    assert [len(u) for u in stacks] == [keyed.searched] == [97]
 
 
 @contextlib.contextmanager
 def _recorded_rows():
-    """Every row the verifier searches, keyed by its stage and bytes, with
-    the row's kind and the bytes of its best-response and best-pure-
-    equilibrium payoffs: each row it hands `punish_batch`, and each row
-    that `first_stage_batch` settles, as `punish_batch` returns such a row
-    (kind "support_solve", no pure equilibria enumerated)."""
+    """Every row the verifier hands `punish_batch`, keyed by its stage and
+    bytes, with the row's kind and the bytes of its best-response and
+    best-pure-equilibrium payoffs."""
     rows = {}
-    batch, first_stage = verifier.punish_batch, verifier.first_stage_batch
-
-    def record(args, u, got):
-        assert rows.setdefault((repr(args), u.tobytes()), got) == got
+    batch = verifier.punish_batch
 
     def recorded(utilities, *args):
         found = batch(utilities, *args)
         for r, u in enumerate(utilities):
-            record(args, u, (found.kinds[r], found.best_response[r].tobytes(),
-                             found.pure_best[r].tobytes()))
+            got = (found.kinds[r], found.best_response[r].tobytes(), found.pure_best[r].tobytes())
+            assert rows.setdefault((repr(args), u.tobytes()), got) == got
         return found
 
-    def recorded_first_stage(utilities, *args):
-        found = first_stage(utilities, *args)
-        best = np.stack([p.max(axis=1) for p in found.deviation_payoffs], axis=1)
-        unsearched = np.full(best.shape[1], np.nan).tobytes()
-        for r in np.flatnonzero(found.settled).tolist():
-            record(args, utilities[r], ("support_solve", best[r].tobytes(), unsearched))
-        return found
-
-    with mock.patch.object(verifier, "punish_batch", recorded), \
-            mock.patch.object(verifier, "first_stage_batch", recorded_first_stage):
+    with mock.patch.object(verifier, "punish_batch", recorded):
         yield rows
 
 
@@ -987,7 +1018,7 @@ def _two_call_check_deviations(game, plan, *, stack, punishments, **kwargs):
 
 def _takeable(rows, plan) -> list[bool]:
     """Per row of `rows`, searched under the plan's first punishment stage,
-    whether a later prefix of its clean run may take its search.  The
+    whether the other rows of its key may take its search.  A
     taker's game agrees with the row bit for bit on the cells the first
     stage reads, so its search settles alike, with best-response payoffs
     that may differ only in the sign of a 0.0 (`equilibria._first_stage_
@@ -1010,8 +1041,8 @@ def _assert_merged_search_matches_separate_calls(game, plan, **kwargs) -> tuple[
     row for row, the kinds, best responses and pure_best of separate prefix
     and grid searches; returns the merged run's stacks and the number of
     separate calls.  The separate calls search every prefix game; the merged
-    stacks leave out only prefix games, those that take the search of their
-    clean run's first prefix."""
+    stacks leave out only prefix games, those that take the search of a
+    deviation game of their key."""
     with _recorded_stacks() as stacks, _recorded_rows() as merged:
         report = verify_plan(game, plan, **kwargs).to_json()
     with _recorded_stacks() as separate_stacks, _recorded_rows() as separate, \
@@ -1047,37 +1078,32 @@ SEPARATE_CALLS = {"ex4_budgets": 2, "ex6": 2, "spoiler": 3, "own_stage_past_budg
 
 
 @pytest.mark.parametrize("case, calls", [("ex4_budgets", 1), ("ex6", 1), ("spoiler", 2),
-                                         ("own_stage_past_budget", 4)])
+                                         ("own_stage_past_budget", 3)])
 def test_merged_search_matches_separate_calls(case, calls):
     game, plan, kwargs = MERGED_SEARCH_PLANS[case]()
     stacks, separate = _assert_merged_search_matches_separate_calls(game, plan, **kwargs)
     sizes = [len(u) for u in stacks]
-    # ex4 with budgets makes one call: every round is clean, so its grid
-    # prefixes and its prefix games each make one run headed by prefix 0,
-    # whose stack every later prefix takes from (`test_verify_plan_searches_
-    # each_prefix_game_once`).
+    # ex4 with budgets makes one call: no round lands on a cell the first
+    # stage reads, so every row has the key of a row of prefix 0
+    # (`test_verify_plan_searches_each_prefix_game_once`).
     assert (len(sizes), separate) == (calls, SEPARATE_CALLS[case])
+    assert sum(sizes) == _keyed(game, plan, **kwargs).searched
     if case == "ex4_budgets":
-        width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
-        assert sizes == [width + 1]
+        assert sizes == [97]
     if case == "own_stage_past_budget":
-        # Prefix 0 alone, then prefixes 1-50, then checkpoint 51 under its
-        # own stage, then prefixes 52-99; prefix game 100 waits for 99 and
-        # takes its search.
-        assert plan.stage_for(51).first_round == 51 and sizes[2] == 1
+        # Grid prefix 0 with prefix games 1-50, then checkpoint 51 under its
+        # own stage, then grid prefix 99 with prefix games 52-100 under the
+        # stage after it, whose keys are its own.
+        assert plan.stage_for(51).first_round == 51 and sizes == [97, 1, 97]
     if case == "spoiler":
         # The spoiler's ten rounds stay off the cells the first stage reads:
-        # one run of grid prefixes, one of prefix games.  The first stack
-        # holds prefix 0, its rows and then its prefix game, since prefix 1
-        # waits for them; the second, prefixes 1-9 and prefix game 10, holds
-        # only the rows whose first-prefix search did not settle at the first
-        # stage (the on-path payoffs (6, 6) are not 0.0, so no zero best
-        # response keeps a row from being taken).
-        width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
-        assert sizes[0] == width + 1 and len(plan.rounds) == 10
-        kept = _takeable(stacks[0][[*range(width), width]], plan)
-        rows, games = kept[:width].count(False), int(not kept[width])
-        assert rows and sizes[1:] == [9 * rows + 10 * games] and not games
+        # every row has the key of a row of prefix 0, whose 254 games and
+        # prefix game make 53 keys.  The second stack holds the other rows
+        # of the keys whose first row did not settle at the first stage (the
+        # on-path payoffs (6, 6) are not 0.0, so no zero best response keeps
+        # a search from being taken).
+        kept = _takeable(stacks[0], plan)
+        assert len(plan.rounds) == 10 and sizes == [53, 554] and not all(kept)
 
 
 def test_merged_search_matches_separate_calls_on_seeded_2x2_plans():
@@ -1122,13 +1148,13 @@ def test_ex4_first_stage_solves_each_distinct_support_block_once(monkeypatch):
     monkeypatch.undo()
     assert report.accepted
     rows, distinct = zip(*blocks)
-    # No round touches a cell the first stage reads, so only the first
-    # stack is searched: prefix 0, with its 130 moves (no two alike) and its
-    # prefix game, since prefix 1 waits for it.  Its blocks are: the
+    # No round touches a cell the first stage reads, so one stack holds
+    # every key: prefix 0's 130 moves (no two alike) in 98 classes, the two
+    # no-op classes one key with the prefix games.  Its blocks are: the
     # plan's own, and per deviator and amount the P burn at each of the 9
     # block outcomes and the M burn at each of the 12 outcomes whose other
     # player's action is in the support.
-    assert rows == (131,)
+    assert rows == (97,)
     assert distinct == (1 + 2 * 2 * (9 + 12),)
     assert solved == list(distinct)
 
@@ -1139,19 +1165,17 @@ def test_ex4_verify_searches_only_its_first_stack():
     assert len(plan.punishment) == 1 and len(plan.rounds) == 100
     read = equilibria._first_stage_cells((2, 4, 4), stage.supports)
     assert read.sum() == 24
-    # Every pledge of the plan lands off those 24 cells: the 100 grid
-    # prefixes are one clean run, and the 101 prefix games another.
+    # Every pledge of the plan lands off those 24 cells, so every row has
+    # the bytes there of a row of prefix 0.
     for r in plan.rounds:
         for p in r.pledges:
             assert not read.reshape(2, 4, 4)[(p.payer, *p.outcome)]
     with _recorded_stacks() as stacks:
         report = verify_plan(game, plan)
-    # The first stack holds prefix 0's 130 moves and its prefix game; all
-    # 13,101 rows settle at the first stage, and every
-    # later row takes the search of prefix 0: prefix 1 waits for it, though
-    # the budget has room, and prefixes 1-100 leave no row to search, so no
-    # later stack is built.
-    assert [len(u) for u in stacks] == [131] and 2 * 131 <= verifier.ROW_BUDGET
+    # One stack holds the 97 keys of prefix 0's 130 moves and prefix games;
+    # all of them settle at the first stage, and every other of the 13,101
+    # rows takes the search of its key, so no later stack is built.
+    assert [len(u) for u in stacks] == [97]
     assert report.accepted
     assert report.deviations["commitment"].punishment_kinds == {"support_solve": 13000}
     assert report.deviations["early_stop"].punishment_kinds == {"support_solve": 198}
@@ -1177,16 +1201,16 @@ def test_spoiler_unsettled_rows_search_alike_alone_and_in_their_stack(monkeypatc
         found[name] = punish_batch(rows, *args)
         monkeypatch.undo()
         runs[name] = sizes[1:]  # the first is the first stage's
-    # 58 rows of the 255 leave the first stage; whether the stack holds
-    # only them or the whole chunk, their enumeration runs hold the same
-    # (pattern, game) pairs, and their results are the same bytes.
-    assert open_rows.sum() == 58 and len(runs["alone"]) > 1
+    # 26 rows of the first stack's 53 keys leave the first stage; whether the
+    # stack holds only them or the whole stack, their enumeration runs hold
+    # the same (pattern, game) pairs, and their results are the same bytes.
+    assert (len(chunk), open_rows.sum()) == (53, 26) and len(runs["alone"]) > 1
     assert runs["chunk"] == runs["alone"]
     chunk_found, alone = found["chunk"], found["alone"]
     picked = np.flatnonzero(open_rows)
     assert [chunk_found.kinds[r] for r in picked] == list(alone.kinds)
     assert [chunk_found.reasons[r] for r in picked] == list(alone.reasons)
-    assert Counter(alone.kinds) == {"none": 58}
+    assert Counter(alone.kinds) == {"none": 26}
     for name in ("best_response", "payoffs", "pure_best"):
         assert getattr(chunk_found, name)[picked].tobytes() == getattr(alone, name).tobytes()
     for got, want in zip(chunk_found.profiles, alone.profiles):
@@ -1195,9 +1219,8 @@ def test_spoiler_unsettled_rows_search_alike_alone_and_in_their_stack(monkeypatc
 
 def _middle_round_on_a_read_cell():
     """ex4 at delta 0.05 with one more round in the middle, in which player 1
-    burns delta / 2 at (1, 1), a cell the first stage reads: the grid
-    prefixes make two clean runs around that round's prefix, and the prefix
-    games two runs split after it."""
+    burns delta / 2 at (1, 1), a cell the first stage reads: the rows from
+    that round's prefix on have keys of their own."""
     game, plan = prize_plan(0.05)
     m = len(plan.rounds) // 2
     burn = CommitmentRound((Pledge(0, (0, 0), BURN, plan.delta / 2),))
@@ -1215,8 +1238,8 @@ def _pure_punished(game, rounds, mode, delta, **changes):
 def _cell_at(fraction):
     """40 empty rounds punished at the pure (1, 1), on a game where player 1
     gets `fraction` of the largest float, negated, at (2, 2), a cell the first
-    stage does not read: one clean run, where every row stays within half
-    the float range."""
+    stage does not read: every row has the key of a row of prefix 0, and
+    stays within half the float range."""
     u = np.random.default_rng(11).uniform(-3, 3, (2, 2, 2))
     u[0, :, 0], u[1, 0, :] = (2.0, 1.0), (2.0, 1.0)  # (1, 1) is Nash
     u[0, 1, 1] = -fraction * float(np.finfo(float).max)
@@ -1234,9 +1257,8 @@ def _ex3_auto():
 def _cells_past_half_the_float_range():
     """40 rounds punished at the pure (1, 1), of which round 20 has player 1
     burn 0.3 of the largest float at (2, 2), a cell the first stage does
-    not read: one clean run, where from prefix 21 on a move of player 1
-    that burns or pays delta at (2, 2) takes that cell past half the float
-    range."""
+    not read: from prefix 21 on, a move of player 1 that burns or pays
+    delta at (2, 2) takes that cell past half the float range."""
     big = float(np.finfo(float).max)
     u = np.random.default_rng(11).uniform(-3, 3, (2, 2, 2))
     u[0, :, 0], u[1, 0, :] = (2.0, 1.0), (2.0, 1.0)  # (1, 1) is Nash
@@ -1265,48 +1287,39 @@ def test_taken_searches_match_scalar_loop(case):
     sizes = [len(u) for u in stacks]
     R = len(plan.rounds)
     width = sum(len(_distinct_moves(game, plan, d)) for d in range(game.num_players))
+    keyed = _keyed(game, plan)
+    assert (keyed.head == keyed.want).all() and sum(sizes) == keyed.searched
     # A prefix past the magnitude guard (a quarter of the largest float)
     # takes nothing: with no prefix within it, every row is searched.
     every_row = R * width + R + 1
     if case == "ex4_400_rounds":
-        assert R > 400 and sizes == [width + 1] and kinds["support_solve"] == 2 * R * 66 - 2
+        assert R > 400 and sizes == [97] and kinds["support_solve"] == 2 * R * 66 - 2
     elif case.startswith("cell_at_"):
-        # At 0.2 of the largest float every prefix is within the guard:
-        # prefix 0 with its prefix game makes the only stack, and the later
-        # ones wait for it and take its searches.  At 0.3 none is, so none
-        # waits: the 40 prefixes and every prefix game make one stack.
+        # At 0.2 of the largest float every prefix is within the guard, and
+        # the rows of all 40 empty rounds have the keys of prefix 0's: 25.
+        # At 0.3 none is, so every row is its own key, in one stack.
         assert set(kinds) == {"support_solve", "n/a"}
         if case.startswith("cell_at_0.2"):
-            assert sizes == [width + 1]
+            assert sizes == [25]
         else:
             assert sizes == [every_row] and every_row <= verifier.ROW_BUDGET
     elif case == "middle_round_on_a_read_cell":
-        # Stacks of prefix 0 (searched), then 1-21: 1-19 take, the middle
-        # round's prefix 20 searches its rows (its prefix game joins the first
-        # run), and 21 starts a new run and is searched with its prefix game;
-        # 22-40 and the last prefix game wait for 21 and take.  Prefix 20 is
-        # in no run, so it searches the first game of each class of its
-        # moves (`_heads`), at the first stage alone with the rows of 21;
-        # every search settles there and is kept, so its other rows take
-        # their class's.
-        heads = _heads(game, plan, plan.stage_for(20))
-        assert (R, width, heads) == (41, 130, 98)
-        assert sizes == [width + 1, heads + (width + 1)]
+        # The rows of prefixes 0-19 have 97 keys, those of prefix 0.  The
+        # middle round, round 20, burns at a read cell: prefix 20's rows of
+        # player 2, whose base rows hold that burn, make 48 keys more, and
+        # player 1's rows from prefix 21 on another 48.
+        assert (R, width) == (41, 130) and sizes == [97 + 48 + 48]
     elif case == "ex3_auto":
-        # Stacks of prefix 0 with its prefix game (prefix 1 waits for it),
-        # then the last prefix game under a stage of its own.  The pure
-        # punishment pays (0, 0) and 48 of prefix 0's 58 rows and its prefix
-        # game have a best response of 0.0, but no on-path payoff is 0.0, so
-        # a zero's sign changes no gain: every row settles at the first stage
-        # and is taken, and prefixes 1-46 search nothing.
+        # One stack of the first stage's 25 keys, then the last prefix game
+        # under a stage of its own.  The pure punishment pays (0, 0) and 19
+        # of the 25 have a best response of 0.0, but no on-path payoff is
+        # 0.0, so a zero's sign changes no gain: every search is kept.
         assert (R, width) == (47, 58) and plan.stage_for(R) is not plan.stage_for(0)
         assert plan.expected_terminal_payoffs == (4.0, 3.0)
         stage = plan.stage_for(0)
         found = punish_batch(stacks[0], stage.supports, stage.seed, stage.ceiling)
-        assert (found.best_response[:width] == 0).any(axis=1).sum() == 48
-        assert (found.best_response[width] == 0).all()
-        kept = _takeable(stacks[0][[*range(width), width]], plan)
-        assert all(kept) and sizes == [width + 1, 1]
+        assert (found.best_response == 0).any(axis=1).sum() == 19
+        assert all(_takeable(stacks[0], plan)) and sizes == [25, 1]
     elif case == "cells_past_half_the_float_range":
         # Round 20's burn and every move's delta are 0.3 of the largest
         # float, so no prefix is within the guard: every row is searched,
@@ -1318,38 +1331,35 @@ def test_taken_searches_match_scalar_loop(case):
 
         assert sizes == [every_row] and past_half(stacks) > 0
     else:
+        # 53 keys, then the 554 other rows of the keys whose first row did
+        # not settle at the first stage.
+        assert sizes == [53, 554]
         assert kinds["unavailable"] == 574 == len(
             report.deviations["commitment"].structural_failures)
 
 
-# Per plan, with one searched prefix's rows per stack: the prefixes of each
-# `record_rows` call, and whether it took all of its rows.
-INTERLEAVED = {
-    # Prefix 0 is searched; 1-19 take its search, and the middle round's
-    # prefix 20 searches its rows, the first of each class of moves at the
-    # first stage alone; 21 begins a new run and is searched; 22-40 take its
-    # search, and so does the last prefix game.
-    "middle_round_on_a_read_cell": (
-        _middle_round_on_a_read_cell,
-        [([0], False), (list(range(1, 21)), False), ([21], False), (list(range(22, 41)), True)]),
-    # Every later prefix takes 196 of its 254 rows and searches 58, four
-    # prefixes per stack; prefix game 10 takes prefix game 0's search.
-    "spoiler": (
-        lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)),
-        [([0], False), ([1, 2, 3, 4], False), ([5, 6, 7, 8], False), ([9], False)]),
+# Per plan, with the budget of one grid prefix's rows and its prefix game
+# per stack: the stacks' sizes.
+SMALL_STACKS = {
+    # Prefix 0's 97 keys; then the 48 of prefix 20 and the 48 of prefix 21,
+    # which pass the budget together with prefix 0's.
+    "middle_round_on_a_read_cell": (_middle_round_on_a_read_cell, [97, 96]),
+    # Prefix 0's 53 keys; then the 554 other rows of the keys whose first
+    # row did not settle at the first stage, about 60 per prefix.
+    "spoiler": (lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)), [53, 206, 232, 116]),
 }
 
 
-@pytest.mark.parametrize("case", sorted(INTERLEAVED))
-def test_stacks_taken_whole_interleave_with_searched_ones(monkeypatch, case):
-    make, calls = INTERLEAVED[case]
+@pytest.mark.parametrize("case", sorted(SMALL_STACKS))
+def test_small_stacks_match_scalar_loop(monkeypatch, case):
+    make, want = SMALL_STACKS[case]
     game, plan = make()
     width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
-    monkeypatch.setattr(verifier, "ROW_BUDGET", width + 1)  # one searched prefix per stack
+    monkeypatch.setattr(verifier, "ROW_BUDGET", width + 1)
     recorded, record_rows = [], DeviationClassResult.record_rows
 
     def logged(self, rows):
-        recorded.append((rows.moves[0], isinstance(rows.kinds, str), list(rows.prefixes)))
+        recorded.append((rows.moves[0], list(rows.prefixes)))
         record_rows(self, rows)
 
     # The report bytes (each class's worst finding too), the rows and the
@@ -1358,17 +1368,10 @@ def test_stacks_taken_whole_interleave_with_searched_ones(monkeypatch, case):
     with mock.patch.object(DeviationClassResult, "record_rows", logged), \
             _recorded_stacks() as stacks:
         _assert_grids_agree(game, plan)
-    # One reduction per stack, in prefix order; a stack that took all of its
-    # rows is recorded with one kind.
-    assert recorded[:-1] == [("noop", whole, prefixes) for prefixes, whole in calls]
-    assert sum((prefixes for _, _, prefixes in recorded[:-1]), []) == list(range(len(plan.rounds)))
-    assert recorded[-1][0] == "stop"
-    sizes = [len(u) for u in stacks]
-    if case == "spoiler":
-        rows = _takeable(stacks[0][:width], plan).count(False)
-        assert sizes == [width + 1, 4 * rows, 4 * rows, rows] and 5 * rows > width + 1
-    else:
-        assert sizes == [width + 1, _heads(game, plan, plan.stage_for(20)), width + 1]
+    # The grid's findings are recorded once, prefix-major, after every search.
+    assert recorded == [("noop", list(range(len(plan.rounds)))),
+                        ("stop", list(range(1, len(plan.rounds))))]
+    assert [len(u) for u in stacks] == want and max(want) <= width + 1
 
 
 def _logged(log: list, groups):
@@ -1379,60 +1382,28 @@ def _logged(log: list, groups):
 
 
 # Hand-made chunkings, prefix 2p at place p: (budget, first rounds of the
-# stages, rows per place, {follower place: head place}, {head place: rows
-# kept once it is searched}, the groups by place).
+# stages, rows per place, the groups by place).
 GROUPING_CASES = {
     # Places 1 and 4 are wider than the budget and alone in their chunks.
-    "wider_than_the_budget": (10, [0], [3, 12, 2, 2, 11, 1], {}, {},
-                              [[0], [1], [2, 3], [4], [5]]),
-    "fills_the_budget_exactly": (10, [0], [4, 6, 1, 9, 5, 5], {}, {},
-                                 [[0, 1], [2, 3], [4, 5]]),
+    "wider_than_the_budget": (10, [0], [3, 12, 2, 2, 11, 1], [[0], [1], [2, 3], [4], [5]]),
+    "fills_the_budget_exactly": (10, [0], [4, 6, 1, 9, 5, 5], [[0, 1], [2, 3], [4, 5]]),
     # Prefix 6 (place 3) begins a stage inside what would fit one chunk.
-    "stage_change_mid_run": (10, [0, 6], [1] * 8, {}, {}, [[0, 1, 2], [3, 4, 5, 6, 7]]),
-    # Place 0 heads places 1-4, and place 1's full width would fit in its
-    # chunk: place 1 waits for the search of place 0, and places 1-4 then
-    # take the 3 rows it kept.
-    "head_and_follower_in_one_chunk": (10, [0], [4] * 6, {p: 0 for p in range(1, 5)},
-                                       {0: 3}, [[0], [1, 2, 3, 4, 5]]),
-    # Twelve followers that take all of their rows make one chunk, though
-    # they are more prefixes than the budget has rows.
-    "followers_past_the_budget": (3, [0], [2] * 13, {p: 0 for p in range(1, 13)}, {0: 2},
-                                  [[0], list(range(1, 13))]),
-    # A head in each stage, keeping every row: each head is alone in its
-    # chunk, and its followers, which take all of their rows, make one
-    # chunk up to the stage change.
-    "heads_across_a_stage_change": (9, [0, 8], [3] * 8, {1: 0, 2: 0, 3: 0, 5: 4, 6: 4, 7: 4},
-                                    {0: 3, 4: 3}, [[0], [1, 2, 3], [4], [5, 6, 7]]),
+    "stage_change_mid_run": (10, [0, 6], [1] * 8, [[0, 1, 2], [3, 4, 5, 6, 7]]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
 def test_array_grouping_matches_scalar_loop_on_hand_made_rows(monkeypatch, case):
-    budget, firsts, need, head, keeps, want = GROUPING_CASES[case]
+    budget, firsts, need, want = GROUPING_CASES[case]
     monkeypatch.setattr(verifier, "ROW_BUDGET", budget)
     plan = SimpleNamespace(punishment=tuple(SimpleNamespace(first_round=f) for f in firsts))
     ks = [2 * p for p in range(len(need))]
 
-    def consumed(groups, keep) -> list:
-        """The groups by place, calling `keep(place, rows)` for each head in
-        a group once the group is consumed."""
-        out = []
-        for stage, group in groups:
-            out.append((plan.punishment.index(stage), [k // 2 for k in group]))
-            for p in (k // 2 for k in group if k // 2 in keeps):
-                keep(p, keeps[p])
-        return out
+    def by_place(groups) -> list:
+        return [(plan.punishment.index(stage), [k // 2 for k in group]) for stage, group in groups]
 
-    kept: dict = {}
-    scalar = consumed(reference.stage_groups(
-        plan, ks, budget, lambda k: need[k // 2] - kept.get(head.get(k // 2), 0),
-        lambda k: [2 * head[k // 2]] if k // 2 in head else []), kept.__setitem__)
-    kept_rows = np.zeros(len(need) + 1, dtype=int)  # the last entry, place -1, stays 0
-    heads = np.array([head.get(p, -1) for p in range(len(need))])
-    array = consumed(verifier._stage_groups(
-        plan, ks, lambda i, j: np.array(need[i:j]) - kept_rows[heads[i:j]], heads[None]),
-        kept_rows.__setitem__)
-    assert array == scalar
+    array = by_place(verifier._stage_groups(plan, ks, np.array(need)))
+    assert array == by_place(reference.stage_groups(plan, ks, budget, lambda k: need[k // 2]))
     assert [group for _, group in array] == want
     assert [group for _, group in reference.stage_groups(plan, ks, budget)] == [
         group for _, group in verifier._stage_groups(plan, ks)]
@@ -1441,18 +1412,17 @@ def test_array_grouping_matches_scalar_loop_on_hand_made_rows(monkeypatch, case)
 @pytest.mark.parametrize("budget", [150, 600])
 @pytest.mark.parametrize("case", sorted(REUSE_PLANS))
 def test_array_grouping_matches_scalar_loop_on_reuse_plans(case, budget):
-    # At these budgets every plan takes several chunks, and at 150 a
-    # spoiler prefix's 254 rows are alone in theirs; `check_deviations`
-    # fills the kept rows in as the chunks are consumed, and the scalar
-    # loop asks for each prefix's rows one at a time.
+    # At these budgets the plans whose rows are their own keys, past the
+    # magnitude guard, take several chunks, and at 150 the spoiler's rows
+    # whose keys' searches are not kept fill several; the scalar loop asks
+    # for each prefix's rows one at a time.
     game, plan = REUSE_PLANS[case]()
     stage_groups, array, scalar = verifier._stage_groups, [], []
 
-    def scalar_groups(plan, ks, rows=None, heads=None):
+    def scalar_groups(plan, ks, rows=None):
         place = {k: i for i, k in enumerate(ks)}
-        one = rows and (lambda k: int(rows(place[k], place[k] + 1)[0]))
-        lead = heads is not None and (lambda k: [ks[h] for h in heads[:, place[k]] if h >= 0])
-        return _logged(scalar, reference.stage_groups(plan, ks, verifier.ROW_BUDGET, one, lead))
+        one = rows is not None and (lambda k: int(rows[place[k]]))
+        return _logged(scalar, reference.stage_groups(plan, ks, verifier.ROW_BUDGET, one))
 
     with mock.patch.object(verifier, "ROW_BUDGET", budget):
         with mock.patch.object(verifier, "_stage_groups",
@@ -1460,7 +1430,7 @@ def test_array_grouping_matches_scalar_loop_on_reuse_plans(case, budget):
             report = verify_plan(game, plan).to_json()
         with mock.patch.object(verifier, "_stage_groups", scalar_groups):
             assert verify_plan(game, plan).to_json() == report
-    assert array == scalar and len(array) > 2
+    assert array == scalar
 
 
 # The reuse plans, with ex5 as `plan --delta auto` builds it (cap 0.05, 40
@@ -1475,57 +1445,75 @@ WAITING_PLANS = {
 
 
 @pytest.mark.parametrize("case", sorted(WAITING_PLANS))
-def test_no_stack_holds_a_prefix_with_its_run_head(case):
-    # A prefix whose run head is in its chunk, past the chunk's first prefix,
-    # waits for the head's search, so every stack's prefixes take only from
-    # earlier stacks.  Each stack's findings count their punishment kinds
-    # from the searched rows, as `Counter` counts the spread rows.
+def test_keys_partition_the_guarded_rows_as_np_unique_does(case):
+    # Every row's key is the first row of its stage with its bytes on the
+    # cells the first stage reads, among all rows within the magnitude
+    # guard (`_keyed`), and the reports do not depend on the budget.
     game, plan = WAITING_PLANS[case]()
-    stage_groups, record_rows = verifier._stage_groups, DeviationClassResult.record_rows
-    chunks, counted = [], []
-
-    def logged(plan, ks, rows=None, heads=None):
-        for stage, group in stage_groups(plan, ks, rows, heads):
-            if heads is not None:
-                chunks.append([{ks[h] for h in heads[:, ks.index(k)] if h >= 0} for k in group])
-                chunks[-1].append(set(group))
-            yield stage, group
-
-    def checked(self, rows):
-        if rows.counts is not None:
-            counted.append(rows.counts)
-            assert rows.counts == Counter(rows.kinds)
-        record_rows(self, rows)
-
-    with mock.patch.object(verifier, "_stage_groups", logged), \
-            mock.patch.object(DeviationClassResult, "record_rows", checked):
-        report = verify_plan(game, plan)
-    assert chunks
-    for *leads, group in chunks:
-        assert not any(lead & group for lead in leads[1:])
-    # The reports do not depend on the budget.
+    keyed = _keyed(game, plan)
+    assert (keyed.head == keyed.want).all()
+    report = verify_plan(game, plan).to_json()
     for budget in (150, 1024, 3072):
         with mock.patch.object(verifier, "ROW_BUDGET", budget):
-            assert verify_plan(game, plan).to_json() == report.to_json()
-    if case in ("ex5_auto", "ex6", "spoiler", "ex3_auto"):
-        assert counted  # a stack searched some of its grid rows
+            assert verify_plan(game, plan).to_json() == report
+
+
+def test_ex5_read_cells_are_told_apart_without_np_unique(monkeypatch):
+    # ex5's first stack with every row searched, on the 24 cells its first
+    # stage reads: 23 prefixes of 131 rows, many of them alike there.  Rows
+    # of one hash are compared word for word, and should two patterns share
+    # a hash, np.unique would decide; no two do.
+    game, plan = WAITING_PLANS["ex5_auto"]()
+    with _recorded_stacks() as stacks, _every_row_searched():
+        verify_plan(game, plan)
+    read = equilibria._first_stage_cells(game.utilities.shape, plan.stage_for(0).supports)
+    block = np.ascontiguousarray(stacks[0].reshape(len(stacks[0]), -1)[:, read])
+    assert block.shape == (23 * 131, 24) and len(plan.punishment) == 1
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    first, index = equilibria._distinct_rows(block)
+    monkeypatch.undo()
+    assert not calls
+    _, want, inverse = np.unique(block.view(np.uint64), axis=0, return_index=True,
+                                 return_inverse=True)
+    assert (first[index] == want[inverse.ravel()]).all() and len(first) < len(block)
+
+
+@pytest.mark.parametrize("case", sorted(WAITING_PLANS))
+def test_no_stack_holds_two_rows_of_one_key(case):
+    # Every key's first row is searched once, before any row takes, and a
+    # key's other rows reach a stack only where its first row's search is
+    # not kept; no row is searched twice.
+    game, plan = WAITING_PLANS[case]()
+    built, build = [], verifier._GridRows.build
+
+    def spied(self, rows):
+        built.append(rows.copy())
+        return build(self, rows)
+
+    with mock.patch.object(verifier._GridRows, "build", spied):
+        verify_plan(game, plan)
+    keyed = _keyed(game, plan)
+    searched = np.concatenate(built)
+    assert len(searched) == keyed.searched == len(set(searched.tolist()))
+    for rows in built:
+        keys = Counter(keyed.want[rows].tolist())
+        assert all(count == 1 or key not in keyed.kept for key, count in keys.items())
+    assert {r for r in searched.tolist() if keyed.want[r] in keyed.kept} == keyed.kept
 
 
 def test_choose_delta_verifies_ex3_in_at_most_three_stacks():
     # ex3 as `plan --payoffs 4,3 --delta auto` builds it: the first cap
-    # passes, and its verify on choose_delta's budgets takes every round
-    # into the clean test, so the grid prefixes past prefix 0 make one run
-    # and wait for prefix 0's stack together: prefix 0 with its prefix game,
-    # then the rows left of the later prefixes, then the last prefix game
-    # under a stage of its own.
+    # passes, and on choose_delta's budgets every row has the key of a row
+    # of prefix 0, whose 58 games and prefix game make 25 keys, every one
+    # kept; then the last prefix game under a stage of its own.
     game = unfair_split()
     with _recorded_stacks() as stacks:
         delta, plan = protocols.choose_delta(game, MixedProfile.pure((2, 2), (0, 0)),
                                              payoffs=(4.0, 3.0))
     assert delta == 0.01 * game.utility_range and protocols.DELTA_SEARCH_BUDGET == 8
-    width = sum(len(_distinct_moves(game, plan, d)) for d in range(2))
     sizes = [len(u) for u in stacks]
-    assert len(sizes) <= 3 and sizes[0] == width + 1 and sizes[-1] == 1
+    assert len(sizes) <= 3 and sizes == [25, 1]
 
 
 def _zero_on_path():
@@ -1543,25 +1531,26 @@ def _zero_on_path():
 
 
 def test_zero_best_responses_against_a_zero_on_path_payoff_are_searched():
-    # A taker's gain best - on-path would carry the sign of the first
-    # prefix's 0.0 best response, not of its own, where the on-path payoff
-    # is 0.0 too.  So prefix 0 keeps only the rows whose best response for
-    # player 1 is not 0.0, player 2's 0.0s against its on-path 1.0
-    # included, and prefixes 1-9 and prefix games 1-10 search the others.
+    # A taker's gain best - on-path would carry the sign of its key's 0.0
+    # best response, not of its own, where the on-path payoff is 0.0 too.
+    # Round 1 burns off the read cells, so every row has the key of a row of
+    # prefix 0, whose 58 games and prefix game make 25 keys.  Only the keys
+    # whose best response for player 1 is not 0.0 are kept, player 2's 0.0s
+    # against its on-path 1.0 included; the other rows of the others, every
+    # prefix game among them (the no-op's key), are searched.
     game, plan = _zero_on_path()
     with _recorded_stacks() as stacks:
         report = verify_plan(game, plan).to_json()
-    R, width = len(plan.rounds), sum(len(_distinct_moves(game, plan, d)) for d in range(2))
     stage = plan.stage_for(0)
     found = punish_batch(stacks[0], stage.supports, stage.seed, stage.ceiling)
     zero = found.best_response == 0
-    assert len(stacks[0]) == width + 1 and set(found.kinds) == {"support_solve"}
-    assert (zero[:, 1] & ~zero[:, 0]).any() and zero[width, 0]
+    assert len(stacks[0]) == 25 and set(found.kinds) == {"support_solve"}
+    assert (zero[:, 1] & ~zero[:, 0]).any() and zero[0, 0]
     kept = _takeable(stacks[0], plan)
-    assert kept == (~zero[:, 0]).tolist()
-    searched = kept[:width].count(False)
-    assert 0 < searched < width
-    assert [len(u) for u in stacks] == [width + 1, (R - 1) * searched + R]
+    assert kept == (~zero[:, 0]).tolist() and kept.count(True) == 10
+    keyed = _keyed(game, plan)
+    assert keyed.kept == set(np.flatnonzero(keyed.want == np.arange(len(keyed.want)))[kept])
+    assert [len(u) for u in stacks] == [25, keyed.searched - 25] == [25, 426]
     with _every_row_searched():
         assert verify_plan(game, plan).to_json() == report
     _assert_grids_agree(game, plan)
@@ -1638,32 +1627,31 @@ def test_cli_auto_plans_search_pinned_rows(tmp_path, capsys, case):
     R, width = len(plan.rounds), sum(len(_distinct_moves(game, plan, d)) for d in range(2))
     heads = _heads(game, plan, plan.stage_for(0))
     assert protocols.DELTA_SEARCH_BUDGET == 8
+    full = _keyed(game, plan)
+    assert (full.head == full.want).all() and sum(calls[-1][1]) == full.searched
     if case == "ex3":
         # The first cap passes.  47 rounds, 58 distinct moves in 26 classes;
-        # the pure punishment pays (0, 0) against on-path payoffs (4, 3), and
-        # every round stays off the cells the first stage reads: prefix 0's
-        # 58 rows and its prefix game are searched, the first of a clean run
-        # searching all of its rows, and taken by every later grid prefix
-        # and prefix game, under the budget as on the full grid.  The last
+        # every round stays off the cells the first stage reads, so every
+        # row has the key of a row of prefix 0: the two deviators' no-op
+        # classes and the prefix games make one key, 25 in all.  The pure
+        # punishment pays (0, 0) against on-path payoffs (4, 3), so every
+        # search is kept, under the budget as on the full grid.  The last
         # prefix game is under a stage of its own.
         assert (R, width, heads) == (47, 58, 26)
-        assert calls == [(8, [59, 1]), (None, [59, 1]), (None, [59, 1])]
+        assert calls == [(8, [25, 1]), (None, [25, 1]), (None, [25, 1])]
     else:
         # The first cap passes.  40 rounds, 130 distinct moves in 98 classes:
         # the 32 that burn only where the opponent plays its 4th action, off
         # its support, join the no-op's.  Every round burns player 1's
-        # payoffs against player 2's support actions, a read cell, so no
-        # prefix is in a run; each searches its class heads, at the first
-        # stage alone, and every search settles there and is kept.  Under
-        # the budget, the 9 grid prefixes and all 41 prefix games (64
-        # checkpoints) make one stack: 9 * 98 + 41.  On the full grid, a
-        # stack holds at most ROW_BUDGET rows left, 131 per prefix with its
-        # prefix game: 23 prefixes, then the other 17 and the last prefix
-        # game.
+        # payoffs against player 2's support actions, a read cell, so each
+        # prefix's rows have keys of their own, fewer than its classes where
+        # a no-op class shares the bytes of a prefix game or of the other
+        # deviator's no-op.  Every search settles at the first stage and is
+        # kept.  Under the budget (64 checkpoints) the keys of the 9 grid
+        # prefixes and the 41 prefix games make one stack; on the full grid
+        # the 3,862 keys fill one stack up to ROW_BUDGET, at a prefix's end.
         assert (R, width, heads) == (40, 130, 98)
-        assert calls == [(8, [9 * 98 + 41]), (None, [23 * 99, 17 * 99 + 1]),
-                         (None, [23 * 99, 17 * 99 + 1])]
-        assert 23 * 131 <= verifier.ROW_BUDGET < 24 * 131
+        assert calls == [(8, [901]), (None, [2997, 865]), (None, [2997, 865])]
 
 
 def _seeded_two_by_two(draw: int):
@@ -1681,9 +1669,8 @@ def _read_cell_transfer_at_a_grid_prefix():
     margin of 2.5.  The grid prefixes under a budget of 3 are 0, 3, 6 and
     8: player 2's deviation games at prefix 6 hold that round's pledge,
     which raises its best response from -0.5 to -0.25, the largest gain of
-    the grid, first reached there.  So prefix 6 begins a run of its own,
-    though rounds 4-6 are clean; a test of rounds k..k'-1 alone would join
-    it to prefix 0's run."""
+    the grid, first reached there.  So player 2's rows at prefix 6 have
+    keys of their own, though rounds 4-6 leave the read cells alone."""
     u = np.array([[[-0.5, 0.3], [-3.0, 2.0]], [[-0.5, -3.0], [1.0, 2.0]]])
     rounds = [CommitmentRound(())] * 9
     rounds[6] = CommitmentRound((Pledge(0, (0, 0), 1, 0.25),))
@@ -1691,7 +1678,8 @@ def _read_cell_transfer_at_a_grid_prefix():
 
 
 # The reuse plans, ex5 as `plan --delta auto` builds it, the first two
-# seeded 2x2 plans, and a plan whose round at a grid prefix is not clean.
+# seeded 2x2 plans, and a plan whose round at a grid prefix updates a read
+# cell.
 BUDGETED_PLANS = {
     **REUSE_PLANS,
     "ex5_auto": WAITING_PLANS["ex5_auto"],
@@ -1704,10 +1692,10 @@ BUDGETED_PLANS = {
 @pytest.mark.parametrize("budget", [3, 8])
 @pytest.mark.parametrize("case", sorted(BUDGETED_PLANS))
 def test_budgeted_reports_match_every_row_searched(case, budget):
-    # Under a grid budget the clean test still reads every round, so grid
-    # prefixes far apart may take each other's searches.  The reports are
-    # those of the run with no clean runs, which searches every row, and
-    # of the scalar loop.
+    # Under a grid budget, grid prefixes far apart may still share keys and
+    # take each other's searches.  The reports are those of the run in which
+    # every row is its own key, which searches every row, and of the scalar
+    # loop.
     game, plan = BUDGETED_PLANS[case]()
     for checkpoint_budget in (None, 5, 64):
         kwargs = {"budget": budget, "checkpoint_budget": checkpoint_budget}
