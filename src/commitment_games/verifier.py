@@ -586,15 +586,15 @@ def _row_keys(plan: ProtocolPlan, rows: _GridRows, same: tuple[int, ...],
     take.  A row's key is its punishment stage and its bytes on the cells
     that stage's first stage reads (`equilibria._first_stage_cells`); a row
     of a prefix outside the magnitude guard (`guarded`, per prefix:
-    `_guarded`) is its own key.  No row is built to find its key.  Per
-    stage, the base rows, each with its deviator, and the prefix games are
-    told apart on those cells (`equilibria._distinct_rows`); a deviation
-    game there is its base row with its move's updates, alike within a
-    move class (`_move_classes`, `same` as there).  So only the first row of
-    each class at each first base row is built on those cells, and told
-    apart from the others and from the first prefix games: a move that
-    updates no read cell leaves its base row's bytes, which another
-    deviator's base row or a prefix game may hold too."""
+    `_guarded`) is its own key.  Not every row is built to find its key.
+    Per stage, the base rows, each with its deviator, and the prefix games
+    are told apart on those cells (`equilibria._distinct_rows`); a
+    deviation game there is its base row with its move's updates, alike
+    within a move class (`_move_classes`, `same` as there).  So only the
+    first row of each class at each first base row is built, on those cells
+    alone, and told apart from the others and from the first prefix games:
+    a move that updates no read cell leaves its base row's bytes, which
+    another deviator's base row or a prefix game may hold too."""
     n, w, shape = rows.U.shape[1], len(rows.deviator), rows.U.shape[1:]
     D = len(rows.prefixes) * w
     head = np.arange(len(rows))
@@ -602,7 +602,7 @@ def _row_keys(plan: ProtocolPlan, rows: _GridRows, same: tuple[int, ...],
     at_p, at_a = _stage_index(plan, rows.prefixes), _stage_index(plan, rows.asked)
     for s in sorted({*at_p.tolist(), *at_a.tolist()}):
         supports = tuple(map(tuple, plan.punishment[s].supports))
-        read = _first_stage_cells(shape, supports).ravel()
+        read = _first_stage_cells(shape, supports)
         ps = np.flatnonzero((at_p == s) & guarded[rows.prefixes])
         asked = np.flatnonzero((at_a == s) & guarded[rows.asked])
         base = (ps[:, None] * n + np.arange(n)).ravel()
@@ -622,8 +622,9 @@ def _row_keys(plan: ProtocolPlan, rows: _GridRows, same: tuple[int, ...],
         # The first rows: per first entry, in row order, its deviator's class
         # heads, or the prefix game itself (move w, which updates nothing).
         lead = np.append(np.flatnonzero(classes == np.arange(w)), w)
-        e, i = np.nonzero(owner[np.sort(first)][:, None] == np.append(rows.deviator, n)[lead])
-        e, j = np.sort(first)[e], lead[i]
+        entries = np.sort(first)
+        e, i = np.nonzero(owner[entries][:, None] == np.append(rows.deviator, n)[lead])
+        e, j = entries[e], lead[i]
         firsts = own[e] + j % w
         # Built on the read cells, where a move updates each cell at most once
         # and, within the guard, stays finite; each one's hash is its entry's
@@ -713,8 +714,8 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     step, payer, cell, value = at[updates[0][keep]], *(u[keep] for u in updates[1:])
     others = payer[:, None] != np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(bases, ((step[:, None] * n + np.arange(n))[others],
-                          np.broadcast_to(cell[:, None], others.shape)[others]),
+        np.add.at(bases.reshape(-1), ((step[:, None] * n + np.arange(n)) * U[0].size
+                                      + cell[:, None])[others],
                   np.broadcast_to(value[:, None], others.shape)[others])
     rows = _GridRows(U, np.array(prefixes, dtype=int), np.array(asked, dtype=int), bases,
                      grid.deviator[grid.distinct], (moves, cells, values))

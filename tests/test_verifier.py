@@ -1413,9 +1413,9 @@ def test_array_grouping_matches_scalar_loop_on_hand_made_rows(monkeypatch, case)
 @pytest.mark.parametrize("case", sorted(REUSE_PLANS))
 def test_array_grouping_matches_scalar_loop_on_reuse_plans(case, budget):
     # At these budgets the plans whose rows are their own keys, past the
-    # magnitude guard, take several chunks, and at 150 the spoiler's rows
-    # whose keys' searches are not kept fill several; the scalar loop asks
-    # for each prefix's rows one at a time.
+    # magnitude guard, take several chunks, and so do the spoiler's rows
+    # whose keys' searches are not kept; the scalar loop asks for each
+    # prefix's rows one at a time.
     game, plan = REUSE_PLANS[case]()
     stage_groups, array, scalar = verifier._stage_groups, [], []
 
@@ -1431,6 +1431,8 @@ def test_array_grouping_matches_scalar_loop_on_reuse_plans(case, budget):
         with mock.patch.object(verifier, "_stage_groups", scalar_groups):
             assert verify_plan(game, plan).to_json() == report
     assert array == scalar
+    if case.startswith(("cell_at_0.3", "cells_past")) or case == "spoiler":
+        assert len(array) > 2
 
 
 # The reuse plans, with ex5 as `plan --delta auto` builds it (cap 0.05, 40
