@@ -832,7 +832,8 @@ def punish_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     B, n, counts = U.shape[0], U.shape[1], U.shape[2:]
 
     first = first_stage_batch(U, supports, seed, ceiling)
-    kinds = np.full(B, "support_solve", dtype=object)
+    kinds = np.empty(B, dtype=object)
+    kinds[:] = "support_solve"  # `np.full` of an object is slower
     profiles, expected = list(first.profiles), first.payoffs
     best = np.stack([p.max(axis=1) for p in first.deviation_payoffs], axis=1)
     rows = np.flatnonzero(~first.settled)

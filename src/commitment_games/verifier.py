@@ -634,10 +634,12 @@ def _row_keys(plan: ProtocolPlan, rows: _GridRows, same: tuple[int, ...],
         count = (bounds[1:] - bounds[:-1])[j]
         u, k = _ranges(bounds[j], count), np.repeat(np.arange(len(e)), count)
         c = (np.cumsum(read) - 1)[cell[on][u]]
-        built, h = block[e], hashes[e]
+        built = block[e]
         built[k, c] += value[on][u]
-        np.add.at(h, k, _word_hashes(built[k, c].view(np.uint64), c) - terms[e[k], c])
-        joined, index = _distinct_rows(built, h)
+        moved = np.cumsum(_word_hashes(built[k, c].view(np.uint64), c) - terms[e[k], c])
+        ends = np.cumsum(count)  # each first row's updates end there, in order
+        moved = np.concatenate([np.zeros(1, np.uint64), moved])
+        joined, index = _distinct_rows(built, hashes[e] + moved[ends] - moved[ends - count])
         head[firsts] = firsts[joined][index]
         # Every row takes the head of its first row.
         lead = own[first[ids]]
