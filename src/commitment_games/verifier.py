@@ -832,9 +832,9 @@ def verify_plan(game: Game, plan: ProtocolPlan, *,
 
     The plan is folded once into one prefix stack, which every check reads;
     the checkpoint hashes come from its rows, and the base game is hashed
-    once.  The punishment search on each prefix game that property (a) or
-    the early-stop class reads rides in the grid's stack of its punishment
-    stage: one `punish_batch` per stage chunk.
+    once.  Each prefix game that property (a) or the early-stop class reads
+    is a row of the grid, keyed and searched with the deviation games
+    (`check_deviations`).
     Raises DocumentError, as for a plan file, when the plan breaks what
     every built plan meets or does not fit `game`, and GameShapeError when
     a deviation game of the grid leaves the float range.
