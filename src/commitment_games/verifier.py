@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
