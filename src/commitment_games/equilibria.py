@@ -347,36 +347,6 @@ STATUSES = ("ok", "degenerate", "no_converge", "out_of_range", "residual_negativ
  _OVER_CEILING) = range(len(STATUSES))
 
 
-def _solve(system: StackedSystem, seed: MixedProfile | None, *, distinct: bool = False):
-    """`solve_on_support` on every row: (X, status, f_norm, min_residual).
-
-    Two players: one stacked linear solve.  Three or more: damped Newton
-    from `seed` with stacked Jacobians and a per-row line search.  The
-    solve, its norm check and its range check read only a row's support
-    block, the cells `U[:, :, *np.ix_(*supports)]`.  With `distinct` they
-    run once per distinct block, on one row whose block cells have those
-    bytes; every such row takes its X, status and f_norm, the same bits
-    it would compute itself.  Full supports skip the keying: the block is
-    then the whole game.  The out-of-support residual check runs on every
-    row.  The support enumeration leaves `distinct` off: its runs pair
-    each game with other patterns, so they repeat few blocks, and keying
-    them measured no faster.
-    """
-    U, supp = system.utilities, system.supports
-    solved = system
-    if distinct and any(len(s) < c for s, c in zip(supp, U.shape[2:])):
-        first, index = _distinct_rows(U[(slice(None), slice(None), *np.ix_(*supp))])
-        if len(first) < len(U):
-            solved = StackedSystem(U[first], supp)
-    X, status, f_norm = _solve_block(solved, seed)
-    if solved is not system:
-        X, status, f_norm = X[index], status[index], f_norm[index]
-    min_res = system.min_residuals(X)
-    status[(status == _OK) & (min_res < -DEFAULT_TOL)] = _RESIDUAL_NEGATIVE
-    min_res[(status != _OK) & (status != _RESIDUAL_NEGATIVE)] = np.nan
-    return X, status, f_norm, min_res
-
-
 # `_distinct_rows`' hash: splitmix64's increment and finalizer constants.
 _GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
                                                 0x94D049BB133111EB))
@@ -424,8 +394,13 @@ def _distinct_rows(block: np.ndarray,
     return order[~repeat], index
 
 
-def _solve_block(system: StackedSystem, seed: MixedProfile | None):
-    """`_solve` up to the residual check: (X, status, f_norm)."""
+def _solve(system: StackedSystem, seed: MixedProfile | None):
+    """`solve_on_support` on every row: (X, status, f_norm, min_residual).
+
+    Two players: one stacked linear solve.  Three or more: damped Newton
+    from `seed` with stacked Jacobians and a per-row line search.  Then,
+    per row, the norm, range and out-of-support residual checks.
+    """
     B, n = system.utilities.shape[:2]
     if n > 2 and seed is None:
         raise SupportError("a seed profile is required for three or more players")
@@ -477,7 +452,10 @@ def _solve_block(system: StackedSystem, seed: MixedProfile | None):
     status[solved & (f_norm > SYSTEM_TOL)] = _NO_CONVERGE
     out_of_range = np.any((X <= DEFAULT_TOL) | (X > 1 + DEFAULT_TOL), axis=1)
     status[(status == _OK) & out_of_range] = _OUT_OF_RANGE
-    return X, status, f_norm
+    min_res = system.min_residuals(X)
+    status[(status == _OK) & (min_res < -DEFAULT_TOL)] = _RESIDUAL_NEGATIVE
+    min_res[(status != _OK) & (status != _RESIDUAL_NEGATIVE)] = np.nan
+    return X, status, f_norm, min_res
 
 
 def _bdeviation_payoffs(U: np.ndarray, probs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -563,13 +541,12 @@ def first_stage_batch(utilities: np.ndarray, supports: Sequence[Sequence[int]],
     `utilities` has shape (B, n, N_1..N_n).  Per row: `solve_on_support`
     (system to SYSTEM_TOL, probabilities in (DEFAULT_TOL, 1 + DEFAULT_TOL],
     residuals at least -DEFAULT_TOL), then `is_nash` at NASH_TOL and the
-    payoff ceiling plus DEFAULT_TOL.
-    Rows whose support-block cells have the same bytes share one solve
-    (`_solve` with `distinct`); the residual, Nash and ceiling checks run
-    on every row.
+    payoff ceiling plus DEFAULT_TOL.  Every row is solved: the verifier's
+    row keys already send one row per pattern of the cells the first stage
+    reads (`_first_stage_cells`).
     """
     system = StackedSystem(utilities, supports)
-    X, status, _, _ = _solve(system, seed, distinct=True)
+    X, status, _, _ = _solve(system, seed)
     full = system.embed(np.clip(X, 0.0, 1.0))
     deviation, expected = _bpayoffs(system.utilities, full)
     status[(status == _OK) & (_bnash(deviation, full, NASH_TOL, expected)[0] >= 0)] = _NOT_NASH

@@ -463,9 +463,12 @@ def compile_pledges(shape: tuple[int, ...], pledge_lists: Sequence, delta: float
     low = [-math.inf, 0, -1, -math.inf, *[0] * n]
     high = [math.inf, n - 1, n - 1, math.inf, *(c - 1 for c in counts)]
     ok = np.logical_and.reduce((table >= low) & (table <= high), axis=1)
-    # Per pledge, the flat offsets of (list, payer) and (list, recipient) at the outcome.
-    keys = table @ np.array([[size, size], [size // n, 0], [0, size // n], [0, 0],
-                             *([math.prod(counts[j + 1:])] * 2 for j in range(n))])
+    # Per pledge, the flat offsets of (list, payer) and (list, recipient) at
+    # the outcome.  A pledge out of range enters as zeros, so that no index
+    # whose offset would overflow a float reaches the product.
+    keys = np.where(ok[:, None], table, 0.0) @ np.array(
+        [[size, size], [size // n, 0], [0, size // n], [0, 0],
+         *([math.prod(counts[j + 1:])] * 2 for j in range(n))])
     keep = table[:, 1:3] >= 0  # a debit, and a credit to a player
     bad = ~ok
     if bad.any():  # a pledge out of range points past the last list and makes no update

@@ -32,10 +32,12 @@ from commitment_games import (
 from commitment_games.equilibria import _support_patterns
 
 # The CLI tests run `python -m commitment_games.cli` in child processes,
-# which import the package from src/ as this process does.
+# which import the package from src/ as this process does, and turn a
+# RuntimeWarning into an error as pyproject's `filterwarnings` does here.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 def full_support_two_player(rng, actions=3, min_prob=0.08, span=2.0):

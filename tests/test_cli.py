@@ -785,6 +785,31 @@ def test_simulate_names_an_over_cap_round_with_one_based_labels(workdir, capsys)
             "player 1 pays 5 > delta=1 at outcome (2, 2)") in err, err
 
 
+def test_a_recipient_near_the_float_maximum_is_out_of_range(workdir, capsys):
+    # Its flat offset would overflow a float: the range screen, not NumPy,
+    # answers, and the error is the one of any other out-of-range recipient.
+    from commitment_games import MixedProfile, build_plan, load_game, plan_to_dict
+
+    game = workdir / "ex3.json"
+    doc = plan_to_dict(build_plan(load_game(game), MixedProfile.pure((2, 2), (0, 0)),
+                                  payoffs=(4.0, 3.0), delta=0.5))
+    doc["rounds"][11][0]["recipient"] = 1e308
+    plan = workdir / "huge_recipient_plan.json"
+    plan.write_text(json.dumps(doc), encoding="utf-8")
+    report = workdir / "huge_recipient_report.json"
+    code, err = _main(capsys, "verify", str(game), str(plan), "-o", str(report))
+    assert code == 1 and "Warning" not in err
+    round_cap = json.loads(report.read_text())["properties"]["round_cap"]
+    assert round_cap["status"] == "fail"
+    assert round_cap["detail"].startswith("round 12: recipient 1000")
+    assert round_cap["detail"].endswith(" out of range")
+    code, err = _main(capsys, "simulate", str(game), str(plan),
+                      "-o", str(workdir / "huge_recipient_transcript.json"))
+    assert code == 2
+    assert "error: plan round 12 breaks a session rule: recipient 1000" in err, err
+    assert err.rstrip().endswith(" out of range") and "Warning" not in err
+
+
 def _fields(doc, path=()):
     """The path of every value below the top of a JSON document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
@@ -860,3 +885,70 @@ def test_one_field_mutations_exit_cleanly(workdir, capsys):
         assert code == 2 or not wrong_type, (path, value, code)
 
     run()
+
+
+# What a mutation puts in place of a value, and the factors it scales a
+# number by.
+_MUTANT_VALUES = [None, True, False, 0, -1, 1, 2, 1.5, -0.5, 1e308, -1e308, 10 ** 30,
+                  "x", "BURN", [], [1], {}, [[1, 2]], math.nan, math.inf]
+_MUTANT_SCALES = [-1, 2, 0.5, 1e300, 1 + 1e-12]
+
+
+def _mutate(doc, rng):
+    """One seeded mutation of `doc` in place, at a value below its top:
+    delete it, scale it when it is a number, or replace it."""
+    fields = list(_fields(doc))
+    if not fields:
+        return
+    path = rng.choice(fields)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    op = rng.choice(("delete", "scale", "replace") if number else ("delete", "replace"))
+    if op == "delete":
+        del parent[path[-1]]
+    elif op == "scale":
+        parent[path[-1]] = value * rng.choice(_MUTANT_SCALES)
+    else:
+        parent[path[-1]] = json.loads(json.dumps(rng.choice(_MUTANT_VALUES)))
+
+
+def test_seeded_document_mutations_exit_cleanly(workdir, capsys):
+    """ex3's game, plan and transcript, each mutated 1-3 times, through
+    every command that reads it: each call returns 0-3, and no exception
+    or warning escapes `cli.main`."""
+    import random
+
+    game = str(workdir / "ex3.json")
+    plan = workdir / "mutant_base_plan.json"
+    transcript = workdir / "mutant_base_transcript.json"
+    out = str(workdir / "mutant_out.json")
+    split = ("--payoffs", "4,3", "--delta", "0.5")
+    assert _main(capsys, "plan", game, *split, "-o", str(plan))[0] == 0
+    assert _main(capsys, "simulate", game, str(plan), "-o", str(transcript))[0] == 0
+    docs = {kind: json.loads(path.read_text(encoding="utf-8"))
+            for kind, path in (("game", workdir / "ex3.json"), ("plan", plan),
+                               ("transcript", transcript))}
+    del docs["transcript"]["meta"]
+    commands = {
+        "game": [("verify", "{doc}", str(plan), "-o", out),
+                 ("analyze", "{doc}", "--support", "1,2x1,2"),
+                 ("plan", "{doc}", *split, "-o", out)],
+        "plan": [("verify", game, "{doc}", "-o", out), ("simulate", game, "{doc}", "-o", out)],
+        "transcript": [("simulate", game, "--script", "{doc}", "-o", out)],
+    }
+    rng = random.Random(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3000):
+            kind = rng.choice(sorted(docs))
+            doc = json.loads(json.dumps(docs[kind]))
+            for _ in range(rng.randint(1, 3)):
+                _mutate(doc, rng)
+            path = workdir / f"mutant_{kind}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [a.format(doc=path) for a in rng.choice(commands[kind])]
+            code, err = _main(capsys, *argv)
+            assert code in (0, 1, 2, 3), (argv, json.dumps(doc), err)

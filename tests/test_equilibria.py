@@ -655,12 +655,15 @@ def _assert_rows_match_one_row_stacks(stack, supports, seed, ceiling):
     return first
 
 
-def test_first_stage_solves_each_distinct_support_block_once(monkeypatch):
-    # 4x4 games on 3x3 and 2x2 supports, drawn with many repeats of six
-    # blocks: block 0 is singular (all zero), block 1 a zero-sum cycle that
-    # settles while the out-of-support actions pay less.  Rows 0..5 hold
-    # blocks 0..5; the extra rows differ from row 1 only outside the block,
-    # from row 2 only in the sign of its zeros, and from row 0 likewise.
+def _repeated_block_stacks():
+    """(stack, supports, seed) per support: 4x4 games on 3x3 and 2x2
+    supports, drawn with many repeats of six support blocks.
+
+    Block 0 is singular (all zero), block 1 a zero-sum cycle that settles
+    while the out-of-support actions pay less.  Rows 0..5 hold blocks
+    0..5; the extra rows differ from row 1 only outside the block, from
+    row 2 only in the sign of its zeros, and from row 0 likewise.
+    """
     rng = np.random.default_rng(11)
     cycles = {2: np.array([[1.0, -1.0], [-1.0, 1.0]]),
               3: np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])}
@@ -680,41 +683,42 @@ def test_first_stage_solves_each_distinct_support_block_once(monkeypatch):
         twin[:, outside] = 40.0  # out-of-support actions now pay more
         signed = np.where(stack[[2, 0]] == 0.0, -0.0, stack[[2, 0]])
         stack = np.concatenate([stack, [twin], signed])
-        calls, solve = [], equilibria._solve_block
-
-        def spied(system, *args):
-            calls.append(len(system.utilities))
-            return solve(system, *args)
-
-        monkeypatch.setattr(equilibria, "_solve_block", spied)
-        first = _assert_rows_match_one_row_stacks(stack, supports, seed, (1.0, 1.0))
-        monkeypatch.undo()
         keys = [row.tobytes() for row in stack[cell]]
         assert keys[1] == keys[90] and keys[2] != keys[91] and keys[0] != keys[92]
-        assert calls[0] == len(set(keys)) < len(stack)
+        assert len(set(keys)) < len(stack)
+        yield stack, supports, seed
+
+
+def test_first_stage_rows_on_repeated_support_blocks_match_one_row_stacks():
+    for stack, supports, seed in _repeated_block_stacks():
+        first = _assert_rows_match_one_row_stacks(stack, supports, seed, (1.0, 1.0))
         assert equilibria.STATUSES[first.status[1]] == "ok"
         assert equilibria.STATUSES[first.status[90]] == "residual_negative"
         assert equilibria.STATUSES[first.status[0]] == "degenerate"
 
 
-def test_full_supports_skip_the_keying(monkeypatch):
+def test_first_stage_and_punishment_hash_no_rows(monkeypatch):
+    # The verifier keys the rows it sends; the search hashes none of them,
+    # on full supports or on partial ones with repeated blocks.
     rng = np.random.default_rng(12)
     supports = [(0, 1), (0, 1)]
-    seed = MixedProfile.uniform_over((2, 2), supports)
-    stack = rng.integers(-2, 3, (4, 2, 2, 2)).astype(float)[[0, 1, 0, 2, 3, 1]]
+    full = rng.integers(-2, 3, (4, 2, 2, 2)).astype(float)[[0, 1, 0, 2, 3, 1]]
+    cases = [(full, supports, MixedProfile.uniform_over((2, 2), supports)),
+             *_repeated_block_stacks()]
     monkeypatch.setattr(equilibria, "_distinct_rows", None)
-    _assert_rows_match_one_row_stacks(stack, supports, seed, (1.0, 1.0))
+    for stack, supports, seed in cases:
+        _assert_rows_match_one_row_stacks(stack, supports, seed, (1.0, 1.0))
 
 
 def _assert_newton_norm_is_a_fresh_evaluate(stack, supports, seed) -> int:
-    """`_solve_block`'s norm on the rows that pass its norm check, against
-    the norm of a fresh `evaluate` at its X, bit for bit; returns how many
-    rows pass."""
+    """`_solve`'s norm on the rows that pass its norm check, against the
+    norm of a fresh `evaluate` at its X, bit for bit; returns how many rows
+    pass."""
     system = equilibria.StackedSystem(stack, supports)
-    X, status, f_norm = equilibria._solve_block(system, seed)
+    X, status, f_norm, _ = equilibria._solve(system, seed)
     fresh = np.abs(system.evaluate(X) - system.rhs).max(axis=1)
-    passed = np.isin(status, (equilibria.STATUSES.index("ok"),
-                              equilibria.STATUSES.index("out_of_range")))
+    passed = np.isin(status, [equilibria.STATUSES.index(s)
+                              for s in ("ok", "out_of_range", "residual_negative")])
     assert f_norm[passed].tobytes() == fresh[passed].tobytes()
     return int(passed.sum())
 

@@ -132,6 +132,11 @@ GOOD = CommitmentRound((Pledge(0, (0, 0), BURN, 0.25),))
     ("recipient", (2, 2), "transfers", Pledge(0, (0, 0), -1, 0.1)),
     ("recipient", (2, 2), "transfers", Pledge(0, (0, 0), "SINK", 0.1)),
     ("mode", (2, 2), "burn_only", Pledge(0, (0, 0), 1, 0.1)),
+    # Indices that fit a float, whose flat offsets would overflow one.
+    ("payer", (2, 2), "transfers", Pledge(10 ** 308, (0, 0), BURN, 0.1)),
+    ("payer", (2, 2), "transfers", Pledge(-10 ** 308, (0, 0), BURN, 0.1)),
+    ("outcome", (2, 4), "transfers", Pledge(0, (10 ** 308, 0), BURN, 0.1)),
+    ("recipient", (2, 2), "transfers", Pledge(0, (0, 0), 10 ** 308, 0.1)),
 ])
 def test_a_rejected_round_raises_what_the_scalar_fold_raises(code, counts, mode, bad):
     game = Game(np.arange(2 * np.prod(counts), dtype=float).reshape(2, *counts))

@@ -1125,40 +1125,6 @@ def test_merged_search_matches_separate_calls_in_small_chunks(monkeypatch, case,
     assert len(stacks) < separate
 
 
-def test_ex4_first_stage_solves_each_distinct_support_block_once(monkeypatch):
-    # The plan and nearly every move burn outside the baseline's 3x3 support
-    # block, which is all the first stage's solve reads.
-    game, plan = prize_plan(0.02)
-    supports = plan.punishment[0].supports
-    blocks, solved = [], []
-    first_stage, solve = equilibria.first_stage_batch, equilibria._solve_block
-
-    def keyed(U, *args, **kwargs):
-        cells = U[(slice(None), slice(None), *np.ix_(*supports))]
-        blocks.append((len(U), len({row.tobytes() for row in cells})))
-        return first_stage(U, *args, **kwargs)
-
-    def counted(system, *args):
-        solved.append(len(system.utilities))
-        return solve(system, *args)
-
-    monkeypatch.setattr(equilibria, "first_stage_batch", keyed)
-    monkeypatch.setattr(equilibria, "_solve_block", counted)
-    report = verify_plan(game, plan)
-    monkeypatch.undo()
-    assert report.accepted
-    rows, distinct = zip(*blocks)
-    # No round touches a cell the first stage reads, so one stack holds
-    # every key: prefix 0's 130 moves (no two alike) in 98 classes, the two
-    # no-op classes one key with the prefix games.  Its blocks are: the
-    # plan's own, and per deviator and amount the P burn at each of the 9
-    # block outcomes and the M burn at each of the 12 outcomes whose other
-    # player's action is in the support.
-    assert rows == (97,)
-    assert distinct == (1 + 2 * 2 * (9 + 12),)
-    assert solved == list(distinct)
-
-
 def test_ex4_verify_searches_only_its_first_stack():
     game, plan = prize_plan(0.02)
     stage = plan.punishment[0]
@@ -1917,9 +1883,9 @@ def test_singular_row_is_found_by_one_factorisation_and_left_to_the_fallback():
     with mock.patch.object(np.linalg, "solve", spied("solve", solve)), \
             mock.patch.object(np.linalg, "slogdet", spied("slogdet", slogdet)):
         first = first_stage_batch(stack, stage.supports, stage.seed, stage.ceiling)
-    # Rows 0 and 2 are one game, so one block each: one failed solve, one
-    # factorisation, one solve of the other block.
-    assert calls == [("solve", (2, 6, 6)), ("slogdet", (2, 6, 6)), ("solve", (1, 6, 6))]
+    # One failed solve of the three rows, one factorisation, one solve of
+    # the two regular rows.
+    assert calls == [("solve", (3, 6, 6)), ("slogdet", (3, 6, 6)), ("solve", (2, 6, 6))]
     assert first.settled.tolist() == [True, False, True]
     scalar = reference.find_punishment_equilibrium(
         game, stage.supports, stage.seed, stage.ceiling)
