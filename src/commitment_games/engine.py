@@ -176,7 +176,13 @@ def run_rounds(state: SessionState, rounds: Sequence[CommitmentRound],
 def play_terminal(state: SessionState, actions: Sequence[int]) -> SessionState:
     if state.phase != "playing":
         raise SessionError(f"cannot play in phase {state.phase!r}")
-    actions = tuple(int(a) for a in actions)
+    checked = []
+    for i, a in enumerate(actions):
+        try:  # NumPy integers pass; what `int` would truncate does not
+            checked.append(operator.index(a))
+        except TypeError:
+            raise SessionError(f"player {i + 1}'s terminal action {a!r} is not an integer") from None
+    actions = tuple(checked)
     game = state.current_game
     if len(actions) != game.num_players or any(
             not 0 <= a < c for a, c in zip(actions, game.action_counts)):

@@ -364,23 +364,20 @@ def _word_hashes(words: np.ndarray, at: np.ndarray) -> np.ndarray:
     return z
 
 
-def _distinct_rows(block: np.ndarray,
-                   hashes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, index): the first row of each distinct byte pattern among
     `block`'s rows, and per row the position of its pattern in `first`.
 
     A row's hash is the sum (mod 2**64) of `_word_hashes` over its 64-bit
-    words at their positions (`hashes`, when the caller has them); the
-    finalizer is not linear, so rows that trade values between cells do
-    not share a hash as under a weighted sum.  Neighbours with equal
-    hashes are compared word for word, so 0.0 and -0.0 never share a
-    pattern.  Should two patterns share a hash, `np.unique` on the words
-    decides instead.
+    words at their positions; the finalizer is not linear, so rows that
+    trade values between cells do not share a hash as under a weighted
+    sum.  Neighbours with equal hashes are compared word for word, so 0.0
+    and -0.0 never share a pattern.  Should two patterns share a hash,
+    `np.unique` on the words decides instead.
     """
     B = len(block)
     words = np.ascontiguousarray(block).reshape(B, math.prod(block.shape[1:])).view(np.uint64)
-    h = (_word_hashes(words, np.arange(words.shape[1])).sum(axis=1, dtype=np.uint64)
-         if hashes is None else hashes)
+    h = _word_hashes(words, np.arange(words.shape[1])).sum(axis=1, dtype=np.uint64)
     order = np.argsort(h, kind="stable")  # rows of one hash in row order
     h = h[order]
     pairs = np.flatnonzero(h[1:] == h[:-1])
@@ -504,7 +501,10 @@ def _bnash(pay: Sequence[np.ndarray], probs: Sequence[np.ndarray], tol: float,
 
 def nash_batch(utilities: np.ndarray, profile: MixedProfile,
                tol: float = DEFAULT_TOL) -> tuple[NashCheck, ...]:
-    """`is_nash` of one profile on every game of a (B, n, N_1..N_n) stack."""
+    """`is_nash` of one profile on every game of a (B, n, N_1..N_n) stack.
+    ValueError when `tol` is not finite."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     U = np.ascontiguousarray(utilities, dtype=np.float64)
     _check_profile(U.shape[2:], profile)
     probs = [np.tile(p, (len(U), 1)) for p in profile.probs]
@@ -938,8 +938,13 @@ def probe_strong_punishability(game: Game, profile: MixedProfile,
     With `perturbations` given, those exact utility shifts are probed
     instead of uniform draws (the adversarial negative control).  The
     quantifier in the underlying definition ranges over all perturbations;
-    sampling can only falsify, never certify.
+    sampling can only falsify, never certify.  ValueError when `epsilon`
+    is not finite or `delta` not finite and non-negative.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and non-negative, got {delta}")
     if not allow_degenerate:
         _require_non_degenerate(game, profile)
     base_u = np.array([expected_utility(game, profile, i)

@@ -509,7 +509,10 @@ def fold_rounds(game: Game, rounds, delta: float | None = None,
 
 def fold_compiled(game: Game, rounds, delta: float | None = None,
                   mode: str | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """`fold_rounds`, and the rounds' updates from `compile_pledges`."""
+    """`fold_rounds`, and the rounds' updates from `compile_pledges`.
+    ValueError when `delta` is given and not finite: no cap is then read."""
+    if delta is not None and not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     rounds = list(rounds)
     shape = game.utilities.shape
     try:

@@ -33,7 +33,6 @@ from .equilibria import (
     _bexpected,
     _distinct_rows,
     _first_stage_cells,
-    _word_hashes,
     nash_batch,
     non_degenerate_batch,
     punish_batch,
@@ -62,8 +61,8 @@ ROUND_BOUND_CONSTANT = 64.0
 ADVERSARIAL_COMBO_OUTCOME_LIMIT = 20
 # Games per stacked punishment search, a memory cap: the search's working
 # arrays grow with its stack.  An ex5 verify (`plan --delta auto`, 40 rounds,
-# 3,862 rows searched in 2 stacks) peaks at 2.8 MB under `tracemalloc`,
-# against 1.45 MB at 1,024 (4 stacks).
+# 3,881 rows searched in 2 stacks) peaks at 3.2 MB under `tracemalloc`,
+# against 1.44 MB at 1,024 (4 stacks).
 ROW_BUDGET = 3072
 
 DEVIATION_CLASSES = ("commitment", "early_stop", "continue_when_stop",
@@ -583,69 +582,46 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _row_keys(plan: ProtocolPlan, rows: _GridRows, same: tuple[int, ...],
               guarded: np.ndarray) -> np.ndarray:
     """Per row of `rows`, the first row with its key, whose search it may
-    take.  A row's key is its punishment stage and its bytes on the cells
-    that stage's first stage reads (`equilibria._first_stage_cells`); a row
-    of a prefix outside the magnitude guard (`guarded`, per prefix:
-    `_guarded`) is its own key.  Not every row is built to find its key.
-    Per stage, the base rows, each with its deviator, and the prefix games
-    are told apart on those cells (`equilibria._distinct_rows`); a
-    deviation game there is its base row with its move's updates, alike
-    within a move class (`_move_classes`, `same` as there).  So only the
-    first row of each class at each first base row is built, on those cells
-    alone, and told apart from the others and from the first prefix games:
-    a move that updates no read cell leaves its base row's bytes, which
-    another deviator's base row or a prefix game may hold too."""
+    take; all rows of one key are equal bit for bit on the cells that their
+    punishment stage's first stage reads (`equilibria._first_stage_cells`).
+    Per stage, the base rows and the prefix games are told apart on those
+    cells (`equilibria._distinct_rows`), which gives each a pattern.  A
+    prefix game, or a deviation game whose move updates no read cell, has
+    the key (stage, pattern); any other deviation game the key (stage,
+    pattern, deviator, move class), as a move class updates the read cells
+    alike (`_move_classes`, `same` as there).  A row that a move brings to
+    another pattern's bytes is searched apart from that pattern's key.  A
+    row of a prefix outside the magnitude guard (`guarded`, per prefix:
+    `_guarded`) is its own key."""
     n, w, shape = rows.U.shape[1], len(rows.deviator), rows.U.shape[1:]
     D = len(rows.prefixes) * w
     head = np.arange(len(rows))
-    game, cell, value = rows.moves
+    game, cell, _ = rows.moves
     at_p, at_a = _stage_index(plan, rows.prefixes), _stage_index(plan, rows.asked)
     for s in sorted({*at_p.tolist(), *at_a.tolist()}):
         supports = tuple(map(tuple, plan.punishment[s].supports))
         read = _first_stage_cells(shape, supports)
         ps = np.flatnonzero((at_p == s) & guarded[rows.prefixes])
         asked = np.flatnonzero((at_a == s) & guarded[rows.asked])
-        base = (ps[:, None] * n + np.arange(n)).ravel()
-        # Per entry, a base row or a prefix game: its deviator (n for a prefix
-        # game), its row of move 0 (its own row for a prefix game), and its
-        # bytes on the read cells.
-        owner = np.concatenate([base % n, np.full(len(asked), n)])
-        own = np.concatenate([base // n * w, D + asked])
-        block = np.concatenate([rows.bases[base][:, read],
-                                rows.U.reshape(len(rows.U), -1)[rows.asked[asked]][:, read]])
-        terms = _word_hashes(block.view(np.uint64), np.arange(block.shape[1]))
-        hashes = terms.sum(axis=1, dtype=np.uint64)
-        first, ids = _distinct_rows(np.column_stack([block, owner]), hashes + _word_hashes(
-            owner.astype(np.float64).view(np.uint64), block.shape[1]))
+        base, B = (ps[:, None] * n + np.arange(n)).ravel(), len(ps) * n
+        first, pattern = _distinct_rows(np.concatenate([
+            rows.bases[base][:, read], rows.U.reshape(len(rows.U), -1)[rows.asked[asked]][:, read]]))
+        # Per base row and prefix game, the first row of its pattern's key:
+        # the first entry's row that updates no read cell, its deviator's
+        # no-op (the deviator's first move) or the prefix game itself.
+        blank = np.concatenate([base // n * w + np.searchsorted(rows.deviator, base % n),
+                                D + asked])[first[pattern]]
+        # Per base row, move 0's row at the first base row of its pattern
+        # and deviator.
+        _, firsts, index = np.unique(pattern[:B] * n + base % n, return_index=True,
+                                     return_inverse=True)
+        lead = (base[firsts] // n * w)[index]
         classes = _move_classes(shape[1:], plan.mode, same, supports)
-        classes = np.arange(w) if classes is None else classes
-        # The first rows: per first entry, in row order, its deviator's class
-        # heads, or the prefix game itself (move w, which updates nothing).
-        lead = np.append(np.flatnonzero(classes == np.arange(w)), w)
-        entries = np.sort(first)
-        e, i = np.nonzero(owner[entries][:, None] == np.append(rows.deviator, n)[lead])
-        e, j = entries[e], lead[i]
-        firsts = own[e] + j % w
-        # Built on the read cells, where a move updates each cell at most once
-        # and, within the guard, stays finite; each one's hash is its entry's
-        # with the terms of those cells replaced.
-        on = read[cell]
-        bounds = np.searchsorted(game[on], np.arange(w + 2))
-        count = (bounds[1:] - bounds[:-1])[j]
-        u, k = _ranges(bounds[j], count), np.repeat(np.arange(len(e)), count)
-        c = (np.cumsum(read) - 1)[cell[on][u]]
-        built = block[e]
-        built[k, c] += value[on][u]
-        moved = np.cumsum(_word_hashes(built[k, c].view(np.uint64), c) - terms[e[k], c])
-        ends = np.cumsum(count)  # each first row's updates end there, in order
-        moved = np.concatenate([np.zeros(1, np.uint64), moved])
-        joined, index = _distinct_rows(built, hashes[e] + moved[ends] - moved[ends - count])
-        head[firsts] = firsts[joined][index]
-        # Every row takes the head of its first row.
-        lead = own[first[ids]]
-        head[:D].reshape(-1, w)[ps] = head[lead[:len(base)].reshape(-1, n)[:, rows.deviator]
-                                           + classes]
-        head[D + asked] = head[lead[len(base):]]
+        entry = np.arange(len(ps))[:, None] * n + rows.deviator
+        head[:D].reshape(-1, w)[ps] = np.where(
+            np.bincount(game[read[cell]], minlength=w) > 0,
+            lead[entry] + (np.arange(w) if classes is None else classes), blank[entry])
+        head[D + asked] = blank[B:]
     return head
 
 
@@ -660,14 +636,14 @@ def check_deviations(game: Game, plan: ProtocolPlan, *, amounts: Sequence[float]
     with the compiled updates of the others' pledges of its round, then of
     the move, one per deviator's distinct move (`_move_grid`); the prefix
     games that the early stops or a None in `punishments` ask for are rows
-    too (`_GridRows`).  Each row has a key, its punishment stage and its
-    bytes on the cells the first stage reads (`_row_keys`).  The first row
-    of each key is searched, in stacks of one stage of at most ROW_BUDGET
-    rows (`punish_batch`); every other row then takes that search where the
-    report cannot tell the two apart, and is searched in a later stack
-    where it can.  Rows equal on those cells settle alike at the first
-    stage, with best responses that may differ only in the sign of a 0.0
-    (`equilibria._first_stage_cells`).  The grid reads a search only
+    too (`_GridRows`).  Each row has a key (`_row_keys`), whose rows are
+    equal bit for bit on the cells their stage's first stage reads.  The
+    first row of each key is searched, in stacks of one stage of at most
+    ROW_BUDGET rows (`punish_batch`); every other row then takes that
+    search where the report cannot tell the two apart, and is searched in
+    a later stack where it can.  Rows equal on those cells settle alike at
+    the first stage, with best responses that may differ only in the sign
+    of a 0.0 (`equilibria._first_stage_cells`).  The grid reads a search only
     through its kind and the gains best - on-path, with the on-path payoffs
     `plan.expected_terminal_payoffs`, so a search is taken when its kind is
     "support_solve" and no player with an on-path payoff of 0.0 has a best

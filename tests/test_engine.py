@@ -135,6 +135,18 @@ def test_zero_round_stop_plays_base_game():
     assert state.transcript.final_payoffs == (0.0, 0.0)
 
 
+def test_play_terminal_refuses_actions_it_would_truncate():
+    state = cast_votes(submit_round(open_session(unfair_split(), 1.0), CommitmentRound()),
+                       [True, False])
+    with pytest.raises(SessionError, match="player 1's terminal action 0.7 is not an integer"):
+        play_terminal(state, [0.7, 1.2])
+    with pytest.raises(SessionError, match="player 2's terminal action 1.0 is not an integer"):
+        play_terminal(state, [1, 1.0])
+    done = play_terminal(state, [np.int64(1), 1])
+    assert done.transcript.terminal_actions == (1, 1)
+    assert done.transcript.final_payoffs == (10.0, -3.0)  # the base game's
+
+
 def test_phase_errors():
     state = open_session(unfair_split(), 1.0)
     with pytest.raises(SessionError):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -318,6 +319,29 @@ def test_probe_rejects_negative_sample_count():
     sigma = MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
     with pytest.raises(ValueError, match="non-negative"):
         probe_strong_punishability(game, sigma, 1.0, 0.05, -3, 1)
+
+
+@pytest.mark.parametrize("epsilon, delta", [(math.nan, 0.05), (math.inf, 0.05),
+                                            (1.0, math.nan), (1.0, math.inf), (1.0, -0.05)])
+def test_probe_rejects_a_non_finite_epsilon_or_delta_and_a_negative_delta(epsilon, delta):
+    # A NaN epsilon fails every sample, an infinite one passes every sample,
+    # and an infinite delta overflows NumPy's uniform draw.
+    game = two_mode_mixing()
+    sigma = MixedProfile([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="must be finite"):
+        probe_strong_punishability(game, sigma, epsilon, delta, 10, 1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_nash_check_rejects_a_non_finite_tolerance(tol):
+    # No gain is above a NaN or infinite tolerance, so (1, 1) of the
+    # prisoner's dilemma, which is not Nash, would pass.
+    game, profile = prisoners_dilemma(), MixedProfile.pure((2, 2), (0, 0))
+    assert not is_nash(game, profile).ok
+    with pytest.raises(ValueError, match=f"tol must be finite, got {tol}"):
+        is_nash(game, profile, tol)
+    with pytest.raises(ValueError, match=f"tol must be finite, got {tol}"):
+        nash_batch(game.utilities[None], profile, tol)
 
 
 def test_probe_rejects_degenerate_profile():

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commitment_games.catalog import prisoners_dilemma
 from commitment_games.engine import BURN, CommitmentRound, Pledge
 from commitment_games.games import (
     Game,
@@ -153,6 +154,19 @@ def test_a_cap_only_the_running_total_of_two_pledges_breaks():
     # The sum in pledge order is what the cap reads: 0.1 + 0.2 is over 0.3.
     tight = CommitmentRound((Pledge(0, (1, 1), BURN, 0.1), Pledge(0, (1, 1), BURN, 0.2)))
     _assert_same_rejection(game, [tight], 0.3 - 1e-12, "burn_only", "cap")
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_a_non_finite_cap_is_refused_rather_than_read_as_no_cap(delta):
+    # A NaN or infinite cap passes every running total, so the fold would
+    # take a burn of 100 under it.  A negative cap is one that burn breaks.
+    game, burn = prisoners_dilemma(), CommitmentRound((Pledge(0, (0, 0), BURN, 100.0),))
+    with pytest.raises(ValueError, match=f"delta must be finite, got {delta}"):
+        apply_transfers(game, burn, delta=delta)
+    with pytest.raises(ValueError, match=f"delta must be finite, got {delta}"):
+        fold_rounds(game, [burn], delta, "transfers")
+    with pytest.raises(TransferError, match="delta=-1"):
+        apply_transfers(game, burn, delta=-1.0)
 
 
 def _assert_same_rejection(game, rounds, delta, mode, code):

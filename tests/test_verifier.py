@@ -368,10 +368,13 @@ def _keyed(game, plan, **kwargs) -> SimpleNamespace:
     """The rows of `verify_plan`'s grid (`verifier._GridRows`), the first row
     of each row's key as `_row_keys` gives it (`head`) and as the key is
     defined (`want`), and how many rows the definition searches
-    (`searched`).  By definition a row's key is its punishment stage and
-    its bytes on the cells that stage's first stage reads, found with
-    `np.unique` on every row built; a row of a prefix outside the
-    magnitude guard is its own key.  The first row of each key is
+    (`searched`).  By definition a row's key is its punishment stage, the
+    bytes of its base row (a prefix game's own) on the cells that stage's
+    first stage reads, and, for a deviation game whose move updates one of
+    those cells, its move class (`verifier._move_classes`), found with
+    `np.unique` on those bytes and the class; a row of a prefix outside
+    the magnitude guard is its own key.  Every row equals its key's first
+    row bit for bit on the read cells.  The first row of each key is
     searched, and so is every other row whose first row's search is not
     kept (`kept` holds the first rows whose searches are): it did not settle
     at the first stage, or a player with an on-path payoff of 0.0 has a best
@@ -388,17 +391,33 @@ def _keyed(game, plan, **kwargs) -> SimpleNamespace:
     prefix = np.concatenate([np.repeat(rows.prefixes, len(rows.deviator)), rows.asked])
     stage = verifier._stage_index(plan, prefix)
     built = rows.build(np.arange(len(rows))).reshape(len(rows), -1)
+    n, w, D = game.num_players, len(rows.deviator), len(rows.prefixes) * len(rows.deviator)
+    p, j = np.divmod(np.arange(D), w)
+    base = np.concatenate([rows.bases[p * n + rows.deviator[j]],
+                           rows.U.reshape(len(rows.U), -1)[rows.asked]])
+    moves, cells = rows.moves[:2]
+    xs = (*(kwargs.get("amounts") or (plan.delta / 2, plan.delta)), plan.delta)
     want, searched, kept_heads = np.arange(len(rows)), 0, set()
     on_path = np.asarray(plan.expected_terminal_payoffs)
     for s in sorted(set(stage.tolist())):
         pun = plan.punishment[s]
-        read = equilibria._first_stage_cells(game.utilities.shape,
-                                             tuple(map(tuple, pun.supports)))
+        supports = tuple(map(tuple, pun.supports))
+        read = equilibria._first_stage_cells(game.utilities.shape, supports)
+        classes = verifier._move_classes(game.action_counts, plan.mode,
+                                         tuple(map(xs.index, xs)), supports)
+        classes = np.arange(w) if classes is None else classes
+        # A deviation game's move class where its move updates a read cell,
+        # else w, as for a prefix game.
+        touched = np.isin(np.arange(w), moves[read[cells]])
+        move = np.concatenate([np.where(touched, classes, w)[j], np.full(len(rows.asked), w)])
         mine = np.flatnonzero((stage == s) & guarded[prefix])
         if len(mine):
-            _, first, index = np.unique(np.ascontiguousarray(built[mine][:, read]).view(np.uint64),
-                                        axis=0, return_index=True, return_inverse=True)
+            key = np.column_stack([np.ascontiguousarray(base[mine][:, read]).view(np.uint64),
+                                   move[mine].astype(np.uint64)])
+            _, first, index = np.unique(key, axis=0, return_index=True, return_inverse=True)
             want[mine] = mine[first][index.ravel()]
+            words = np.ascontiguousarray(built[:, read]).view(np.uint64)
+            assert (words[mine] == words[want[mine]]).all()
         heads = np.flatnonzero((stage == s) & (want == np.arange(len(rows))))
         found = punish_batch(built[heads].reshape(-1, *game.utilities.shape), pun.supports,
                              pun.seed, pun.ceiling)
@@ -925,13 +944,16 @@ def test_worst_gain_on_a_folded_twin_names_the_scalar_loops_move():
     assert twin.gain == worst.gain == results["commitment"].worst_gain
     # 17 moves per deviator fold to 9 games; the early stops' prefix games
     # ride in the same stack.  On the plan's one full-support stage every
-    # cell is read, so the stack holds each distinct game of them once.
+    # cell is read, so each distinct base row and move class is a key.  The
+    # 162 distinct games make 168 keys: 6 times a burn brings a row to the
+    # bytes of another key's, another deviator's row or the next prefix game.
     assert len(_distinct_moves(game, plan, 0)) == 9 and len(plan.punishment) == 1
     R = len(plan.rounds)
     with _recorded_stacks() as every, _every_row_searched():
         check_deviations(game, plan)
     assert [len(u) for u in every] == [R * 2 * 9 + R - 1]
-    assert [len(u) for u in stacks] == [len({u.tobytes() for u in every[0]})] == [162]
+    assert len({u.tobytes() for u in every[0]}) == 162
+    assert [len(u) for u in stacks] == [168]
     _assert_grids_agree(game, plan)
 
 
@@ -1098,12 +1120,12 @@ def test_merged_search_matches_separate_calls(case, calls):
     if case == "spoiler":
         # The spoiler's ten rounds stay off the cells the first stage reads:
         # every row has the key of a row of prefix 0, whose 254 games and
-        # prefix game make 53 keys.  The second stack holds the other rows
+        # prefix game make 59 keys.  The second stack holds the other rows
         # of the keys whose first row did not settle at the first stage (the
         # on-path payoffs (6, 6) are not 0.0, so no zero best response keeps
         # a search from being taken).
         kept = _takeable(stacks[0], plan)
-        assert len(plan.rounds) == 10 and sizes == [53, 554] and not all(kept)
+        assert len(plan.rounds) == 10 and sizes == [59, 552] and not all(kept)
 
 
 def test_merged_search_matches_separate_calls_on_seeded_2x2_plans():
@@ -1167,16 +1189,16 @@ def test_spoiler_unsettled_rows_search_alike_alone_and_in_their_stack(monkeypatc
         found[name] = punish_batch(rows, *args)
         monkeypatch.undo()
         runs[name] = sizes[1:]  # the first is the first stage's
-    # 26 rows of the first stack's 53 keys leave the first stage; whether the
+    # 28 rows of the first stack's 59 keys leave the first stage; whether the
     # stack holds only them or the whole stack, their enumeration runs hold
     # the same (pattern, game) pairs, and their results are the same bytes.
-    assert (len(chunk), open_rows.sum()) == (53, 26) and len(runs["alone"]) > 1
+    assert (len(chunk), open_rows.sum()) == (59, 28) and len(runs["alone"]) > 1
     assert runs["chunk"] == runs["alone"]
     chunk_found, alone = found["chunk"], found["alone"]
     picked = np.flatnonzero(open_rows)
     assert [chunk_found.kinds[r] for r in picked] == list(alone.kinds)
     assert [chunk_found.reasons[r] for r in picked] == list(alone.reasons)
-    assert Counter(alone.kinds) == {"none": 26}
+    assert Counter(alone.kinds) == {"none": 28}
     for name in ("best_response", "payoffs", "pure_best"):
         assert getattr(chunk_found, name)[picked].tobytes() == getattr(alone, name).tobytes()
     for got, want in zip(chunk_found.profiles, alone.profiles):
@@ -1272,9 +1294,13 @@ def test_taken_searches_match_scalar_loop(case):
     elif case == "middle_round_on_a_read_cell":
         # The rows of prefixes 0-19 have 97 keys, those of prefix 0.  The
         # middle round, round 20, burns at a read cell: prefix 20's rows of
-        # player 2, whose base rows hold that burn, make 48 keys more, and
-        # player 1's rows from prefix 21 on another 48.
-        assert (R, width) == (41, 130) and sizes == [97 + 48 + 48]
+        # player 2, whose base rows hold that burn, make 49 keys more, one
+        # per class: their no-op class holds the read bytes of player 1's
+        # burn of delta / 2 at (1, 1) at prefix 0, but a pattern of its own.
+        # Player 1's rows from prefix 21 on make another 48: their no-op
+        # class has the key of prefix 20's player-2 no-op rows, whose base
+        # rows have the same bytes.
+        assert (R, width) == (41, 130) and sizes == [97 + 49 + 48]
     elif case == "ex3_auto":
         # One stack of the first stage's 25 keys, then the last prefix game
         # under a stage of its own.  The pure punishment pays (0, 0) and 19
@@ -1297,9 +1323,9 @@ def test_taken_searches_match_scalar_loop(case):
 
         assert sizes == [every_row] and past_half(stacks) > 0
     else:
-        # 53 keys, then the 554 other rows of the keys whose first row did
+        # 59 keys, then the 552 other rows of the keys whose first row did
         # not settle at the first stage.
-        assert sizes == [53, 554]
+        assert sizes == [59, 552]
         assert kinds["unavailable"] == 574 == len(
             report.deviations["commitment"].structural_failures)
 
@@ -1307,12 +1333,12 @@ def test_taken_searches_match_scalar_loop(case):
 # Per plan, with the budget of one grid prefix's rows and its prefix game
 # per stack: the stacks' sizes.
 SMALL_STACKS = {
-    # Prefix 0's 97 keys; then the 48 of prefix 20 and the 48 of prefix 21,
+    # Prefix 0's 97 keys; then the 49 of prefix 20 and the 48 of prefix 21,
     # which pass the budget together with prefix 0's.
-    "middle_round_on_a_read_cell": (_middle_round_on_a_read_cell, [97, 96]),
-    # Prefix 0's 53 keys; then the 554 other rows of the keys whose first
+    "middle_round_on_a_read_cell": (_middle_round_on_a_read_cell, [97, 97]),
+    # Prefix 0's 59 keys; then the 552 other rows of the keys whose first
     # row did not settle at the first stage, about 60 per prefix.
-    "spoiler": (lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)), [53, 206, 232, 116]),
+    "spoiler": (lambda: (spoiler_3x3(), naive_spoiler_plan(0.1)), [59, 204, 232, 116]),
 }
 
 
@@ -1402,13 +1428,15 @@ def test_array_grouping_matches_scalar_loop_on_reuse_plans(case, budget):
 
 
 # The reuse plans, with ex5 as `plan --delta auto` builds it (cap 0.05, 40
-# rounds) and ex6 at delta 0.01.
+# rounds), ex6 at delta 0.01, and the first seeded 2x2 plan, whose burns
+# bring rows to the bytes of other keys' rows.
 WAITING_PLANS = {
     **REUSE_PLANS,
     "ex5_auto": lambda: (cyclic_with_prize_overlap(), build_plan(
         cyclic_with_prize_overlap(), MixedProfile.uniform_over((4, 4), [(0, 1, 2), (0, 1, 2)]),
         target=(3, 2), delta=0.05)),
     "ex6": lambda: MERGED_SEARCH_PLANS["ex6"]()[:2],
+    "2x2_first": lambda: _seeded_two_by_two(1),
 }
 
 
@@ -1612,14 +1640,17 @@ def test_cli_auto_plans_search_pinned_rows(tmp_path, capsys, case):
         # the 32 that burn only where the opponent plays its 4th action, off
         # its support, join the no-op's.  Every round burns player 1's
         # payoffs against player 2's support actions, a read cell, so each
-        # prefix's rows have keys of their own, fewer than its classes where
-        # a no-op class shares the bytes of a prefix game or of the other
-        # deviator's no-op.  Every search settles at the first stage and is
-        # kept.  Under the budget (64 checkpoints) the keys of the 9 grid
-        # prefixes and the 41 prefix games make one stack; on the full grid
-        # the 3,862 keys fill one stack up to ROW_BUDGET, at a prefix's end.
+        # prefix's base rows have patterns of their own, and its rows a key
+        # per class; but a no-op class's rows have the key of their base
+        # row's pattern, and player 2's base row at prefix k, player 1's at
+        # prefix k + 1 and prefix game k + 1 hold the same read bytes.  So
+        # prefix 0 has 98 keys and each later prefix 97 more.  Every search
+        # settles at the first stage and is kept.  Under the budget (64
+        # checkpoints) the keys of the 9 grid prefixes and the 41 prefix
+        # games make one stack; on the full grid the 3,881 keys fill one
+        # stack up to ROW_BUDGET, at a prefix's end.
         assert (R, width, heads) == (40, 130, 98)
-        assert calls == [(8, [901]), (None, [2997, 865]), (None, [2997, 865])]
+        assert calls == [(8, [905]), (None, [3008, 873]), (None, [3008, 873])]
 
 
 def _seeded_two_by_two(draw: int):
